@@ -9,11 +9,11 @@ OS/PS relay-selection baselines.
 
 from .analytic import (combine_outage, eta, link_outages, p_cond_async,
                        p_cond_sync, total_outage)
-from .channel import (ChannelRealization, LinkSinrs, decode_set,
-                      draw_realization, link_sinrs)
+from .channel import (ChannelRealization, LinkSinrs, draw_realization,
+                      link_sinrs)
 from .fde import BinSpectrum, approx_rate, exact_rate, lambda_spectrum
 from .mc import (SCHEME_MULTI, SCHEME_OS, SCHEME_PS, SCHEMES, estimate_outage,
-                 run_trial, select_relay, trial_stream)
+                 select_relay, trial_stream)
 from .model import (ASYNCHRONOUS, FIXED_PER_RELAY, MI_APPROXIMATE, MI_EXACT,
                     SHARED_BUDGET, SYNCHRONOUS, OutageEstimate, SweepResult,
                     SweepRow, SweepSpec, SystemConfig, apply_param,
@@ -48,7 +48,6 @@ __all__ = [
     "linear_to_db",
     "draw_realization",
     "link_sinrs",
-    "decode_set",
     "lambda_spectrum",
     "exact_rate",
     "approx_rate",
@@ -59,7 +58,6 @@ __all__ = [
     "combine_outage",
     "total_outage",
     "select_relay",
-    "run_trial",
     "trial_stream",
     "estimate_outage",
 ]

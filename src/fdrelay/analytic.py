@@ -16,11 +16,6 @@ EQUAL_SCALE_RTOL = 1e-9
 # tolerated rounding spill outside [0, 1] before the clamp warns
 CLAMP_SLACK = 1e-9
 
-ENUMERATION_MAX_RELAYS = 20
-
-BINOMIAL = "binomial"
-ENUMERATION = "enumeration"
-
 
 def eta(rate: float, block_len: int, cp_len: int) -> float:
     """Decode threshold: SINR below which a block cannot carry rate bps/Hz.
@@ -42,33 +37,27 @@ def _exp_outage(gbar: float, e: float) -> float:
 
 @dataclass(frozen=True)
 class LinkOutageProbs:
-    """Per-link outage probabilities with the threshold and mean SNRs used."""
+    """Per-link outage probabilities with the threshold used."""
 
     p_sd: float
     p_sr: float
     eta: float
-    gbar_sd: float
-    gbar_rd: float
-    gbar_syn: float
 
 
-def decode_stage_power(cfg: SystemConfig) -> float:
-    """Relay power assumed when testing S->R decodability.
+def relay_tx_power(cfg: SystemConfig, n_forwarding):
+    """Per-relay transmit power when n_forwarding >= 1 relays transmit.
 
-    Under the shared budget the decode-set size is not known before the test,
-    so the interference floor uses the full-participation share E_R/N; the
-    fixed policy uses E_R outright.
+    The one place that knows the relay power policy: the shared budget splits
+    E_R over the forwarding relays, the fixed policy gives each relay E_R.
+    n_forwarding is an int (the closed form, which stays in Python floats) or
+    an array of per-trial counts (Monte-Carlo).  The decode stage tests S->R
+    before the forwarding set is known, so it uses the full-participation
+    count n_relays; a selection baseline's lone relay uses 1, which is E_R
+    under either policy.
     """
     if cfg.relay_power_policy == FIXED_PER_RELAY:
         return cfg.e_relay_budget
-    return cfg.e_relay_budget / cfg.n_relays
-
-
-def relay_tx_power(cfg: SystemConfig, n_decoding: int) -> float:
-    """Per-relay transmit power once n_decoding relays forward."""
-    if cfg.relay_power_policy == FIXED_PER_RELAY:
-        return cfg.e_relay_budget
-    return cfg.e_relay_budget / max(n_decoding, 1)
+    return cfg.e_relay_budget / n_forwarding
 
 
 def link_outages(cfg: SystemConfig, relay_power: float) -> LinkOutageProbs:
@@ -85,9 +74,6 @@ def link_outages(cfg: SystemConfig, relay_power: float) -> LinkOutageProbs:
         p_sd=_exp_outage(gbar_sd, e),
         p_sr=_exp_outage(gbar_sr, e),
         eta=e,
-        gbar_sd=gbar_sd,
-        gbar_rd=relay_power * cfg.var_rd,
-        gbar_syn=relay_power * cfg.n_relays * cfg.var_rd,
     )
 
 
@@ -149,52 +135,30 @@ def p_cond_sync(n_decoding: int, cfg: SystemConfig) -> float:
     return _mrc_mix_outage(1, cfg.p_source * cfg.var_sd, gbar_syn, e)
 
 
-def combine_outage(p_sd: float, p_sr: float, p_cond_by_size,
-                   method: str = BINOMIAL) -> float:
+def combine_outage(p_sd: float, p_sr: float, p_cond_by_size) -> float:
     """Total outage from link outages and per-size conditional outages.
 
     p_cond_by_size[L-1] is the destination outage given L forwarding relays.
-    The binomial form collapses the i.i.d. subset sum; enumeration walks all
-    2^N subsets literally and exists as a cross-check.
+    Relays decode independently with probability 1 - p_sr, so the sum over
+    all 2^N decode sets collapses to a binomial sum over the set size.
     """
     n = len(p_cond_by_size)
-    if method == BINOMIAL:
-        total = p_sd * p_sr ** n
-        for size in range(1, n + 1):
-            w = math.comb(n, size) * (1.0 - p_sr) ** size * p_sr ** (n - size)
-            total += w * p_cond_by_size[size - 1]
-    elif method == ENUMERATION:
-        if n > ENUMERATION_MAX_RELAYS:
-            raise ValueError(f"enumeration supports at most {ENUMERATION_MAX_RELAYS} relays")
-        total = 0.0
-        for bits in range(1 << n):
-            prob = 1.0
-            size = 0
-            for k in range(n):
-                if bits >> k & 1:
-                    prob *= 1.0 - p_sr
-                    size += 1
-                else:
-                    prob *= p_sr
-            total += prob * (p_sd if size == 0 else p_cond_by_size[size - 1])
-    else:
-        raise ValueError(f"unknown combination method {method!r}")
+    total = p_sd * p_sr ** n
+    for size in range(1, n + 1):
+        w = math.comb(n, size) * (1.0 - p_sr) ** size * p_sr ** (n - size)
+        total += w * p_cond_by_size[size - 1]
     return _clamped(total, "total outage")
 
 
-def total_outage(cfg: SystemConfig, mode: str | None = None,
-                 method: str = BINOMIAL) -> float:
-    """Closed-form outage of the multi-relay scheme.
+def total_outage(cfg: SystemConfig) -> float:
+    """Closed-form outage of the multi-relay scheme in cfg.sync_mode.
 
-    mode defaults to cfg.sync_mode; method picks the subset-sum collapse
-    (binomial) or the literal enumeration cross-check.  The destination is
-    modelled by the aggregate-SINR rate.  The exact per-bin rate never
-    exceeds that rate on any realization (Jensen over the bins, whose mean
-    SINR is the aggregate one), so this curve bounds the exact-MI outage from
-    below; the excess grows where outage is rare.
+    The destination is modelled by the aggregate-SINR rate.  The exact
+    per-bin rate never exceeds that rate on any realization (Jensen over the
+    bins, whose mean SINR is the aggregate one), so this curve bounds the
+    exact-MI outage from below; the excess grows where outage is rare.
     """
-    mode = cfg.sync_mode if mode is None else mode
-    links = link_outages(cfg, decode_stage_power(cfg))
-    cond = p_cond_sync if mode == SYNCHRONOUS else p_cond_async
+    links = link_outages(cfg, relay_tx_power(cfg, cfg.n_relays))
+    cond = p_cond_sync if cfg.sync_mode == SYNCHRONOUS else p_cond_async
     p_by_size = [cond(size, cfg) for size in range(1, cfg.n_relays + 1)]
-    return combine_outage(links.p_sd, links.p_sr, p_by_size, method)
+    return combine_outage(links.p_sd, links.p_sr, p_by_size)

@@ -27,12 +27,11 @@ def trial_block_uniforms(n_relays: int) -> int:
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """One fading block: h_sd scalar, h_sr and h_rd of length n_relays.
-
-    Batched draws hold a leading axis instead: h_sd (B,), h_sr/h_rd (B, N).
+    """Fading blocks: h_sd of the batch shape, h_sr and h_rd with a trailing
+    relay axis, e.g. h_sd (B,) and h_sr/h_rd (B, N), or () and (N,) unbatched.
     """
 
-    h_sd: complex | np.ndarray
+    h_sd: np.ndarray
     h_sr: np.ndarray
     h_rd: np.ndarray
 
@@ -61,15 +60,10 @@ def draw_realization(cfg: SystemConfig, rng: np.random.Generator,
 class LinkSinrs:
     """Instantaneous per-link SINRs under a given relay transmit power."""
 
-    g_sd: float | np.ndarray            # P_S |h_sd|^2
+    g_sd: np.ndarray                    # P_S |h_sd|^2
     g_sr: np.ndarray                    # P_S |h_sr_k|^2 / (P_R * interference + 1)
     g_rd: np.ndarray                    # P_R |h_rd_k|^2
     relay_tx_power: float | np.ndarray
-
-
-def _per_relay(x):
-    # align a per-trial scalar/vector against a trailing relay axis
-    return x[..., None] if np.ndim(x) > 0 else x
 
 
 def link_sinrs(real: ChannelRealization, cfg: SystemConfig, relay_power,
@@ -80,30 +74,12 @@ def link_sinrs(real: ChannelRealization, cfg: SystemConfig, relay_power,
     relay-input interference floor and the relay-to-destination SNR.
     interference_var overrides var_rsi + var_iri (selection schemes, where a
     lone transmitter sees no inter-relay interference, pass var_rsi alone).
-    relay_power may be per-trial (batch shape) as well as scalar.
+    relay_power is a scalar or has the realization's batch shape.
     """
     iv = (cfg.var_rsi + cfg.var_iri) if interference_var is None else interference_var
     denom = relay_power * iv + 1.0
     g_sd = cfg.p_source * abs2(real.h_sd)
-    g_sr = cfg.p_source * abs2(real.h_sr) / _per_relay(denom)
-    g_rd = _per_relay(relay_power) * abs2(real.h_rd)
+    g_sr = cfg.p_source * abs2(real.h_sr) / np.asarray(denom)[..., None]
+    g_rd = np.asarray(relay_power)[..., None] * abs2(real.h_rd)
     return LinkSinrs(g_sd, g_sr, g_rd, relay_power)
 
-
-def decode_set(sinrs: LinkSinrs, eta: float) -> tuple[int, ...]:
-    """Relay indices whose S->R SINR meets the decode threshold, ascending."""
-    g_sr = np.asarray(sinrs.g_sr)
-    if g_sr.ndim != 1:
-        raise ValueError("decode_set expects a single realization, not a batch")
-    return tuple(int(k) for k in np.nonzero(g_sr >= eta)[0])
-
-
-def relay_mask(dset, n_relays: int) -> np.ndarray:
-    """Boolean membership mask from an index tuple or a boolean mask pass-through."""
-    a = np.asarray(dset)
-    if a.dtype == bool:
-        return a
-    mask = np.zeros(n_relays, dtype=bool)
-    if a.size:
-        mask[a.astype(int)] = True
-    return mask

@@ -13,9 +13,9 @@ from pathlib import Path
 from .analytic import total_outage
 from .mc import SCHEME_MULTI, SCHEMES, estimate_outage
 from .model import (ASYNCHRONOUS, DB_FIELDS, MI_APPROXIMATE, MI_EXACT,
-                    SWEEPABLE_FIELDS, SYNCHRONOUS, SweepResult, SweepRow,
-                    SweepSpec, SystemConfig, apply_param, config_from_dict,
-                    db_to_linear, linear_to_db, validate_config)
+                    SYNCHRONOUS, SweepResult, SweepRow, SweepSpec,
+                    SystemConfig, apply_param, config_from_dict, db_to_linear,
+                    linear_to_db, validate_config)
 
 CSV_HEADER = "param,param_db,scheme,mode,analytic_p,mc_p,mc_stderr,trials,seed"
 
@@ -77,13 +77,10 @@ def build_preset(name: str) -> Preset:
 
 
 def _check_spec(spec: SweepSpec) -> None:
-    target = spec.param[:-3] if spec.param.endswith("_db") else spec.param
-    if target not in SWEEPABLE_FIELDS:
-        raise ValueError(f"unknown sweep parameter {spec.param!r}")
-    if spec.param.endswith("_db") and target not in DB_FIELDS:
-        raise ValueError(f"parameter {target!r} has no dB form")
     if not spec.values:
         raise ValueError("sweep values must be non-empty")
+    # apply_param owns the parameter-name rules
+    apply_param(spec.base, spec.param, spec.values[0])
     pairs = list(zip(spec.values, spec.values[1:]))
     if pairs and not (all(a < b for a, b in pairs) or all(a > b for a, b in pairs)):
         raise ValueError("sweep values must be strictly monotone")
@@ -133,21 +130,34 @@ def _fmt(x: float) -> str:
     return f"{x:.9g}"
 
 
+def _rounded(x: float) -> float:
+    # a 9-digit decimal survives the trip through a double, so formatting the
+    # rounded value again gives back the same digits
+    return float(_fmt(x))
+
+
 def _records(result: SweepResult) -> list[dict]:
+    """One record per row, keyed by CSV column, floats rounded to 9 digits."""
     recs = []
     for row in result.rows:
         recs.append({
-            "param": row.param,
-            "param_db": row.param_db,
+            "param": _rounded(row.param),
+            "param_db": None if math.isnan(row.param_db) else _rounded(row.param_db),
             "scheme": row.scheme,
             "mode": row.mode,
-            "analytic_p": row.analytic_p,
-            "mc_p": row.estimate.p_hat,
-            "mc_stderr": row.estimate.stderr,
+            "analytic_p": None if row.analytic_p is None else _rounded(row.analytic_p),
+            "mc_p": _rounded(row.estimate.p_hat),
+            "mc_stderr": _rounded(row.estimate.stderr),
             "trials": result.spec.trials,
             "seed": result.spec.seed,
         })
     return recs
+
+
+def _csv_cell(v) -> str:
+    if v is None:
+        return ""
+    return _fmt(v) if isinstance(v, float) else str(v)
 
 
 def emit(result: SweepResult, fmt: str, path) -> None:
@@ -160,35 +170,11 @@ def emit(result: SweepResult, fmt: str, path) -> None:
     recs = _records(result)
     path = Path(path)
     if fmt == "csv":
-        lines = [CSV_HEADER]
-        for r in recs:
-            lines.append(",".join((
-                _fmt(r["param"]),
-                "" if math.isnan(r["param_db"]) else _fmt(r["param_db"]),
-                r["scheme"],
-                r["mode"],
-                "" if r["analytic_p"] is None else _fmt(r["analytic_p"]),
-                _fmt(r["mc_p"]),
-                _fmt(r["mc_stderr"]),
-                str(r["trials"]),
-                str(r["seed"]),
-            )))
+        columns = CSV_HEADER.split(",")
+        lines = [CSV_HEADER] + [",".join(_csv_cell(r[c]) for c in columns) for r in recs]
         path.write_text("\n".join(lines) + "\n")
     elif fmt == "json":
-        rounded = []
-        for r in recs:
-            rounded.append({
-                "param": float(_fmt(r["param"])),
-                "param_db": None if math.isnan(r["param_db"]) else float(_fmt(r["param_db"])),
-                "scheme": r["scheme"],
-                "mode": r["mode"],
-                "analytic_p": None if r["analytic_p"] is None else float(_fmt(r["analytic_p"])),
-                "mc_p": float(_fmt(r["mc_p"])),
-                "mc_stderr": float(_fmt(r["mc_stderr"])),
-                "trials": r["trials"],
-                "seed": r["seed"],
-            })
-        path.write_text(json.dumps(rounded, indent=2) + "\n")
+        path.write_text(json.dumps(recs, indent=2) + "\n")
     else:
         raise ValueError(f"unknown output format {fmt!r}")
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization, LinkSinrs, relay_mask
+from .channel import ChannelRealization, LinkSinrs
 from .model import SYNCHRONOUS, SystemConfig
 from .sfun import abs2
 
@@ -19,24 +19,22 @@ class BinSpectrum:
     gamma: np.ndarray                   # (..., T) real, >= 0
 
 
-def lambda_spectrum(real: ChannelRealization, dset, cfg: SystemConfig,
+def lambda_spectrum(real: ChannelRealization, mask: np.ndarray, cfg: SystemConfig,
                     relay_power) -> BinSpectrum:
     """Equivalent per-bin gains of the combined direct-plus-relays channel.
 
-    lam_i = sqrt(P_S) h_sd + sum_{k in dset} sqrt(P_R) h_rd_k e^{-j2pi i tau_k/T}.
+    lam_i = sqrt(P_S) h_sd + sum_{k in mask} sqrt(P_R) h_rd_k e^{-j2pi i tau_k/T}.
 
-    dset is an index tuple for one realization or a boolean mask (optionally
-    batched); relays outside dset contribute exactly zero, so the sum always
-    runs over all relays in index order and scalar and batched evaluation
-    agree bit for bit.  An empty dset leaves the flat direct-only spectrum.
-    Direct O(T N) evaluation; block lengths here are small enough that an FFT
-    buys nothing.
+    mask is the boolean forwarding set, shaped like real.h_rd; relays outside
+    it contribute exactly zero, so the sum always runs over all relays in
+    index order and every batch row agrees bit for bit with the same
+    realization evaluated alone.  An empty mask leaves the flat direct-only
+    spectrum.  Direct O(T N) evaluation; block lengths here are small enough
+    that an FFT buys nothing.
     """
     t_len = cfg.block_len
     n = cfg.n_relays
-    mask = relay_mask(dset, n)
-    coef = (np.sqrt(relay_power)[..., None] if np.ndim(relay_power) else
-            np.sqrt(relay_power)) * real.h_rd * mask
+    coef = np.sqrt(np.asarray(relay_power))[..., None] * real.h_rd * mask
     base = np.sqrt(cfg.p_source) * real.h_sd
     i = np.arange(t_len)
     lam = np.zeros(np.shape(base) + (t_len,), dtype=complex)
@@ -49,11 +47,10 @@ def lambda_spectrum(real: ChannelRealization, dset, cfg: SystemConfig,
 
 def exact_rate(spec: BinSpectrum, cfg: SystemConfig):
     """Achievable rate of the equalized block: sum_i log2(1+gamma_i)/(T+cp)."""
-    r = np.log2(1.0 + spec.gamma).sum(axis=-1) / (cfg.block_len + cfg.cp_len)
-    return float(r) if np.ndim(r) == 0 else r
+    return np.log2(1.0 + spec.gamma).sum(axis=-1) / (cfg.block_len + cfg.cp_len)
 
 
-def approx_rate(sinrs: LinkSinrs, dset, cfg: SystemConfig,
+def approx_rate(sinrs: LinkSinrs, mask: np.ndarray, cfg: SystemConfig,
                 real: ChannelRealization | None = None):
     """High-SNR flat approximation of the block rate.
 
@@ -61,7 +58,6 @@ def approx_rate(sinrs: LinkSinrs, dset, cfg: SystemConfig,
     cancel across bins for staggered delays); synchronous relaying combines
     the relay amplitudes coherently first, which needs the realization's h_rd.
     """
-    mask = relay_mask(dset, np.asarray(sinrs.g_sr).shape[-1])
     if cfg.sync_mode == SYNCHRONOUS:
         if real is None:
             raise ValueError("synchronous approx_rate needs the channel realization")
@@ -70,5 +66,4 @@ def approx_rate(sinrs: LinkSinrs, dset, cfg: SystemConfig,
     else:
         relayed = (sinrs.g_rd * mask).sum(axis=-1)
     total = sinrs.g_sd + relayed
-    r = (cfg.block_len / (cfg.block_len + cfg.cp_len)) * np.log2(1.0 + total)
-    return float(r) if np.ndim(r) == 0 else r
+    return (cfg.block_len / (cfg.block_len + cfg.cp_len)) * np.log2(1.0 + total)

@@ -4,12 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .analytic import decode_stage_power, eta
+from .analytic import eta, relay_tx_power
 from .channel import (PHILOX_BLOCK, LinkSinrs, draw_realization, link_sinrs,
                       trial_block_uniforms)
 from .fde import approx_rate, exact_rate, lambda_spectrum
-from .model import (FIXED_PER_RELAY, MI_EXACT, SYNCHRONOUS, OutageEstimate,
-                    SystemConfig)
+from .model import MI_EXACT, SYNCHRONOUS, OutageEstimate, SystemConfig
 
 SCHEME_MULTI = "multi"
 SCHEME_OS = "os"
@@ -51,21 +50,17 @@ def select_relay(sinrs: LinkSinrs, kind: str):
 
 
 def _trial_outages(cfg: SystemConfig, scheme: str, real):
-    # one code path for a single realization and a batch: every step
-    # broadcasts, so the scalar case is bit-identical to any batch row
+    # every step broadcasts over the batch axis, so a trial's flag does not
+    # depend on the batch it is drawn in
     e = eta(cfg.rate, cfg.block_len, cfg.cp_len)
     if scheme == SCHEME_MULTI:
-        probe = link_sinrs(real, cfg, decode_stage_power(cfg))
+        probe = link_sinrs(real, cfg, relay_tx_power(cfg, cfg.n_relays))
         mask = probe.g_sr >= e
-        if cfg.relay_power_policy == FIXED_PER_RELAY:
-            p_relay = float(cfg.e_relay_budget)
-        else:
-            p_relay = cfg.e_relay_budget / np.maximum(mask.sum(axis=-1), 1)
+        p_relay = relay_tx_power(cfg, np.maximum(mask.sum(axis=-1), 1))
     elif scheme in (SCHEME_OS, SCHEME_PS):
-        extra = cfg.var_iri if cfg.selection_iri == "on" else 0.0
-        p_relay = float(cfg.e_relay_budget)
-        probe = link_sinrs(real, cfg, p_relay,
-                           interference_var=cfg.var_rsi + extra)
+        # a lone transmitter sees no inter-relay interference
+        p_relay = relay_tx_power(cfg, 1)
+        probe = link_sinrs(real, cfg, p_relay, interference_var=cfg.var_rsi)
         chosen = np.asarray(select_relay(probe, scheme))
         mask = (np.arange(cfg.n_relays) == chosen[..., None]) & (probe.g_sr >= e)
     else:
@@ -79,18 +74,14 @@ def _trial_outages(cfg: SystemConfig, scheme: str, real):
     return rate < cfg.rate
 
 
-def run_trial(cfg: SystemConfig, scheme: str, rng: np.random.Generator) -> bool:
-    """Single-trial outage flag; rng should come from trial_stream."""
-    return bool(_trial_outages(cfg, scheme, draw_realization(cfg, rng)))
-
-
 def estimate_outage(cfg: SystemConfig, scheme: str, trials: int,
                     seed: int = 0, chunk: int | None = None) -> OutageEstimate:
     """Estimate outage probability over a fixed number of trials.
 
     Trial t always consumes the substream trial_stream(seed, t), and the
     aggregate is an integer count, so the result is bit-identical for any
-    chunk size or worker split of the same (seed, trials).
+    chunk size or worker split of the same (seed, trials); chunk=1 runs the
+    trials one at a time.
     """
     if trials < 1:
         raise ValueError("trials must be positive")

@@ -37,6 +37,18 @@ def linear_to_db(x: float) -> float:
     return 10.0 * math.log10(x) if x > 0.0 else float("-inf")
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _integral(name: str, value) -> int:
+    """value as an int; integral floats such as 5.0 pass, while fractions,
+    non-finite values and bools raise instead of being truncated."""
+    if isinstance(value, bool) or not float(value).is_integer():
+        raise ValueError(f"{name} must be an integer")
+    return int(value)
+
+
 def default_delays(n_relays: int, sync_mode: str) -> tuple[int, ...]:
     """Relay processing delays used when a config does not pin them.
 
@@ -73,7 +85,6 @@ class SystemConfig:
     sync_mode: str = ASYNCHRONOUS
     mi_mode: str = MI_APPROXIMATE
     relay_power_policy: str = SHARED_BUDGET
-    selection_iri: str = "off"          # include IRI in selection-scheme relay SINR
 
     def __post_init__(self):
         if self.delays is None:
@@ -81,23 +92,26 @@ class SystemConfig:
                 self, "delays", default_delays(self.n_relays, self.sync_mode)
             )
         else:
-            object.__setattr__(self, "delays", tuple(int(d) for d in self.delays))
+            object.__setattr__(self, "delays",
+                               tuple(_integral("delays", d) for d in self.delays))
 
 
 def validate_config(cfg: SystemConfig) -> SystemConfig:
     """Check every invariant and return cfg unchanged; raise ValueError naming
     the first violated rule."""
-    if not isinstance(cfg.n_relays, int) or cfg.n_relays < 1:
+    if not _is_int(cfg.n_relays) or cfg.n_relays < 1:
         raise ValueError("n_relays must be a positive integer")
-    for name in ("p_source", "e_relay_budget", "var_sd", "var_sr", "var_rd",
-                 "var_rsi", "var_iri"):
+    for name in DB_FIELDS + ("rate",):
+        if not math.isfinite(getattr(cfg, name)):
+            raise ValueError(f"{name} must be finite")
+    for name in DB_FIELDS:
         if getattr(cfg, name) < 0.0:
             raise ValueError(f"{name} must be non-negative")
     if not cfg.rate > 0.0:
         raise ValueError("rate must be positive")
-    if not isinstance(cfg.block_len, int) or cfg.block_len < 1:
+    if not _is_int(cfg.block_len) or cfg.block_len < 1:
         raise ValueError("block_len must be a positive integer")
-    if not isinstance(cfg.cp_len, int) or cfg.cp_len < 0:
+    if not _is_int(cfg.cp_len) or cfg.cp_len < 0:
         raise ValueError("cp_len must be non-negative")
     if cfg.sync_mode not in (ASYNCHRONOUS, SYNCHRONOUS):
         raise ValueError(f"unknown sync_mode {cfg.sync_mode!r}")
@@ -105,8 +119,6 @@ def validate_config(cfg: SystemConfig) -> SystemConfig:
         raise ValueError(f"unknown mi_mode {cfg.mi_mode!r}")
     if cfg.relay_power_policy not in (SHARED_BUDGET, FIXED_PER_RELAY):
         raise ValueError(f"unknown relay_power_policy {cfg.relay_power_policy!r}")
-    if cfg.selection_iri not in ("off", "on"):
-        raise ValueError(f"selection_iri must be 'off' or 'on', got {cfg.selection_iri!r}")
     if len(cfg.delays) != cfg.n_relays:
         raise ValueError("delays length != n_relays")
     if any(d < 0 for d in cfg.delays):
@@ -135,11 +147,8 @@ def apply_param(cfg: SystemConfig, name: str, value: float) -> SystemConfig:
             raise ValueError(f"parameter {target!r} has no dB form")
         value = db_to_linear(value)
     if target == "n_relays":
-        n = int(value)
-        if n != value:
-            raise ValueError("n_relays must be an integer")
         # default delays depend on N, so re-derive them
-        out = replace(cfg, n_relays=n, delays=None)
+        out = replace(cfg, n_relays=_integral("n_relays", value), delays=None)
     else:
         out = replace(cfg, **{target: float(value)})
     return validate_config(out)
@@ -166,11 +175,9 @@ def config_from_dict(doc: dict) -> SystemConfig:
         if name in kwargs:
             raise ValueError(f"config field {name!r} given twice (linear and dB)")
         kwargs[name] = value
-    if "delays" in kwargs and kwargs["delays"] is not None:
-        kwargs["delays"] = tuple(int(d) for d in kwargs["delays"])
     for name in ("n_relays", "block_len", "cp_len"):
         if name in kwargs:
-            kwargs[name] = int(kwargs[name])
+            kwargs[name] = _integral(name, kwargs[name])
     for name in DB_FIELDS + ("rate",):
         if name in kwargs:
             kwargs[name] = float(kwargs[name])

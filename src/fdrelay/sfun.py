@@ -1,20 +1,15 @@
-"""Special functions and complex-Gaussian sampling shared by the outage models."""
+"""Special functions and the uniform-to-channel-gain map shared by the outage models."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "abs2",
-    "lower_incomplete_gamma_int",
     "regularized_lower_gamma_int",
-    "erlang_cdf",
     "gains_from_uniforms",
-    "ComplexGaussianSampler",
-    "sample_complex_gaussian",
 ]
 
 
@@ -68,35 +63,6 @@ def regularized_lower_gamma_int(n: int, x: float) -> float:
     return min(1.0, total) if x > 0.0 else total
 
 
-def lower_incomplete_gamma_int(n: int, x: float) -> float:
-    """Lower incomplete gamma function gamma(n, x) for integer order n >= 1."""
-    return math.factorial(n - 1) * regularized_lower_gamma_int(n, x)
-
-
-def erlang_cdf(k: int, mean_scale: float, x):
-    """CDF at x >= 0 of a sum of k i.i.d. exponentials with mean mean_scale.
-
-    Equals gamma(k, x/mean_scale)/(k-1)!.  x may be a scalar or an ndarray;
-    the series has all-positive terms for x >= 0 so plain summation is exact
-    enough here.
-    """
-    if k < 1:
-        raise ValueError("shape k must be a positive integer")
-    if mean_scale <= 0.0:
-        raise ValueError("mean_scale must be positive")
-    u = np.asarray(x, dtype=float) / mean_scale
-    if np.any(u < 0.0):
-        raise ValueError("x must be non-negative")
-    s = np.zeros_like(u)
-    t = np.ones_like(u)
-    for m in range(k):
-        if m:
-            t = t * u / m
-        s = s + t
-    out = np.clip(1.0 - np.exp(-u) * s, 0.0, 1.0)
-    return float(out) if np.ndim(x) == 0 else out
-
-
 def gains_from_uniforms(u: np.ndarray, variance: float):
     """Map uniform pairs u[..., 0:2] to CN(0, variance) draws by the polar method.
 
@@ -107,26 +73,4 @@ def gains_from_uniforms(u: np.ndarray, variance: float):
     """
     mag = np.sqrt(-variance * np.log1p(-u[..., 0]))
     ang = (2.0 * np.pi) * u[..., 1]
-    out = mag * np.cos(ang) + 1j * (mag * np.sin(ang))
-    return complex(out) if u.ndim == 1 else out
-
-
-@dataclass
-class ComplexGaussianSampler:
-    """CN(0, variance) source bound to an RNG; variance 0 yields exact zeros."""
-
-    variance: float
-    rng: np.random.Generator
-
-    def __post_init__(self):
-        if self.variance < 0.0:
-            raise ValueError("variance must be non-negative")
-
-    def sample(self, size: int | None = None):
-        shape = (2,) if size is None else (size, 2)
-        return gains_from_uniforms(self.rng.random(shape), self.variance)
-
-
-def sample_complex_gaussian(sampler: ComplexGaussianSampler) -> complex:
-    """Draw a single CN(0, variance) sample from the sampler's RNG."""
-    return complex(sampler.sample())
+    return mag * np.cos(ang) + 1j * (mag * np.sin(ang))

@@ -12,14 +12,14 @@ from functools import lru_cache
 import numpy as np
 from scipy.integrate import quad
 
-from fdrelay.analytic import combine_outage, decode_stage_power, eta, total_outage
+from fdrelay.analytic import combine_outage, eta, relay_tx_power, total_outage
 from fdrelay.channel import draw_realization, link_sinrs
 from fdrelay.cli import build_preset, main
 from fdrelay.fde import approx_rate, exact_rate, lambda_spectrum
 from fdrelay.mc import estimate_outage, trial_stream
-from fdrelay.model import (FIXED_PER_RELAY, MI_EXACT, SystemConfig,
-                           apply_param)
-from fdrelay.sfun import lower_incomplete_gamma_int
+from fdrelay.model import MI_EXACT, SystemConfig, apply_param
+from fdrelay.sfun import regularized_lower_gamma_int
+from oracles import combine_by_enumeration
 
 TRIALS = 1_000_000
 SEED = 0
@@ -80,7 +80,7 @@ def test_criterion_1_special_function_oracle():
         for x in np.linspace(-5.0, 40.0, 45):
             want, _ = quad(integrand, 0.0, float(x),
                            epsabs=1e-300, epsrel=1e-12, limit=200)
-            got = lower_incomplete_gamma_int(n, float(x))
+            got = math.factorial(n - 1) * regularized_lower_gamma_int(n, float(x))
             worst = max(worst, abs(got - want) / max(abs(want), 1e-300))
             n_pts += 1
     elapsed = time.perf_counter() - t0
@@ -106,7 +106,7 @@ def test_criterion_2_circulant_oracle():
                            delays=delays)
         real = draw_realization(cfg, trial_stream(trial, 0, n))
         p_r = cfg.e_relay_budget
-        spec = lambda_spectrum(real, tuple(range(n)), cfg, p_r)
+        spec = lambda_spectrum(real, np.ones(n, bool), cfg, p_r)
 
         taps = np.zeros(t_len, complex)
         taps[0] = np.sqrt(cfg.p_source) * real.h_sd
@@ -139,8 +139,8 @@ def test_criterion_3_combination_law_oracle():
         p_sd = float(rng.uniform(0, 1))
         p_sr = float(rng.uniform(0, 1))
         cond = rng.uniform(0, 1, size=n).tolist()
-        a = combine_outage(p_sd, p_sr, cond, method="binomial")
-        b = combine_outage(p_sd, p_sr, cond, method="enumeration")
+        a = combine_outage(p_sd, p_sr, cond)
+        b = combine_by_enumeration(p_sd, p_sr, cond)
         worst = max(worst, abs(a - b))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-12 and elapsed < 1.0
@@ -202,12 +202,9 @@ def _rate_pairs(cfg, n_samples: int, seed: int):
     rng = np.random.default_rng(seed)
     real = draw_realization(cfg, rng, size=n_samples)
     e = eta(cfg.rate, cfg.block_len, cfg.cp_len)
-    probe = link_sinrs(real, cfg, decode_stage_power(cfg))
+    probe = link_sinrs(real, cfg, relay_tx_power(cfg, cfg.n_relays))
     mask = probe.g_sr >= e
-    if cfg.relay_power_policy == FIXED_PER_RELAY:
-        p_relay = float(cfg.e_relay_budget)
-    else:
-        p_relay = cfg.e_relay_budget / np.maximum(mask.sum(axis=-1), 1)
+    p_relay = relay_tx_power(cfg, np.maximum(mask.sum(axis=-1), 1))
     tx = link_sinrs(real, cfg, p_relay)
     approx = approx_rate(tx, mask, cfg)
     exact = exact_rate(lambda_spectrum(real, mask, cfg, p_relay), cfg)
@@ -306,8 +303,7 @@ def _os_first_hop_floor(cfg) -> float:
     """Outage floor p_SD * (1 - q_os)^N of the os baseline.
 
     os tests decoding with the selected relay transmitting at the full budget
-    E_R, so (with selection_iri off, as in the presets) its input sees
-    E_R*var_rsi + 1 and each relay decodes with
+    E_R, so its input sees E_R*var_rsi + 1 and each relay decodes with
     probability q_os = exp(-eta (E_R var_rsi + 1) / (P_S var_sr)).  When no
     relay decodes only the direct link is left, which fails with p_SD.
     """

@@ -6,11 +6,11 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
-from fdrelay.analytic import (_mrc_mix_outage, combine_outage,
-                              decode_stage_power, eta, link_outages,
-                              p_cond_async, p_cond_sync, relay_tx_power,
-                              total_outage)
+from fdrelay.analytic import (_mrc_mix_outage, combine_outage, eta,
+                              link_outages, p_cond_async, p_cond_sync,
+                              relay_tx_power, total_outage)
 from fdrelay.model import FIXED_PER_RELAY, SYNCHRONOUS, SystemConfig
+from oracles import combine_by_enumeration
 
 
 def fig_config(**over):
@@ -39,30 +39,34 @@ def test_eta_values():
 
 def test_link_outages_fig_point():
     cfg = fig_config()
-    links = link_outages(cfg, decode_stage_power(cfg))
+    links = link_outages(cfg, relay_tx_power(cfg, cfg.n_relays))
     assert_allclose(links.p_sd, 0.62627864092127086, rtol=1e-14)
     assert_allclose(links.p_sr, 0.29763962753339062, rtol=1e-14)
     assert_allclose(links.eta, 3.112455306624266, rtol=1e-15)
-    assert_allclose(links.gbar_rd, (10 ** 0.5 / 5) * 10.0, rtol=1e-15)
-    assert_allclose(links.gbar_syn, 10 ** 0.5 * 10.0, rtol=1e-15)
 
 
 def test_link_outages_limits():
     strong = fig_config(p_source=1e9)
-    links = link_outages(strong, decode_stage_power(strong))
+    links = link_outages(strong, relay_tx_power(strong, strong.n_relays))
     assert links.p_sd < 1e-8 and links.p_sr < 1e-8
     dead = fig_config(p_source=0.0)
-    links0 = link_outages(dead, decode_stage_power(dead))
+    links0 = link_outages(dead, relay_tx_power(dead, dead.n_relays))
     assert links0.p_sd == 1.0 and links0.p_sr == 1.0
 
 
 def test_power_policies():
     cfg = fig_config()
-    assert decode_stage_power(cfg) == pytest.approx(10 ** 0.5 / 5)
+    assert relay_tx_power(cfg, cfg.n_relays) == pytest.approx(10 ** 0.5 / 5)
     assert relay_tx_power(cfg, 2) == pytest.approx(10 ** 0.5 / 2)
     fixed = fig_config(relay_power_policy=FIXED_PER_RELAY)
-    assert decode_stage_power(fixed) == pytest.approx(10 ** 0.5)
+    assert relay_tx_power(fixed, fixed.n_relays) == pytest.approx(10 ** 0.5)
     assert relay_tx_power(fixed, 2) == pytest.approx(10 ** 0.5)
+    # a lone selected relay gets the whole budget under either policy
+    assert relay_tx_power(cfg, 1) == relay_tx_power(fixed, 1) == 10 ** 0.5
+    # the closed form stays in Python floats; Monte-Carlo passes per-trial counts
+    assert type(relay_tx_power(cfg, 3)) is float
+    counts = np.array([1, 2, 5])
+    assert_allclose(relay_tx_power(cfg, counts), 10 ** 0.5 / counts, rtol=1e-15)
 
 
 def test_two_branch_mix_frozen():
@@ -169,8 +173,7 @@ def test_p_cond_sync_diversity_comparison():
 
 def test_combine_stub_example():
     assert_allclose(combine_outage(0.5, 0.5, [0.2, 0.1]), 0.25, rtol=1e-15)
-    assert_allclose(combine_outage(0.5, 0.5, [0.2, 0.1], method="enumeration"),
-                    0.25, rtol=1e-15)
+    assert_allclose(combine_by_enumeration(0.5, 0.5, [0.2, 0.1]), 0.25, rtol=1e-15)
 
 
 def test_combine_edge_probabilities():
@@ -185,24 +188,21 @@ def test_combine_binomial_matches_enumeration():
         p_sd = float(rng.uniform(0, 1))
         p_sr = float(rng.uniform(0, 1))
         cond = rng.uniform(0, 1, size=n).tolist()
-        a = combine_outage(p_sd, p_sr, cond, method="binomial")
-        b = combine_outage(p_sd, p_sr, cond, method="enumeration")
+        a = combine_outage(p_sd, p_sr, cond)
+        b = combine_by_enumeration(p_sd, p_sr, cond)
         assert math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-14)
 
 
-def test_combine_guards():
-    with pytest.raises(ValueError, match="at most 20"):
-        combine_outage(0.5, 0.5, [0.1] * 21, method="enumeration")
-    with pytest.raises(ValueError, match="unknown combination method"):
-        combine_outage(0.5, 0.5, [0.1], method="exact")
-
-
 def test_total_outage_methods_agree():
+    # the binomial collapse against all 2^N decode sets, in both modes
     for n in (1, 3, 8):
-        cfg = fig_config(n_relays=n)
-        a = total_outage(cfg)
-        b = total_outage(cfg, method="enumeration")
-        assert math.isclose(a, b, rel_tol=1e-12)
+        for cfg in (fig_config(n_relays=n),
+                    fig_config(n_relays=n, sync_mode=SYNCHRONOUS)):
+            links = link_outages(cfg, relay_tx_power(cfg, n))
+            cond = p_cond_sync if cfg.sync_mode == SYNCHRONOUS else p_cond_async
+            b = combine_by_enumeration(links.p_sd, links.p_sr,
+                                       [cond(size, cfg) for size in range(1, n + 1)])
+            assert math.isclose(total_outage(cfg), b, rel_tol=1e-12)
 
 
 def test_total_outage_monotone_in_power_and_rate():
@@ -220,4 +220,5 @@ def test_total_outage_sync_mode():
     sync = total_outage(cfg)
     async_p = total_outage(fig_config())
     assert sync > async_p
-    assert_allclose(sync, total_outage(fig_config(), mode=SYNCHRONOUS), rtol=1e-15)
+    # the mode comes from the config alone; delays do not enter the closed form
+    assert total_outage(replace(fig_config(), sync_mode=SYNCHRONOUS, delays=None)) == sync

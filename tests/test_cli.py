@@ -62,6 +62,7 @@ def test_check_spec_rejections():
         (small_spec(values=(1.0, 3.0, 2.0)), "strictly monotone"),
         (small_spec(param="colour"), "unknown sweep parameter"),
         (small_spec(param="rate_db"), "no dB form"),
+        (small_spec(param="n_relays", values=(2.5, 3.0)), "n_relays must be an integer"),
         (small_spec(schemes=("multi", "best")), "unknown scheme"),
         (small_spec(trials=0), "trials must be positive"),
     ]

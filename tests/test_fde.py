@@ -20,9 +20,13 @@ def manual_real(h_sd, h_sr, h_rd):
                               h_rd=np.asarray(h_rd, complex))
 
 
+NONE = np.array([False])
+ONE = np.array([True])
+
+
 def test_empty_decode_set_gives_flat_spectrum():
     cfg = config(p_source=4.0)
-    spec = lambda_spectrum(manual_real(1 + 0j, [0j], [5 + 5j]), (), cfg, 1.0)
+    spec = lambda_spectrum(manual_real(1 + 0j, [0j], [5 + 5j]), NONE, cfg, 1.0)
     assert_allclose(spec.lam, np.full(4, 2.0 + 0j), atol=1e-15)
     assert_allclose(spec.gamma, np.full(4, 4.0), atol=1e-15)
 
@@ -30,7 +34,7 @@ def test_empty_decode_set_gives_flat_spectrum():
 def test_four_point_spectrum_example():
     # single relay, unit gains, one-sample delay: DFT of taps [1, 1, 0, 0]
     cfg = config()
-    spec = lambda_spectrum(manual_real(1 + 0j, [1 + 0j], [1 + 0j]), (0,), cfg, 1.0)
+    spec = lambda_spectrum(manual_real(1 + 0j, [1 + 0j], [1 + 0j]), ONE, cfg, 1.0)
     assert_allclose(spec.lam, [2, 1 - 1j, 0, 1 + 1j], atol=1e-12)
     assert_allclose(spec.gamma, [4, 2, 0, 2], atol=1e-12)
 
@@ -47,7 +51,7 @@ def test_spectrum_matches_circulant_eigenvalues():
                            block_len=t_len, cp_len=t_len - 1, delays=delays)
         real = draw_realization(cfg, trial_stream(trial, 0, n))
         p_r = cfg.e_relay_budget
-        spec = lambda_spectrum(real, tuple(range(n)), cfg, p_r)
+        spec = lambda_spectrum(real, np.ones(n, bool), cfg, p_r)
 
         taps = np.zeros(t_len, complex)
         taps[0] = np.sqrt(cfg.p_source) * real.h_sd
@@ -80,14 +84,14 @@ def test_cross_terms_vanish():
 def test_exact_rate_values():
     cfg = SystemConfig(n_relays=1, p_source=1.0, e_relay_budget=1.0, rate=2.0,
                        block_len=500, cp_len=10, delays=(1,))
-    spec = lambda_spectrum(manual_real(np.sqrt(3) + 0j, [0j], [0j]), (), cfg, 1.0)
+    spec = lambda_spectrum(manual_real(np.sqrt(3) + 0j, [0j], [0j]), NONE, cfg, 1.0)
     assert_allclose(exact_rate(spec, cfg), 1.9607843137254902, rtol=1e-12)
 
     small = config(cp_len=1, delays=(1,))
-    spec4 = lambda_spectrum(manual_real(1 + 0j, [1 + 0j], [1 + 0j]), (0,), small, 1.0)
+    spec4 = lambda_spectrum(manual_real(1 + 0j, [1 + 0j], [1 + 0j]), ONE, small, 1.0)
     assert_allclose(exact_rate(spec4, small), 1.0983706192659349, rtol=1e-12)
 
-    dead = lambda_spectrum(manual_real(0j, [0j], [0j]), (), small, 1.0)
+    dead = lambda_spectrum(manual_real(0j, [0j], [0j]), NONE, small, 1.0)
     assert exact_rate(dead, small) == 0.0
 
 
@@ -96,9 +100,9 @@ def test_approx_rate_values():
                        block_len=500, cp_len=10, delays=(1,))
     real = manual_real(1 + 0j, [0j], [np.sqrt(2) + 0j])
     sinrs = link_sinrs(real, cfg, 1.0)
-    assert_allclose(approx_rate(sinrs, (0,), cfg), 1.9607843137254902, rtol=1e-12)
+    assert_allclose(approx_rate(sinrs, ONE, cfg), 1.9607843137254902, rtol=1e-12)
     # empty decode set keeps only the direct SNR
-    assert_allclose(approx_rate(sinrs, (), cfg),
+    assert_allclose(approx_rate(sinrs, NONE, cfg),
                     (500 / 510) * np.log2(2.0), rtol=1e-12)
 
 
@@ -107,14 +111,14 @@ def test_sync_coherent_sum_and_destructive_case():
                        block_len=8, cp_len=2, delays=(2, 2), sync_mode=SYNCHRONOUS)
     real = manual_real(1 + 0j, [0j, 0j], [1 + 0j, -1 + 0j])
     sinrs = link_sinrs(real, cfg, 1.0)
-    got = approx_rate(sinrs, (0, 1), cfg, real=real)
+    got = approx_rate(sinrs, np.array([True, True]), cfg, real=real)
     assert_allclose(got, (8 / 10) * np.log2(2.0), rtol=1e-12)
     # equal-delay relays collapse to one relay with the summed gain
     a, b = 0.3 - 1.1j, 0.8 + 0.2j
-    two = lambda_spectrum(manual_real(0.5 + 0j, [0j, 0j], [a, b]), (0, 1), cfg, 1.0)
+    two = lambda_spectrum(manual_real(0.5 + 0j, [0j, 0j], [a, b]), np.array([True, True]), cfg, 1.0)
     one_cfg = SystemConfig(n_relays=1, p_source=1.0, e_relay_budget=1.0, rate=2.0,
                            block_len=8, cp_len=2, delays=(2,), sync_mode=SYNCHRONOUS)
-    one = lambda_spectrum(manual_real(0.5 + 0j, [0j], [a + b]), (0,), one_cfg, 1.0)
+    one = lambda_spectrum(manual_real(0.5 + 0j, [0j], [a + b]), ONE, one_cfg, 1.0)
     assert_allclose(two.lam, one.lam, rtol=1e-12)
 
 
@@ -124,7 +128,7 @@ def test_sync_approx_requires_realization():
     real = manual_real(1 + 0j, [1 + 0j], [1 + 0j])
     sinrs = link_sinrs(real, cfg, 1.0)
     with pytest.raises(ValueError):
-        approx_rate(sinrs, (0,), cfg)
+        approx_rate(sinrs, ONE, cfg)
 
 
 def test_exact_rate_never_exceeds_approx():

@@ -6,8 +6,7 @@ import pytest
 from fdrelay.analytic import total_outage
 from fdrelay.channel import ChannelRealization, LinkSinrs
 from fdrelay.mc import (SCHEME_MULTI, SCHEME_OS, SCHEME_PS, SCHEMES,
-                        estimate_outage, run_trial, select_relay,
-                        trial_stream)
+                        estimate_outage, select_relay, trial_stream)
 from fdrelay.model import (MI_EXACT, SYNCHRONOUS, SystemConfig,
                            validate_config)
 
@@ -65,11 +64,12 @@ def test_trial_stream_determinism():
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_estimate_matches_scalar_trials(scheme):
+    # chunk=1 runs each trial alone, as a batch of one drawn from
+    # trial_stream(seed, t)
     cfg = fig_config()
     est = estimate_outage(cfg, scheme, trials=300, seed=5, chunk=64)
-    manual = sum(run_trial(cfg, scheme, trial_stream(5, t, cfg.n_relays))
-                 for t in range(300))
-    assert est.outage_count == manual
+    one_by_one = estimate_outage(cfg, scheme, trials=300, seed=5, chunk=1)
+    assert est.outage_count == one_by_one.outage_count
     assert est.trials == 300
 
 
@@ -77,17 +77,17 @@ def test_estimate_matches_scalar_trials_exact_and_sync():
     for cfg in (fig_config(mi_mode=MI_EXACT),
                 fig_config(sync_mode=SYNCHRONOUS, delays=None)):
         est = estimate_outage(cfg, SCHEME_MULTI, trials=200, seed=9, chunk=48)
-        manual = sum(run_trial(cfg, SCHEME_MULTI, trial_stream(9, t, cfg.n_relays))
-                     for t in range(200))
-        assert est.outage_count == manual
+        one_by_one = estimate_outage(cfg, SCHEME_MULTI, trials=200, seed=9, chunk=1)
+        assert est.outage_count == one_by_one.outage_count
 
 
 def test_chunking_never_changes_counts():
     cfg = fig_config()
-    counts = {estimate_outage(cfg, SCHEME_MULTI, trials=400, seed=11,
-                              chunk=c).outage_count
-              for c in (1, 7, 64, 400, None)}
-    assert len(counts) == 1
+    for scheme in SCHEMES:
+        counts = {estimate_outage(cfg, scheme, trials=400, seed=11,
+                                  chunk=c).outage_count
+                  for c in (1, 7, 64, 400, None)}
+        assert len(counts) == 1, scheme
 
 
 def test_same_seed_reproduces():

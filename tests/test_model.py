@@ -9,6 +9,9 @@ from fdrelay.model import (ASYNCHRONOUS, SYNCHRONOUS, OutageEstimate,
                            validate_config)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
 def base_config(**over):
     kwargs = dict(n_relays=5, p_source=2.0, e_relay_budget=1.0, rate=2.0)
     kwargs.update(over)
@@ -61,6 +64,22 @@ def test_validate_accepts_standard_config():
     (dict(n_relays=2, delays=(1, 1)), "duplicate delays"),
     (dict(n_relays=2, delays=(1, 2), sync_mode=SYNCHRONOUS),
      "unequal delays in synchronous mode"),
+    # non-finite powers, variances and rates; bools are not counts
+    (dict(p_source=NAN), "p_source must be finite"),
+    (dict(p_source=INF), "p_source must be finite"),
+    (dict(e_relay_budget=INF), "e_relay_budget must be finite"),
+    (dict(e_relay_budget=NAN), "e_relay_budget must be finite"),
+    (dict(rate=INF), "rate must be finite"),
+    (dict(rate=NAN), "rate must be finite"),
+    (dict(var_sd=NAN), "var_sd must be finite"),
+    (dict(var_sr=INF), "var_sr must be finite"),
+    (dict(var_rd=-INF), "var_rd must be finite"),
+    (dict(var_rsi=NAN), "var_rsi must be finite"),
+    (dict(var_iri=INF), "var_iri must be finite"),
+    (dict(n_relays=True, delays=(1,)), "n_relays must be a positive integer"),
+    (dict(block_len=True), "block_len must be a positive integer"),
+    (dict(cp_len=False, delays=(0, 0, 0, 0, 0), sync_mode=SYNCHRONOUS),
+     "cp_len must be non-negative"),
 ])
 def test_validate_rejects(over, msg):
     cfg = base_config(**over)
@@ -98,6 +117,26 @@ def test_apply_param_rejects_unknown():
         apply_param(base_config(), "rate_db", 3.0)
     with pytest.raises(ValueError, match="n_relays must be an integer"):
         apply_param(base_config(), "n_relays", 2.5)
+    with pytest.raises(ValueError, match="n_relays must be an integer"):
+        apply_param(base_config(), "n_relays", INF)
+
+
+def test_non_integral_delays_rejected():
+    with pytest.raises(ValueError, match="delays must be an integer"):
+        base_config(n_relays=2, delays=(1.9, 2.2))
+    with pytest.raises(ValueError, match="delays must be an integer"):
+        config_from_dict({"n_relays": 2, "p_source": 1.0, "e_relay_budget": 1.0,
+                          "rate": 1.0, "delays": [1, 2.5]})
+
+
+def test_integral_floats_accepted():
+    cfg = config_from_dict({"n_relays": 3.0, "p_source": 1.0, "e_relay_budget": 1.0,
+                            "rate": 1.0, "block_len": 64.0, "cp_len": 4.0,
+                            "delays": [1.0, 2.0, 3.0]})
+    assert (cfg.n_relays, cfg.block_len, cfg.cp_len, cfg.delays) == (3, 64, 4, (1, 2, 3))
+    assert all(type(v) is int for v in (cfg.n_relays, cfg.block_len, cfg.cp_len)
+               + cfg.delays)
+    assert apply_param(cfg, "n_relays", 2.0).n_relays == 2
 
 
 def test_config_from_dict_round_trip():
@@ -128,6 +167,11 @@ def test_config_from_dict_rejections():
         config_from_dict({**good, "var_rd": 1.0, "var_rd_db": 0.0})
     with pytest.raises(ValueError, match="rate must be positive"):
         config_from_dict({**good, "rate": 0.0})
+    # counts and lengths are never truncated
+    for field, value in [("n_relays", 2.7), ("block_len", 500.9), ("cp_len", 10.5),
+                         ("n_relays", INF)]:
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            config_from_dict({**good, field: value})
 
 
 def test_outage_estimate_counts():

@@ -5,10 +5,12 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
-from fdrelay.sfun import (ComplexGaussianSampler, abs2, erlang_cdf,
-                          gains_from_uniforms, lower_incomplete_gamma_int,
-                          regularized_lower_gamma_int,
-                          sample_complex_gaussian)
+from fdrelay.sfun import abs2, gains_from_uniforms, regularized_lower_gamma_int
+
+
+def lower_gamma(n, x):
+    # unregularized gamma(n, x) = (n-1)! P(n, x), the form the oracles give
+    return math.factorial(n - 1) * regularized_lower_gamma_int(n, x)
 
 
 def gamma_quad(n, x):
@@ -20,13 +22,13 @@ def gamma_quad(n, x):
 
 
 def test_lower_gamma_frozen_values():
-    assert_allclose(lower_incomplete_gamma_int(1, 1.0),
+    assert_allclose(lower_gamma(1, 1.0),
                     0.63212055882855768, rtol=1e-14)
-    assert lower_incomplete_gamma_int(3, 0.0) == 0.0
-    assert_allclose(lower_incomplete_gamma_int(3, 2.0),
+    assert lower_gamma(3, 0.0) == 0.0
+    assert_allclose(lower_gamma(3, 2.0),
                     0.64664716763387308, rtol=1e-14)
     # negative argument: series continuation equals 1 - e^{0.5}
-    assert_allclose(lower_incomplete_gamma_int(1, -0.5),
+    assert_allclose(lower_gamma(1, -0.5),
                     -0.64872127070012815, rtol=1e-14)
 
 
@@ -35,55 +37,42 @@ def test_lower_gamma_matches_quadrature():
     for n in range(1, 13):
         for x in xs:
             want = gamma_quad(n, float(x))
-            got = lower_incomplete_gamma_int(n, float(x))
+            got = lower_gamma(n, float(x))
             assert math.isclose(got, want, rel_tol=1e-10, abs_tol=1e-13), (n, x)
 
 
 def test_lower_gamma_rejects_nonpositive_order():
     with pytest.raises(ValueError):
-        lower_incomplete_gamma_int(0, 1.0)
+        regularized_lower_gamma_int(0, 1.0)
     with pytest.raises(ValueError):
-        lower_incomplete_gamma_int(-2, 1.0)
+        regularized_lower_gamma_int(-2, 1.0)
 
 
 def test_lower_gamma_monotone_and_saturates():
     for n in (1, 2, 5, 12):
         xs = np.linspace(0.0, 30.0, 301)
-        vals = [lower_incomplete_gamma_int(n, float(x)) for x in xs]
+        vals = [lower_gamma(n, float(x)) for x in xs]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
-        assert math.isclose(lower_incomplete_gamma_int(n, 50.0 * n),
+        assert math.isclose(lower_gamma(n, 50.0 * n),
                             math.factorial(n - 1), rel_tol=1e-10)
 
 
 def test_regularized_variant_scaling():
+    # P(n+1, x) = P(n, x) - x^n e^{-x} / n!, across both evaluation branches
     for n in (1, 4, 9):
         for x in (-2.0, 0.3, 7.5):
-            assert_allclose(lower_incomplete_gamma_int(n, x),
-                            math.factorial(n - 1) * regularized_lower_gamma_int(n, x),
-                            rtol=1e-14)
+            want = (regularized_lower_gamma_int(n, x)
+                    - x ** n * math.exp(-x) / math.factorial(n))
+            assert_allclose(regularized_lower_gamma_int(n + 1, x), want, rtol=1e-13)
 
 
 def test_erlang_cdf_values():
-    assert_allclose(erlang_cdf(1, 2.0, 2.0), 0.63212055882855768, rtol=1e-14)
-    assert erlang_cdf(2, 1.0, 0.0) == 0.0
-    assert_allclose(erlang_cdf(3, 1.0, 2.0), 0.32332358381693654, rtol=1e-14)
-
-
-def test_erlang_cdf_validation():
-    with pytest.raises(ValueError):
-        erlang_cdf(0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        erlang_cdf(2, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        erlang_cdf(2, 1.0, -0.1)
-
-
-def test_erlang_cdf_vectorized():
-    x = np.array([0.0, 0.5, 2.0, 10.0])
-    got = erlang_cdf(2, 1.5, x)
-    want = [erlang_cdf(2, 1.5, float(v)) for v in x]
-    assert_allclose(got, want, rtol=1e-14)
-    assert got.shape == x.shape
+    # the CDF of k summed exponentials of mean scale is P(k, x/scale)
+    assert_allclose(regularized_lower_gamma_int(1, 2.0 / 2.0), 0.63212055882855768,
+                    rtol=1e-14)
+    assert regularized_lower_gamma_int(2, 0.0 / 1.0) == 0.0
+    assert_allclose(regularized_lower_gamma_int(3, 2.0 / 1.0), 0.32332358381693654,
+                    rtol=1e-14)
 
 
 def test_erlang_cdf_against_summed_exponentials():
@@ -92,7 +81,7 @@ def test_erlang_cdf_against_summed_exponentials():
     rng = np.random.default_rng(2024)
     samples = rng.exponential(scale, size=(n, k)).sum(axis=1)
     samples.sort()
-    model = erlang_cdf(k, scale, samples)
+    model = np.array([regularized_lower_gamma_int(k, x / scale) for x in samples.tolist()])
     empirical_hi = np.arange(1, n + 1) / n
     empirical_lo = np.arange(0, n) / n
     ks = max(np.abs(empirical_hi - model).max(),
@@ -107,18 +96,15 @@ def test_abs2_matches_squared_magnitude():
 
 
 def test_zero_variance_sample_is_exactly_zero():
-    rng = np.random.default_rng(7)
-    sampler = ComplexGaussianSampler(0.0, rng)
-    for _ in range(10):
-        assert sample_complex_gaussian(sampler) == 0.0
+    gains = gains_from_uniforms(np.random.default_rng(7).random((10, 2)), 0.0)
+    assert np.all(gains == 0.0)
 
 
 def test_sample_statistics():
-    rng = np.random.default_rng(11)
-    draws = ComplexGaussianSampler(4.0, rng).sample(size=1_000_000)
+    draws = gains_from_uniforms(np.random.default_rng(11).random((1_000_000, 2)), 4.0)
     mean_power = abs2(draws).mean()
     assert 3.98 <= mean_power <= 4.02
-    unit = ComplexGaussianSampler(1.0, np.random.default_rng(12)).sample(size=1_000_000)
+    unit = gains_from_uniforms(np.random.default_rng(12).random((1_000_000, 2)), 1.0)
     assert abs(unit.real.mean()) < 0.004
     assert abs(unit.imag.mean()) < 0.004
     # real/imag parts carry half the variance each
@@ -130,11 +116,12 @@ def test_gains_from_uniforms_layout():
     u = np.array([0.5, 0.25])
     got = gains_from_uniforms(u, 2.0)
     mag = math.sqrt(-2.0 * math.log1p(-0.5))
-    assert isinstance(got, complex)
+    assert got.shape == ()          # one pair, no batch axis
     assert_allclose(got, mag * np.exp(2j * np.pi * 0.25), rtol=1e-14)
     batch = gains_from_uniforms(np.tile(u, (6, 1)), 2.0)
     assert batch.shape == (6,)
     assert_allclose(batch, got, rtol=1e-15)
+    assert gains_from_uniforms(np.tile(u, (2, 3, 1)), 2.0).shape == (2, 3)
 
 
 def test_gains_edge_uniform_zero():
