@@ -78,7 +78,8 @@ def link_outages(cfg: SystemConfig, relay_power: float) -> LinkOutageProbs:
 
 
 def _clamped(p: float, what: str) -> float:
-    if p < -CLAMP_SLACK or p > 1.0 + CLAMP_SLACK:
+    # a NaN fails the range test too, so it warns before it is mapped to 0
+    if not -CLAMP_SLACK <= p <= 1.0 + CLAMP_SLACK:
         warnings.warn(f"{what} = {p!r} left [0, 1] beyond rounding slack; clamping",
                       RuntimeWarning, stacklevel=3)
     return min(1.0, max(0.0, p))

@@ -13,9 +13,8 @@ from pathlib import Path
 from .analytic import total_outage
 from .mc import SCHEME_MULTI, SCHEMES, estimate_outage
 from .model import (ASYNCHRONOUS, DB_FIELDS, MI_APPROXIMATE, MI_EXACT,
-                    SYNCHRONOUS, SweepResult, SweepRow, SweepSpec,
-                    SystemConfig, apply_param, config_from_dict, db_to_linear,
-                    linear_to_db, validate_config)
+                    SYNCHRONOUS, SweepResult, SweepRow, SweepSpec, apply_param,
+                    config_from_dict, configure, linear_to_db, parse_field)
 
 CSV_HEADER = "param,param_db,scheme,mode,analytic_p,mc_p,mc_stderr,trials,seed"
 
@@ -27,32 +26,13 @@ SR_SWEEP_DB = (0.0, 2.0, 4.0, 6.0, 8.0, 10.0)
 
 @dataclass(frozen=True)
 class Preset:
-    """Named experiment: one sweep per relay-count variant.
+    """Shipped experiment: one sweep per relay-count variant.
 
     A variant label distinguishes output files when the preset runs several
     relay counts ("n5", "n10"); a single-variant preset uses the empty label.
     """
 
-    name: str
     variants: tuple[tuple[str, SweepSpec], ...]
-
-
-def _preset_base(n_relays: int, power_db: float, var_sr_db: float,
-                 var_rd_db: float, var_iri_db: float, sync_mode: str) -> SystemConfig:
-    return validate_config(SystemConfig(
-        n_relays=n_relays,
-        p_source=db_to_linear(power_db),
-        e_relay_budget=db_to_linear(power_db),
-        rate=2.0,
-        var_sd=1.0,
-        var_sr=db_to_linear(var_sr_db),
-        var_rd=db_to_linear(var_rd_db),
-        var_rsi=1.0,
-        var_iri=db_to_linear(var_iri_db),
-        block_len=500,
-        cp_len=10,
-        sync_mode=sync_mode,
-    ))
 
 
 def build_preset(name: str) -> Preset:
@@ -62,17 +42,23 @@ def build_preset(name: str) -> Preset:
     the asynchronous/synchronous destinations; fig4/fig5 sweep the first-hop
     quality at N = 10 with a strong/weak second hop to compare the schemes.
     """
+    common = {"rate": 2.0, "var_sd": 1.0, "var_rsi": 1.0, "block_len": 500, "cp_len": 10}
     if name in ("fig2", "fig3"):
         mode = SYNCHRONOUS if name == "fig3" else ASYNCHRONOUS
         variants = []
         for n in (5, 10):
-            base = _preset_base(n, 5.0, 8.0, 10.0, IRI_SWEEP_DB[0], mode)
+            base = config_from_dict({
+                **common, "n_relays": n, "p_source_db": 5.0, "e_relay_budget_db": 5.0,
+                "var_sr_db": 8.0, "var_rd_db": 10.0, "var_iri_db": IRI_SWEEP_DB[0],
+                "sync_mode": mode})
             variants.append((f"n{n}", SweepSpec(base, "var_iri_db", IRI_SWEEP_DB)))
-        return Preset(name, tuple(variants))
+        return Preset(tuple(variants))
     if name in ("fig4", "fig5"):
-        rd_db = 10.0 if name == "fig4" else 0.0
-        base = _preset_base(10, 10.0, SR_SWEEP_DB[0], rd_db, 0.0, ASYNCHRONOUS)
-        return Preset(name, (("", SweepSpec(base, "var_sr_db", SR_SWEEP_DB)),))
+        base = config_from_dict({
+            **common, "n_relays": 10, "p_source_db": 10.0, "e_relay_budget_db": 10.0,
+            "var_sr_db": SR_SWEEP_DB[0], "var_rd_db": 10.0 if name == "fig4" else 0.0,
+            "var_iri_db": 0.0})
+        return Preset((("", SweepSpec(base, "var_sr_db", SR_SWEEP_DB)),))
     raise ValueError(f"unknown preset {name!r}")
 
 
@@ -96,16 +82,12 @@ def _check_spec(spec: SweepSpec) -> None:
 def _sweep_task(task: tuple[SweepSpec, float, str]) -> SweepRow:
     spec, value, scheme = task
     cfg = apply_param(spec.base, spec.param, value)
-    if spec.param.endswith("_db"):
-        linear, in_db = db_to_linear(value), float(value)
-    elif spec.param in DB_FIELDS:
-        linear, in_db = float(value), linear_to_db(value)
-    else:
-        linear, in_db = float(value), float("nan")
+    field, linear = parse_field(spec.param, value)
+    in_db = linear_to_db(linear) if field in DB_FIELDS else float("nan")
     analytic_p = total_outage(cfg) if scheme == SCHEME_MULTI else None
     est = estimate_outage(cfg, scheme, spec.trials, spec.seed)
     mode = "sync" if cfg.sync_mode == SYNCHRONOUS else "async"
-    return SweepRow(linear, in_db, scheme, mode, analytic_p, est)
+    return SweepRow(float(linear), in_db, scheme, mode, analytic_p, est)
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
@@ -138,20 +120,17 @@ def _rounded(x: float) -> float:
 
 def _records(result: SweepResult) -> list[dict]:
     """One record per row, keyed by CSV column, floats rounded to 9 digits."""
-    recs = []
-    for row in result.rows:
-        recs.append({
-            "param": _rounded(row.param),
-            "param_db": None if math.isnan(row.param_db) else _rounded(row.param_db),
-            "scheme": row.scheme,
-            "mode": row.mode,
-            "analytic_p": None if row.analytic_p is None else _rounded(row.analytic_p),
-            "mc_p": _rounded(row.estimate.p_hat),
-            "mc_stderr": _rounded(row.estimate.stderr),
-            "trials": result.spec.trials,
-            "seed": result.spec.seed,
-        })
-    return recs
+    return [{
+        "param": _rounded(row.param),
+        "param_db": None if math.isnan(row.param_db) else _rounded(row.param_db),
+        "scheme": row.scheme,
+        "mode": row.mode,
+        "analytic_p": None if row.analytic_p is None else _rounded(row.analytic_p),
+        "mc_p": _rounded(row.estimate.p_hat),
+        "mc_stderr": _rounded(row.estimate.stderr),
+        "trials": result.spec.trials,
+        "seed": result.spec.seed,
+    } for row in result.rows]
 
 
 def _csv_cell(v) -> str:
@@ -215,61 +194,50 @@ def _parse_args(argv):
     return parser.parse_args(argv)
 
 
-def _override_base(cfg: SystemConfig, args) -> SystemConfig:
-    if args.mode is not None:
-        want = SYNCHRONOUS if args.mode == "sync" else ASYNCHRONOUS
-        if want != cfg.sync_mode:
-            # delays were derived for the old mode; re-derive for the new one
-            cfg = replace(cfg, sync_mode=want, delays=None)
-    if args.mi is not None:
-        cfg = replace(cfg, mi_mode=MI_EXACT if args.mi == "exact" else MI_APPROXIMATE)
-    return validate_config(cfg)
+def _config_spec(doc) -> SweepSpec:
+    """SweepSpec of a parsed config file; its sweep block is read here, not by the model."""
+    if not isinstance(doc, dict):
+        raise ValueError("config file must hold a JSON object")
+    sweep = doc.pop("sweep", {})
+    if isinstance(sweep, dict) and set(sweep) <= {"param", "values"}:
+        param, values = sweep.get("param", ""), sweep.get("values", [])
+        if isinstance(param, str) and isinstance(values, list) and all(
+                isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
+            return SweepSpec(config_from_dict(doc), param, tuple(float(v) for v in values))
+    raise ValueError('sweep block must be {"param": "<name>", "values": [<numbers>]}')
 
 
 def _variant_path(out: Path, label: str) -> Path:
-    if not label:
-        return out
-    return out.with_name(f"{out.stem}_{label}{out.suffix}")
+    return out.with_name(f"{out.stem}_{label}{out.suffix}") if label else out
 
 
 def main(argv=None) -> int:
     args = _parse_args(argv)
     try:
         if args.preset is not None:
-            preset = build_preset(args.preset)
-            variants = list(preset.variants)
-            default_out = f"{preset.name}.{args.format}"
+            variants = build_preset(args.preset).variants
         else:
-            doc = json.loads(Path(args.config).read_text())
-            if not isinstance(doc, dict):
-                raise ValueError("config file must hold a JSON object")
-            cfg = config_from_dict(doc)
-            sweep_doc = doc.get("sweep")
-            if sweep_doc is None:
-                sweep_doc = {}
-            elif not isinstance(sweep_doc, dict):
-                raise ValueError("sweep block must be a JSON object")
-            param = sweep_doc.get("param")
-            values = tuple(float(v) for v in sweep_doc.get("values", ()))
-            variants = [("", SweepSpec(cfg, param or "", values))]
-            default_out = f"sweep.{args.format}"
+            variants = [("", _config_spec(json.loads(Path(args.config).read_text())))]
 
         schemes = SCHEMES if args.scheme == "all" else (args.scheme,)
-        out = Path(args.out) if args.out else Path(default_out)
+        out = Path(args.out or f"{args.preset or 'sweep'}.{args.format}")
+        named = {"async": ASYNCHRONOUS, "sync": SYNCHRONOUS,
+                 "exact": MI_EXACT, "approx": MI_APPROXIMATE}
+        overrides = {field: named[v] for field, v in (("sync_mode", args.mode),
+                                                      ("mi_mode", args.mi)) if v}
 
-        for i, (label, spec) in enumerate(variants):
-            base = _override_base(spec.base, args)
-            param, values = spec.param, spec.values
-            if args.sweep_param is not None:
-                param = args.sweep_param
-            if args.sweep_values is not None:
-                values = tuple(float(tok) for tok in args.sweep_values.split(","))
-            if not param:
-                raise ValueError("no sweep parameter given "
-                                 "(use --sweep-param or a config sweep block)")
-            variants[i] = (label, replace(
-                spec, base=base, param=param, values=values,
-                schemes=schemes, trials=args.trials, seed=args.seed))
+        values = (None if args.sweep_values is None
+                  else tuple(float(tok) for tok in args.sweep_values.split(",")))
+        # every variant is checked before any runs
+        variants = [(label, replace(
+            spec, base=configure(overrides, spec.base),
+            param=spec.param if args.sweep_param is None else args.sweep_param,
+            values=spec.values if values is None else values,
+            schemes=schemes, trials=args.trials, seed=args.seed))
+            for label, spec in variants]
+        if not all(spec.param for _, spec in variants):
+            raise ValueError("no sweep parameter given "
+                             "(use --sweep-param or a config sweep block)")
 
         for label, spec in variants:
             result = run_sweep(spec, workers=args.workers)

@@ -19,6 +19,12 @@ class BinSpectrum:
     gamma: np.ndarray                   # (..., T) real, >= 0
 
 
+def _check_mask(mask, relays) -> None:
+    # an int array or an index tuple would act as per-relay weights
+    if not (isinstance(mask, np.ndarray) and mask.dtype == bool and mask.shape == relays.shape):
+        raise ValueError("decode mask must be a boolean array shaped like the relay axis")
+
+
 def lambda_spectrum(real: ChannelRealization, mask: np.ndarray, cfg: SystemConfig,
                     relay_power) -> BinSpectrum:
     """Equivalent per-bin gains of the combined direct-plus-relays channel.
@@ -32,6 +38,7 @@ def lambda_spectrum(real: ChannelRealization, mask: np.ndarray, cfg: SystemConfi
     spectrum.  Direct O(T N) evaluation; block lengths here are small enough
     that an FFT buys nothing.
     """
+    _check_mask(mask, real.h_rd)
     t_len = cfg.block_len
     n = cfg.n_relays
     coef = np.sqrt(np.asarray(relay_power))[..., None] * real.h_rd * mask
@@ -58,6 +65,7 @@ def approx_rate(sinrs: LinkSinrs, mask: np.ndarray, cfg: SystemConfig,
     cancel across bins for staggered delays); synchronous relaying combines
     the relay amplitudes coherently first, which needs the realization's h_rd.
     """
+    _check_mask(mask, sinrs.g_rd)
     if cfg.sync_mode == SYNCHRONOUS:
         if real is None:
             raise ValueError("synchronous approx_rate needs the channel realization")

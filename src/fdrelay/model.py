@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+import numbers
+from dataclasses import MISSING, dataclass, fields, replace
 
 ASYNCHRONOUS = "asynchronous"
 SYNCHRONOUS = "synchronous"
@@ -23,7 +24,7 @@ DB_FIELDS = (
     "var_iri",
 )
 
-# fields a sweep may vary; n_relays additionally re-derives default delays
+# fields a sweep may vary; n_relays also re-derives derived delays (see configure)
 SWEEPABLE_FIELDS = DB_FIELDS + ("rate", "n_relays")
 
 
@@ -41,12 +42,17 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _is_real(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 def _integral(name: str, value) -> int:
     """value as an int; integral floats such as 5.0 pass, while fractions,
-    non-finite values and bools raise instead of being truncated."""
-    if isinstance(value, bool) or not float(value).is_integer():
-        raise ValueError(f"{name} must be an integer")
-    return int(value)
+    non-finite values, bools and non-numbers raise instead of being truncated."""
+    if _is_real(value) and (isinstance(value, numbers.Integral)
+                            or float(value).is_integer()):
+        return int(value)
+    raise ValueError(f"{name} must be an integer")
 
 
 def default_delays(n_relays: int, sync_mode: str) -> tuple[int, ...]:
@@ -87,13 +93,14 @@ class SystemConfig:
     relay_power_policy: str = SHARED_BUDGET
 
     def __post_init__(self):
-        if self.delays is None:
-            object.__setattr__(
-                self, "delays", default_delays(self.n_relays, self.sync_mode)
-            )
-        else:
-            object.__setattr__(self, "delays",
-                               tuple(_integral("delays", d) for d in self.delays))
+        if self.delays is not None and not isinstance(self.delays, (list, tuple)):
+            raise ValueError("delays must be a list of integers")
+        delays = (default_delays(self.n_relays, self.sync_mode) if self.delays is None
+                  else tuple(_integral("delays", d) for d in self.delays))
+        object.__setattr__(self, "delays", delays)
+
+
+_FIELDS = {f.name: f for f in fields(SystemConfig)}   # .type is the annotation string
 
 
 def validate_config(cfg: SystemConfig) -> SystemConfig:
@@ -131,57 +138,67 @@ def validate_config(cfg: SystemConfig) -> SystemConfig:
             raise ValueError("delay divisible by block_len in asynchronous mode")
         if len(set(residues)) != len(residues):
             raise ValueError("duplicate delays in asynchronous mode")
-    else:
-        if len(set(cfg.delays)) > 1:
-            raise ValueError("unequal delays in synchronous mode")
+    elif len(set(cfg.delays)) > 1:
+        raise ValueError("unequal delays in synchronous mode")
     return cfg
 
 
-def apply_param(cfg: SystemConfig, name: str, value: float) -> SystemConfig:
-    """Return a validated copy of cfg with one (possibly dB-suffixed) field set."""
-    target = name[:-3] if name.endswith("_db") else name
-    if target not in SWEEPABLE_FIELDS:
-        raise ValueError(f"unknown sweep parameter {name!r}")
-    if name.endswith("_db"):
-        if target not in DB_FIELDS:
-            raise ValueError(f"parameter {target!r} has no dB form")
-        value = db_to_linear(value)
-    if target == "n_relays":
-        # default delays depend on N, so re-derive them
-        out = replace(cfg, n_relays=_integral("n_relays", value), delays=None)
-    else:
-        out = replace(cfg, **{target: float(value)})
-    return validate_config(out)
+def parse_field(name: str, raw) -> tuple[str, object]:
+    """(field, typed value) for a config name and its raw JSON or CLI value.
 
-
-def config_from_dict(doc: dict) -> SystemConfig:
-    """Build a validated SystemConfig from a parsed JSON document.
-
-    Power/variance fields may appear either linear under their own name or in
-    dB under "<name>_db"; giving both forms of one field is an error, as is
-    any unknown key.
+    "<field>_db" converts a DB_FIELDS value from dB.  Powers, variances and the
+    rate take a finite real number, not a bool; counts and lengths an integer
+    (5.0 passes).  Delays, modes and the policy pass as given, for SystemConfig
+    and validate_config to check.
     """
-    known = {f.name for f in fields(SystemConfig)}
+    field = name[:-3] if name.endswith("_db") else name
+    if field not in _FIELDS:
+        raise ValueError(f"unknown config field {name!r}")
+    if field != name and field not in DB_FIELDS:
+        raise ValueError(f"parameter {field!r} has no dB form")
+    kind = _FIELDS[field].type
+    if kind == "int":
+        return field, _integral(name, raw)
+    if kind != "float":
+        return field, raw
+    if not _is_real(raw) or not math.isfinite(raw):
+        raise ValueError(f"{name} must be a finite real number")
+    return field, db_to_linear(raw) if field != name else float(raw)
+
+
+def configure(doc, base: SystemConfig | None = None) -> SystemConfig:
+    """Validated config: base (or the defaults) with doc's named raw values parsed and set.
+
+    Without a base, doc gives every field that has no default; no field may
+    come in both forms.  Delays equal to the defaults of the base's N and mode
+    are re-derived, pinned ones are kept and validated.
+    """
     kwargs: dict = {}
     for key, raw in doc.items():
-        if key == "sweep":
-            continue  # sweep block is read by the CLI, not the config
-        if key.endswith("_db") and key[:-3] in DB_FIELDS:
-            name, value = key[:-3], db_to_linear(float(raw))
-        elif key in known:
-            name, value = key, raw
-        else:
-            raise ValueError(f"unknown config field {key!r}")
+        name, value = parse_field(key, raw)
         if name in kwargs:
             raise ValueError(f"config field {name!r} given twice (linear and dB)")
         kwargs[name] = value
-    for name in ("n_relays", "block_len", "cp_len"):
-        if name in kwargs:
-            kwargs[name] = _integral(name, kwargs[name])
-    for name in DB_FIELDS + ("rate",):
-        if name in kwargs:
-            kwargs[name] = float(kwargs[name])
-    return validate_config(SystemConfig(**kwargs))
+    if base is None:
+        for f in _FIELDS.values():
+            if f.default is MISSING and f.name not in kwargs:
+                raise ValueError(f"missing config field {f.name!r}")
+        return validate_config(SystemConfig(**kwargs))
+    if base.delays == default_delays(base.n_relays, base.sync_mode):
+        kwargs.setdefault("delays", None)
+    return validate_config(replace(base, **kwargs))
+
+
+def apply_param(cfg: SystemConfig, name: str, value: float) -> SystemConfig:
+    """Return a validated copy of cfg with one sweepable (possibly dB-suffixed) field set."""
+    if name.removesuffix("_db") not in SWEEPABLE_FIELDS:
+        raise ValueError(f"unknown sweep parameter {name!r}")
+    return configure({name: value}, cfg)
+
+
+def config_from_dict(doc: dict) -> SystemConfig:
+    """Build a validated SystemConfig from a parsed JSON document (see configure)."""
+    return configure(doc)
 
 
 @dataclass(frozen=True)

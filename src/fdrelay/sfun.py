@@ -43,8 +43,12 @@ def regularized_lower_gamma_int(n: int, x: float) -> float:
     """
     if n < 1:
         raise ValueError("order n must be a positive integer")
+    if not math.isfinite(x):
+        raise ValueError("x must be finite")
     if abs(x) >= n:
-        return 1.0 - math.exp(-x) * _poisson_partial_sum(n, x)
+        partial = _poisson_partial_sum(n, x)
+        # x^m/m! overflows beyond x ~ 2e6 at n = 64, where P(n, x) is 1 in doubles
+        return 1.0 if x > 0.0 and not math.isfinite(partial) else 1.0 - math.exp(-x) * partial
     if x == 0.0:
         return 0.0
     t = math.exp(-x)
@@ -57,7 +61,8 @@ def regularized_lower_gamma_int(n: int, x: float) -> float:
         t *= x / m
         terms.append(t)
         m += 1
-        if abs(t) < 1e-20 * abs(terms[0]):
+        # t == 0.0 once the terms underflow, where the relative test never holds
+        if t == 0.0 or abs(t) < 1e-20 * abs(terms[0]):
             break
     total = math.fsum(terms)
     return min(1.0, total) if x > 0.0 else total

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -6,10 +7,11 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
-from fdrelay.analytic import (_mrc_mix_outage, combine_outage, eta,
+from fdrelay.analytic import (_clamped, _mrc_mix_outage, combine_outage, eta,
                               link_outages, p_cond_async, p_cond_sync,
                               relay_tx_power, total_outage)
-from fdrelay.model import FIXED_PER_RELAY, SYNCHRONOUS, SystemConfig
+from fdrelay.model import (FIXED_PER_RELAY, SYNCHRONOUS, SystemConfig,
+                           validate_config)
 from oracles import combine_by_enumeration
 
 
@@ -222,3 +224,23 @@ def test_total_outage_sync_mode():
     assert sync > async_p
     # the mode comes from the config alone; delays do not enter the closed form
     assert total_outage(replace(fig_config(), sync_mode=SYNCHRONOUS, delays=None)) == sync
+
+
+def test_total_outage_where_partial_sums_overflow():
+    # every relay decodes (p_sr ~ 0) but both second-hop links are dead, so
+    # the outage is ~1; the Erlang partial sum x^m/m! overflows at x ~ 2e8
+    cfg = validate_config(SystemConfig(
+        n_relays=64, p_source=1.0, e_relay_budget=1.0, rate=2.0, var_sd=1e-6,
+        var_sr=1e6, var_rd=1e-6, cp_len=64))
+    assert link_outages(cfg, relay_tx_power(cfg, 64)).p_sd == 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert 1.0 - 1e-12 < total_outage(cfg) <= 1.0
+
+
+def test_clamp_warns_on_nan():
+    with pytest.warns(RuntimeWarning, match="left \\[0, 1\\]"):
+        assert _clamped(float("nan"), "combined outage") == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _clamped(1.0 + 1e-12, "total outage") == 1.0

@@ -239,3 +239,39 @@ def test_main_error_paths(tmp_path, capsys):
     assert main(["--preset", "fig4", "--trials", "5",
                  "--sweep-values", "1,zap",
                  "--out", str(tmp_path / "x.csv")]) == 2
+
+
+def scenario(**over):
+    doc = {"n_relays": 2, "p_source_db": 3.0, "e_relay_budget_db": 3.0,
+           "rate": 1.0, "var_sr_db": 6.0, "var_rd_db": 6.0, "block_len": 64,
+           "cp_len": 4, "sweep": {"param": "var_iri_db", "values": [0.0, 5.0]}}
+    doc.update(over)
+    return doc
+
+
+@pytest.mark.parametrize("over", [
+    {"delays": 5},
+    {"n_relays": [2]},
+    {"sweep": {"param": 5, "values": [0.0, 5.0]}},
+    {"sweep": {"param": "var_iri_db", "values": 5}},
+    {"p_source": True, "p_source_db": None},
+], ids=["delays-int", "n_relays-list", "sweep-param-int", "sweep-values-int",
+        "p_source-bool"])
+def test_main_rejects_mistyped_config(tmp_path, capsys, over):
+    doc = {k: v for k, v in scenario(**over).items() if v is not None}
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "typed.csv"
+    assert main(["--config", str(path), "--trials", "5", "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_main_sync_mode_keeps_pinned_delays(tmp_path, capsys):
+    path = tmp_path / "pinned.json"
+    path.write_text(json.dumps(scenario(delays=[2, 1])))
+    out = tmp_path / "pinned.csv"
+    assert main(["--config", str(path), "--trials", "5", "--out", str(out)]) == 0
+    assert main(["--config", str(path), "--trials", "5", "--mode", "sync",
+                 "--out", str(out)]) == 2
+    assert "unequal delays in synchronous mode" in capsys.readouterr().err

@@ -158,3 +158,20 @@ def test_batch_matches_scalar_rates():
         mask = sinrs.g_sr >= 1.0
         assert exact_rate(lambda_spectrum(one, mask, cfg, 0.5), cfg) == exact_b[t]
         assert approx_rate(sinrs, mask, cfg) == approx_b[t]
+
+
+@pytest.mark.parametrize("mask", [
+    np.array([1, 0, 2]),                   # int weights, not a decode set
+    (0, 2),                                # index tuple
+    [True, False, True],                   # list, not an array
+    np.array([True, False]),               # wrong relay count
+    np.array([[True, False, True]]),       # extra batch axis
+], ids=["int-array", "index-tuple", "bool-list", "short", "extra-axis"])
+def test_layers_reject_bad_masks(mask):
+    cfg = SystemConfig(n_relays=3, p_source=1.0, e_relay_budget=1.0, rate=1.0)
+    real = draw_realization(cfg, trial_stream(5, 0, 3))
+    sinrs = link_sinrs(real, cfg, 1.0)
+    with pytest.raises(ValueError, match="decode mask"):
+        lambda_spectrum(real, mask, cfg, 1.0)
+    with pytest.raises(ValueError, match="decode mask"):
+        approx_rate(sinrs, mask, cfg)

@@ -1,12 +1,13 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from fdrelay.model import (ASYNCHRONOUS, SYNCHRONOUS, OutageEstimate,
                            SystemConfig, apply_param, config_from_dict,
-                           db_to_linear, default_delays, linear_to_db,
-                           validate_config)
+                           configure, db_to_linear, default_delays,
+                           linear_to_db, parse_field, validate_config)
 
 
 NAN, INF = float("nan"), float("inf")
@@ -148,7 +149,6 @@ def test_config_from_dict_round_trip():
         "var_sr_db": 8.0,
         "var_rd": 10.0,
         "var_rsi_db": 0.0,
-        "sweep": {"param": "var_iri_db", "values": [0, 5]},
     }
     cfg = config_from_dict(doc)
     assert cfg.n_relays == 4
@@ -167,6 +167,11 @@ def test_config_from_dict_rejections():
         config_from_dict({**good, "var_rd": 1.0, "var_rd_db": 0.0})
     with pytest.raises(ValueError, match="rate must be positive"):
         config_from_dict({**good, "rate": 0.0})
+    # the sweep block belongs to the command line, not to the model
+    with pytest.raises(ValueError, match="unknown config field 'sweep'"):
+        config_from_dict({**good, "sweep": {"param": "var_iri_db", "values": [0, 5]}})
+    with pytest.raises(ValueError, match="missing config field 'rate'"):
+        config_from_dict({"n_relays": 2, "p_source": 1.0, "e_relay_budget": 1.0})
     # counts and lengths are never truncated
     for field, value in [("n_relays", 2.7), ("block_len", 500.9), ("cp_len", 10.5),
                          ("n_relays", INF)]:
@@ -199,3 +204,79 @@ def test_replace_keeps_config_frozen():
         cfg.var_rd = 3.0
     bumped = replace(cfg, var_rd=3.0)
     assert bumped.var_rd == 3.0 and cfg.var_rd == 1.0
+
+
+@pytest.mark.parametrize("name,raw,msg", [
+    ("p_source", True, "p_source must be a finite real number"),
+    ("p_source", "3", "p_source must be a finite real number"),
+    ("var_iri_db", None, "var_iri_db must be a finite real number"),
+    ("rate", INF, "rate must be a finite real number"),
+    ("var_sd_db", NAN, "var_sd_db must be a finite real number"),
+    ("var_rd_db", -INF, "var_rd_db must be a finite real number"),
+    ("n_relays", [2], "n_relays must be an integer"),
+    ("n_relays", "2", "n_relays must be an integer"),
+    ("block_len", False, "block_len must be an integer"),
+    ("rate_db", 3.0, "no dB form"),
+    ("n_relays_db", 3.0, "no dB form"),
+    ("colour", 1.0, "unknown config field 'colour'"),
+    ("sweep", {}, "unknown config field 'sweep'"),
+])
+def test_parse_field_rejects(name, raw, msg):
+    with pytest.raises(ValueError, match=msg):
+        parse_field(name, raw)
+
+
+def test_parse_field_types():
+    assert parse_field("p_source_db", 10) == ("p_source", 10.0)
+    assert parse_field("var_rd", 2) == ("var_rd", 2.0)
+    assert type(parse_field("var_rd", 2)[1]) is float
+    assert parse_field("n_relays", 3.0) == ("n_relays", 3)
+    assert parse_field("cp_len", np.int64(4)) == ("cp_len", 4)
+    assert parse_field("delays", [1, 2]) == ("delays", [1, 2])
+    assert parse_field("mi_mode", "exact") == ("mi_mode", "exact")
+
+
+@pytest.mark.parametrize("over,msg", [
+    ({"delays": 5}, "delays must be a list of integers"),
+    ({"delays": "12"}, "delays must be a list of integers"),
+    ({"delays": [[1], 2]}, "delays must be an integer"),
+    ({"delays": [1, True]}, "delays must be an integer"),
+    ({"sync_mode": "sync"}, "unknown sync_mode 'sync'"),
+    ({"sync_mode": 1}, "unknown sync_mode 1"),
+    ({"mi_mode": None}, "unknown mi_mode None"),
+    ({"relay_power_policy": ["shared_budget"]}, "unknown relay_power_policy"),
+])
+def test_configure_rejects_mistyped_values(over, msg):
+    doc = {"n_relays": 2, "p_source": 1.0, "e_relay_budget": 1.0, "rate": 1.0}
+    with pytest.raises(ValueError, match=msg):
+        configure({**doc, **over})
+
+
+def test_configure_rederives_derived_delays():
+    cfg = base_config()
+    assert configure({"n_relays": 3}, cfg).delays == (1, 2, 3)
+    sync = configure({"sync_mode": SYNCHRONOUS}, cfg)
+    assert sync.delays == (1, 1, 1, 1, 1)
+    assert configure({"sync_mode": ASYNCHRONOUS}, sync).delays == (1, 2, 3, 4, 5)
+    assert configure({}, cfg) == cfg
+    # a delays entry in the same document wins over the defaults
+    assert configure({"n_relays": 2, "delays": [3, 1]}, cfg).delays == (3, 1)
+
+
+def test_configure_keeps_pinned_delays():
+    pinned = validate_config(base_config(n_relays=2, delays=(2, 1)))
+    assert configure({"var_rd": 3.0}, pinned).delays == (2, 1)
+    assert configure({"mi_mode": "exact"}, pinned).delays == (2, 1)
+    with pytest.raises(ValueError, match="unequal delays in synchronous mode"):
+        configure({"sync_mode": SYNCHRONOUS}, pinned)
+    with pytest.raises(ValueError, match="delays length != n_relays"):
+        apply_param(pinned, "n_relays", 3)
+
+
+def test_apply_param_types_values():
+    cfg = base_config()
+    with pytest.raises(ValueError, match="var_rd must be a finite real number"):
+        apply_param(cfg, "var_rd", True)
+    with pytest.raises(ValueError, match="var_iri_db must be a finite real number"):
+        apply_param(cfg, "var_iri_db", "5")
+    assert apply_param(cfg, "n_relays", np.int64(2)).n_relays == 2

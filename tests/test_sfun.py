@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
@@ -46,6 +47,37 @@ def test_lower_gamma_rejects_nonpositive_order():
         regularized_lower_gamma_int(0, 1.0)
     with pytest.raises(ValueError):
         regularized_lower_gamma_int(-2, 1.0)
+
+
+def test_lower_gamma_rejects_non_finite_argument():
+    for x in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="x must be finite"):
+            regularized_lower_gamma_int(3, x)
+
+
+def test_lower_gamma_tiny_argument_terminates():
+    # the leading tail term is subnormal or zero here, so a stop test
+    # relative to it alone never holds
+    x = 2.87574887791883e-05
+    want = math.exp(-x) * x ** 52 / math.factorial(52) * (1 + x / 53 + x * x / (53 * 54))
+    assert math.isclose(regularized_lower_gamma_int(52, x), want, rel_tol=1e-12)
+    assert regularized_lower_gamma_int(64, 1e-6) == 0.0
+
+
+def test_lower_gamma_saturates_where_partial_sum_overflows():
+    # x^63/63! overflows beyond x ~ 2e6, where P(64, x) is 1 to double precision
+    for x in (2e6, 1e7, 1e300):
+        assert regularized_lower_gamma_int(64, x) == 1.0
+
+
+@given(st.integers(1, 64), st.floats(0.0, 1e8))
+@example(52, 2.87574887791883e-05)
+@example(64, 1e-6)
+@example(64, 5e-324)
+@example(64, 3e6)
+def test_lower_gamma_in_unit_interval(n, x):
+    p = regularized_lower_gamma_int(n, x)
+    assert math.isfinite(p) and 0.0 <= p <= 1.0
 
 
 def test_lower_gamma_monotone_and_saturates():
