@@ -31,24 +31,24 @@ def lambda_spectrum(real: ChannelRealization, mask: np.ndarray, cfg: SystemConfi
 
     lam_i = sqrt(P_S) h_sd + sum_{k in mask} sqrt(P_R) h_rd_k e^{-j2pi i tau_k/T}.
 
+    The cyclic prefix makes the block channel circulant, so lam is the FFT of
+    its tap vector: sqrt(P_S) h_sd at lag 0 plus each relay's sqrt(P_R) h_rd_k
+    added, in index order, at lag tau_k mod T (equal delays accumulate).
     mask is the boolean forwarding set, shaped like real.h_rd; relays outside
-    it contribute exactly zero, so the sum always runs over all relays in
-    index order and every batch row agrees bit for bit with the same
-    realization evaluated alone.  An empty mask leaves the flat direct-only
-    spectrum.  Direct O(T N) evaluation; block lengths here are small enough
-    that an FFT buys nothing.
+    it contribute exactly zero, and an empty mask leaves the flat direct-only
+    spectrum.  Taps are built column by column and the FFT transforms each
+    row on its own, so every batch row agrees bit for bit with the same
+    realization evaluated alone or in a batch of any size.
     """
     _check_mask(mask, real.h_rd)
     t_len = cfg.block_len
-    n = cfg.n_relays
     coef = np.sqrt(np.asarray(relay_power))[..., None] * real.h_rd * mask
     base = np.sqrt(cfg.p_source) * real.h_sd
-    i = np.arange(t_len)
-    lam = np.zeros(np.shape(base) + (t_len,), dtype=complex)
-    lam += np.asarray(base)[..., None]
-    for k in range(n):
-        phase = np.exp((-2j * np.pi * (cfg.delays[k] % t_len) / t_len) * i)
-        lam += coef[..., k, None] * phase
+    taps = np.zeros(np.shape(base) + (t_len,), dtype=complex)
+    taps[..., 0] = base
+    for k, delay in enumerate(cfg.delays):
+        taps[..., delay % t_len] += coef[..., k]
+    lam = np.fft.fft(taps, axis=-1, out=taps)
     return BinSpectrum(lam, abs2(lam))
 
 

@@ -43,7 +43,8 @@ def _is_int(x) -> bool:
 
 
 def _is_real(x) -> bool:
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+    # the exact-float test first: an ABC isinstance costs about 0.5 us
+    return type(x) is float or (isinstance(x, numbers.Real) and not isinstance(x, bool))
 
 
 def _integral(name: str, value) -> int:
@@ -109,6 +110,8 @@ def validate_config(cfg: SystemConfig) -> SystemConfig:
     if not _is_int(cfg.n_relays) or cfg.n_relays < 1:
         raise ValueError("n_relays must be a positive integer")
     for name in DB_FIELDS + ("rate",):
+        if not _is_real(getattr(cfg, name)):
+            raise ValueError(f"{name} must be a real number")
         if not math.isfinite(getattr(cfg, name)):
             raise ValueError(f"{name} must be finite")
     for name in DB_FIELDS:

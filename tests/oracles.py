@@ -1,5 +1,7 @@
 """Independent reference computations shared by the test modules."""
 
+import numpy as np
+
 
 def combine_by_enumeration(p_sd: float, p_sr: float, p_cond_by_size) -> float:
     """Total outage by walking all 2^N decode sets literally.
@@ -21,3 +23,21 @@ def combine_by_enumeration(p_sd: float, p_sr: float, p_cond_by_size) -> float:
                 prob *= p_sr
         total += prob * (p_sd if size == 0 else p_cond_by_size[size - 1])
     return total
+
+
+def direct_spectrum(real, mask, cfg, relay_power):
+    """Per-bin gains by summing each relay's phase ramp directly, O(T N).
+
+    lam_i = sqrt(P_S) h_sd + sum_k mask_k sqrt(P_R) h_rd_k e^{-j2pi i tau_k/T},
+    one exp phase vector per relay, added in index order.
+    """
+    t_len = cfg.block_len
+    coef = np.sqrt(np.asarray(relay_power))[..., None] * real.h_rd * mask
+    base = np.sqrt(cfg.p_source) * real.h_sd
+    i = np.arange(t_len)
+    lam = np.zeros(np.shape(base) + (t_len,), dtype=complex)
+    lam += np.asarray(base)[..., None]
+    for k in range(cfg.n_relays):
+        phase = np.exp((-2j * np.pi * (cfg.delays[k] % t_len) / t_len) * i)
+        lam += coef[..., k, None] * phase
+    return lam

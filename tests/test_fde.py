@@ -1,11 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from fdrelay.analytic import eta, relay_tx_power
 from fdrelay.channel import ChannelRealization, draw_realization, link_sinrs
 from fdrelay.fde import approx_rate, exact_rate, lambda_spectrum
 from fdrelay.mc import trial_stream
 from fdrelay.model import SYNCHRONOUS, SystemConfig
+from oracles import direct_spectrum
 
 
 def config(**over):
@@ -175,3 +179,66 @@ def test_layers_reject_bad_masks(mask):
         lambda_spectrum(real, mask, cfg, 1.0)
     with pytest.raises(ValueError, match="decode mask"):
         approx_rate(sinrs, mask, cfg)
+
+
+FIG4 = SystemConfig(n_relays=10, p_source=10.0, e_relay_budget=10.0, rate=2.0,
+                    var_rd=10.0, var_rsi=1.0)
+
+
+def multi_chunk(cfg, size, seed):
+    # one exact-MI chunk as the multi scheme builds it: decode mask and
+    # per-trial relay power from the forwarding count
+    real = draw_realization(cfg, trial_stream(seed, 0, cfg.n_relays), size=size)
+    probe = link_sinrs(real, cfg, relay_tx_power(cfg, cfg.n_relays))
+    mask = probe.g_sr >= eta(cfg.rate, cfg.block_len, cfg.cp_len)
+    return real, mask, relay_tx_power(cfg, np.maximum(mask.sum(axis=-1), 1))
+
+
+def rows(real, start, stop):
+    return ChannelRealization(real.h_sd[start:stop], real.h_sr[start:stop],
+                              real.h_rd[start:stop])
+
+
+@pytest.mark.parametrize("mode", ["async", "sync"])
+def test_spectrum_rows_independent_of_batch_size(mode):
+    cfg = FIG4 if mode == "async" else replace(FIG4, sync_mode=SYNCHRONOUS, delays=None)
+    real, mask, power = multi_chunk(cfg, 2048, seed=21)
+    assert 0 < mask.sum() < mask.size
+    full = lambda_spectrum(real, mask, cfg, power).lam
+    for t in range(2048):
+        one = ChannelRealization(real.h_sd[t], real.h_sr[t], real.h_rd[t])
+        assert np.array_equal(lambda_spectrum(one, mask[t], cfg, power[t]).lam, full[t])
+    for size in (1, 3, 7, 48):
+        for start in range(0, 2048, size):
+            stop = start + size
+            part = lambda_spectrum(rows(real, start, stop), mask[start:stop], cfg,
+                                   power[start:stop]).lam
+            assert np.array_equal(part, full[start:stop])
+
+
+@pytest.mark.parametrize("delays", [(2, 2, 2), (0, 0, 0), (8, 8, 8)],
+                         ids=["shared", "zero", "whole-block"])
+def test_equal_delays_accumulate_taps(delays):
+    # oracle: the explicit DFT matrix applied to taps accumulated one relay
+    # at a time; a delay of 0 mod T shares the direct tap
+    cfg = SystemConfig(n_relays=3, p_source=2.0, e_relay_budget=3.0, rate=1.0,
+                       block_len=8, cp_len=8, delays=delays, sync_mode=SYNCHRONOUS)
+    real = draw_realization(cfg, trial_stream(9, 0, 3), size=64)
+    mask = np.ones((64, 3), bool)
+    mask[::2, 1] = False
+    spec = lambda_spectrum(real, mask, cfg, 0.7)
+
+    t_len = cfg.block_len
+    taps = np.zeros((64, t_len), complex)
+    taps[:, 0] = np.sqrt(cfg.p_source) * real.h_sd
+    for k, d in enumerate(delays):
+        taps[:, d % t_len] += np.sqrt(0.7) * real.h_rd[:, k] * mask[:, k]
+    lag = np.arange(t_len)
+    dft = np.exp(-2j * np.pi * np.outer(lag, lag) / t_len)
+    assert np.max(np.abs(spec.lam - taps @ dft)) <= 1e-12
+
+
+def test_spectrum_matches_direct_phase_sum():
+    real, mask, power = multi_chunk(FIG4, 2048, seed=5)
+    lam = lambda_spectrum(real, mask, FIG4, power).lam
+    assert np.max(np.abs(lam - direct_spectrum(real, mask, FIG4, power))) <= 1e-12

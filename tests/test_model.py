@@ -81,6 +81,11 @@ def test_validate_accepts_standard_config():
     (dict(block_len=True), "block_len must be a positive integer"),
     (dict(cp_len=False, delays=(0, 0, 0, 0, 0), sync_mode=SYNCHRONOUS),
      "cp_len must be non-negative"),
+    # a directly built config is not typed by parse_field
+    (dict(p_source="3"), "p_source must be a real number"),
+    (dict(p_source=True), "p_source must be a real number"),
+    (dict(rate="2"), "rate must be a real number"),
+    (dict(rate=True), "rate must be a real number"),
 ])
 def test_validate_rejects(over, msg):
     cfg = base_config(**over)
