@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,13 +28,28 @@ def trial_block_uniforms(n_relays: int) -> int:
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """Fading blocks: h_sd of the batch shape, h_sr and h_rd with a trailing
-    relay axis, e.g. h_sd (B,) and h_sr/h_rd (B, N), or () and (N,) unbatched.
+    """Fading blocks: powers |h|^2 h2_sd of the batch shape, h2_sr and h2_rd
+    with a trailing relay axis, e.g. (B,) and (B, N), or () and (N,) unbatched.
+    Complex gains h_sd, h_sr, h_rd are built per link on first read from sqrt
+    of the power and that link's phase uniforms, then kept (or given: from_gains).
     """
 
-    h_sd: np.ndarray
-    h_sr: np.ndarray
-    h_rd: np.ndarray
+    h2_sd: np.ndarray
+    h2_sr: np.ndarray
+    h2_rd: np.ndarray
+    phases: tuple = ()
+
+    h_sd = cached_property(lambda self: gains_from_uniforms(self.h2_sd, self.phases[0]))
+    h_sr = cached_property(lambda self: gains_from_uniforms(self.h2_sr, self.phases[1]))
+    h_rd = cached_property(lambda self: gains_from_uniforms(self.h2_rd, self.phases[2]))
+
+    @classmethod
+    def from_gains(cls, h_sd, h_sr, h_rd) -> ChannelRealization:
+        """Realization of given complex gains, with powers abs2(h)."""
+        gains = [np.asarray(h, dtype=complex) for h in (h_sd, h_sr, h_rd)]
+        real = cls(*(abs2(h) for h in gains))
+        real.__dict__.update(zip(("h_sd", "h_sr", "h_rd"), gains))  # the kept gains
+        return real
 
 
 def draw_realization(cfg: SystemConfig, rng: np.random.Generator,
@@ -43,17 +59,16 @@ def draw_realization(cfg: SystemConfig, rng: np.random.Generator,
     Consumes exactly trial_block_uniforms(cfg.n_relays) doubles per
     realization in a fixed layout (h_sd, then h_sr, then h_rd, then padding),
     so a counter-based stream positioned at a trial boundary reproduces that
-    trial regardless of batching.
+    trial regardless of batching.  Each gain owns a pair (u0, u1): its power
+    -variance*log1p(-u0) is computed here, u1 is kept as its phase.
     """
     n = cfg.n_relays
     width = trial_block_uniforms(n)
-    u = rng.random((width,) if size is None else (size, width))
-    h_sd = gains_from_uniforms(u[..., 0:2], cfg.var_sd)
-    h_sr = gains_from_uniforms(u[..., 2:2 + 2 * n].reshape(u.shape[:-1] + (n, 2)),
-                               cfg.var_sr)
-    h_rd = gains_from_uniforms(u[..., 2 + 2 * n:2 + 4 * n].reshape(u.shape[:-1] + (n, 2)),
-                               cfg.var_rd)
-    return ChannelRealization(h_sd, h_sr, h_rd)
+    u = rng.random((width,) if size is None else (size, width))[..., :uniforms_per_trial(n)]
+    var = np.repeat([cfg.var_sd, cfg.var_sr, cfg.var_rd], [1, n, n])
+    power, phase = -var * np.log1p(-u[..., 0::2]), u[..., 1::2].copy()
+    links = (np.s_[..., 0], np.s_[..., 1:1 + n], np.s_[..., 1 + n:])
+    return ChannelRealization(*(power[k] for k in links), phases=tuple(phase[k] for k in links))
 
 
 @dataclass(frozen=True)
@@ -78,8 +93,8 @@ def link_sinrs(real: ChannelRealization, cfg: SystemConfig, relay_power,
     """
     iv = (cfg.var_rsi + cfg.var_iri) if interference_var is None else interference_var
     denom = relay_power * iv + 1.0
-    g_sd = cfg.p_source * abs2(real.h_sd)
-    g_sr = cfg.p_source * abs2(real.h_sr) / np.asarray(denom)[..., None]
-    g_rd = np.asarray(relay_power)[..., None] * abs2(real.h_rd)
+    g_sd = cfg.p_source * real.h2_sd
+    g_sr = cfg.p_source * real.h2_sr / np.asarray(denom)[..., None]
+    g_rd = np.asarray(relay_power)[..., None] * real.h2_rd
     return LinkSinrs(g_sd, g_sr, g_rd, relay_power)
 

@@ -68,14 +68,14 @@ def regularized_lower_gamma_int(n: int, x: float) -> float:
     return min(1.0, total) if x > 0.0 else total
 
 
-def gains_from_uniforms(u: np.ndarray, variance: float):
-    """Map uniform pairs u[..., 0:2] to CN(0, variance) draws by the polar method.
+def gains_from_uniforms(power, u1):
+    """CN(0, variance) draws by the polar method from uniform pairs (u0, u1).
 
-    |h|^2 = -variance*log(1-u0) is exponential with mean variance and the phase
-    2*pi*u1 is uniform, which together give the circularly symmetric complex
-    Gaussian (independent re/im parts of variance/2 each).  Exactly two
-    uniforms per sample, so counter-based trial streams stay aligned.
+    power = -variance*log(1-u0) is |h|^2, exponential with mean variance, and
+    the phase 2*pi*u1 is uniform, which together give the circularly
+    symmetric complex Gaussian (independent re/im parts of variance/2 each).
+    Exactly two uniforms per sample, so counter-based trial streams stay aligned.
     """
-    mag = np.sqrt(-variance * np.log1p(-u[..., 0]))
-    ang = (2.0 * np.pi) * u[..., 1]
+    mag = np.sqrt(power)
+    ang = (2.0 * np.pi) * u1
     return mag * np.cos(ang) + 1j * (mag * np.sin(ang))

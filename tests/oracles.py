@@ -41,3 +41,15 @@ def direct_spectrum(real, mask, cfg, relay_power):
         phase = np.exp((-2j * np.pi * (cfg.delays[k] % t_len) / t_len) * i)
         lam += coef[..., k, None] * phase
     return lam
+
+
+def polar_gains(u, variance):
+    """Magnitudes and complex gains of uniform pairs u[..., 0:2] by the polar map.
+
+    mag = sqrt(-variance*log1p(-u0)) and gain = mag*cos(2pi u1) + j*mag*sin(2pi u1),
+    in this operation order, which is how every drawn gain was computed
+    before realizations stored |h|^2; drawn gains must match it bit for bit.
+    """
+    mag = np.sqrt(-variance * np.log1p(-u[..., 0]))
+    ang = (2.0 * np.pi) * u[..., 1]
+    return mag, mag * np.cos(ang) + 1j * (mag * np.sin(ang))

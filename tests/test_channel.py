@@ -6,6 +6,8 @@ from fdrelay.channel import (ChannelRealization, draw_realization, link_sinrs,
                              trial_block_uniforms, uniforms_per_trial)
 from fdrelay.model import SystemConfig
 from fdrelay.mc import trial_stream
+from fdrelay.sfun import abs2
+from oracles import polar_gains
 
 
 def config(**over):
@@ -15,8 +17,7 @@ def config(**over):
 
 
 def manual_real(h_sd, h_sr, h_rd):
-    return ChannelRealization(h_sd=h_sd, h_sr=np.asarray(h_sr, complex),
-                              h_rd=np.asarray(h_rd, complex))
+    return ChannelRealization.from_gains(h_sd, h_sr, h_rd)
 
 
 def test_uniform_budget_covers_block_padding():
@@ -42,6 +43,9 @@ def test_scalar_draw_equals_batch_row():
     batch = draw_realization(cfg, trial_stream(9, 0, cfg.n_relays), size=4)
     for t in range(4):
         one = draw_realization(cfg, trial_stream(9, t, cfg.n_relays))
+        assert one.h2_sd == batch.h2_sd[t]
+        assert np.array_equal(one.h2_sr, batch.h2_sr[t])
+        assert np.array_equal(one.h2_rd, batch.h2_rd[t])
         assert one.h_sd == batch.h_sd[t]
         assert np.array_equal(one.h_sr, batch.h_sr[t])
         assert np.array_equal(one.h_rd, batch.h_rd[t])
@@ -55,6 +59,41 @@ def test_draw_statistics():
         assert 9.95 <= power[:, k].mean() <= 10.05
     assert abs((np.abs(real.h_sr) ** 2).mean() - 4.0) < 0.02
     assert abs(real.h_sd.real.mean()) < 0.004
+    # the stored powers are the same exponential draws
+    for k in range(2):
+        assert 9.95 <= real.h2_rd[:, k].mean() <= 10.05
+    assert abs(real.h2_sr.mean() - 4.0) < 0.02
+    assert abs(real.h2_sd.mean() - 1.0) < 0.005
+    assert real.h2_sd.min() >= 0.0 and real.h2_sr.min() >= 0.0 and real.h2_rd.min() >= 0.0
+
+
+@pytest.mark.parametrize("size", [None, 1, 7, 4096])
+def test_drawn_gains_match_polar_map(size):
+    # complex gains bit for bit as the polar map of the same uniforms, their
+    # magnitude exactly sqrt of the stored power, abs2 within a few ulp of it
+    cfg = config(n_relays=5, var_sd=1.3, var_sr=10 ** 0.8, var_rd=10.0)
+    n, width = cfg.n_relays, trial_block_uniforms(cfg.n_relays)
+    real = draw_realization(cfg, trial_stream(4, 2, n), size=size)
+    u = trial_stream(4, 2, n).random((width,) if size is None else (size, width))
+    pairs = {"sd": (u[..., 0:2], cfg.var_sd),
+             "sr": (u[..., 2:2 + 2 * n].reshape(u.shape[:-1] + (n, 2)), cfg.var_sr),
+             "rd": (u[..., 2 + 2 * n:2 + 4 * n].reshape(u.shape[:-1] + (n, 2)), cfg.var_rd)}
+    for link, (pair, var) in pairs.items():
+        mag, gain = polar_gains(pair, var)
+        power, h = getattr(real, "h2_" + link), getattr(real, "h_" + link)
+        assert np.shape(power) == np.shape(h) == np.shape(gain)
+        assert np.array_equal(h, gain), link
+        assert np.array_equal(np.sqrt(power), mag), link
+        assert np.all(np.abs(abs2(h) - power) <= 4 * np.spacing(power)), link
+
+
+def test_from_gains_powers_and_gains():
+    h_sr = np.array([3 + 4j, -1j])
+    real = ChannelRealization.from_gains(2j, h_sr, [0j, 1 + 1j])
+    assert real.h_sd == 2j and real.h2_sd == 4.0
+    assert np.array_equal(real.h_sr, h_sr) and real.h_sr.dtype == complex
+    assert np.array_equal(real.h2_sr, [25.0, 1.0])
+    assert np.array_equal(real.h2_rd, [0.0, 2.0])
 
 
 def test_link_sinrs_direct_substitution():
@@ -111,6 +150,6 @@ def test_decode_set_monotone():
     high = sinrs.g_sr >= 2.0
     assert np.all(low[high])
     # raising the first-hop gains never removes a relay
-    boosted = link_sinrs(ChannelRealization(real.h_sd, real.h_sr * 2, real.h_rd),
+    boosted = link_sinrs(ChannelRealization.from_gains(real.h_sd, real.h_sr * 2, real.h_rd),
                          cfg, 1.0)
     assert np.all((boosted.g_sr >= 1.0)[sinrs.g_sr >= 1.0])

@@ -20,8 +20,7 @@ def config(**over):
 
 
 def manual_real(h_sd, h_sr, h_rd):
-    return ChannelRealization(h_sd=h_sd, h_sr=np.asarray(h_sr, complex),
-                              h_rd=np.asarray(h_rd, complex))
+    return ChannelRealization.from_gains(h_sd, h_sr, h_rd)
 
 
 NONE = np.array([False])
@@ -195,8 +194,8 @@ def multi_chunk(cfg, size, seed):
 
 
 def rows(real, start, stop):
-    return ChannelRealization(real.h_sd[start:stop], real.h_sr[start:stop],
-                              real.h_rd[start:stop])
+    return ChannelRealization.from_gains(real.h_sd[start:stop], real.h_sr[start:stop],
+                                         real.h_rd[start:stop])
 
 
 @pytest.mark.parametrize("mode", ["async", "sync"])
@@ -206,7 +205,7 @@ def test_spectrum_rows_independent_of_batch_size(mode):
     assert 0 < mask.sum() < mask.size
     full = lambda_spectrum(real, mask, cfg, power).lam
     for t in range(2048):
-        one = ChannelRealization(real.h_sd[t], real.h_sr[t], real.h_rd[t])
+        one = ChannelRealization.from_gains(real.h_sd[t], real.h_sr[t], real.h_rd[t])
         assert np.array_equal(lambda_spectrum(one, mask[t], cfg, power[t]).lam, full[t])
     for size in (1, 3, 7, 48):
         for start in range(0, 2048, size):

@@ -1,13 +1,16 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from fdrelay import channel, mc
 from fdrelay.analytic import total_outage
-from fdrelay.channel import ChannelRealization, LinkSinrs
+from fdrelay.channel import LinkSinrs
+from fdrelay.cli import build_preset
 from fdrelay.mc import (SCHEME_MULTI, SCHEME_OS, SCHEME_PS, SCHEMES,
                         estimate_outage, select_relay, trial_stream)
-from fdrelay.model import (MI_EXACT, SYNCHRONOUS, SystemConfig,
+from fdrelay.model import (MI_EXACT, SYNCHRONOUS, SystemConfig, apply_param,
                            validate_config)
 
 
@@ -155,3 +158,52 @@ def test_estimate_agrees_with_closed_form():
     est = estimate_outage(cfg, SCHEME_MULTI, trials=200_000, seed=12)
     stderr = math.sqrt(p * (1 - p) / est.trials)
     assert abs(est.p_hat - p) <= 3 * stderr
+
+
+def test_async_approx_never_builds_complex_gains(monkeypatch):
+    # the aggregate-SINR rule reads |h|^2 only, selection included
+    def refuse(*args, **kwargs):
+        raise AssertionError("complex gain built")
+
+    monkeypatch.setattr(channel, "gains_from_uniforms", refuse)
+    for scheme in SCHEMES:
+        assert estimate_outage(fig_config(), scheme, 3000, seed=2).trials == 3000
+
+
+@pytest.mark.parametrize("over, links", [
+    (dict(), ()),
+    (dict(sync_mode=SYNCHRONOUS, delays=None), ("rd",)),
+    (dict(mi_mode=MI_EXACT), ("sd", "rd")),
+], ids=["async-approx", "sync-approx", "exact"])
+def test_complex_gains_built_only_where_read(monkeypatch, over, links):
+    # count the gain builds of every drawn realization, by the power array
+    # each build starts from: each link the rate reads is built once per chunk
+    draw, build = mc.draw_realization, channel.gains_from_uniforms
+    for scheme in SCHEMES:
+        reals, built = [], []
+        monkeypatch.setattr(mc, "draw_realization",
+                            lambda *a, **k: reals.append(draw(*a, **k)) or reals[-1])
+        monkeypatch.setattr(channel, "gains_from_uniforms",
+                            lambda power, u1: built.append(power) or build(power, u1))
+        estimate_outage(fig_config(**over), scheme, 1000, seed=3, chunk=400)
+        assert len(reals) == 3
+        for real in reals:
+            counts = {link: sum(p is getattr(real, "h2_" + link) for p in built)
+                      for link in ("sd", "sr", "rd")}
+            assert counts == {link: int(link in links) for link in counts}, scheme
+        assert len(built) == 3 * len(links)
+
+
+def test_pinned_outage_counts():
+    # seed-0 outage counts of preset points, taken before realizations stored
+    # |h|^2; counts rather than CSV bytes, which also hold closed-form values
+    # that move with the host's libm
+    fig2 = apply_param(dict(build_preset("fig2").variants)["n10"].base, "var_iri_db", 10.0)
+    for scheme, count in ((SCHEME_MULTI, 22), (SCHEME_OS, 19), (SCHEME_PS, 673)):
+        assert estimate_outage(fig2, scheme, 20_000, seed=0).outage_count == count
+    fig3 = apply_param(dict(build_preset("fig3").variants)["n10"].base, "var_iri_db", 0.0)
+    assert estimate_outage(fig3, SCHEME_MULTI, 20_000, seed=0).outage_count == 676
+    fig4 = apply_param(replace(build_preset("fig4").variants[0][1].base, mi_mode=MI_EXACT),
+                       "var_sr_db", 0.0)
+    assert estimate_outage(fig4, SCHEME_MULTI, 2000, seed=0).outage_count == 3
+    assert estimate_outage(fig4, SCHEME_OS, 2000, seed=0).outage_count == 375

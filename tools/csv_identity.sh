@@ -1,0 +1,56 @@
+#!/usr/bin/env bash
+# Byte-compare preset CSV output of a git ref against the working tree.
+#
+#   tools/csv_identity.sh BASE_REF
+#
+# Extracts BASE_REF (git archive) and the working tree (tracked and
+# untracked, non-ignored files) into a temporary directory, runs the same
+# preset set in each at seed 0 (fig2-fig5 approximate MI at 1e5 trials per
+# point, fig4 exact MI at 4000) and cmp's every CSV.  Prints one line per
+# file and exits non-zero if any file differs or is missing.
+set -euo pipefail
+
+if [ $# -ne 1 ]; then
+    echo "usage: $0 BASE_REF" >&2
+    exit 2
+fi
+repo=$(git rev-parse --show-toplevel)
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+
+mkdir -p "$tmp/base" "$tmp/work"
+git -C "$repo" archive "$1" | tar -x -C "$tmp/base"
+git -C "$repo" ls-files -z --cached --others --exclude-standard \
+    | (cd "$repo" && tar --null --ignore-failed-read -T - -cf - 2>/dev/null) \
+    | tar -x -C "$tmp/work"
+
+run_presets() {
+    local tree=$1
+    mkdir -p "$tree/out"
+    for fig in fig2 fig3 fig4 fig5; do
+        (cd "$tree" && PYTHONPATH=src python3 -m fdrelay.cli --preset "$fig" \
+            --trials 100000 --seed 0 --out "out/$fig.csv" >/dev/null)
+    done
+    (cd "$tree" && PYTHONPATH=src python3 -m fdrelay.cli --preset fig4 --mi exact \
+        --trials 4000 --seed 0 --out out/fig4_exact.csv >/dev/null)
+}
+
+run_presets "$tmp/base"
+run_presets "$tmp/work"
+
+status=0
+for f in "$tmp/base/out/"*.csv; do
+    name=$(basename "$f")
+    if cmp -s "$f" "$tmp/work/out/$name"; then
+        echo "identical $name"
+    else
+        echo "DIFFERS   $name"
+        status=1
+    fi
+done
+extra=$(cd "$tmp/work/out" && for f in *.csv; do [ -e "$tmp/base/out/$f" ] || echo "$f"; done)
+if [ -n "$extra" ]; then
+    echo "only in working tree: $extra"
+    status=1
+fi
+exit $status
