@@ -52,19 +52,22 @@ class ChannelRealization:
         return real
 
 
-def draw_realization(cfg: SystemConfig, rng: np.random.Generator,
-                     size: int | None = None) -> ChannelRealization:
+def draw_realization(cfg: SystemConfig, rng: np.random.Generator, size: int | None = None,
+                     out: np.ndarray | None = None) -> ChannelRealization:
     """Draw one realization (size None) or a batch of size independent ones.
 
     Consumes exactly trial_block_uniforms(cfg.n_relays) doubles per
     realization in a fixed layout (h_sd, then h_sr, then h_rd, then padding),
     so a counter-based stream positioned at a trial boundary reproduces that
     trial regardless of batching.  Each gain owns a pair (u0, u1): its power
-    -variance*log1p(-u0) is computed here, u1 is kept as its phase.
+    -variance*log1p(-u0) is computed here, u1 is kept as its phase.  out, a
+    C-contiguous float64 array of the drawn shape, receives the uniforms; the
+    realization keeps copies, so out may be reused at once.
     """
     n = cfg.n_relays
     width = trial_block_uniforms(n)
-    u = rng.random((width,) if size is None else (size, width))[..., :uniforms_per_trial(n)]
+    u = rng.random((width,) if size is None else (size, width), out=out)
+    u = u[..., :uniforms_per_trial(n)]
     var = np.repeat([cfg.var_sd, cfg.var_sr, cfg.var_rd], [1, n, n])
     power, phase = -var * np.log1p(-u[..., 0::2]), u[..., 1::2].copy()
     links = (np.s_[..., 0], np.s_[..., 1:1 + n], np.s_[..., 1 + n:])

@@ -26,7 +26,7 @@ def _check_mask(mask, relays) -> None:
 
 
 def lambda_spectrum(real: ChannelRealization, mask: np.ndarray, cfg: SystemConfig,
-                    relay_power) -> BinSpectrum:
+                    relay_power, out: BinSpectrum | None = None) -> BinSpectrum:
     """Equivalent per-bin gains of the combined direct-plus-relays channel.
 
     lam_i = sqrt(P_S) h_sd + sum_{k in mask} sqrt(P_R) h_rd_k e^{-j2pi i tau_k/T}.
@@ -38,23 +38,28 @@ def lambda_spectrum(real: ChannelRealization, mask: np.ndarray, cfg: SystemConfi
     it contribute exactly zero, and an empty mask leaves the flat direct-only
     spectrum.  Taps are built column by column and the FFT transforms each
     row on its own, so every batch row agrees bit for bit with the same
-    realization evaluated alone or in a batch of any size.
+    realization evaluated alone or in a batch of any size.  out, a BinSpectrum
+    of C-contiguous buffers shaped like the result, receives lam and gamma
+    instead of new arrays; its old contents are overwritten.
     """
     _check_mask(mask, real.h_rd)
     t_len = cfg.block_len
     coef = np.sqrt(np.asarray(relay_power))[..., None] * real.h_rd * mask
     base = np.sqrt(cfg.p_source) * real.h_sd
-    taps = np.zeros(np.shape(base) + (t_len,), dtype=complex)
+    taps = np.empty(np.shape(base) + (t_len,), dtype=complex) if out is None else out.lam
+    taps.fill(0.0)
     taps[..., 0] = base
     for k, delay in enumerate(cfg.delays):
         taps[..., delay % t_len] += coef[..., k]
     lam = np.fft.fft(taps, axis=-1, out=taps)
-    return BinSpectrum(lam, abs2(lam))
+    return BinSpectrum(lam, abs2(lam, out=None if out is None else out.gamma))
 
 
-def exact_rate(spec: BinSpectrum, cfg: SystemConfig):
-    """Achievable rate of the equalized block: sum_i log2(1+gamma_i)/(T+cp)."""
-    return np.log2(1.0 + spec.gamma).sum(axis=-1) / (cfg.block_len + cfg.cp_len)
+def exact_rate(spec: BinSpectrum, cfg: SystemConfig, out: np.ndarray | None = None):
+    """Achievable rate of the equalized block: sum_i log2(1+gamma_i)/(T+cp);
+    log2(1+gamma) is formed in place, in out (spec.gamma allowed) if given."""
+    terms = np.add(1.0, spec.gamma, out=out)
+    return np.log2(terms, out=terms).sum(axis=-1) / (cfg.block_len + cfg.cp_len)
 
 
 def approx_rate(sinrs: LinkSinrs, mask: np.ndarray, cfg: SystemConfig,

@@ -7,18 +7,19 @@ import numpy as np
 from .analytic import eta, relay_tx_power
 from .channel import (PHILOX_BLOCK, LinkSinrs, draw_realization, link_sinrs,
                       trial_block_uniforms)
-from .fde import approx_rate, exact_rate, lambda_spectrum
-from .model import MI_EXACT, SYNCHRONOUS, OutageEstimate, SystemConfig
+from .fde import BinSpectrum, approx_rate, exact_rate, lambda_spectrum
+from .model import MI_EXACT, SYNCHRONOUS, OutageEstimate, SystemConfig, _is_int
 
 SCHEME_MULTI = "multi"
 SCHEME_OS = "os"
 SCHEME_PS = "ps"
 SCHEMES = (SCHEME_MULTI, SCHEME_OS, SCHEME_PS)
 
-# trials per vectorized batch; exact mode materializes a (batch, block_len)
-# complex spectrum, so it runs smaller batches
-CHUNK_APPROX = 16384
-CHUNK_EXACT = 2048
+# byte budget of the largest array of a chunk: the complex taps (16*block_len
+# bytes per trial) under exact MI, else the uniforms (8*trial_block_uniforms(N)).
+# The default chunk fits it, so memory per chunk is bounded for any block_len
+# and the buffers an estimate reuses across chunks stay small
+CHUNK_BYTES = 2 << 20
 
 
 def trial_stream(seed: int, trial: int, n_relays: int) -> np.random.Generator:
@@ -49,7 +50,7 @@ def select_relay(sinrs: LinkSinrs, kind: str):
     return np.argmax(score, axis=-1)
 
 
-def _trial_outages(cfg: SystemConfig, scheme: str, real):
+def _trial_outages(cfg: SystemConfig, scheme: str, real, spec_out: BinSpectrum | None):
     # every step broadcasts over the batch axis, so a trial's flag does not
     # depend on the batch it is drawn in
     e = eta(cfg.rate, cfg.block_len, cfg.cp_len)
@@ -57,16 +58,15 @@ def _trial_outages(cfg: SystemConfig, scheme: str, real):
         probe = link_sinrs(real, cfg, relay_tx_power(cfg, cfg.n_relays))
         mask = probe.g_sr >= e
         p_relay = relay_tx_power(cfg, np.maximum(mask.sum(axis=-1), 1))
-    elif scheme in (SCHEME_OS, SCHEME_PS):
-        # a lone transmitter sees no inter-relay interference
+    else:
+        # os or ps: a lone transmitter sees no inter-relay interference
         p_relay = relay_tx_power(cfg, 1)
         probe = link_sinrs(real, cfg, p_relay, interference_var=cfg.var_rsi)
         chosen = np.asarray(select_relay(probe, scheme))
         mask = (np.arange(cfg.n_relays) == chosen[..., None]) & (probe.g_sr >= e)
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
     if cfg.mi_mode == MI_EXACT:
-        rate = exact_rate(lambda_spectrum(real, mask, cfg, p_relay), cfg)
+        spec = lambda_spectrum(real, mask, cfg, p_relay, out=spec_out)
+        rate = exact_rate(spec, cfg, out=spec.gamma)
     else:
         tx = link_sinrs(real, cfg, p_relay)
         need = real if cfg.sync_mode == SYNCHRONOUS else None
@@ -81,18 +81,27 @@ def estimate_outage(cfg: SystemConfig, scheme: str, trials: int,
     Trial t always consumes the substream trial_stream(seed, t), and the
     aggregate is an integer count, so the result is bit-identical for any
     chunk size or worker split of the same (seed, trials); chunk=1 runs the
-    trials one at a time.
+    trials one at a time.  The default chunk fits CHUNK_BYTES, bounding memory
+    per chunk for any block_len; the uniform and (exact MI) spectrum buffers
+    are allocated once and each chunk writes their leading size rows.
     """
-    if trials < 1:
-        raise ValueError("trials must be positive")
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    exact, width = cfg.mi_mode == MI_EXACT, trial_block_uniforms(cfg.n_relays)
     if chunk is None:
-        chunk = CHUNK_EXACT if cfg.mi_mode == MI_EXACT else CHUNK_APPROX
-    if chunk < 1:
-        raise ValueError("chunk must be positive")
+        chunk = max(1, CHUNK_BYTES // (16 * cfg.block_len if exact else 8 * width))
+    for name, value in (("trials", trials), ("chunk", chunk)):
+        if not _is_int(value) or value < 1:
+            raise ValueError(f"{name} must be positive and an integer, got {value!r}")
+    chunk = min(chunk, trials)
+    uniforms = np.empty((chunk, width))
+    spec = BinSpectrum(np.empty((chunk, cfg.block_len), complex),
+                       np.empty((chunk, cfg.block_len))) if exact else None
     count = 0
     for start in range(0, trials, chunk):
         size = min(chunk, trials - start)
         rng = trial_stream(seed, start, cfg.n_relays)
-        real = draw_realization(cfg, rng, size=size)
-        count += int(np.count_nonzero(_trial_outages(cfg, scheme, real)))
+        real = draw_realization(cfg, rng, size=size, out=uniforms[:size])
+        rows = None if spec is None else BinSpectrum(spec.lam[:size], spec.gamma[:size])
+        count += int(np.count_nonzero(_trial_outages(cfg, scheme, real, rows)))
     return OutageEstimate.from_counts(count, trials)

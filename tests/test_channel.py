@@ -51,6 +51,18 @@ def test_scalar_draw_equals_batch_row():
         assert np.array_equal(one.h_rd, batch.h_rd[t])
 
 
+def test_draw_into_reused_buffer_matches_fresh_draw():
+    # the realization keeps copies, so refilling out cannot change it
+    cfg = config(var_sd=1.0, var_sr=2.0, var_rd=3.0)
+    out = np.full((5, trial_block_uniforms(cfg.n_relays)), np.nan)
+    for start in (0, 5):
+        fresh = draw_realization(cfg, trial_stream(9, start, cfg.n_relays), size=5)
+        into = draw_realization(cfg, trial_stream(9, start, cfg.n_relays), size=5, out=out)
+        out.fill(np.nan)
+        for name in ("h2_sd", "h2_sr", "h2_rd", "h_sd", "h_sr", "h_rd"):
+            assert np.array_equal(getattr(into, name), getattr(fresh, name)), name
+
+
 def test_draw_statistics():
     cfg = config(n_relays=2, var_sd=1.0, var_sr=4.0, var_rd=10.0)
     real = draw_realization(cfg, trial_stream(17, 0, 2), size=1_000_000)

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from fdrelay.analytic import eta, relay_tx_power
 from fdrelay.channel import ChannelRealization, draw_realization, link_sinrs
-from fdrelay.fde import approx_rate, exact_rate, lambda_spectrum
+from fdrelay.fde import BinSpectrum, approx_rate, exact_rate, lambda_spectrum
 from fdrelay.mc import trial_stream
 from fdrelay.model import SYNCHRONOUS, SystemConfig
 from oracles import direct_spectrum
@@ -241,3 +241,18 @@ def test_spectrum_matches_direct_phase_sum():
     real, mask, power = multi_chunk(FIG4, 2048, seed=5)
     lam = lambda_spectrum(real, mask, FIG4, power).lam
     assert np.max(np.abs(lam - direct_spectrum(real, mask, FIG4, power))) <= 1e-12
+
+
+def test_spectrum_and_rate_into_used_buffers_match_fresh_ones():
+    # out= buffers still holding other values: the taps are zeroed again and
+    # gamma and log2(1+gamma) are written over, bit for bit as without out
+    real, mask, power = multi_chunk(FIG4, 64, seed=7)
+    fresh = lambda_spectrum(real, mask, FIG4, power)
+    rate = exact_rate(fresh, FIG4)
+    shape = (64, FIG4.block_len)
+    out = BinSpectrum(np.full(shape, 1 + 1j), np.full(shape, np.nan))
+    spec = lambda_spectrum(real, mask, FIG4, power, out=out)
+    assert spec.lam is out.lam and spec.gamma is out.gamma
+    assert np.array_equal(spec.lam, fresh.lam) and np.array_equal(spec.gamma, fresh.gamma)
+    assert np.array_equal(exact_rate(spec, FIG4, out=spec.gamma), rate)
+    assert np.array_equal(exact_rate(fresh, FIG4), rate)     # no out: gamma kept

@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -150,6 +152,62 @@ def test_estimate_validates_arguments():
         estimate_outage(cfg, "round_robin", trials=10)
     with pytest.raises(ValueError, match="trials must be positive"):
         estimate_outage(cfg, SCHEME_MULTI, trials=0)
+
+
+@pytest.mark.parametrize("args, message", [
+    (dict(trials=True), "trials must be positive"),
+    (dict(trials=2.5), "trials must be positive"),
+    (dict(trials=10, chunk=2.5), "chunk must be positive"),
+    (dict(trials=10, chunk=True), "chunk must be positive"),
+    (dict(trials=10, scheme="round_robin"), "unknown scheme"),
+], ids=["bool-trials", "float-trials", "float-chunk", "bool-chunk", "unknown-scheme"])
+def test_estimate_rejects_arguments_before_any_work(monkeypatch, args, message):
+    # bools and floats are not counts; nothing is drawn or allocated first
+    def refuse(*a, **k):
+        raise AssertionError("worked before checking its arguments")
+
+    monkeypatch.setattr(mc, "trial_stream", refuse)
+    monkeypatch.setattr(mc, "draw_realization", refuse)
+    monkeypatch.setattr(mc, "np", SimpleNamespace(empty=refuse))
+    args = {"scheme": SCHEME_MULTI, **args}
+    with pytest.raises(ValueError, match=message):
+        estimate_outage(fig_config(mi_mode=MI_EXACT), **args)
+
+
+@pytest.mark.parametrize("over", [
+    dict(),
+    dict(sync_mode=SYNCHRONOUS, delays=None),
+    dict(mi_mode=MI_EXACT),
+    dict(mi_mode=MI_EXACT, sync_mode=SYNCHRONOUS, delays=None),
+], ids=["async-approx", "sync-approx", "async-exact", "sync-exact"])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_reused_chunk_buffers_match_fresh_ones(over, scheme):
+    # estimate_outage reuses one uniform block and, under exact MI, one tap and
+    # one gamma block across chunks.  52 trials in chunks of 7 end on a ragged
+    # chunk of 3 that writes only the leading rows; chunk=1 refills one row 52
+    # times; chunk=None is a single fresh chunk.  Near-even outage odds make
+    # leftover taps or stale rows show in the count.
+    cfg = fig_config(rate=2.5, block_len=32, **over)
+    counts = [estimate_outage(cfg, scheme, 52, seed=13, chunk=c).outage_count
+              for c in (7, 1, None)]
+    assert counts[0] == counts[1] == counts[2]
+    assert 5 < counts[0] < 47
+
+
+@pytest.mark.parametrize("cfg, trials", [
+    (replace(build_preset("fig4").variants[0][1].base, mi_mode=MI_EXACT, block_len=4096), 300),
+    (fig_config(n_relays=64, cp_len=64), 5000),
+], ids=["exact-T4096", "approx-N64"])
+def test_estimate_memory_is_bounded_by_the_chunk_budget(cfg, trials):
+    # the default chunk fits CHUNK_BYTES, so the traced peak stays a small
+    # multiple of it however long the block or many the relays
+    tracemalloc.start()
+    try:
+        estimate_outage(cfg, SCHEME_MULTI, trials, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * mc.CHUNK_BYTES
 
 
 def test_estimate_agrees_with_closed_form():

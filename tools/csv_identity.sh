@@ -6,8 +6,9 @@
 # Extracts BASE_REF (git archive) and the working tree (tracked and
 # untracked, non-ignored files) into a temporary directory, runs the same
 # preset set in each at seed 0 (fig2-fig5 approximate MI at 1e5 trials per
-# point, fig4 exact MI at 4000) and cmp's every CSV.  Prints one line per
-# file and exits non-zero if any file differs or is missing.
+# point; exact MI at 4000 for fig4, asynchronous, and fig3, synchronous) and
+# cmp's every CSV.  Prints one line per file and exits non-zero if any file
+# differs or is missing.
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
@@ -33,6 +34,8 @@ run_presets() {
     done
     (cd "$tree" && PYTHONPATH=src python3 -m fdrelay.cli --preset fig4 --mi exact \
         --trials 4000 --seed 0 --out out/fig4_exact.csv >/dev/null)
+    (cd "$tree" && PYTHONPATH=src python3 -m fdrelay.cli --preset fig3 --mi exact \
+        --trials 4000 --seed 0 --out out/fig3_exact.csv >/dev/null)
 }
 
 run_presets "$tmp/base"
