@@ -7,11 +7,7 @@ import warnings
 from dataclasses import dataclass
 
 from .model import FIXED_PER_RELAY, SYNCHRONOUS, SystemConfig
-from .sfun import regularized_lower_gamma_int
-
-# relative scale gap below which the two-scale combiner falls back to the
-# equal-scale (Erlang) limit to dodge catastrophic cancellation
-EQUAL_SCALE_RTOL = 1e-9
+from .sfun import kummer_j, poisson_pmf, regularized_lower_gamma_int
 
 # tolerated rounding spill outside [0, 1] before the clamp warns
 CLAMP_SLACK = 1e-9
@@ -86,27 +82,27 @@ def _clamped(p: float, what: str) -> float:
 
 
 def _mrc_mix_outage(n_sum: int, gbar_sd: float, gbar_rd: float, e: float) -> float:
-    """P(X + sum of n_sum i.i.d. Y < e), X ~ Exp(gbar_sd), Y ~ Exp(gbar_rd).
+    """P(X + S < e), X ~ Exp(gbar_sd), S the sum of n_sum i.i.d. Exp(gbar_rd).
 
-    Two-scale closed form; the gbar_rd > gbar_sd branch runs the incomplete
-    gamma at a negative argument, which the series continuation covers.  Near
-    equal scales the expression cancels badly, so it falls back to the exact
-    Erlang limit of n_sum+1 equal exponentials.
+    With u = e/gbar_sd, v = e/gbar_rd and x = v - u, formed from the scale
+    difference: P = P(n, v) - Pois(v; n) J_n(x), so equal scales give P(n+1, v).
+    For x >= n, where J_n grows like e^x, the relayed term is e^{-u} (v/x)^n P(n, x)
+    with v/x = 1/(1 - gbar_rd/gbar_sd), whose log weight is never positive there.
     """
     if e <= 0.0:
         return 0.0
     if gbar_rd <= 0.0:
         return _exp_outage(gbar_sd, e)
+    v = e / gbar_rd
     if gbar_sd <= 0.0:
-        return _clamped(regularized_lower_gamma_int(n_sum, e / gbar_rd), "erlang outage")
-    if abs(gbar_sd - gbar_rd) <= EQUAL_SCALE_RTOL * gbar_sd:
-        return _clamped(regularized_lower_gamma_int(n_sum + 1, e / gbar_sd),
-                        "equal-scale outage")
-    term1 = regularized_lower_gamma_int(n_sum, e / gbar_rd)
-    ratio = gbar_sd / (gbar_sd - gbar_rd)
-    x2 = e * (gbar_sd - gbar_rd) / (gbar_rd * gbar_sd)
-    term2 = math.exp(-e / gbar_sd) * ratio ** n_sum * regularized_lower_gamma_int(n_sum, x2)
-    return _clamped(term1 - term2, "combined outage")
+        return regularized_lower_gamma_int(n_sum, v)
+    x = e * (gbar_sd - gbar_rd) / (gbar_rd * gbar_sd)
+    if x >= n_sum:
+        relayed = (math.exp(-e / gbar_sd - n_sum * math.log1p(-gbar_rd / gbar_sd))
+                   * regularized_lower_gamma_int(n_sum, x))
+    else:
+        relayed = poisson_pmf(n_sum, v) * kummer_j(n_sum, x)
+    return _clamped(regularized_lower_gamma_int(n_sum, v) - relayed, "combined outage")
 
 
 def p_cond_async(n_decoding: int, cfg: SystemConfig) -> float:

@@ -8,6 +8,8 @@ import numpy as np
 
 __all__ = [
     "abs2",
+    "kummer_j",
+    "poisson_pmf",
     "regularized_lower_gamma_int",
     "gains_from_uniforms",
 ]
@@ -25,54 +27,56 @@ def abs2(z, out=None):
     return out
 
 
-def _poisson_partial_sum(n: int, x: float) -> float:
-    # sum_{m<n} x^m/m!; fsum keeps full precision when x < 0 flips term signs
-    terms = []
-    t = 1.0
-    for m in range(n):
-        if m:
-            t *= x / m
-        terms.append(t)
-    return math.fsum(terms)
+def poisson_pmf(n: int, x: float) -> float:
+    """e^{-x} x^n/n! for x > 0, weighted in log space so no factor overflows."""
+    return math.exp(n * math.log(x) - x - math.lgamma(n + 1))
+
+
+def _top_down_sum(n: int, x: float) -> float:
+    # sum_{i=1}^{n} n!/(n-i)! x^{-i} for |x| >= n, from n/x down by factors (n-i)/x
+    t = total = n / x
+    for i in range(1, n):
+        t *= (n - i) / x
+        total += t
+    return total
+
+
+def kummer_j(n: int, x: float) -> float:
+    """J_n(x) = 1F1(1; n+1; x) = sum_{k>=0} x^k/((n+1)...(n+k)) (DLMF 13.2.2), x < n.
+
+    For |x| < n the series terms shrink by |x|/(n+k) < 1; for x <= -n it is
+    n! x^{-n} (e^x - sum_{m<n} x^m/m!), the polynomial summed from the top
+    term down.  Past x = n, J_n grows like e^x and P(n, x) covers the range.
+    """
+    if x <= -n:
+        lead = math.exp(math.lgamma(n + 1) - n * math.log(-x) + x)
+        return (-lead if n % 2 else lead) - _top_down_sum(n, x)
+    t = total = 1.0
+    k = n + 1
+    while abs(t) > 1e-17 * total:  # t underflows to 0.0 at the latest
+        t *= x / k
+        total += t
+        k += 1
+    return total
 
 
 def regularized_lower_gamma_int(n: int, x: float) -> float:
-    """P(n, x) = gamma(n, x)/(n-1)! for integer n >= 1, any real x.
+    """P(n, x) = gamma(n, x)/(n-1)! for integer n >= 1 and finite x >= 0.
 
-    For |x| < n the value can be tiny, so it is computed as the Poisson tail
-    e^{-x} sum_{m>=n} x^m/m! (an identity for all real x), whose leading
-    term dominates; the complementary finite form 1 - e^{-x} sum_{m<n} x^m/m!
-    cancels catastrophically there.  For |x| >= n the result is of order one
-    or larger and the complementary form is the accurate one.  Negative-x
-    precision degrades slowly once x goes far below about -30 because e^{-x}
-    amplifies the summation residual, and the exponential overflows near
-    x = -700.
+    Below x = n it is Pois(x; n) J_n(x) (DLMF 8.7.1), positive factors that
+    stay accurate where P is tiny; from x = n on, the complement
+    1 - Pois(x; n) sum_{i=1}^{n} n!/(n-i)! x^{-i} (DLMF 8.4.10), whose
+    subtrahend is below 1/2.  Neither form overflows at any finite x.
     """
     if n < 1:
         raise ValueError("order n must be a positive integer")
-    if not math.isfinite(x):
-        raise ValueError("x must be finite")
-    if abs(x) >= n:
-        partial = _poisson_partial_sum(n, x)
-        # x^m/m! overflows beyond x ~ 2e6 at n = 64, where P(n, x) is 1 in doubles
-        return 1.0 if x > 0.0 and not math.isfinite(partial) else 1.0 - math.exp(-x) * partial
+    if not (math.isfinite(x) and x >= 0.0):
+        raise ValueError("x must be finite and non-negative")
     if x == 0.0:
         return 0.0
-    t = math.exp(-x)
-    for m in range(1, n):
-        t *= x / m
-    # t = e^{-x} x^{n-1}/(n-1)!; tail terms from m = n on shrink by |x|/m < 1
-    terms = []
-    m = n
-    while True:
-        t *= x / m
-        terms.append(t)
-        m += 1
-        # t == 0.0 once the terms underflow, where the relative test never holds
-        if t == 0.0 or abs(t) < 1e-20 * abs(terms[0]):
-            break
-    total = math.fsum(terms)
-    return min(1.0, total) if x > 0.0 else total
+    if x < n:
+        return poisson_pmf(n, x) * kummer_j(n, x)
+    return 1.0 - poisson_pmf(n, x) * _top_down_sum(n, x)
 
 
 def gains_from_uniforms(power, u1):

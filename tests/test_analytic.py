@@ -2,16 +2,18 @@ import math
 import warnings
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 from fdrelay.analytic import (_clamped, _mrc_mix_outage, combine_outage, eta,
                               link_outages, p_cond_async, p_cond_sync,
                               relay_tx_power, total_outage)
-from fdrelay.model import (FIXED_PER_RELAY, SYNCHRONOUS, SystemConfig,
-                           validate_config)
+from fdrelay.model import (ASYNCHRONOUS, FIXED_PER_RELAY, SHARED_BUDGET,
+                           SYNCHRONOUS, SystemConfig, validate_config)
 from oracles import combine_by_enumeration
 
 
@@ -123,6 +125,108 @@ def test_mix_zero_scale_edges():
         1.0 - 2.0 * math.exp(-1.0), rel=1e-12)
     assert _mrc_mix_outage(2, 1.0, 0.0, 1.0) == pytest.approx(1 - math.exp(-1), rel=1e-12)
     assert _mrc_mix_outage(1, 1.0, 1.0, 0.0) == 0.0
+
+
+def mix_mpmath(n_sum, gbar_sd, gbar_rd, e):
+    # oracle: P(n, v) - e^{-u} v^n/n! 1F1(n; n+1; u - v) at 50 digits, from
+    # the exact binary values of the double arguments
+    with mpmath.workdps(50):
+        u = mpmath.mpf(e) / mpmath.mpf(gbar_sd)
+        v = mpmath.mpf(e) / mpmath.mpf(gbar_rd)
+        return (mpmath.gammainc(n_sum, 0, v, regularized=True)
+                - mpmath.exp(-u) * v ** n_sum / mpmath.factorial(n_sum)
+                * mpmath.hyp1f1(n_sum, n_sum + 1, u - v))
+
+
+# relayed-to-direct scale ratios from 1e-3 to 1e3, with 1 +- 1e-9 ... 1e-5
+# on both sides of the equal-scale point
+HARD_RATIOS = (1e-3, 1e-2, 0.1, 0.5, 1 - 1e-5, 1 - 1e-6, 1 - 1e-7, 1 - 1e-8,
+               1 - 1e-9, 1.0, 1 + 1e-9, 1 + 1e-8, 1 + 1e-7, 1 + 1e-6, 1 + 1e-5,
+               2.0, 10.0, 100.0, 1e3)
+
+
+def test_mix_matches_mpmath_on_hard_grid():
+    checked = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n_sum in (1, 2, 3, 5, 10, 16, 32, 64):
+            for ratio in HARD_RATIOS:
+                for e in (1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0, 30.0, 100.0, 1e3):
+                    got = _mrc_mix_outage(n_sum, 1.0, ratio, e)
+                    assert 0.0 <= got <= 1.0, (n_sum, ratio, e, got)
+                    want = mix_mpmath(n_sum, 1.0, ratio, e)
+                    if want > 1e-30:
+                        rel = float(abs(got - want) / want)
+                        assert rel <= 1e-10, (n_sum, ratio, e, got, want)
+                        checked += 1
+    assert checked > 1000, checked
+
+
+@pytest.mark.parametrize("args, want", [
+    ((64, 1.0, 1 + 1e-6, 1.0), 4.5287352902569416e-92),
+    ((64, 1.0, 1 - 1e-6, 1.0), 4.529306223372689e-92),
+    ((64, 1.0, 5.0, 2000.0), 1.0),
+    ((28, 0.3048466139104228, 32.370400892503845, 187.66978995675768),
+     2.8139070908615658e-11),
+], ids=["just-above-equal", "just-below-equal", "far-threshold", "bench-nan"])
+def test_mix_pinned_values(args, want):
+    # mpmath values (mix_mpmath): near-equal scales at n = 64 and a threshold
+    # 2000 times the direct mean once overflowed; the last point is a
+    # bench-grid config once read as NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _mrc_mix_outage(*args)
+    assert_allclose(got, want, rtol=1e-12)
+
+
+@pytest.mark.parametrize("mode", [ASYNCHRONOUS, SYNCHRONOUS])
+@pytest.mark.parametrize("policy", [SHARED_BUDGET, FIXED_PER_RELAY])
+def test_total_outage_high_rate_weak_direct_link(mode, policy):
+    cfg = validate_config(SystemConfig(
+        n_relays=4, p_source=10.0, e_relay_budget=10.0, rate=8.0, var_sd=0.01,
+        var_sr=10.0, var_rd=10.0, var_rsi=1.0, var_iri=1.0, sync_mode=mode,
+        relay_power_policy=policy))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = total_outage(cfg)
+    assert math.isfinite(p) and 0.0 <= p <= 1.0
+
+
+def db_draw(lo, hi):
+    return st.floats(lo, hi).map(lambda x: 10.0 ** (x / 10.0))
+
+
+# (field, +1 if the outage may only rise with it, -1 if only fall, and
+# whether that holds under asynchronous combining with the shared budget)
+MONOTONE = (("rate", 1, True), ("var_sd", -1, True), ("var_rd", -1, True),
+            ("var_rsi", 1, False), ("var_iri", 1, False), ("var_sr", -1, False),
+            ("p_source", -1, False))
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 64), rate=st.floats(0.5, 8.0),
+       powers=st.tuples(db_draw(0.0, 30.0), db_draw(0.0, 30.0)),
+       variances=st.tuples(*[db_draw(-20.0, 20.0)] * 5),
+       sync=st.booleans(), fixed=st.booleans())
+def test_total_outage_properties_on_bench_ranges(n, rate, powers, variances, sync, fixed):
+    # under asynchronous combining with the shared budget, more decoders
+    # split E_R and can raise the outage, so the first-hop and interference
+    # directions are only claimed for the other configs
+    cfg = validate_config(SystemConfig(
+        n_relays=n, p_source=powers[0], e_relay_budget=powers[1], rate=rate,
+        var_sd=variances[0], var_sr=variances[1], var_rd=variances[2],
+        var_rsi=variances[3], var_iri=variances[4], cp_len=max(10, n),
+        sync_mode=SYNCHRONOUS if sync else ASYNCHRONOUS,
+        relay_power_policy=FIXED_PER_RELAY if fixed else SHARED_BUDGET))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = total_outage(cfg)
+        assert math.isfinite(p) and 0.0 <= p <= 1.0
+        for field, sign, everywhere in MONOTONE:
+            q = total_outage(replace(cfg, **{field: 1.3 * getattr(cfg, field)}))
+            assert math.isfinite(q) and 0.0 <= q <= 1.0
+            if everywhere or sync or fixed:
+                assert sign * (q - p) >= -1e-10 * max(p, q), (field, p, q)
 
 
 def test_p_cond_async_fig_values():

@@ -220,6 +220,25 @@ def test_main_sweep_flag_overrides(tmp_path):
     assert [line.split(",")[1] for line in lines[1:]] == ["0", "3", "6"]
 
 
+def test_main_high_rate_weak_direct_link(tmp_path):
+    # rate 8 over a -20 dB direct link puts the closed form where it once
+    # raised OverflowError out of main
+    doc = {"n_relays": 4, "p_source_db": 10.0, "e_relay_budget_db": 10.0,
+           "rate": 8.0, "var_sd_db": -20.0, "var_sr_db": 10.0, "var_rd_db": 10.0,
+           "var_rsi_db": 0.0, "var_iri_db": 0.0,
+           "sweep": {"param": "var_rd_db", "values": [0.0, 10.0, 20.0]}}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "weak.csv"
+    code = main(["--config", str(path), "--scheme", "multi", "--trials", "20",
+                 "--out", str(out)])
+    assert code == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 3
+    assert all(math.isfinite(float(row[4])) and 0.0 <= float(row[4]) <= 1.0
+               for row in rows)
+
+
 def test_main_error_paths(tmp_path, capsys):
     assert main(["--config", str(tmp_path / "missing.json")]) == 2
     assert "error:" in capsys.readouterr().err
