@@ -5,8 +5,9 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
-from .model import FIXED_PER_RELAY, SYNCHRONOUS, SystemConfig
+from .model import FIXED_PER_RELAY, SYNCHRONOUS, SystemConfig, _is_int
 from .sfun import kummer_j, poisson_pmf, regularized_lower_gamma_int
 
 # tolerated rounding spill outside [0, 1] before the clamp warns
@@ -111,8 +112,8 @@ def p_cond_async(n_decoding: int, cfg: SystemConfig) -> float:
     The destination adds the direct SNR and the n_decoding independent relay
     SNRs, each exponential with mean relay_tx_power*var_rd.
     """
-    if n_decoding < 1:
-        raise ValueError("n_decoding must be at least 1")
+    if not _is_int(n_decoding) or n_decoding < 1:
+        raise ValueError("n_decoding must be an integer of at least 1")
     e = eta(cfg.rate, cfg.block_len, cfg.cp_len)
     gbar_rd = relay_tx_power(cfg, n_decoding) * cfg.var_rd
     return _mrc_mix_outage(n_decoding, cfg.p_source * cfg.var_sd, gbar_rd, e)
@@ -123,27 +124,51 @@ def p_cond_sync(n_decoding: int, cfg: SystemConfig) -> float:
 
     Equal delays make the relay amplitudes add coherently into one equivalent
     Rayleigh branch of mean relay_tx_power*n_decoding*var_rd, so under the
-    shared budget the result does not depend on n_decoding at all.
+    shared budget the result does not depend on n_decoding at all, and
+    total_outage evaluates it once, at n_decoding = 1.
     """
-    if n_decoding < 1:
-        raise ValueError("n_decoding must be at least 1")
+    if not _is_int(n_decoding) or n_decoding < 1:
+        raise ValueError("n_decoding must be an integer of at least 1")
     e = eta(cfg.rate, cfg.block_len, cfg.cp_len)
     gbar_syn = relay_tx_power(cfg, n_decoding) * n_decoding * cfg.var_rd
     return _mrc_mix_outage(1, cfg.p_source * cfg.var_sd, gbar_syn, e)
 
 
-def combine_outage(p_sd: float, p_sr: float, p_cond_by_size) -> float:
-    """Total outage from link outages and per-size conditional outages.
+def combine_outage(p_sd: float, p_sr: float, n_relays: int, p_cond) -> float:
+    """Total outage from link outages and the conditional outage p_cond(L).
 
-    p_cond_by_size[L-1] is the destination outage given L forwarding relays.
-    Relays decode independently with probability 1 - p_sr, so the sum over
-    all 2^N decode sets collapses to a binomial sum over the set size.
+    p_cond(L) is the destination outage given L >= 1 forwarding relays.
+    Relays decode independently with probability q = 1 - p_sr, so the sum
+    over all 2^N decode sets collapses to a binomial mixture over the set
+    size, weights w_L = C(N, L) q^L p_sr^(N-L), with p_sd at L = 0.
+
+    Window rule: start at the heaviest size, its weight formed in log space
+    so C(N, L) never becomes a float, and walk outward by w_{L+1}/w_L,
+    stopping each way at the first w_L <= 2^-54 * total/N, total being the
+    partial sum.  Weights fall away from the mode and the partial sum grows,
+    so the at most N sizes left out, each with outage <= 1, move the total
+    by under 2^-54 of it.
     """
-    n = len(p_cond_by_size)
-    total = p_sd * p_sr ** n
-    for size in range(1, n + 1):
-        w = math.comb(n, size) * (1.0 - p_sr) ** size * p_sr ** (n - size)
-        total += w * p_cond_by_size[size - 1]
+    q = 1.0 - p_sr
+    mode = min(n_relays, int((n_relays + 1) * q))
+    log_w = math.log(math.comb(n_relays, mode))
+    if mode:
+        log_w += mode * math.log(q)
+    if mode < n_relays:
+        log_w += (n_relays - mode) * math.log(p_sr)
+    w = w_mode = math.exp(log_w)
+    total = w * (p_cond(mode) if mode else p_sd)
+    for size in range(mode + 1, n_relays + 1):
+        w *= (n_relays - size + 1) * q / (size * p_sr)
+        if w * n_relays <= 2.0 ** -54 * total:
+            break
+        total += w * p_cond(size)
+    w = w_mode
+    for size in range(mode - 1, -1, -1):
+        w *= (size + 1) * p_sr / ((n_relays - size) * q)
+        if w * n_relays <= 2.0 ** -54 * total:
+            break
+        total += w * (p_cond(size) if size else p_sd)
     return _clamped(total, "total outage")
 
 
@@ -154,8 +179,13 @@ def total_outage(cfg: SystemConfig) -> float:
     per-bin rate never exceeds that rate on any realization (Jensen over the
     bins, whose mean SINR is the aggregate one), so this curve bounds the
     exact-MI outage from below; the excess grows where outage is rare.
+    Conditional outages are evaluated only at decode-set sizes whose weight
+    exceeds 2^-54 * total/N; the rest move the total by under 2^-54 of it.
     """
     links = link_outages(cfg, relay_tx_power(cfg, cfg.n_relays))
-    cond = p_cond_sync if cfg.sync_mode == SYNCHRONOUS else p_cond_async
-    p_by_size = [cond(size, cfg) for size in range(1, cfg.n_relays + 1)]
-    return combine_outage(links.p_sd, links.p_sr, p_by_size)
+    sync = cfg.sync_mode == SYNCHRONOUS
+    cond = partial(p_cond_sync if sync else p_cond_async, cfg=cfg)
+    if sync and cfg.relay_power_policy != FIXED_PER_RELAY:
+        p_shared = cond(1)  # the same at every size under the shared budget
+        cond = lambda size: p_shared
+    return combine_outage(links.p_sd, links.p_sr, cfg.n_relays, cond)

@@ -1,5 +1,7 @@
 """Independent reference computations shared by the test modules."""
 
+import math
+
 import numpy as np
 
 
@@ -22,6 +24,20 @@ def combine_by_enumeration(p_sd: float, p_sr: float, p_cond_by_size) -> float:
             else:
                 prob *= p_sr
         total += prob * (p_sd if size == 0 else p_cond_by_size[size - 1])
+    return total
+
+
+def combine_every_size(p_sd: float, p_sr: float, p_cond_by_size) -> float:
+    """Binomial sum over every decode-set size L = 0..N, weights in floats.
+
+    math.comb(N, L) turns into a float, so N is limited to about 1,000; each
+    p_cond_by_size[L-1] enters however small its weight.
+    """
+    n = len(p_cond_by_size)
+    total = p_sd * p_sr ** n
+    for size in range(1, n + 1):
+        w = math.comb(n, size) * (1.0 - p_sr) ** size * p_sr ** (n - size)
+        total += w * p_cond_by_size[size - 1]
     return total
 
 

@@ -139,7 +139,7 @@ def test_criterion_3_combination_law_oracle():
         p_sd = float(rng.uniform(0, 1))
         p_sr = float(rng.uniform(0, 1))
         cond = rng.uniform(0, 1, size=n).tolist()
-        a = combine_outage(p_sd, p_sr, cond)
+        a = combine_outage(p_sd, p_sr, n, lambda size: cond[size - 1])
         b = combine_by_enumeration(p_sd, p_sr, cond)
         worst = max(worst, abs(a - b))
     elapsed = time.perf_counter() - t0

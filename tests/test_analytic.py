@@ -9,12 +9,13 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
+import fdrelay.analytic as analytic
 from fdrelay.analytic import (_clamped, _mrc_mix_outage, combine_outage, eta,
                               link_outages, p_cond_async, p_cond_sync,
                               relay_tx_power, total_outage)
 from fdrelay.model import (ASYNCHRONOUS, FIXED_PER_RELAY, SHARED_BUDGET,
                            SYNCHRONOUS, SystemConfig, validate_config)
-from oracles import combine_by_enumeration
+from oracles import combine_by_enumeration, combine_every_size
 
 
 def fig_config(**over):
@@ -235,6 +236,9 @@ def test_p_cond_async_fig_values():
     assert_allclose(p_cond_async(5, cfg), 2.4226430108555221e-5, rtol=1e-11)
     with pytest.raises(ValueError):
         p_cond_async(0, cfg)
+    for size in (2.5, 2.0, True):
+        with pytest.raises(ValueError):
+            p_cond_async(size, cfg)
 
 
 def test_p_cond_async_decreases_with_relays_at_fixed_power():
@@ -249,6 +253,9 @@ def test_p_cond_sync_fig_value_and_l_independence():
     assert p_cond_sync(3, cfg) == p_cond_sync(1, cfg)
     with pytest.raises(ValueError):
         p_cond_sync(0, cfg)
+    for size in (2.5, 2.0, True):
+        with pytest.raises(ValueError):
+            p_cond_sync(size, cfg)
 
 
 def test_sync_exponent_resolution():
@@ -278,13 +285,17 @@ def test_p_cond_sync_diversity_comparison():
 
 
 def test_combine_stub_example():
-    assert_allclose(combine_outage(0.5, 0.5, [0.2, 0.1]), 0.25, rtol=1e-15)
+    cond = [0.2, 0.1]
+    assert_allclose(combine_outage(0.5, 0.5, 2, lambda size: cond[size - 1]), 0.25,
+                    rtol=1e-15)
     assert_allclose(combine_by_enumeration(0.5, 0.5, [0.2, 0.1]), 0.25, rtol=1e-15)
 
 
 def test_combine_edge_probabilities():
-    assert combine_outage(0.37, 1.0, [0.9, 0.9, 0.9]) == pytest.approx(0.37, rel=1e-12)
-    assert combine_outage(0.37, 0.0, [0.9, 0.8, 0.7]) == pytest.approx(0.7, rel=1e-12)
+    cond = [0.9, 0.8, 0.7]
+    assert combine_outage(0.37, 1.0, 3, lambda size: 0.9) == pytest.approx(0.37, rel=1e-12)
+    assert combine_outage(0.37, 0.0, 3, lambda size: cond[size - 1]) == pytest.approx(
+        0.7, rel=1e-12)
 
 
 def test_combine_binomial_matches_enumeration():
@@ -294,7 +305,7 @@ def test_combine_binomial_matches_enumeration():
         p_sd = float(rng.uniform(0, 1))
         p_sr = float(rng.uniform(0, 1))
         cond = rng.uniform(0, 1, size=n).tolist()
-        a = combine_outage(p_sd, p_sr, cond)
+        a = combine_outage(p_sd, p_sr, n, lambda size: cond[size - 1])
         b = combine_by_enumeration(p_sd, p_sr, cond)
         assert math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-14)
 
@@ -309,6 +320,84 @@ def test_total_outage_methods_agree():
             b = combine_by_enumeration(links.p_sd, links.p_sr,
                                        [cond(size, cfg) for size in range(1, n + 1)])
             assert math.isclose(total_outage(cfg), b, rel_tol=1e-12)
+
+
+def bench_range_configs(seed, count):
+    # the closed-form bench ranges: N 1..64, rate 0.5..8, P_S and E_R 0..30 dB,
+    # every channel variance -20..20 dB, both modes and both power policies
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(1, 65))
+        powers = 10.0 ** (rng.uniform(0.0, 30.0, 2) / 10.0)
+        var = 10.0 ** (rng.uniform(-20.0, 20.0, 5) / 10.0)
+        yield validate_config(SystemConfig(
+            n_relays=n, p_source=float(powers[0]), e_relay_budget=float(powers[1]),
+            rate=float(rng.uniform(0.5, 8.0)), var_sd=float(var[0]), var_sr=float(var[1]),
+            var_rd=float(var[2]), var_rsi=float(var[3]), var_iri=float(var[4]),
+            cp_len=max(10, n), sync_mode=(SYNCHRONOUS, ASYNCHRONOUS)[rng.integers(2)],
+            relay_power_policy=(SHARED_BUDGET, FIXED_PER_RELAY)[rng.integers(2)]))
+
+
+def test_total_outage_window_matches_every_size_sum():
+    # the window leaves out weights under 2^-54 of the total; under the shared
+    # budget p_cond_sync is evaluated once, while the every-size sum sees
+    # per-size values that differ from it by rounding in (E_R/L)*L
+    for cfg in bench_range_configs(2026, 600):
+        links = link_outages(cfg, relay_tx_power(cfg, cfg.n_relays))
+        sync = cfg.sync_mode == SYNCHRONOUS
+        cond = p_cond_sync if sync else p_cond_async
+        want = combine_every_size(links.p_sd, links.p_sr,
+                                  [cond(size, cfg) for size in range(1, cfg.n_relays + 1)])
+        tol = 1e-11 if sync and cfg.relay_power_policy == SHARED_BUDGET else 2e-13
+        assert math.isclose(total_outage(cfg), want, rel_tol=tol), cfg
+
+
+@pytest.mark.parametrize("mode", [ASYNCHRONOUS, SYNCHRONOUS])
+@pytest.mark.parametrize("policy", [SHARED_BUDGET, FIXED_PER_RELAY])
+def test_total_outage_when_no_relay_decodes(mode, policy):
+    # var_sr = 0 makes p_sr = 1: only the empty decode set has weight
+    cfg = fig_config(var_sr=0.0, sync_mode=mode, relay_power_policy=policy)
+    links = link_outages(cfg, relay_tx_power(cfg, cfg.n_relays))
+    assert links.p_sr == 1.0
+    assert total_outage(cfg) == links.p_sd
+
+
+def count_p_cond_calls(monkeypatch):
+    sizes = []
+    for name in ("p_cond_async", "p_cond_sync"):
+        inner = getattr(analytic, name)
+        monkeypatch.setattr(analytic, name, lambda size, cfg, inner=inner:
+                            sizes.append(size) or inner(size, cfg))
+    return sizes
+
+
+def test_total_outage_sync_shared_evaluates_once(monkeypatch):
+    sizes = count_p_cond_calls(monkeypatch)
+    total_outage(fig_config(n_relays=10, sync_mode=SYNCHRONOUS))  # a fig3 point
+    assert sizes == [1]
+
+
+def test_total_outage_skips_negligible_sizes(monkeypatch):
+    # p_sr ~ 0.987: the binomial mass sits on the smallest decode sets
+    cfg = validate_config(SystemConfig(
+        n_relays=64, p_source=10, e_relay_budget=10, rate=2, var_sr=0.1, var_rd=10,
+        var_rsi=1, cp_len=64))
+    sizes = count_p_cond_calls(monkeypatch)
+    assert total_outage(cfg) == pytest.approx(0.14118958715546925, rel=1e-14)
+    assert len(sizes) < 64 and len(set(sizes)) == len(sizes)
+
+
+@pytest.mark.parametrize("n", [1030, 5000])
+@pytest.mark.parametrize("mode", [ASYNCHRONOUS, SYNCHRONOUS])
+@pytest.mark.parametrize("policy", [SHARED_BUDGET, FIXED_PER_RELAY])
+def test_total_outage_thousands_of_relays(n, mode, policy):
+    # C(N, N/2) exceeds the float range from N = 1030 on
+    cfg = validate_config(fig_config(n_relays=n, var_rd=0.1, block_len=4 * n, cp_len=n,
+                                     sync_mode=mode, relay_power_policy=policy))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = total_outage(cfg)
+    assert math.isfinite(p) and 0.0 <= p <= 1.0
 
 
 def test_total_outage_monotone_in_power_and_rate():
