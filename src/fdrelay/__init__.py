@@ -17,8 +17,7 @@ from .mc import (SCHEME_MULTI, SCHEME_OS, SCHEME_PS, SCHEMES, estimate_outage,
 from .model import (ASYNCHRONOUS, FIXED_PER_RELAY, MI_APPROXIMATE, MI_EXACT,
                     SHARED_BUDGET, SYNCHRONOUS, OutageEstimate, SweepResult,
                     SweepRow, SweepSpec, SystemConfig, apply_param,
-                    config_from_dict, db_to_linear, linear_to_db,
-                    validate_config)
+                    configure, db_to_linear, linear_to_db, validate_config)
 
 __version__ = "0.1.0"
 
@@ -43,7 +42,7 @@ __all__ = [
     "BinSpectrum",
     "validate_config",
     "apply_param",
-    "config_from_dict",
+    "configure",
     "db_to_linear",
     "linear_to_db",
     "draw_realization",

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from functools import partial
 
 from .model import FIXED_PER_RELAY, SYNCHRONOUS, SystemConfig, _is_int
@@ -32,15 +31,6 @@ def _exp_outage(gbar: float, e: float) -> float:
     return -math.expm1(-e / gbar)
 
 
-@dataclass(frozen=True)
-class LinkOutageProbs:
-    """Per-link outage probabilities with the threshold used."""
-
-    p_sd: float
-    p_sr: float
-    eta: float
-
-
 def relay_tx_power(cfg: SystemConfig, n_forwarding):
     """Per-relay transmit power when n_forwarding >= 1 relays transmit.
 
@@ -57,21 +47,17 @@ def relay_tx_power(cfg: SystemConfig, n_forwarding):
     return cfg.e_relay_budget / n_forwarding
 
 
-def link_outages(cfg: SystemConfig, relay_power: float) -> LinkOutageProbs:
-    """Rayleigh link outages at threshold eta under a given relay power.
+def link_outages(cfg: SystemConfig) -> tuple[float, float]:
+    """Rayleigh link outages (p_sd, p_sr) at threshold eta.
 
     p_sr folds the relay-input interference floor P_R*(var_rsi+var_iri)+1
-    into the mean S->R SNR; all relays share it by symmetry.
+    into the mean S->R SNR, P_R being the decode-stage power of all n_relays
+    relays; all relays share it by symmetry.
     """
     e = eta(cfg.rate, cfg.block_len, cfg.cp_len)
-    gbar_sd = cfg.p_source * cfg.var_sd
-    denom = relay_power * (cfg.var_rsi + cfg.var_iri) + 1.0
-    gbar_sr = cfg.p_source * cfg.var_sr / denom
-    return LinkOutageProbs(
-        p_sd=_exp_outage(gbar_sd, e),
-        p_sr=_exp_outage(gbar_sr, e),
-        eta=e,
-    )
+    denom = relay_tx_power(cfg, cfg.n_relays) * (cfg.var_rsi + cfg.var_iri) + 1.0
+    return (_exp_outage(cfg.p_source * cfg.var_sd, e),
+            _exp_outage(cfg.p_source * cfg.var_sr / denom, e))
 
 
 def _clamped(p: float, what: str) -> float:
@@ -182,10 +168,10 @@ def total_outage(cfg: SystemConfig) -> float:
     Conditional outages are evaluated only at decode-set sizes whose weight
     exceeds 2^-54 * total/N; the rest move the total by under 2^-54 of it.
     """
-    links = link_outages(cfg, relay_tx_power(cfg, cfg.n_relays))
+    p_sd, p_sr = link_outages(cfg)
     sync = cfg.sync_mode == SYNCHRONOUS
     cond = partial(p_cond_sync if sync else p_cond_async, cfg=cfg)
     if sync and cfg.relay_power_policy != FIXED_PER_RELAY:
         p_shared = cond(1)  # the same at every size under the shared budget
         cond = lambda size: p_shared
-    return combine_outage(links.p_sd, links.p_sr, cfg.n_relays, cond)
+    return combine_outage(p_sd, p_sr, cfg.n_relays, cond)

@@ -8,7 +8,7 @@ from functools import cached_property
 import numpy as np
 
 from .model import SystemConfig
-from .sfun import abs2, gains_from_uniforms
+from .sfun import gains_from_uniforms
 
 # Philox emits 4 doubles per counter block; a trial needs 2*(1+2N) uniforms,
 # padded up to 4*(N+1) so every trial owns a whole number of counter blocks.
@@ -31,7 +31,7 @@ class ChannelRealization:
     """Fading blocks: powers |h|^2 h2_sd of the batch shape, h2_sr and h2_rd
     with a trailing relay axis, e.g. (B,) and (B, N), or () and (N,) unbatched.
     Complex gains h_sd, h_sr, h_rd are built per link on first read from sqrt
-    of the power and that link's phase uniforms, then kept (or given: from_gains).
+    of the power and that link's phase uniforms, then kept.
     """
 
     h2_sd: np.ndarray
@@ -42,14 +42,6 @@ class ChannelRealization:
     h_sd = cached_property(lambda self: gains_from_uniforms(self.h2_sd, self.phases[0]))
     h_sr = cached_property(lambda self: gains_from_uniforms(self.h2_sr, self.phases[1]))
     h_rd = cached_property(lambda self: gains_from_uniforms(self.h2_rd, self.phases[2]))
-
-    @classmethod
-    def from_gains(cls, h_sd, h_sr, h_rd) -> ChannelRealization:
-        """Realization of given complex gains, with powers abs2(h)."""
-        gains = [np.asarray(h, dtype=complex) for h in (h_sd, h_sr, h_rd)]
-        real = cls(*(abs2(h) for h in gains))
-        real.__dict__.update(zip(("h_sd", "h_sr", "h_rd"), gains))  # the kept gains
-        return real
 
 
 def draw_realization(cfg: SystemConfig, rng: np.random.Generator, size: int | None = None,
@@ -76,12 +68,15 @@ def draw_realization(cfg: SystemConfig, rng: np.random.Generator, size: int | No
 
 @dataclass(frozen=True)
 class LinkSinrs:
-    """Instantaneous per-link SINRs under a given relay transmit power."""
+    """Instantaneous per-link SINRs under a given relay transmit power, with
+    the realization they were computed from (synchronous combining adds its
+    complex h_rd)."""
 
     g_sd: np.ndarray                    # P_S |h_sd|^2
     g_sr: np.ndarray                    # P_S |h_sr_k|^2 / (P_R * interference + 1)
     g_rd: np.ndarray                    # P_R |h_rd_k|^2
     relay_tx_power: float | np.ndarray
+    real: ChannelRealization
 
 
 def link_sinrs(real: ChannelRealization, cfg: SystemConfig, relay_power,
@@ -99,5 +94,5 @@ def link_sinrs(real: ChannelRealization, cfg: SystemConfig, relay_power,
     g_sd = cfg.p_source * real.h2_sd
     g_sr = cfg.p_source * real.h2_sr / np.asarray(denom)[..., None]
     g_rd = np.asarray(relay_power)[..., None] * real.h2_rd
-    return LinkSinrs(g_sd, g_sr, g_rd, relay_power)
+    return LinkSinrs(g_sd, g_sr, g_rd, relay_power, real)
 

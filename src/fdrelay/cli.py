@@ -14,7 +14,7 @@ from .analytic import total_outage
 from .mc import SCHEME_MULTI, SCHEMES, estimate_outage
 from .model import (ASYNCHRONOUS, DB_FIELDS, MI_APPROXIMATE, MI_EXACT,
                     SYNCHRONOUS, SweepResult, SweepRow, SweepSpec, apply_param,
-                    config_from_dict, configure, linear_to_db, parse_field)
+                    configure, linear_to_db, parse_field)
 
 CSV_HEADER = "param,param_db,scheme,mode,analytic_p,mc_p,mc_stderr,trials,seed"
 
@@ -47,14 +47,14 @@ def build_preset(name: str) -> Preset:
         mode = SYNCHRONOUS if name == "fig3" else ASYNCHRONOUS
         variants = []
         for n in (5, 10):
-            base = config_from_dict({
+            base = configure({
                 **common, "n_relays": n, "p_source_db": 5.0, "e_relay_budget_db": 5.0,
                 "var_sr_db": 8.0, "var_rd_db": 10.0, "var_iri_db": IRI_SWEEP_DB[0],
                 "sync_mode": mode})
             variants.append((f"n{n}", SweepSpec(base, "var_iri_db", IRI_SWEEP_DB)))
         return Preset(tuple(variants))
     if name in ("fig4", "fig5"):
-        base = config_from_dict({
+        base = configure({
             **common, "n_relays": 10, "p_source_db": 10.0, "e_relay_budget_db": 10.0,
             "var_sr_db": SR_SWEEP_DB[0], "var_rd_db": 10.0 if name == "fig4" else 0.0,
             "var_iri_db": 0.0})
@@ -122,7 +122,7 @@ def _records(result: SweepResult) -> list[dict]:
     """One record per row, keyed by CSV column, floats rounded to 9 digits."""
     return [{
         "param": _rounded(row.param),
-        "param_db": None if math.isnan(row.param_db) else _rounded(row.param_db),
+        "param_db": _rounded(row.param_db) if math.isfinite(row.param_db) else None,
         "scheme": row.scheme,
         "mode": row.mode,
         "analytic_p": None if row.analytic_p is None else _rounded(row.analytic_p),
@@ -144,7 +144,8 @@ def emit(result: SweepResult, fmt: str, path) -> None:
 
     The analytic column is populated only for the multi-relay scheme (no
     closed form exists for the selection baselines) and left empty/null
-    otherwise; param_db is empty/null when the swept field has no dB scale.
+    otherwise; param_db is empty/null when the swept field has no dB scale
+    or its value has no finite dB form (a linear 0).
     """
     recs = _records(result)
     path = Path(path)
@@ -203,7 +204,7 @@ def _config_spec(doc) -> SweepSpec:
         param, values = sweep.get("param", ""), sweep.get("values", [])
         if isinstance(param, str) and isinstance(values, list) and all(
                 isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
-            return SweepSpec(config_from_dict(doc), param, tuple(float(v) for v in values))
+            return SweepSpec(configure(doc), param, tuple(float(v) for v in values))
     raise ValueError('sweep block must be {"param": "<name>", "values": [<numbers>]}')
 
 

@@ -62,19 +62,16 @@ def exact_rate(spec: BinSpectrum, cfg: SystemConfig, out: np.ndarray | None = No
     return np.log2(terms, out=terms).sum(axis=-1) / (cfg.block_len + cfg.cp_len)
 
 
-def approx_rate(sinrs: LinkSinrs, mask: np.ndarray, cfg: SystemConfig,
-                real: ChannelRealization | None = None):
+def approx_rate(sinrs: LinkSinrs, mask: np.ndarray, cfg: SystemConfig):
     """High-SNR flat approximation of the block rate.
 
     Asynchronous relaying adds per-relay SNRs (the oscillating cross terms
     cancel across bins for staggered delays); synchronous relaying combines
-    the relay amplitudes coherently first, which needs the realization's h_rd.
+    the relay amplitudes coherently first, from the h_rd of sinrs.real.
     """
     _check_mask(mask, sinrs.g_rd)
     if cfg.sync_mode == SYNCHRONOUS:
-        if real is None:
-            raise ValueError("synchronous approx_rate needs the channel realization")
-        h_sum = (real.h_rd * mask).sum(axis=-1)
+        h_sum = (sinrs.real.h_rd * mask).sum(axis=-1)
         relayed = sinrs.relay_tx_power * abs2(h_sum)
     else:
         relayed = (sinrs.g_rd * mask).sum(axis=-1)

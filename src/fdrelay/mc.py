@@ -8,7 +8,7 @@ from .analytic import eta, relay_tx_power
 from .channel import (PHILOX_BLOCK, LinkSinrs, draw_realization, link_sinrs,
                       trial_block_uniforms)
 from .fde import BinSpectrum, approx_rate, exact_rate, lambda_spectrum
-from .model import MI_EXACT, SYNCHRONOUS, OutageEstimate, SystemConfig, _is_int
+from .model import MI_EXACT, OutageEstimate, SystemConfig, _is_int
 
 SCHEME_MULTI = "multi"
 SCHEME_OS = "os"
@@ -68,9 +68,7 @@ def _trial_outages(cfg: SystemConfig, scheme: str, real, spec_out: BinSpectrum |
         spec = lambda_spectrum(real, mask, cfg, p_relay, out=spec_out)
         rate = exact_rate(spec, cfg, out=spec.gamma)
     else:
-        tx = link_sinrs(real, cfg, p_relay)
-        need = real if cfg.sync_mode == SYNCHRONOUS else None
-        rate = approx_rate(tx, mask, cfg, real=need)
+        rate = approx_rate(link_sinrs(real, cfg, p_relay), mask, cfg)
     return rate < cfg.rate
 
 

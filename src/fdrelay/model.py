@@ -135,10 +135,11 @@ def validate_config(cfg: SystemConfig) -> SystemConfig:
         raise ValueError("delays must be non-negative")
     if cfg.delays and max(cfg.delays) > cfg.cp_len:
         raise ValueError("cp_len < max delay")
+    # a whole-block delay aliases onto the direct tap in either mode
+    residues = [d % cfg.block_len for d in cfg.delays]
+    if 0 in residues:
+        raise ValueError(f"delay divisible by block_len in {cfg.sync_mode} mode")
     if cfg.sync_mode == ASYNCHRONOUS:
-        residues = [d % cfg.block_len for d in cfg.delays]
-        if any(r == 0 for r in residues):
-            raise ValueError("delay divisible by block_len in asynchronous mode")
         if len(set(residues)) != len(residues):
             raise ValueError("duplicate delays in asynchronous mode")
     elif len(set(cfg.delays)) > 1:
@@ -197,11 +198,6 @@ def apply_param(cfg: SystemConfig, name: str, value: float) -> SystemConfig:
     if name.removesuffix("_db") not in SWEEPABLE_FIELDS:
         raise ValueError(f"unknown sweep parameter {name!r}")
     return configure({name: value}, cfg)
-
-
-def config_from_dict(doc: dict) -> SystemConfig:
-    """Build a validated SystemConfig from a parsed JSON document (see configure)."""
-    return configure(doc)
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 
+from fdrelay.channel import ChannelRealization
+from fdrelay.sfun import abs2
+
 
 def combine_by_enumeration(p_sd: float, p_sr: float, p_cond_by_size) -> float:
     """Total outage by walking all 2^N decode sets literally.
@@ -69,3 +72,15 @@ def polar_gains(u, variance):
     mag = np.sqrt(-variance * np.log1p(-u[..., 0]))
     ang = (2.0 * np.pi) * u[..., 1]
     return mag, mag * np.cos(ang) + 1j * (mag * np.sin(ang))
+
+
+def from_gains(h_sd, h_sr, h_rd) -> ChannelRealization:
+    """Realization of given complex gains, with powers abs2(h).
+
+    The gains are stored where the realization keeps the gains it builds
+    from phase uniforms on first read, so they are returned as given.
+    """
+    gains = [np.asarray(h, dtype=complex) for h in (h_sd, h_sr, h_rd)]
+    real = ChannelRealization(*(abs2(h) for h in gains))
+    real.__dict__.update(zip(("h_sd", "h_sr", "h_rd"), gains))
+    return real

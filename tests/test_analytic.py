@@ -44,19 +44,17 @@ def test_eta_values():
 
 def test_link_outages_fig_point():
     cfg = fig_config()
-    links = link_outages(cfg, relay_tx_power(cfg, cfg.n_relays))
-    assert_allclose(links.p_sd, 0.62627864092127086, rtol=1e-14)
-    assert_allclose(links.p_sr, 0.29763962753339062, rtol=1e-14)
-    assert_allclose(links.eta, 3.112455306624266, rtol=1e-15)
+    p_sd, p_sr = link_outages(cfg)
+    assert_allclose(p_sd, 0.62627864092127086, rtol=1e-14)
+    assert_allclose(p_sr, 0.29763962753339062, rtol=1e-14)
+    assert_allclose(eta(cfg.rate, cfg.block_len, cfg.cp_len), 3.112455306624266, rtol=1e-15)
 
 
 def test_link_outages_limits():
     strong = fig_config(p_source=1e9)
-    links = link_outages(strong, relay_tx_power(strong, strong.n_relays))
-    assert links.p_sd < 1e-8 and links.p_sr < 1e-8
-    dead = fig_config(p_source=0.0)
-    links0 = link_outages(dead, relay_tx_power(dead, dead.n_relays))
-    assert links0.p_sd == 1.0 and links0.p_sr == 1.0
+    p_sd, p_sr = link_outages(strong)
+    assert p_sd < 1e-8 and p_sr < 1e-8
+    assert link_outages(fig_config(p_source=0.0)) == (1.0, 1.0)
 
 
 def test_power_policies():
@@ -315,10 +313,9 @@ def test_total_outage_methods_agree():
     for n in (1, 3, 8):
         for cfg in (fig_config(n_relays=n),
                     fig_config(n_relays=n, sync_mode=SYNCHRONOUS)):
-            links = link_outages(cfg, relay_tx_power(cfg, n))
+            p_sd, p_sr = link_outages(cfg)
             cond = p_cond_sync if cfg.sync_mode == SYNCHRONOUS else p_cond_async
-            b = combine_by_enumeration(links.p_sd, links.p_sr,
-                                       [cond(size, cfg) for size in range(1, n + 1)])
+            b = combine_by_enumeration(p_sd, p_sr, [cond(size, cfg) for size in range(1, n + 1)])
             assert math.isclose(total_outage(cfg), b, rel_tol=1e-12)
 
 
@@ -343,10 +340,10 @@ def test_total_outage_window_matches_every_size_sum():
     # budget p_cond_sync is evaluated once, while the every-size sum sees
     # per-size values that differ from it by rounding in (E_R/L)*L
     for cfg in bench_range_configs(2026, 600):
-        links = link_outages(cfg, relay_tx_power(cfg, cfg.n_relays))
+        p_sd, p_sr = link_outages(cfg)
         sync = cfg.sync_mode == SYNCHRONOUS
         cond = p_cond_sync if sync else p_cond_async
-        want = combine_every_size(links.p_sd, links.p_sr,
+        want = combine_every_size(p_sd, p_sr,
                                   [cond(size, cfg) for size in range(1, cfg.n_relays + 1)])
         tol = 1e-11 if sync and cfg.relay_power_policy == SHARED_BUDGET else 2e-13
         assert math.isclose(total_outage(cfg), want, rel_tol=tol), cfg
@@ -357,9 +354,9 @@ def test_total_outage_window_matches_every_size_sum():
 def test_total_outage_when_no_relay_decodes(mode, policy):
     # var_sr = 0 makes p_sr = 1: only the empty decode set has weight
     cfg = fig_config(var_sr=0.0, sync_mode=mode, relay_power_policy=policy)
-    links = link_outages(cfg, relay_tx_power(cfg, cfg.n_relays))
-    assert links.p_sr == 1.0
-    assert total_outage(cfg) == links.p_sd
+    p_sd, p_sr = link_outages(cfg)
+    assert p_sr == 1.0
+    assert total_outage(cfg) == p_sd
 
 
 def count_p_cond_calls(monkeypatch):
@@ -425,7 +422,7 @@ def test_total_outage_where_partial_sums_overflow():
     cfg = validate_config(SystemConfig(
         n_relays=64, p_source=1.0, e_relay_budget=1.0, rate=2.0, var_sd=1e-6,
         var_sr=1e6, var_rd=1e-6, cp_len=64))
-    assert link_outages(cfg, relay_tx_power(cfg, 64)).p_sd == 1.0
+    assert link_outages(cfg)[0] == 1.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert 1.0 - 1e-12 < total_outage(cfg) <= 1.0

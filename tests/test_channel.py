@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fdrelay.channel import (ChannelRealization, draw_realization, link_sinrs,
-                             trial_block_uniforms, uniforms_per_trial)
+from fdrelay.channel import (draw_realization, link_sinrs, trial_block_uniforms,
+                             uniforms_per_trial)
 from fdrelay.model import SystemConfig
 from fdrelay.mc import trial_stream
 from fdrelay.sfun import abs2
-from oracles import polar_gains
+from oracles import from_gains, polar_gains
 
 
 def config(**over):
@@ -17,7 +17,7 @@ def config(**over):
 
 
 def manual_real(h_sd, h_sr, h_rd):
-    return ChannelRealization.from_gains(h_sd, h_sr, h_rd)
+    return from_gains(h_sd, h_sr, h_rd)
 
 
 def test_uniform_budget_covers_block_padding():
@@ -101,7 +101,7 @@ def test_drawn_gains_match_polar_map(size):
 
 def test_from_gains_powers_and_gains():
     h_sr = np.array([3 + 4j, -1j])
-    real = ChannelRealization.from_gains(2j, h_sr, [0j, 1 + 1j])
+    real = from_gains(2j, h_sr, [0j, 1 + 1j])
     assert real.h_sd == 2j and real.h2_sd == 4.0
     assert np.array_equal(real.h_sr, h_sr) and real.h_sr.dtype == complex
     assert np.array_equal(real.h2_sr, [25.0, 1.0])
@@ -162,6 +162,5 @@ def test_decode_set_monotone():
     high = sinrs.g_sr >= 2.0
     assert np.all(low[high])
     # raising the first-hop gains never removes a relay
-    boosted = link_sinrs(ChannelRealization.from_gains(real.h_sd, real.h_sr * 2, real.h_rd),
-                         cfg, 1.0)
+    boosted = link_sinrs(from_gains(real.h_sd, real.h_sr * 2, real.h_rd), cfg, 1.0)
     assert np.all((boosted.g_sr >= 1.0)[sinrs.g_sr >= 1.0])

@@ -143,6 +143,29 @@ def test_emit_json_matches_csv(tmp_path):
         emit(result, "tsv", tmp_path / "c.tsv")
 
 
+def _no_constants(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_main_zero_on_linear_db_field(tmp_path):
+    # a linear 0 is -inf dB: null in JSON, empty in CSV, as a field without dB
+    doc = {"n_relays": 2, "p_source_db": 3.0, "e_relay_budget_db": 3.0,
+           "rate": 1.0, "var_sr_db": 6.0, "var_rd_db": 6.0, "block_len": 64,
+           "cp_len": 4, "sweep": {"param": "var_iri", "values": [0, 1]}}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    for fmt in ("json", "csv"):
+        out = tmp_path / f"zero.{fmt}"
+        assert main(["--config", str(path), "--scheme", "multi", "--trials", "10",
+                     "--format", fmt, "--out", str(out)]) == 0
+        if fmt == "json":
+            recs = json.loads(out.read_text(), parse_constant=_no_constants)
+            assert [(r["param"], r["param_db"]) for r in recs] == [(0.0, None), (1.0, 0.0)]
+        else:
+            cells = [line.split(",")[:2] for line in out.read_text().splitlines()[1:]]
+            assert cells == [["0", ""], ["1", "0"]]
+
+
 def test_emit_is_deterministic(tmp_path):
     emit(run_sweep(small_spec()), "csv", tmp_path / "a.csv")
     emit(run_sweep(small_spec()), "csv", tmp_path / "b.csv")

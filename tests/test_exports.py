@@ -1,5 +1,8 @@
+import importlib.util
 import inspect
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +26,8 @@ REMOVED = (
     "BINOMIAL",
     "ENUMERATION",
     "ENUMERATION_MAX_RELAYS",
+    "LinkOutageProbs",
+    "config_from_dict",
 )
 
 
@@ -45,4 +50,21 @@ def test_removed_parameters_and_fields_are_gone():
     assert list(inspect.signature(fdrelay.total_outage).parameters) == ["cfg"]
     assert "method" not in inspect.signature(fdrelay.combine_outage).parameters
     assert "selection_iri" not in {f.name for f in fields(fdrelay.SystemConfig)}
-    assert [f.name for f in fields(analytic.LinkOutageProbs)] == ["p_sd", "p_sr", "eta"]
+    assert list(inspect.signature(fdrelay.link_outages).parameters) == ["cfg"]
+    assert "real" not in inspect.signature(fdrelay.approx_rate).parameters
+    assert not hasattr(fdrelay.ChannelRealization, "from_gains")
+
+
+def test_bench_wrap_points_resolve(monkeypatch):
+    # the benchmark traces each layer at these names; one that no longer
+    # resolves drops its per-layer metric
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(bench))
+    spec = importlib.util.spec_from_file_location("bench_layers", bench / "layers.py")
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    assert layers.WRAPS
+    for span, module_name, attr, _ in layers.WRAPS:
+        target = getattr(importlib.import_module(module_name), attr, None)
+        assert callable(target), (span, module_name, attr)

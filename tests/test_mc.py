@@ -30,7 +30,7 @@ def sinrs(g_sr, g_rd):
     g_sr = np.asarray(g_sr, dtype=float)
     return LinkSinrs(g_sd=np.float64(1.0), g_sr=g_sr,
                      g_rd=np.asarray(g_rd, dtype=float),
-                     relay_tx_power=1.0)
+                     relay_tx_power=1.0, real=None)
 
 
 def test_select_relay_rules():

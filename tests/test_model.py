@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from fdrelay.model import (ASYNCHRONOUS, SYNCHRONOUS, OutageEstimate,
-                           SystemConfig, apply_param, config_from_dict,
-                           configure, db_to_linear, default_delays,
-                           linear_to_db, parse_field, validate_config)
+                           SystemConfig, apply_param, configure, db_to_linear,
+                           default_delays, linear_to_db, parse_field,
+                           validate_config)
 
 
 NAN, INF = float("nan"), float("inf")
@@ -86,6 +86,13 @@ def test_validate_accepts_standard_config():
     (dict(p_source=True), "p_source must be a real number"),
     (dict(rate="2"), "rate must be a real number"),
     (dict(rate=True), "rate must be a real number"),
+    # a whole-block delay aliases onto the direct tap in synchronous mode too
+    (dict(n_relays=3, delays=(0, 0, 0), sync_mode=SYNCHRONOUS),
+     "delay divisible by block_len in synchronous mode"),
+    (dict(n_relays=2, delays=(8, 8), block_len=8, cp_len=8, sync_mode=SYNCHRONOUS),
+     "delay divisible by block_len in synchronous mode"),
+    (dict(block_len=1, sync_mode=SYNCHRONOUS),
+     "delay divisible by block_len in synchronous mode"),
 ])
 def test_validate_rejects(over, msg):
     cfg = base_config(**over)
@@ -131,14 +138,14 @@ def test_non_integral_delays_rejected():
     with pytest.raises(ValueError, match="delays must be an integer"):
         base_config(n_relays=2, delays=(1.9, 2.2))
     with pytest.raises(ValueError, match="delays must be an integer"):
-        config_from_dict({"n_relays": 2, "p_source": 1.0, "e_relay_budget": 1.0,
-                          "rate": 1.0, "delays": [1, 2.5]})
+        configure({"n_relays": 2, "p_source": 1.0, "e_relay_budget": 1.0,
+                   "rate": 1.0, "delays": [1, 2.5]})
 
 
 def test_integral_floats_accepted():
-    cfg = config_from_dict({"n_relays": 3.0, "p_source": 1.0, "e_relay_budget": 1.0,
-                            "rate": 1.0, "block_len": 64.0, "cp_len": 4.0,
-                            "delays": [1.0, 2.0, 3.0]})
+    cfg = configure({"n_relays": 3.0, "p_source": 1.0, "e_relay_budget": 1.0,
+                     "rate": 1.0, "block_len": 64.0, "cp_len": 4.0,
+                     "delays": [1.0, 2.0, 3.0]})
     assert (cfg.n_relays, cfg.block_len, cfg.cp_len, cfg.delays) == (3, 64, 4, (1, 2, 3))
     assert all(type(v) is int for v in (cfg.n_relays, cfg.block_len, cfg.cp_len)
                + cfg.delays)
@@ -155,7 +162,7 @@ def test_config_from_dict_round_trip():
         "var_rd": 10.0,
         "var_rsi_db": 0.0,
     }
-    cfg = config_from_dict(doc)
+    cfg = configure(doc)
     assert cfg.n_relays == 4
     assert math.isclose(cfg.p_source, db_to_linear(5.0), rel_tol=1e-15)
     assert math.isclose(cfg.var_sr, db_to_linear(8.0), rel_tol=1e-15)
@@ -167,21 +174,21 @@ def test_config_from_dict_round_trip():
 def test_config_from_dict_rejections():
     good = {"n_relays": 2, "p_source": 1.0, "e_relay_budget": 1.0, "rate": 1.0}
     with pytest.raises(ValueError, match="unknown config field"):
-        config_from_dict({**good, "bandwidth": 20})
+        configure({**good, "bandwidth": 20})
     with pytest.raises(ValueError, match="given twice"):
-        config_from_dict({**good, "var_rd": 1.0, "var_rd_db": 0.0})
+        configure({**good, "var_rd": 1.0, "var_rd_db": 0.0})
     with pytest.raises(ValueError, match="rate must be positive"):
-        config_from_dict({**good, "rate": 0.0})
+        configure({**good, "rate": 0.0})
     # the sweep block belongs to the command line, not to the model
     with pytest.raises(ValueError, match="unknown config field 'sweep'"):
-        config_from_dict({**good, "sweep": {"param": "var_iri_db", "values": [0, 5]}})
+        configure({**good, "sweep": {"param": "var_iri_db", "values": [0, 5]}})
     with pytest.raises(ValueError, match="missing config field 'rate'"):
-        config_from_dict({"n_relays": 2, "p_source": 1.0, "e_relay_budget": 1.0})
+        configure({"n_relays": 2, "p_source": 1.0, "e_relay_budget": 1.0})
     # counts and lengths are never truncated
     for field, value in [("n_relays", 2.7), ("block_len", 500.9), ("cp_len", 10.5),
                          ("n_relays", INF)]:
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
-            config_from_dict({**good, field: value})
+            configure({**good, field: value})
 
 
 def test_outage_estimate_counts():
