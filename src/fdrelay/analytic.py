@@ -13,13 +13,13 @@ from .sfun import kummer_j, poisson_pmf, regularized_lower_gamma_int
 CLAMP_SLACK = 1e-9
 
 
-def eta(rate: float, block_len: int, cp_len: int) -> float:
-    """Decode threshold: SINR below which a block cannot carry rate bps/Hz.
+def eta(cfg: SystemConfig) -> float:
+    """Decode threshold: SINR below which a block cannot carry cfg.rate bps/Hz.
 
     The cyclic prefix consumes cp_len of every block_len+cp_len channel uses,
     hence eta = 2^(rate*(T+cp)/T) - 1.
     """
-    return 2.0 ** (rate * (block_len + cp_len) / block_len) - 1.0
+    return 2.0 ** (cfg.rate * (cfg.block_len + cfg.cp_len) / cfg.block_len) - 1.0
 
 
 def _exp_outage(gbar: float, e: float) -> float:
@@ -37,10 +37,8 @@ def relay_tx_power(cfg: SystemConfig, n_forwarding):
     The one place that knows the relay power policy: the shared budget splits
     E_R over the forwarding relays, the fixed policy gives each relay E_R.
     n_forwarding is an int (the closed form, which stays in Python floats) or
-    an array of per-trial counts (Monte-Carlo).  The decode stage tests S->R
-    before the forwarding set is known, so it uses the full-participation
-    count n_relays; a selection baseline's lone relay uses 1, which is E_R
-    under either policy.
+    an array of per-trial counts (Monte-Carlo); mc.forwarding picks the count
+    each scheme's relays transmit with.
     """
     if cfg.relay_power_policy == FIXED_PER_RELAY:
         return cfg.e_relay_budget
@@ -54,7 +52,7 @@ def link_outages(cfg: SystemConfig) -> tuple[float, float]:
     into the mean S->R SNR, P_R being the decode-stage power of all n_relays
     relays; all relays share it by symmetry.
     """
-    e = eta(cfg.rate, cfg.block_len, cfg.cp_len)
+    e = eta(cfg)
     denom = relay_tx_power(cfg, cfg.n_relays) * (cfg.var_rsi + cfg.var_iri) + 1.0
     return (_exp_outage(cfg.p_source * cfg.var_sd, e),
             _exp_outage(cfg.p_source * cfg.var_sr / denom, e))
@@ -100,9 +98,8 @@ def p_cond_async(n_decoding: int, cfg: SystemConfig) -> float:
     """
     if not _is_int(n_decoding) or n_decoding < 1:
         raise ValueError("n_decoding must be an integer of at least 1")
-    e = eta(cfg.rate, cfg.block_len, cfg.cp_len)
     gbar_rd = relay_tx_power(cfg, n_decoding) * cfg.var_rd
-    return _mrc_mix_outage(n_decoding, cfg.p_source * cfg.var_sd, gbar_rd, e)
+    return _mrc_mix_outage(n_decoding, cfg.p_source * cfg.var_sd, gbar_rd, eta(cfg))
 
 
 def p_cond_sync(n_decoding: int, cfg: SystemConfig) -> float:
@@ -115,9 +112,8 @@ def p_cond_sync(n_decoding: int, cfg: SystemConfig) -> float:
     """
     if not _is_int(n_decoding) or n_decoding < 1:
         raise ValueError("n_decoding must be an integer of at least 1")
-    e = eta(cfg.rate, cfg.block_len, cfg.cp_len)
     gbar_syn = relay_tx_power(cfg, n_decoding) * n_decoding * cfg.var_rd
-    return _mrc_mix_outage(1, cfg.p_source * cfg.var_sd, gbar_syn, e)
+    return _mrc_mix_outage(1, cfg.p_source * cfg.var_sd, gbar_syn, eta(cfg))
 
 
 def combine_outage(p_sd: float, p_sr: float, n_relays: int, p_cond) -> float:

@@ -79,18 +79,13 @@ class LinkSinrs:
     real: ChannelRealization
 
 
-def link_sinrs(real: ChannelRealization, cfg: SystemConfig, relay_power,
-               interference_var: float | None = None) -> LinkSinrs:
+def link_sinrs(real: ChannelRealization, cfg: SystemConfig, relay_power) -> LinkSinrs:
     """SINRs of the S->D, S->R_k, and R_k->D links.
 
-    relay_power is the per-relay transmit power P_R; it scales both the
-    relay-input interference floor and the relay-to-destination SNR.
-    interference_var overrides var_rsi + var_iri (selection schemes, where a
-    lone transmitter sees no inter-relay interference, pass var_rsi alone).
-    relay_power is a scalar or has the realization's batch shape.
+    relay_power, a scalar or of the realization's batch shape, is the per-relay
+    power P_R: it scales the relay-input interference floor and the R_k->D SNR.
     """
-    iv = (cfg.var_rsi + cfg.var_iri) if interference_var is None else interference_var
-    denom = relay_power * iv + 1.0
+    denom = relay_power * (cfg.var_rsi + cfg.var_iri) + 1.0
     g_sd = cfg.p_source * real.h2_sd
     g_sr = cfg.p_source * real.h2_sr / np.asarray(denom)[..., None]
     g_rd = np.asarray(relay_power)[..., None] * real.h2_rd

@@ -14,7 +14,7 @@ from .analytic import total_outage
 from .mc import SCHEME_MULTI, SCHEMES, estimate_outage
 from .model import (ASYNCHRONOUS, DB_FIELDS, MI_APPROXIMATE, MI_EXACT,
                     SYNCHRONOUS, SweepResult, SweepRow, SweepSpec, apply_param,
-                    configure, linear_to_db, parse_field)
+                    _is_int, configure, linear_to_db, parse_field)
 
 CSV_HEADER = "param,param_db,scheme,mode,analytic_p,mc_p,mc_stderr,trials,seed"
 
@@ -98,6 +98,8 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     result is identical for any worker count.
     """
     _check_spec(spec)
+    if not _is_int(workers) or workers < 1:
+        raise ValueError(f"workers must be a positive integer, got {workers!r}")
     tasks = [(spec, value, scheme)
              for value in spec.values for scheme in spec.schemes]
     if workers > 1:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .analytic import eta, relay_tx_power
@@ -50,25 +52,28 @@ def select_relay(sinrs: LinkSinrs, kind: str):
     return np.argmax(score, axis=-1)
 
 
+def forwarding(real, cfg: SystemConfig, scheme: str) -> tuple[np.ndarray, LinkSinrs]:
+    """(mask, sinrs): who forwards, and the link SINRs at their per-trial transmit power
+    sinrs.relay_tx_power.  multi: every relay that decodes at the all-relay power, sharing
+    the budget; os/ps: the selected relay alone, if it decodes, so with var_iri = 0."""
+    if scheme == SCHEME_MULTI:
+        mask = link_sinrs(real, cfg, relay_tx_power(cfg, cfg.n_relays)).g_sr >= eta(cfg)
+        p_relay = relay_tx_power(cfg, np.maximum(mask.sum(axis=-1), 1))
+        return mask, link_sinrs(real, cfg, p_relay)
+    sinrs = link_sinrs(real, replace(cfg, var_iri=0.0), relay_tx_power(cfg, 1))
+    chosen = np.asarray(select_relay(sinrs, scheme))
+    return (np.arange(cfg.n_relays) == chosen[..., None]) & (sinrs.g_sr >= eta(cfg)), sinrs
+
+
 def _trial_outages(cfg: SystemConfig, scheme: str, real, spec_out: BinSpectrum | None):
     # every step broadcasts over the batch axis, so a trial's flag does not
     # depend on the batch it is drawn in
-    e = eta(cfg.rate, cfg.block_len, cfg.cp_len)
-    if scheme == SCHEME_MULTI:
-        probe = link_sinrs(real, cfg, relay_tx_power(cfg, cfg.n_relays))
-        mask = probe.g_sr >= e
-        p_relay = relay_tx_power(cfg, np.maximum(mask.sum(axis=-1), 1))
-    else:
-        # os or ps: a lone transmitter sees no inter-relay interference
-        p_relay = relay_tx_power(cfg, 1)
-        probe = link_sinrs(real, cfg, p_relay, interference_var=cfg.var_rsi)
-        chosen = np.asarray(select_relay(probe, scheme))
-        mask = (np.arange(cfg.n_relays) == chosen[..., None]) & (probe.g_sr >= e)
+    mask, sinrs = forwarding(real, cfg, scheme)
     if cfg.mi_mode == MI_EXACT:
-        spec = lambda_spectrum(real, mask, cfg, p_relay, out=spec_out)
+        spec = lambda_spectrum(real, mask, cfg, sinrs.relay_tx_power, out=spec_out)
         rate = exact_rate(spec, cfg, out=spec.gamma)
     else:
-        rate = approx_rate(link_sinrs(real, cfg, p_relay), mask, cfg)
+        rate = approx_rate(sinrs, mask, cfg)
     return rate < cfg.rate
 
 

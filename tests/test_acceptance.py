@@ -12,11 +12,11 @@ from functools import lru_cache
 import numpy as np
 from scipy.integrate import quad
 
-from fdrelay.analytic import combine_outage, eta, relay_tx_power, total_outage
-from fdrelay.channel import draw_realization, link_sinrs
+from fdrelay.analytic import combine_outage, eta, total_outage
+from fdrelay.channel import draw_realization
 from fdrelay.cli import build_preset, main
 from fdrelay.fde import approx_rate, exact_rate, lambda_spectrum
-from fdrelay.mc import estimate_outage, trial_stream
+from fdrelay.mc import estimate_outage, forwarding, trial_stream
 from fdrelay.model import MI_EXACT, SystemConfig, apply_param
 from fdrelay.sfun import regularized_lower_gamma_int
 from oracles import combine_by_enumeration
@@ -201,13 +201,9 @@ def _rate_pairs(cfg, n_samples: int, seed: int):
     """
     rng = np.random.default_rng(seed)
     real = draw_realization(cfg, rng, size=n_samples)
-    e = eta(cfg.rate, cfg.block_len, cfg.cp_len)
-    probe = link_sinrs(real, cfg, relay_tx_power(cfg, cfg.n_relays))
-    mask = probe.g_sr >= e
-    p_relay = relay_tx_power(cfg, np.maximum(mask.sum(axis=-1), 1))
-    tx = link_sinrs(real, cfg, p_relay)
-    approx = approx_rate(tx, mask, cfg)
-    exact = exact_rate(lambda_spectrum(real, mask, cfg, p_relay), cfg)
+    mask, sinrs = forwarding(real, cfg, "multi")
+    approx = approx_rate(sinrs, mask, cfg)
+    exact = exact_rate(lambda_spectrum(real, mask, cfg, sinrs.relay_tx_power), cfg)
     return approx, exact, mask.sum(axis=-1)
 
 
@@ -307,7 +303,7 @@ def _os_first_hop_floor(cfg) -> float:
     probability q_os = exp(-eta (E_R var_rsi + 1) / (P_S var_sr)).  When no
     relay decodes only the direct link is left, which fails with p_SD.
     """
-    e = eta(cfg.rate, cfg.block_len, cfg.cp_len)
+    e = eta(cfg)
     p_sd = -math.expm1(-e / (cfg.p_source * cfg.var_sd))
     q_os = math.exp(-e * (cfg.e_relay_budget * cfg.var_rsi + 1.0)
                     / (cfg.p_source * cfg.var_sr))

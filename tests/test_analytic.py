@@ -37,9 +37,12 @@ def mix_quad(n_sum, gbar_sd, gbar_rd, e):
 
 
 def test_eta_values():
-    assert_allclose(eta(2.0, 500, 10), 3.112455306624266, rtol=1e-15)
-    assert eta(1.0, 500, 0) == 1.0
-    assert eta(1e-12, 500, 10) == pytest.approx(0.0, abs=1e-11)
+    def at(rate, block_len, cp_len):
+        return eta(fig_config(rate=rate, block_len=block_len, cp_len=cp_len))
+
+    assert_allclose(at(2.0, 500, 10), 3.112455306624266, rtol=1e-15)
+    assert at(1.0, 500, 0) == 1.0
+    assert at(1e-12, 500, 10) == pytest.approx(0.0, abs=1e-11)
 
 
 def test_link_outages_fig_point():
@@ -47,7 +50,7 @@ def test_link_outages_fig_point():
     p_sd, p_sr = link_outages(cfg)
     assert_allclose(p_sd, 0.62627864092127086, rtol=1e-14)
     assert_allclose(p_sr, 0.29763962753339062, rtol=1e-14)
-    assert_allclose(eta(cfg.rate, cfg.block_len, cfg.cp_len), 3.112455306624266, rtol=1e-15)
+    assert_allclose(eta(cfg), 3.112455306624266, rtol=1e-15)
 
 
 def test_link_outages_limits():
@@ -263,7 +266,7 @@ def test_sync_exponent_resolution():
     cfg = fig_config(p_source=10 ** 0.5, var_rd=10.0)
     gsd = cfg.p_source * cfg.var_sd
     gsyn = cfg.e_relay_budget * cfg.var_rd
-    e = eta(cfg.rate, cfg.block_len, cfg.cp_len)
+    e = eta(cfg)
     got = p_cond_sync(2, cfg)
     want = mix_quad(1, gsd, gsyn, e)
     assert_allclose(got, want, rtol=1e-9)

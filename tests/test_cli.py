@@ -97,6 +97,20 @@ def test_run_sweep_workers_equivalent():
     assert a.rows == b.rows
 
 
+@pytest.mark.parametrize("workers", [0, -2, 1.5, True], ids=["zero", "negative", "float", "bool"])
+def test_run_sweep_rejects_worker_counts_below_one(workers):
+    with pytest.raises(ValueError, match="workers must be a positive integer"):
+        run_sweep(small_spec(), workers=workers)
+
+
+def test_main_rejects_negative_workers(tmp_path, capsys):
+    out = tmp_path / "workers.csv"
+    assert main(["--preset", "fig5", "--workers", "-2", "--trials", "5",
+                 "--out", str(out)]) == 2
+    assert "error: workers must be a positive integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_emit_csv_layout(tmp_path):
     out = tmp_path / "curve.csv"
     emit(run_sweep(small_spec(schemes=("multi", "os"))), "csv", out)

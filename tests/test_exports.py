@@ -52,6 +52,8 @@ def test_removed_parameters_and_fields_are_gone():
     assert "selection_iri" not in {f.name for f in fields(fdrelay.SystemConfig)}
     assert list(inspect.signature(fdrelay.link_outages).parameters) == ["cfg"]
     assert "real" not in inspect.signature(fdrelay.approx_rate).parameters
+    assert "interference_var" not in inspect.signature(fdrelay.link_sinrs).parameters
+    assert list(inspect.signature(fdrelay.eta).parameters) == ["cfg"]
     assert not hasattr(fdrelay.ChannelRealization, "from_gains")
 
 

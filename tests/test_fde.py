@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fdrelay.analytic import eta, relay_tx_power
 from fdrelay.channel import draw_realization, link_sinrs
 from fdrelay.fde import BinSpectrum, approx_rate, exact_rate, lambda_spectrum
-from fdrelay.mc import trial_stream
+from fdrelay.mc import SCHEME_MULTI, forwarding, trial_stream
 from fdrelay.model import SYNCHRONOUS, SystemConfig
 from oracles import direct_spectrum, from_gains
 
@@ -176,12 +175,11 @@ FIG4 = SystemConfig(n_relays=10, p_source=10.0, e_relay_budget=10.0, rate=2.0,
 
 
 def multi_chunk(cfg, size, seed):
-    # one exact-MI chunk as the multi scheme builds it: decode mask and
+    # one exact-MI chunk as the multi scheme forwards it: decode mask and
     # per-trial relay power from the forwarding count
     real = draw_realization(cfg, trial_stream(seed, 0, cfg.n_relays), size=size)
-    probe = link_sinrs(real, cfg, relay_tx_power(cfg, cfg.n_relays))
-    mask = probe.g_sr >= eta(cfg.rate, cfg.block_len, cfg.cp_len)
-    return real, mask, relay_tx_power(cfg, np.maximum(mask.sum(axis=-1), 1))
+    mask, sinrs = forwarding(real, cfg, SCHEME_MULTI)
+    return real, mask, sinrs.relay_tx_power
 
 
 def rows(real, start, stop):

@@ -12,8 +12,8 @@ from fdrelay.channel import LinkSinrs
 from fdrelay.cli import build_preset
 from fdrelay.mc import (SCHEME_MULTI, SCHEME_OS, SCHEME_PS, SCHEMES,
                         estimate_outage, select_relay, trial_stream)
-from fdrelay.model import (MI_EXACT, SYNCHRONOUS, SystemConfig, apply_param,
-                           validate_config)
+from fdrelay.model import (MI_APPROXIMATE, MI_EXACT, SYNCHRONOUS, SystemConfig,
+                           apply_param, validate_config)
 
 
 def fig_config(**over):
@@ -47,6 +47,35 @@ def test_select_relay_batch():
     batch = sinrs([[10.0, 2.0], [1.0, 2.0]], [[1.0, 8.0], [9.0, 9.0]])
     assert select_relay(batch, SCHEME_OS).tolist() == [1, 1]
     assert select_relay(batch, SCHEME_PS).tolist() == [0, 1]
+
+
+@pytest.mark.parametrize("scheme", [SCHEME_OS, SCHEME_PS])
+def test_selection_forwards_one_relay_free_of_inter_relay_interference(scheme):
+    # the lone selected relay transmits at the full budget and its SINRs are
+    # those of the config with var_iri = 0; it forwards only if it decodes
+    cfg = fig_config(n_relays=10, var_sr=1.0)
+    real = channel.draw_realization(cfg, trial_stream(4, 0, 10), size=500)
+    mask, got = mc.forwarding(real, cfg, scheme)
+    assert mask.dtype == bool and mask.shape == (500, 10)
+    assert mask.sum(axis=-1).max() <= 1
+    assert 0 < mask.sum() < 500
+    rows = mask.any(axis=-1)
+    assert np.array_equal(mask.argmax(axis=-1)[rows], select_relay(got, scheme)[rows])
+    want = channel.link_sinrs(real, replace(cfg, var_iri=0.0), cfg.e_relay_budget)
+    for name in ("g_sd", "g_sr", "g_rd", "relay_tx_power"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert got.real is real
+
+
+@pytest.mark.parametrize("mi", [MI_APPROXIMATE, MI_EXACT])
+@pytest.mark.parametrize("scheme, calls", [(SCHEME_MULTI, 2), (SCHEME_OS, 1), (SCHEME_PS, 1)])
+def test_link_sinrs_calls_per_chunk(monkeypatch, mi, scheme, calls):
+    # multi probes at the decode-stage power, then transmits at the power of
+    # its forwarding count; a selection relay's probe is already at its power
+    seen, link = [], mc.link_sinrs
+    monkeypatch.setattr(mc, "link_sinrs", lambda *a, **k: seen.append(a) or link(*a, **k))
+    estimate_outage(fig_config(mi_mode=mi, block_len=32), scheme, 1000, seed=3, chunk=400)
+    assert len(seen) == 3 * calls
 
 
 def test_trial_stream_is_a_partition_of_one_stream():
