@@ -2,43 +2,75 @@
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
 from .model import SystemConfig
 from .sfun import gains_from_uniforms
 
-# Philox emits 4 doubles per counter block; a trial needs 2*(1+2N) uniforms,
-# padded up to 4*(N+1) so every trial owns a whole number of counter blocks.
+# Philox emits 4 doubles per counter block.  A trial's random slice has two
+# planes under one key, told apart by the top word of the 256-bit counter:
+# plane 0 holds the power uniforms u0 and plane 1 the phase uniforms u1, each
+# 1+2N of them in link order (sd, sr_1..N, rd_1..N), padded so every trial owns
+# the same whole number of counter blocks at the same place in both planes.
 PHILOX_BLOCK = 4
 
 
 def uniforms_per_trial(n_relays: int) -> int:
-    """Uniform doubles actually used per realization: 2 per channel gain."""
-    return 2 * (1 + 2 * n_relays)
+    """Uniform doubles a realization reads from each plane: one per channel gain."""
+    return 1 + 2 * n_relays
 
 
 def trial_block_uniforms(n_relays: int) -> int:
-    """Uniform doubles consumed per realization, padded to whole Philox blocks."""
+    """Uniform doubles a realization occupies in each plane, padded to whole Philox blocks."""
     need = uniforms_per_trial(n_relays)
     return PHILOX_BLOCK * ((need + PHILOX_BLOCK - 1) // PHILOX_BLOCK)
+
+
+def _links(a: np.ndarray, n_relays: int) -> tuple:
+    # the sd, sr and rd slots of a plane's trailing axis
+    return a[..., 0], a[..., 1:1 + n_relays], a[..., 1 + n_relays:1 + 2 * n_relays]
+
+
+def _philox_plane(counter, key, shape) -> np.ndarray:
+    # uniforms of shape from the Philox stream after counter
+    return np.random.Generator(np.random.Philox(counter=counter, key=key)).random(shape)
+
+
+def _phase_source(rng: np.random.Generator, shape: tuple):
+    # for a Philox rng on a block boundary of plane 0, a call generating the
+    # same counters of plane 1 in shape; None for any other generator or position
+    bitgen = rng.bit_generator
+    if not isinstance(bitgen, np.random.Philox):
+        return None
+    state = bitgen.state
+    counter = state["state"]["counter"].copy()
+    if state["buffer_pos"] < PHILOX_BLOCK or counter[3]:
+        return None
+    counter[3] = 1
+    return partial(_philox_plane, counter, state["state"]["key"], shape)
 
 
 @dataclass(frozen=True)
 class ChannelRealization:
     """Fading blocks: powers |h|^2 h2_sd of the batch shape, h2_sr and h2_rd
     with a trailing relay axis, e.g. (B,) and (B, N), or () and (N,) unbatched.
-    Complex gains h_sd, h_sr, h_rd are built per link on first read from sqrt
-    of the power and that link's phase uniforms, then kept.
+
+    phase_plane returns the realization's phase (u1) plane, shaped like the
+    drawn power plane.  It is called once, when the first complex gain is
+    read, and the plane is kept; h_sd, h_sr, h_rd are then built per link on
+    first read from sqrt of the power and that link's phases, and kept.
     """
 
     h2_sd: np.ndarray
     h2_sr: np.ndarray
     h2_rd: np.ndarray
-    phases: tuple = ()
+    phase_plane: Callable[[], np.ndarray] | None = None
 
+    phases = cached_property(lambda self: _links(self.phase_plane(), self.h2_sr.shape[-1]))
     h_sd = cached_property(lambda self: gains_from_uniforms(self.h2_sd, self.phases[0]))
     h_sr = cached_property(lambda self: gains_from_uniforms(self.h2_sr, self.phases[1]))
     h_rd = cached_property(lambda self: gains_from_uniforms(self.h2_rd, self.phases[2]))
@@ -48,22 +80,33 @@ def draw_realization(cfg: SystemConfig, rng: np.random.Generator, size: int | No
                      out: np.ndarray | None = None) -> ChannelRealization:
     """Draw one realization (size None) or a batch of size independent ones.
 
-    Consumes exactly trial_block_uniforms(cfg.n_relays) doubles per
-    realization in a fixed layout (h_sd, then h_sr, then h_rd, then padding),
-    so a counter-based stream positioned at a trial boundary reproduces that
-    trial regardless of batching.  Each gain owns a pair (u0, u1): its power
-    -variance*log1p(-u0) is computed here, u1 is kept as its phase.  out, a
-    C-contiguous float64 array of the drawn shape, receives the uniforms; the
-    realization keeps copies, so out may be reused at once.
+    Fills only the power plane here: trial_block_uniforms(cfg.n_relays)
+    doubles of rng per realization in link order (h_sd, h_sr, h_rd, then
+    padding), so a counter-based stream positioned at a trial boundary
+    reproduces that trial regardless of batching.  The powers are
+    -variance*log1p(-u0).  out, a C-contiguous float64 array of the drawn
+    shape, receives the uniforms; the realization keeps its own powers, so out
+    may be reused at once.
+
+    The phase source is fixed now.  For a Philox rng at a counter-block
+    boundary it is the same key at the counter where rng stood, with the top
+    word 1, generated in full on the first gain read: a trial's phases then
+    depend only on (key, counter), whatever the batching, the read order or
+    later draws from rng.  Any other rng gives the phases from its next
+    draws, right after the powers.
     """
     n = cfg.n_relays
     width = trial_block_uniforms(n)
-    u = rng.random((width,) if size is None else (size, width), out=out)
-    u = u[..., :uniforms_per_trial(n)]
-    var = np.repeat([cfg.var_sd, cfg.var_sr, cfg.var_rd], [1, n, n])
-    power, phase = -var * np.log1p(-u[..., 0::2]), u[..., 1::2].copy()
-    links = (np.s_[..., 0], np.s_[..., 1:1 + n], np.s_[..., 1 + n:])
-    return ChannelRealization(*(power[k] for k in links), phases=tuple(phase[k] for k in links))
+    shape = (width,) if size is None else (size, width)
+    phase_plane = _phase_source(rng, shape)   # before the powers move rng
+    u = rng.random(shape, out=out)[..., :uniforms_per_trial(n)]
+    power = np.negative(u)
+    np.log1p(power, out=power)
+    power *= -np.repeat([cfg.var_sd, cfg.var_sr, cfg.var_rd], [1, n, n])
+    if phase_plane is None:
+        plane = rng.random(shape)
+        phase_plane = lambda: plane
+    return ChannelRealization(*_links(power, n), phase_plane=phase_plane)
 
 
 @dataclass(frozen=True)

@@ -18,18 +18,23 @@ SCHEME_PS = "ps"
 SCHEMES = (SCHEME_MULTI, SCHEME_OS, SCHEME_PS)
 
 # byte budget of the largest array of a chunk: the complex taps (16*block_len
-# bytes per trial) under exact MI, else the uniforms (8*trial_block_uniforms(N)).
-# The default chunk fits it, so memory per chunk is bounded for any block_len
-# and the buffers an estimate reuses across chunks stay small
+# bytes per trial) under exact MI, else the power-plane uniforms
+# (8*trial_block_uniforms(N)).  The default chunk fits it, so memory per chunk
+# is bounded for any block_len and the buffers an estimate reuses across
+# chunks stay small; phases, drawn only where read, are not counted
 CHUNK_BYTES = 2 << 20
 
 
 def trial_stream(seed: int, trial: int, n_relays: int) -> np.random.Generator:
     """Generator positioned at the start of one trial's random substream.
 
-    Every trial owns a fixed whole number of counter blocks, so a batch of
-    trials drawn in one call sees exactly the uniforms the trials would see
-    drawn one at a time, and any chunking of the trial range is equivalent.
+    Every trial owns the same whole number of Philox counter blocks in each
+    of two planes under key seed.  The generator stands at block
+    trial*trial_block_uniforms(n_relays)/4 of plane 0, the powers;
+    draw_realization takes the phases from the same blocks of plane 1 (top
+    counter word 1).  So a batch of trials drawn in one call sees exactly the
+    uniforms the trials would see drawn one at a time, and any chunking of the
+    trial range is equivalent.
     """
     blocks = trial_block_uniforms(n_relays) // PHILOX_BLOCK
     bitgen = np.random.Philox(key=seed)
@@ -85,7 +90,7 @@ def estimate_outage(cfg: SystemConfig, scheme: str, trials: int,
     aggregate is an integer count, so the result is bit-identical for any
     chunk size or worker split of the same (seed, trials); chunk=1 runs the
     trials one at a time.  The default chunk fits CHUNK_BYTES, bounding memory
-    per chunk for any block_len; the uniform and (exact MI) spectrum buffers
+    per chunk for any block_len; the power-plane and (exact MI) spectrum buffers
     are allocated once and each chunk writes their leading size rows.
     """
     if scheme not in SCHEMES:

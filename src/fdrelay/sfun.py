@@ -85,7 +85,8 @@ def gains_from_uniforms(power, u1):
     power = -variance*log(1-u0) is |h|^2, exponential with mean variance, and
     the phase 2*pi*u1 is uniform, which together give the circularly
     symmetric complex Gaussian (independent re/im parts of variance/2 each).
-    Exactly two uniforms per sample, so counter-based trial streams stay aligned.
+    u0 and u1 sit in the same slot of a trial's power and phase planes
+    (channel.draw_realization).
     """
     mag = np.sqrt(power)
     ang = (2.0 * np.pi) * u1

@@ -74,6 +74,20 @@ def polar_gains(u, variance):
     return mag, mag * np.cos(ang) + 1j * (mag * np.sin(ang))
 
 
+def philox_planes(seed: int, trial: int, n_relays: int, size=None):
+    """(u0, u1): the power and phase uniforms of trials trial.. read straight
+    off Philox(key=seed), shaped (W,) for size None, else (size, W).
+
+    Each plane gives a trial W = 1+2N uniforms padded up to a multiple of 4
+    (one counter block); trial t starts at block t*W/4, in plane 0 (top counter
+    word 0) for the powers and plane 1 (top word 1) for the phases.
+    """
+    width = 4 * -(-(1 + 2 * n_relays) // 4)
+    shape = (width,) if size is None else (size, width)
+    return tuple(np.random.Generator(np.random.Philox(
+        counter=[trial * width // 4, 0, 0, plane], key=seed)).random(shape) for plane in (0, 1))
+
+
 def from_gains(h_sd, h_sr, h_rd) -> ChannelRealization:
     """Realization of given complex gains, with powers abs2(h).
 

@@ -7,7 +7,7 @@ from fdrelay.channel import (draw_realization, link_sinrs, trial_block_uniforms,
 from fdrelay.model import SystemConfig
 from fdrelay.mc import trial_stream
 from fdrelay.sfun import abs2
-from oracles import from_gains, polar_gains
+from oracles import from_gains, philox_planes, polar_gains
 
 
 def config(**over):
@@ -24,7 +24,7 @@ def test_uniform_budget_covers_block_padding():
     for n in (1, 2, 5, 10):
         need = uniforms_per_trial(n)
         padded = trial_block_uniforms(n)
-        assert need == 2 * (1 + 2 * n)
+        assert need == 1 + 2 * n
         assert padded >= need and padded % 4 == 0 and padded - need < 4
 
 
@@ -81,15 +81,16 @@ def test_draw_statistics():
 
 @pytest.mark.parametrize("size", [None, 1, 7, 4096])
 def test_drawn_gains_match_polar_map(size):
-    # complex gains bit for bit as the polar map of the same uniforms, their
-    # magnitude exactly sqrt of the stored power, abs2 within a few ulp of it
+    # complex gains bit for bit as the polar map of each gain's power and
+    # phase uniforms, taken from the two Philox planes, their magnitude
+    # exactly sqrt of the stored power, abs2 within a few ulp of it
     cfg = config(n_relays=5, var_sd=1.3, var_sr=10 ** 0.8, var_rd=10.0)
-    n, width = cfg.n_relays, trial_block_uniforms(cfg.n_relays)
+    n = cfg.n_relays
     real = draw_realization(cfg, trial_stream(4, 2, n), size=size)
-    u = trial_stream(4, 2, n).random((width,) if size is None else (size, width))
-    pairs = {"sd": (u[..., 0:2], cfg.var_sd),
-             "sr": (u[..., 2:2 + 2 * n].reshape(u.shape[:-1] + (n, 2)), cfg.var_sr),
-             "rd": (u[..., 2 + 2 * n:2 + 4 * n].reshape(u.shape[:-1] + (n, 2)), cfg.var_rd)}
+    u = np.stack(philox_planes(4, 2, n, size), axis=-1)
+    pairs = {"sd": (u[..., 0, :], cfg.var_sd),
+             "sr": (u[..., 1:1 + n, :], cfg.var_sr),
+             "rd": (u[..., 1 + n:1 + 2 * n, :], cfg.var_rd)}
     for link, (pair, var) in pairs.items():
         mag, gain = polar_gains(pair, var)
         power, h = getattr(real, "h2_" + link), getattr(real, "h_" + link)
@@ -97,6 +98,56 @@ def test_drawn_gains_match_polar_map(size):
         assert np.array_equal(h, gain), link
         assert np.array_equal(np.sqrt(power), mag), link
         assert np.all(np.abs(abs2(h) - power) <= 4 * np.spacing(power)), link
+
+
+@pytest.mark.parametrize("n, seed, trial, size", [(1, 0, 0, None), (3, 7, 5, 9), (10, 2, 1000, 64)])
+def test_trial_uniforms_are_philox_plane_blocks(n, seed, trial, size):
+    # out holds plane 0 at block trial*W/4, the powers are its -var*log1p(-u0),
+    # and the phases are the same slots of plane 1
+    cfg = config(n_relays=n, var_sd=1.3, var_sr=2.0, var_rd=0.7)
+    u0, u1 = philox_planes(seed, trial, n, size)
+    out = np.empty_like(u0)
+    real = draw_realization(cfg, trial_stream(seed, trial, n), size=size, out=out)
+    assert np.array_equal(out, u0)
+    slots = (u0[..., :1], u0[..., 1:1 + n], u0[..., 1 + n:1 + 2 * n])
+    for power, u, var in zip((real.h2_sd, real.h2_sr, real.h2_rd), slots,
+                             (cfg.var_sd, cfg.var_sr, cfg.var_rd)):
+        assert np.array_equal(power, (-var * np.log1p(-u)).reshape(np.shape(power)))
+    for phase, u in zip(real.phases, (u1[..., 0], u1[..., 1:1 + n], u1[..., 1 + n:1 + 2 * n])):
+        assert np.array_equal(phase, u)
+
+
+def test_other_generators_give_phases_right_after_the_powers():
+    cfg = config(var_sd=1.0, var_sr=2.0, var_rd=3.0)
+    real = draw_realization(cfg, np.random.default_rng(5), size=4)
+    twin = np.random.default_rng(5)
+    u0, u1 = twin.random((4, 8)), twin.random((4, 8))
+    assert np.array_equal(real.h2_rd, -cfg.var_rd * np.log1p(-u0[:, 4:7]))
+    assert np.array_equal(real.phases[2], u1[:, 4:7])
+
+
+def mid_block_philox():
+    rng = np.random.Generator(np.random.Philox(key=3))
+    rng.random(1)
+    return rng
+
+
+@pytest.mark.parametrize("make_rng", [
+    lambda: trial_stream(3, 5, 3),
+    lambda: np.random.default_rng(5),
+    mid_block_philox,
+], ids=["trial-stream", "pcg64", "philox-mid-block"])
+def test_gains_do_not_depend_on_later_draws(make_rng):
+    # a gain read at once equals one read after further draws from rng; a
+    # Philox stream standing inside a counter block takes the general path
+    cfg = config(var_sd=1.0, var_sr=2.0, var_rd=3.0)
+    early = draw_realization(cfg, make_rng(), size=6)
+    gains = (early.h_sd, early.h_sr, early.h_rd)
+    late_rng = make_rng()
+    late = draw_realization(cfg, late_rng, size=6)
+    late_rng.random(1000)
+    for gain, link in zip(gains, ("sd", "sr", "rd")):
+        assert np.array_equal(getattr(late, "h_" + link), gain), link
 
 
 def test_from_gains_powers_and_gains():

@@ -80,7 +80,7 @@ def test_link_sinrs_calls_per_chunk(monkeypatch, mi, scheme, calls):
 
 def test_trial_stream_is_a_partition_of_one_stream():
     cfg = fig_config()
-    pad = 4 * (cfg.n_relays + 1)
+    pad = 12    # 1+2N = 11 power uniforms, padded to whole blocks of 4
     rng_all = trial_stream(0, 0, cfg.n_relays)
     whole = rng_all.uniform(size=3 * pad).reshape(3, pad)
     for t in range(3):
@@ -281,16 +281,33 @@ def test_complex_gains_built_only_where_read(monkeypatch, over, links):
         assert len(built) == 3 * len(links)
 
 
+@pytest.mark.parametrize("over, planes", [
+    (dict(), 0),
+    (dict(sync_mode=SYNCHRONOUS, delays=None), 1),
+    (dict(mi_mode=MI_EXACT), 1),
+], ids=["async-approx", "sync-approx", "exact"])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_phase_plane_drawn_once_per_chunk_where_read(monkeypatch, over, planes, scheme):
+    # asynchronous approximate MI never generates a phase plane; a rate that
+    # reads complex gains generates its chunk's plane once, however many
+    # links it reads
+    drawn, plane = [], channel._philox_plane
+    monkeypatch.setattr(channel, "_philox_plane",
+                        lambda *a: drawn.append(a[-1]) or plane(*a))
+    estimate_outage(fig_config(**over), scheme, 1000, seed=3, chunk=400)
+    assert drawn == [(400, 12), (400, 12), (200, 12)][:3 * planes]
+
+
 def test_pinned_outage_counts():
-    # seed-0 outage counts of preset points, taken before realizations stored
-    # |h|^2; counts rather than CSV bytes, which also hold closed-form values
-    # that move with the host's libm
+    # seed-0 outage counts of preset points under the two-plane draw (powers
+    # in plane 0, phases in plane 1); counts rather than CSV bytes, which also
+    # hold closed-form values that move with the host's libm
     fig2 = apply_param(dict(build_preset("fig2").variants)["n10"].base, "var_iri_db", 10.0)
-    for scheme, count in ((SCHEME_MULTI, 22), (SCHEME_OS, 19), (SCHEME_PS, 673)):
+    for scheme, count in ((SCHEME_MULTI, 16), (SCHEME_OS, 13), (SCHEME_PS, 682)):
         assert estimate_outage(fig2, scheme, 20_000, seed=0).outage_count == count
     fig3 = apply_param(dict(build_preset("fig3").variants)["n10"].base, "var_iri_db", 0.0)
-    assert estimate_outage(fig3, SCHEME_MULTI, 20_000, seed=0).outage_count == 676
+    assert estimate_outage(fig3, SCHEME_MULTI, 20_000, seed=0).outage_count == 687
     fig4 = apply_param(replace(build_preset("fig4").variants[0][1].base, mi_mode=MI_EXACT),
                        "var_sr_db", 0.0)
     assert estimate_outage(fig4, SCHEME_MULTI, 2000, seed=0).outage_count == 3
-    assert estimate_outage(fig4, SCHEME_OS, 2000, seed=0).outage_count == 375
+    assert estimate_outage(fig4, SCHEME_OS, 2000, seed=0).outage_count == 384

@@ -7,8 +7,10 @@
 # untracked, non-ignored files) into a temporary directory, runs the same
 # preset set in each at seed 0 (fig2-fig5 approximate MI at 1e5 trials per
 # point; exact MI at 4000 for fig4, asynchronous, and fig3, synchronous) and
-# cmp's every CSV.  Prints one line per file and exits non-zero if any file
-# differs or is missing.
+# cmp's every CSV.  Prints one line per file, naming for a file that differs
+# the columns that changed and those that stayed identical (so an intended
+# change of the random stream shows only mc_p and mc_stderr moving), and exits
+# non-zero if any file differs or is missing.
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
@@ -38,6 +40,27 @@ run_presets() {
         --trials 4000 --seed 0 --out out/fig3_exact.csv >/dev/null)
 }
 
+# "changed: ...; identical: ..." over the columns of two CSVs with one header
+column_diff() {
+    python3 - "$1" "$2" <<'PY'
+import csv
+import sys
+
+tables = []
+for path in sys.argv[1:]:
+    with open(path, newline="") as f:
+        tables.append(list(csv.reader(f)))
+base, work = tables
+if not base or not work or base[0] != work[0] or len(base) != len(work):
+    print("header or row count differs")
+    sys.exit()
+moved = {j for b, w in zip(base[1:], work[1:]) for j, (x, y) in enumerate(zip(b, w)) if x != y}
+names = base[0]
+print("changed: " + ", ".join(n for j, n in enumerate(names) if j in moved)
+      + "; identical: " + ", ".join(n for j, n in enumerate(names) if j not in moved))
+PY
+}
+
 run_presets "$tmp/base"
 run_presets "$tmp/work"
 
@@ -47,7 +70,7 @@ for f in "$tmp/base/out/"*.csv; do
     if cmp -s "$f" "$tmp/work/out/$name"; then
         echo "identical $name"
     else
-        echo "DIFFERS   $name"
+        echo "DIFFERS   $name  $(column_diff "$f" "$tmp/work/out/$name")"
         status=1
     fi
 done
