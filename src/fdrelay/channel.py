@@ -12,10 +12,11 @@ from .model import SystemConfig
 from .sfun import gains_from_uniforms
 
 # Philox emits 4 doubles per counter block.  A trial's random slice has two
-# planes under one key, told apart by the top word of the 256-bit counter:
-# plane 0 holds the power uniforms u0 and plane 1 the phase uniforms u1, each
-# 1+2N of them in link order (sd, sr_1..N, rd_1..N), padded so every trial owns
-# the same whole number of counter blocks at the same place in both planes.
+# planes: plane 0, the stream the trial's generator stands in, holds the power
+# uniforms u0, and plane 1, that generator jumped (for Philox: counter word 2
+# plus 1), the phase uniforms u1.  Each holds 1+2N of them in link order (sd,
+# sr_1..N, rd_1..N), padded so every trial owns the same whole number of
+# counter blocks at the same place in both planes.
 PHILOX_BLOCK = 4
 
 
@@ -33,25 +34,6 @@ def trial_block_uniforms(n_relays: int) -> int:
 def _links(a: np.ndarray, n_relays: int) -> tuple:
     # the sd, sr and rd slots of a plane's trailing axis
     return a[..., 0], a[..., 1:1 + n_relays], a[..., 1 + n_relays:1 + 2 * n_relays]
-
-
-def _philox_plane(counter, key, shape) -> np.ndarray:
-    # uniforms of shape from the Philox stream after counter
-    return np.random.Generator(np.random.Philox(counter=counter, key=key)).random(shape)
-
-
-def _phase_source(rng: np.random.Generator, shape: tuple):
-    # for a Philox rng on a block boundary of plane 0, a call generating the
-    # same counters of plane 1 in shape; None for any other generator or position
-    bitgen = rng.bit_generator
-    if not isinstance(bitgen, np.random.Philox):
-        return None
-    state = bitgen.state
-    counter = state["state"]["counter"].copy()
-    if state["buffer_pos"] < PHILOX_BLOCK or counter[3]:
-        return None
-    counter[3] = 1
-    return partial(_philox_plane, counter, state["state"]["key"], shape)
 
 
 @dataclass(frozen=True)
@@ -88,25 +70,21 @@ def draw_realization(cfg: SystemConfig, rng: np.random.Generator, size: int | No
     shape, receives the uniforms; the realization keeps its own powers, so out
     may be reused at once.
 
-    The phase source is fixed now.  For a Philox rng at a counter-block
-    boundary it is the same key at the counter where rng stood, with the top
-    word 1, generated in full on the first gain read: a trial's phases then
-    depend only on (key, counter), whatever the batching, the read order or
-    later draws from rng.  Any other rng gives the phases from its next
-    draws, right after the powers.
+    The phases come from rng's bit generator jumped where rng stood before
+    the powers, the same layout in plane 1, generated in full on the first
+    gain read.  They depend only on rng's state at the call, whatever the
+    read order or later draws from rng; for a trial_stream, only on (seed,
+    trial).  rng's bit generator must have jumped() (Philox, PCG64, MT19937).
     """
     n = cfg.n_relays
     width = trial_block_uniforms(n)
     shape = (width,) if size is None else (size, width)
-    phase_plane = _phase_source(rng, shape)   # before the powers move rng
+    phases = np.random.Generator(rng.bit_generator.jumped())   # before the powers move rng
     u = rng.random(shape, out=out)[..., :uniforms_per_trial(n)]
     power = np.negative(u)
     np.log1p(power, out=power)
     power *= -np.repeat([cfg.var_sd, cfg.var_sr, cfg.var_rd], [1, n, n])
-    if phase_plane is None:
-        plane = rng.random(shape)
-        phase_plane = lambda: plane
-    return ChannelRealization(*_links(power, n), phase_plane=phase_plane)
+    return ChannelRealization(*_links(power, n), phase_plane=partial(phases.random, shape))
 
 
 @dataclass(frozen=True)

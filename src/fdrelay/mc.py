@@ -10,7 +10,7 @@ from .analytic import eta, relay_tx_power
 from .channel import (PHILOX_BLOCK, LinkSinrs, draw_realization, link_sinrs,
                       trial_block_uniforms)
 from .fde import BinSpectrum, approx_rate, exact_rate, lambda_spectrum
-from .model import MI_EXACT, OutageEstimate, SystemConfig, _is_int
+from .model import MI_EXACT, SYNCHRONOUS, OutageEstimate, SystemConfig, _is_int
 
 SCHEME_MULTI = "multi"
 SCHEME_OS = "os"
@@ -18,10 +18,11 @@ SCHEME_PS = "ps"
 SCHEMES = (SCHEME_MULTI, SCHEME_OS, SCHEME_PS)
 
 # byte budget of the largest array of a chunk: the complex taps (16*block_len
-# bytes per trial) under exact MI, else the power-plane uniforms
-# (8*trial_block_uniforms(N)).  The default chunk fits it, so memory per chunk
-# is bounded for any block_len and the buffers an estimate reuses across
-# chunks stay small; phases, drawn only where read, are not counted
+# bytes per trial) under exact MI, else the uniforms (8*trial_block_uniforms(N)
+# per plane): the power plane, and under synchronous combining, which reads
+# h_rd, the phase plane too.  The default chunk fits it, so memory per chunk is
+# bounded for any block_len and the buffers an estimate reuses across chunks
+# stay small
 CHUNK_BYTES = 2 << 20
 
 
@@ -31,10 +32,10 @@ def trial_stream(seed: int, trial: int, n_relays: int) -> np.random.Generator:
     Every trial owns the same whole number of Philox counter blocks in each
     of two planes under key seed.  The generator stands at block
     trial*trial_block_uniforms(n_relays)/4 of plane 0, the powers;
-    draw_realization takes the phases from the same blocks of plane 1 (top
-    counter word 1).  So a batch of trials drawn in one call sees exactly the
-    uniforms the trials would see drawn one at a time, and any chunking of the
-    trial range is equivalent.
+    draw_realization takes the phases from the same blocks of plane 1, the
+    generator jumped (counter word 2 plus 1).  So a batch of trials drawn in
+    one call sees exactly the uniforms the trials would see drawn one at a
+    time, and any chunking of the trial range is equivalent.
     """
     blocks = trial_block_uniforms(n_relays) // PHILOX_BLOCK
     bitgen = np.random.Philox(key=seed)
@@ -97,7 +98,8 @@ def estimate_outage(cfg: SystemConfig, scheme: str, trials: int,
         raise ValueError(f"unknown scheme {scheme!r}")
     exact, width = cfg.mi_mode == MI_EXACT, trial_block_uniforms(cfg.n_relays)
     if chunk is None:
-        chunk = max(1, CHUNK_BYTES // (16 * cfg.block_len if exact else 8 * width))
+        planes = 2 if cfg.sync_mode == SYNCHRONOUS else 1
+        chunk = max(1, CHUNK_BYTES // (16 * cfg.block_len if exact else 8 * planes * width))
     for name, value in (("trials", trials), ("chunk", chunk)):
         if not _is_int(value) or value < 1:
             raise ValueError(f"{name} must be positive and an integer, got {value!r}")

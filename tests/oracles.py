@@ -79,13 +79,14 @@ def philox_planes(seed: int, trial: int, n_relays: int, size=None):
     off Philox(key=seed), shaped (W,) for size None, else (size, W).
 
     Each plane gives a trial W = 1+2N uniforms padded up to a multiple of 4
-    (one counter block); trial t starts at block t*W/4, in plane 0 (top counter
-    word 0) for the powers and plane 1 (top word 1) for the phases.
+    (one counter block); trial t starts at block t*W/4, in plane 0 (counter
+    word 2 is 0) for the powers and plane 1 (word 2 is 1, Philox's jump) for
+    the phases.
     """
     width = 4 * -(-(1 + 2 * n_relays) // 4)
     shape = (width,) if size is None else (size, width)
     return tuple(np.random.Generator(np.random.Philox(
-        counter=[trial * width // 4, 0, 0, plane], key=seed)).random(shape) for plane in (0, 1))
+        counter=[trial * width // 4, 0, plane, 0], key=seed)).random(shape) for plane in (0, 1))
 
 
 def from_gains(h_sd, h_sr, h_rd) -> ChannelRealization:

@@ -117,11 +117,12 @@ def test_trial_uniforms_are_philox_plane_blocks(n, seed, trial, size):
         assert np.array_equal(phase, u)
 
 
-def test_other_generators_give_phases_right_after_the_powers():
+def test_other_generators_take_phases_from_their_jump():
     cfg = config(var_sd=1.0, var_sr=2.0, var_rd=3.0)
     real = draw_realization(cfg, np.random.default_rng(5), size=4)
     twin = np.random.default_rng(5)
-    u0, u1 = twin.random((4, 8)), twin.random((4, 8))
+    u1 = np.random.Generator(twin.bit_generator.jumped()).random((4, 8))
+    u0 = twin.random((4, 8))
     assert np.array_equal(real.h2_rd, -cfg.var_rd * np.log1p(-u0[:, 4:7]))
     assert np.array_equal(real.phases[2], u1[:, 4:7])
 
@@ -138,8 +139,8 @@ def mid_block_philox():
     mid_block_philox,
 ], ids=["trial-stream", "pcg64", "philox-mid-block"])
 def test_gains_do_not_depend_on_later_draws(make_rng):
-    # a gain read at once equals one read after further draws from rng; a
-    # Philox stream standing inside a counter block takes the general path
+    # a gain read at once equals one read after further draws from rng,
+    # also for a Philox stream standing inside a counter block
     cfg = config(var_sd=1.0, var_sr=2.0, var_rd=3.0)
     early = draw_realization(cfg, make_rng(), size=6)
     gains = (early.h_sd, early.h_sr, early.h_rd)

@@ -226,7 +226,8 @@ def test_reused_chunk_buffers_match_fresh_ones(over, scheme):
 @pytest.mark.parametrize("cfg, trials", [
     (replace(build_preset("fig4").variants[0][1].base, mi_mode=MI_EXACT, block_len=4096), 300),
     (fig_config(n_relays=64, cp_len=64), 5000),
-], ids=["exact-T4096", "approx-N64"])
+    (fig_config(n_relays=64, cp_len=64, sync_mode=SYNCHRONOUS, delays=None), 5000),
+], ids=["exact-T4096", "approx-N64", "sync-approx-N64"])
 def test_estimate_memory_is_bounded_by_the_chunk_budget(cfg, trials):
     # the default chunk fits CHUNK_BYTES, so the traced peak stays a small
     # multiple of it however long the block or many the relays
@@ -291,11 +292,16 @@ def test_phase_plane_drawn_once_per_chunk_where_read(monkeypatch, over, planes, 
     # asynchronous approximate MI never generates a phase plane; a rate that
     # reads complex gains generates its chunk's plane once, however many
     # links it reads
-    drawn, plane = [], channel._philox_plane
-    monkeypatch.setattr(channel, "_philox_plane",
-                        lambda *a: drawn.append(a[-1]) or plane(*a))
+    draw, drawn = mc.draw_realization, []
+
+    def spy(*args, **kwargs):
+        real = draw(*args, **kwargs)
+        plane = real.phase_plane
+        return replace(real, phase_plane=lambda: drawn.append(plane()) or drawn[-1])
+
+    monkeypatch.setattr(mc, "draw_realization", spy)
     estimate_outage(fig_config(**over), scheme, 1000, seed=3, chunk=400)
-    assert drawn == [(400, 12), (400, 12), (200, 12)][:3 * planes]
+    assert [u.shape for u in drawn] == [(400, 12), (400, 12), (200, 12)][:3 * planes]
 
 
 def test_pinned_outage_counts():
@@ -306,7 +312,7 @@ def test_pinned_outage_counts():
     for scheme, count in ((SCHEME_MULTI, 16), (SCHEME_OS, 13), (SCHEME_PS, 682)):
         assert estimate_outage(fig2, scheme, 20_000, seed=0).outage_count == count
     fig3 = apply_param(dict(build_preset("fig3").variants)["n10"].base, "var_iri_db", 0.0)
-    assert estimate_outage(fig3, SCHEME_MULTI, 20_000, seed=0).outage_count == 687
+    assert estimate_outage(fig3, SCHEME_MULTI, 20_000, seed=0).outage_count == 706
     fig4 = apply_param(replace(build_preset("fig4").variants[0][1].base, mi_mode=MI_EXACT),
                        "var_sr_db", 0.0)
     assert estimate_outage(fig4, SCHEME_MULTI, 2000, seed=0).outage_count == 3
