@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -13,8 +12,8 @@ from pathlib import Path
 from .analytic import total_outage
 from .mc import SCHEME_MULTI, SCHEMES, estimate_outage
 from .model import (ASYNCHRONOUS, DB_FIELDS, MI_APPROXIMATE, MI_EXACT,
-                    SYNCHRONOUS, SweepResult, SweepRow, SweepSpec, apply_param,
-                    _is_int, configure, linear_to_db, parse_field)
+                    SYNCHRONOUS, SweepResult, SweepRow, SweepSpec, SystemConfig,
+                    apply_param, _is_int, configure, linear_to_db)
 
 CSV_HEADER = "param,param_db,scheme,mode,analytic_p,mc_p,mc_stderr,trials,seed"
 
@@ -62,11 +61,25 @@ def build_preset(name: str) -> Preset:
     raise ValueError(f"unknown preset {name!r}")
 
 
-def _check_spec(spec: SweepSpec) -> None:
+def _sweep_task(task: tuple[float, SystemConfig, str, int, int]) -> SweepRow:
+    param, cfg, scheme, trials, seed = task
+    analytic_p = total_outage(cfg) if scheme == SCHEME_MULTI else None
+    return SweepRow(param, scheme, analytic_p, estimate_outage(cfg, scheme, trials, seed))
+
+
+def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
+    """Run every (value, scheme) point of a sweep, rows in sweep order.
+
+    Each value becomes a validated config (one apply_param call) and the
+    whole spec is checked before any trial runs.  workers > 1 fans the points
+    out to a process pool no wider than their number; each point depends only
+    on (config, scheme, trials, seed), so the result is the same for any
+    worker count.
+    """
     if not spec.values:
         raise ValueError("sweep values must be non-empty")
-    # apply_param owns the parameter-name rules
-    apply_param(spec.base, spec.param, spec.values[0])
+    # apply_param owns the parameter-name and value rules
+    configs = [apply_param(spec.base, spec.param, v) for v in spec.values]
     pairs = list(zip(spec.values, spec.values[1:]))
     if pairs and not (all(a < b for a, b in pairs) or all(a > b for a, b in pairs)):
         raise ValueError("sweep values must be strictly monotone")
@@ -77,31 +90,12 @@ def _check_spec(spec: SweepSpec) -> None:
             raise ValueError(f"unknown scheme {scheme!r}")
     if spec.trials < 1:
         raise ValueError("trials must be positive")
-
-
-def _sweep_task(task: tuple[SweepSpec, float, str]) -> SweepRow:
-    spec, value, scheme = task
-    cfg = apply_param(spec.base, spec.param, value)
-    field, linear = parse_field(spec.param, value)
-    in_db = linear_to_db(linear) if field in DB_FIELDS else float("nan")
-    analytic_p = total_outage(cfg) if scheme == SCHEME_MULTI else None
-    est = estimate_outage(cfg, scheme, spec.trials, spec.seed)
-    mode = "sync" if cfg.sync_mode == SYNCHRONOUS else "async"
-    return SweepRow(float(linear), in_db, scheme, mode, analytic_p, est)
-
-
-def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
-    """Run every (value, scheme) point of a sweep, rows in sweep order.
-
-    Points are independent, so workers > 1 fans them out to a process pool;
-    each point's estimate depends only on (spec, value, scheme), hence the
-    result is identical for any worker count.
-    """
-    _check_spec(spec)
     if not _is_int(workers) or workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers!r}")
-    tasks = [(spec, value, scheme)
-             for value in spec.values for scheme in spec.schemes]
+    field = spec.param.removesuffix("_db")
+    tasks = [(float(getattr(cfg, field)), cfg, scheme, spec.trials, spec.seed)
+             for cfg in configs for scheme in spec.schemes]
+    workers = min(workers, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_task, tasks))
@@ -121,12 +115,16 @@ def _rounded(x: float) -> float:
 
 
 def _records(result: SweepResult) -> list[dict]:
-    """One record per row, keyed by CSV column, floats rounded to 9 digits."""
+    """One record per row, keyed by CSV column, floats rounded to 9 digits;
+    param_db (the swept field's dB form of row.param) and mode come from the spec."""
+    spec = result.spec
+    in_db = spec.param.removesuffix("_db") in DB_FIELDS
+    mode = "sync" if spec.base.sync_mode == SYNCHRONOUS else "async"
     return [{
         "param": _rounded(row.param),
-        "param_db": _rounded(row.param_db) if math.isfinite(row.param_db) else None,
+        "param_db": _rounded(linear_to_db(row.param)) if in_db and row.param > 0 else None,
         "scheme": row.scheme,
-        "mode": row.mode,
+        "mode": mode,
         "analytic_p": None if row.analytic_p is None else _rounded(row.analytic_p),
         "mc_p": _rounded(row.estimate.p_hat),
         "mc_stderr": _rounded(row.estimate.stderr),

@@ -233,12 +233,11 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One (value, scheme) result; analytic_p is filled for multi only."""
+    """What one (value, scheme) point measured; analytic_p is filled for multi only.
+    Its param_db and mode columns follow from the SweepSpec and are formed on output."""
 
     param: float                        # swept value, linear scale
-    param_db: float
     scheme: str
-    mode: str                           # async | sync
     analytic_p: float | None
     estimate: OutageEstimate
 

@@ -5,7 +5,7 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
@@ -199,21 +199,24 @@ def db_draw(lo, hi):
 
 
 # (field, +1 if the outage may only rise with it, -1 if only fall, and
-# whether that holds under asynchronous combining with the shared budget)
-MONOTONE = (("rate", 1, True), ("var_sd", -1, True), ("var_rd", -1, True),
+# whether that holds under asynchronous combining with the shared budget;
+# rate does not there, see test_async_shared_outage_can_fall_with_rate)
+MONOTONE = (("rate", 1, False), ("var_sd", -1, True), ("var_rd", -1, True),
             ("var_rsi", 1, False), ("var_iri", 1, False), ("var_sr", -1, False),
             ("p_source", -1, False))
 
 
 @settings(max_examples=150, deadline=None)
+@example(n=51, rate=1.75, powers=(1.0, 1.0),
+         variances=(10 ** -0.7, 10 ** 0.2, 1.0, 1.0, 1.0), sync=False, fixed=False)
 @given(n=st.integers(1, 64), rate=st.floats(0.5, 8.0),
        powers=st.tuples(db_draw(0.0, 30.0), db_draw(0.0, 30.0)),
        variances=st.tuples(*[db_draw(-20.0, 20.0)] * 5),
        sync=st.booleans(), fixed=st.booleans())
 def test_total_outage_properties_on_bench_ranges(n, rate, powers, variances, sync, fixed):
     # under asynchronous combining with the shared budget, more decoders
-    # split E_R and can raise the outage, so the first-hop and interference
-    # directions are only claimed for the other configs
+    # split E_R and can raise the outage, so the rate, first-hop and
+    # interference directions are only claimed for the other configs
     cfg = validate_config(SystemConfig(
         n_relays=n, p_source=powers[0], e_relay_budget=powers[1], rate=rate,
         var_sd=variances[0], var_sr=variances[1], var_rd=variances[2],
@@ -229,6 +232,30 @@ def test_total_outage_properties_on_bench_ranges(n, rate, powers, variances, syn
             assert math.isfinite(q) and 0.0 <= q <= 1.0
             if everywhere or sync or fixed:
                 assert sign * (q - p) >= -1e-10 * max(p, q), (field, p, q)
+
+
+def test_async_shared_outage_can_fall_with_rate():
+    # Under the shared budget, L decoders each send E_R/L, so the relayed
+    # sum keeps its mean and loses variance as L grows; deep in outage that
+    # raises p_cond(L).  A higher rate moves binomial weight to fewer
+    # decoders, which here outweighs the rise of every p_cond(L).
+    cfg = validate_config(SystemConfig(
+        n_relays=51, p_source=1.0, e_relay_budget=1.0, rate=1.75,
+        var_sd=10 ** -0.7, var_sr=10 ** 0.2, var_rd=1.0, var_rsi=1.0, var_iri=1.0,
+        cp_len=51, sync_mode=ASYNCHRONOUS, relay_power_policy=SHARED_BUDGET))
+    got = []
+    for rate in (1.75, 1.3 * 1.75):
+        c = replace(cfg, rate=rate)
+        p_sd, p_sr = link_outages(c)
+        e = eta(c)
+        conds = [float(mix_mpmath(size, c.p_source * c.var_sd,
+                                  c.e_relay_budget / size * c.var_rd, e))
+                 for size in range(1, c.n_relays + 1)]
+        assert all(b > a for a, b in zip(conds, conds[1:]))
+        p = total_outage(c)
+        assert_allclose(p, combine_every_size(p_sd, p_sr, conds), rtol=1e-12)
+        got.append(p)
+    assert got[1] < got[0] - 1e-4
 
 
 def test_p_cond_async_fig_values():

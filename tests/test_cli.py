@@ -1,12 +1,14 @@
 import json
 import math
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields
 
 import pytest
 
-from fdrelay.cli import (CSV_HEADER, build_preset, emit, main, run_sweep,
-                         _check_spec)
-from fdrelay.model import (ASYNCHRONOUS, SYNCHRONOUS, SweepSpec, SystemConfig,
-                           validate_config)
+import fdrelay.cli as cli
+from fdrelay.cli import CSV_HEADER, build_preset, emit, main, run_sweep, _records
+from fdrelay.model import (ASYNCHRONOUS, SYNCHRONOUS, SweepRow, SweepSpec,
+                           SystemConfig, validate_config)
 
 
 def small_base(**over):
@@ -68,27 +70,83 @@ def test_check_spec_rejections():
     ]
     for spec, message in cases:
         with pytest.raises(ValueError, match=message):
-            _check_spec(spec)
-    _check_spec(small_spec(values=(5.0, 0.0, -5.0)))  # descending is fine
+            run_sweep(spec)
+    run_sweep(small_spec(values=(5.0, 0.0, -5.0)))  # descending is fine
 
 
 def test_run_sweep_row_layout():
     result = run_sweep(small_spec())
-    assert [(r.param_db, r.scheme) for r in result.rows] == [
+    recs = _records(result)
+    assert [(r["param_db"], r["scheme"]) for r in recs] == [
         (-10.0, "multi"), (-10.0, "os"), (0.0, "multi"), (0.0, "os")]
-    for row in result.rows:
-        assert row.param == pytest.approx(10 ** (row.param_db / 10))
-        assert row.mode == "async"
+    for row, rec in zip(result.rows, recs):
+        assert row.param == pytest.approx(10 ** (rec["param_db"] / 10))
+        assert rec["mode"] == "async"
         assert (row.analytic_p is not None) == (row.scheme == "multi")
         assert row.estimate.trials == 40
 
 
 def test_run_sweep_linear_and_plain_params():
-    linear = run_sweep(small_spec(param="var_iri", values=(0.1, 1.0)))
-    assert [r.param_db for r in linear.rows] == pytest.approx([-10.0, -10.0, 0.0, 0.0])
+    linear = _records(run_sweep(small_spec(param="var_iri", values=(0.1, 1.0))))
+    assert [r["param_db"] for r in linear] == pytest.approx([-10.0, -10.0, 0.0, 0.0])
     plain = run_sweep(small_spec(param="rate", values=(0.5, 1.0)))
-    assert all(math.isnan(r.param_db) for r in plain.rows)
+    assert all(r["param_db"] is None for r in _records(plain))
     assert [r.param for r in plain.rows] == [0.5, 0.5, 1.0, 1.0]
+
+
+def counting(monkeypatch, name):
+    """Wrap fdrelay.cli.<name> so each call is counted; returns the call list."""
+    calls, real = [], getattr(cli, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(cli, name, spy)
+    return calls
+
+
+def test_run_sweep_rejects_a_late_bad_value_before_any_trial(monkeypatch):
+    estimates = counting(monkeypatch, "estimate_outage")
+    with pytest.raises(ValueError, match="var_iri must be non-negative"):
+        run_sweep(small_spec(param="var_iri", values=(1.0, -1.0),
+                             schemes=("multi", "os", "ps")))
+    assert estimates == []
+
+
+def test_run_sweep_applies_each_value_once(monkeypatch):
+    applied = counting(monkeypatch, "apply_param")
+    spec = small_spec(values=(-10.0, -5.0, 0.0), schemes=("multi", "os", "ps"))
+    result = run_sweep(spec)
+    assert [value for _, _, value in applied] == [-10.0, -5.0, 0.0]
+    assert len(result.rows) == 9
+
+
+def test_main_rejects_a_late_bad_sweep_value_before_any_trial(tmp_path, capsys,
+                                                               monkeypatch):
+    estimates = counting(monkeypatch, "estimate_outage")
+    out = tmp_path / "late.csv"
+    assert main(["--preset", "fig4", "--sweep-param", "var_iri",
+                 "--sweep-values", "3,2,1,-1", "--trials", "200000",
+                 "--out", str(out)]) == 2
+    assert "error: var_iri must be non-negative" in capsys.readouterr().err
+    assert not out.exists()
+    assert estimates == []
+
+
+@pytest.mark.parametrize("values, schemes, widths", [
+    ((-10.0, 0.0), ("multi",), [2]),
+    ((0.0,), ("os",), []),
+], ids=["two-points", "one-point-in-process"])
+def test_run_sweep_pool_is_no_wider_than_the_points(monkeypatch, values, schemes, widths):
+    asked = []
+
+    def pool(max_workers):      # records the width, runs in one thread
+        asked.append(max_workers)
+        return ThreadPoolExecutor(max_workers=1)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", pool)
+    spec = small_spec(values=values, schemes=schemes)
+    assert run_sweep(spec, workers=64).rows == run_sweep(spec).rows
+    assert asked == widths
 
 
 def test_run_sweep_workers_equivalent():
@@ -331,3 +389,8 @@ def test_main_sync_mode_keeps_pinned_delays(tmp_path, capsys):
     assert main(["--config", str(path), "--trials", "5", "--mode", "sync",
                  "--out", str(out)]) == 2
     assert "unequal delays in synchronous mode" in capsys.readouterr().err
+
+
+def test_sweep_rows_keep_only_what_was_measured():
+    assert [f.name for f in fields(SweepRow)] == ["param", "scheme", "analytic_p", "estimate"]
+    assert not hasattr(cli, "_check_spec")
