@@ -6,7 +6,7 @@ import math
 import warnings
 from functools import partial
 
-from .model import FIXED_PER_RELAY, SYNCHRONOUS, SystemConfig, _is_int
+from .model import FIXED_PER_RELAY, SYNCHRONOUS, SystemConfig, _check_int
 from .sfun import kummer_j, poisson_pmf, regularized_lower_gamma_int
 
 # tolerated rounding spill outside [0, 1] before the clamp warns
@@ -96,8 +96,7 @@ def p_cond_async(n_decoding: int, cfg: SystemConfig) -> float:
     The destination adds the direct SNR and the n_decoding independent relay
     SNRs, each exponential with mean relay_tx_power*var_rd.
     """
-    if not _is_int(n_decoding) or n_decoding < 1:
-        raise ValueError("n_decoding must be an integer of at least 1")
+    _check_int("n_decoding", n_decoding)
     gbar_rd = relay_tx_power(cfg, n_decoding) * cfg.var_rd
     return _mrc_mix_outage(n_decoding, cfg.p_source * cfg.var_sd, gbar_rd, eta(cfg))
 
@@ -110,8 +109,7 @@ def p_cond_sync(n_decoding: int, cfg: SystemConfig) -> float:
     shared budget the result does not depend on n_decoding at all, and
     total_outage evaluates it once, at n_decoding = 1.
     """
-    if not _is_int(n_decoding) or n_decoding < 1:
-        raise ValueError("n_decoding must be an integer of at least 1")
+    _check_int("n_decoding", n_decoding)
     gbar_syn = relay_tx_power(cfg, n_decoding) * n_decoding * cfg.var_rd
     return _mrc_mix_outage(1, cfg.p_source * cfg.var_sd, gbar_syn, eta(cfg))
 

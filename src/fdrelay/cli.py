@@ -10,10 +10,10 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .analytic import total_outage
-from .mc import SCHEME_MULTI, SCHEMES, estimate_outage
+from .mc import SCHEME_MULTI, SCHEMES, SEED_BITS, estimate_outage
 from .model import (ASYNCHRONOUS, DB_FIELDS, MI_APPROXIMATE, MI_EXACT,
                     SYNCHRONOUS, SweepResult, SweepRow, SweepSpec, SystemConfig,
-                    apply_param, _is_int, configure, linear_to_db)
+                    apply_param, _check_int, configure, linear_to_db)
 
 CSV_HEADER = "param,param_db,scheme,mode,analytic_p,mc_p,mc_stderr,trials,seed"
 
@@ -88,10 +88,9 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     for scheme in spec.schemes:
         if scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {scheme!r}")
-    if spec.trials < 1:
-        raise ValueError("trials must be positive")
-    if not _is_int(workers) or workers < 1:
-        raise ValueError(f"workers must be a positive integer, got {workers!r}")
+    _check_int("trials", spec.trials)
+    _check_int("seed", spec.seed, 0, SEED_BITS)
+    _check_int("workers", workers)
     field = spec.param.removesuffix("_db")
     tasks = [(float(getattr(cfg, field)), cfg, scheme, spec.trials, spec.seed)
              for cfg in configs for scheme in spec.schemes]
@@ -239,6 +238,9 @@ def main(argv=None) -> int:
         if not all(spec.param for _, spec in variants):
             raise ValueError("no sweep parameter given "
                              "(use --sweep-param or a config sweep block)")
+        # every variant writes beside out
+        if not out.parent.is_dir():
+            raise ValueError(f"output directory {out.parent} does not exist")
 
         for label, spec in variants:
             result = run_sweep(spec, workers=args.workers)

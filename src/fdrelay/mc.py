@@ -10,7 +10,7 @@ from .analytic import eta, relay_tx_power
 from .channel import (PHILOX_BLOCK, LinkSinrs, draw_realization, link_sinrs,
                       trial_block_uniforms)
 from .fde import BinSpectrum, approx_rate, exact_rate, lambda_spectrum
-from .model import MI_EXACT, SYNCHRONOUS, OutageEstimate, SystemConfig, _is_int
+from .model import MI_EXACT, SYNCHRONOUS, OutageEstimate, SystemConfig, _check_int
 
 SCHEME_MULTI = "multi"
 SCHEME_OS = "os"
@@ -25,6 +25,8 @@ SCHEMES = (SCHEME_MULTI, SCHEME_OS, SCHEME_PS)
 # stay small
 CHUNK_BYTES = 2 << 20
 
+SEED_BITS = 128        # a seed is a Philox key, an int in [0, 2**SEED_BITS)
+
 
 def trial_stream(seed: int, trial: int, n_relays: int) -> np.random.Generator:
     """Generator positioned at the start of one trial's random substream.
@@ -37,6 +39,8 @@ def trial_stream(seed: int, trial: int, n_relays: int) -> np.random.Generator:
     one call sees exactly the uniforms the trials would see drawn one at a
     time, and any chunking of the trial range is equivalent.
     """
+    _check_int("seed", seed, 0, SEED_BITS)
+    _check_int("trial", trial, 0)
     blocks = trial_block_uniforms(n_relays) // PHILOX_BLOCK
     bitgen = np.random.Philox(key=seed)
     bitgen.advance(trial * blocks)
@@ -96,14 +100,12 @@ def estimate_outage(cfg: SystemConfig, scheme: str, trials: int,
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
+    _check_int("trials", trials)
     exact, width = cfg.mi_mode == MI_EXACT, trial_block_uniforms(cfg.n_relays)
     if chunk is None:
         planes = 2 if cfg.sync_mode == SYNCHRONOUS else 1
         chunk = max(1, CHUNK_BYTES // (16 * cfg.block_len if exact else 8 * planes * width))
-    for name, value in (("trials", trials), ("chunk", chunk)):
-        if not _is_int(value) or value < 1:
-            raise ValueError(f"{name} must be positive and an integer, got {value!r}")
-    chunk = min(chunk, trials)
+    chunk = min(_check_int("chunk", chunk), trials)
     uniforms = np.empty((chunk, width))
     spec = BinSpectrum(np.empty((chunk, cfg.block_len), complex),
                        np.empty((chunk, cfg.block_len))) if exact else None
@@ -114,4 +116,4 @@ def estimate_outage(cfg: SystemConfig, scheme: str, trials: int,
         real = draw_realization(cfg, rng, size=size, out=uniforms[:size])
         rows = None if spec is None else BinSpectrum(spec.lam[:size], spec.gamma[:size])
         count += int(np.count_nonzero(_trial_outages(cfg, scheme, real, rows)))
-    return OutageEstimate.from_counts(count, trials)
+    return OutageEstimate(count, trials)

@@ -38,8 +38,14 @@ def linear_to_db(x: float) -> float:
     return 10.0 * math.log10(x) if x > 0.0 else float("-inf")
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
+def _check_int(name: str, value, low: int = 1, bits: int = 0) -> int:
+    """value if its type is int (a bool is not) and it is at least low (1 or 0)
+    and, given bits, below 2**bits; else a ValueError naming it: 2.7 is never
+    truncated."""
+    if type(value) is int and value >= low and (not bits or value < 1 << bits):
+        return value
+    kind, below = "positive" if low else "non-negative", f" below 2**{bits}" if bits else ""
+    raise ValueError(f"{name} must be a {kind} integer{below}, got {value!r}")
 
 
 def _is_real(x) -> bool:
@@ -107,8 +113,7 @@ _FIELDS = {f.name: f for f in fields(SystemConfig)}   # .type is the annotation 
 def validate_config(cfg: SystemConfig) -> SystemConfig:
     """Check every invariant and return cfg unchanged; raise ValueError naming
     the first violated rule."""
-    if not _is_int(cfg.n_relays) or cfg.n_relays < 1:
-        raise ValueError("n_relays must be a positive integer")
+    _check_int("n_relays", cfg.n_relays)
     for name in DB_FIELDS + ("rate",):
         if not _is_real(getattr(cfg, name)):
             raise ValueError(f"{name} must be a real number")
@@ -119,10 +124,8 @@ def validate_config(cfg: SystemConfig) -> SystemConfig:
             raise ValueError(f"{name} must be non-negative")
     if not cfg.rate > 0.0:
         raise ValueError("rate must be positive")
-    if not _is_int(cfg.block_len) or cfg.block_len < 1:
-        raise ValueError("block_len must be a positive integer")
-    if not _is_int(cfg.cp_len) or cfg.cp_len < 0:
-        raise ValueError("cp_len must be non-negative")
+    _check_int("block_len", cfg.block_len)
+    _check_int("cp_len", cfg.cp_len, 0)
     if cfg.sync_mode not in (ASYNCHRONOUS, SYNCHRONOUS):
         raise ValueError(f"unknown sync_mode {cfg.sync_mode!r}")
     if cfg.mi_mode not in (MI_EXACT, MI_APPROXIMATE):
@@ -202,21 +205,22 @@ def apply_param(cfg: SystemConfig, name: str, value: float) -> SystemConfig:
 
 @dataclass(frozen=True)
 class OutageEstimate:
-    """Monte-Carlo outage estimate with its binomial standard error."""
+    """Monte-Carlo outage count over trials; p_hat and its binomial stderr follow."""
 
     outage_count: int
     trials: int
-    p_hat: float
-    stderr: float
 
-    @classmethod
-    def from_counts(cls, outage_count: int, trials: int) -> "OutageEstimate":
-        if trials < 1:
-            raise ValueError("trials must be positive")
-        if not 0 <= outage_count <= trials:
+    def __post_init__(self):
+        if _check_int("outage_count", self.outage_count, 0) > _check_int("trials", self.trials):
             raise ValueError("outage_count must lie in [0, trials]")
-        p = outage_count / trials
-        return cls(outage_count, trials, p, math.sqrt(p * (1.0 - p) / trials))
+
+    @property
+    def p_hat(self) -> float:
+        return self.outage_count / self.trials
+
+    @property
+    def stderr(self) -> float:
+        return math.sqrt(self.p_hat * (1.0 - self.p_hat) / self.trials)
 
 
 @dataclass(frozen=True)

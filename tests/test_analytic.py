@@ -269,6 +269,13 @@ def test_p_cond_async_fig_values():
             p_cond_async(size, cfg)
 
 
+@pytest.mark.parametrize("p_cond", [p_cond_async, p_cond_sync])
+@pytest.mark.parametrize("size", [0, 2.0, True])
+def test_p_cond_names_a_bad_decode_set_size(p_cond, size):
+    with pytest.raises(ValueError, match=f"n_decoding must be a positive integer, got {size!r}"):
+        p_cond(size, fig_config())
+
+
 def test_p_cond_async_decreases_with_relays_at_fixed_power():
     cfg = fig_config(relay_power_policy=FIXED_PER_RELAY)
     vals = [p_cond_async(size, cfg) for size in range(1, 8)]

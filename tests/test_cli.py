@@ -1,14 +1,17 @@
+import csv
 import json
 import math
+import re
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
 import fdrelay.cli as cli
 from fdrelay.cli import CSV_HEADER, build_preset, emit, main, run_sweep, _records
+from fdrelay.mc import estimate_outage
 from fdrelay.model import (ASYNCHRONOUS, SYNCHRONOUS, SweepRow, SweepSpec,
-                           SystemConfig, validate_config)
+                           SystemConfig, apply_param, validate_config)
 
 
 def small_base(**over):
@@ -66,7 +69,7 @@ def test_check_spec_rejections():
         (small_spec(param="rate_db"), "no dB form"),
         (small_spec(param="n_relays", values=(2.5, 3.0)), "n_relays must be an integer"),
         (small_spec(schemes=("multi", "best")), "unknown scheme"),
-        (small_spec(trials=0), "trials must be positive"),
+        (small_spec(trials=0), "trials must be a positive integer"),
     ]
     for spec, message in cases:
         with pytest.raises(ValueError, match=message):
@@ -167,6 +170,56 @@ def test_main_rejects_negative_workers(tmp_path, capsys):
                  "--out", str(out)]) == 2
     assert "error: workers must be a positive integer" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", [-1, 2**128, 1.5, True],
+                         ids=["negative", "2**128", "float", "bool"])
+def test_run_sweep_rejects_seeds_before_any_point(monkeypatch, seed):
+    # 2.7 would draw with key 2 and then write 2.7 in the seed column
+    closed, estimates = counting(monkeypatch, "total_outage"), counting(monkeypatch,
+                                                                         "estimate_outage")
+    with pytest.raises(ValueError, match=re.escape(
+            f"seed must be a non-negative integer below 2**128, got {seed!r}")):
+        run_sweep(small_spec(seed=seed))
+    assert closed == [] and estimates == []
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 + 1, 2**128 - 1])
+def test_sweep_rows_reproduce_from_their_recorded_seed(tmp_path, seed):
+    spec, out = small_spec(seed=seed), tmp_path / "rerun.csv"
+    emit(run_sweep(spec), "csv", out)
+    rows = list(csv.DictReader(out.open()))
+    assert len(rows) == 4
+    for row in rows:
+        cfg = apply_param(spec.base, spec.param, float(row["param_db"]))
+        est = estimate_outage(cfg, row["scheme"], int(row["trials"]), int(row["seed"]))
+        assert (f"{est.p_hat:.9g}", f"{est.stderr:.9g}") == (row["mc_p"], row["mc_stderr"])
+    # a seed the column could not hold as the key it drew with never runs
+    with pytest.raises(ValueError, match="seed must be"):
+        run_sweep(replace(spec, seed=seed + 0.5))
+
+
+def test_main_rejects_a_bad_seed_before_any_point(tmp_path, capsys, monkeypatch):
+    closed, estimates = counting(monkeypatch, "total_outage"), counting(monkeypatch,
+                                                                         "estimate_outage")
+    out = tmp_path / "seed.csv"
+    assert main(["--preset", "fig5", "--seed", "-1", "--out", str(out)]) == 2
+    assert "error: seed must be a non-negative integer below 2**128, got -1" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+    assert closed == [] and estimates == []
+
+
+@pytest.mark.parametrize("preset", ["fig2", "fig5"])
+def test_main_rejects_a_missing_output_directory_before_any_trial(tmp_path, capsys,
+                                                                   monkeypatch, preset):
+    estimates = counting(monkeypatch, "estimate_outage")
+    out = tmp_path / "missing" / "x.csv"
+    assert main(["--preset", preset, "--trials", "200000", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: output directory {out.parent} does not exist")
+    assert list(tmp_path.iterdir()) == []
+    assert estimates == []
 
 
 def test_emit_csv_layout(tmp_path):

@@ -55,6 +55,7 @@ def test_removed_parameters_and_fields_are_gone():
     assert "interference_var" not in inspect.signature(fdrelay.link_sinrs).parameters
     assert list(inspect.signature(fdrelay.eta).parameters) == ["cfg"]
     assert not hasattr(fdrelay.ChannelRealization, "from_gains")
+    assert not hasattr(fdrelay.OutageEstimate, "from_counts")
 
 
 def test_bench_wrap_points_resolve(monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
@@ -179,15 +180,15 @@ def test_estimate_validates_arguments():
     cfg = fig_config()
     with pytest.raises(ValueError, match="unknown scheme"):
         estimate_outage(cfg, "round_robin", trials=10)
-    with pytest.raises(ValueError, match="trials must be positive"):
+    with pytest.raises(ValueError, match="trials must be a positive integer"):
         estimate_outage(cfg, SCHEME_MULTI, trials=0)
 
 
 @pytest.mark.parametrize("args, message", [
-    (dict(trials=True), "trials must be positive"),
-    (dict(trials=2.5), "trials must be positive"),
-    (dict(trials=10, chunk=2.5), "chunk must be positive"),
-    (dict(trials=10, chunk=True), "chunk must be positive"),
+    (dict(trials=True), "trials must be a positive integer"),
+    (dict(trials=2.5), "trials must be a positive integer"),
+    (dict(trials=10, chunk=2.5), "chunk must be a positive integer"),
+    (dict(trials=10, chunk=True), "chunk must be a positive integer"),
     (dict(trials=10, scheme="round_robin"), "unknown scheme"),
 ], ids=["bool-trials", "float-trials", "float-chunk", "bool-chunk", "unknown-scheme"])
 def test_estimate_rejects_arguments_before_any_work(monkeypatch, args, message):
@@ -201,6 +202,54 @@ def test_estimate_rejects_arguments_before_any_work(monkeypatch, args, message):
     args = {"scheme": SCHEME_MULTI, **args}
     with pytest.raises(ValueError, match=message):
         estimate_outage(fig_config(mi_mode=MI_EXACT), **args)
+
+
+BAD_SEEDS = pytest.mark.parametrize("seed", [-1, 2**128, 1.5, True],
+                                    ids=["negative", "2**128", "float", "bool"])
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("drew before checking its arguments")
+
+
+def seed_error(seed):
+    return re.escape(f"seed must be a non-negative integer below 2**128, got {seed!r}")
+
+
+@BAD_SEEDS
+def test_estimate_rejects_seeds_before_any_draw(monkeypatch, seed):
+    # a seed picks every draw, so 1.5 or True is never truncated to a key
+    monkeypatch.setattr(mc, "draw_realization", refuse)
+    with pytest.raises(ValueError, match=seed_error(seed)):
+        estimate_outage(fig_config(), SCHEME_MULTI, trials=10, seed=seed)
+
+
+@BAD_SEEDS
+def test_trial_stream_rejects_seeds_before_any_draw(monkeypatch, seed):
+    monkeypatch.setattr(mc, "np", SimpleNamespace(random=SimpleNamespace(
+        Philox=refuse, Generator=refuse)))
+    with pytest.raises(ValueError, match=seed_error(seed)):
+        trial_stream(seed, 0, 3)
+
+
+@pytest.mark.parametrize("trial", [-1, 1.0, True])
+def test_trial_stream_rejects_trial_indices_before_any_draw(monkeypatch, trial):
+    # trial -1 would otherwise wrap the counter to the end of the key's stream
+    monkeypatch.setattr(mc, "np", SimpleNamespace(random=SimpleNamespace(
+        Philox=refuse, Generator=refuse)))
+    with pytest.raises(ValueError,
+                       match=f"trial must be a non-negative integer, got {trial!r}"):
+        trial_stream(0, trial, 3)
+
+
+def test_seeds_span_the_whole_philox_key():
+    top, skip = 2**128 - 1, 5 * channel.trial_block_uniforms(3)
+    a = trial_stream(top, 5, 3).random(8)
+    b = np.random.Generator(np.random.Philox(key=top)).random(skip + 8)[skip:]
+    assert np.array_equal(a, b)
+    cfg = fig_config()
+    assert estimate_outage(cfg, SCHEME_PS, 50, top) == estimate_outage(cfg, SCHEME_PS, 50, top,
+                                                                        chunk=7)
 
 
 @pytest.mark.parametrize("over", [

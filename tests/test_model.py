@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -55,7 +55,7 @@ def test_validate_accepts_standard_config():
     (dict(var_iri=-0.5), "var_iri must be non-negative"),
     (dict(rate=0.0), "rate must be positive"),
     (dict(block_len=0), "block_len must be a positive integer"),
-    (dict(cp_len=-1), "cp_len must be non-negative"),
+    (dict(cp_len=-1), "cp_len must be a non-negative integer"),
     (dict(sync_mode="half"), "unknown sync_mode"),
     (dict(mi_mode="fast"), "unknown mi_mode"),
     (dict(relay_power_policy="greedy"), "unknown relay_power_policy"),
@@ -80,7 +80,7 @@ def test_validate_accepts_standard_config():
     (dict(n_relays=True, delays=(1,)), "n_relays must be a positive integer"),
     (dict(block_len=True), "block_len must be a positive integer"),
     (dict(cp_len=False, delays=(0, 0, 0, 0, 0), sync_mode=SYNCHRONOUS),
-     "cp_len must be non-negative"),
+     "cp_len must be a non-negative integer"),
     # a directly built config is not typed by parse_field
     (dict(p_source="3"), "p_source must be a real number"),
     (dict(p_source=True), "p_source must be a real number"),
@@ -192,22 +192,61 @@ def test_config_from_dict_rejections():
 
 
 def test_outage_estimate_counts():
-    est = OutageEstimate.from_counts(100, 1000)
+    est = OutageEstimate(100, 1000)
     assert est.p_hat == 0.1
     assert math.isclose(est.stderr, math.sqrt(0.1 * 0.9 / 1000), rel_tol=1e-15)
-    sure = OutageEstimate.from_counts(50, 50)
+    sure = OutageEstimate(50, 50)
     assert sure.p_hat == 1.0 and sure.stderr == 0.0
-    assert math.isclose(OutageEstimate.from_counts(100_000, 1_000_000).stderr,
+    assert math.isclose(OutageEstimate(100_000, 1_000_000).stderr,
                         3.0e-4, rel_tol=1e-2)
 
 
 def test_outage_estimate_rejects_bad_counts():
     with pytest.raises(ValueError):
-        OutageEstimate.from_counts(2, 0)
+        OutageEstimate(2, 0)
     with pytest.raises(ValueError):
-        OutageEstimate.from_counts(5, 4)
+        OutageEstimate(5, 4)
     with pytest.raises(ValueError):
-        OutageEstimate.from_counts(-1, 4)
+        OutageEstimate(-1, 4)
+
+
+def test_outage_estimate_holds_only_its_counts():
+    assert [f.name for f in fields(OutageEstimate)] == ["outage_count", "trials"]
+    est = OutageEstimate(3, 9)
+    with pytest.raises(AttributeError):
+        est.p_hat = 0.5
+
+
+def test_outage_estimate_derives_p_hat_and_stderr_bit_for_bit():
+    for n in (1, 2, 3, 7, 1000, 100_003, 2**40 + 1):
+        for c in sorted({0, 1, n // 3, n // 2, n - 1, n}):
+            est, p = OutageEstimate(c, n), c / n
+            assert est.p_hat == p
+            assert est.stderr == math.sqrt(p * (1.0 - p) / n)
+
+
+@pytest.mark.parametrize("count, trials, message", [
+    (2.0, 4, "outage_count must be a non-negative integer, got 2.0"),
+    (True, 4, "outage_count must be a non-negative integer, got True"),
+    (1, 4.0, "trials must be a positive integer, got 4.0"),
+    (0, False, "trials must be a positive integer, got False"),
+])
+def test_outage_estimate_rejects_non_integral_counts(count, trials, message):
+    with pytest.raises(ValueError, match=message):
+        OutageEstimate(count, trials)
+
+
+@pytest.mark.parametrize("over, message", [
+    (dict(n_relays=2.0, delays=(1, 2)), "n_relays must be a positive integer, got 2.0"),
+    (dict(block_len=np.int64(500)), "block_len must be a positive integer, got"),
+    (dict(cp_len=-3), "cp_len must be a non-negative integer, got -3"),
+    (dict(cp_len=10.0), "cp_len must be a non-negative integer, got 10.0"),
+])
+def test_validate_counts_in_one_wording(over, message):
+    # a directly built config is not typed by parse_field, so validate_config
+    # itself refuses a count that is not a plain int
+    with pytest.raises(ValueError, match=message):
+        validate_config(base_config(**over))
 
 
 def test_replace_keeps_config_frozen():
