@@ -195,15 +195,14 @@ def _parse_args(argv):
 
 
 def _config_spec(doc) -> SweepSpec:
-    """SweepSpec of a parsed config file; its sweep block is read here, not by the model."""
+    """SweepSpec of a parsed config file; apply_param checks its sweep values."""
     if not isinstance(doc, dict):
         raise ValueError("config file must hold a JSON object")
     sweep = doc.pop("sweep", {})
     if isinstance(sweep, dict) and set(sweep) <= {"param", "values"}:
         param, values = sweep.get("param", ""), sweep.get("values", [])
-        if isinstance(param, str) and isinstance(values, list) and all(
-                isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
-            return SweepSpec(configure(doc), param, tuple(float(v) for v in values))
+        if isinstance(param, str) and isinstance(values, list):
+            return SweepSpec(configure(doc), param, tuple(values))
     raise ValueError('sweep block must be {"param": "<name>", "values": [<numbers>]}')
 
 

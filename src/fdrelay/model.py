@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import MISSING, dataclass, fields, replace
 
 ASYNCHRONOUS = "asynchronous"
@@ -39,27 +40,28 @@ def linear_to_db(x: float) -> float:
 
 
 def _check_int(name: str, value, low: int = 1, bits: int = 0) -> int:
-    """value if its type is int (a bool is not) and it is at least low (1 or 0)
-    and, given bits, below 2**bits; else a ValueError naming it: 2.7 is never
-    truncated."""
+    """value if its type is int (a bool is not), at least low (1 or 0) and, given
+    bits, below 2**bits; else a ValueError naming it: 2.7 is never truncated."""
     if type(value) is int and value >= low and (not bits or value < 1 << bits):
         return value
     kind, below = "positive" if low else "non-negative", f" below 2**{bits}" if bits else ""
     raise ValueError(f"{name} must be a {kind} integer{below}, got {value!r}")
 
 
-def _is_real(x) -> bool:
-    # the exact-float test first: an ABC isinstance costs about 0.5 us
-    return type(x) is float or (isinstance(x, numbers.Real) and not isinstance(x, bool))
+def _check_real(name: str, value, bound: float = sys.float_info.max) -> float:
+    """value if it is a real number (a bool is not) of magnitude at most bound,
+    by default the largest double; else a ValueError naming it."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool) and abs(value) <= bound:
+        return value
+    at_most = f" of magnitude at most {bound:g}" if bound < sys.float_info.max else ""
+    raise ValueError(f"{name} must be a finite real number{at_most}, got {value!r}")
 
 
-def _integral(name: str, value) -> int:
-    """value as an int; integral floats such as 5.0 pass, while fractions,
-    non-finite values, bools and non-numbers raise instead of being truncated."""
-    if _is_real(value) and (isinstance(value, numbers.Integral)
-                            or float(value).is_integer()):
-        return int(value)
-    raise ValueError(f"{name} must be an integer")
+def _as_int(name: str, raw, low: int) -> int:
+    # an integral real such as 5.0 or np.int64(5) as an int, by the one integer rule
+    whole = isinstance(raw, numbers.Integral) or (
+        isinstance(raw, numbers.Real) and float(raw).is_integer())
+    return _check_int(name, int(raw) if whole and not isinstance(raw, bool) else raw, low)
 
 
 def default_delays(n_relays: int, sync_mode: str) -> tuple[int, ...]:
@@ -78,9 +80,9 @@ def default_delays(n_relays: int, sync_mode: str) -> tuple[int, ...]:
 class SystemConfig:
     """Scenario description for one source, N full-duplex relays, one destination.
 
-    Powers and variances are linear (config files may carry them in dB with a
-    _db suffix, converted at ingestion).  rate is in bps/Hz, block_len and
-    cp_len in channel uses, delays in channel uses per relay.
+    Powers and variances are linear (parse_field converts a _db form).  rate
+    is in bps/Hz; block_len, cp_len and the delays tuple (one int per relay)
+    in channel uses.  Construction converts nothing: it derives only default delays.
     """
 
     n_relays: int
@@ -100,11 +102,9 @@ class SystemConfig:
     relay_power_policy: str = SHARED_BUDGET
 
     def __post_init__(self):
-        if self.delays is not None and not isinstance(self.delays, (list, tuple)):
-            raise ValueError("delays must be a list of integers")
-        delays = (default_delays(self.n_relays, self.sync_mode) if self.delays is None
-                  else tuple(_integral("delays", d) for d in self.delays))
-        object.__setattr__(self, "delays", delays)
+        if self.delays is None:
+            n_relays = _check_int("n_relays", self.n_relays)
+            object.__setattr__(self, "delays", default_delays(n_relays, self.sync_mode))
 
 
 _FIELDS = {f.name: f for f in fields(SystemConfig)}   # .type is the annotation string
@@ -112,34 +112,32 @@ _FIELDS = {f.name: f for f in fields(SystemConfig)}   # .type is the annotation 
 
 def validate_config(cfg: SystemConfig) -> SystemConfig:
     """Check every invariant and return cfg unchanged; raise ValueError naming
-    the first violated rule."""
+    the first violated rule.  Counts and each delay follow _check_int, reals
+    _check_real, and the rate keeps eta's 2**(rate*(T+cp)/T) below overflow."""
     _check_int("n_relays", cfg.n_relays)
-    for name in DB_FIELDS + ("rate",):
-        if not _is_real(getattr(cfg, name)):
-            raise ValueError(f"{name} must be a real number")
-        if not math.isfinite(getattr(cfg, name)):
-            raise ValueError(f"{name} must be finite")
     for name in DB_FIELDS:
-        if getattr(cfg, name) < 0.0:
+        if _check_real(name, getattr(cfg, name)) < 0.0:
             raise ValueError(f"{name} must be non-negative")
-    if not cfg.rate > 0.0:
+    if not _check_real("rate", cfg.rate) > 0.0:
         raise ValueError("rate must be positive")
-    _check_int("block_len", cfg.block_len)
-    _check_int("cp_len", cfg.cp_len, 0)
+    T, cp = _check_int("block_len", cfg.block_len), _check_int("cp_len", cfg.cp_len, 0)
+    if not cfg.rate * (T + cp) / T < 1024:
+        raise ValueError(f"rate must be below {1024 * T / (T + cp):.9g}, got {cfg.rate!r}")
     if cfg.sync_mode not in (ASYNCHRONOUS, SYNCHRONOUS):
         raise ValueError(f"unknown sync_mode {cfg.sync_mode!r}")
     if cfg.mi_mode not in (MI_EXACT, MI_APPROXIMATE):
         raise ValueError(f"unknown mi_mode {cfg.mi_mode!r}")
     if cfg.relay_power_policy not in (SHARED_BUDGET, FIXED_PER_RELAY):
         raise ValueError(f"unknown relay_power_policy {cfg.relay_power_policy!r}")
+    if type(cfg.delays) is not tuple:
+        raise ValueError(f"delays must be a list of integers (a tuple in SystemConfig), "
+                         f"got {cfg.delays!r}")
     if len(cfg.delays) != cfg.n_relays:
         raise ValueError("delays length != n_relays")
-    if any(d < 0 for d in cfg.delays):
-        raise ValueError("delays must be non-negative")
+    residues = [_check_int("delays", d, 0) % cfg.block_len for d in cfg.delays]
     if cfg.delays and max(cfg.delays) > cfg.cp_len:
         raise ValueError("cp_len < max delay")
     # a whole-block delay aliases onto the direct tap in either mode
-    residues = [d % cfg.block_len for d in cfg.delays]
     if 0 in residues:
         raise ValueError(f"delay divisible by block_len in {cfg.sync_mode} mode")
     if cfg.sync_mode == ASYNCHRONOUS:
@@ -153,10 +151,11 @@ def validate_config(cfg: SystemConfig) -> SystemConfig:
 def parse_field(name: str, raw) -> tuple[str, object]:
     """(field, typed value) for a config name and its raw JSON or CLI value.
 
-    "<field>_db" converts a DB_FIELDS value from dB.  Powers, variances and the
-    rate take a finite real number, not a bool; counts and lengths an integer
-    (5.0 passes).  Delays, modes and the policy pass as given, for SystemConfig
-    and validate_config to check.
+    Every conversion happens here, by the rules validate_config checks.  A
+    power, variance or rate must be a finite real (not a bool) and becomes a
+    float; "<field>_db" converts a DB_FIELDS value within +-3080 dB (1e308)
+    from dB.  An integral real such as 5.0 becomes an int in a count and in a
+    delays list, which becomes a tuple.  Other values pass as given.
     """
     field = name[:-3] if name.endswith("_db") else name
     if field not in _FIELDS:
@@ -165,12 +164,14 @@ def parse_field(name: str, raw) -> tuple[str, object]:
         raise ValueError(f"parameter {field!r} has no dB form")
     kind = _FIELDS[field].type
     if kind == "int":
-        return field, _integral(name, raw)
+        return field, _as_int(name, raw, 0 if field == "cp_len" else 1)
+    if field == "delays" and isinstance(raw, (list, tuple)):
+        return field, tuple(_as_int(name, d, 0) for d in raw)
     if kind != "float":
         return field, raw
-    if not _is_real(raw) or not math.isfinite(raw):
-        raise ValueError(f"{name} must be a finite real number")
-    return field, db_to_linear(raw) if field != name else float(raw)
+    if field == name:
+        return field, float(_check_real(name, raw))
+    return field, db_to_linear(_check_real(name, raw, 3080.0))
 
 
 def configure(doc, base: SystemConfig | None = None) -> SystemConfig:

@@ -71,7 +71,7 @@ def regularized_lower_gamma_int(n: int, x: float) -> float:
     if n < 1:
         raise ValueError("order n must be a positive integer")
     if not (math.isfinite(x) and x >= 0.0):
-        raise ValueError("x must be finite and non-negative")
+        raise ValueError(f"x must be a finite non-negative real number, got {x!r}")
     if x == 0.0:
         return 0.0
     if x < n:

@@ -67,7 +67,8 @@ def test_check_spec_rejections():
         (small_spec(values=(1.0, 3.0, 2.0)), "strictly monotone"),
         (small_spec(param="colour"), "unknown sweep parameter"),
         (small_spec(param="rate_db"), "no dB form"),
-        (small_spec(param="n_relays", values=(2.5, 3.0)), "n_relays must be an integer"),
+        (small_spec(param="n_relays", values=(2.5, 3.0)),
+         "n_relays must be a positive integer, got 2.5"),
         (small_spec(schemes=("multi", "best")), "unknown scheme"),
         (small_spec(trials=0), "trials must be a positive integer"),
     ]
@@ -134,6 +135,18 @@ def test_main_rejects_a_late_bad_sweep_value_before_any_trial(tmp_path, capsys,
     assert "error: var_iri must be non-negative" in capsys.readouterr().err
     assert not out.exists()
     assert estimates == []
+
+
+def test_main_refuses_a_rate_beyond_the_ceiling_before_any_trial(tmp_path, capsys,
+                                                                 monkeypatch):
+    # at T = 500, cp = 10 eta = 2**(rate*510/500) - 1 overflows from rate 1003.92 on
+    estimates = counting(monkeypatch, "estimate_outage")
+    out = tmp_path / "rate.csv"
+    assert main(["--preset", "fig2", "--sweep-param", "rate", "--sweep-values", "1,2000",
+                 "--trials", "200", "--out", str(out)]) == 2
+    assert "error: rate must be below 1003.92157, got 2000.0" in capsys.readouterr().err
+    assert estimates == []
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("values, schemes, widths", [
@@ -422,8 +435,13 @@ def scenario(**over):
     {"sweep": {"param": 5, "values": [0.0, 5.0]}},
     {"sweep": {"param": "var_iri_db", "values": 5}},
     {"p_source": True, "p_source_db": None},
+    {"delays": [1.5, 2]},
+    {"sweep": {"param": "var_iri_db", "values": [True, 5.0]}},
+    {"p_source_db": 4000},
+    {"sweep": {"param": "var_iri_db", "values": [0.0, 4000]}},
 ], ids=["delays-int", "n_relays-list", "sweep-param-int", "sweep-values-int",
-        "p_source-bool"])
+        "p_source-bool", "delays-fraction", "sweep-values-bool", "p_source_db-huge",
+        "sweep-values-db-huge"])
 def test_main_rejects_mistyped_config(tmp_path, capsys, over):
     doc = {k: v for k, v in scenario(**over).items() if v is not None}
     path = tmp_path / "typed.json"

@@ -4,6 +4,8 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from fdrelay.analytic import eta, total_outage
+from fdrelay.mc import estimate_outage
 from fdrelay.model import (ASYNCHRONOUS, SYNCHRONOUS, OutageEstimate,
                            SystemConfig, apply_param, configure, db_to_linear,
                            default_delays, linear_to_db, parse_field,
@@ -60,32 +62,50 @@ def test_validate_accepts_standard_config():
     (dict(mi_mode="fast"), "unknown mi_mode"),
     (dict(relay_power_policy="greedy"), "unknown relay_power_policy"),
     (dict(n_relays=2, delays=(1, 2, 3)), "delays length != n_relays"),
-    (dict(n_relays=2, delays=(1, -2)), "delays must be non-negative"),
+    pytest.param(dict(n_relays=2, delays=(1, -2)),
+                 "delays must be a non-negative integer, got -2",
+                 id="over10-delays must be non-negative"),
     (dict(n_relays=3, delays=(1, 2, 4), cp_len=3), "cp_len < max delay"),
     (dict(n_relays=2, delays=(1, 1)), "duplicate delays"),
     (dict(n_relays=2, delays=(1, 2), sync_mode=SYNCHRONOUS),
      "unequal delays in synchronous mode"),
-    # non-finite powers, variances and rates; bools are not counts
-    (dict(p_source=NAN), "p_source must be finite"),
-    (dict(p_source=INF), "p_source must be finite"),
-    (dict(e_relay_budget=INF), "e_relay_budget must be finite"),
-    (dict(e_relay_budget=NAN), "e_relay_budget must be finite"),
-    (dict(rate=INF), "rate must be finite"),
-    (dict(rate=NAN), "rate must be finite"),
-    (dict(var_sd=NAN), "var_sd must be finite"),
-    (dict(var_sr=INF), "var_sr must be finite"),
-    (dict(var_rd=-INF), "var_rd must be finite"),
-    (dict(var_rsi=NAN), "var_rsi must be finite"),
-    (dict(var_iri=INF), "var_iri must be finite"),
+    # non-finite powers, variances and rates; bools are not counts.  A case
+    # whose message changed wording keeps its id, which names the rule
+    pytest.param(dict(p_source=NAN), "p_source must be a finite real number, got nan",
+                 id="over14-p_source must be finite"),
+    pytest.param(dict(p_source=INF), "p_source must be a finite real number, got inf",
+                 id="over15-p_source must be finite"),
+    pytest.param(dict(e_relay_budget=INF), "e_relay_budget must be a finite real number, got inf",
+                 id="over16-e_relay_budget must be finite"),
+    pytest.param(dict(e_relay_budget=NAN), "e_relay_budget must be a finite real number, got nan",
+                 id="over17-e_relay_budget must be finite"),
+    pytest.param(dict(rate=INF), "rate must be a finite real number, got inf",
+                 id="over18-rate must be finite"),
+    pytest.param(dict(rate=NAN), "rate must be a finite real number, got nan",
+                 id="over19-rate must be finite"),
+    pytest.param(dict(var_sd=NAN), "var_sd must be a finite real number, got nan",
+                 id="over20-var_sd must be finite"),
+    pytest.param(dict(var_sr=INF), "var_sr must be a finite real number, got inf",
+                 id="over21-var_sr must be finite"),
+    pytest.param(dict(var_rd=-INF), "var_rd must be a finite real number, got -inf",
+                 id="over22-var_rd must be finite"),
+    pytest.param(dict(var_rsi=NAN), "var_rsi must be a finite real number, got nan",
+                 id="over23-var_rsi must be finite"),
+    pytest.param(dict(var_iri=INF), "var_iri must be a finite real number, got inf",
+                 id="over24-var_iri must be finite"),
     (dict(n_relays=True, delays=(1,)), "n_relays must be a positive integer"),
     (dict(block_len=True), "block_len must be a positive integer"),
     (dict(cp_len=False, delays=(0, 0, 0, 0, 0), sync_mode=SYNCHRONOUS),
      "cp_len must be a non-negative integer"),
     # a directly built config is not typed by parse_field
-    (dict(p_source="3"), "p_source must be a real number"),
-    (dict(p_source=True), "p_source must be a real number"),
-    (dict(rate="2"), "rate must be a real number"),
-    (dict(rate=True), "rate must be a real number"),
+    pytest.param(dict(p_source="3"), "p_source must be a finite real number, got '3'",
+                 id="over28-p_source must be a real number"),
+    pytest.param(dict(p_source=True), "p_source must be a finite real number, got True",
+                 id="over29-p_source must be a real number"),
+    pytest.param(dict(rate="2"), "rate must be a finite real number, got '2'",
+                 id="over30-rate must be a real number"),
+    pytest.param(dict(rate=True), "rate must be a finite real number, got True",
+                 id="over31-rate must be a real number"),
     # a whole-block delay aliases onto the direct tap in synchronous mode too
     (dict(n_relays=3, delays=(0, 0, 0), sync_mode=SYNCHRONOUS),
      "delay divisible by block_len in synchronous mode"),
@@ -95,9 +115,10 @@ def test_validate_accepts_standard_config():
      "delay divisible by block_len in synchronous mode"),
 ])
 def test_validate_rejects(over, msg):
-    cfg = base_config(**over)
+    # a count that fails _check_int is refused already when default delays
+    # are derived from it, at construction
     with pytest.raises(ValueError, match=msg):
-        validate_config(cfg)
+        validate_config(base_config(**over))
 
 
 def test_validate_rejects_delay_multiple_of_block():
@@ -128,16 +149,16 @@ def test_apply_param_rejects_unknown():
         apply_param(base_config(), "block_len", 256)
     with pytest.raises(ValueError, match="no dB form"):
         apply_param(base_config(), "rate_db", 3.0)
-    with pytest.raises(ValueError, match="n_relays must be an integer"):
+    with pytest.raises(ValueError, match="n_relays must be a positive integer, got 2.5"):
         apply_param(base_config(), "n_relays", 2.5)
-    with pytest.raises(ValueError, match="n_relays must be an integer"):
+    with pytest.raises(ValueError, match="n_relays must be a positive integer, got inf"):
         apply_param(base_config(), "n_relays", INF)
 
 
 def test_non_integral_delays_rejected():
-    with pytest.raises(ValueError, match="delays must be an integer"):
-        base_config(n_relays=2, delays=(1.9, 2.2))
-    with pytest.raises(ValueError, match="delays must be an integer"):
+    with pytest.raises(ValueError, match="delays must be a non-negative integer, got 1.9"):
+        validate_config(base_config(n_relays=2, delays=(1.9, 2.2)))
+    with pytest.raises(ValueError, match="delays must be a non-negative integer, got 2.5"):
         configure({"n_relays": 2, "p_source": 1.0, "e_relay_budget": 1.0,
                    "rate": 1.0, "delays": [1, 2.5]})
 
@@ -185,9 +206,9 @@ def test_config_from_dict_rejections():
     with pytest.raises(ValueError, match="missing config field 'rate'"):
         configure({"n_relays": 2, "p_source": 1.0, "e_relay_budget": 1.0})
     # counts and lengths are never truncated
-    for field, value in [("n_relays", 2.7), ("block_len", 500.9), ("cp_len", 10.5),
-                         ("n_relays", INF)]:
-        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+    for field, value, kind in [("n_relays", 2.7, "positive"), ("block_len", 500.9, "positive"),
+                               ("cp_len", 10.5, "non-negative"), ("n_relays", INF, "positive")]:
+        with pytest.raises(ValueError, match=f"{field} must be a {kind} integer, got {value}"):
             configure({**good, field: value})
 
 
@@ -241,10 +262,19 @@ def test_outage_estimate_rejects_non_integral_counts(count, trials, message):
     (dict(block_len=np.int64(500)), "block_len must be a positive integer, got"),
     (dict(cp_len=-3), "cp_len must be a non-negative integer, got -3"),
     (dict(cp_len=10.0), "cp_len must be a non-negative integer, got 10.0"),
+    # without pinned delays the count is refused where they are derived
+    (dict(n_relays=2.0), "n_relays must be a positive integer, got 2.0"),
+    (dict(n_relays=2.5), "n_relays must be a positive integer, got 2.5"),
+    # every delay follows the same rule, with a lower bound of 0
+    (dict(n_relays=2, delays=(1.0, 2)), "delays must be a non-negative integer, got 1.0"),
+    (dict(n_relays=2, delays=(True, 2)), "delays must be a non-negative integer, got True"),
+    (dict(n_relays=2, delays=(-1, 2)), "delays must be a non-negative integer, got -1"),
+    (dict(n_relays=2, delays=[1, 2]),
+     r"delays must be a list of integers \(a tuple in SystemConfig\), got \[1, 2\]"),
 ])
 def test_validate_counts_in_one_wording(over, message):
-    # a directly built config is not typed by parse_field, so validate_config
-    # itself refuses a count that is not a plain int
+    # a directly built config is not typed by parse_field, so the one integer
+    # rule refuses a count or delay that is not a plain int
     with pytest.raises(ValueError, match=message):
         validate_config(base_config(**over))
 
@@ -264,13 +294,24 @@ def test_replace_keeps_config_frozen():
     ("rate", INF, "rate must be a finite real number"),
     ("var_sd_db", NAN, "var_sd_db must be a finite real number"),
     ("var_rd_db", -INF, "var_rd_db must be a finite real number"),
-    ("n_relays", [2], "n_relays must be an integer"),
-    ("n_relays", "2", "n_relays must be an integer"),
-    ("block_len", False, "block_len must be an integer"),
+    # a case whose message changed wording keeps its id, which names the rule
+    pytest.param("n_relays", [2], "n_relays must be a positive integer, got \\[2\\]",
+                 id="n_relays-raw6-n_relays must be an integer"),
+    pytest.param("n_relays", "2", "n_relays must be a positive integer, got '2'",
+                 id="n_relays-2-n_relays must be an integer"),
+    pytest.param("block_len", False, "block_len must be a positive integer, got False",
+                 id="block_len-False-block_len must be an integer"),
     ("rate_db", 3.0, "no dB form"),
     ("n_relays_db", 3.0, "no dB form"),
     ("colour", 1.0, "unknown config field 'colour'"),
     ("sweep", {}, "unknown config field 'sweep'"),
+    # a dB value whose linear form is not a double
+    ("p_source_db", 4000, "p_source_db must be a finite real number of magnitude at most 3080"),
+    ("var_iri_db", -3080.5, "var_iri_db must be a finite real number of magnitude at most 3080"),
+    pytest.param("p_source", 2**1024, "p_source must be a finite real number, got 1797",
+                 id="p_source-int-beyond-double"),
+    ("cp_len", -1, "cp_len must be a non-negative integer, got -1"),
+    ("delays", [1, 2.5], "delays must be a non-negative integer, got 2.5"),
 ])
 def test_parse_field_rejects(name, raw, msg):
     with pytest.raises(ValueError, match=msg):
@@ -283,15 +324,20 @@ def test_parse_field_types():
     assert type(parse_field("var_rd", 2)[1]) is float
     assert parse_field("n_relays", 3.0) == ("n_relays", 3)
     assert parse_field("cp_len", np.int64(4)) == ("cp_len", 4)
-    assert parse_field("delays", [1, 2]) == ("delays", [1, 2])
+    assert parse_field("delays", [1, 2]) == ("delays", (1, 2))
+    delays = parse_field("delays", [1.0, np.int64(2), np.float64(3.0)])[1]
+    assert delays == (1, 2, 3) and all(type(d) is int for d in delays)
     assert parse_field("mi_mode", "exact") == ("mi_mode", "exact")
 
 
 @pytest.mark.parametrize("over,msg", [
     ({"delays": 5}, "delays must be a list of integers"),
     ({"delays": "12"}, "delays must be a list of integers"),
-    ({"delays": [[1], 2]}, "delays must be an integer"),
-    ({"delays": [1, True]}, "delays must be an integer"),
+    # a case whose message changed wording keeps its id, which names the rule
+    pytest.param({"delays": [[1], 2]}, "delays must be a non-negative integer, got \\[1\\]",
+                 id="over2-delays must be an integer"),
+    pytest.param({"delays": [1, True]}, "delays must be a non-negative integer, got True",
+                 id="over3-delays must be an integer"),
     ({"sync_mode": "sync"}, "unknown sync_mode 'sync'"),
     ({"sync_mode": 1}, "unknown sync_mode 1"),
     ({"mi_mode": None}, "unknown mi_mode None"),
@@ -331,3 +377,38 @@ def test_apply_param_types_values():
     with pytest.raises(ValueError, match="var_iri_db must be a finite real number"):
         apply_param(cfg, "var_iri_db", "5")
     assert apply_param(cfg, "n_relays", np.int64(2)).n_relays == 2
+
+
+def test_rate_ceiling_keeps_eta_a_double():
+    # eta = 2**(rate*(T+cp)/T) - 1 overflows once the exponent reaches 1024:
+    # at T = 500, cp = 10 from rate 1003.92 on
+    cfg = validate_config(base_config(rate=1003.9))
+    assert total_outage(cfg) == 1.0
+    for mi_mode in ("approximate", "exact"):
+        for scheme in ("multi", "os", "ps"):
+            est = estimate_outage(replace(cfg, mi_mode=mi_mode), scheme, 64, 3)
+            assert est.outage_count == est.trials == 64
+    with pytest.raises(ValueError, match="rate must be below 1003.92157, got 1004"):
+        validate_config(base_config(rate=1004))
+    with pytest.raises(ValueError, match="rate must be below 1003.92157, got 1004.0"):
+        apply_param(cfg, "rate", 1004.0)
+
+
+@pytest.mark.parametrize("block_len, cp_len", [(500, 10), (64, 8), (3, 2), (4096, 7), (7, 1)])
+def test_every_accepted_rate_near_the_ceiling_has_a_finite_eta(block_len, cp_len):
+    top = 1024 * block_len / (block_len + cp_len)
+    below, above = [top], [top]
+    for _ in range(6):
+        below.append(math.nextafter(below[-1], 0.0))
+        above.append(math.nextafter(above[-1], INF))
+    accepted = 0
+    for rate in below + above[1:]:
+        cfg = base_config(n_relays=1, rate=rate, block_len=block_len, cp_len=cp_len)
+        try:
+            validate_config(cfg)
+        except ValueError as exc:
+            assert "rate must be below" in str(exc)
+            continue
+        accepted += 1
+        assert math.isfinite(eta(cfg))
+    assert accepted >= 5

@@ -47,7 +47,7 @@ def test_lower_gamma_rejects_nonpositive_order():
 
 def test_lower_gamma_rejects_non_finite_argument():
     for x in (float("nan"), float("inf"), float("-inf")):
-        with pytest.raises(ValueError, match="x must be finite"):
+        with pytest.raises(ValueError, match="x must be a finite non-negative real number"):
             regularized_lower_gamma_int(3, x)
 
 

@@ -1,16 +1,20 @@
 #!/usr/bin/env bash
-# Byte-compare preset CSV output of a git ref against the working tree.
+# Byte-compare preset and config-file CSV output of a git ref against the
+# working tree.
 #
 #   tools/csv_identity.sh BASE_REF
 #
 # Extracts BASE_REF (git archive) and the working tree (tracked and
-# untracked, non-ignored files) into a temporary directory, runs the same
-# preset set in each at seed 0 (fig2-fig5 approximate MI at 1e5 trials per
-# point; exact MI at 4000 for fig4, asynchronous, and fig3, synchronous) and
-# cmp's every CSV.  Prints one line per file, naming for a file that differs
-# the columns that changed and those that stayed identical (so an intended
-# change of the random stream shows only mc_p and mc_stderr moving), and exits
-# non-zero if any file differs or is missing.
+# untracked, non-ignored files) into a temporary directory and runs the same
+# outputs in each at seed 0: the presets (fig2-fig5 approximate MI at 1e5
+# trials per point; exact MI at 4000 for fig4, asynchronous, and fig3,
+# synchronous) and the working tree's tools/scenario.json, which sends
+# integral floats for counts and pinned delays through --config (approximate
+# MI at 1e5 trials, exact MI at 4000).  cmp's every CSV and prints one line
+# per file, naming for a file that differs the columns that changed and
+# those that stayed identical (so an intended change of the random stream
+# shows only mc_p and mc_stderr moving), and exits non-zero if any file
+# differs or is missing.
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
@@ -27,8 +31,8 @@ git -C "$repo" ls-files -z --cached --others --exclude-standard \
     | (cd "$repo" && tar --null --ignore-failed-read -T - -cf - 2>/dev/null) \
     | tar -x -C "$tmp/work"
 
-run_presets() {
-    local tree=$1
+run_outputs() {
+    local tree=$1 scenario=$tmp/work/tools/scenario.json
     mkdir -p "$tree/out"
     for fig in fig2 fig3 fig4 fig5; do
         (cd "$tree" && PYTHONPATH=src python3 -m fdrelay.cli --preset "$fig" \
@@ -38,6 +42,10 @@ run_presets() {
         --trials 4000 --seed 0 --out out/fig4_exact.csv >/dev/null)
     (cd "$tree" && PYTHONPATH=src python3 -m fdrelay.cli --preset fig3 --mi exact \
         --trials 4000 --seed 0 --out out/fig3_exact.csv >/dev/null)
+    (cd "$tree" && PYTHONPATH=src python3 -m fdrelay.cli --config "$scenario" \
+        --trials 100000 --seed 0 --out out/scenario.csv >/dev/null)
+    (cd "$tree" && PYTHONPATH=src python3 -m fdrelay.cli --config "$scenario" --mi exact \
+        --trials 4000 --seed 0 --out out/scenario_exact.csv >/dev/null)
 }
 
 # "changed: ...; identical: ..." over the columns of two CSVs with one header
@@ -61,8 +69,8 @@ print("changed: " + ", ".join(n for j, n in enumerate(names) if j in moved)
 PY
 }
 
-run_presets "$tmp/base"
-run_presets "$tmp/work"
+run_outputs "$tmp/base"
+run_outputs "$tmp/work"
 
 status=0
 for f in "$tmp/base/out/"*.csv; do
