@@ -76,12 +76,12 @@ def _mrc_mix_outage(n_sum: int, gbar_sd: float, gbar_rd: float, e: float) -> flo
     """
     if e <= 0.0:
         return 0.0
-    if gbar_rd <= 0.0:
+    v = e / gbar_rd if gbar_rd > 0.0 else math.inf
+    if math.isinf(v):   # a dead relay link, or a relayed sum that adds nothing next to e
         return _exp_outage(gbar_sd, e)
-    v = e / gbar_rd
     if gbar_sd <= 0.0:
         return regularized_lower_gamma_int(n_sum, v)
-    x = e * (gbar_sd - gbar_rd) / (gbar_rd * gbar_sd)
+    x = v * ((gbar_sd - gbar_rd) / gbar_sd)
     if x >= n_sum:
         relayed = (math.exp(-e / gbar_sd - n_sum * math.log1p(-gbar_rd / gbar_sd))
                    * regularized_lower_gamma_int(n_sum, x))

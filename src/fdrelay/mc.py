@@ -10,19 +10,15 @@ from .analytic import eta, relay_tx_power
 from .channel import (PHILOX_BLOCK, LinkSinrs, draw_realization, link_sinrs,
                       trial_block_uniforms)
 from .fde import BinSpectrum, approx_rate, exact_rate, lambda_spectrum
-from .model import MI_EXACT, SYNCHRONOUS, OutageEstimate, SystemConfig, _check_int
+from .model import MI_EXACT, OutageEstimate, SystemConfig, _check_int
 
 SCHEME_MULTI = "multi"
 SCHEME_OS = "os"
 SCHEME_PS = "ps"
 SCHEMES = (SCHEME_MULTI, SCHEME_OS, SCHEME_PS)
 
-# byte budget of the largest array of a chunk: the complex taps (16*block_len
-# bytes per trial) under exact MI, else the uniforms (8*trial_block_uniforms(N)
-# per plane): the power plane, and under synchronous combining, which reads
-# h_rd, the phase plane too.  The default chunk fits it, so memory per chunk is
-# bounded for any block_len and the buffers an estimate reuses across chunks
-# stay small
+# byte budget of a default chunk, at 16 bytes per uniform slot of a trial (its
+# two Philox planes, read or not) plus, under exact MI, 16 per bin for its taps
 CHUNK_BYTES = 2 << 20
 
 SEED_BITS = 128        # a seed is a Philox key, an int in [0, 2**SEED_BITS)
@@ -95,16 +91,16 @@ def estimate_outage(cfg: SystemConfig, scheme: str, trials: int,
     aggregate is an integer count, so the result is bit-identical for any
     chunk size or worker split of the same (seed, trials); chunk=1 runs the
     trials one at a time.  The default chunk fits CHUNK_BYTES, bounding memory
-    per chunk for any block_len; the power-plane and (exact MI) spectrum buffers
-    are allocated once and each chunk writes their leading size rows.
+    per chunk for any block_len and relay count; the power-plane and (exact MI)
+    spectrum buffers are allocated once and each chunk writes their leading
+    size rows.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     _check_int("trials", trials)
     exact, width = cfg.mi_mode == MI_EXACT, trial_block_uniforms(cfg.n_relays)
     if chunk is None:
-        planes = 2 if cfg.sync_mode == SYNCHRONOUS else 1
-        chunk = max(1, CHUNK_BYTES // (16 * cfg.block_len if exact else 8 * planes * width))
+        chunk = max(1, CHUNK_BYTES // (16 * (width + (cfg.block_len if exact else 0))))
     chunk = min(_check_int("chunk", chunk), trials)
     uniforms = np.empty((chunk, width))
     spec = BinSpectrum(np.empty((chunk, cfg.block_len), complex),

@@ -28,6 +28,8 @@ DB_FIELDS = (
 # fields a sweep may vary; n_relays also re-derives derived delays (see configure)
 SWEEPABLE_FIELDS = DB_FIELDS + ("rate", "n_relays")
 
+COUNT_BITS = 20        # n_relays, block_len and cp_len lie below 2**COUNT_BITS
+
 
 def db_to_linear(x_db: float) -> float:
     """Power ratio for a dB value: 10^(x/10)."""
@@ -57,11 +59,11 @@ def _check_real(name: str, value, bound: float = sys.float_info.max) -> float:
     raise ValueError(f"{name} must be a finite real number{at_most}, got {value!r}")
 
 
-def _as_int(name: str, raw, low: int) -> int:
+def _as_int(name: str, raw, low: int, bits: int = 0) -> int:
     # an integral real such as 5.0 or np.int64(5) as an int, by the one integer rule
     whole = isinstance(raw, numbers.Integral) or (
         isinstance(raw, numbers.Real) and float(raw).is_integer())
-    return _check_int(name, int(raw) if whole and not isinstance(raw, bool) else raw, low)
+    return _check_int(name, int(raw) if whole and not isinstance(raw, bool) else raw, low, bits)
 
 
 def default_delays(n_relays: int, sync_mode: str) -> tuple[int, ...]:
@@ -103,7 +105,7 @@ class SystemConfig:
 
     def __post_init__(self):
         if self.delays is None:
-            n_relays = _check_int("n_relays", self.n_relays)
+            n_relays = _check_int("n_relays", self.n_relays, 1, COUNT_BITS)
             object.__setattr__(self, "delays", default_delays(n_relays, self.sync_mode))
 
 
@@ -111,16 +113,17 @@ _FIELDS = {f.name: f for f in fields(SystemConfig)}   # .type is the annotation 
 
 
 def validate_config(cfg: SystemConfig) -> SystemConfig:
-    """Check every invariant and return cfg unchanged; raise ValueError naming
-    the first violated rule.  Counts and each delay follow _check_int, reals
-    _check_real, and the rate keeps eta's 2**(rate*(T+cp)/T) below overflow."""
-    _check_int("n_relays", cfg.n_relays)
+    """Check every invariant and return cfg unchanged; raise ValueError naming the
+    first violated rule.  Counts, below 2**COUNT_BITS, and each delay follow _check_int,
+    reals _check_real, and the rate keeps eta's 2**(rate*(T+cp)/T) below overflow."""
+    _check_int("n_relays", cfg.n_relays, 1, COUNT_BITS)
     for name in DB_FIELDS:
         if _check_real(name, getattr(cfg, name)) < 0.0:
             raise ValueError(f"{name} must be non-negative")
     if not _check_real("rate", cfg.rate) > 0.0:
         raise ValueError("rate must be positive")
-    T, cp = _check_int("block_len", cfg.block_len), _check_int("cp_len", cfg.cp_len, 0)
+    T = _check_int("block_len", cfg.block_len, 1, COUNT_BITS)
+    cp = _check_int("cp_len", cfg.cp_len, 0, COUNT_BITS)
     if not cfg.rate * (T + cp) / T < 1024:
         raise ValueError(f"rate must be below {1024 * T / (T + cp):.9g}, got {cfg.rate!r}")
     if cfg.sync_mode not in (ASYNCHRONOUS, SYNCHRONOUS):
@@ -164,7 +167,7 @@ def parse_field(name: str, raw) -> tuple[str, object]:
         raise ValueError(f"parameter {field!r} has no dB form")
     kind = _FIELDS[field].type
     if kind == "int":
-        return field, _as_int(name, raw, 0 if field == "cp_len" else 1)
+        return field, _as_int(name, raw, 0 if field == "cp_len" else 1, COUNT_BITS)
     if field == "delays" and isinstance(raw, (list, tuple)):
         return field, tuple(_as_int(name, d, 0) for d in raw)
     if kind != "float":

@@ -68,7 +68,7 @@ def test_check_spec_rejections():
         (small_spec(param="colour"), "unknown sweep parameter"),
         (small_spec(param="rate_db"), "no dB form"),
         (small_spec(param="n_relays", values=(2.5, 3.0)),
-         "n_relays must be a positive integer, got 2.5"),
+         r"n_relays must be a positive integer below 2\*\*20, got 2.5"),
         (small_spec(schemes=("multi", "best")), "unknown scheme"),
         (small_spec(trials=0), "trials must be a positive integer"),
     ]
@@ -439,9 +439,12 @@ def scenario(**over):
     {"sweep": {"param": "var_iri_db", "values": [True, 5.0]}},
     {"p_source_db": 4000},
     {"sweep": {"param": "var_iri_db", "values": [0.0, 4000]}},
+    {"n_relays": 1e300},
+    {"n_relays": 1e8, "sync_mode": "synchronous"},
+    {"block_len": 10**309},
 ], ids=["delays-int", "n_relays-list", "sweep-param-int", "sweep-values-int",
         "p_source-bool", "delays-fraction", "sweep-values-bool", "p_source_db-huge",
-        "sweep-values-db-huge"])
+        "sweep-values-db-huge", "n_relays-1e300", "n_relays-1e8-sync", "block_len-310-digits"])
 def test_main_rejects_mistyped_config(tmp_path, capsys, over):
     doc = {k: v for k, v in scenario(**over).items() if v is not None}
     path = tmp_path / "typed.json"

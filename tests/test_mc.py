@@ -276,10 +276,14 @@ def test_reused_chunk_buffers_match_fresh_ones(over, scheme):
     (replace(build_preset("fig4").variants[0][1].base, mi_mode=MI_EXACT, block_len=4096), 300),
     (fig_config(n_relays=64, cp_len=64), 5000),
     (fig_config(n_relays=64, cp_len=64, sync_mode=SYNCHRONOUS, delays=None), 5000),
-], ids=["exact-T4096", "approx-N64", "sync-approx-N64"])
+    (fig_config(n_relays=32, block_len=8, cp_len=8, sync_mode=SYNCHRONOUS, delays=None,
+                mi_mode=MI_EXACT), 5000),
+    (fig_config(n_relays=64, block_len=100, cp_len=64, mi_mode=MI_EXACT), 5000),
+], ids=["exact-T4096", "approx-N64", "sync-approx-N64", "sync-exact-N32-T8", "exact-N64-T100"])
 def test_estimate_memory_is_bounded_by_the_chunk_budget(cfg, trials):
     # the default chunk fits CHUNK_BYTES, so the traced peak stays a small
-    # multiple of it however long the block or many the relays
+    # multiple of it however long the block or many the relays, also where
+    # the relay axis outweighs the taps (2N+1 > T)
     tracemalloc.start()
     try:
         estimate_outage(cfg, SCHEME_MULTI, trials, seed=0)

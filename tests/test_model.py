@@ -6,13 +6,16 @@ import pytest
 
 from fdrelay.analytic import eta, total_outage
 from fdrelay.mc import estimate_outage
-from fdrelay.model import (ASYNCHRONOUS, SYNCHRONOUS, OutageEstimate,
-                           SystemConfig, apply_param, configure, db_to_linear,
+from fdrelay.model import (ASYNCHRONOUS, FIXED_PER_RELAY, SHARED_BUDGET,
+                           SYNCHRONOUS, OutageEstimate, SystemConfig,
+                           apply_param, configure, db_to_linear,
                            default_delays, linear_to_db, parse_field,
                            validate_config)
 
 
 NAN, INF = float("nan"), float("inf")
+# the wording of a refused count or length: field, kind, then the value's repr
+BELOW = r"{} must be a {} integer below 2\*\*20, got {}"
 
 
 def base_config(**over):
@@ -149,9 +152,9 @@ def test_apply_param_rejects_unknown():
         apply_param(base_config(), "block_len", 256)
     with pytest.raises(ValueError, match="no dB form"):
         apply_param(base_config(), "rate_db", 3.0)
-    with pytest.raises(ValueError, match="n_relays must be a positive integer, got 2.5"):
+    with pytest.raises(ValueError, match=BELOW.format("n_relays", "positive", "2.5")):
         apply_param(base_config(), "n_relays", 2.5)
-    with pytest.raises(ValueError, match="n_relays must be a positive integer, got inf"):
+    with pytest.raises(ValueError, match=BELOW.format("n_relays", "positive", "inf")):
         apply_param(base_config(), "n_relays", INF)
 
 
@@ -208,7 +211,7 @@ def test_config_from_dict_rejections():
     # counts and lengths are never truncated
     for field, value, kind in [("n_relays", 2.7, "positive"), ("block_len", 500.9, "positive"),
                                ("cp_len", 10.5, "non-negative"), ("n_relays", INF, "positive")]:
-        with pytest.raises(ValueError, match=f"{field} must be a {kind} integer, got {value}"):
+        with pytest.raises(ValueError, match=BELOW.format(field, kind, value)):
             configure({**good, field: value})
 
 
@@ -258,19 +261,30 @@ def test_outage_estimate_rejects_non_integral_counts(count, trials, message):
 
 
 @pytest.mark.parametrize("over, message", [
-    (dict(n_relays=2.0, delays=(1, 2)), "n_relays must be a positive integer, got 2.0"),
-    (dict(block_len=np.int64(500)), "block_len must be a positive integer, got"),
-    (dict(cp_len=-3), "cp_len must be a non-negative integer, got -3"),
-    (dict(cp_len=10.0), "cp_len must be a non-negative integer, got 10.0"),
+    # a case whose message gained the bound keeps its id, which names the rule
+    pytest.param(dict(n_relays=2.0, delays=(1, 2)), BELOW.format("n_relays", "positive", "2.0"),
+                 id="over0-n_relays must be a positive integer, got 2.0"),
+    pytest.param(dict(block_len=np.int64(500)), BELOW.format("block_len", "positive", ""),
+                 id="over1-block_len must be a positive integer, got"),
+    pytest.param(dict(cp_len=-3), BELOW.format("cp_len", "non-negative", "-3"),
+                 id="over2-cp_len must be a non-negative integer, got -3"),
+    pytest.param(dict(cp_len=10.0), BELOW.format("cp_len", "non-negative", "10.0"),
+                 id="over3-cp_len must be a non-negative integer, got 10.0"),
     # without pinned delays the count is refused where they are derived
-    (dict(n_relays=2.0), "n_relays must be a positive integer, got 2.0"),
-    (dict(n_relays=2.5), "n_relays must be a positive integer, got 2.5"),
+    pytest.param(dict(n_relays=2.0), BELOW.format("n_relays", "positive", "2.0"),
+                 id="over4-n_relays must be a positive integer, got 2.0"),
+    pytest.param(dict(n_relays=2.5), BELOW.format("n_relays", "positive", "2.5"),
+                 id="over5-n_relays must be a positive integer, got 2.5"),
     # every delay follows the same rule, with a lower bound of 0
     (dict(n_relays=2, delays=(1.0, 2)), "delays must be a non-negative integer, got 1.0"),
     (dict(n_relays=2, delays=(True, 2)), "delays must be a non-negative integer, got True"),
     (dict(n_relays=2, delays=(-1, 2)), "delays must be a non-negative integer, got -1"),
     (dict(n_relays=2, delays=[1, 2]),
      r"delays must be a list of integers \(a tuple in SystemConfig\), got \[1, 2\]"),
+    # a count beyond the bound is refused before any delay is derived
+    (dict(n_relays=10**8, sync_mode=SYNCHRONOUS), BELOW.format("n_relays", "positive", "")),
+    (dict(block_len=2**20), BELOW.format("block_len", "positive", "1048576")),
+    (dict(cp_len=2**20), BELOW.format("cp_len", "non-negative", "1048576")),
 ])
 def test_validate_counts_in_one_wording(over, message):
     # a directly built config is not typed by parse_field, so the one integer
@@ -295,11 +309,11 @@ def test_replace_keeps_config_frozen():
     ("var_sd_db", NAN, "var_sd_db must be a finite real number"),
     ("var_rd_db", -INF, "var_rd_db must be a finite real number"),
     # a case whose message changed wording keeps its id, which names the rule
-    pytest.param("n_relays", [2], "n_relays must be a positive integer, got \\[2\\]",
+    pytest.param("n_relays", [2], BELOW.format("n_relays", "positive", "\\[2\\]"),
                  id="n_relays-raw6-n_relays must be an integer"),
-    pytest.param("n_relays", "2", "n_relays must be a positive integer, got '2'",
+    pytest.param("n_relays", "2", BELOW.format("n_relays", "positive", "'2'"),
                  id="n_relays-2-n_relays must be an integer"),
-    pytest.param("block_len", False, "block_len must be a positive integer, got False",
+    pytest.param("block_len", False, BELOW.format("block_len", "positive", "False"),
                  id="block_len-False-block_len must be an integer"),
     ("rate_db", 3.0, "no dB form"),
     ("n_relays_db", 3.0, "no dB form"),
@@ -310,8 +324,14 @@ def test_replace_keeps_config_frozen():
     ("var_iri_db", -3080.5, "var_iri_db must be a finite real number of magnitude at most 3080"),
     pytest.param("p_source", 2**1024, "p_source must be a finite real number, got 1797",
                  id="p_source-int-beyond-double"),
-    ("cp_len", -1, "cp_len must be a non-negative integer, got -1"),
+    pytest.param("cp_len", -1, BELOW.format("cp_len", "non-negative", "-1"),
+                 id="cp_len--1-cp_len must be a non-negative integer, got -1"),
     ("delays", [1, 2.5], "delays must be a non-negative integer, got 2.5"),
+    # a count or length that no double or index holds
+    pytest.param("n_relays", 1e300, BELOW.format("n_relays", "positive", "1000000000"),
+                 id="n_relays-1e300"),
+    pytest.param("block_len", 10**309, BELOW.format("block_len", "positive", "1000000000"),
+                 id="block_len-310-digits"),
 ])
 def test_parse_field_rejects(name, raw, msg):
     with pytest.raises(ValueError, match=msg):
@@ -392,6 +412,35 @@ def test_rate_ceiling_keeps_eta_a_double():
         validate_config(base_config(rate=1004))
     with pytest.raises(ValueError, match="rate must be below 1003.92157, got 1004.0"):
         apply_param(cfg, "rate", 1004.0)
+
+
+@pytest.mark.parametrize("sync_mode", [ASYNCHRONOUS, SYNCHRONOUS])
+def test_rate_ceiling_with_a_relayed_sum_that_adds_nothing(sync_mode):
+    # eta near 1e308 over a weak relay link makes e/gbar_rd infinite: the
+    # relayed sum adds nothing next to eta, so the direct link decides
+    cfg = validate_config(base_config(n_relays=6, block_len=4096, cp_len=6, rate=1022.50,
+                                      p_source=0.012, e_relay_budget=0.0042, var_rd=70.7,
+                                      sync_mode=sync_mode))
+    assert total_outage(cfg) == 1.0
+
+
+def test_closed_form_near_the_rate_ceiling_never_raises():
+    # seeded configs with the rate within 50% of its ceiling, both combining
+    # modes and power policies: a value in [0, 1] for each, never an error
+    rng = np.random.default_rng(18)   # draws three configs with an infinite e/gbar_rd
+    for _ in range(300):
+        n = int(rng.integers(1, 65))
+        block_len = n + int(rng.choice([8, 64, 500, 4096]))   # no delay 1..n divides it
+        cp_len = int(rng.integers(n, 65))
+        top = 1024 * block_len / (block_len + cp_len)
+        powers = (10.0 ** rng.uniform(-3.0, 3.0, size=7)).tolist()   # floats, as parse_field gives
+        cfg = validate_config(SystemConfig(
+            n_relays=n, p_source=powers[0], e_relay_budget=powers[1],
+            rate=top * rng.uniform(0.5, 0.9999), var_sd=powers[2], var_sr=powers[3],
+            var_rd=powers[4], var_rsi=powers[5], var_iri=powers[6], block_len=block_len,
+            cp_len=cp_len, sync_mode=str(rng.choice([ASYNCHRONOUS, SYNCHRONOUS])),
+            relay_power_policy=str(rng.choice([SHARED_BUDGET, FIXED_PER_RELAY]))))
+        assert 0.0 <= total_outage(cfg) <= 1.0
 
 
 @pytest.mark.parametrize("block_len, cp_len", [(500, 10), (64, 8), (3, 2), (4096, 7), (7, 1)])

@@ -8,9 +8,11 @@
 # untracked, non-ignored files) into a temporary directory and runs the same
 # outputs in each at seed 0: the presets (fig2-fig5 approximate MI at 1e5
 # trials per point; exact MI at 4000 for fig4, asynchronous, and fig3,
-# synchronous) and the working tree's tools/scenario.json, which sends
-# integral floats for counts and pinned delays through --config (approximate
-# MI at 1e5 trials, exact MI at 4000).  cmp's every CSV and prints one line
+# synchronous); the working tree's tools/scenario.json, which sends integral
+# floats for counts and pinned delays through --config (approximate MI at 1e5
+# trials, exact MI at 4000); and its tools/scenario_wide.json, 32 synchronous
+# relays over an 8-bin block, where the relay axis rather than the taps sizes
+# an exact-MI chunk (exact MI at 4000).  cmp's every CSV and prints one line
 # per file, naming for a file that differs the columns that changed and
 # those that stayed identical (so an intended change of the random stream
 # shows only mc_p and mc_stderr moving), and exits non-zero if any file
@@ -32,7 +34,7 @@ git -C "$repo" ls-files -z --cached --others --exclude-standard \
     | tar -x -C "$tmp/work"
 
 run_outputs() {
-    local tree=$1 scenario=$tmp/work/tools/scenario.json
+    local tree=$1 scenario=$tmp/work/tools/scenario.json wide=$tmp/work/tools/scenario_wide.json
     mkdir -p "$tree/out"
     for fig in fig2 fig3 fig4 fig5; do
         (cd "$tree" && PYTHONPATH=src python3 -m fdrelay.cli --preset "$fig" \
@@ -46,6 +48,8 @@ run_outputs() {
         --trials 100000 --seed 0 --out out/scenario.csv >/dev/null)
     (cd "$tree" && PYTHONPATH=src python3 -m fdrelay.cli --config "$scenario" --mi exact \
         --trials 4000 --seed 0 --out out/scenario_exact.csv >/dev/null)
+    (cd "$tree" && PYTHONPATH=src python3 -m fdrelay.cli --config "$wide" --mi exact \
+        --trials 4000 --seed 0 --out out/scenario_wide_exact.csv >/dev/null)
 }
 
 # "changed: ...; identical: ..." over the columns of two CSVs with one header
