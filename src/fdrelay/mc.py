@@ -9,7 +9,7 @@ import numpy as np
 from .analytic import eta, relay_tx_power
 from .channel import (PHILOX_BLOCK, LinkSinrs, draw_realization, link_sinrs,
                       trial_block_uniforms)
-from .fde import BinSpectrum, approx_rate, exact_rate, lambda_spectrum
+from .fde import approx_rate, exact_rate, lambda_spectrum
 from .model import MI_EXACT, OutageEstimate, SystemConfig, _check_int
 
 SCHEME_MULTI = "multi"
@@ -18,7 +18,10 @@ SCHEME_PS = "ps"
 SCHEMES = (SCHEME_MULTI, SCHEME_OS, SCHEME_PS)
 
 # byte budget of a default chunk, at 16 bytes per uniform slot of a trial (its
-# two Philox planes, read or not) plus, under exact MI, 16 per bin for its taps
+# two Philox planes, read or not) plus, under exact MI, 16 per bin: its 8-byte
+# bin SINR and transform scratch, which is (chunk, n < T) except where the taps
+# are transformed at T, 24 bytes per bin; the traced peak stays below four
+# budgets either way
 CHUNK_BYTES = 2 << 20
 
 SEED_BITS = 128        # a seed is a Philox key, an int in [0, 2**SEED_BITS)
@@ -71,12 +74,12 @@ def forwarding(real, cfg: SystemConfig, scheme: str) -> tuple[np.ndarray, LinkSi
     return (np.arange(cfg.n_relays) == chosen[..., None]) & (sinrs.g_sr >= eta(cfg)), sinrs
 
 
-def _trial_outages(cfg: SystemConfig, scheme: str, real, spec_out: BinSpectrum | None):
+def _trial_outages(cfg: SystemConfig, scheme: str, real, gamma: np.ndarray | None):
     # every step broadcasts over the batch axis, so a trial's flag does not
     # depend on the batch it is drawn in
     mask, sinrs = forwarding(real, cfg, scheme)
     if cfg.mi_mode == MI_EXACT:
-        spec = lambda_spectrum(real, mask, cfg, sinrs.relay_tx_power, out=spec_out)
+        spec = lambda_spectrum(real, mask, cfg, sinrs.relay_tx_power, out=gamma)
         rate = exact_rate(spec, cfg, out=spec.gamma)
     else:
         rate = approx_rate(sinrs, mask, cfg)
@@ -92,7 +95,7 @@ def estimate_outage(cfg: SystemConfig, scheme: str, trials: int,
     chunk size or worker split of the same (seed, trials); chunk=1 runs the
     trials one at a time.  The default chunk fits CHUNK_BYTES, bounding memory
     per chunk for any block_len and relay count; the power-plane and (exact MI)
-    spectrum buffers are allocated once and each chunk writes their leading
+    bin-SINR buffers are allocated once and each chunk writes their leading
     size rows.
     """
     if scheme not in SCHEMES:
@@ -103,13 +106,12 @@ def estimate_outage(cfg: SystemConfig, scheme: str, trials: int,
         chunk = max(1, CHUNK_BYTES // (16 * (width + (cfg.block_len if exact else 0))))
     chunk = min(_check_int("chunk", chunk), trials)
     uniforms = np.empty((chunk, width))
-    spec = BinSpectrum(np.empty((chunk, cfg.block_len), complex),
-                       np.empty((chunk, cfg.block_len))) if exact else None
+    gamma = np.empty((chunk, cfg.block_len)) if exact else None
     count = 0
     for start in range(0, trials, chunk):
         size = min(chunk, trials - start)
         rng = trial_stream(seed, start, cfg.n_relays)
         real = draw_realization(cfg, rng, size=size, out=uniforms[:size])
-        rows = None if spec is None else BinSpectrum(spec.lam[:size], spec.gamma[:size])
+        rows = None if gamma is None else gamma[:size]
         count += int(np.count_nonzero(_trial_outages(cfg, scheme, real, rows)))
     return OutageEstimate(count, trials)

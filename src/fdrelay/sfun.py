@@ -15,16 +15,9 @@ __all__ = [
 ]
 
 
-def abs2(z, out=None):
-    """Squared magnitude computed as re^2 + im^2, scalar or ndarray; out, a real
-    array shaped like z, receives it with im^2 added 32 rows at a time, so no
-    temporary exceeds 32 rows."""
-    if out is None:
-        return z.real * z.real + z.imag * z.imag
-    np.multiply(z.real, z.real, out=out)
-    for i in range(0, len(z), 32):
-        out[i:i + 32] += z.imag[i:i + 32] * z.imag[i:i + 32]
-    return out
+def abs2(z):
+    """Squared magnitude computed as re^2 + im^2, scalar or ndarray."""
+    return z.real * z.real + z.imag * z.imag
 
 
 def poisson_pmf(n: int, x: float) -> float:

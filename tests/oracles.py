@@ -48,7 +48,8 @@ def direct_spectrum(real, mask, cfg, relay_power):
     """Per-bin gains by summing each relay's phase ramp directly, O(T N).
 
     lam_i = sqrt(P_S) h_sd + sum_k mask_k sqrt(P_R) h_rd_k e^{-j2pi i tau_k/T},
-    one exp phase vector per relay, added in index order.
+    one exp phase vector per relay, added in index order.  Each phase i tau_k
+    is reduced mod T in integers first, so no argument exceeds 2pi.
     """
     t_len = cfg.block_len
     coef = np.sqrt(np.asarray(relay_power))[..., None] * real.h_rd * mask
@@ -57,7 +58,7 @@ def direct_spectrum(real, mask, cfg, relay_power):
     lam = np.zeros(np.shape(base) + (t_len,), dtype=complex)
     lam += np.asarray(base)[..., None]
     for k in range(cfg.n_relays):
-        phase = np.exp((-2j * np.pi * (cfg.delays[k] % t_len) / t_len) * i)
+        phase = np.exp((-2j * np.pi / t_len) * (cfg.delays[k] * i % t_len))
         lam += coef[..., k, None] * phase
     return lam
 

@@ -56,6 +56,7 @@ def test_removed_parameters_and_fields_are_gone():
     assert list(inspect.signature(fdrelay.eta).parameters) == ["cfg"]
     assert not hasattr(fdrelay.ChannelRealization, "from_gains")
     assert not hasattr(fdrelay.OutageEstimate, "from_counts")
+    assert "out" not in inspect.signature(sfun.abs2).parameters
 
 
 def test_bench_wrap_points_resolve(monkeypatch):

@@ -5,9 +5,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from fdrelay.channel import draw_realization, link_sinrs
-from fdrelay.fde import BinSpectrum, approx_rate, exact_rate, lambda_spectrum
+from fdrelay.fde import approx_rate, exact_rate, lambda_spectrum
 from fdrelay.mc import SCHEME_MULTI, forwarding, trial_stream
 from fdrelay.model import SYNCHRONOUS, SystemConfig
+from fdrelay.sfun import abs2
 from oracles import direct_spectrum, from_gains
 
 
@@ -186,21 +187,29 @@ def rows(real, start, stop):
     return from_gains(real.h_sd[start:stop], real.h_sr[start:stop], real.h_rd[start:stop])
 
 
-@pytest.mark.parametrize("mode", ["async", "sync"])
+# ten relays over a 16-bin block, delays past T/2: the autocorrelation wraps
+CIRCULAR = replace(FIG4, block_len=16, cp_len=15, delays=(1, 3, 5, 7, 9, 11, 13, 15, 15, 2))
+
+
+@pytest.mark.parametrize("mode", ["async", "sync", "circular"])
 def test_spectrum_rows_independent_of_batch_size(mode):
-    cfg = FIG4 if mode == "async" else replace(FIG4, sync_mode=SYNCHRONOUS, delays=None)
+    cfg = {"async": FIG4, "sync": replace(FIG4, sync_mode=SYNCHRONOUS, delays=None),
+           "circular": CIRCULAR}[mode]
     real, mask, power = multi_chunk(cfg, 2048, seed=21)
     assert 0 < mask.sum() < mask.size
-    full = lambda_spectrum(real, mask, cfg, power).lam
+    full = lambda_spectrum(real, mask, cfg, power)
     for t in range(2048):
-        one = from_gains(real.h_sd[t], real.h_sr[t], real.h_rd[t])
-        assert np.array_equal(lambda_spectrum(one, mask[t], cfg, power[t]).lam, full[t])
-    for size in (1, 3, 7, 48):
+        one = lambda_spectrum(from_gains(real.h_sd[t], real.h_sr[t], real.h_rd[t]),
+                              mask[t], cfg, power[t])
+        assert np.array_equal(one.gamma, full.gamma[t])
+        assert np.array_equal(one.lam, full.lam[t])
+    for size in (1, 3, 7, 48, 200):
         for start in range(0, 2048, size):
             stop = start + size
             part = lambda_spectrum(rows(real, start, stop), mask[start:stop], cfg,
-                                   power[start:stop]).lam
-            assert np.array_equal(part, full[start:stop])
+                                   power[start:stop])
+            assert np.array_equal(part.gamma, full.gamma[start:stop])
+            assert np.array_equal(part.lam, full.lam[start:stop])
 
 
 @pytest.mark.parametrize("delays", [(2, 2, 2), (0, 0, 0), (8, 8, 8)],
@@ -232,15 +241,91 @@ def test_spectrum_matches_direct_phase_sum():
 
 
 def test_spectrum_and_rate_into_used_buffers_match_fresh_ones():
-    # out= buffers still holding other values: the taps are zeroed again and
-    # gamma and log2(1+gamma) are written over, bit for bit as without out
-    real, mask, power = multi_chunk(FIG4, 64, seed=7)
-    fresh = lambda_spectrum(real, mask, FIG4, power)
-    rate = exact_rate(fresh, FIG4)
-    shape = (64, FIG4.block_len)
-    out = BinSpectrum(np.full(shape, 1 + 1j), np.full(shape, np.nan))
-    spec = lambda_spectrum(real, mask, FIG4, power, out=out)
-    assert spec.lam is out.lam and spec.gamma is out.gamma
-    assert np.array_equal(spec.lam, fresh.lam) and np.array_equal(spec.gamma, fresh.gamma)
-    assert np.array_equal(exact_rate(spec, FIG4, out=spec.gamma), rate)
-    assert np.array_equal(exact_rate(fresh, FIG4), rate)     # no out: gamma kept
+    # an out= buffer still holding other values: gamma and then log2(1+gamma)
+    # are written over it, bit for bit as without out
+    for cfg in (FIG4, CIRCULAR):
+        real, mask, power = multi_chunk(cfg, 64, seed=7)
+        fresh = lambda_spectrum(real, mask, cfg, power)
+        rate = exact_rate(fresh, cfg)
+        buf = np.full((64, cfg.block_len), np.nan)
+        spec = lambda_spectrum(real, mask, cfg, power, out=buf)
+        assert spec.gamma is buf
+        assert np.array_equal(spec.gamma, fresh.gamma)
+        assert np.array_equal(exact_rate(spec, cfg, out=spec.gamma), rate)
+        assert np.array_equal(exact_rate(fresh, cfg), rate)     # no out: gamma kept
+
+
+def test_hfft_ignores_out_so_gamma_is_written_by_irfft():
+    # gamma is hfft(r, n=T) of the autocorrelation lags r, taken as
+    # irfft(conj(r), norm="forward") because numpy's hfft returns a new array
+    # and leaves its out= untouched; the two agree bit for bit
+    rng = np.random.default_rng(8)
+    r = rng.normal(size=(5, 11)) + 1j * rng.normal(size=(5, 11))
+    buf = np.full((5, 500), np.nan)
+    assert np.fft.hfft(r, n=500, out=buf) is not buf
+    assert np.isnan(buf).all()
+    assert np.fft.irfft(np.conj(r), n=500, norm="forward", out=buf) is buf
+    assert np.array_equal(buf, np.fft.hfft(r, n=500))
+
+
+def assert_gamma_near_direct(real, mask, cfg, power):
+    # gamma within 1e-13 of each row's mean bin SINR of |lam|^2 summed phase by phase
+    spec = lambda_spectrum(real, mask, cfg, power)
+    ref = abs2(direct_spectrum(real, mask, cfg, power))
+    assert np.all(np.abs(spec.gamma - ref) <= 1e-13 * ref.mean(axis=-1, keepdims=True))
+    return spec
+
+
+@pytest.mark.parametrize("t_len", [4, 8, 16, 64])
+def test_gamma_matches_direct_sum_with_delays_up_to_the_block(t_len):
+    # delays anywhere in 0..T-1, shared ones included: the taps are
+    # transformed at T (circular) unless 2D+1 fits a power of two below T
+    rng = np.random.default_rng(t_len)
+    tap_lens = set()
+    for trial in range(100):
+        n = int(rng.integers(1, 7))
+        cfg = SystemConfig(n_relays=n, p_source=float(rng.uniform(0.1, 5.0)),
+                           e_relay_budget=float(rng.uniform(0.1, 5.0)), rate=1.0,
+                           block_len=t_len, cp_len=t_len - 1,
+                           delays=tuple(rng.integers(0, t_len, size=n).tolist()))
+        real = draw_realization(cfg, trial_stream(trial, 0, n), size=16)
+        mask = rng.random((16, n)) < 0.7
+        spec = assert_gamma_near_direct(real, mask, cfg, rng.uniform(0.1, 5.0, size=16))
+        tap_lens.add(spec.taps.shape[-1])
+    assert t_len in tap_lens and min(tap_lens) < t_len        # both paths reached
+
+
+@pytest.mark.parametrize("cfg", [
+    replace(FIG4, n_relays=32, block_len=8, cp_len=8, sync_mode=SYNCHRONOUS, delays=None),
+    replace(FIG4, n_relays=3, block_len=16, cp_len=15, delays=(6, 6, 6)),
+    replace(FIG4, n_relays=64, block_len=100, cp_len=64, delays=None),
+    FIG4,
+], ids=["sync-N32-T8", "equal-delays", "circular-N64-T100", "fig4"])
+def test_gamma_matches_direct_sum(cfg):
+    real, mask, power = multi_chunk(cfg, 256, seed=17)
+    assert 0 < mask.sum() < mask.size
+    assert_gamma_near_direct(real, mask, cfg, power)
+
+
+@pytest.mark.parametrize("cfg", [FIG4, CIRCULAR], ids=["fig4", "circular"])
+def test_gamma_of_empty_mask_is_flat_and_of_dead_channel_zero(cfg):
+    real, mask, power = multi_chunk(cfg, 64, seed=3)
+    assert_gamma_near_direct(real, np.zeros_like(mask), cfg, power)
+    dead = from_gains(np.zeros(64, complex), np.zeros(mask.shape, complex),
+                      np.zeros(mask.shape, complex))
+    assert np.array_equal(lambda_spectrum(dead, mask, cfg, power).gamma,
+                          np.zeros((64, cfg.block_len)))
+
+
+@pytest.mark.parametrize("cfg", [
+    CIRCULAR,
+    replace(FIG4, n_relays=32, block_len=8, cp_len=8, sync_mode=SYNCHRONOUS, delays=(5,) * 32),
+    replace(FIG4, n_relays=64, block_len=100, cp_len=64, delays=None),
+], ids=["T16", "sync-N32-T8", "N64-T100"])
+def test_circular_gamma_is_the_squared_spectrum_bit_for_bit(cfg):
+    # where 2D+1 does not fit a power of two below T, the taps are transformed
+    # at T and gamma is re^2 + im^2 of that one transform: exact per bin, >= 0
+    real, mask, power = multi_chunk(cfg, 256, seed=9)
+    spec = lambda_spectrum(real, mask, cfg, power)
+    assert spec.taps.shape[-1] == cfg.block_len
+    assert np.array_equal(spec.gamma, abs2(spec.lam)) and spec.gamma.min() >= 0

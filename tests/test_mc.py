@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from fdrelay import channel, mc
+from fdrelay import channel, fde, mc
 from fdrelay.analytic import total_outage
 from fdrelay.channel import LinkSinrs
 from fdrelay.cli import build_preset
@@ -257,18 +257,21 @@ def test_seeds_span_the_whole_philox_key():
     dict(sync_mode=SYNCHRONOUS, delays=None),
     dict(mi_mode=MI_EXACT),
     dict(mi_mode=MI_EXACT, sync_mode=SYNCHRONOUS, delays=None),
-], ids=["async-approx", "sync-approx", "async-exact", "sync-exact"])
+    dict(mi_mode=MI_EXACT, cp_len=31, delays=(3, 9, 17, 25, 31), p_source=30.0,
+         e_relay_budget=30.0),
+], ids=["async-approx", "sync-approx", "async-exact", "sync-exact", "circular-exact"])
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_reused_chunk_buffers_match_fresh_ones(over, scheme):
-    # estimate_outage reuses one uniform block and, under exact MI, one tap and
-    # one gamma block across chunks.  52 trials in chunks of 7 end on a ragged
-    # chunk of 3 that writes only the leading rows; chunk=1 refills one row 52
+    # estimate_outage reuses one uniform block and, under exact MI, one gamma
+    # block across chunks.  52 trials in chunks of 7 or 18 end on a ragged
+    # chunk that writes only the leading rows; chunk=1 refills one row 52
     # times; chunk=None is a single fresh chunk.  Near-even outage odds make
-    # leftover taps or stale rows show in the count.
+    # stale rows show in the count.  Delays up to 31 of 32 bins make the
+    # taps' autocorrelation circular (the long prefix needs more power).
     cfg = fig_config(rate=2.5, block_len=32, **over)
     counts = [estimate_outage(cfg, scheme, 52, seed=13, chunk=c).outage_count
-              for c in (7, 1, None)]
-    assert counts[0] == counts[1] == counts[2]
+              for c in (7, 1, None, 52 // 3 + 1)]
+    assert len(set(counts)) == 1
     assert 5 < counts[0] < 47
 
 
@@ -309,6 +312,18 @@ def test_async_approx_never_builds_complex_gains(monkeypatch):
     monkeypatch.setattr(channel, "gains_from_uniforms", refuse)
     for scheme in SCHEMES:
         assert estimate_outage(fig_config(), scheme, 3000, seed=2).trials == 3000
+
+
+def test_exact_mi_never_forms_the_complex_spectrum(monkeypatch):
+    # the exact rate reads the bin SINRs only; lam, the length-T complex
+    # spectrum, is left to callers that read it
+    def refuse(self):
+        raise AssertionError("complex spectrum formed")
+
+    monkeypatch.setattr(fde.BinSpectrum, "lam", property(refuse))
+    for scheme in SCHEMES:
+        cfg = fig_config(mi_mode=MI_EXACT, block_len=64)
+        assert estimate_outage(cfg, scheme, 600, seed=4, chunk=256).trials == 600
 
 
 @pytest.mark.parametrize("over, links", [

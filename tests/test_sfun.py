@@ -128,17 +128,6 @@ def test_abs2_matches_squared_magnitude():
     assert abs2(3 + 4j) == 25.0
 
 
-@pytest.mark.parametrize("rows", [1, 31, 32, 70])
-def test_abs2_into_out_is_bit_identical(rows):
-    # out= adds im^2 a block of rows at a time; any row count, a ragged last
-    # block included, gives the bits of the one-shot re^2 + im^2
-    rng = np.random.default_rng(rows)
-    z = rng.normal(size=(rows, 6)) + 1j * rng.normal(size=(rows, 6))
-    out = np.full((rows, 6), np.nan)
-    assert abs2(z, out=out) is out
-    assert np.array_equal(out, abs2(z))
-
-
 def polar(u, variance):
     # the gain of each uniform pair, its power computed as draw_realization does
     return gains_from_uniforms(-variance * np.log1p(-u[..., 0]), u[..., 1])
