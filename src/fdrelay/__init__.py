@@ -7,8 +7,8 @@ with asynchronous (cyclic-prefix / per-bin) or synchronous destinations and
 OS/PS relay-selection baselines.
 """
 
-from .analytic import (combine_outage, eta, link_outages, p_cond_async,
-                       p_cond_sync, total_outage)
+from .analytic import (combine_outage, link_outages, p_cond_async, p_cond_sync,
+                       total_outage)
 from .channel import (ChannelRealization, LinkSinrs, draw_realization,
                       link_sinrs)
 from .fde import BinSpectrum, approx_rate, exact_rate, lambda_spectrum
@@ -17,7 +17,7 @@ from .mc import (SCHEME_MULTI, SCHEME_OS, SCHEME_PS, SCHEMES, estimate_outage,
 from .model import (ASYNCHRONOUS, FIXED_PER_RELAY, MI_APPROXIMATE, MI_EXACT,
                     SHARED_BUDGET, SYNCHRONOUS, OutageEstimate, SweepResult,
                     SweepRow, SweepSpec, SystemConfig, apply_param,
-                    configure, db_to_linear, linear_to_db, validate_config)
+                    configure, db_to_linear, eta, linear_to_db, validate_config)
 
 __version__ = "0.1.0"
 

@@ -1,4 +1,4 @@
-"""Closed-form outage probabilities for the multi-relay scheme."""
+"""Closed-form outage probabilities of the multi-relay scheme and their special functions."""
 
 from __future__ import annotations
 
@@ -6,20 +6,11 @@ import math
 import warnings
 from functools import partial
 
-from .model import FIXED_PER_RELAY, SYNCHRONOUS, SystemConfig, _check_int
-from .sfun import kummer_j, poisson_pmf, regularized_lower_gamma_int
+from .model import (FIXED_PER_RELAY, SYNCHRONOUS, SystemConfig, _check_int, eta,
+                    relay_interference_floor, relay_tx_power)
 
 # tolerated rounding spill outside [0, 1] before the clamp warns
 CLAMP_SLACK = 1e-9
-
-
-def eta(cfg: SystemConfig) -> float:
-    """Decode threshold: SINR below which a block cannot carry cfg.rate bps/Hz.
-
-    The cyclic prefix consumes cp_len of every block_len+cp_len channel uses,
-    hence eta = 2^(rate*(T+cp)/T) - 1.
-    """
-    return 2.0 ** (cfg.rate * (cfg.block_len + cfg.cp_len) / cfg.block_len) - 1.0
 
 
 def _exp_outage(gbar: float, e: float) -> float:
@@ -31,20 +22,6 @@ def _exp_outage(gbar: float, e: float) -> float:
     return -math.expm1(-e / gbar)
 
 
-def relay_tx_power(cfg: SystemConfig, n_forwarding):
-    """Per-relay transmit power when n_forwarding >= 1 relays transmit.
-
-    The one place that knows the relay power policy: the shared budget splits
-    E_R over the forwarding relays, the fixed policy gives each relay E_R.
-    n_forwarding is an int (the closed form, which stays in Python floats) or
-    an array of per-trial counts (Monte-Carlo); mc.forwarding picks the count
-    each scheme's relays transmit with.
-    """
-    if cfg.relay_power_policy == FIXED_PER_RELAY:
-        return cfg.e_relay_budget
-    return cfg.e_relay_budget / n_forwarding
-
-
 def link_outages(cfg: SystemConfig) -> tuple[float, float]:
     """Rayleigh link outages (p_sd, p_sr) at threshold eta.
 
@@ -53,9 +30,61 @@ def link_outages(cfg: SystemConfig) -> tuple[float, float]:
     relays; all relays share it by symmetry.
     """
     e = eta(cfg)
-    denom = relay_tx_power(cfg, cfg.n_relays) * (cfg.var_rsi + cfg.var_iri) + 1.0
+    denom = relay_interference_floor(cfg, relay_tx_power(cfg, cfg.n_relays))
     return (_exp_outage(cfg.p_source * cfg.var_sd, e),
             _exp_outage(cfg.p_source * cfg.var_sr / denom, e))
+
+
+def poisson_pmf(n: int, x: float) -> float:
+    """e^{-x} x^n/n! for x > 0, weighted in log space so no factor overflows."""
+    return math.exp(n * math.log(x) - x - math.lgamma(n + 1))
+
+
+def _top_down_sum(n: int, x: float) -> float:
+    # sum_{i=1}^{n} n!/(n-i)! x^{-i} for |x| >= n, from n/x down by factors (n-i)/x
+    t = total = n / x
+    for i in range(1, n):
+        t *= (n - i) / x
+        total += t
+    return total
+
+
+def kummer_j(n: int, x: float) -> float:
+    """J_n(x) = 1F1(1; n+1; x) = sum_{k>=0} x^k/((n+1)...(n+k)) (DLMF 13.2.2), x < n.
+
+    For |x| < n the series terms shrink by |x|/(n+k) < 1; for x <= -n it is
+    n! x^{-n} (e^x - sum_{m<n} x^m/m!), the polynomial summed from the top
+    term down.  Past x = n, J_n grows like e^x and P(n, x) covers the range.
+    """
+    if x <= -n:
+        lead = math.exp(math.lgamma(n + 1) - n * math.log(-x) + x)
+        return (-lead if n % 2 else lead) - _top_down_sum(n, x)
+    t = total = 1.0
+    k = n + 1
+    while abs(t) > 1e-17 * total:  # t underflows to 0.0 at the latest
+        t *= x / k
+        total += t
+        k += 1
+    return total
+
+
+def regularized_lower_gamma_int(n: int, x: float) -> float:
+    """P(n, x) = gamma(n, x)/(n-1)! for integer n >= 1 and finite x >= 0.
+
+    Below x = n it is Pois(x; n) J_n(x) (DLMF 8.7.1), positive factors that
+    stay accurate where P is tiny; from x = n on, the complement
+    1 - Pois(x; n) sum_{i=1}^{n} n!/(n-i)! x^{-i} (DLMF 8.4.10), whose
+    subtrahend is below 1/2.  Neither form overflows at any finite x.
+    """
+    if n < 1:
+        raise ValueError("order n must be a positive integer")
+    if not (math.isfinite(x) and x >= 0.0):
+        raise ValueError(f"x must be a finite non-negative real number, got {x!r}")
+    if x == 0.0:
+        return 0.0
+    if x < n:
+        return poisson_pmf(n, x) * kummer_j(n, x)
+    return 1.0 - poisson_pmf(n, x) * _top_down_sum(n, x)
 
 
 def _clamped(p: float, what: str) -> float:

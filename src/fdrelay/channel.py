@@ -8,8 +8,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .model import SystemConfig
-from .sfun import gains_from_uniforms
+from .model import SystemConfig, relay_interference_floor
 
 # Philox emits 4 doubles per counter block.  A trial's random slice has two
 # planes: plane 0, the stream the trial's generator stands in, holds the power
@@ -34,6 +33,19 @@ def trial_block_uniforms(n_relays: int) -> int:
 def _links(a: np.ndarray, n_relays: int) -> tuple:
     # the sd, sr and rd slots of a plane's trailing axis
     return a[..., 0], a[..., 1:1 + n_relays], a[..., 1 + n_relays:1 + 2 * n_relays]
+
+
+def gains_from_uniforms(power, u1):
+    """CN(0, variance) draws by the polar method from uniform pairs (u0, u1).
+
+    power = -variance*log(1-u0) is |h|^2, exponential with mean variance, and
+    the phase 2*pi*u1 is uniform, which together give the circularly
+    symmetric complex Gaussian (independent re/im parts of variance/2 each).
+    u0 and u1 sit in the same slot of a trial's power and phase planes.
+    """
+    mag = np.sqrt(power)
+    ang = (2.0 * np.pi) * u1
+    return mag * np.cos(ang) + 1j * (mag * np.sin(ang))
 
 
 @dataclass(frozen=True)
@@ -106,7 +118,7 @@ def link_sinrs(real: ChannelRealization, cfg: SystemConfig, relay_power) -> Link
     relay_power, a scalar or of the realization's batch shape, is the per-relay
     power P_R: it scales the relay-input interference floor and the R_k->D SNR.
     """
-    denom = relay_power * (cfg.var_rsi + cfg.var_iri) + 1.0
+    denom = relay_interference_floor(cfg, relay_power)
     g_sd = cfg.p_source * real.h2_sd
     g_sr = cfg.p_source * real.h2_sr / np.asarray(denom)[..., None]
     g_rd = np.asarray(relay_power)[..., None] * real.h2_rd

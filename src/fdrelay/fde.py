@@ -9,7 +9,6 @@ import numpy as np
 
 from .channel import ChannelRealization, LinkSinrs
 from .model import SYNCHRONOUS, SystemConfig
-from .sfun import abs2
 
 
 @dataclass(frozen=True)
@@ -109,7 +108,7 @@ def approx_rate(sinrs: LinkSinrs, mask: np.ndarray, cfg: SystemConfig):
     _check_mask(mask, sinrs.g_rd)
     if cfg.sync_mode == SYNCHRONOUS:
         h_sum = (sinrs.real.h_rd * mask).sum(axis=-1)
-        relayed = sinrs.relay_tx_power * abs2(h_sum)
+        relayed = sinrs.relay_tx_power * (h_sum.real * h_sum.real + h_sum.imag * h_sum.imag)
     else:
         relayed = (sinrs.g_rd * mask).sum(axis=-1)
     total = sinrs.g_sd + relayed

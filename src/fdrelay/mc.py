@@ -6,11 +6,10 @@ from dataclasses import replace
 
 import numpy as np
 
-from .analytic import eta, relay_tx_power
 from .channel import (PHILOX_BLOCK, LinkSinrs, draw_realization, link_sinrs,
                       trial_block_uniforms)
 from .fde import approx_rate, exact_rate, lambda_spectrum
-from .model import MI_EXACT, OutageEstimate, SystemConfig, _check_int
+from .model import MI_EXACT, OutageEstimate, SystemConfig, _check_int, eta, relay_tx_power
 
 SCHEME_MULTI = "multi"
 SCHEME_OS = "os"

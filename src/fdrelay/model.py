@@ -1,4 +1,5 @@
-"""System configuration, validation, unit conversion, and result containers."""
+"""System configuration and validation, the rules both outage models share, dB helpers,
+and result containers."""
 
 from __future__ import annotations
 
@@ -29,6 +30,10 @@ DB_FIELDS = (
 SWEEPABLE_FIELDS = DB_FIELDS + ("rate", "n_relays")
 
 COUNT_BITS = 20        # n_relays, block_len and cp_len lie below 2**COUNT_BITS
+
+# largest link mean P*var: 2**-64 of the largest double leaves room for the largest
+# exponential draw (53 ln 2 < 2**6) and a coherent sum over N < 2**20 relays (N**2 < 2**40)
+LINK_MEAN_MAX = sys.float_info.max * 2.0 ** -64
 
 
 def db_to_linear(x_db: float) -> float:
@@ -112,16 +117,56 @@ class SystemConfig:
 _FIELDS = {f.name: f for f in fields(SystemConfig)}   # .type is the annotation string
 
 
+def eta(cfg: SystemConfig) -> float:
+    """Decode threshold: SINR below which a block cannot carry cfg.rate bps/Hz.
+
+    The cyclic prefix consumes cp_len of every block_len+cp_len channel uses,
+    hence eta = 2^(rate*(T+cp)/T) - 1.
+    """
+    return 2.0 ** (cfg.rate * (cfg.block_len + cfg.cp_len) / cfg.block_len) - 1.0
+
+
+def relay_tx_power(cfg: SystemConfig, n_forwarding):
+    """Per-relay transmit power when n_forwarding >= 1 relays transmit.
+
+    The one place that knows the relay power policy: the shared budget splits
+    E_R over the forwarding relays, the fixed policy gives each relay E_R.
+    n_forwarding is an int (the closed form, which stays in Python floats) or
+    an array of per-trial counts (Monte-Carlo); mc.forwarding picks the count
+    each scheme's relays transmit with.
+    """
+    if cfg.relay_power_policy == FIXED_PER_RELAY:
+        return cfg.e_relay_budget
+    return cfg.e_relay_budget / n_forwarding
+
+
+def relay_interference_floor(cfg: SystemConfig, relay_power):
+    """P_R*(var_rsi+var_iri)+1: noise plus self- and inter-relay interference at a
+    decoding relay when each relay transmits relay_power (scalar or per-trial array)."""
+    return relay_power * (cfg.var_rsi + cfg.var_iri) + 1.0
+
+
 def validate_config(cfg: SystemConfig) -> SystemConfig:
     """Check every invariant and return cfg unchanged; raise ValueError naming the
     first violated rule.  Counts, below 2**COUNT_BITS, and each delay follow _check_int,
-    reals _check_real, and the rate keeps eta's 2**(rate*(T+cp)/T) below overflow."""
+    reals _check_real and must be Python ints or floats, every link mean stays at
+    most LINK_MEAN_MAX, and the rate keeps eta's 2**(rate*(T+cp)/T) below overflow."""
     _check_int("n_relays", cfg.n_relays, 1, COUNT_BITS)
+    for name in DB_FIELDS + ("rate",):   # a numpy real would warn where a float gives inf
+        if type(value := _check_real(name, getattr(cfg, name))) not in (int, float):
+            raise ValueError(f"{name} must be a Python int or float, got {value!r}")
     for name in DB_FIELDS:
-        if _check_real(name, getattr(cfg, name)) < 0.0:
+        if getattr(cfg, name) < 0.0:
             raise ValueError(f"{name} must be non-negative")
-    if not _check_real("rate", cfg.rate) > 0.0:
+    if not cfg.rate > 0.0:
         raise ValueError("rate must be positive")
+    p_s, e_r = cfg.p_source, cfg.e_relay_budget     # a relay transmits at most E_R
+    for what, mean in (("p_source*var_sd", p_s * cfg.var_sd),
+                       ("p_source*var_sr", p_s * cfg.var_sr),
+                       ("e_relay_budget*var_rd", e_r * cfg.var_rd),
+                       ("e_relay_budget*(var_rsi+var_iri)", e_r * (cfg.var_rsi + cfg.var_iri))):
+        if not mean <= LINK_MEAN_MAX:   # a NaN (0*inf) fails too
+            raise ValueError(f"{what} must be at most {LINK_MEAN_MAX:.3g}, got {mean!r}")
     T = _check_int("block_len", cfg.block_len, 1, COUNT_BITS)
     cp = _check_int("cp_len", cfg.cp_len, 0, COUNT_BITS)
     if not cfg.rate * (T + cp) / T < 1024:
@@ -174,7 +219,7 @@ def parse_field(name: str, raw) -> tuple[str, object]:
         return field, raw
     if field == name:
         return field, float(_check_real(name, raw))
-    return field, db_to_linear(_check_real(name, raw, 3080.0))
+    return field, db_to_linear(float(_check_real(name, raw, 3080.0)))
 
 
 def configure(doc, base: SystemConfig | None = None) -> SystemConfig:

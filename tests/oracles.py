@@ -5,7 +5,11 @@ import math
 import numpy as np
 
 from fdrelay.channel import ChannelRealization
-from fdrelay.sfun import abs2
+
+
+def abs2(z):
+    """Squared magnitude computed as re^2 + im^2, scalar or ndarray."""
+    return z.real * z.real + z.imag * z.imag
 
 
 def combine_by_enumeration(p_sd: float, p_sr: float, p_cond_by_size) -> float:

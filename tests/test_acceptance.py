@@ -12,13 +12,12 @@ from functools import lru_cache
 import numpy as np
 from scipy.integrate import quad
 
-from fdrelay.analytic import combine_outage, eta, total_outage
+from fdrelay.analytic import combine_outage, regularized_lower_gamma_int, total_outage
 from fdrelay.channel import draw_realization
 from fdrelay.cli import build_preset, main
 from fdrelay.fde import approx_rate, exact_rate, lambda_spectrum
 from fdrelay.mc import estimate_outage, forwarding, trial_stream
-from fdrelay.model import MI_EXACT, SystemConfig, apply_param
-from fdrelay.sfun import regularized_lower_gamma_int
+from fdrelay.model import MI_EXACT, SystemConfig, apply_param, eta
 from oracles import combine_by_enumeration
 
 TRIALS = 1_000_000

@@ -10,11 +10,12 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 import fdrelay.analytic as analytic
-from fdrelay.analytic import (_clamped, _mrc_mix_outage, combine_outage, eta,
+from fdrelay.analytic import (_clamped, _mrc_mix_outage, combine_outage,
                               link_outages, p_cond_async, p_cond_sync,
-                              relay_tx_power, total_outage)
+                              total_outage)
 from fdrelay.model import (ASYNCHRONOUS, FIXED_PER_RELAY, SHARED_BUDGET,
-                           SYNCHRONOUS, SystemConfig, validate_config)
+                           SYNCHRONOUS, SystemConfig, eta, relay_tx_power,
+                           validate_config)
 from oracles import combine_by_enumeration, combine_every_size
 
 

@@ -6,8 +6,7 @@ from fdrelay.channel import (draw_realization, link_sinrs, trial_block_uniforms,
                              uniforms_per_trial)
 from fdrelay.model import SystemConfig
 from fdrelay.mc import trial_stream
-from fdrelay.sfun import abs2
-from oracles import from_gains, philox_planes, polar_gains
+from oracles import abs2, from_gains, philox_planes, polar_gains
 
 
 def config(**over):

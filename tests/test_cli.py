@@ -149,6 +149,21 @@ def test_main_refuses_a_rate_beyond_the_ceiling_before_any_trial(tmp_path, capsy
     assert not list(tmp_path.iterdir())
 
 
+def test_main_refuses_a_link_mean_beyond_the_ceiling_before_any_trial(tmp_path, capsys,
+                                                                      monkeypatch):
+    # P_S = 1e308 over a 10 dB direct link: P_S*var_sd is no longer a double
+    estimates = counting(monkeypatch, "estimate_outage")
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(scenario(p_source_db=3080, var_sd_db=10)))
+    out = tmp_path / "huge.csv"
+    assert main(["--config", str(path), "--trials", "1000", "--scheme", "multi",
+                 "--out", str(out)]) == 2
+    assert ("error: p_source*var_sd must be at most 9.75e+288, got inf"
+            in capsys.readouterr().err)
+    assert estimates == []
+    assert list(tmp_path.iterdir()) == [path]
+
+
 @pytest.mark.parametrize("values, schemes, widths", [
     ((-10.0, 0.0), ("multi",), [2]),
     ((0.0,), ("os",), []),

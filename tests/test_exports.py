@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import inspect
 import sys
@@ -7,9 +8,22 @@ from pathlib import Path
 import pytest
 
 import fdrelay
-from fdrelay import analytic, channel, fde, mc, model, sfun
+from fdrelay import analytic, channel, cli, fde, mc, model
 
-MODULES = (fdrelay, analytic, channel, fde, mc, model, sfun)
+MODULES = (fdrelay, analytic, channel, cli, fde, mc, model)
+
+# library module -> the library modules it imports.  The closed form (analytic)
+# and the Monte-Carlo engine (channel, fde, mc) share only model, so each checks
+# the other; cli sits on top.
+IMPORTS = {
+    "__init__": {"analytic", "channel", "fde", "mc", "model"},
+    "model": set(),
+    "analytic": {"model"},
+    "channel": {"model"},
+    "fde": {"channel", "model"},
+    "mc": {"channel", "fde", "model"},
+    "cli": {"analytic", "mc", "model"},
+}
 
 # names the library no longer defines: scalar-only entry points, library-side
 # oracles and unused knobs
@@ -31,7 +45,7 @@ REMOVED = (
 )
 
 
-@pytest.mark.parametrize("module", [fdrelay, sfun], ids=["fdrelay", "sfun"])
+@pytest.mark.parametrize("module", [fdrelay], ids=["fdrelay"])
 def test_all_names_resolve(module):
     assert len(set(module.__all__)) == len(module.__all__)
     for name in module.__all__:
@@ -56,7 +70,32 @@ def test_removed_parameters_and_fields_are_gone():
     assert list(inspect.signature(fdrelay.eta).parameters) == ["cfg"]
     assert not hasattr(fdrelay.ChannelRealization, "from_gains")
     assert not hasattr(fdrelay.OutageEstimate, "from_counts")
-    assert "out" not in inspect.signature(sfun.abs2).parameters
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("fdrelay.sfun")
+    assert not [m.__name__ for m in MODULES if hasattr(m, "abs2")]
+
+
+def library_imports(path: Path) -> set[str]:
+    # the fdrelay modules a source file imports, relative or absolute
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found.update([node.module] if node.module else [a.name for a in node.names])
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("fdrelay."):
+            found.add(node.module.removeprefix("fdrelay."))
+        elif isinstance(node, ast.Import):
+            found.update(a.name.removeprefix("fdrelay.") for a in node.names
+                         if a.name.startswith("fdrelay."))
+    return {name.split(".")[0] for name in found}
+
+
+def test_import_graph_keeps_the_two_outage_models_apart():
+    src = Path(fdrelay.__file__).resolve().parent
+    graph = {path.stem: library_imports(path) for path in src.glob("*.py")}
+    for engine in ("channel", "fde", "mc"):
+        assert "analytic" not in graph[engine], engine
+        assert engine not in graph["analytic"], engine
+    assert graph == IMPORTS
 
 
 def test_bench_wrap_points_resolve(monkeypatch):

@@ -8,8 +8,7 @@ from fdrelay.channel import draw_realization, link_sinrs
 from fdrelay.fde import approx_rate, exact_rate, lambda_spectrum
 from fdrelay.mc import SCHEME_MULTI, forwarding, trial_stream
 from fdrelay.model import SYNCHRONOUS, SystemConfig
-from fdrelay.sfun import abs2
-from oracles import direct_spectrum, from_gains
+from oracles import abs2, direct_spectrum, from_gains
 
 
 def config(**over):

@@ -4,18 +4,23 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from fdrelay.analytic import eta, total_outage
+from fdrelay.analytic import total_outage
 from fdrelay.mc import estimate_outage
-from fdrelay.model import (ASYNCHRONOUS, FIXED_PER_RELAY, SHARED_BUDGET,
-                           SYNCHRONOUS, OutageEstimate, SystemConfig,
-                           apply_param, configure, db_to_linear,
-                           default_delays, linear_to_db, parse_field,
-                           validate_config)
+from fdrelay.model import (ASYNCHRONOUS, DB_FIELDS, FIXED_PER_RELAY, LINK_MEAN_MAX,
+                           MI_APPROXIMATE, MI_EXACT, SHARED_BUDGET, SYNCHRONOUS,
+                           OutageEstimate, SystemConfig, apply_param, configure,
+                           db_to_linear, default_delays, eta, linear_to_db,
+                           parse_field, validate_config)
 
 
 NAN, INF = float("nan"), float("inf")
 # the wording of a refused count or length: field, kind, then the value's repr
 BELOW = r"{} must be a {} integer below 2\*\*20, got {}"
+# the numpy-scalar config on which the closed form once warned "overflow
+# encountered in scalar divide" where Python floats give 1.0
+NUMPY_REALS = dict(p_source=np.float64(1e-5), e_relay_budget=np.float64(1e-5),
+                   var_sd=np.float64(1e-2), rate=np.float64(1003.0))
+UP = math.nextafter(LINK_MEAN_MAX, INF)   # the first double past the link-mean ceiling
 
 
 def base_config(**over):
@@ -116,6 +121,19 @@ def test_validate_accepts_standard_config():
      "delay divisible by block_len in synchronous mode"),
     (dict(block_len=1, sync_mode=SYNCHRONOUS),
      "delay divisible by block_len in synchronous mode"),
+    # a built config holds Python reals: numpy scalars warn where floats give inf
+    (NUMPY_REALS, r"^p_source must be a Python int or float, got np.float64\(1e-05\)"),
+    (dict(rate=np.float64(2.0)), "^rate must be a Python int or float"),
+    (dict(var_iri=np.float64(0.5)), "^var_iri must be a Python int or float"),
+    # every link mean stays at most LINK_MEAN_MAX; 0 * inf is nan, which it refuses too
+    (dict(p_source=UP), r"^p_source\*var_sd must be at most 9.75e\+288, got "),
+    (dict(p_source=1e308, var_sd=10.0), r"^p_source\*var_sd must be at most 9.75e\+288, got inf"),
+    (dict(p_source=LINK_MEAN_MAX, var_sd=0.5, var_sr=2.0), r"^p_source\*var_sr must be at most"),
+    (dict(e_relay_budget=UP), r"^e_relay_budget\*var_rd must be at most"),
+    (dict(e_relay_budget=LINK_MEAN_MAX, var_rsi=0.5, var_iri=0.75),
+     r"^e_relay_budget\*\(var_rsi\+var_iri\) must be at most"),
+    (dict(e_relay_budget=0.0, var_rsi=1e308, var_iri=1e308),
+     r"^e_relay_budget\*\(var_rsi\+var_iri\) must be at most 9.75e\+288, got nan"),
 ])
 def test_validate_rejects(over, msg):
     # a count that fails _check_int is refused already when default delays
@@ -461,3 +479,28 @@ def test_every_accepted_rate_near_the_ceiling_has_a_finite_eta(block_len, cp_len
         accepted += 1
         assert math.isfinite(eta(cfg))
     assert accepted >= 5
+
+
+def test_configure_and_apply_param_convert_numpy_reals():
+    cfg = configure({"n_relays": 5, **NUMPY_REALS})
+    assert all(type(getattr(cfg, name)) is float for name in NUMPY_REALS)
+    assert total_outage(cfg) == 1.0
+    swept = apply_param(cfg, "var_rd_db", np.float64(3.0))
+    assert type(swept.var_rd) is float and swept.var_rd == db_to_linear(3.0)
+
+
+@pytest.mark.parametrize("sync_mode", [ASYNCHRONOUS, SYNCHRONOUS])
+@pytest.mark.parametrize("policy", [SHARED_BUDGET, FIXED_PER_RELAY])
+def test_link_means_at_the_ceiling_stay_finite(sync_mode, policy):
+    # every link mean at LINK_MEAN_MAX and eta = 2**958 - 1 (about 2.4e288)
+    # of the same size, so outage is neither 0 nor 1: the closed form stays in
+    # [0, 1] and each scheme's estimate runs under both MI models, with no
+    # RuntimeWarning (tier-1 turns one into a failure)
+    cfg = validate_config(base_config(
+        p_source=LINK_MEAN_MAX, e_relay_budget=LINK_MEAN_MAX, var_rsi=0.5, var_iri=0.5,
+        rate=851.5, block_len=64, cp_len=8, sync_mode=sync_mode, relay_power_policy=policy))
+    assert 0.0 < total_outage(cfg) < 1.0
+    for mi_mode in (MI_APPROXIMATE, MI_EXACT):
+        for scheme in ("multi", "os", "ps"):
+            est = estimate_outage(replace(cfg, mi_mode=mi_mode), scheme, 300, 5)
+            assert 0 < est.outage_count < est.trials

@@ -6,7 +6,9 @@ from hypothesis import example, given, strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
-from fdrelay.sfun import abs2, gains_from_uniforms, regularized_lower_gamma_int
+from fdrelay.analytic import regularized_lower_gamma_int
+from fdrelay.channel import gains_from_uniforms
+from oracles import abs2
 
 
 def lower_gamma(n, x):

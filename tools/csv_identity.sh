@@ -10,13 +10,16 @@
 # trials per point; exact MI at 4000 for fig4, asynchronous, and fig3,
 # synchronous); the working tree's tools/scenario.json, which sends integral
 # floats for counts and pinned delays through --config (approximate MI at 1e5
-# trials, exact MI at 4000); and its tools/scenario_wide.json, 32 synchronous
+# trials, exact MI at 4000); its tools/scenario_wide.json, 32 synchronous
 # relays over an 8-bin block, where the relay axis rather than the taps sizes
-# an exact-MI chunk (exact MI at 4000).  cmp's every CSV and prints one line
-# per file, naming for a file that differs the columns that changed and
-# those that stayed identical (so an intended change of the random stream
-# shows only mc_p and mc_stderr moving), and exits non-zero if any file
-# differs or is missing.
+# an exact-MI chunk (exact MI at 4000); and its tools/scenario_ceiling.json,
+# link means just under the config ceiling (approximate MI at 1e5 trials,
+# exact MI at 4000).  Every call runs with RuntimeWarnings as errors, so a
+# scenario that overflows or clamps fails the run instead of writing a CSV.
+# cmp's every CSV and prints one line per file, naming for a file that
+# differs the columns that changed and those that stayed identical (so an
+# intended change of the random stream shows only mc_p and mc_stderr moving),
+# and exits non-zero if any file differs or is missing.
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
@@ -35,6 +38,7 @@ git -C "$repo" ls-files -z --cached --others --exclude-standard \
 
 run_outputs() {
     local tree=$1 scenario=$tmp/work/tools/scenario.json wide=$tmp/work/tools/scenario_wide.json
+    local ceiling=$tmp/work/tools/scenario_ceiling.json
     mkdir -p "$tree/out"
     for fig in fig2 fig3 fig4 fig5; do
         (cd "$tree" && PYTHONPATH=src python3 -m fdrelay.cli --preset "$fig" \
@@ -50,6 +54,10 @@ run_outputs() {
         --trials 4000 --seed 0 --out out/scenario_exact.csv >/dev/null)
     (cd "$tree" && PYTHONPATH=src python3 -m fdrelay.cli --config "$wide" --mi exact \
         --trials 4000 --seed 0 --out out/scenario_wide_exact.csv >/dev/null)
+    (cd "$tree" && PYTHONPATH=src python3 -m fdrelay.cli --config "$ceiling" \
+        --trials 100000 --seed 0 --out out/scenario_ceiling.csv >/dev/null)
+    (cd "$tree" && PYTHONPATH=src python3 -m fdrelay.cli --config "$ceiling" --mi exact \
+        --trials 4000 --seed 0 --out out/scenario_ceiling_exact.csv >/dev/null)
 }
 
 # "changed: ...; identical: ..." over the columns of two CSVs with one header
@@ -73,6 +81,7 @@ print("changed: " + ", ".join(n for j, n in enumerate(names) if j in moved)
 PY
 }
 
+export PYTHONWARNINGS=error::RuntimeWarning
 run_outputs "$tmp/base"
 run_outputs "$tmp/work"
 
