@@ -11,6 +11,8 @@ from .model import (FIXED_PER_RELAY, SYNCHRONOUS, SystemConfig, _check_int, eta,
 
 # tolerated rounding spill outside [0, 1] before the clamp warns
 CLAMP_SLACK = 1e-9
+# a top-down sum stops once its tail bound is within this share of the partial sum
+TAIL_EPS = 2.0 ** -54
 
 
 def _exp_outage(gbar: float, e: float) -> float:
@@ -41,10 +43,20 @@ def poisson_pmf(n: int, x: float) -> float:
 
 
 def _top_down_sum(n: int, x: float) -> float:
-    # sum_{i=1}^{n} n!/(n-i)! x^{-i} for |x| >= n, from n/x down by factors (n-i)/x
+    """sum_{i=1}^{n} n!/(n-i)! x^{-i} for |x| >= n, from n/x down by factors (n-i)/x.
+
+    Past term i every factor is at most r = (n-i)/|x| < 1 in size, so the
+    terms not yet added sum to at most |t| r/(1-r), t the last term added.
+    The sum stops once that is within TAIL_EPS of the partial sum, which
+    holds for the positive terms of x >= n and the alternating ones of
+    x <= -n alike; it adds all n terms only where the tail stays heavy.
+    """
     t = total = n / x
-    for i in range(1, n):
-        t *= (n - i) / x
+    ax = abs(x)
+    for k in range(n - 1, 0, -1):   # k = n - i; rest <= |t| k/(|x| - k)
+        if abs(t) * k <= TAIL_EPS * abs(total) * (ax - k):
+            break
+        t *= k / x
         total += t
     return total
 
@@ -52,10 +64,13 @@ def _top_down_sum(n: int, x: float) -> float:
 def kummer_j(n: int, x: float) -> float:
     """J_n(x) = 1F1(1; n+1; x) = sum_{k>=0} x^k/((n+1)...(n+k)) (DLMF 13.2.2), x < n.
 
-    For |x| < n the series terms shrink by |x|/(n+k) < 1; for x <= -n it is
-    n! x^{-n} (e^x - sum_{m<n} x^m/m!), the polynomial summed from the top
-    term down.  Past x = n, J_n grows like e^x and P(n, x) covers the range.
+    J_1(x) = expm1(x)/x exactly, 1 at x = 0.  For |x| < n the series terms
+    shrink by |x|/(n+k) < 1; for x <= -n it is n! x^{-n} (e^x - sum_{m<n}
+    x^m/m!), the polynomial summed from the top term down by _top_down_sum.
+    Past x = n, J_n grows like e^x and P(n, x) covers the range.
     """
+    if n == 1:
+        return math.expm1(x) / x if x else 1.0
     if x <= -n:
         lead = math.exp(math.lgamma(n + 1) - n * math.log(-x) + x)
         return (-lead if n % 2 else lead) - _top_down_sum(n, x)
@@ -71,15 +86,19 @@ def kummer_j(n: int, x: float) -> float:
 def regularized_lower_gamma_int(n: int, x: float) -> float:
     """P(n, x) = gamma(n, x)/(n-1)! for integer n >= 1 and finite x >= 0.
 
-    Below x = n it is Pois(x; n) J_n(x) (DLMF 8.7.1), positive factors that
-    stay accurate where P is tiny; from x = n on, the complement
-    1 - Pois(x; n) sum_{i=1}^{n} n!/(n-i)! x^{-i} (DLMF 8.4.10), whose
-    subtrahend is below 1/2.  Neither form overflows at any finite x.
+    P(1, x) = -expm1(-x) exactly.  Below x = n it is Pois(x; n) J_n(x)
+    (DLMF 8.7.1), positive factors that stay accurate where P is tiny; from
+    x = n on, the complement 1 - Pois(x; n) sum_{i=1}^{n} n!/(n-i)! x^{-i}
+    (DLMF 8.4.10), whose subtrahend is below 1/2 and whose sum stops early
+    once its tail cannot move it (_top_down_sum).  No form overflows at any
+    finite x.
     """
     if n < 1:
         raise ValueError("order n must be a positive integer")
     if not (math.isfinite(x) and x >= 0.0):
         raise ValueError(f"x must be a finite non-negative real number, got {x!r}")
+    if n == 1:
+        return -math.expm1(-x)
     if x == 0.0:
         return 0.0
     if x < n:
@@ -95,13 +114,38 @@ def _clamped(p: float, what: str) -> float:
     return min(1.0, max(0.0, p))
 
 
+def _gap_sum(n: int, x: float, v: float, w: float) -> float:
+    """sum_{i=1}^{n} n!/(n-i)! (x^{-i} - v^{-i}) for n <= x < v, w = (v - x)/v.
+
+    The terms d_i are built without a difference: d_1 = n w/x and
+    d_{i+1} = (n-i)(d_i + c_i)/x, with c_i = w n!/(n-i)! v^{-i}.  Each ratio
+    d_{j+1}/d_j is at most (n-j)(j+1)/(j x), so past term i the rest is at
+    most d_i r/(1-r), r = (n-i)(i+1)/(i x), once r < 1; the sum stops once
+    that is within TAIL_EPS of the partial sum.
+    """
+    d = total = n * w / x
+    c = n * w / v
+    for i in range(1, n):
+        k = n - i
+        m = k * (i + 1)
+        if d * m <= TAIL_EPS * total * (x * i - m):   # never while r >= 1
+            break
+        d = k * (d + c) / x
+        c *= k / v
+        total += d
+    return total
+
+
 def _mrc_mix_outage(n_sum: int, gbar_sd: float, gbar_rd: float, e: float) -> float:
     """P(X + S < e), X ~ Exp(gbar_sd), S the sum of n_sum i.i.d. Exp(gbar_rd).
 
     With u = e/gbar_sd, v = e/gbar_rd and x = v - u, formed from the scale
     difference: P = P(n, v) - Pois(v; n) J_n(x), so equal scales give P(n+1, v).
-    For x >= n, where J_n grows like e^x, the relayed term is e^{-u} (v/x)^n P(n, x)
-    with v/x = 1/(1 - gbar_rd/gbar_sd), whose log weight is never positive there.
+    For x >= n, where J_n grows like e^x, both terms are written as
+    complements, and their difference is the sum of two non-negative terms,
+    -expm1(-u + n log1p(u/x)) + Pois(v; n) sum_{i=1}^{n} n!/(n-i)! (x^{-i} - v^{-i}),
+    whose inner differences _gap_sum forms without subtraction, so the
+    result keeps its digits where u is small.
     """
     if e <= 0.0:
         return 0.0
@@ -112,11 +156,12 @@ def _mrc_mix_outage(n_sum: int, gbar_sd: float, gbar_rd: float, e: float) -> flo
         return regularized_lower_gamma_int(n_sum, v)
     x = v * ((gbar_sd - gbar_rd) / gbar_sd)
     if x >= n_sum:
-        relayed = (math.exp(-e / gbar_sd - n_sum * math.log1p(-gbar_rd / gbar_sd))
-                   * regularized_lower_gamma_int(n_sum, x))
+        u = e / gbar_sd
+        p = (-math.expm1(n_sum * math.log1p(u / x) - u)
+             + poisson_pmf(n_sum, v) * _gap_sum(n_sum, x, v, gbar_rd / gbar_sd))
     else:
-        relayed = poisson_pmf(n_sum, v) * kummer_j(n_sum, x)
-    return _clamped(regularized_lower_gamma_int(n_sum, v) - relayed, "combined outage")
+        p = regularized_lower_gamma_int(n_sum, v) - poisson_pmf(n_sum, v) * kummer_j(n_sum, x)
+    return _clamped(p, "combined outage")
 
 
 def p_cond_async(n_decoding: int, cfg: SystemConfig) -> float:

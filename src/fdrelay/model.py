@@ -57,8 +57,11 @@ def _check_int(name: str, value, low: int = 1, bits: int = 0) -> int:
 
 def _check_real(name: str, value, bound: float = sys.float_info.max) -> float:
     """value if it is a real number (a bool is not) of magnitude at most bound,
-    by default the largest double; else a ValueError naming it."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool) and abs(value) <= bound:
+    by default the largest double; else a ValueError naming it.  A rational (an
+    int of any size) is compared exactly, any other real as a Python float, never
+    in its own type, where a numpy float32 or float16 would overflow the bound."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool) and abs(
+            value if isinstance(value, numbers.Rational) else float(value)) <= bound:
         return value
     at_most = f" of magnitude at most {bound:g}" if bound < sys.float_info.max else ""
     raise ValueError(f"{name} must be a finite real number{at_most}, got {value!r}")

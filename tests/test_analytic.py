@@ -165,6 +165,36 @@ def test_mix_matches_mpmath_on_hard_grid():
     assert checked > 1000, checked
 
 
+def relayed_sum_points():
+    # (n, gbar_sd, gbar_rd, e) where _mrc_mix_outage forms x = v - u >= n: first
+    # a point where P(n, v) minus the relayed complement loses 1.9e-10 relative,
+    # then a grid of u = e/gbar_sd from 1e-9 up and x from n up, and points drawn
+    # log-uniformly over the bench-like ranges
+    points = [(41, 6901.237277472282, 0.010215847785181757, 0.4772739178632451)]
+    for n in (1, 2, 5, 16, 41, 64):
+        for x_over_n in (1.0, 1 + 1e-9, 1.01, 2.0, 10.0, 1e3):
+            for u in (1e-9, 1e-5, 1e-2, 0.5, 10.0):
+                points.append((n, 1.0, u / (n * x_over_n + u), u))
+    rng = np.random.default_rng(20)
+    while len(points) < 2000:
+        n = int(rng.integers(1, 65))
+        gbar_sd, gbar_rd, e = 10.0 ** rng.uniform([-3.0, -3.0, -3.0], [5.0, 3.0, 3.0])
+        points.append((n, float(gbar_sd), float(gbar_rd), float(e)))
+    return [(n, sd, rd, e) for n, sd, rd, e in points
+            if (e / rd) * ((sd - rd) / sd) >= n]   # x as _mrc_mix_outage forms it
+
+
+def test_mix_matches_mpmath_where_relayed_sum_reaches_n():
+    points = relayed_sum_points()
+    assert len(points) > 200, len(points)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for args in points:
+            got = _mrc_mix_outage(*args)
+            want = mix_mpmath(*args)
+            assert float(abs(got - want) / want) <= 1e-13, (args, got, want)
+
+
 @pytest.mark.parametrize("args, want", [
     ((64, 1.0, 1 + 1e-6, 1.0), 4.5287352902569416e-92),
     ((64, 1.0, 1 - 1e-6, 1.0), 4.529306223372689e-92),

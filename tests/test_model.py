@@ -134,6 +134,9 @@ def test_validate_accepts_standard_config():
      r"^e_relay_budget\*\(var_rsi\+var_iri\) must be at most"),
     (dict(e_relay_budget=0.0, var_rsi=1e308, var_iri=1e308),
      r"^e_relay_budget\*\(var_rsi\+var_iri\) must be at most 9.75e\+288, got nan"),
+    # a narrower numpy real is refused the same way, without an overflowing compare
+    (dict(var_iri=np.float32(0.5)), r"^var_iri must be a Python int or float, got np.float32"),
+    (dict(rate=np.float16(2.0)), r"^rate must be a Python int or float, got np.float16"),
 ])
 def test_validate_rejects(over, msg):
     # a count that fails _check_int is refused already when default delays
@@ -350,6 +353,11 @@ def test_replace_keeps_config_frozen():
                  id="n_relays-1e300"),
     pytest.param("block_len", 10**309, BELOW.format("block_len", "positive", "1000000000"),
                  id="block_len-310-digits"),
+    # numpy reals narrower than a double are compared as Python floats
+    ("rate", np.float32(INF), r"rate must be a finite real number, got np.float32\(inf\)"),
+    ("var_sd_db", np.float16(NAN), "var_sd_db must be a finite real number"),
+    ("var_iri", np.float16(-INF), "var_iri must be a finite real number"),
+    ("p_source_db", np.float32(4000), "p_source_db must be a finite real number of magnitude"),
 ])
 def test_parse_field_rejects(name, raw, msg):
     with pytest.raises(ValueError, match=msg):
@@ -362,6 +370,9 @@ def test_parse_field_types():
     assert type(parse_field("var_rd", 2)[1]) is float
     assert parse_field("n_relays", 3.0) == ("n_relays", 3)
     assert parse_field("cp_len", np.int64(4)) == ("cp_len", 4)
+    for narrow in (np.float32, np.float16):
+        assert parse_field("var_iri", narrow(0.5)) == ("var_iri", 0.5)
+        assert type(parse_field("var_iri", narrow(0.5))[1]) is float
     assert parse_field("delays", [1, 2]) == ("delays", (1, 2))
     delays = parse_field("delays", [1.0, np.int64(2), np.float64(3.0)])[1]
     assert delays == (1, 2, 3) and all(type(d) is int for d in delays)

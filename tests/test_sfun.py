@@ -1,12 +1,14 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
-from fdrelay.analytic import regularized_lower_gamma_int
+from fdrelay.analytic import (_gap_sum, _top_down_sum, kummer_j,
+                              regularized_lower_gamma_int)
 from fdrelay.channel import gains_from_uniforms
 from oracles import abs2
 
@@ -122,6 +124,62 @@ def test_erlang_cdf_against_summed_exponentials():
     ks = max(np.abs(empirical_hi - model).max(),
              np.abs(empirical_lo - model).max())
     assert ks < 0.002
+
+
+def test_order_one_forms_are_exact():
+    for x in (0.0, 5e-324, 1e-300, 1e-12, 0.3, 1.0, 7.5, 700.0, 1e300):
+        assert regularized_lower_gamma_int(1, x) == -math.expm1(-x)
+    for x in (-1e300, -700.0, -3.0, -1.0, -1e-12, 5e-324, 1e-12, 0.5, 0.999):
+        assert kummer_j(1, x) == math.expm1(x) / x
+    assert kummer_j(1, 0.0) == 1.0 and kummer_j(1, -0.0) == 1.0
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 5, 10, 32, 64))
+def test_kummer_j_matches_mpmath(n):
+    # J_n(x) = 1F1(1; n+1; x) from x = -3n up to just below n, through the
+    # series (x > -n) and the top-down polynomial (x <= -n) alike
+    xs = np.linspace(-3.0 * n, n, 121)[:-1].tolist()
+    xs += [-n - 1e-9, float(-n), -n + 1e-9, -1e-12, 0.0, 1e-12, n - 1e-9]
+    assert sum(x <= -n for x in xs) > 30 and sum(x > -n for x in xs) > 30
+    for x in xs:
+        with mpmath.workdps(40):
+            want = mpmath.hyp1f1(1, n + 1, mpmath.mpf(x))
+        got = kummer_j(n, x)
+        assert float(abs(got - want) / want) <= 1e-14, (n, x, got)
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 5, 10, 16, 32, 64))
+def test_lower_gamma_from_n_on_matches_mpmath(n):
+    # the complement branch, whose top-down sum stops once its tail is negligible
+    xs = [float(n), math.nextafter(n, math.inf), n + 0.5]
+    xs += (n * np.geomspace(1.01, 1e4, 60)).tolist() + [2e6]
+    for x in xs:
+        with mpmath.workdps(40):
+            want = mpmath.gammainc(n, 0, mpmath.mpf(x), regularized=True)
+        got = regularized_lower_gamma_int(n, x)
+        assert float(abs(got - want) / want) <= 1e-13, (n, x, got)
+
+
+def test_early_stopped_sums_match_every_term_summed_exactly():
+    # the early stop leaves out at most 2**-54 of a sum, well inside the
+    # rounding of the terms it adds (at most 6 units of 2**-53 on this grid);
+    # the terms are positive (x > 0), or of falling size and alternating sign
+    # (x < 0)
+    bound = 16 * 2.0 ** -53
+    for n in (1, 2, 5, 17, 64):
+        for x in (n, n + 1e-9, 1.5 * n, 10.0 * n, 1e4 * n, 1e300):
+            for sign in (1, -1):
+                with mpmath.workdps(60):
+                    want = mpmath.fsum(mpmath.ff(n, i) * mpmath.mpf(sign * x) ** -i
+                                       for i in range(1, n + 1))
+                got = _top_down_sum(n, sign * x)
+                assert float(abs(got - want) / abs(want)) <= bound, (n, sign * x)
+            v = 1.75 * x
+            with mpmath.workdps(60):
+                want = mpmath.fsum(mpmath.ff(n, i) * (mpmath.mpf(x) ** -i - mpmath.mpf(v) ** -i)
+                                   for i in range(1, n + 1))
+            got = _gap_sum(n, x, v, (v - x) / v)
+            assert float(abs(got - want) / want) <= bound, (n, x)
 
 
 def test_abs2_matches_squared_magnitude():
