@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -33,6 +33,12 @@ def trial_block_uniforms(n_relays: int) -> int:
 def _links(a: np.ndarray, n_relays: int) -> tuple:
     # the sd, sr and rd slots of a plane's trailing axis
     return a[..., 0], a[..., 1:1 + n_relays], a[..., 1 + n_relays:1 + 2 * n_relays]
+
+
+def gather_relay(a: np.ndarray, index) -> np.ndarray:
+    """a[..., index] per batch row: the entry of each trial's relay axis that
+    index, an integer array of the batch shape, names."""
+    return np.take_along_axis(a, np.asarray(index)[..., None], axis=-1)[..., 0]
 
 
 def gains_from_uniforms(power, u1):
@@ -70,8 +76,25 @@ class ChannelRealization:
     h_rd = cached_property(lambda self: gains_from_uniforms(self.h2_rd, self.phases[2]))
 
 
+@lru_cache(maxsize=64)
+def _power_scale(n_relays: int, var_sd: float, var_sr: float, var_rd: float) -> np.ndarray:
+    # -variance per slot of a power plane, in link order
+    row = -np.repeat([var_sd, var_sr, var_rd], [1, n_relays, n_relays])
+    row.flags.writeable = False
+    return row
+
+
+def _phase_plane(kind, state: dict, shape: tuple, out: np.ndarray | None) -> np.ndarray:
+    # plane 1: a bit generator of rng's kind at its state saved at draw time,
+    # jumped; the seed only spares the constructor a read of OS entropy
+    bitgen = kind(0)
+    bitgen.state = state
+    return np.random.Generator(bitgen.jumped()).random(shape, out=out)
+
+
 def draw_realization(cfg: SystemConfig, rng: np.random.Generator, size: int | None = None,
-                     out: np.ndarray | None = None) -> ChannelRealization:
+                     out: np.ndarray | None = None, powers: np.ndarray | None = None,
+                     phases: np.ndarray | None = None) -> ChannelRealization:
     """Draw one realization (size None) or a batch of size independent ones.
 
     Fills only the power plane here: trial_block_uniforms(cfg.n_relays)
@@ -79,48 +102,85 @@ def draw_realization(cfg: SystemConfig, rng: np.random.Generator, size: int | No
     padding), so a counter-based stream positioned at a trial boundary
     reproduces that trial regardless of batching.  The powers are
     -variance*log1p(-u0).  out, a C-contiguous float64 array of the drawn
-    shape, receives the uniforms; the realization keeps its own powers, so out
-    may be reused at once.
+    shape, receives the uniforms; the realization keeps only the powers, so
+    out may be reused at once.  powers, a C-contiguous float64 array shaped
+    like the drawn shape with uniforms_per_trial(cfg.n_relays) slots in the
+    trailing axis, receives the powers, and phases, an array like out, the
+    phase plane when it is generated; a realization backed by them is valid
+    only until they are refilled, in an estimate until its next chunk.
 
     The phases come from rng's bit generator jumped where rng stood before
     the powers, the same layout in plane 1, generated in full on the first
-    gain read.  They depend only on rng's state at the call, whatever the
-    read order or later draws from rng; for a trial_stream, only on (seed,
-    trial).  rng's bit generator must have jumped() (Philox, PCG64, MT19937).
+    gain read: the bit generator's state is saved here, and the jumped
+    generator is built from it only then.  So the phases depend only on
+    rng's state at the call, whatever the read order or later draws from
+    rng; for a trial_stream, only on (seed, trial).  rng's bit generator
+    must have jumped() (Philox, PCG64, MT19937).
     """
     n = cfg.n_relays
     width = trial_block_uniforms(n)
     shape = (width,) if size is None else (size, width)
-    phases = np.random.Generator(rng.bit_generator.jumped())   # before the powers move rng
+    bitgen = rng.bit_generator
+    plane = partial(_phase_plane, type(bitgen), bitgen.state, shape, phases)  # before the powers move rng
     u = rng.random(shape, out=out)[..., :uniforms_per_trial(n)]
-    power = np.negative(u)
+    power = np.negative(u, out=powers)
     np.log1p(power, out=power)
-    power *= -np.repeat([cfg.var_sd, cfg.var_sr, cfg.var_rd], [1, n, n])
-    return ChannelRealization(*_links(power, n), phase_plane=partial(phases.random, shape))
+    power *= _power_scale(n, cfg.var_sd, cfg.var_sr, cfg.var_rd)
+    return ChannelRealization(*_links(power, n), phase_plane=plane)
 
 
 @dataclass(frozen=True)
 class LinkSinrs:
-    """Instantaneous per-link SINRs under a given relay transmit power, with
-    the realization they were computed from (synchronous combining adds its
-    complex h_rd)."""
+    """Instantaneous per-link SINRs under relay transmit power relay_tx_power,
+    with the realization they come from (synchronous combining adds its
+    complex h_rd).
 
-    g_sd: np.ndarray                    # P_S |h_sd|^2
-    g_sr: np.ndarray                    # P_S |h_sr_k|^2 / (P_R * interference + 1)
-    g_rd: np.ndarray                    # P_R |h_rd_k|^2
-    relay_tx_power: float | np.ndarray
+    Each SINR array is formed on its first read and kept: g_sd = P_S |h_sd|^2,
+    g_sr = P_S |h_sr_k|^2 / (P_R * interference + 1), g_rd = P_R |h_rd_k|^2.
+    out, if given, a float64 array of at least (1+2N) times the batch size
+    elements, receives them, each link in a contiguous block of its own (sd,
+    then sr, then rd); LinkSinrs sharing one out share those blocks, so each
+    link holds the SINRs of the last of them to form it.
+    """
+
     real: ChannelRealization
+    cfg: SystemConfig
+    relay_tx_power: float | np.ndarray
+    out: np.ndarray | None = None
+
+    def _block(self, link: int, like: np.ndarray) -> np.ndarray | None:
+        # link's block of out (0 sd, 1 sr, 2 rd), shaped like that link's powers
+        if self.out is None:
+            return None
+        size = np.size(self.real.h2_sd)
+        start = (0, size, size * (1 + self.cfg.n_relays))[link]
+        return self.out[start:start + like.size].reshape(like.shape)
+
+    @cached_property
+    def g_sd(self) -> np.ndarray:
+        h2 = self.real.h2_sd
+        return np.multiply(self.cfg.p_source, h2, out=self._block(0, h2))
+
+    @cached_property
+    def g_sr(self) -> np.ndarray:
+        h2 = self.real.h2_sr
+        g_sr = np.multiply(self.cfg.p_source, h2, out=self._block(1, h2))
+        denom = relay_interference_floor(self.cfg, self.relay_tx_power)
+        return np.divide(g_sr, np.asarray(denom)[..., None], out=g_sr)
+
+    @cached_property
+    def g_rd(self) -> np.ndarray:
+        h2 = self.real.h2_rd
+        return np.multiply(np.asarray(self.relay_tx_power)[..., None], h2,
+                           out=self._block(2, h2))
 
 
-def link_sinrs(real: ChannelRealization, cfg: SystemConfig, relay_power) -> LinkSinrs:
-    """SINRs of the S->D, S->R_k, and R_k->D links.
+def link_sinrs(real: ChannelRealization, cfg: SystemConfig, relay_power,
+               out: np.ndarray | None = None) -> LinkSinrs:
+    """SINRs of the S->D, S->R_k, and R_k->D links, each formed on first read.
 
     relay_power, a scalar or of the realization's batch shape, is the per-relay
     power P_R: it scales the relay-input interference floor and the R_k->D SNR.
+    out, a flat float64 array, receives the SINRs (see LinkSinrs).
     """
-    denom = relay_interference_floor(cfg, relay_power)
-    g_sd = cfg.p_source * real.h2_sd
-    g_sr = cfg.p_source * real.h2_sr / np.asarray(denom)[..., None]
-    g_rd = np.asarray(relay_power)[..., None] * real.h2_rd
-    return LinkSinrs(g_sd, g_sr, g_rd, relay_power, real)
-
+    return LinkSinrs(real, cfg, relay_power, out)

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
 
-from .channel import (PHILOX_BLOCK, LinkSinrs, draw_realization, link_sinrs,
-                      trial_block_uniforms)
-from .fde import approx_rate, exact_rate, lambda_spectrum
+from .channel import (PHILOX_BLOCK, LinkSinrs, draw_realization, gather_relay, link_sinrs,
+                      trial_block_uniforms, uniforms_per_trial)
+from .fde import (SpectrumWork, approx_rate, exact_rate, lambda_spectrum, spectrum_layout,
+                  spectrum_work)
 from .model import MI_EXACT, OutageEstimate, SystemConfig, _check_int, eta, relay_tx_power
 
 SCHEME_MULTI = "multi"
@@ -18,9 +20,11 @@ SCHEMES = (SCHEME_MULTI, SCHEME_OS, SCHEME_PS)
 
 # byte budget of a default chunk, at 16 bytes per uniform slot of a trial (its
 # two Philox planes, read or not) plus, under exact MI, 16 per bin: its 8-byte
-# bin SINR and transform scratch, which is (chunk, n < T) except where the taps
-# are transformed at T, 24 bytes per bin; the traced peak stays below four
-# budgets either way
+# bin SINR and transform scratch.  The block an estimate allocates once holds
+# both planes, the powers and link SINRs (8 bytes per gain each) and, under
+# exact MI, gamma, the taps and their transform at n < T (or the taps alone
+# at T) and the zero-padded (T//2+1)-lag half-spectrum; with the chunk's
+# temporaries the traced peak stays below four budgets either way
 CHUNK_BYTES = 2 << 20
 
 SEED_BITS = 128        # a seed is a Philox key, an int in [0, 2**SEED_BITS)
@@ -60,29 +64,65 @@ def select_relay(sinrs: LinkSinrs, kind: str):
     return np.argmax(score, axis=-1)
 
 
+def forwarding_count(mask: np.ndarray) -> np.ndarray:
+    """Relays forwarding per trial: the boolean mask's relay columns summed
+    by one float32 matrix-vector product, exact for fewer than 2**24 relays
+    in any summation order, and returned as integers.  A bool row reduction
+    pays numpy's per-row cost on a short relay axis, and a loop over the
+    columns pays a numpy call per relay."""
+    return (mask @ np.ones(mask.shape[-1], np.float32)).astype(np.intp)
+
+
+def _forwarders(real, cfg: SystemConfig, scheme: str, out: np.ndarray | None = None):
+    # (forwards, chosen, sinrs).  multi: forwards is the decode mask over the
+    # relay axis and chosen None; os/ps: chosen is the selected relay and
+    # forwards, of the batch shape, whether it decodes.  The transmit SINRs
+    # are formed only where the rate reads them; out is link_sinrs' buffer
+    if scheme == SCHEME_MULTI:
+        probe = link_sinrs(real, cfg, relay_tx_power(cfg, cfg.n_relays), out=out)
+        decodes = probe.g_sr >= eta(cfg)
+        p_relay = relay_tx_power(cfg, np.maximum(forwarding_count(decodes), 1))
+        return decodes, None, link_sinrs(real, cfg, p_relay, out=out)
+    sinrs = link_sinrs(real, replace(cfg, var_iri=0.0), relay_tx_power(cfg, 1), out=out)
+    chosen = np.asarray(select_relay(sinrs, scheme))
+    return gather_relay(sinrs.g_sr, chosen) >= eta(cfg), chosen, sinrs
+
+
+def _one_hot(chosen: np.ndarray, forwards: np.ndarray, n_relays: int) -> np.ndarray:
+    return (np.arange(n_relays) == chosen[..., None]) & forwards[..., None]
+
+
 def forwarding(real, cfg: SystemConfig, scheme: str) -> tuple[np.ndarray, LinkSinrs]:
     """(mask, sinrs): who forwards, and the link SINRs at their per-trial transmit power
     sinrs.relay_tx_power.  multi: every relay that decodes at the all-relay power, sharing
     the budget; os/ps: the selected relay alone, if it decodes, so with var_iri = 0."""
-    if scheme == SCHEME_MULTI:
-        mask = link_sinrs(real, cfg, relay_tx_power(cfg, cfg.n_relays)).g_sr >= eta(cfg)
-        p_relay = relay_tx_power(cfg, np.maximum(mask.sum(axis=-1), 1))
-        return mask, link_sinrs(real, cfg, p_relay)
-    sinrs = link_sinrs(real, replace(cfg, var_iri=0.0), relay_tx_power(cfg, 1))
-    chosen = np.asarray(select_relay(sinrs, scheme))
-    return (np.arange(cfg.n_relays) == chosen[..., None]) & (sinrs.g_sr >= eta(cfg)), sinrs
+    forwards, chosen, sinrs = _forwarders(real, cfg, scheme)
+    return (forwards if chosen is None else _one_hot(chosen, forwards, cfg.n_relays)), sinrs
 
 
-def _trial_outages(cfg: SystemConfig, scheme: str, real, gamma: np.ndarray | None):
+def _trial_outages(cfg: SystemConfig, scheme: str, real, sinr_out: np.ndarray,
+                   gamma: np.ndarray | None, work: SpectrumWork | None):
     # every step broadcasts over the batch axis, so a trial's flag does not
     # depend on the batch it is drawn in
-    mask, sinrs = forwarding(real, cfg, scheme)
+    forwards, chosen, sinrs = _forwarders(real, cfg, scheme, sinr_out)
     if cfg.mi_mode == MI_EXACT:
-        spec = lambda_spectrum(real, mask, cfg, sinrs.relay_tx_power, out=gamma)
+        mask = forwards if chosen is None else _one_hot(chosen, forwards, cfg.n_relays)
+        spec = lambda_spectrum(real, mask, cfg, sinrs.relay_tx_power, out=gamma, work=work)
         rate = exact_rate(spec, cfg, out=spec.gamma)
     else:
-        rate = approx_rate(sinrs, mask, cfg)
+        rate = approx_rate(sinrs, forwards, cfg, chosen)
     return rate < cfg.rate
+
+
+def _carve(layout) -> list[np.ndarray]:
+    # consecutive arrays of one new block, one per (shape, dtype): freed, a
+    # single block leaves glibc's heap trim threshold at its size, so the next
+    # estimate reuses its pages instead of faulting fresh ones in
+    sizes = [math.prod(shape) * np.dtype(dtype).itemsize // 8 for shape, dtype in layout]
+    block = np.empty(sum(sizes))
+    ends = np.cumsum(sizes)
+    return [block[end - size:end].view(dtype).reshape(shape)
+            for (shape, dtype), size, end in zip(layout, sizes, ends)]
 
 
 def estimate_outage(cfg: SystemConfig, scheme: str, trials: int,
@@ -93,9 +133,12 @@ def estimate_outage(cfg: SystemConfig, scheme: str, trials: int,
     aggregate is an integer count, so the result is bit-identical for any
     chunk size or worker split of the same (seed, trials); chunk=1 runs the
     trials one at a time.  The default chunk fits CHUNK_BYTES, bounding memory
-    per chunk for any block_len and relay count; the power-plane and (exact MI)
-    bin-SINR buffers are allocated once and each chunk writes their leading
-    size rows.
+    per chunk for any block_len and relay count.  Every per-chunk array a
+    layer can write into is carved from one block allocated once per
+    estimate, and each chunk writes its leading size rows: both Philox
+    planes (the phase plane filled only where a rate reads complex gains),
+    the powers, the link SINRs and, under exact MI, the bin SINRs and the
+    spectrum's scratch.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -104,13 +147,22 @@ def estimate_outage(cfg: SystemConfig, scheme: str, trials: int,
     if chunk is None:
         chunk = max(1, CHUNK_BYTES // (16 * (width + (cfg.block_len if exact else 0))))
     chunk = min(_check_int("chunk", chunk), trials)
-    uniforms = np.empty((chunk, width))
-    gamma = np.empty((chunk, cfg.block_len)) if exact else None
+    slots = uniforms_per_trial(cfg.n_relays)
+    layout = [((chunk, width), float), ((chunk, slots), float), ((chunk * slots,), float),
+              ((chunk, width), float)]
+    if exact:
+        layout = spectrum_layout(cfg, (chunk,)) + [((chunk, cfg.block_len), float)] + layout
+    # the complex arrays first, 16-byte aligned; the phase plane last, its
+    # pages touched only where a rate reads complex gains
+    *spectrum, uniforms, powers, sinrs, phases = _carve(layout)
+    gamma, work = (spectrum[-1], spectrum_work(cfg, (chunk,), spectrum[:-1])) if exact else (None, None)
     count = 0
     for start in range(0, trials, chunk):
         size = min(chunk, trials - start)
         rng = trial_stream(seed, start, cfg.n_relays)
-        real = draw_realization(cfg, rng, size=size, out=uniforms[:size])
-        rows = None if gamma is None else gamma[:size]
-        count += int(np.count_nonzero(_trial_outages(cfg, scheme, real, rows)))
+        real = draw_realization(cfg, rng, size=size, out=uniforms[:size],
+                                powers=powers[:size], phases=phases[:size])
+        flags = _trial_outages(cfg, scheme, real, sinrs[:size * slots],
+                               None if gamma is None else gamma[:size], work)
+        count += int(np.count_nonzero(flags))
     return OutageEstimate(count, trials)

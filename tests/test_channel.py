@@ -62,6 +62,32 @@ def test_draw_into_reused_buffer_matches_fresh_draw():
             assert np.array_equal(getattr(into, name), getattr(fresh, name)), name
 
 
+@pytest.mark.parametrize("size", [None, 1, 7])
+def test_buffer_backed_draw_and_sinrs_match_fresh_ones(size):
+    # powers, the phase plane and each link's SINRs written into buffers
+    # holding other values are bit for bit those of a fresh draw, and live
+    # in those buffers
+    cfg = config(var_sd=1.0, var_sr=2.0, var_rd=3.0, var_rsi=0.5, var_iri=0.25)
+    n, slots = cfg.n_relays, uniforms_per_trial(cfg.n_relays)
+    shape = (trial_block_uniforms(n),) if size is None else (size, trial_block_uniforms(n))
+    bufs = dict(out=np.full(shape, np.nan), powers=np.full(shape[:-1] + (slots,), np.nan),
+                phases=np.full(shape, np.nan))
+    sinr_out = np.full(slots * (size or 1), np.nan)
+    for start in (0, 9):
+        fresh = draw_realization(cfg, trial_stream(9, start, n), size=size)
+        into = draw_realization(cfg, trial_stream(9, start, n), size=size, **bufs)
+        for name in ("h2_sd", "h2_sr", "h2_rd", "h_sd", "h_sr", "h_rd"):
+            assert np.array_equal(getattr(into, name), getattr(fresh, name)), name
+        assert np.shares_memory(into.h2_rd, bufs["powers"])
+        assert np.shares_memory(into.phases[2], bufs["phases"])
+        for power in (0.7,) if size is None else (0.7, np.linspace(0.5, 2.0, size)):
+            want = link_sinrs(fresh, cfg, power)
+            got = link_sinrs(into, cfg, power, out=sinr_out)
+            for name in ("g_sd", "g_sr", "g_rd"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+                assert np.shares_memory(getattr(got, name), sinr_out), name
+
+
 def test_draw_statistics():
     cfg = config(n_relays=2, var_sd=1.0, var_sr=4.0, var_rd=10.0)
     real = draw_realization(cfg, trial_stream(17, 0, 2), size=1_000_000)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fdrelay.channel import draw_realization, link_sinrs
-from fdrelay.fde import approx_rate, exact_rate, lambda_spectrum
+from fdrelay.channel import draw_realization, gather_relay, link_sinrs
+from fdrelay.fde import approx_rate, exact_rate, lambda_spectrum, spectrum_work
 from fdrelay.mc import SCHEME_MULTI, forwarding, trial_stream
 from fdrelay.model import SYNCHRONOUS, SystemConfig
 from oracles import abs2, direct_spectrum, from_gains
@@ -328,3 +328,56 @@ def test_circular_gamma_is_the_squared_spectrum_bit_for_bit(cfg):
     spec = lambda_spectrum(real, mask, cfg, power)
     assert spec.taps.shape[-1] == cfg.block_len
     assert np.array_equal(spec.gamma, abs2(spec.lam)) and spec.gamma.min() >= 0
+
+
+@pytest.mark.parametrize("t_len", [8, 32, 64, 100, 101, 500, 511, 4096])
+def test_irfft_of_zero_padded_half_spectrum_is_the_short_input_transform(t_len):
+    # lambda_spectrum hands irfft the autocorrelation lags 0..D zero-padded to
+    # T//2+1, which numpy transforms faster than the short input it would
+    # pad itself; the bins agree bit for bit for every span and batch size
+    rng = np.random.default_rng(t_len)
+    for span in range(min(31, t_len // 2) + 1):
+        for batch in (1, 7, 250):
+            r = rng.normal(size=(batch, span + 1)) + 1j * rng.normal(size=(batch, span + 1))
+            half = np.zeros((batch, t_len // 2 + 1), complex)
+            np.conjugate(r, out=half[:, :span + 1])
+            short = np.fft.irfft(np.conjugate(r), n=t_len, axis=-1, norm="forward")
+            padded = np.fft.irfft(half, n=t_len, axis=-1, norm="forward")
+            assert np.array_equal(padded, short), (span, batch)
+
+
+@pytest.mark.parametrize("cfg", [FIG4, CIRCULAR], ids=["fig4", "circular"])
+def test_spectrum_work_reused_across_batches_matches_fresh_spectra(cfg):
+    # one scratch serves batches of any size up to its rows; stale taps and
+    # transforms of a larger batch never reach a smaller one's gamma, and
+    # the half-spectrum's padding stays zero
+    work = spectrum_work(cfg, (64,))
+    for seed, size in ((3, 64), (4, 5), (5, 64), (6, 1)):
+        real, mask, power = multi_chunk(cfg, size, seed=seed)
+        fresh = lambda_spectrum(real, mask, cfg, power)
+        into = lambda_spectrum(real, mask, cfg, power, work=work)
+        assert np.array_equal(into.gamma, fresh.gamma)
+        assert np.array_equal(into.taps, fresh.taps)
+    span = max(d % cfg.block_len for d in cfg.delays)
+    assert work.half is None or not work.half[:, span + 1:].any()
+
+
+@pytest.mark.parametrize("sync", [False, True], ids=["async", "sync"])
+@pytest.mark.parametrize("n", [1, 5, 8, 10, 64])
+def test_gathered_selection_rate_equals_the_one_hot_masked_sum(sync, n):
+    # a selection scheme's rate gathers its one relay's link instead of
+    # summing the relay axis under a one-hot mask: the same bits, for rows
+    # that forward and for empty ones
+    cfg = replace(FIG4, n_relays=n, delays=None, sync_mode=SYNCHRONOUS if sync else FIG4.sync_mode)
+    real = draw_realization(cfg, trial_stream(31, 0, n), size=500)
+    sinrs = link_sinrs(real, cfg, 2.0)
+    rng = np.random.default_rng(n)
+    chosen = rng.integers(0, n, size=500)
+    forwards = rng.random(500) < 0.6
+    one_hot = (np.arange(n) == chosen[:, None]) & forwards[:, None]
+    gathered = approx_rate(sinrs, forwards, cfg, chosen)
+    assert np.array_equal(gathered, approx_rate(sinrs, one_hot, cfg))
+    assert np.array_equal(gather_relay(sinrs.g_rd, chosen) * forwards,
+                          (sinrs.g_rd * one_hot).sum(axis=-1))
+    with pytest.raises(ValueError, match="decode mask"):
+        approx_rate(sinrs, one_hot, cfg, chosen)

@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 import tracemalloc
@@ -28,10 +29,11 @@ def fig_config(**over):
 
 
 def sinrs(g_sr, g_rd):
-    g_sr = np.asarray(g_sr, dtype=float)
-    return LinkSinrs(g_sd=np.float64(1.0), g_sr=g_sr,
-                     g_rd=np.asarray(g_rd, dtype=float),
-                     relay_tx_power=1.0, real=None)
+    # SINRs stored where LinkSinrs keeps those it forms on first read
+    out = LinkSinrs(real=None, cfg=None, relay_tx_power=1.0)
+    out.__dict__.update(g_sd=np.float64(1.0), g_sr=np.asarray(g_sr, dtype=float),
+                        g_rd=np.asarray(g_rd, dtype=float))
+    return out
 
 
 def test_select_relay_rules():
@@ -385,3 +387,92 @@ def test_pinned_outage_counts():
                        "var_sr_db", 0.0)
     assert estimate_outage(fig4, SCHEME_MULTI, 2000, seed=0).outage_count == 3
     assert estimate_outage(fig4, SCHEME_OS, 2000, seed=0).outage_count == 384
+
+
+@pytest.mark.parametrize("n", [1, 5, 8, 10, 64, 300])
+def test_forwarding_count_is_the_bool_row_sum(n):
+    rng = np.random.default_rng(n)
+    mask = rng.random((1000, n)) < rng.random((1000, 1))
+    mask[:3] = [[False] * n, [True] * n, np.arange(n) % 2 == 0]
+    count = mc.forwarding_count(mask)
+    assert count.dtype.kind == "i" and np.array_equal(count, mask.sum(axis=-1))
+    assert mc.forwarding_count(mask[5]) == mask[5].sum()
+
+
+@pytest.mark.parametrize("n", [1, 5, 8, 10, 64])
+def test_selection_gather_equals_the_masked_row_sum(n):
+    # os/ps read the chosen relay's SINRs by a gather; over a one-hot or
+    # empty row the masked row sum adds only zeros, so the bits match
+    rng = np.random.default_rng(n)
+    g = rng.exponential(size=(700, n))
+    chosen = rng.integers(0, n, size=700)
+    forwards = rng.random(700) < 0.5
+    one_hot = (np.arange(n) == chosen[:, None]) & forwards[:, None]
+    assert not one_hot[~forwards].any() and one_hot[forwards].sum(axis=-1).min() == 1
+    assert np.array_equal(channel.gather_relay(g, chosen) * forwards,
+                          (g * one_hot).sum(axis=-1))
+    assert channel.gather_relay(g[0], chosen[0]) == g[0, chosen[0]]
+
+
+@pytest.mark.parametrize("over, formed", [
+    (dict(), {SCHEME_MULTI: [{"g_sr"}, {"g_sd", "g_rd"}],
+              SCHEME_OS: [{"g_sd", "g_sr", "g_rd"}], SCHEME_PS: [{"g_sd", "g_sr", "g_rd"}]}),
+    (dict(sync_mode=SYNCHRONOUS, delays=None),
+     {SCHEME_MULTI: [{"g_sr"}, {"g_sd"}],
+      SCHEME_OS: [{"g_sd", "g_sr", "g_rd"}], SCHEME_PS: [{"g_sd", "g_sr"}]}),
+    (dict(mi_mode=MI_EXACT), {SCHEME_MULTI: [{"g_sr"}, set()],
+                              SCHEME_OS: [{"g_sr", "g_rd"}], SCHEME_PS: [{"g_sr"}]}),
+], ids=["async-approx", "sync-approx", "exact"])
+def test_link_sinrs_formed_once_per_chunk_where_read(monkeypatch, over, formed):
+    # multi's decode probe forms g_sr alone; its transmit pass forms only
+    # what the rate reads, nothing under exact MI, which reads the power
+    made, forms, link = [], [], mc.link_sinrs
+    monkeypatch.setattr(mc, "link_sinrs", lambda *a, **k: made.append(link(*a, **k)) or made[-1])
+    for name in ("g_sd", "g_sr", "g_rd"):
+        form = getattr(channel.LinkSinrs, name).func
+        prop = functools.cached_property(
+            lambda self, form=form, name=name: forms.append((self, name)) or form(self))
+        prop.__set_name__(channel.LinkSinrs, name)
+        monkeypatch.setattr(channel.LinkSinrs, name, prop)
+    for scheme, want in formed.items():
+        made.clear()
+        forms.clear()
+        estimate_outage(fig_config(**over), scheme, 1000, seed=3, chunk=400)
+        assert len(made) == 3 * len(want)
+        for i, sinrs in enumerate(made):
+            links = [name for obj, name in forms if obj is sinrs]
+            assert sorted(links) == sorted(want[i % len(want)]), (scheme, i)
+
+
+class Philox(np.random.Philox):
+    # a Philox that counts its jumps; it keeps the name its state carries
+    jumps = 0
+
+    def jumped(self, jumps=1):
+        Philox.jumps += 1
+        return super().jumped(jumps)
+
+
+@pytest.mark.parametrize("over, jumps", [
+    (dict(), 0),
+    (dict(sync_mode=SYNCHRONOUS, delays=None), 3),
+    (dict(mi_mode=MI_EXACT), 3),
+], ids=["async-approx", "sync-approx", "exact"])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_phase_generator_jumped_only_where_phases_are_read(monkeypatch, over, jumps, scheme):
+    # asynchronous approximate MI never builds the phase generator; a rate
+    # that reads complex gains builds it once per chunk, from the state saved
+    # at the draw
+    stream = mc.trial_stream
+
+    def counting(seed, trial, n_relays):
+        bitgen = Philox()
+        bitgen.state = stream(seed, trial, n_relays).bit_generator.state
+        return np.random.Generator(bitgen)
+
+    cfg = fig_config(**over)
+    want = estimate_outage(cfg, scheme, 1000, seed=3, chunk=400)
+    monkeypatch.setattr(mc, "trial_stream", counting)
+    Philox.jumps = 0
+    assert estimate_outage(cfg, scheme, 1000, seed=3, chunk=400) == want
+    assert Philox.jumps == jumps
