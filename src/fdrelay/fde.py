@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -58,23 +59,31 @@ class SpectrumWork(NamedTuple):
     half: np.ndarray | None
 
 
-def spectrum_layout(cfg: SystemConfig, batch: tuple) -> list[tuple[tuple, type]]:
-    """(shape, dtype) of each SpectrumWork array for batches of shape batch:
-    the taps and, where n < T, the transform and the half-spectrum."""
-    t_len = cfg.block_len
+def _work_widths(cfg: SystemConfig) -> tuple[int, ...]:
+    # complex entries per trial of each SpectrumWork array
     n = _autocorrelation_length(cfg)[1]
-    if n == t_len:
-        return [(batch + (n,), complex)]
-    return [(batch + (n,), complex), (batch + (n,), complex), (batch + (t_len // 2 + 1,), complex)]
+    return (n,) if n == cfg.block_len else (n, n, cfg.block_len // 2 + 1)
 
 
-def spectrum_work(cfg: SystemConfig, batch: tuple, arrays=None) -> SpectrumWork:
+def spectrum_work_slots(cfg: SystemConfig) -> int:
+    """float64 slots per trial of a SpectrumWork, two per complex entry."""
+    return 2 * sum(_work_widths(cfg))
+
+
+def spectrum_work(cfg: SystemConfig, batch: tuple, out: np.ndarray | None = None) -> SpectrumWork:
     """Scratch for lambda_spectrum over batches of shape batch, or of shape
-    (size,), size <= batch[0], which use its leading rows.  arrays,
-    laid out as spectrum_layout(cfg, batch), are used instead of new ones;
-    the half-spectrum is zeroed here, once, and its lags past D stay zero."""
-    if arrays is None:
-        arrays = [np.empty(shape, dtype) for shape, dtype in spectrum_layout(cfg, batch)]
+    (size,), size <= batch[0], which use its leading rows.  out, a flat
+    float64 array of at least prod(batch) * spectrum_work_slots(cfg)
+    elements, holds it instead of a new array, each array in a contiguous
+    block of its own; the half-spectrum is zeroed here, once, and its lags
+    past D stay zero."""
+    rows = math.prod(batch)
+    if out is None:
+        out = np.empty(rows * spectrum_work_slots(cfg))
+    flat, arrays = out[:rows * spectrum_work_slots(cfg)].view(complex), []
+    for width in _work_widths(cfg):
+        arrays.append(flat[:rows * width].reshape(batch + (width,)))
+        flat = flat[rows * width:]
     if len(arrays) == 1:
         return SpectrumWork(arrays[0], None, None)
     arrays[2].fill(0.0)

@@ -9,8 +9,8 @@ import numpy as np
 
 from .channel import (PHILOX_BLOCK, LinkSinrs, draw_realization, gather_relay, link_sinrs,
                       trial_block_uniforms, uniforms_per_trial)
-from .fde import (SpectrumWork, approx_rate, exact_rate, lambda_spectrum, spectrum_layout,
-                  spectrum_work)
+from .fde import (SpectrumWork, approx_rate, exact_rate, lambda_spectrum, spectrum_work,
+                  spectrum_work_slots)
 from .model import MI_EXACT, OutageEstimate, SystemConfig, _check_int, eta, relay_tx_power
 
 SCHEME_MULTI = "multi"
@@ -73,11 +73,14 @@ def forwarding_count(mask: np.ndarray) -> np.ndarray:
     return (mask @ np.ones(mask.shape[-1], np.float32)).astype(np.intp)
 
 
-def _forwarders(real, cfg: SystemConfig, scheme: str, out: np.ndarray | None = None):
-    # (forwards, chosen, sinrs).  multi: forwards is the decode mask over the
-    # relay axis and chosen None; os/ps: chosen is the selected relay and
-    # forwards, of the batch shape, whether it decodes.  The transmit SINRs
-    # are formed only where the rate reads them; out is link_sinrs' buffer
+def forwarding(real, cfg: SystemConfig, scheme: str, out: np.ndarray | None = None):
+    """(forwards, chosen, sinrs): who forwards, and the link SINRs at their
+    per-trial transmit power sinrs.relay_tx_power, each formed only where
+    read (out is link_sinrs' buffer).  multi: forwards is the mask, over the
+    relay axis, of every relay that decodes at the all-relay power, sharing
+    the budget, and chosen is None; os/ps: chosen, of the batch shape, is
+    the selected relay and forwards whether it decodes; it forwards alone,
+    so with var_iri = 0."""
     if scheme == SCHEME_MULTI:
         probe = link_sinrs(real, cfg, relay_tx_power(cfg, cfg.n_relays), out=out)
         decodes = probe.g_sr >= eta(cfg)
@@ -89,22 +92,15 @@ def _forwarders(real, cfg: SystemConfig, scheme: str, out: np.ndarray | None = N
 
 
 def _one_hot(chosen: np.ndarray, forwards: np.ndarray, n_relays: int) -> np.ndarray:
+    # a selection scheme's forwarding mask over the relay axis
     return (np.arange(n_relays) == chosen[..., None]) & forwards[..., None]
-
-
-def forwarding(real, cfg: SystemConfig, scheme: str) -> tuple[np.ndarray, LinkSinrs]:
-    """(mask, sinrs): who forwards, and the link SINRs at their per-trial transmit power
-    sinrs.relay_tx_power.  multi: every relay that decodes at the all-relay power, sharing
-    the budget; os/ps: the selected relay alone, if it decodes, so with var_iri = 0."""
-    forwards, chosen, sinrs = _forwarders(real, cfg, scheme)
-    return (forwards if chosen is None else _one_hot(chosen, forwards, cfg.n_relays)), sinrs
 
 
 def _trial_outages(cfg: SystemConfig, scheme: str, real, sinr_out: np.ndarray,
                    gamma: np.ndarray | None, work: SpectrumWork | None):
     # every step broadcasts over the batch axis, so a trial's flag does not
     # depend on the batch it is drawn in
-    forwards, chosen, sinrs = _forwarders(real, cfg, scheme, sinr_out)
+    forwards, chosen, sinrs = forwarding(real, cfg, scheme, sinr_out)
     if cfg.mi_mode == MI_EXACT:
         mask = forwards if chosen is None else _one_hot(chosen, forwards, cfg.n_relays)
         spec = lambda_spectrum(real, mask, cfg, sinrs.relay_tx_power, out=gamma, work=work)
@@ -114,15 +110,14 @@ def _trial_outages(cfg: SystemConfig, scheme: str, real, sinr_out: np.ndarray,
     return rate < cfg.rate
 
 
-def _carve(layout) -> list[np.ndarray]:
-    # consecutive arrays of one new block, one per (shape, dtype): freed, a
+def _carve(shapes) -> list[np.ndarray]:
+    # consecutive float64 arrays of one new block, one per shape: freed, a
     # single block leaves glibc's heap trim threshold at its size, so the next
     # estimate reuses its pages instead of faulting fresh ones in
-    sizes = [math.prod(shape) * np.dtype(dtype).itemsize // 8 for shape, dtype in layout]
+    sizes = [math.prod(shape) for shape in shapes]
     block = np.empty(sum(sizes))
     ends = np.cumsum(sizes)
-    return [block[end - size:end].view(dtype).reshape(shape)
-            for (shape, dtype), size, end in zip(layout, sizes, ends)]
+    return [block[end - size:end].reshape(shape) for shape, size, end in zip(shapes, sizes, ends)]
 
 
 def estimate_outage(cfg: SystemConfig, scheme: str, trials: int,
@@ -148,14 +143,13 @@ def estimate_outage(cfg: SystemConfig, scheme: str, trials: int,
         chunk = max(1, CHUNK_BYTES // (16 * (width + (cfg.block_len if exact else 0))))
     chunk = min(_check_int("chunk", chunk), trials)
     slots = uniforms_per_trial(cfg.n_relays)
-    layout = [((chunk, width), float), ((chunk, slots), float), ((chunk * slots,), float),
-              ((chunk, width), float)]
+    shapes = [(chunk, width), (chunk, slots), (chunk * slots,), (chunk, width)]
     if exact:
-        layout = spectrum_layout(cfg, (chunk,)) + [((chunk, cfg.block_len), float)] + layout
-    # the complex arrays first, 16-byte aligned; the phase plane last, its
-    # pages touched only where a rate reads complex gains
-    *spectrum, uniforms, powers, sinrs, phases = _carve(layout)
-    gamma, work = (spectrum[-1], spectrum_work(cfg, (chunk,), spectrum[:-1])) if exact else (None, None)
+        shapes = [(chunk * spectrum_work_slots(cfg),), (chunk, cfg.block_len)] + shapes
+    # the spectrum scratch first, its complex arrays 16-byte aligned; the
+    # phase plane last, its pages touched only where a rate reads complex gains
+    *spectrum, uniforms, powers, sinrs, phases = _carve(shapes)
+    gamma, work = (spectrum[1], spectrum_work(cfg, (chunk,), spectrum[0])) if exact else (None, None)
     count = 0
     for start in range(0, trials, chunk):
         size = min(chunk, trials - start)

@@ -200,7 +200,7 @@ def _rate_pairs(cfg, n_samples: int, seed: int):
     """
     rng = np.random.default_rng(seed)
     real = draw_realization(cfg, rng, size=n_samples)
-    mask, sinrs = forwarding(real, cfg, "multi")
+    mask, _, sinrs = forwarding(real, cfg, "multi")
     approx = approx_rate(sinrs, mask, cfg)
     exact = exact_rate(lambda_spectrum(real, mask, cfg, sinrs.relay_tx_power), cfg)
     return approx, exact, mask.sum(axis=-1)

@@ -178,7 +178,7 @@ def multi_chunk(cfg, size, seed):
     # one exact-MI chunk as the multi scheme forwards it: decode mask and
     # per-trial relay power from the forwarding count
     real = draw_realization(cfg, trial_stream(seed, 0, cfg.n_relays), size=size)
-    mask, sinrs = forwarding(real, cfg, SCHEME_MULTI)
+    mask, _, sinrs = forwarding(real, cfg, SCHEME_MULTI)
     return real, mask, sinrs.relay_tx_power
 
 

@@ -58,7 +58,8 @@ def test_selection_forwards_one_relay_free_of_inter_relay_interference(scheme):
     # those of the config with var_iri = 0; it forwards only if it decodes
     cfg = fig_config(n_relays=10, var_sr=1.0)
     real = channel.draw_realization(cfg, trial_stream(4, 0, 10), size=500)
-    mask, got = mc.forwarding(real, cfg, scheme)
+    forwards, chosen, got = mc.forwarding(real, cfg, scheme)
+    mask = mc._one_hot(chosen, forwards, cfg.n_relays)
     assert mask.dtype == bool and mask.shape == (500, 10)
     assert mask.sum(axis=-1).max() <= 1
     assert 0 < mask.sum() < 500

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Per-point Monte-Carlo speed of a git ref against the working tree, in one process.
 
-    tools/ab_points.py BASE_REF --preset P [--mi exact] [--reps K] [--trials N] [--seed S]
+    tools/ab_points.py BASE_REF --preset P [--mi exact] [--reps K] [--trials N]
 
 Extracts BASE_REF (git archive) and the working tree (tracked and untracked,
 non-ignored files) into a temporary directory, as tools/csv_identity.sh does,
@@ -30,6 +30,8 @@ import tempfile
 import time
 from dataclasses import replace
 from pathlib import Path
+
+SEED = 11       # every tree runs every point on the same stream
 
 
 def extract(repo: Path, ref: str | None, dest: Path) -> Path:
@@ -77,9 +79,9 @@ def points(fd, preset: str, mi: str | None):
     return out
 
 
-def timed(fd, cfg, scheme, trials, seed):
+def timed(fd, cfg, scheme, trials):
     t0 = time.perf_counter()
-    est = fd.estimate_outage(cfg, scheme, trials, seed)
+    est = fd.estimate_outage(cfg, scheme, trials, SEED)
     return time.perf_counter() - t0, est.outage_count
 
 
@@ -92,7 +94,6 @@ def main(argv=None) -> int:
     parser.add_argument("--reps", type=int, default=3, help="runs per point and tree")
     parser.add_argument("--trials", type=int, default=None,
                         help="trials per point (default: 20000, or 2000 under exact MI)")
-    parser.add_argument("--seed", type=int, default=11)
     args = parser.parse_args(argv)
     if args.reps < 1:
         parser.error("--reps must be at least 1")
@@ -106,7 +107,7 @@ def main(argv=None) -> int:
         grids = {key: points(fd, args.preset, args.mi) for key, fd in fds.items()}
         for key, fd in fds.items():         # warm both trees once on every shape
             for _, cfg, scheme in grids[key][:3]:
-                timed(fd, cfg, scheme, min(trials, 2000), args.seed)
+                timed(fd, cfg, scheme, min(trials, 2000))
         speedups, differ = [], []
         for i, (label, _, scheme) in enumerate(grids["base"]):
             best = {"base": float("inf"), "work": float("inf")}
@@ -114,7 +115,7 @@ def main(argv=None) -> int:
             for rep in range(args.reps):
                 order = ("base", "work") if (i + rep) % 2 == 0 else ("work", "base")
                 for key in order:
-                    t, counts[key] = timed(fds[key], grids[key][i][1], scheme, trials, args.seed)
+                    t, counts[key] = timed(fds[key], grids[key][i][1], scheme, trials)
                     best[key] = min(best[key], t)
             speedups.append(best["base"] / best["work"])
             if counts["base"] != counts["work"]:
