@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
@@ -28,6 +29,50 @@ def trial_block_uniforms(n_relays: int) -> int:
     """Uniform doubles a realization occupies in each plane, padded to whole Philox blocks."""
     need = uniforms_per_trial(n_relays)
     return PHILOX_BLOCK * ((need + PHILOX_BLOCK - 1) // PHILOX_BLOCK)
+
+
+def draw_slots(n_relays: int) -> int:
+    """float64 slots per trial draw_realization takes: both planes and the powers."""
+    return 2 * trial_block_uniforms(n_relays) + uniforms_per_trial(n_relays)
+
+
+class Scratch:
+    """The per-chunk arrays of an estimate, taken from one float64 block.
+
+    Scratch(rows, slots) allocates rows*slots slots once.  take(shape)
+    reserves rows rows of shape[1:] after the chunk's earlier takes and
+    returns the leading shape[0], a complex take 16-byte aligned at the cost
+    of at most one slot, which a layer's declared slots per trial count; a
+    take past the block raises ValueError.  rewind() starts the next chunk,
+    whose takes, the same shapes in the same order, get the same arrays; a
+    zeroed take is zeroed on the first chunk only.  Freed, one block leaves
+    glibc's heap trim threshold at its size, so the next estimate reuses its
+    pages instead of faulting fresh ones in.  FRESH takes new arrays.
+    """
+
+    def __init__(self, rows: int = 0, slots: int = 0):
+        self.rows, self.used, self.first = rows, 0, True
+        self.block = np.empty(rows * slots) if rows else None
+
+    def take(self, shape: tuple, dtype=float, zeroed: bool = False) -> np.ndarray:
+        if self.block is None:
+            return (np.zeros if zeroed else np.empty)(shape, dtype)
+        width = np.dtype(dtype).itemsize // 8           # float64 slots per entry
+        start = self.used + self.used % width           # malloc aligns the block to 16
+        end = start + self.rows * math.prod(shape[1:]) * width
+        if shape[0] > self.rows or end > self.block.size:
+            raise ValueError(f"a take of {shape} {np.dtype(dtype)} overruns the scratch block")
+        self.used = end
+        a = self.block[start:end].view(dtype).reshape((self.rows,) + tuple(shape[1:]))
+        if zeroed and self.first:
+            a.fill(0)
+        return a[:shape[0]]
+
+    def rewind(self) -> None:
+        self.used, self.first = 0, False
+
+
+FRESH = Scratch()
 
 
 def _links(a: np.ndarray, n_relays: int) -> tuple:
@@ -84,30 +129,25 @@ def _power_scale(n_relays: int, var_sd: float, var_sr: float, var_rd: float) -> 
     return row
 
 
-def _phase_plane(kind, state: dict, shape: tuple, out: np.ndarray | None) -> np.ndarray:
+def _phase_plane(kind, state: dict, shape: tuple, scratch: Scratch) -> np.ndarray:
     # plane 1: a bit generator of rng's kind at its state saved at draw time,
     # jumped; the seed only spares the constructor a read of OS entropy
     bitgen = kind(0)
     bitgen.state = state
-    return np.random.Generator(bitgen.jumped()).random(shape, out=out)
+    return np.random.Generator(bitgen.jumped()).random(shape, out=scratch.take(shape))
 
 
 def draw_realization(cfg: SystemConfig, rng: np.random.Generator, size: int | None = None,
-                     out: np.ndarray | None = None, powers: np.ndarray | None = None,
-                     phases: np.ndarray | None = None) -> ChannelRealization:
+                     scratch: Scratch = FRESH) -> ChannelRealization:
     """Draw one realization (size None) or a batch of size independent ones.
 
     Fills only the power plane here: trial_block_uniforms(cfg.n_relays)
     doubles of rng per realization in link order (h_sd, h_sr, h_rd, then
     padding), so a counter-based stream positioned at a trial boundary
     reproduces that trial regardless of batching.  The powers are
-    -variance*log1p(-u0).  out, a C-contiguous float64 array of the drawn
-    shape, receives the uniforms; the realization keeps only the powers, so
-    out may be reused at once.  powers, a C-contiguous float64 array shaped
-    like the drawn shape with uniforms_per_trial(cfg.n_relays) slots in the
-    trailing axis, receives the powers, and phases, an array like out, the
-    phase plane when it is generated; a realization backed by them is valid
-    only until they are refilled, in an estimate until its next chunk.
+    -variance*log1p(-u0).  The uniforms, the powers and, when it is
+    generated, the phase plane are taken from scratch; a realization drawn
+    in an estimate's scratch is valid only until its next chunk.
 
     The phases come from rng's bit generator jumped where rng stood before
     the powers, the same layout in plane 1, generated in full on the first
@@ -121,9 +161,9 @@ def draw_realization(cfg: SystemConfig, rng: np.random.Generator, size: int | No
     width = trial_block_uniforms(n)
     shape = (width,) if size is None else (size, width)
     bitgen = rng.bit_generator
-    plane = partial(_phase_plane, type(bitgen), bitgen.state, shape, phases)  # before the powers move rng
-    u = rng.random(shape, out=out)[..., :uniforms_per_trial(n)]
-    power = np.negative(u, out=powers)
+    plane = partial(_phase_plane, type(bitgen), bitgen.state, shape, scratch)  # before the powers move rng
+    u = rng.random(shape, out=scratch.take(shape))[..., :uniforms_per_trial(n)]
+    power = np.negative(u, out=scratch.take(u.shape))
     np.log1p(power, out=power)
     power *= _power_scale(n, cfg.var_sd, cfg.var_sr, cfg.var_rd)
     return ChannelRealization(*_links(power, n), phase_plane=plane)
@@ -135,36 +175,27 @@ class LinkSinrs:
     with the realization they come from (synchronous combining adds its
     complex h_rd).
 
-    Each SINR array is formed on its first read and kept: g_sd = P_S |h_sd|^2,
-    g_sr = P_S |h_sr_k|^2 / (P_R * interference + 1), g_rd = P_R |h_rd_k|^2.
-    out, if given, a float64 array of at least (1+2N) times the batch size
-    elements, receives them, each link in a contiguous block of its own (sd,
-    then sr, then rd); LinkSinrs sharing one out share those blocks, so each
-    link holds the SINRs of the last of them to form it.
+    Each SINR array is formed on its first read, in an array taken from
+    scratch, and kept: g_sd = P_S |h_sd|^2, g_rd = P_R |h_rd_k|^2 and
+    g_sr = P_S |h_sr_k|^2 / (P_R * interference + 1).  In an estimate's
+    scratch every link is formed at most once per chunk, uniforms_per_trial
+    slots per trial in all, and the SINRs are valid only until the next chunk.
     """
 
     real: ChannelRealization
     cfg: SystemConfig
     relay_tx_power: float | np.ndarray
-    out: np.ndarray | None = None
-
-    def _block(self, link: int, like: np.ndarray) -> np.ndarray | None:
-        # link's block of out (0 sd, 1 sr, 2 rd), shaped like that link's powers
-        if self.out is None:
-            return None
-        size = np.size(self.real.h2_sd)
-        start = (0, size, size * (1 + self.cfg.n_relays))[link]
-        return self.out[start:start + like.size].reshape(like.shape)
+    scratch: Scratch = FRESH
 
     @cached_property
     def g_sd(self) -> np.ndarray:
         h2 = self.real.h2_sd
-        return np.multiply(self.cfg.p_source, h2, out=self._block(0, h2))
+        return np.multiply(self.cfg.p_source, h2, out=self.scratch.take(np.shape(h2)))
 
     @cached_property
     def g_sr(self) -> np.ndarray:
         h2 = self.real.h2_sr
-        g_sr = np.multiply(self.cfg.p_source, h2, out=self._block(1, h2))
+        g_sr = np.multiply(self.cfg.p_source, h2, out=self.scratch.take(h2.shape))
         denom = relay_interference_floor(self.cfg, self.relay_tx_power)
         return np.divide(g_sr, np.asarray(denom)[..., None], out=g_sr)
 
@@ -172,15 +203,15 @@ class LinkSinrs:
     def g_rd(self) -> np.ndarray:
         h2 = self.real.h2_rd
         return np.multiply(np.asarray(self.relay_tx_power)[..., None], h2,
-                           out=self._block(2, h2))
+                           out=self.scratch.take(h2.shape))
 
 
 def link_sinrs(real: ChannelRealization, cfg: SystemConfig, relay_power,
-               out: np.ndarray | None = None) -> LinkSinrs:
+               scratch: Scratch = FRESH) -> LinkSinrs:
     """SINRs of the S->D, S->R_k, and R_k->D links, each formed on first read.
 
     relay_power, a scalar or of the realization's batch shape, is the per-relay
     power P_R: it scales the relay-input interference floor and the R_k->D SNR.
-    out, a flat float64 array, receives the SINRs (see LinkSinrs).
+    scratch holds the SINRs (see LinkSinrs).
     """
-    return LinkSinrs(real, cfg, relay_power, out)
+    return LinkSinrs(real, cfg, relay_power, scratch)

@@ -142,9 +142,9 @@ def emit(result: SweepResult, fmt: str, path) -> None:
     """Write a sweep result as CSV or JSON with 9-significant-digit floats.
 
     The analytic column is populated only for the multi-relay scheme (no
-    closed form exists for the selection baselines) and left empty/null
-    otherwise; param_db is empty/null when the swept field has no dB scale
-    or its value has no finite dB form (a linear 0).
+    closed form for the selection baselines is implemented yet) and left
+    empty/null otherwise; param_db is empty/null when the swept field has
+    no dB scale or its value has no finite dB form (a linear 0).
     """
     recs = _records(result)
     path = Path(path)

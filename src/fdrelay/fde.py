@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
-from .channel import ChannelRealization, LinkSinrs, gather_relay
+from .channel import FRESH, ChannelRealization, LinkSinrs, Scratch, gather_relay
 from .model import SYNCHRONOUS, SystemConfig
 
 
@@ -21,9 +19,8 @@ class BinSpectrum:
     the spectrum was formed at; where it was formed at T instead, the taps
     were transformed in place and taps holds lam itself.  lam, the complex
     per-bin gains, is formed on first read and kept.  The rate reads gamma
-    only.  A spectrum formed in a SpectrumWork or an out= buffer, as an
-    estimate's chunks are, is valid only until the next chunk: read lam
-    before then.
+    only.  A spectrum formed in an estimate's scratch is valid only until
+    the next chunk: read lam before then.
     """
 
     gamma: np.ndarray                   # (..., T) real
@@ -49,50 +46,17 @@ def _autocorrelation_length(cfg: SystemConfig) -> tuple[int, int]:
     return span, min(1 << (2 * span).bit_length(), cfg.block_len)
 
 
-class SpectrumWork(NamedTuple):
-    """Scratch lambda_spectrum forms spectra in: the taps (..., n) and, where
-    n < T, their transform (..., n) and the autocorrelation half-spectrum
-    (..., T//2+1), whose lags past D stay zero."""
-
-    taps: np.ndarray
-    transform: np.ndarray | None
-    half: np.ndarray | None
-
-
-def _work_widths(cfg: SystemConfig) -> tuple[int, ...]:
-    # complex entries per trial of each SpectrumWork array
-    n = _autocorrelation_length(cfg)[1]
-    return (n,) if n == cfg.block_len else (n, n, cfg.block_len // 2 + 1)
-
-
-def spectrum_work_slots(cfg: SystemConfig) -> int:
-    """float64 slots per trial of a SpectrumWork, two per complex entry."""
-    return 2 * sum(_work_widths(cfg))
-
-
-def spectrum_work(cfg: SystemConfig, batch: tuple, out: np.ndarray | None = None) -> SpectrumWork:
-    """Scratch for lambda_spectrum over batches of shape batch, or of shape
-    (size,), size <= batch[0], which use its leading rows.  out, a flat
-    float64 array of at least prod(batch) * spectrum_work_slots(cfg)
-    elements, holds it instead of a new array, each array in a contiguous
-    block of its own; the half-spectrum is zeroed here, once, and its lags
-    past D stay zero."""
-    rows = math.prod(batch)
-    if out is None:
-        out = np.empty(rows * spectrum_work_slots(cfg))
-    flat, arrays = out[:rows * spectrum_work_slots(cfg)].view(complex), []
-    for width in _work_widths(cfg):
-        arrays.append(flat[:rows * width].reshape(batch + (width,)))
-        flat = flat[rows * width:]
-    if len(arrays) == 1:
-        return SpectrumWork(arrays[0], None, None)
-    arrays[2].fill(0.0)
-    return SpectrumWork(*arrays)
+def spectrum_slots(cfg: SystemConfig) -> int:
+    """float64 slots per trial lambda_spectrum takes: gamma, then two per
+    complex entry plus one of alignment padding for each of the taps and,
+    where n < T, their transform and the T//2+1 half-spectrum."""
+    t_len, n = cfg.block_len, _autocorrelation_length(cfg)[1]
+    widths = (n,) if n == t_len else (n, n, t_len // 2 + 1)
+    return t_len + sum(2 * width + 1 for width in widths)
 
 
 def lambda_spectrum(real: ChannelRealization, mask: np.ndarray, cfg: SystemConfig,
-                    relay_power, out: np.ndarray | None = None,
-                    work: SpectrumWork | None = None) -> BinSpectrum:
+                    relay_power, scratch: Scratch = FRESH) -> BinSpectrum:
     """Per-bin SINRs gamma_i = |lam_i|^2 of the combined direct-plus-relays channel.
 
     lam_i = sqrt(P_S) h_sd + sum_{k in mask} sqrt(P_R) h_rd_k e^{-j2pi i tau_k/T}.
@@ -116,13 +80,10 @@ def lambda_spectrum(real: ChannelRealization, mask: np.ndarray, cfg: SystemConfi
     it contribute exactly zero, and an empty mask leaves the flat direct-only
     spectrum.  Taps are built column by column and every transform works on
     each row on its own, so every batch row agrees bit for bit with the same
-    realization evaluated alone or in a batch of any size.  out, a
-    C-contiguous float array shaped like gamma, receives gamma instead of a
-    new array; its old contents are overwritten.  work, from
-    spectrum_work(cfg, (rows,)), holds the taps and transform scratch of a
-    batch of shape (size,), size <= rows, in its leading rows instead of new
-    arrays; the spectrum's taps are then valid only until work is next used,
-    in an estimate until its next chunk.
+    realization evaluated alone or in a batch of any size.  gamma, the taps,
+    their transform and the half-spectrum are taken from scratch; the
+    half-spectrum is taken zeroed, so in an estimate its lags past D are
+    zeroed once, on the first chunk, and stay zero.
     """
     _check_mask(mask, real.h_rd)
     t_len = cfg.block_len
@@ -130,24 +91,25 @@ def lambda_spectrum(real: ChannelRealization, mask: np.ndarray, cfg: SystemConfi
     coef = np.sqrt(np.asarray(relay_power))[..., None] * real.h_rd * mask
     base = np.sqrt(cfg.p_source) * real.h_sd
     batch = np.shape(base)
-    taps, f, half = spectrum_work(cfg, batch) if work is None else (
-        a if a is None else a[:batch[0]] for a in work)
+    taps = scratch.take(batch + (n,), complex)
     taps.fill(0.0)
     taps[..., 0] = base
     for k, delay in enumerate(cfg.delays):
         taps[..., delay % t_len] += coef[..., k]
     if n == t_len:                      # circular: |lam|^2 is gamma itself
         lam = np.fft.fft(taps, axis=-1, out=taps)
-        gamma = np.multiply(lam.real, lam.real, out=out)
+        gamma = np.multiply(lam.real, lam.real, out=scratch.take(batch + (t_len,)))
         gamma += lam.imag * lam.imag
         return BinSpectrum(gamma, lam)
-    f = np.fft.fft(taps, axis=-1, out=f)
+    f = np.fft.fft(taps, axis=-1, out=scratch.take(batch + (n,), complex))
     power = f.real * f.real
     power += f.imag * f.imag
     r = np.fft.ifft(power, axis=-1, out=f)[..., :span + 1]
+    half = scratch.take(batch + (t_len // 2 + 1,), complex, zeroed=True)
     np.conjugate(r, out=half[..., :span + 1])
     # hfft(r, n=T) is the same transform, but numpy's hfft ignores its out=
-    gamma = np.fft.irfft(half, n=t_len, axis=-1, norm="forward", out=out)
+    gamma = np.fft.irfft(half, n=t_len, axis=-1, norm="forward",
+                         out=scratch.take(batch + (t_len,)))
     return BinSpectrum(gamma, taps)
 
 

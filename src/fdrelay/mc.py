@@ -2,15 +2,13 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import replace
 
 import numpy as np
 
-from .channel import (PHILOX_BLOCK, LinkSinrs, draw_realization, gather_relay, link_sinrs,
-                      trial_block_uniforms, uniforms_per_trial)
-from .fde import (SpectrumWork, approx_rate, exact_rate, lambda_spectrum, spectrum_work,
-                  spectrum_work_slots)
+from .channel import (FRESH, PHILOX_BLOCK, LinkSinrs, Scratch, draw_realization, draw_slots,
+                      gather_relay, link_sinrs, trial_block_uniforms, uniforms_per_trial)
+from .fde import approx_rate, exact_rate, lambda_spectrum, spectrum_slots
 from .model import MI_EXACT, OutageEstimate, SystemConfig, _check_int, eta, relay_tx_power
 
 SCHEME_MULTI = "multi"
@@ -20,11 +18,9 @@ SCHEMES = (SCHEME_MULTI, SCHEME_OS, SCHEME_PS)
 
 # byte budget of a default chunk, at 16 bytes per uniform slot of a trial (its
 # two Philox planes, read or not) plus, under exact MI, 16 per bin: its 8-byte
-# bin SINR and transform scratch.  The block an estimate allocates once holds
-# both planes, the powers and link SINRs (8 bytes per gain each) and, under
-# exact MI, gamma, the taps and their transform at n < T (or the taps alone
-# at T) and the zero-padded (T//2+1)-lag half-spectrum; with the chunk's
-# temporaries the traced peak stays below four budgets either way
+# bin SINR and transform scratch.  With the rest of the slots the layers
+# declare for the estimate's Scratch and the chunk's temporaries, the traced
+# peak stays below four budgets either way
 CHUNK_BYTES = 2 << 20
 
 SEED_BITS = 128        # a seed is a Philox key, an int in [0, 2**SEED_BITS)
@@ -73,20 +69,19 @@ def forwarding_count(mask: np.ndarray) -> np.ndarray:
     return (mask @ np.ones(mask.shape[-1], np.float32)).astype(np.intp)
 
 
-def forwarding(real, cfg: SystemConfig, scheme: str, out: np.ndarray | None = None):
+def forwarding(real, cfg: SystemConfig, scheme: str, scratch: Scratch = FRESH):
     """(forwards, chosen, sinrs): who forwards, and the link SINRs at their
     per-trial transmit power sinrs.relay_tx_power, each formed only where
-    read (out is link_sinrs' buffer).  multi: forwards is the mask, over the
-    relay axis, of every relay that decodes at the all-relay power, sharing
-    the budget, and chosen is None; os/ps: chosen, of the batch shape, is
-    the selected relay and forwards whether it decodes; it forwards alone,
-    so with var_iri = 0."""
+    read, in scratch.  multi: forwards is the mask, over the relay axis, of
+    every relay that decodes at the all-relay power, sharing the budget, and
+    chosen is None; os/ps: chosen, of the batch shape, is the selected relay
+    and forwards whether it decodes; it forwards alone, so with var_iri = 0."""
     if scheme == SCHEME_MULTI:
-        probe = link_sinrs(real, cfg, relay_tx_power(cfg, cfg.n_relays), out=out)
+        probe = link_sinrs(real, cfg, relay_tx_power(cfg, cfg.n_relays), scratch)
         decodes = probe.g_sr >= eta(cfg)
         p_relay = relay_tx_power(cfg, np.maximum(forwarding_count(decodes), 1))
-        return decodes, None, link_sinrs(real, cfg, p_relay, out=out)
-    sinrs = link_sinrs(real, replace(cfg, var_iri=0.0), relay_tx_power(cfg, 1), out=out)
+        return decodes, None, link_sinrs(real, cfg, p_relay, scratch)
+    sinrs = link_sinrs(real, replace(cfg, var_iri=0.0), relay_tx_power(cfg, 1), scratch)
     chosen = np.asarray(select_relay(sinrs, scheme))
     return gather_relay(sinrs.g_sr, chosen) >= eta(cfg), chosen, sinrs
 
@@ -96,28 +91,17 @@ def _one_hot(chosen: np.ndarray, forwards: np.ndarray, n_relays: int) -> np.ndar
     return (np.arange(n_relays) == chosen[..., None]) & forwards[..., None]
 
 
-def _trial_outages(cfg: SystemConfig, scheme: str, real, sinr_out: np.ndarray,
-                   gamma: np.ndarray | None, work: SpectrumWork | None):
+def _trial_outages(cfg: SystemConfig, scheme: str, real, scratch: Scratch):
     # every step broadcasts over the batch axis, so a trial's flag does not
     # depend on the batch it is drawn in
-    forwards, chosen, sinrs = forwarding(real, cfg, scheme, sinr_out)
+    forwards, chosen, sinrs = forwarding(real, cfg, scheme, scratch)
     if cfg.mi_mode == MI_EXACT:
         mask = forwards if chosen is None else _one_hot(chosen, forwards, cfg.n_relays)
-        spec = lambda_spectrum(real, mask, cfg, sinrs.relay_tx_power, out=gamma, work=work)
+        spec = lambda_spectrum(real, mask, cfg, sinrs.relay_tx_power, scratch)
         rate = exact_rate(spec, cfg, out=spec.gamma)
     else:
         rate = approx_rate(sinrs, forwards, cfg, chosen)
     return rate < cfg.rate
-
-
-def _carve(shapes) -> list[np.ndarray]:
-    # consecutive float64 arrays of one new block, one per shape: freed, a
-    # single block leaves glibc's heap trim threshold at its size, so the next
-    # estimate reuses its pages instead of faulting fresh ones in
-    sizes = [math.prod(shape) for shape in shapes]
-    block = np.empty(sum(sizes))
-    ends = np.cumsum(sizes)
-    return [block[end - size:end].reshape(shape) for shape, size, end in zip(shapes, sizes, ends)]
 
 
 def estimate_outage(cfg: SystemConfig, scheme: str, trials: int,
@@ -129,11 +113,9 @@ def estimate_outage(cfg: SystemConfig, scheme: str, trials: int,
     chunk size or worker split of the same (seed, trials); chunk=1 runs the
     trials one at a time.  The default chunk fits CHUNK_BYTES, bounding memory
     per chunk for any block_len and relay count.  Every per-chunk array a
-    layer can write into is carved from one block allocated once per
-    estimate, and each chunk writes its leading size rows: both Philox
-    planes (the phase plane filled only where a rate reads complex gains),
-    the powers, the link SINRs and, under exact MI, the bin SINRs and the
-    spectrum's scratch.
+    layer writes is taken from one Scratch allocated once per estimate, sized
+    by the slots per trial each layer declares, and each chunk writes its
+    leading size rows.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -142,21 +124,15 @@ def estimate_outage(cfg: SystemConfig, scheme: str, trials: int,
     if chunk is None:
         chunk = max(1, CHUNK_BYTES // (16 * (width + (cfg.block_len if exact else 0))))
     chunk = min(_check_int("chunk", chunk), trials)
-    slots = uniforms_per_trial(cfg.n_relays)
-    shapes = [(chunk, width), (chunk, slots), (chunk * slots,), (chunk, width)]
-    if exact:
-        shapes = [(chunk * spectrum_work_slots(cfg),), (chunk, cfg.block_len)] + shapes
-    # the spectrum scratch first, its complex arrays 16-byte aligned; the
-    # phase plane last, its pages touched only where a rate reads complex gains
-    *spectrum, uniforms, powers, sinrs, phases = _carve(shapes)
-    gamma, work = (spectrum[1], spectrum_work(cfg, (chunk,), spectrum[0])) if exact else (None, None)
+    slots = draw_slots(cfg.n_relays) + uniforms_per_trial(cfg.n_relays)
+    scratch = Scratch(chunk, slots + (spectrum_slots(cfg) if exact else 0))
     count = 0
     for start in range(0, trials, chunk):
         size = min(chunk, trials - start)
+        # alive into the next chunk, rng and flags keep glibc from trimming reused heap pages
         rng = trial_stream(seed, start, cfg.n_relays)
-        real = draw_realization(cfg, rng, size=size, out=uniforms[:size],
-                                powers=powers[:size], phases=phases[:size])
-        flags = _trial_outages(cfg, scheme, real, sinrs[:size * slots],
-                               None if gamma is None else gamma[:size], work)
+        real = draw_realization(cfg, rng, size=size, scratch=scratch)
+        flags = _trial_outages(cfg, scheme, real, scratch)
         count += int(np.count_nonzero(flags))
+        scratch.rewind()
     return OutageEstimate(count, trials)

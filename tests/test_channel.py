@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fdrelay.channel import (draw_realization, link_sinrs, trial_block_uniforms,
-                             uniforms_per_trial)
+from fdrelay.channel import (Scratch, draw_realization, draw_slots, link_sinrs,
+                             trial_block_uniforms, uniforms_per_trial)
 from fdrelay.model import SystemConfig
 from fdrelay.mc import trial_stream
 from oracles import abs2, from_gains, philox_planes, polar_gains
@@ -51,41 +51,41 @@ def test_scalar_draw_equals_batch_row():
 
 
 def test_draw_into_reused_buffer_matches_fresh_draw():
-    # the realization keeps copies, so refilling out cannot change it
+    # the realization keeps the powers, so refilling the uniforms cannot change it
     cfg = config(var_sd=1.0, var_sr=2.0, var_rd=3.0)
-    out = np.full((5, trial_block_uniforms(cfg.n_relays)), np.nan)
+    scratch = Scratch(5, draw_slots(cfg.n_relays))
     for start in (0, 5):
         fresh = draw_realization(cfg, trial_stream(9, start, cfg.n_relays), size=5)
-        into = draw_realization(cfg, trial_stream(9, start, cfg.n_relays), size=5, out=out)
-        out.fill(np.nan)
+        into = draw_realization(cfg, trial_stream(9, start, cfg.n_relays), size=5, scratch=scratch)
+        scratch.block[:5 * trial_block_uniforms(cfg.n_relays)] = np.nan     # the first take
         for name in ("h2_sd", "h2_sr", "h2_rd", "h_sd", "h_sr", "h_rd"):
             assert np.array_equal(getattr(into, name), getattr(fresh, name)), name
+        scratch.rewind()
 
 
-@pytest.mark.parametrize("size", [None, 1, 7])
+@pytest.mark.parametrize("size", [1, 7])
 def test_buffer_backed_draw_and_sinrs_match_fresh_ones(size):
-    # powers, the phase plane and each link's SINRs written into buffers
-    # holding other values are bit for bit those of a fresh draw, and live
-    # in those buffers
+    # powers, the phase plane and each link's SINRs taken from a scratch
+    # block holding other values are bit for bit those of a fresh draw, and
+    # live in that block; each relay power's LinkSinrs takes SINR slots of its own
     cfg = config(var_sd=1.0, var_sr=2.0, var_rd=3.0, var_rsi=0.5, var_iri=0.25)
     n, slots = cfg.n_relays, uniforms_per_trial(cfg.n_relays)
-    shape = (trial_block_uniforms(n),) if size is None else (size, trial_block_uniforms(n))
-    bufs = dict(out=np.full(shape, np.nan), powers=np.full(shape[:-1] + (slots,), np.nan),
-                phases=np.full(shape, np.nan))
-    sinr_out = np.full(slots * (size or 1), np.nan)
+    scratch = Scratch(size, draw_slots(n) + 2 * slots)
+    scratch.block.fill(np.nan)
     for start in (0, 9):
         fresh = draw_realization(cfg, trial_stream(9, start, n), size=size)
-        into = draw_realization(cfg, trial_stream(9, start, n), size=size, **bufs)
+        into = draw_realization(cfg, trial_stream(9, start, n), size=size, scratch=scratch)
         for name in ("h2_sd", "h2_sr", "h2_rd", "h_sd", "h_sr", "h_rd"):
             assert np.array_equal(getattr(into, name), getattr(fresh, name)), name
-        assert np.shares_memory(into.h2_rd, bufs["powers"])
-        assert np.shares_memory(into.phases[2], bufs["phases"])
-        for power in (0.7,) if size is None else (0.7, np.linspace(0.5, 2.0, size)):
+        assert np.shares_memory(into.h2_rd, scratch.block)
+        assert np.shares_memory(into.phases[2], scratch.block)
+        for power in (0.7, np.linspace(0.5, 2.0, size)):
             want = link_sinrs(fresh, cfg, power)
-            got = link_sinrs(into, cfg, power, out=sinr_out)
+            got = link_sinrs(into, cfg, power, scratch)
             for name in ("g_sd", "g_sr", "g_rd"):
                 assert np.array_equal(getattr(got, name), getattr(want, name)), name
-                assert np.shares_memory(getattr(got, name), sinr_out), name
+                assert np.shares_memory(getattr(got, name), scratch.block), name
+        scratch.rewind()
 
 
 def test_draw_statistics():
@@ -127,13 +127,14 @@ def test_drawn_gains_match_polar_map(size):
 
 @pytest.mark.parametrize("n, seed, trial, size", [(1, 0, 0, None), (3, 7, 5, 9), (10, 2, 1000, 64)])
 def test_trial_uniforms_are_philox_plane_blocks(n, seed, trial, size):
-    # out holds plane 0 at block trial*W/4, the powers are its -var*log1p(-u0),
-    # and the phases are the same slots of plane 1
+    # the first array the draw takes holds plane 0 at block trial*W/4, the
+    # powers are its -var*log1p(-u0), and the phases are the same slots of plane 1
     cfg = config(n_relays=n, var_sd=1.3, var_sr=2.0, var_rd=0.7)
     u0, u1 = philox_planes(seed, trial, n, size)
-    out = np.empty_like(u0)
-    real = draw_realization(cfg, trial_stream(seed, trial, n), size=size, out=out)
-    assert np.array_equal(out, u0)
+    scratch, taken = Scratch(), []
+    scratch.take = lambda *args: taken.append(Scratch.take(scratch, *args)) or taken[-1]
+    real = draw_realization(cfg, trial_stream(seed, trial, n), size=size, scratch=scratch)
+    assert np.array_equal(taken[0], u0)
     slots = (u0[..., :1], u0[..., 1:1 + n], u0[..., 1 + n:1 + 2 * n])
     for power, u, var in zip((real.h2_sd, real.h2_sr, real.h2_rd), slots,
                              (cfg.var_sd, cfg.var_sr, cfg.var_rd)):

@@ -42,6 +42,10 @@ REMOVED = (
     "ENUMERATION_MAX_RELAYS",
     "LinkOutageProbs",
     "config_from_dict",
+    "SpectrumWork",
+    "spectrum_work",
+    "spectrum_work_slots",
+    "_carve",
 )
 
 
@@ -67,6 +71,9 @@ def test_removed_parameters_and_fields_are_gone():
     assert list(inspect.signature(fdrelay.link_outages).parameters) == ["cfg"]
     assert "real" not in inspect.signature(fdrelay.approx_rate).parameters
     assert "interference_var" not in inspect.signature(fdrelay.link_sinrs).parameters
+    draw = inspect.signature(fdrelay.draw_realization).parameters
+    assert not {"powers", "phases", "out"} & set(draw)
+    assert not {"out", "work"} & set(inspect.signature(fdrelay.lambda_spectrum).parameters)
     assert list(inspect.signature(fdrelay.eta).parameters) == ["cfg"]
     assert not hasattr(fdrelay.ChannelRealization, "from_gains")
     assert not hasattr(fdrelay.OutageEstimate, "from_counts")

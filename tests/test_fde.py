@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fdrelay.channel import draw_realization, gather_relay, link_sinrs
-from fdrelay.fde import approx_rate, exact_rate, lambda_spectrum, spectrum_work
+from fdrelay.channel import Scratch, draw_realization, gather_relay, link_sinrs
+from fdrelay.fde import approx_rate, exact_rate, lambda_spectrum, spectrum_slots
 from fdrelay.mc import SCHEME_MULTI, forwarding, trial_stream
 from fdrelay.model import SYNCHRONOUS, SystemConfig
 from oracles import abs2, direct_spectrum, from_gains
@@ -240,15 +240,16 @@ def test_spectrum_matches_direct_phase_sum():
 
 
 def test_spectrum_and_rate_into_used_buffers_match_fresh_ones():
-    # an out= buffer still holding other values: gamma and then log2(1+gamma)
-    # are written over it, bit for bit as without out
+    # a scratch block still holding other values: gamma and then log2(1+gamma)
+    # are written over it, bit for bit as in new arrays
     for cfg in (FIG4, CIRCULAR):
         real, mask, power = multi_chunk(cfg, 64, seed=7)
         fresh = lambda_spectrum(real, mask, cfg, power)
         rate = exact_rate(fresh, cfg)
-        buf = np.full((64, cfg.block_len), np.nan)
-        spec = lambda_spectrum(real, mask, cfg, power, out=buf)
-        assert spec.gamma is buf
+        scratch = Scratch(64, spectrum_slots(cfg))
+        scratch.block.fill(np.nan)
+        spec = lambda_spectrum(real, mask, cfg, power, scratch)
+        assert np.shares_memory(spec.gamma, scratch.block)
         assert np.array_equal(spec.gamma, fresh.gamma)
         assert np.array_equal(exact_rate(spec, cfg, out=spec.gamma), rate)
         assert np.array_equal(exact_rate(fresh, cfg), rate)     # no out: gamma kept
@@ -348,18 +349,28 @@ def test_irfft_of_zero_padded_half_spectrum_is_the_short_input_transform(t_len):
 
 @pytest.mark.parametrize("cfg", [FIG4, CIRCULAR], ids=["fig4", "circular"])
 def test_spectrum_work_reused_across_batches_matches_fresh_spectra(cfg):
-    # one scratch serves batches of any size up to its rows; stale taps and
-    # transforms of a larger batch never reach a smaller one's gamma, and
-    # the half-spectrum's padding stays zero
-    work = spectrum_work(cfg, (64,))
+    # one scratch, rewound between batches as between an estimate's chunks,
+    # serves batches of any size up to its rows; stale taps and transforms
+    # of a larger batch never reach a smaller one's gamma, and the
+    # half-spectrum, zeroed on the first batch only, keeps its padding zero
+    scratch, halves = Scratch(64, spectrum_slots(cfg)), []
+
+    def take(shape, dtype=float, zeroed=False):
+        taken = Scratch.take(scratch, shape, dtype, zeroed)
+        if zeroed:
+            halves.append(taken)
+        return taken
+
+    scratch.take = take
     for seed, size in ((3, 64), (4, 5), (5, 64), (6, 1)):
         real, mask, power = multi_chunk(cfg, size, seed=seed)
         fresh = lambda_spectrum(real, mask, cfg, power)
-        into = lambda_spectrum(real, mask, cfg, power, work=work)
+        into = lambda_spectrum(real, mask, cfg, power, scratch)
         assert np.array_equal(into.gamma, fresh.gamma)
         assert np.array_equal(into.taps, fresh.taps)
+        scratch.rewind()
     span = max(d % cfg.block_len for d in cfg.delays)
-    assert work.half is None or not work.half[:, span + 1:].any()
+    assert not halves or not halves[0][:, span + 1:].any()
 
 
 @pytest.mark.parametrize("sync", [False, True], ids=["async", "sync"])

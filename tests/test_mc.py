@@ -1,7 +1,9 @@
 import functools
 import math
 import re
+import sys
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -276,6 +278,67 @@ def test_reused_chunk_buffers_match_fresh_ones(over, scheme):
               for c in (7, 1, None, 52 // 3 + 1)]
     assert len(set(counts)) == 1
     assert 5 < counts[0] < 47
+
+
+@pytest.mark.parametrize("over", [
+    dict(),
+    dict(sync_mode=SYNCHRONOUS, delays=None),
+    dict(mi_mode=MI_EXACT),
+    dict(mi_mode=MI_EXACT, sync_mode=SYNCHRONOUS, delays=None),
+    dict(mi_mode=MI_EXACT, cp_len=31, delays=(3, 9, 17, 25, 31), p_source=30.0,
+         e_relay_budget=30.0),
+    dict(n_relays=64, block_len=128, cp_len=64),
+    dict(n_relays=64, block_len=100, cp_len=64, mi_mode=MI_EXACT),
+], ids=["async-approx", "sync-approx", "async-exact", "sync-exact", "circular-exact",
+        "approx-N64", "circular-exact-N64"])
+def test_chunks_take_their_arrays_from_one_declared_block(monkeypatch, over):
+    # every array a layer takes lies in the estimate's one block, a complex
+    # one 16-byte aligned; every chunk takes the same slots per trial (one of
+    # padding counted per complex take) and they fit the slots each layer
+    # module declares.  Gains are read right after each draw, as the
+    # benchmark's trace reads them, so the phase plane is taken early and in
+    # every case; then the schemes together take all that is declared, but
+    # g_sd under exact MI, which never forms it
+    cfg = fig_config(**{"block_len": 32, **over})
+    exact, n = cfg.mi_mode == MI_EXACT, cfg.n_relays
+    declared = {"fdrelay.channel": channel.draw_slots(n) + channel.uniforms_per_trial(n),
+                "fdrelay.fde": fde.spectrum_slots(cfg) if exact else 0}
+    take, draw = channel.Scratch.take, mc.draw_realization
+    chunks, scratches, most = [], [], Counter()
+
+    def spy_take(self, shape, dtype=float, zeroed=False):
+        taken = take(self, shape, dtype, zeroed)
+        assert np.shares_memory(taken, self.block)
+        assert taken.dtype != complex or taken.ctypes.data % 16 == 0
+        scratches.append(self)
+        layer = sys._getframe(1).f_globals["__name__"]
+        chunks[-1][layer] += math.prod(shape[1:]) * taken.itemsize // 8 + (taken.dtype == complex)
+        return taken
+
+    def spy_draw(*args, **kwargs):
+        chunks.append(Counter())
+        real = draw(*args, **kwargs)
+        real.h_sd, real.h_sr, real.h_rd
+        return real
+
+    monkeypatch.setattr(channel.Scratch, "take", spy_take)
+    monkeypatch.setattr(mc, "draw_realization", spy_draw)
+    for scheme in SCHEMES:
+        chunks.clear()
+        scratches.clear()
+        estimate_outage(cfg, scheme, 1000, seed=3, chunk=400)
+        assert len(set(map(id, scratches))) == 1
+        assert len(chunks) == 3 and chunks[0] == chunks[1] == chunks[2], scheme
+        assert set(chunks[0]) <= set(declared)
+        for layer, slots in chunks[0].items():
+            assert slots <= declared[layer], (scheme, layer)
+            most[layer] = max(most[layer], slots)
+    assert most["fdrelay.channel"] == declared["fdrelay.channel"] - exact
+    assert most["fdrelay.fde"] == declared["fdrelay.fde"]
+    block = scratches[0]
+    take(block, (block.rows, block.block.size // block.rows))
+    with pytest.raises(ValueError, match="overruns the scratch block"):
+        take(block, (1,))
 
 
 @pytest.mark.parametrize("cfg, trials", [

@@ -15,6 +15,18 @@ its quartiles and how many points got faster; it also names any point whose
 outage count differs between the trees, which only an intended change of
 the random stream may do.  Exits non-zero only if the trees cannot be
 built or run.
+
+It cannot see a change in how memory is allocated.  Both trees run in one
+process on one heap, so pages one tree faults in serve the other, and
+neither pays the faults a fresh process would.  With every per-chunk
+buffer of estimate_outage dropped, it timed fig2 as 1.026x faster (25 of
+30 points, 2 cores), while separate processes ran fig2 8%, fig3 5% and
+exact-MI fig4 35% slower, with 7x, 11x and 54x the minor page faults.  So
+check an allocation change across processes instead: run
+`fdrelay --preset fig3 --trials 200000`, `fdrelay --preset fig4 --mi exact
+--trials 10000` and `fdrelay --preset fig2 --trials 200000` on each tree,
+each in a child process, and compare wall time and the child's minor
+faults (getrusage RUSAGE_CHILDREN, ru_minflt).
 """
 
 from __future__ import annotations
