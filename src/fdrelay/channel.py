@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -31,9 +31,10 @@ def trial_block_uniforms(n_relays: int) -> int:
     return PHILOX_BLOCK * ((need + PHILOX_BLOCK - 1) // PHILOX_BLOCK)
 
 
-def draw_slots(n_relays: int) -> int:
-    """float64 slots per trial draw_realization takes: both planes and the powers."""
-    return 2 * trial_block_uniforms(n_relays) + uniforms_per_trial(n_relays)
+def channel_slots(n_relays: int) -> int:
+    """float64 slots per trial this module takes from an estimate's Scratch:
+    both planes and the powers of draw_realization, and the link SINRs."""
+    return 2 * trial_block_uniforms(n_relays) + 2 * uniforms_per_trial(n_relays)
 
 
 class Scratch:
@@ -121,14 +122,6 @@ class ChannelRealization:
     h_rd = cached_property(lambda self: gains_from_uniforms(self.h2_rd, self.phases[2]))
 
 
-@lru_cache(maxsize=64)
-def _power_scale(n_relays: int, var_sd: float, var_sr: float, var_rd: float) -> np.ndarray:
-    # -variance per slot of a power plane, in link order
-    row = -np.repeat([var_sd, var_sr, var_rd], [1, n_relays, n_relays])
-    row.flags.writeable = False
-    return row
-
-
 def _phase_plane(kind, state: dict, shape: tuple, scratch: Scratch) -> np.ndarray:
     # plane 1: a bit generator of rng's kind at its state saved at draw time,
     # jumped; the seed only spares the constructor a read of OS entropy
@@ -165,7 +158,7 @@ def draw_realization(cfg: SystemConfig, rng: np.random.Generator, size: int | No
     u = rng.random(shape, out=scratch.take(shape))[..., :uniforms_per_trial(n)]
     power = np.negative(u, out=scratch.take(u.shape))
     np.log1p(power, out=power)
-    power *= _power_scale(n, cfg.var_sd, cfg.var_sr, cfg.var_rd)
+    power *= -np.repeat([cfg.var_sd, cfg.var_sr, cfg.var_rd], [1, n, n])
     return ChannelRealization(*_links(power, n), phase_plane=plane)
 
 

@@ -6,8 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from .channel import (FRESH, PHILOX_BLOCK, LinkSinrs, Scratch, draw_realization, draw_slots,
-                      gather_relay, link_sinrs, trial_block_uniforms, uniforms_per_trial)
+from .channel import (FRESH, PHILOX_BLOCK, LinkSinrs, Scratch, channel_slots, draw_realization,
+                      gather_relay, link_sinrs, trial_block_uniforms)
 from .fde import approx_rate, exact_rate, lambda_spectrum, spectrum_slots
 from .model import MI_EXACT, OutageEstimate, SystemConfig, _check_int, eta, relay_tx_power
 
@@ -16,12 +16,7 @@ SCHEME_OS = "os"
 SCHEME_PS = "ps"
 SCHEMES = (SCHEME_MULTI, SCHEME_OS, SCHEME_PS)
 
-# byte budget of a default chunk, at 16 bytes per uniform slot of a trial (its
-# two Philox planes, read or not) plus, under exact MI, 16 per bin: its 8-byte
-# bin SINR and transform scratch.  With the rest of the slots the layers
-# declare for the estimate's Scratch and the chunk's temporaries, the traced
-# peak stays below four budgets either way
-CHUNK_BYTES = 2 << 20
+CHUNK_BYTES = 4 << 20     # the most bytes a default chunk's Scratch block takes
 
 SEED_BITS = 128        # a seed is a Philox key, an int in [0, 2**SEED_BITS)
 
@@ -111,21 +106,21 @@ def estimate_outage(cfg: SystemConfig, scheme: str, trials: int,
     Trial t always consumes the substream trial_stream(seed, t), and the
     aggregate is an integer count, so the result is bit-identical for any
     chunk size or worker split of the same (seed, trials); chunk=1 runs the
-    trials one at a time.  The default chunk fits CHUNK_BYTES, bounding memory
-    per chunk for any block_len and relay count.  Every per-chunk array a
-    layer writes is taken from one Scratch allocated once per estimate, sized
-    by the slots per trial each layer declares, and each chunk writes its
-    leading size rows.
+    trials one at a time.  Every per-chunk array a layer writes is taken from
+    one Scratch allocated once per estimate: chunk rows of the float64 slots
+    per trial the layers declare (channel_slots, and spectrum_slots under
+    exact MI), of which each chunk writes its leading size rows.  The default
+    chunk is as many trials as fit CHUNK_BYTES (at least one), so the block
+    is bounded for any block_len and relay count.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     _check_int("trials", trials)
-    exact, width = cfg.mi_mode == MI_EXACT, trial_block_uniforms(cfg.n_relays)
+    slots = channel_slots(cfg.n_relays) + (spectrum_slots(cfg) if cfg.mi_mode == MI_EXACT else 0)
     if chunk is None:
-        chunk = max(1, CHUNK_BYTES // (16 * (width + (cfg.block_len if exact else 0))))
+        chunk = max(1, CHUNK_BYTES // (8 * slots))
     chunk = min(_check_int("chunk", chunk), trials)
-    slots = draw_slots(cfg.n_relays) + uniforms_per_trial(cfg.n_relays)
-    scratch = Scratch(chunk, slots + (spectrum_slots(cfg) if exact else 0))
+    scratch = Scratch(chunk, slots)
     count = 0
     for start in range(0, trials, chunk):
         size = min(chunk, trials - start)

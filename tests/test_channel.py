@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fdrelay.channel import (Scratch, draw_realization, draw_slots, link_sinrs,
+from fdrelay.channel import (Scratch, channel_slots, draw_realization, link_sinrs,
                              trial_block_uniforms, uniforms_per_trial)
 from fdrelay.model import SystemConfig
 from fdrelay.mc import trial_stream
@@ -53,7 +53,7 @@ def test_scalar_draw_equals_batch_row():
 def test_draw_into_reused_buffer_matches_fresh_draw():
     # the realization keeps the powers, so refilling the uniforms cannot change it
     cfg = config(var_sd=1.0, var_sr=2.0, var_rd=3.0)
-    scratch = Scratch(5, draw_slots(cfg.n_relays))
+    scratch = Scratch(5, channel_slots(cfg.n_relays))
     for start in (0, 5):
         fresh = draw_realization(cfg, trial_stream(9, start, cfg.n_relays), size=5)
         into = draw_realization(cfg, trial_stream(9, start, cfg.n_relays), size=5, scratch=scratch)
@@ -67,10 +67,11 @@ def test_draw_into_reused_buffer_matches_fresh_draw():
 def test_buffer_backed_draw_and_sinrs_match_fresh_ones(size):
     # powers, the phase plane and each link's SINRs taken from a scratch
     # block holding other values are bit for bit those of a fresh draw, and
-    # live in that block; each relay power's LinkSinrs takes SINR slots of its own
+    # live in that block; each relay power's LinkSinrs takes SINR slots of its
+    # own, one set more than the channel declares for an estimate
     cfg = config(var_sd=1.0, var_sr=2.0, var_rd=3.0, var_rsi=0.5, var_iri=0.25)
     n, slots = cfg.n_relays, uniforms_per_trial(cfg.n_relays)
-    scratch = Scratch(size, draw_slots(n) + 2 * slots)
+    scratch = Scratch(size, channel_slots(n) + slots)
     scratch.block.fill(np.nan)
     for start in (0, 9):
         fresh = draw_realization(cfg, trial_stream(9, start, n), size=size)

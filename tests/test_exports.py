@@ -46,6 +46,8 @@ REMOVED = (
     "spectrum_work",
     "spectrum_work_slots",
     "_carve",
+    "draw_slots",
+    "_power_scale",
 )
 
 

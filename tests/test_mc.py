@@ -301,7 +301,7 @@ def test_chunks_take_their_arrays_from_one_declared_block(monkeypatch, over):
     # g_sd under exact MI, which never forms it
     cfg = fig_config(**{"block_len": 32, **over})
     exact, n = cfg.mi_mode == MI_EXACT, cfg.n_relays
-    declared = {"fdrelay.channel": channel.draw_slots(n) + channel.uniforms_per_trial(n),
+    declared = {"fdrelay.channel": channel.channel_slots(n),
                 "fdrelay.fde": fde.spectrum_slots(cfg) if exact else 0}
     take, draw = channel.Scratch.take, mc.draw_realization
     chunks, scratches, most = [], [], Counter()
@@ -350,16 +350,65 @@ def test_chunks_take_their_arrays_from_one_declared_block(monkeypatch, over):
     (fig_config(n_relays=64, block_len=100, cp_len=64, mi_mode=MI_EXACT), 5000),
 ], ids=["exact-T4096", "approx-N64", "sync-approx-N64", "sync-exact-N32-T8", "exact-N64-T100"])
 def test_estimate_memory_is_bounded_by_the_chunk_budget(cfg, trials):
-    # the default chunk fits CHUNK_BYTES, so the traced peak stays a small
-    # multiple of it however long the block or many the relays, also where
-    # the relay axis outweighs the taps (2N+1 > T)
+    # the default chunk's block fits CHUNK_BYTES, so the traced peak, the
+    # block and the chunk's temporaries, stays under two budgets however long
+    # the block or many the relays, also where the relay axis outweighs the
+    # taps (2N+1 > T)
     tracemalloc.start()
     try:
         estimate_outage(cfg, SCHEME_MULTI, trials, seed=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * mc.CHUNK_BYTES
+    assert peak < 2 * mc.CHUNK_BYTES
+
+
+class FirstChunkDone(Exception):
+    pass
+
+
+@pytest.mark.parametrize("over, over_budget", [
+    (dict(n_relays=1), False),
+    (dict(), False),
+    (dict(n_relays=10), False),
+    (dict(n_relays=64, cp_len=64), False),
+    (dict(n_relays=10, sync_mode=SYNCHRONOUS, delays=None), False),
+    (dict(n_relays=10, block_len=64, mi_mode=MI_EXACT), False),
+    (dict(n_relays=64, block_len=100, cp_len=64, mi_mode=MI_EXACT), False),
+    (dict(n_relays=1, block_len=4096, mi_mode=MI_EXACT, sync_mode=SYNCHRONOUS,
+          delays=None), False),
+    (dict(block_len=32, cp_len=31, delays=(3, 9, 17, 25, 31), mi_mode=MI_EXACT), False),
+    (dict(block_len=4096, cp_len=3000, delays=(3, 900, 1700, 2500, 3000),
+          mi_mode=MI_EXACT), False),
+    (dict(n_relays=1, block_len=1 << 19, mi_mode=MI_EXACT), True),
+], ids=["approx-N1", "approx-N5", "approx-N10", "approx-N64", "sync-approx-N10",
+        "exact-N10-T64", "circular-exact-N64-T100", "sync-exact-N1-T4096",
+        "circular-exact-T32", "circular-exact-T4096", "one-trial-over-budget"])
+def test_default_chunk_is_the_most_trials_whose_block_fits_the_budget(monkeypatch, over,
+                                                                      over_budget):
+    # the default chunk's Scratch holds the slots per trial the layers
+    # declare and fits CHUNK_BYTES, and one more trial would not fit; where a
+    # single trial outweighs the budget the chunk is one trial.  Every scheme
+    # runs its first chunk in that block (a take past it would raise)
+    cfg = fig_config(**over)
+    slots = channel.channel_slots(cfg.n_relays)
+    slots += fde.spectrum_slots(cfg) if cfg.mi_mode == MI_EXACT else 0
+    outages, scratches = mc._trial_outages, []
+
+    def first_chunk(cfg, scheme, real, scratch):
+        scratches.append(scratch)
+        outages(cfg, scheme, real, scratch)
+        raise FirstChunkDone
+
+    monkeypatch.setattr(mc, "_trial_outages", first_chunk)
+    for scheme in SCHEMES:
+        with pytest.raises(FirstChunkDone):
+            estimate_outage(cfg, scheme, 1 << 40, seed=5)
+    (rows,) = {scratch.rows for scratch in scratches}
+    assert scratches[0].block.size == rows * slots
+    assert (8 * slots > mc.CHUNK_BYTES) == over_budget
+    assert (rows == 1) if over_budget else (8 * rows * slots <= mc.CHUNK_BYTES)
+    assert 8 * (rows + 1) * slots > mc.CHUNK_BYTES
 
 
 def test_estimate_agrees_with_closed_form():

@@ -22,11 +22,9 @@ neither pays the faults a fresh process would.  With every per-chunk
 buffer of estimate_outage dropped, it timed fig2 as 1.026x faster (25 of
 30 points, 2 cores), while separate processes ran fig2 8%, fig3 5% and
 exact-MI fig4 35% slower, with 7x, 11x and 54x the minor page faults.  So
-check an allocation change across processes instead: run
-`fdrelay --preset fig3 --trials 200000`, `fdrelay --preset fig4 --mi exact
---trials 10000` and `fdrelay --preset fig2 --trials 200000` on each tree,
-each in a child process, and compare wall time and the child's minor
-faults (getrusage RUSAGE_CHILDREN, ru_minflt).
+check an allocation change across processes instead, with
+tools/cli_runs.py, which times three CLI runs of each tree in child
+processes and counts their minor faults.
 """
 
 from __future__ import annotations
