@@ -280,30 +280,47 @@ def test_reused_chunk_buffers_match_fresh_ones(over, scheme):
     assert 5 < counts[0] < 47
 
 
-@pytest.mark.parametrize("over", [
-    dict(),
-    dict(sync_mode=SYNCHRONOUS, delays=None),
-    dict(mi_mode=MI_EXACT),
-    dict(mi_mode=MI_EXACT, sync_mode=SYNCHRONOUS, delays=None),
-    dict(mi_mode=MI_EXACT, cp_len=31, delays=(3, 9, 17, 25, 31), p_source=30.0,
-         e_relay_budget=30.0),
-    dict(n_relays=64, block_len=128, cp_len=64),
-    dict(n_relays=64, block_len=100, cp_len=64, mi_mode=MI_EXACT),
+class FirstChunkDone(Exception):
+    pass
+
+
+@pytest.mark.parametrize("over, chunk", [
+    (dict(), 400),
+    (dict(sync_mode=SYNCHRONOUS, delays=None), 400),
+    (dict(mi_mode=MI_EXACT), 400),
+    (dict(mi_mode=MI_EXACT, sync_mode=SYNCHRONOUS, delays=None), 400),
+    (dict(mi_mode=MI_EXACT, cp_len=31, delays=(3, 9, 17, 25, 31), p_source=30.0,
+          e_relay_budget=30.0), 400),
+    (dict(n_relays=64, block_len=128, cp_len=64), 400),
+    (dict(n_relays=64, block_len=100, cp_len=64, mi_mode=MI_EXACT), 400),
+    (dict(n_relays=1), 400),
+    (dict(n_relays=10), 400),
+    (dict(n_relays=10, sync_mode=SYNCHRONOUS, delays=None), 400),
+    (dict(n_relays=10, block_len=64, mi_mode=MI_EXACT), 400),
+    (dict(n_relays=1, block_len=4096, mi_mode=MI_EXACT, sync_mode=SYNCHRONOUS,
+          delays=None), 8),
+    (dict(block_len=4096, cp_len=3000, delays=(3, 900, 1700, 2500, 3000),
+          mi_mode=MI_EXACT), 8),
+    (dict(n_relays=1, block_len=1 << 19, mi_mode=MI_EXACT), 1),
 ], ids=["async-approx", "sync-approx", "async-exact", "sync-exact", "circular-exact",
-        "approx-N64", "circular-exact-N64"])
-def test_chunks_take_their_arrays_from_one_declared_block(monkeypatch, over):
+        "approx-N64", "circular-exact-N64", "approx-N1", "approx-N10", "sync-approx-N10",
+        "exact-N10-T64", "sync-exact-N1-T4096", "circular-exact-T4096",
+        "one-trial-over-budget"])
+def test_chunks_take_their_arrays_from_one_declared_block(monkeypatch, over, chunk):
     # every array a layer takes lies in the estimate's one block, a complex
     # one 16-byte aligned; every chunk takes the same slots per trial (one of
     # padding counted per complex take) and they fit the slots each layer
     # module declares.  Gains are read right after each draw, as the
     # benchmark's trace reads them, so the phase plane is taken early and in
     # every case; then the schemes together take all that is declared, but
-    # g_sd under exact MI, which never forms it
+    # g_sd under exact MI, which never forms it.  At the default chunk the
+    # block fits CHUNK_BYTES and one more trial would not, or it is one
+    # trial that alone outweighs the budget
     cfg = fig_config(**{"block_len": 32, **over})
     exact, n = cfg.mi_mode == MI_EXACT, cfg.n_relays
     declared = {"fdrelay.channel": channel.channel_slots(n),
                 "fdrelay.fde": fde.spectrum_slots(cfg) if exact else 0}
-    take, draw = channel.Scratch.take, mc.draw_realization
+    take, draw, outages = channel.Scratch.take, mc.draw_realization, mc._trial_outages
     chunks, scratches, most = [], [], Counter()
 
     def spy_take(self, shape, dtype=float, zeroed=False):
@@ -321,12 +338,17 @@ def test_chunks_take_their_arrays_from_one_declared_block(monkeypatch, over):
         real.h_sd, real.h_sr, real.h_rd
         return real
 
+    def first_chunk(*args):
+        outages(*args)
+        raise FirstChunkDone
+
     monkeypatch.setattr(channel.Scratch, "take", spy_take)
     monkeypatch.setattr(mc, "draw_realization", spy_draw)
     for scheme in SCHEMES:
         chunks.clear()
         scratches.clear()
-        estimate_outage(cfg, scheme, 1000, seed=3, chunk=400)
+        # three chunks, the last ragged where chunk > 1
+        estimate_outage(cfg, scheme, 2 * chunk + (chunk + 1) // 2, seed=3, chunk=chunk)
         assert len(set(map(id, scratches))) == 1
         assert len(chunks) == 3 and chunks[0] == chunks[1] == chunks[2], scheme
         assert set(chunks[0]) <= set(declared)
@@ -339,6 +361,15 @@ def test_chunks_take_their_arrays_from_one_declared_block(monkeypatch, over):
     take(block, (block.rows, block.block.size // block.rows))
     with pytest.raises(ValueError, match="overruns the scratch block"):
         take(block, (1,))
+
+    monkeypatch.setattr(mc, "_trial_outages", first_chunk)
+    for scheme in SCHEMES:
+        scratches.clear()
+        with pytest.raises(FirstChunkDone):
+            estimate_outage(cfg, scheme, 1 << 40, seed=5)
+        block = scratches[0]
+        assert block.rows == 1 or 8 * block.block.size <= mc.CHUNK_BYTES
+        assert 8 * (block.block.size + block.block.size // block.rows) > mc.CHUNK_BYTES
 
 
 @pytest.mark.parametrize("cfg, trials", [
@@ -361,54 +392,6 @@ def test_estimate_memory_is_bounded_by_the_chunk_budget(cfg, trials):
     finally:
         tracemalloc.stop()
     assert peak < 2 * mc.CHUNK_BYTES
-
-
-class FirstChunkDone(Exception):
-    pass
-
-
-@pytest.mark.parametrize("over, over_budget", [
-    (dict(n_relays=1), False),
-    (dict(), False),
-    (dict(n_relays=10), False),
-    (dict(n_relays=64, cp_len=64), False),
-    (dict(n_relays=10, sync_mode=SYNCHRONOUS, delays=None), False),
-    (dict(n_relays=10, block_len=64, mi_mode=MI_EXACT), False),
-    (dict(n_relays=64, block_len=100, cp_len=64, mi_mode=MI_EXACT), False),
-    (dict(n_relays=1, block_len=4096, mi_mode=MI_EXACT, sync_mode=SYNCHRONOUS,
-          delays=None), False),
-    (dict(block_len=32, cp_len=31, delays=(3, 9, 17, 25, 31), mi_mode=MI_EXACT), False),
-    (dict(block_len=4096, cp_len=3000, delays=(3, 900, 1700, 2500, 3000),
-          mi_mode=MI_EXACT), False),
-    (dict(n_relays=1, block_len=1 << 19, mi_mode=MI_EXACT), True),
-], ids=["approx-N1", "approx-N5", "approx-N10", "approx-N64", "sync-approx-N10",
-        "exact-N10-T64", "circular-exact-N64-T100", "sync-exact-N1-T4096",
-        "circular-exact-T32", "circular-exact-T4096", "one-trial-over-budget"])
-def test_default_chunk_is_the_most_trials_whose_block_fits_the_budget(monkeypatch, over,
-                                                                      over_budget):
-    # the default chunk's Scratch holds the slots per trial the layers
-    # declare and fits CHUNK_BYTES, and one more trial would not fit; where a
-    # single trial outweighs the budget the chunk is one trial.  Every scheme
-    # runs its first chunk in that block (a take past it would raise)
-    cfg = fig_config(**over)
-    slots = channel.channel_slots(cfg.n_relays)
-    slots += fde.spectrum_slots(cfg) if cfg.mi_mode == MI_EXACT else 0
-    outages, scratches = mc._trial_outages, []
-
-    def first_chunk(cfg, scheme, real, scratch):
-        scratches.append(scratch)
-        outages(cfg, scheme, real, scratch)
-        raise FirstChunkDone
-
-    monkeypatch.setattr(mc, "_trial_outages", first_chunk)
-    for scheme in SCHEMES:
-        with pytest.raises(FirstChunkDone):
-            estimate_outage(cfg, scheme, 1 << 40, seed=5)
-    (rows,) = {scratch.rows for scratch in scratches}
-    assert scratches[0].block.size == rows * slots
-    assert (8 * slots > mc.CHUNK_BYTES) == over_budget
-    assert (rows == 1) if over_budget else (8 * rows * slots <= mc.CHUNK_BYTES)
-    assert 8 * (rows + 1) * slots > mc.CHUNK_BYTES
 
 
 def test_estimate_agrees_with_closed_form():

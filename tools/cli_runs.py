@@ -41,7 +41,8 @@ def run(tree: Path, args: list[str]) -> tuple[float, int]:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     t0 = time.perf_counter()
-    subprocess.run([sys.executable, "-m", "fdrelay.cli", *args, "--out", os.devnull],
+    # a two-variant preset writes one file per variant beside --out
+    subprocess.run([sys.executable, "-m", "fdrelay.cli", *args, "--out", str(tree / "out.csv")],
                    cwd=tree, env=env, check=True, stdout=subprocess.DEVNULL)
     wall = time.perf_counter() - t0
     return wall, resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
