@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import warnings
 from functools import partial
+from itertools import count
 
 from .model import (FIXED_PER_RELAY, SYNCHRONOUS, SystemConfig, _check_int, eta,
                     relay_interference_floor, relay_tx_power)
@@ -52,8 +53,15 @@ def _top_down_sum(n: int, x: float) -> float:
     x <= -n alike; it adds all n terms only where the tail stays heavy.
     """
     t = total = n / x
-    ax = abs(x)
-    for k in range(n - 1, 0, -1):   # k = n - i; rest <= |t| k/(|x| - k)
+    if x > 0.0:     # every term positive
+        for k in range(n - 1, 0, -1):   # k = n - i; rest <= t k/(x - k)
+            if t * k <= TAIL_EPS * total * (x - k):
+                break
+            t *= k / x
+            total += t
+        return total
+    ax = -x
+    for k in range(n - 1, 0, -1):
         if abs(t) * k <= TAIL_EPS * abs(total) * (ax - k):
             break
         t *= k / x
@@ -75,12 +83,17 @@ def kummer_j(n: int, x: float) -> float:
         lead = math.exp(math.lgamma(n + 1) - n * math.log(-x) + x)
         return (-lead if n % 2 else lead) - _top_down_sum(n, x)
     t = total = 1.0
-    k = n + 1
-    while abs(t) > 1e-17 * total:  # t underflows to 0.0 at the latest
+    if x >= 0.0:    # every term non-negative
+        for k in count(n + 1):
+            t *= x / k
+            total += t
+            if t <= 1e-17 * total:  # t underflows to 0.0 at the latest
+                return total
+    for k in count(n + 1):          # alternating terms; a NaN x stops after one
         t *= x / k
         total += t
-        k += 1
-    return total
+        if not abs(t) > 1e-17 * total:
+            return total
 
 
 def regularized_lower_gamma_int(n: int, x: float) -> float:
@@ -93,8 +106,8 @@ def regularized_lower_gamma_int(n: int, x: float) -> float:
     once its tail cannot move it (_top_down_sum).  No form overflows at any
     finite x.
     """
-    if n < 1:
-        raise ValueError("order n must be a positive integer")
+    if type(n) is not int or n < 1:
+        _check_int("order n", n)
     if not (math.isfinite(x) and x >= 0.0):
         raise ValueError(f"x must be a finite non-negative real number, got {x!r}")
     if n == 1:
@@ -161,6 +174,8 @@ def _mrc_mix_outage(n_sum: int, gbar_sd: float, gbar_rd: float, e: float) -> flo
              + poisson_pmf(n_sum, v) * _gap_sum(n_sum, x, v, gbar_rd / gbar_sd))
     else:
         p = regularized_lower_gamma_int(n_sum, v) - poisson_pmf(n_sum, v) * kummer_j(n_sum, x)
+    if 0.0 < p <= 1.0:  # anything else, -0.0 too, goes through the clamp
+        return p
     return _clamped(p, "combined outage")
 
 
@@ -170,7 +185,8 @@ def p_cond_async(n_decoding: int, cfg: SystemConfig) -> float:
     The destination adds the direct SNR and the n_decoding independent relay
     SNRs, each exponential with mean relay_tx_power*var_rd.
     """
-    _check_int("n_decoding", n_decoding)
+    if type(n_decoding) is not int or n_decoding < 1:
+        _check_int("n_decoding", n_decoding)
     gbar_rd = relay_tx_power(cfg, n_decoding) * cfg.var_rd
     return _mrc_mix_outage(n_decoding, cfg.p_source * cfg.var_sd, gbar_rd, eta(cfg))
 
@@ -183,7 +199,8 @@ def p_cond_sync(n_decoding: int, cfg: SystemConfig) -> float:
     shared budget the result does not depend on n_decoding at all, and
     total_outage evaluates it once, at n_decoding = 1.
     """
-    _check_int("n_decoding", n_decoding)
+    if type(n_decoding) is not int or n_decoding < 1:
+        _check_int("n_decoding", n_decoding)
     gbar_syn = relay_tx_power(cfg, n_decoding) * n_decoding * cfg.var_rd
     return _mrc_mix_outage(1, cfg.p_source * cfg.var_sd, gbar_syn, eta(cfg))
 
@@ -223,6 +240,8 @@ def combine_outage(p_sd: float, p_sr: float, n_relays: int, p_cond) -> float:
         if w * n_relays <= 2.0 ** -54 * total:
             break
         total += w * (p_cond(size) if size else p_sd)
+    if 0.0 < total <= 1.0:
+        return total
     return _clamped(total, "total outage")
 
 

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 
+from fdrelay.analytic import TAIL_EPS
 from fdrelay.channel import ChannelRealization
 
 
@@ -45,6 +46,37 @@ def combine_every_size(p_sd: float, p_sr: float, p_cond_by_size) -> float:
     for size in range(1, n + 1):
         w = math.comb(n, size) * (1.0 - p_sr) ** size * p_sr ** (n - size)
         total += w * p_cond_by_size[size - 1]
+    return total
+
+
+def top_down_sum_loop(n: int, x: float) -> float:
+    """analytic._top_down_sum as one loop over both signs of x, |t| and |total|
+    compared on every term: the form the library's sign split must match bit
+    for bit, the same operations in the same order, stopping at the same term."""
+    t = total = n / x
+    ax = abs(x)
+    for k in range(n - 1, 0, -1):
+        if abs(t) * k <= TAIL_EPS * abs(total) * (ax - k):
+            break
+        t *= k / x
+        total += t
+    return total
+
+
+def kummer_j_loop(n: int, x: float) -> float:
+    """analytic.kummer_j with its series as one while loop over both signs
+    of x, tested before each term; x <= -n goes through top_down_sum_loop."""
+    if n == 1:
+        return math.expm1(x) / x if x else 1.0
+    if x <= -n:
+        lead = math.exp(math.lgamma(n + 1) - n * math.log(-x) + x)
+        return (-lead if n % 2 else lead) - top_down_sum_loop(n, x)
+    t = total = 1.0
+    k = n + 1
+    while abs(t) > 1e-17 * total:
+        t *= x / k
+        total += t
+        k += 1
     return total
 
 

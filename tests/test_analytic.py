@@ -13,10 +13,12 @@ import fdrelay.analytic as analytic
 from fdrelay.analytic import (_clamped, _mrc_mix_outage, combine_outage,
                               link_outages, p_cond_async, p_cond_sync,
                               total_outage)
+from fdrelay.cli import PRESET_NAMES, build_preset
 from fdrelay.model import (ASYNCHRONOUS, FIXED_PER_RELAY, SHARED_BUDGET,
-                           SYNCHRONOUS, SystemConfig, eta, relay_tx_power,
-                           validate_config)
-from oracles import combine_by_enumeration, combine_every_size
+                           SYNCHRONOUS, SystemConfig, apply_param, eta,
+                           relay_tx_power, validate_config)
+from oracles import (combine_by_enumeration, combine_every_size, kummer_j_loop,
+                     top_down_sum_loop)
 
 
 def fig_config(**over):
@@ -415,6 +417,54 @@ def test_total_outage_window_matches_every_size_sum():
                                   [cond(size, cfg) for size in range(1, cfg.n_relays + 1)])
         tol = 1e-11 if sync and cfg.relay_power_policy == SHARED_BUDGET else 2e-13
         assert math.isclose(total_outage(cfg), want, rel_tol=tol), cfg
+
+
+def series_grid(seed):
+    # (n, x) over every branch of kummer_j and _top_down_sum: x = 0, 0 < x < n,
+    # -n < x < 0 and x <= -n (J_n); x >= n and x <= -n (the top-down sum)
+    rng = np.random.default_rng(seed)
+    for n in range(1, 65):
+        edges = [0.0, -0.0, 5e-324, 1e-12, n - 1e-9, -1e-12, -n + 1e-9, float(-n),
+                 -n - 1e-9, float(n), n + 1e-9, 1e300, -1e300]
+        spread = n * np.concatenate([rng.uniform(0.0, 1.0, 12), rng.uniform(-1.0, 0.0, 12),
+                                     -np.geomspace(1.0, 1e4, 12) * rng.uniform(1.0, 1.5, 12),
+                                     np.geomspace(1.0, 1e4, 12) * rng.uniform(1.0, 1.5, 12)])
+        for x in edges + spread.tolist():
+            yield n, x
+
+
+def test_series_match_their_loop_forms_bit_for_bit():
+    # the sign-split loops perform the one-loop forms' operations in the same
+    # order and stop at the same term, so every double is the same
+    branches = dict.fromkeys(("x = 0", "0 < x < n", "-n < x < 0", "x <= -n", "x >= n"), 0)
+    for n, x in series_grid(31):
+        if x < n:
+            assert analytic.kummer_j(n, x).hex() == kummer_j_loop(n, x).hex(), (n, x)
+        if abs(x) >= n:
+            assert analytic._top_down_sum(n, x).hex() == top_down_sum_loop(n, x).hex(), (n, x)
+        branches["x = 0" if x == 0.0 else "0 < x < n" if 0.0 < x < n
+                 else "-n < x < 0" if -n < x < 0.0 else "x <= -n" if x <= -n else "x >= n"] += 1
+    assert min(branches.values()) >= 2 * 64, branches
+
+
+def preset_points():
+    # every point of every preset, in both combining modes
+    for name in PRESET_NAMES:
+        for _, spec in build_preset(name).variants:
+            for value in spec.values:
+                cfg = apply_param(spec.base, spec.param, value)
+                for mode in (ASYNCHRONOUS, SYNCHRONOUS):
+                    yield validate_config(replace(cfg, sync_mode=mode, delays=None))
+
+
+def test_total_outage_matches_loop_forms_bit_for_bit(monkeypatch):
+    cfgs = [*preset_points(), *bench_range_configs(31337, 1000)]
+    assert len(cfgs) == 64 + 1000
+    got = [total_outage(cfg) for cfg in cfgs]
+    monkeypatch.setattr(analytic, "kummer_j", kummer_j_loop)
+    monkeypatch.setattr(analytic, "_top_down_sum", top_down_sum_loop)
+    for cfg, p in zip(cfgs, got):
+        assert p.hex() == total_outage(cfg).hex(), cfg
 
 
 @pytest.mark.parametrize("mode", [ASYNCHRONOUS, SYNCHRONOUS])

@@ -43,10 +43,10 @@ def test_lower_gamma_matches_quadrature():
 
 
 def test_lower_gamma_rejects_nonpositive_order():
-    with pytest.raises(ValueError):
-        regularized_lower_gamma_int(0, 1.0)
-    with pytest.raises(ValueError):
-        regularized_lower_gamma_int(-2, 1.0)
+    # the one integer rule: a float order is never truncated, a bool is no count
+    for n, x in ((0, 1.0), (-2, 1.0), (2.5, 5.0), (2.5, 1.0), (True, 1.0)):
+        with pytest.raises(ValueError, match=f"order n must be a positive integer, got {n!r}"):
+            regularized_lower_gamma_int(n, x)
 
 
 def test_lower_gamma_rejects_non_finite_argument():
