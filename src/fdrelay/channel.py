@@ -103,7 +103,7 @@ def gains_from_uniforms(power, u1):
 @dataclass(frozen=True)
 class ChannelRealization:
     """Fading blocks: powers |h|^2 h2_sd of the batch shape, h2_sr and h2_rd
-    with a trailing relay axis, e.g. (B,) and (B, N), or () and (N,) unbatched.
+    with a trailing relay axis, e.g. (B,) and (B, N) as drawn.
 
     phase_plane returns the realization's phase (u1) plane, shaped like the
     drawn power plane.  It is called once, when the first complex gain is
@@ -130,9 +130,9 @@ def _phase_plane(kind, state: dict, shape: tuple, scratch: Scratch) -> np.ndarra
     return np.random.Generator(bitgen.jumped()).random(shape, out=scratch.take(shape))
 
 
-def draw_realization(cfg: SystemConfig, rng: np.random.Generator, size: int | None = None,
+def draw_realization(cfg: SystemConfig, rng: np.random.Generator, size: int,
                      scratch: Scratch = FRESH) -> ChannelRealization:
-    """Draw one realization (size None) or a batch of size independent ones.
+    """Draw a batch of size independent realizations; one trial is a batch of one.
 
     Fills only the power plane here: trial_block_uniforms(cfg.n_relays)
     doubles of rng per realization in link order (h_sd, h_sr, h_rd, then
@@ -151,8 +151,7 @@ def draw_realization(cfg: SystemConfig, rng: np.random.Generator, size: int | No
     must have jumped() (Philox, PCG64, MT19937).
     """
     n = cfg.n_relays
-    width = trial_block_uniforms(n)
-    shape = (width,) if size is None else (size, width)
+    shape = (size, trial_block_uniforms(n))
     bitgen = rng.bit_generator
     plane = partial(_phase_plane, type(bitgen), bitgen.state, shape, scratch)  # before the powers move rng
     u = rng.random(shape, out=scratch.take(shape))[..., :uniforms_per_trial(n)]

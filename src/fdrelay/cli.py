@@ -10,8 +10,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .analytic import total_outage
-from .mc import SCHEME_MULTI, SCHEMES, SEED_BITS, estimate_outage
-from .model import (ASYNCHRONOUS, DB_FIELDS, MI_APPROXIMATE, MI_EXACT,
+from .mc import SEED_BITS, estimate_outage
+from .model import (ASYNCHRONOUS, DB_FIELDS, MI_APPROXIMATE, MI_EXACT, SCHEME_MULTI, SCHEMES,
                     SYNCHRONOUS, SweepResult, SweepRow, SweepSpec, SystemConfig,
                     apply_param, _check_int, configure, linear_to_db)
 

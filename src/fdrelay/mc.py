@@ -9,12 +9,8 @@ import numpy as np
 from .channel import (FRESH, PHILOX_BLOCK, LinkSinrs, Scratch, channel_slots, draw_realization,
                       gather_relay, link_sinrs, trial_block_uniforms)
 from .fde import approx_rate, exact_rate, lambda_spectrum, spectrum_slots
-from .model import MI_EXACT, OutageEstimate, SystemConfig, _check_int, eta, relay_tx_power
-
-SCHEME_MULTI = "multi"
-SCHEME_OS = "os"
-SCHEME_PS = "ps"
-SCHEMES = (SCHEME_MULTI, SCHEME_OS, SCHEME_PS)
+from .model import (MI_EXACT, SCHEME_MULTI, SCHEME_OS, SCHEME_PS, SCHEMES, OutageEstimate,
+                    SystemConfig, _check_int, eta, relay_tx_power)
 
 CHUNK_BYTES = 4 << 20     # the most bytes a default chunk's Scratch block takes
 

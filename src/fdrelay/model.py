@@ -14,6 +14,10 @@ MI_EXACT = "exact"
 MI_APPROXIMATE = "approximate"
 SHARED_BUDGET = "shared_budget"
 FIXED_PER_RELAY = "fixed_per_relay"
+SCHEME_MULTI = "multi"
+SCHEME_OS = "os"
+SCHEME_PS = "ps"
+SCHEMES = (SCHEME_MULTI, SCHEME_OS, SCHEME_PS)
 
 # SystemConfig fields that live on a dB scale in config files ("<name>_db")
 DB_FIELDS = (
@@ -282,7 +286,7 @@ class SweepSpec:
     base: SystemConfig
     param: str                          # SystemConfig field, optionally _db suffixed
     values: tuple[float, ...]
-    schemes: tuple[str, ...] = ("multi", "os", "ps")
+    schemes: tuple[str, ...] = SCHEMES
     trials: int = 100_000
     seed: int = 0
 

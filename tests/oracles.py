@@ -111,9 +111,9 @@ def polar_gains(u, variance):
     return mag, mag * np.cos(ang) + 1j * (mag * np.sin(ang))
 
 
-def philox_planes(seed: int, trial: int, n_relays: int, size=None):
+def philox_planes(seed: int, trial: int, n_relays: int, size: int):
     """(u0, u1): the power and phase uniforms of trials trial.. read straight
-    off Philox(key=seed), shaped (W,) for size None, else (size, W).
+    off Philox(key=seed), shaped (size, W).
 
     Each plane gives a trial W = 1+2N uniforms padded up to a multiple of 4
     (one counter block); trial t starts at block t*W/4, in plane 0 (counter
@@ -121,9 +121,9 @@ def philox_planes(seed: int, trial: int, n_relays: int, size=None):
     the phases.
     """
     width = 4 * -(-(1 + 2 * n_relays) // 4)
-    shape = (width,) if size is None else (size, width)
     return tuple(np.random.Generator(np.random.Philox(
-        counter=[trial * width // 4, 0, plane, 0], key=seed)).random(shape) for plane in (0, 1))
+        counter=[trial * width // 4, 0, plane, 0], key=seed)).random((size, width))
+        for plane in (0, 1))
 
 
 def from_gains(h_sd, h_sr, h_rd) -> ChannelRealization:
@@ -136,3 +136,9 @@ def from_gains(h_sd, h_sr, h_rd) -> ChannelRealization:
     real = ChannelRealization(*(abs2(h) for h in gains))
     real.__dict__.update(zip(("h_sd", "h_sr", "h_rd"), gains))
     return real
+
+
+def batch_rows(real, index) -> ChannelRealization:
+    """The trials a batch index (an int, for one unbatched trial, or a slice)
+    picks from a drawn batch, as a realization of their complex gains."""
+    return from_gains(real.h_sd[index], real.h_sr[index], real.h_rd[index])

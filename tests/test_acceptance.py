@@ -18,7 +18,7 @@ from fdrelay.cli import build_preset, main
 from fdrelay.fde import approx_rate, exact_rate, lambda_spectrum
 from fdrelay.mc import estimate_outage, forwarding, trial_stream
 from fdrelay.model import MI_EXACT, SystemConfig, apply_param, eta
-from oracles import combine_by_enumeration
+from oracles import batch_rows, combine_by_enumeration
 
 TRIALS = 1_000_000
 SEED = 0
@@ -103,7 +103,7 @@ def test_criterion_2_circulant_oracle():
                            e_relay_budget=float(rng.uniform(0.1, 5.0)),
                            rate=1.0, block_len=t_len, cp_len=t_len - 1,
                            delays=delays)
-        real = draw_realization(cfg, trial_stream(trial, 0, n))
+        real = batch_rows(draw_realization(cfg, trial_stream(trial, 0, n), size=1), 0)
         p_r = cfg.e_relay_budget
         spec = lambda_spectrum(real, np.ones(n, bool), cfg, p_r)
 

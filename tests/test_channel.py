@@ -15,10 +15,6 @@ def config(**over):
     return SystemConfig(**kwargs)
 
 
-def manual_real(h_sd, h_sr, h_rd):
-    return from_gains(h_sd, h_sr, h_rd)
-
-
 def test_uniform_budget_covers_block_padding():
     for n in (1, 2, 5, 10):
         need = uniforms_per_trial(n)
@@ -29,9 +25,9 @@ def test_uniform_budget_covers_block_padding():
 
 def test_draw_shapes_and_zero_variance():
     cfg = config(var_sd=0.0, var_sr=2.0, var_rd=1.0)
-    real = draw_realization(cfg, trial_stream(0, 0, cfg.n_relays))
-    assert real.h_sd.shape == () and real.h_sd == 0.0
-    assert real.h_sr.shape == (3,) and real.h_rd.shape == (3,)
+    real = draw_realization(cfg, trial_stream(0, 0, cfg.n_relays), size=1)
+    assert real.h_sd.shape == (1,) and real.h_sd[0] == 0.0
+    assert real.h_sr.shape == (1, 3) and real.h_rd.shape == (1, 3)
     batch = draw_realization(cfg, trial_stream(0, 0, cfg.n_relays), size=7)
     assert batch.h_sd.shape == (7,)
     assert batch.h_sr.shape == (7, 3) and batch.h_rd.shape == (7, 3)
@@ -41,13 +37,13 @@ def test_scalar_draw_equals_batch_row():
     cfg = config(var_sd=1.0, var_sr=2.0, var_rd=3.0)
     batch = draw_realization(cfg, trial_stream(9, 0, cfg.n_relays), size=4)
     for t in range(4):
-        one = draw_realization(cfg, trial_stream(9, t, cfg.n_relays))
-        assert one.h2_sd == batch.h2_sd[t]
-        assert np.array_equal(one.h2_sr, batch.h2_sr[t])
-        assert np.array_equal(one.h2_rd, batch.h2_rd[t])
-        assert one.h_sd == batch.h_sd[t]
-        assert np.array_equal(one.h_sr, batch.h_sr[t])
-        assert np.array_equal(one.h_rd, batch.h_rd[t])
+        one = draw_realization(cfg, trial_stream(9, t, cfg.n_relays), size=1)
+        assert one.h2_sd[0] == batch.h2_sd[t]
+        assert np.array_equal(one.h2_sr[0], batch.h2_sr[t])
+        assert np.array_equal(one.h2_rd[0], batch.h2_rd[t])
+        assert one.h_sd[0] == batch.h_sd[t]
+        assert np.array_equal(one.h_sr[0], batch.h_sr[t])
+        assert np.array_equal(one.h_rd[0], batch.h_rd[t])
 
 
 def test_draw_into_reused_buffer_matches_fresh_draw():
@@ -105,7 +101,7 @@ def test_draw_statistics():
     assert real.h2_sd.min() >= 0.0 and real.h2_sr.min() >= 0.0 and real.h2_rd.min() >= 0.0
 
 
-@pytest.mark.parametrize("size", [None, 1, 7, 4096])
+@pytest.mark.parametrize("size", [1, 7, 4096])
 def test_drawn_gains_match_polar_map(size):
     # complex gains bit for bit as the polar map of each gain's power and
     # phase uniforms, taken from the two Philox planes, their magnitude
@@ -126,7 +122,7 @@ def test_drawn_gains_match_polar_map(size):
         assert np.all(np.abs(abs2(h) - power) <= 4 * np.spacing(power)), link
 
 
-@pytest.mark.parametrize("n, seed, trial, size", [(1, 0, 0, None), (3, 7, 5, 9), (10, 2, 1000, 64)])
+@pytest.mark.parametrize("n, seed, trial, size", [(1, 0, 0, 1), (3, 7, 5, 9), (10, 2, 1000, 64)])
 def test_trial_uniforms_are_philox_plane_blocks(n, seed, trial, size):
     # the first array the draw takes holds plane 0 at block trial*W/4, the
     # powers are its -var*log1p(-u0), and the phases are the same slots of plane 1
@@ -188,7 +184,7 @@ def test_from_gains_powers_and_gains():
 
 
 def test_link_sinrs_direct_substitution():
-    real = manual_real(1 + 0j, [1 + 0j, 0j, 0j], [0j, 0j, 0j])
+    real = from_gains(1 + 0j, [1 + 0j, 0j, 0j], [0j, 0j, 0j])
     cfg = config(p_source=2.0, var_rsi=1.0, var_iri=1.0)
     sinrs = link_sinrs(real, cfg, 1.0)
     assert sinrs.g_sd == 2.0
@@ -202,7 +198,7 @@ def test_link_sinr_interference_denominator():
     # P_R = E_R/N at 5 dB over five relays
     p_s = 10.0 ** 0.5
     p_r = p_s / 5.0
-    real = manual_real(0j, [1 + 0j], [0j])
+    real = from_gains(0j, [1 + 0j], [0j])
     cfg = config(n_relays=1, p_source=p_s, var_rsi=1.0, var_iri=1.0)
     sinrs = link_sinrs(real, cfg, p_r)
     assert_allclose(sinrs.g_sr[0], 1.3962038997193678, rtol=1e-14)
@@ -210,7 +206,7 @@ def test_link_sinr_interference_denominator():
 
 def test_link_sinrs_power_scaling():
     cfg = config(var_rsi=0.5, var_iri=0.25)
-    real = draw_realization(cfg, trial_stream(3, 0, cfg.n_relays))
+    real = draw_realization(cfg, trial_stream(3, 0, cfg.n_relays), size=1)
     lo = link_sinrs(real, cfg, 1.0)
     hi_src = link_sinrs(real, config(p_source=2.0, var_rsi=0.5, var_iri=0.25), 1.0)
     assert hi_src.g_sd == 2.0 * lo.g_sd
@@ -222,13 +218,13 @@ def test_link_sinrs_power_scaling():
 
 def test_decode_set_threshold_rule():
     # relay k decodes when its S->R SINR meets the threshold: g_sr >= eta
-    sinrs = link_sinrs(manual_real(0j, [2 + 0j, np.sqrt(2) + 0j, np.sqrt(5) + 0j],
-                                   [0j, 0j, 0j]),
+    sinrs = link_sinrs(from_gains(0j, [2 + 0j, np.sqrt(2) + 0j, np.sqrt(5) + 0j],
+                                  [0j, 0j, 0j]),
                        config(p_source=1.0), 1.0)
     assert sinrs.g_sr[0] == pytest.approx(4.0)
     assert (sinrs.g_sr >= 3.1125).tolist() == [True, False, True]
     assert (sinrs.g_sr >= 1e-12).tolist() == [True, True, True]
-    zero = link_sinrs(manual_real(0j, [0j, 0j, 0j], [0j, 0j, 0j]),
+    zero = link_sinrs(from_gains(0j, [0j, 0j, 0j], [0j, 0j, 0j]),
                       config(p_source=1.0), 1.0)
     assert not np.any(zero.g_sr >= 3.1125)
 

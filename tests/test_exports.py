@@ -51,11 +51,39 @@ REMOVED = (
 )
 
 
+# the package root: the config, the two outage calls and the layer calls that
+# code outside the package reads
+ROOT = [
+    "ASYNCHRONOUS", "SYNCHRONOUS", "MI_EXACT", "MI_APPROXIMATE", "SHARED_BUDGET",
+    "FIXED_PER_RELAY", "SCHEME_MULTI",
+    "SystemConfig", "SweepResult", "validate_config", "apply_param", "configure",
+    "draw_realization", "link_sinrs", "lambda_spectrum", "exact_rate", "approx_rate",
+    "total_outage", "estimate_outage",
+]
+
+# names left out of the root, each importable from its own module
+MODULE_ONLY = {
+    channel: ("ChannelRealization", "LinkSinrs"),
+    fde: ("BinSpectrum",),
+    analytic: ("link_outages", "p_cond_async", "p_cond_sync", "combine_outage"),
+    mc: ("select_relay", "trial_stream"),
+    model: ("eta", "db_to_linear", "linear_to_db", "SCHEME_OS", "SCHEME_PS", "SCHEMES",
+            "OutageEstimate", "SweepSpec", "SweepRow"),
+}
+
+
 @pytest.mark.parametrize("module", [fdrelay], ids=["fdrelay"])
 def test_all_names_resolve(module):
-    assert len(set(module.__all__)) == len(module.__all__)
+    assert module.__all__ == ROOT
     for name in module.__all__:
         assert getattr(module, name) is not None, name
+    for home, names in MODULE_ONLY.items():
+        for name in names:
+            assert getattr(home, name) is not None, (home.__name__, name)
+            assert not hasattr(module, name), name
+    # the scheme names are declared once, in model
+    assert mc.SCHEMES is cli.SCHEMES is model.SCHEMES
+    assert model.SweepSpec.__dataclass_fields__["schemes"].default is model.SCHEMES
 
 
 def test_removed_names_are_gone():
@@ -68,17 +96,18 @@ def test_removed_names_are_gone():
 
 def test_removed_parameters_and_fields_are_gone():
     assert list(inspect.signature(fdrelay.total_outage).parameters) == ["cfg"]
-    assert "method" not in inspect.signature(fdrelay.combine_outage).parameters
+    assert "method" not in inspect.signature(analytic.combine_outage).parameters
     assert "selection_iri" not in {f.name for f in fields(fdrelay.SystemConfig)}
-    assert list(inspect.signature(fdrelay.link_outages).parameters) == ["cfg"]
+    assert list(inspect.signature(analytic.link_outages).parameters) == ["cfg"]
     assert "real" not in inspect.signature(fdrelay.approx_rate).parameters
     assert "interference_var" not in inspect.signature(fdrelay.link_sinrs).parameters
     draw = inspect.signature(fdrelay.draw_realization).parameters
     assert not {"powers", "phases", "out"} & set(draw)
+    assert draw["size"].default is inspect.Parameter.empty     # every draw is a batch
     assert not {"out", "work"} & set(inspect.signature(fdrelay.lambda_spectrum).parameters)
-    assert list(inspect.signature(fdrelay.eta).parameters) == ["cfg"]
-    assert not hasattr(fdrelay.ChannelRealization, "from_gains")
-    assert not hasattr(fdrelay.OutageEstimate, "from_counts")
+    assert list(inspect.signature(model.eta).parameters) == ["cfg"]
+    assert not hasattr(channel.ChannelRealization, "from_gains")
+    assert not hasattr(model.OutageEstimate, "from_counts")
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("fdrelay.sfun")
     assert not [m.__name__ for m in MODULES if hasattr(m, "abs2")]

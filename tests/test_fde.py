@@ -8,7 +8,7 @@ from fdrelay.channel import Scratch, draw_realization, gather_relay, link_sinrs
 from fdrelay.fde import approx_rate, exact_rate, lambda_spectrum, spectrum_slots
 from fdrelay.mc import SCHEME_MULTI, forwarding, trial_stream
 from fdrelay.model import SYNCHRONOUS, SystemConfig
-from oracles import abs2, direct_spectrum, from_gains
+from oracles import abs2, batch_rows, direct_spectrum, from_gains
 
 
 def config(**over):
@@ -18,17 +18,13 @@ def config(**over):
     return SystemConfig(**kwargs)
 
 
-def manual_real(h_sd, h_sr, h_rd):
-    return from_gains(h_sd, h_sr, h_rd)
-
-
 NONE = np.array([False])
 ONE = np.array([True])
 
 
 def test_empty_decode_set_gives_flat_spectrum():
     cfg = config(p_source=4.0)
-    spec = lambda_spectrum(manual_real(1 + 0j, [0j], [5 + 5j]), NONE, cfg, 1.0)
+    spec = lambda_spectrum(from_gains(1 + 0j, [0j], [5 + 5j]), NONE, cfg, 1.0)
     assert_allclose(spec.lam, np.full(4, 2.0 + 0j), atol=1e-15)
     assert_allclose(spec.gamma, np.full(4, 4.0), atol=1e-15)
 
@@ -36,7 +32,7 @@ def test_empty_decode_set_gives_flat_spectrum():
 def test_four_point_spectrum_example():
     # single relay, unit gains, one-sample delay: DFT of taps [1, 1, 0, 0]
     cfg = config()
-    spec = lambda_spectrum(manual_real(1 + 0j, [1 + 0j], [1 + 0j]), ONE, cfg, 1.0)
+    spec = lambda_spectrum(from_gains(1 + 0j, [1 + 0j], [1 + 0j]), ONE, cfg, 1.0)
     assert_allclose(spec.lam, [2, 1 - 1j, 0, 1 + 1j], atol=1e-12)
     assert_allclose(spec.gamma, [4, 2, 0, 2], atol=1e-12)
 
@@ -51,7 +47,7 @@ def test_spectrum_matches_circulant_eigenvalues():
         cfg = SystemConfig(n_relays=n, p_source=float(rng.uniform(0.1, 5.0)),
                            e_relay_budget=float(rng.uniform(0.1, 5.0)), rate=1.0,
                            block_len=t_len, cp_len=t_len - 1, delays=delays)
-        real = draw_realization(cfg, trial_stream(trial, 0, n))
+        real = batch_rows(draw_realization(cfg, trial_stream(trial, 0, n), size=1), 0)
         p_r = cfg.e_relay_budget
         spec = lambda_spectrum(real, np.ones(n, bool), cfg, p_r)
 
@@ -86,21 +82,21 @@ def test_cross_terms_vanish():
 def test_exact_rate_values():
     cfg = SystemConfig(n_relays=1, p_source=1.0, e_relay_budget=1.0, rate=2.0,
                        block_len=500, cp_len=10, delays=(1,))
-    spec = lambda_spectrum(manual_real(np.sqrt(3) + 0j, [0j], [0j]), NONE, cfg, 1.0)
+    spec = lambda_spectrum(from_gains(np.sqrt(3) + 0j, [0j], [0j]), NONE, cfg, 1.0)
     assert_allclose(exact_rate(spec, cfg), 1.9607843137254902, rtol=1e-12)
 
     small = config(cp_len=1, delays=(1,))
-    spec4 = lambda_spectrum(manual_real(1 + 0j, [1 + 0j], [1 + 0j]), ONE, small, 1.0)
+    spec4 = lambda_spectrum(from_gains(1 + 0j, [1 + 0j], [1 + 0j]), ONE, small, 1.0)
     assert_allclose(exact_rate(spec4, small), 1.0983706192659349, rtol=1e-12)
 
-    dead = lambda_spectrum(manual_real(0j, [0j], [0j]), NONE, small, 1.0)
+    dead = lambda_spectrum(from_gains(0j, [0j], [0j]), NONE, small, 1.0)
     assert exact_rate(dead, small) == 0.0
 
 
 def test_approx_rate_values():
     cfg = SystemConfig(n_relays=1, p_source=1.0, e_relay_budget=1.0, rate=2.0,
                        block_len=500, cp_len=10, delays=(1,))
-    real = manual_real(1 + 0j, [0j], [np.sqrt(2) + 0j])
+    real = from_gains(1 + 0j, [0j], [np.sqrt(2) + 0j])
     sinrs = link_sinrs(real, cfg, 1.0)
     assert_allclose(approx_rate(sinrs, ONE, cfg), 1.9607843137254902, rtol=1e-12)
     # empty decode set keeps only the direct SNR
@@ -111,16 +107,16 @@ def test_approx_rate_values():
 def test_sync_coherent_sum_and_destructive_case():
     cfg = SystemConfig(n_relays=2, p_source=1.0, e_relay_budget=1.0, rate=2.0,
                        block_len=8, cp_len=2, delays=(2, 2), sync_mode=SYNCHRONOUS)
-    real = manual_real(1 + 0j, [0j, 0j], [1 + 0j, -1 + 0j])
+    real = from_gains(1 + 0j, [0j, 0j], [1 + 0j, -1 + 0j])
     sinrs = link_sinrs(real, cfg, 1.0)
     got = approx_rate(sinrs, np.array([True, True]), cfg)
     assert_allclose(got, (8 / 10) * np.log2(2.0), rtol=1e-12)
     # equal-delay relays collapse to one relay with the summed gain
     a, b = 0.3 - 1.1j, 0.8 + 0.2j
-    two = lambda_spectrum(manual_real(0.5 + 0j, [0j, 0j], [a, b]), np.array([True, True]), cfg, 1.0)
+    two = lambda_spectrum(from_gains(0.5 + 0j, [0j, 0j], [a, b]), np.array([True, True]), cfg, 1.0)
     one_cfg = SystemConfig(n_relays=1, p_source=1.0, e_relay_budget=1.0, rate=2.0,
                            block_len=8, cp_len=2, delays=(2,), sync_mode=SYNCHRONOUS)
-    one = lambda_spectrum(manual_real(0.5 + 0j, [0j], [a + b]), ONE, one_cfg, 1.0)
+    one = lambda_spectrum(from_gains(0.5 + 0j, [0j], [a + b]), ONE, one_cfg, 1.0)
     assert_allclose(two.lam, one.lam, rtol=1e-12)
 
 
@@ -146,7 +142,7 @@ def test_batch_matches_scalar_rates():
     exact_b = exact_rate(spec_b, cfg)
     approx_b = approx_rate(sinrs_b, mask_b, cfg)
     for t in range(5):
-        one = draw_realization(cfg, trial_stream(13, t, 3))
+        one = draw_realization(cfg, trial_stream(13, t, 3), size=1)
         sinrs = link_sinrs(one, cfg, 0.5)
         mask = sinrs.g_sr >= 1.0
         assert exact_rate(lambda_spectrum(one, mask, cfg, 0.5), cfg) == exact_b[t]
@@ -162,7 +158,7 @@ def test_batch_matches_scalar_rates():
 ], ids=["int-array", "index-tuple", "bool-list", "short", "extra-axis"])
 def test_layers_reject_bad_masks(mask):
     cfg = SystemConfig(n_relays=3, p_source=1.0, e_relay_budget=1.0, rate=1.0)
-    real = draw_realization(cfg, trial_stream(5, 0, 3))
+    real = batch_rows(draw_realization(cfg, trial_stream(5, 0, 3), size=1), 0)
     sinrs = link_sinrs(real, cfg, 1.0)
     with pytest.raises(ValueError, match="decode mask"):
         lambda_spectrum(real, mask, cfg, 1.0)
@@ -180,10 +176,6 @@ def multi_chunk(cfg, size, seed):
     real = draw_realization(cfg, trial_stream(seed, 0, cfg.n_relays), size=size)
     mask, _, sinrs = forwarding(real, cfg, SCHEME_MULTI)
     return real, mask, sinrs.relay_tx_power
-
-
-def rows(real, start, stop):
-    return from_gains(real.h_sd[start:stop], real.h_sr[start:stop], real.h_rd[start:stop])
 
 
 # ten relays over a 16-bin block, delays past T/2: the autocorrelation wraps
@@ -205,8 +197,8 @@ def test_spectrum_rows_independent_of_batch_size(mode):
     for size in (1, 3, 7, 48, 200):
         for start in range(0, 2048, size):
             stop = start + size
-            part = lambda_spectrum(rows(real, start, stop), mask[start:stop], cfg,
-                                   power[start:stop])
+            part = lambda_spectrum(batch_rows(real, slice(start, stop)), mask[start:stop],
+                                   cfg, power[start:stop])
             assert np.array_equal(part.gamma, full.gamma[start:stop])
             assert np.array_equal(part.lam, full.lam[start:stop])
 

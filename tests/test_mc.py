@@ -9,6 +9,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.stats import chi2, norm
 
 from fdrelay import channel, fde, mc
 from fdrelay.analytic import total_outage
@@ -16,8 +17,9 @@ from fdrelay.channel import LinkSinrs
 from fdrelay.cli import build_preset
 from fdrelay.mc import (SCHEME_MULTI, SCHEME_OS, SCHEME_PS, SCHEMES,
                         estimate_outage, select_relay, trial_stream)
-from fdrelay.model import (MI_APPROXIMATE, MI_EXACT, SYNCHRONOUS, SystemConfig,
-                           apply_param, validate_config)
+from fdrelay.model import (ASYNCHRONOUS, FIXED_PER_RELAY, MI_APPROXIMATE, MI_EXACT,
+                           SHARED_BUDGET, SYNCHRONOUS, SystemConfig, apply_param,
+                           validate_config)
 
 
 def fig_config(**over):
@@ -400,6 +402,49 @@ def test_estimate_agrees_with_closed_form():
     est = estimate_outage(cfg, SCHEME_MULTI, trials=200_000, seed=12)
     stderr = math.sqrt(p * (1 - p) / est.trials)
     assert abs(est.p_hat - p) <= 3 * stderr
+
+
+# the closed form against multi MC over the accepted config space, under
+# approximate MI: configs from the closed-form benchmark's ranges (N 1-64,
+# rate 0.5-8, P_S and E_R 0-30 dB, every variance -20..20 dB, both modes and
+# power policies), drawn by generator seed 1 and kept, by the closed form
+# alone, while 1e-3 < p < 1 - 1e-3; config k runs SPACE_TRIALS at seed k.
+# Configs, seeds, trials and bounds were fixed before the first run: a
+# failure is a program fault, not a bound to move.
+SPACE_CONFIGS = 60
+SPACE_TRIALS = 20_000
+SPACE_ALPHA = 1e-3          # false-alarm rate of each of the two combined tests
+
+
+def space_configs(count: int) -> list:
+    # (config, closed-form p) pairs
+    rng = np.random.default_rng(1)
+    kept = []
+    while len(kept) < count:
+        n = int(rng.integers(1, 65))
+        rate = float(rng.uniform(0.5, 8.0))
+        p_source, e_relay = (10.0 ** (rng.uniform(0.0, 30.0, 2) / 10.0)).tolist()
+        var = (10.0 ** (rng.uniform(-20.0, 20.0, 5) / 10.0)).tolist()
+        cfg = validate_config(SystemConfig(
+            n_relays=n, p_source=p_source, e_relay_budget=e_relay, rate=rate,
+            var_sd=var[0], var_sr=var[1], var_rd=var[2], var_rsi=var[3], var_iri=var[4],
+            cp_len=max(10, n), sync_mode=SYNCHRONOUS if rng.random() < 0.5 else ASYNCHRONOUS,
+            relay_power_policy=FIXED_PER_RELAY if rng.random() < 0.5 else SHARED_BUDGET,
+            mi_mode=MI_APPROXIMATE))
+        p = total_outage(cfg)
+        if 1e-3 < p < 1.0 - 1e-3:
+            kept.append((cfg, p))
+    return kept
+
+
+def test_closed_form_agrees_with_mc_over_the_config_space():
+    z = []
+    for k, (cfg, p) in enumerate(space_configs(SPACE_CONFIGS)):
+        est = estimate_outage(cfg, SCHEME_MULTI, SPACE_TRIALS, seed=k)
+        z.append((est.p_hat - p) / math.sqrt(p * (1.0 - p) / SPACE_TRIALS))
+    z = np.array(z)
+    assert np.sum(z * z) <= chi2.isf(SPACE_ALPHA, SPACE_CONFIGS)
+    assert np.max(np.abs(z)) <= norm.isf(SPACE_ALPHA / (2 * SPACE_CONFIGS))     # Bonferroni
 
 
 def test_async_approx_never_builds_complex_gains(monkeypatch):

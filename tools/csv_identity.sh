@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Byte-compare preset and config-file CSV output of a git ref against the
-# working tree.
+# Byte-compare preset and config-file CSV and JSON output of a git ref
+# against the working tree.
 #
 #   tools/csv_identity.sh BASE_REF
 #
@@ -8,18 +8,18 @@
 # untracked, non-ignored files) into a temporary directory and runs the same
 # outputs in each at seed 0: the presets (fig2-fig5 approximate MI at 1e5
 # trials per point; exact MI at 4000 for fig4, asynchronous, and fig3,
-# synchronous); the working tree's tools/scenario.json, which sends integral
-# floats for counts and pinned delays through --config (approximate MI at 1e5
-# trials, exact MI at 4000); its tools/scenario_wide.json, 32 synchronous
-# relays over an 8-bin block, where the relay axis rather than the taps sizes
-# an exact-MI chunk (exact MI at 4000); and its tools/scenario_ceiling.json,
-# link means just under the config ceiling (approximate MI at 1e5 trials,
-# exact MI at 4000).  Every call runs with RuntimeWarnings as errors, so a
-# scenario that overflows or clamps fails the run instead of writing a CSV.
-# cmp's every CSV and prints one line per file, naming for a file that
-# differs the columns that changed and those that stayed identical (so an
-# intended change of the random stream shows only mc_p and mc_stderr moving),
-# and exits non-zero if any file differs or is missing.
+# synchronous; fig5 at 1e5 trials once more as JSON); the working tree's
+# tools/scenario.json, which sends integral floats for counts and pinned
+# delays through --config (approximate MI at 1e5 trials, exact MI at 4000);
+# its tools/scenario_wide.json, 32 synchronous relays over an 8-bin block,
+# where the relay axis rather than the taps sizes an exact-MI chunk (exact MI
+# at 4000); and its tools/scenario_ceiling.json, link means just under the
+# config ceiling (approximate MI at 1e5 trials, exact MI at 4000).  Every call runs with RuntimeWarnings as errors, so a
+# scenario that overflows or clamps fails the run instead of writing output.
+# cmp's every CSV and JSON file and prints one line per file, naming for a
+# CSV that differs the columns that changed and those that stayed identical
+# (so an intended change of the random stream shows only mc_p and mc_stderr
+# moving), and exits non-zero if any file differs or is missing.
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
@@ -44,6 +44,8 @@ run_outputs() {
         (cd "$tree" && PYTHONPATH=src python3 -m fdrelay.cli --preset "$fig" \
             --trials 100000 --seed 0 --out "out/$fig.csv" >/dev/null)
     done
+    (cd "$tree" && PYTHONPATH=src python3 -m fdrelay.cli --preset fig5 --format json \
+        --trials 100000 --seed 0 --out out/fig5.json >/dev/null)
     (cd "$tree" && PYTHONPATH=src python3 -m fdrelay.cli --preset fig4 --mi exact \
         --trials 4000 --seed 0 --out out/fig4_exact.csv >/dev/null)
     (cd "$tree" && PYTHONPATH=src python3 -m fdrelay.cli --preset fig3 --mi exact \
@@ -86,16 +88,19 @@ run_outputs "$tmp/base"
 run_outputs "$tmp/work"
 
 status=0
-for f in "$tmp/base/out/"*.csv; do
+for f in "$tmp/base/out/"*.csv "$tmp/base/out/"*.json; do
     name=$(basename "$f")
     if cmp -s "$f" "$tmp/work/out/$name"; then
         echo "identical $name"
-    else
+    elif [[ $name == *.csv ]]; then
         echo "DIFFERS   $name  $(column_diff "$f" "$tmp/work/out/$name")"
+        status=1
+    else
+        echo "DIFFERS   $name"
         status=1
     fi
 done
-extra=$(cd "$tmp/work/out" && for f in *.csv; do [ -e "$tmp/base/out/$f" ] || echo "$f"; done)
+extra=$(cd "$tmp/work/out" && for f in *.csv *.json; do [ -e "$tmp/base/out/$f" ] || echo "$f"; done)
 if [ -n "$extra" ]; then
     echo "only in working tree: $extra"
     status=1
