@@ -164,8 +164,8 @@ def draw_realization(cfg: SystemConfig, rng: np.random.Generator, size: int,
 @dataclass(frozen=True)
 class LinkSinrs:
     """Instantaneous per-link SINRs under relay transmit power relay_tx_power,
-    with the realization they come from (synchronous combining adds its
-    complex h_rd).
+    with the realization they come from (synchronous multi-relay combining
+    adds its complex h_rd).
 
     Each SINR array is formed on its first read, in an array taken from
     scratch, and kept: g_sd = P_S |h_sd|^2, g_rd = P_R |h_rd_k|^2 and

@@ -129,20 +129,19 @@ def approx_rate(sinrs: LinkSinrs, mask: np.ndarray, cfg: SystemConfig, chosen=No
 
     chosen, an integer array of the batch shape, names a selection scheme's
     one candidate relay per trial; mask is then of the batch shape too and
-    says whether that relay forwards.  Its link is gathered rather than
-    summed over the relay axis, which is the same number: a masked row sum
-    adds only zeros to it.
+    says whether that relay forwards.  One relay's coherent sum is its own
+    SNR, so in either mode its g_rd is gathered and added, the same number
+    as a masked row sum, which adds only zeros to it.
     """
-    if chosen is None:
-        _check_mask(mask, sinrs.real.h2_rd)
-        forwarded = lambda a: (a * mask).sum(axis=-1)
-    else:
+    if chosen is not None:
         _check_mask(mask, np.asarray(chosen))
-        forwarded = lambda a: gather_relay(a, chosen) * mask
-    if cfg.sync_mode == SYNCHRONOUS:
-        h_sum = forwarded(sinrs.real.h_rd)
+        relayed = gather_relay(sinrs.g_rd, chosen) * mask
+    elif cfg.sync_mode == SYNCHRONOUS:
+        _check_mask(mask, sinrs.real.h2_rd)
+        h_sum = (sinrs.real.h_rd * mask).sum(axis=-1)
         relayed = sinrs.relay_tx_power * (h_sum.real * h_sum.real + h_sum.imag * h_sum.imag)
     else:
-        relayed = forwarded(sinrs.g_rd)
+        _check_mask(mask, sinrs.real.h2_rd)
+        relayed = (sinrs.g_rd * mask).sum(axis=-1)
     total = sinrs.g_sd + relayed
     return (cfg.block_len / (cfg.block_len + cfg.cp_len)) * np.log2(1.0 + total)

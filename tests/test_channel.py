@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fdrelay.channel import (Scratch, channel_slots, draw_realization, link_sinrs,
-                             trial_block_uniforms, uniforms_per_trial)
+from fdrelay.channel import (Scratch, channel_slots, draw_realization, gains_from_uniforms,
+                             link_sinrs, trial_block_uniforms, uniforms_per_trial)
 from fdrelay.model import SystemConfig
 from fdrelay.mc import trial_stream
 from oracles import abs2, from_gains, philox_planes, polar_gains
@@ -239,3 +241,48 @@ def test_decode_set_monotone():
     # raising the first-hop gains never removes a relay
     boosted = link_sinrs(from_gains(real.h_sd, real.h_sr * 2, real.h_rd), cfg, 1.0)
     assert np.all((boosted.g_sr >= 1.0)[sinrs.g_sr >= 1.0])
+
+
+def test_abs2_matches_squared_magnitude():
+    z = np.array([3 + 4j, -1j, 0.0, 2.5 - 0.5j])
+    assert_allclose(abs2(z), np.abs(z) ** 2, rtol=1e-15)
+    assert abs2(3 + 4j) == 25.0
+
+
+def polar(u, variance):
+    # the gain of each uniform pair, its power computed as draw_realization does
+    return gains_from_uniforms(-variance * np.log1p(-u[..., 0]), u[..., 1])
+
+
+def test_zero_variance_sample_is_exactly_zero():
+    gains = polar(np.random.default_rng(7).random((10, 2)), 0.0)
+    assert np.all(gains == 0.0)
+
+
+def test_sample_statistics():
+    draws = polar(np.random.default_rng(11).random((1_000_000, 2)), 4.0)
+    mean_power = abs2(draws).mean()
+    assert 3.98 <= mean_power <= 4.02
+    unit = polar(np.random.default_rng(12).random((1_000_000, 2)), 1.0)
+    assert abs(unit.real.mean()) < 0.004
+    assert abs(unit.imag.mean()) < 0.004
+    # real/imag parts carry half the variance each
+    assert abs(unit.real.var() - 0.5) < 0.005
+    assert abs(unit.imag.var() - 0.5) < 0.005
+
+
+def test_gains_from_uniforms_layout():
+    u = np.array([0.5, 0.25])
+    got = polar(u, 2.0)
+    mag = math.sqrt(-2.0 * math.log1p(-0.5))
+    assert got.shape == ()          # one pair, no batch axis
+    assert_allclose(got, mag * np.exp(2j * np.pi * 0.25), rtol=1e-14)
+    batch = polar(np.tile(u, (6, 1)), 2.0)
+    assert batch.shape == (6,)
+    assert_allclose(batch, got, rtol=1e-15)
+    assert polar(np.tile(u, (2, 3, 1)), 2.0).shape == (2, 3)
+
+
+def test_gains_edge_uniform_zero():
+    # u = 0 must map to a zero-magnitude gain, not -inf
+    assert polar(np.array([0.0, 0.3]), 1.0) == 0.0

@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from fdrelay.channel import Scratch, draw_realization, gather_relay, link_sinrs
 from fdrelay.fde import approx_rate, exact_rate, lambda_spectrum, spectrum_slots
 from fdrelay.mc import SCHEME_MULTI, forwarding, trial_stream
-from fdrelay.model import SYNCHRONOUS, SystemConfig
+from fdrelay.model import ASYNCHRONOUS, SYNCHRONOUS, SystemConfig
 from oracles import abs2, batch_rows, direct_spectrum, from_gains
 
 
@@ -368,9 +368,11 @@ def test_spectrum_work_reused_across_batches_matches_fresh_spectra(cfg):
 @pytest.mark.parametrize("sync", [False, True], ids=["async", "sync"])
 @pytest.mark.parametrize("n", [1, 5, 8, 10, 64])
 def test_gathered_selection_rate_equals_the_one_hot_masked_sum(sync, n):
-    # a selection scheme's rate gathers its one relay's link instead of
+    # a selection scheme's rate gathers its one relay's g_rd instead of
     # summing the relay axis under a one-hot mask: the same bits, for rows
-    # that forward and for empty ones
+    # that forward and for empty ones.  One relay's coherent sum is its own
+    # SNR, so the synchronous rate is the asynchronous one, bit for bit, and
+    # the coherent one-hot sum of the complex h_rd agrees to rounding
     cfg = replace(FIG4, n_relays=n, delays=None, sync_mode=SYNCHRONOUS if sync else FIG4.sync_mode)
     real = draw_realization(cfg, trial_stream(31, 0, n), size=500)
     sinrs = link_sinrs(real, cfg, 2.0)
@@ -379,7 +381,10 @@ def test_gathered_selection_rate_equals_the_one_hot_masked_sum(sync, n):
     forwards = rng.random(500) < 0.6
     one_hot = (np.arange(n) == chosen[:, None]) & forwards[:, None]
     gathered = approx_rate(sinrs, forwards, cfg, chosen)
-    assert np.array_equal(gathered, approx_rate(sinrs, one_hot, cfg))
+    asynchronous = replace(cfg, sync_mode=ASYNCHRONOUS)
+    assert np.array_equal(gathered, approx_rate(sinrs, forwards, asynchronous, chosen))
+    assert np.array_equal(gathered, approx_rate(sinrs, one_hot, asynchronous))
+    assert_allclose(gathered, approx_rate(sinrs, one_hot, cfg), rtol=1e-14, atol=0)
     assert np.array_equal(gather_relay(sinrs.g_rd, chosen) * forwards,
                           (sinrs.g_rd * one_hot).sum(axis=-1))
     with pytest.raises(ValueError, match="decode mask"):

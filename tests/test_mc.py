@@ -470,15 +470,17 @@ def test_exact_mi_never_forms_the_complex_spectrum(monkeypatch):
 
 
 @pytest.mark.parametrize("over, links", [
-    (dict(), ()),
-    (dict(sync_mode=SYNCHRONOUS, delays=None), ("rd",)),
-    (dict(mi_mode=MI_EXACT), ("sd", "rd")),
+    (dict(), {}),
+    (dict(sync_mode=SYNCHRONOUS, delays=None), {SCHEME_MULTI: ("rd",)}),
+    (dict(mi_mode=MI_EXACT), dict.fromkeys(SCHEMES, ("sd", "rd"))),
 ], ids=["async-approx", "sync-approx", "exact"])
 def test_complex_gains_built_only_where_read(monkeypatch, over, links):
     # count the gain builds of every drawn realization, by the power array
-    # each build starts from: each link the rate reads is built once per chunk
+    # each build starts from: each link the rate reads is built once per
+    # chunk; a lone selected relay's rate reads |h_rd|^2 in either mode
     draw, build = mc.draw_realization, channel.gains_from_uniforms
     for scheme in SCHEMES:
+        read = links.get(scheme, ())
         reals, built = [], []
         monkeypatch.setattr(mc, "draw_realization",
                             lambda *a, **k: reals.append(draw(*a, **k)) or reals[-1])
@@ -489,20 +491,20 @@ def test_complex_gains_built_only_where_read(monkeypatch, over, links):
         for real in reals:
             counts = {link: sum(p is getattr(real, "h2_" + link) for p in built)
                       for link in ("sd", "sr", "rd")}
-            assert counts == {link: int(link in links) for link in counts}, scheme
-        assert len(built) == 3 * len(links)
+            assert counts == {link: int(link in read) for link in counts}, scheme
+        assert len(built) == 3 * len(read)
 
 
 @pytest.mark.parametrize("over, planes", [
-    (dict(), 0),
-    (dict(sync_mode=SYNCHRONOUS, delays=None), 1),
-    (dict(mi_mode=MI_EXACT), 1),
+    (dict(), {}),
+    (dict(sync_mode=SYNCHRONOUS, delays=None), {SCHEME_MULTI: 1}),
+    (dict(mi_mode=MI_EXACT), dict.fromkeys(SCHEMES, 1)),
 ], ids=["async-approx", "sync-approx", "exact"])
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_phase_plane_drawn_once_per_chunk_where_read(monkeypatch, over, planes, scheme):
-    # asynchronous approximate MI never generates a phase plane; a rate that
-    # reads complex gains generates its chunk's plane once, however many
-    # links it reads
+    # approximate MI generates a phase plane for synchronous multi only; a
+    # rate that reads complex gains generates its chunk's plane once, however
+    # many links it reads
     draw, drawn = mc.draw_realization, []
 
     def spy(*args, **kwargs):
@@ -512,7 +514,7 @@ def test_phase_plane_drawn_once_per_chunk_where_read(monkeypatch, over, planes, 
 
     monkeypatch.setattr(mc, "draw_realization", spy)
     estimate_outage(fig_config(**over), scheme, 1000, seed=3, chunk=400)
-    assert [u.shape for u in drawn] == [(400, 12), (400, 12), (200, 12)][:3 * planes]
+    assert [u.shape for u in drawn] == [(400, 12), (400, 12), (200, 12)][:3 * planes.get(scheme, 0)]
 
 
 def test_pinned_outage_counts():
@@ -528,6 +530,22 @@ def test_pinned_outage_counts():
                        "var_sr_db", 0.0)
     assert estimate_outage(fig4, SCHEME_MULTI, 2000, seed=0).outage_count == 3
     assert estimate_outage(fig4, SCHEME_OS, 2000, seed=0).outage_count == 384
+
+
+def test_selection_outage_is_the_same_in_both_modes_at_any_iri():
+    # under approximate MI a selection baseline forwards through one relay
+    # free of inter-relay interference, whose coherent sum is its own SNR:
+    # each relay count's os and ps counts are one number over every fig2
+    # (asynchronous) and fig3 (synchronous) point
+    for label in ("n5", "n10"):
+        for scheme in (SCHEME_OS, SCHEME_PS):
+            counts = set()
+            for name in ("fig2", "fig3"):
+                spec = dict(build_preset(name).variants)[label]
+                for value in spec.values:
+                    cfg = apply_param(spec.base, spec.param, value)
+                    counts.add(estimate_outage(cfg, scheme, 10_000, seed=0).outage_count)
+            assert len(counts) == 1, (label, scheme, counts)
 
 
 @pytest.mark.parametrize("n", [1, 5, 8, 10, 64, 300])
@@ -560,7 +578,7 @@ def test_selection_gather_equals_the_masked_row_sum(n):
               SCHEME_OS: [{"g_sd", "g_sr", "g_rd"}], SCHEME_PS: [{"g_sd", "g_sr", "g_rd"}]}),
     (dict(sync_mode=SYNCHRONOUS, delays=None),
      {SCHEME_MULTI: [{"g_sr"}, {"g_sd"}],
-      SCHEME_OS: [{"g_sd", "g_sr", "g_rd"}], SCHEME_PS: [{"g_sd", "g_sr"}]}),
+      SCHEME_OS: [{"g_sd", "g_sr", "g_rd"}], SCHEME_PS: [{"g_sd", "g_sr", "g_rd"}]}),
     (dict(mi_mode=MI_EXACT), {SCHEME_MULTI: [{"g_sr"}, set()],
                               SCHEME_OS: [{"g_sr", "g_rd"}], SCHEME_PS: [{"g_sr"}]}),
 ], ids=["async-approx", "sync-approx", "exact"])
@@ -595,15 +613,15 @@ class Philox(np.random.Philox):
 
 
 @pytest.mark.parametrize("over, jumps", [
-    (dict(), 0),
-    (dict(sync_mode=SYNCHRONOUS, delays=None), 3),
-    (dict(mi_mode=MI_EXACT), 3),
+    (dict(), {}),
+    (dict(sync_mode=SYNCHRONOUS, delays=None), {SCHEME_MULTI: 3}),
+    (dict(mi_mode=MI_EXACT), dict.fromkeys(SCHEMES, 3)),
 ], ids=["async-approx", "sync-approx", "exact"])
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_phase_generator_jumped_only_where_phases_are_read(monkeypatch, over, jumps, scheme):
-    # asynchronous approximate MI never builds the phase generator; a rate
-    # that reads complex gains builds it once per chunk, from the state saved
-    # at the draw
+    # approximate MI builds the phase generator for synchronous multi only; a
+    # rate that reads complex gains builds it once per chunk, from the state
+    # saved at the draw
     stream = mc.trial_stream
 
     def counting(seed, trial, n_relays):
@@ -616,4 +634,4 @@ def test_phase_generator_jumped_only_where_phases_are_read(monkeypatch, over, ju
     monkeypatch.setattr(mc, "trial_stream", counting)
     Philox.jumps = 0
     assert estimate_outage(cfg, scheme, 1000, seed=3, chunk=400) == want
-    assert Philox.jumps == jumps
+    assert Philox.jumps == jumps.get(scheme, 0)
