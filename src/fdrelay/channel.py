@@ -44,27 +44,32 @@ class Scratch:
     reserves rows rows of shape[1:] after the chunk's earlier takes and
     returns the leading shape[0], a complex take 16-byte aligned at the cost
     of at most one slot, which a layer's declared slots per trial count; a
-    take past the block raises ValueError.  rewind() starts the next chunk,
-    whose takes, the same shapes in the same order, get the same arrays; a
-    zeroed take is zeroed on the first chunk only.  Freed, one block leaves
-    glibc's heap trim threshold at its size, so the next estimate reuses its
-    pages instead of faulting fresh ones in.  FRESH takes new arrays.
+    take past the block raises ValueError.  order="F" lays the rows out in
+    numpy's Fortran order, relay-major: a (size, N) take is then a transposed
+    view whose relay columns each run contiguous over the chunk's trials.
+    rewind() starts the next chunk, whose takes, the same shapes in the same
+    order, get the same arrays; a zeroed take is zeroed on the first chunk
+    only.  Freed, one block leaves glibc's heap trim threshold at its size,
+    so the next estimate reuses its pages instead of faulting fresh ones in.
+    FRESH takes new arrays of the same shapes and layouts.
     """
 
     def __init__(self, rows: int = 0, slots: int = 0):
         self.rows, self.used, self.first = rows, 0, True
         self.block = np.empty(rows * slots) if rows else None
 
-    def take(self, shape: tuple, dtype=float, zeroed: bool = False) -> np.ndarray:
+    def take(self, shape: tuple, dtype=float, zeroed: bool = False,
+             order: str = "C") -> np.ndarray:
         if self.block is None:
-            return (np.zeros if zeroed else np.empty)(shape, dtype)
+            return (np.zeros if zeroed else np.empty)(shape, dtype, order=order)
         width = np.dtype(dtype).itemsize // 8           # float64 slots per entry
         start = self.used + self.used % width           # malloc aligns the block to 16
         end = start + self.rows * math.prod(shape[1:]) * width
         if shape[0] > self.rows or end > self.block.size:
             raise ValueError(f"a take of {shape} {np.dtype(dtype)} overruns the scratch block")
         self.used = end
-        a = self.block[start:end].view(dtype).reshape((self.rows,) + tuple(shape[1:]))
+        a = self.block[start:end].view(dtype).reshape((self.rows,) + tuple(shape[1:]),
+                                                      order=order)
         if zeroed and self.first:
             a.fill(0)
         return a[:shape[0]]
@@ -94,8 +99,9 @@ def gains_from_uniforms(power, u1):
     the phase 2*pi*u1 is uniform, which together give the circularly
     symmetric complex Gaussian (independent re/im parts of variance/2 each).
     u0 and u1 sit in the same slot of a trial's power and phase planes.
+    The gains take the C order of the phase plane, whatever the powers'.
     """
-    mag = np.sqrt(power)
+    mag = np.sqrt(power, order="C")
     ang = (2.0 * np.pi) * u1
     return mag * np.cos(ang) + 1j * (mag * np.sin(ang))
 
@@ -103,7 +109,8 @@ def gains_from_uniforms(power, u1):
 @dataclass(frozen=True)
 class ChannelRealization:
     """Fading blocks: powers |h|^2 h2_sd of the batch shape, h2_sr and h2_rd
-    with a trailing relay axis, e.g. (B,) and (B, N) as drawn.
+    with a trailing relay axis, e.g. (B,) and (B, N) as drawn.  Drawn, the
+    powers are relay-major: each link's column is contiguous over the trials.
 
     phase_plane returns the realization's phase (u1) plane, shaped like the
     drawn power plane.  It is called once, when the first complex gain is
@@ -138,9 +145,11 @@ def draw_realization(cfg: SystemConfig, rng: np.random.Generator, size: int,
     doubles of rng per realization in link order (h_sd, h_sr, h_rd, then
     padding), so a counter-based stream positioned at a trial boundary
     reproduces that trial regardless of batching.  The powers are
-    -variance*log1p(-u0).  The uniforms, the powers and, when it is
-    generated, the phase plane are taken from scratch; a realization drawn
-    in an estimate's scratch is valid only until its next chunk.
+    -variance*log1p(-u0), formed in a relay-major take (one contiguous
+    column per link) the uniforms are copied into.  The uniforms, the
+    powers and, when it is generated, the phase plane are taken from
+    scratch; a realization drawn in an estimate's scratch is valid only
+    until its next chunk.
 
     The phases come from rng's bit generator jumped where rng stood before
     the powers, the same layout in plane 1, generated in full on the first
@@ -155,8 +164,9 @@ def draw_realization(cfg: SystemConfig, rng: np.random.Generator, size: int,
     bitgen = rng.bit_generator
     plane = partial(_phase_plane, type(bitgen), bitgen.state, shape, scratch)  # before the powers move rng
     u = rng.random(shape, out=scratch.take(shape))[..., :uniforms_per_trial(n)]
-    power = np.negative(u, out=scratch.take(u.shape))
-    np.log1p(power, out=power)
+    power = scratch.take(u.shape, order="F")
+    np.copyto(power, u)
+    np.log1p(np.negative(power, out=power), out=power)
     power *= -np.repeat([cfg.var_sd, cfg.var_sr, cfg.var_rd], [1, n, n])
     return ChannelRealization(*_links(power, n), phase_plane=plane)
 
@@ -168,10 +178,11 @@ class LinkSinrs:
     adds its complex h_rd).
 
     Each SINR array is formed on its first read, in an array taken from
-    scratch, and kept: g_sd = P_S |h_sd|^2, g_rd = P_R |h_rd_k|^2 and
-    g_sr = P_S |h_sr_k|^2 / (P_R * interference + 1).  In an estimate's
-    scratch every link is formed at most once per chunk, uniforms_per_trial
-    slots per trial in all, and the SINRs are valid only until the next chunk.
+    scratch (relay-major, as the powers are), and kept: g_sd = P_S |h_sd|^2,
+    g_rd = P_R |h_rd_k|^2 and g_sr = P_S |h_sr_k|^2 / (P_R * interference + 1).
+    In an estimate's scratch every link is formed at most once per chunk,
+    uniforms_per_trial slots per trial in all, and the SINRs are valid only
+    until the next chunk.
     """
 
     real: ChannelRealization
@@ -187,7 +198,7 @@ class LinkSinrs:
     @cached_property
     def g_sr(self) -> np.ndarray:
         h2 = self.real.h2_sr
-        g_sr = np.multiply(self.cfg.p_source, h2, out=self.scratch.take(h2.shape))
+        g_sr = np.multiply(self.cfg.p_source, h2, out=self.scratch.take(h2.shape, order="F"))
         denom = relay_interference_floor(self.cfg, self.relay_tx_power)
         return np.divide(g_sr, np.asarray(denom)[..., None], out=g_sr)
 
@@ -195,7 +206,7 @@ class LinkSinrs:
     def g_rd(self) -> np.ndarray:
         h2 = self.real.h2_rd
         return np.multiply(np.asarray(self.relay_tx_power)[..., None], h2,
-                           out=self.scratch.take(h2.shape))
+                           out=self.scratch.take(h2.shape, order="F"))
 
 
 def link_sinrs(real: ChannelRealization, cfg: SystemConfig, relay_power,

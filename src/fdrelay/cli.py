@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .analytic import total_outage
-from .mc import SEED_BITS, estimate_outage
+from .mc import SEED_BITS, estimate_outage, selection_config
 from .model import (ASYNCHRONOUS, DB_FIELDS, MI_APPROXIMATE, MI_EXACT, SCHEME_MULTI, SCHEMES,
                     SYNCHRONOUS, SweepResult, SweepRow, SweepSpec, SystemConfig,
                     apply_param, _check_int, configure, linear_to_db)
@@ -61,20 +61,23 @@ def build_preset(name: str) -> Preset:
     raise ValueError(f"unknown preset {name!r}")
 
 
-def _sweep_task(task: tuple[float, SystemConfig, str, int, int]) -> SweepRow:
-    param, cfg, scheme, trials, seed = task
+def _sweep_task(task: tuple[SystemConfig, str, int, int]) -> tuple:
+    # (analytic_p, estimate) of one distinct (config, scheme) pair
+    cfg, scheme, trials, seed = task
     analytic_p = total_outage(cfg) if scheme == SCHEME_MULTI else None
-    return SweepRow(param, scheme, analytic_p, estimate_outage(cfg, scheme, trials, seed))
+    return analytic_p, estimate_outage(cfg, scheme, trials, seed)
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     """Run every (value, scheme) point of a sweep, rows in sweep order.
 
     Each value becomes a validated config (one apply_param call) and the
-    whole spec is checked before any trial runs.  workers > 1 fans the points
-    out to a process pool no wider than their number; each point depends only
-    on (config, scheme, trials, seed), so the result is the same for any
-    worker count.
+    whole spec is checked before any trial runs.  A point depends only on
+    (config, scheme, trials, seed), and a selection scheme only on its
+    selection_config, so each distinct pair is estimated once and its rows
+    share the estimate (os/ps points that differ only in var_iri).  workers > 1
+    fans the distinct pairs out to a process pool no wider than their number,
+    so the result is the same for any worker count.
     """
     if not spec.values:
         raise ValueError("sweep values must be non-empty")
@@ -92,14 +95,18 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     _check_int("seed", spec.seed, 0, SEED_BITS)
     _check_int("workers", workers)
     field = spec.param.removesuffix("_db")
-    tasks = [(float(getattr(cfg, field)), cfg, scheme, spec.trials, spec.seed)
-             for cfg in configs for scheme in spec.schemes]
+    points = [(float(getattr(cfg, field)), scheme,
+               cfg if scheme == SCHEME_MULTI else selection_config(cfg))
+              for cfg in configs for scheme in spec.schemes]
+    distinct = list(dict.fromkeys((cfg, scheme) for _, scheme, cfg in points))
+    tasks = [(cfg, scheme, spec.trials, spec.seed) for cfg, scheme in distinct]
     workers = min(workers, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_task, tasks))
+            done = dict(zip(distinct, pool.map(_sweep_task, tasks)))
     else:
-        rows = [_sweep_task(task) for task in tasks]
+        done = dict(zip(distinct, map(_sweep_task, tasks)))
+    rows = [SweepRow(param, scheme, *done[cfg, scheme]) for param, scheme, cfg in points]
     return SweepResult(spec, tuple(rows))
 
 

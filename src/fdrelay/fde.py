@@ -124,8 +124,12 @@ def approx_rate(sinrs: LinkSinrs, mask: np.ndarray, cfg: SystemConfig, chosen=No
     """High-SNR flat approximation of the block rate.
 
     Asynchronous relaying adds per-relay SNRs (the oscillating cross terms
-    cancel across bins for staggered delays); synchronous relaying combines
-    the relay amplitudes coherently first, from the h_rd of sinrs.real.
+    cancel across bins for staggered delays), relay by relay in index order,
+    one pass per relay column (contiguous in relay-major SINRs); synchronous
+    relaying combines the relay amplitudes coherently first, from the h_rd
+    of sinrs.real, by numpy's sum over each C-order row.  Either order is
+    fixed by the code, not by the batch, so a trial's rate is the same bits
+    alone or in a chunk of any size.
 
     chosen, an integer array of the batch shape, names a selection scheme's
     one candidate relay per trial; mask is then of the batch shape too and
@@ -138,10 +142,13 @@ def approx_rate(sinrs: LinkSinrs, mask: np.ndarray, cfg: SystemConfig, chosen=No
         relayed = gather_relay(sinrs.g_rd, chosen) * mask
     elif cfg.sync_mode == SYNCHRONOUS:
         _check_mask(mask, sinrs.real.h2_rd)
-        h_sum = (sinrs.real.h_rd * mask).sum(axis=-1)
+        h_sum = np.multiply(sinrs.real.h_rd, np.ascontiguousarray(mask), order="C").sum(axis=-1)
         relayed = sinrs.relay_tx_power * (h_sum.real * h_sum.real + h_sum.imag * h_sum.imag)
     else:
         _check_mask(mask, sinrs.real.h2_rd)
-        relayed = (sinrs.g_rd * mask).sum(axis=-1)
+        g_rd = sinrs.g_rd
+        relayed = g_rd[..., 0] * mask[..., 0]
+        for k in range(1, mask.shape[-1]):
+            relayed += g_rd[..., k] * mask[..., k]
     total = sinrs.g_sd + relayed
     return (cfg.block_len / (cfg.block_len + cfg.cp_len)) * np.log2(1.0 + total)

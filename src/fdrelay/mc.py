@@ -37,10 +37,15 @@ def trial_stream(seed: int, trial: int, n_relays: int) -> np.random.Generator:
 
 
 def select_relay(sinrs: LinkSinrs, kind: str):
-    """Relay index picked by a selection baseline; ties go to the lowest index.
+    """Relay index picked by a selection baseline: the first maximum of its
+    score over the relay axis, so ties go to the lowest index, as np.argmax
+    picks (scores are never NaN).
 
     os ranks relays by the bottleneck hop min(g_sr, g_rd); ps uses only the
-    first hop g_sr.
+    first hop g_sr.  The pick is the count of leading relays scoring below
+    the row maximum, found by passes over the relay columns in index order;
+    on relay-major SINRs each pass runs over one contiguous column of the
+    chunk's trials, where np.argmax pays a per-row cost on every trial.
     """
     if kind == SCHEME_OS:
         score = np.minimum(sinrs.g_sr, sinrs.g_rd)
@@ -48,16 +53,31 @@ def select_relay(sinrs: LinkSinrs, kind: str):
         score = sinrs.g_sr
     else:
         raise ValueError(f"unknown selection scheme {kind!r}")
-    return np.argmax(score, axis=-1)
+    n = score.shape[-1]
+    top = score.max(axis=-1)
+    below = np.ones(top.shape, bool)
+    chosen = np.zeros(top.shape, np.min_scalar_type(n))
+    for k in range(n - 1):
+        below &= score[..., k] < top
+        chosen += below
+    return chosen.astype(np.intp)
 
 
 def forwarding_count(mask: np.ndarray) -> np.ndarray:
-    """Relays forwarding per trial: the boolean mask's relay columns summed
-    by one float32 matrix-vector product, exact for fewer than 2**24 relays
-    in any summation order, and returned as integers.  A bool row reduction
-    pays numpy's per-row cost on a short relay axis, and a loop over the
-    columns pays a numpy call per relay."""
-    return (mask @ np.ones(mask.shape[-1], np.float32)).astype(np.intp)
+    """Relays forwarding per trial: the boolean mask summed over the relay
+    axis in the smallest unsigned integer that holds the relay count, exact
+    in any order, and returned as integers.  On a relay-major mask numpy
+    adds whole contiguous columns, one pass per relay."""
+    count = np.add.reduce(mask, axis=-1, dtype=np.min_scalar_type(mask.shape[-1]))
+    return count.astype(np.intp)
+
+
+def selection_config(cfg: SystemConfig) -> SystemConfig:
+    """The config a selection baseline's trials read: its lone relay forwards
+    free of inter-relay interference, so cfg with var_iri = 0 (cfg itself
+    where it already is).  Configs that differ only in var_iri give one
+    selection estimate."""
+    return cfg if cfg.var_iri == 0.0 else replace(cfg, var_iri=0.0)
 
 
 def forwarding(real, cfg: SystemConfig, scheme: str, scratch: Scratch = FRESH):
@@ -66,13 +86,14 @@ def forwarding(real, cfg: SystemConfig, scheme: str, scratch: Scratch = FRESH):
     read, in scratch.  multi: forwards is the mask, over the relay axis, of
     every relay that decodes at the all-relay power, sharing the budget, and
     chosen is None; os/ps: chosen, of the batch shape, is the selected relay
-    and forwards whether it decodes; it forwards alone, so with var_iri = 0."""
+    and forwards whether it decodes; it forwards alone, so its SINRs are
+    those of selection_config(cfg)."""
     if scheme == SCHEME_MULTI:
         probe = link_sinrs(real, cfg, relay_tx_power(cfg, cfg.n_relays), scratch)
         decodes = probe.g_sr >= eta(cfg)
         p_relay = relay_tx_power(cfg, np.maximum(forwarding_count(decodes), 1))
         return decodes, None, link_sinrs(real, cfg, p_relay, scratch)
-    sinrs = link_sinrs(real, replace(cfg, var_iri=0.0), relay_tx_power(cfg, 1), scratch)
+    sinrs = link_sinrs(real, selection_config(cfg), relay_tx_power(cfg, 1), scratch)
     chosen = np.asarray(select_relay(sinrs, scheme))
     return gather_relay(sinrs.g_sr, chosen) >= eta(cfg), chosen, sinrs
 
@@ -107,11 +128,14 @@ def estimate_outage(cfg: SystemConfig, scheme: str, trials: int,
     per trial the layers declare (channel_slots, and spectrum_slots under
     exact MI), of which each chunk writes its leading size rows.  The default
     chunk is as many trials as fit CHUNK_BYTES (at least one), so the block
-    is bounded for any block_len and relay count.
+    is bounded for any block_len and relay count.  A selection scheme's
+    trials run on selection_config(cfg), built once here.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     _check_int("trials", trials)
+    if scheme != SCHEME_MULTI:
+        cfg = selection_config(cfg)
     slots = channel_slots(cfg.n_relays) + (spectrum_slots(cfg) if cfg.mi_mode == MI_EXACT else 0)
     if chunk is None:
         chunk = max(1, CHUNK_BYTES // (8 * slots))

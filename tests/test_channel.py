@@ -131,7 +131,7 @@ def test_trial_uniforms_are_philox_plane_blocks(n, seed, trial, size):
     cfg = config(n_relays=n, var_sd=1.3, var_sr=2.0, var_rd=0.7)
     u0, u1 = philox_planes(seed, trial, n, size)
     scratch, taken = Scratch(), []
-    scratch.take = lambda *args: taken.append(Scratch.take(scratch, *args)) or taken[-1]
+    scratch.take = lambda *args, **kw: taken.append(Scratch.take(scratch, *args, **kw)) or taken[-1]
     real = draw_realization(cfg, trial_stream(seed, trial, n), size=size, scratch=scratch)
     assert np.array_equal(taken[0], u0)
     slots = (u0[..., :1], u0[..., 1:1 + n], u0[..., 1 + n:1 + 2 * n])

@@ -180,6 +180,26 @@ def test_run_sweep_pool_is_no_wider_than_the_points(monkeypatch, values, schemes
     assert asked == widths
 
 
+@pytest.mark.parametrize("workers", [1, 3])
+def test_run_sweep_estimates_each_selection_config_once(monkeypatch, workers):
+    # os and ps read their config with var_iri = 0, so across an IRI sweep
+    # each is estimated once, in the pool as in process, and every row holds
+    # what its own config's estimate gives
+    monkeypatch.setattr(cli, "ProcessPoolExecutor",
+                        lambda max_workers: ThreadPoolExecutor(max_workers=1))
+    estimates = counting(monkeypatch, "estimate_outage")
+    spec = small_spec(values=(-10.0, -5.0, 0.0), schemes=("multi", "os", "ps"))
+    result = run_sweep(spec, workers=workers)
+    assert sorted(args[1] for args in estimates) == ["multi"] * 3 + ["os", "ps"]
+    assert all(args[0].var_iri == 0.0 for args in estimates if args[1] != "multi")
+    points = [(value, scheme) for value in spec.values for scheme in spec.schemes]
+    assert [(row.param, row.scheme) for row in result.rows] == [
+        (apply_param(spec.base, spec.param, value).var_iri, scheme) for value, scheme in points]
+    for row, (value, scheme) in zip(result.rows, points):
+        cfg = apply_param(spec.base, spec.param, value)
+        assert row.estimate == estimate_outage(cfg, scheme, spec.trials, spec.seed)
+
+
 def test_run_sweep_workers_equivalent():
     a = run_sweep(small_spec(), workers=1)
     b = run_sweep(small_spec(), workers=2)

@@ -389,3 +389,30 @@ def test_gathered_selection_rate_equals_the_one_hot_masked_sum(sync, n):
                           (sinrs.g_rd * one_hot).sum(axis=-1))
     with pytest.raises(ValueError, match="decode mask"):
         approx_rate(sinrs, one_hot, cfg, chosen)
+
+
+@pytest.mark.parametrize("n", [1, 5, 8, 10, 64])
+def test_async_relayed_sum_adds_relays_in_index_order(n):
+    # the asynchronous multi-relay rate adds the forwarding relays' SNRs in
+    # index order, bit for bit, on C-order and relay-major SINRs and for a
+    # trial alone, where numpy's row sum would add 8 or more pairwise
+    cfg = replace(FIG4, n_relays=n, delays=None, cp_len=64)
+    real = draw_realization(cfg, trial_stream(37, 0, n), size=300)
+    sinrs = link_sinrs(real, cfg, 0.7)
+    mask = np.random.default_rng(n).random((300, n)) < 0.7
+    g_rd, g_sd = sinrs.g_rd, sinrs.g_sd
+    assert g_rd.strides[0] == g_rd.itemsize        # relay-major as drawn
+    total = []
+    for t in range(300):
+        relayed = 0.0
+        for k in np.flatnonzero(mask[t]):
+            relayed += float(g_rd[t, k])
+        total.append(float(g_sd[t]) + relayed)
+    want = (cfg.block_len / (cfg.block_len + cfg.cp_len)) * np.log2(1.0 + np.array(total))
+    assert np.array_equal(approx_rate(sinrs, mask, cfg), want)
+    c_order = link_sinrs(real, cfg, 0.7)
+    c_order.__dict__.update(g_sd=g_sd, g_rd=np.ascontiguousarray(g_rd))
+    assert np.array_equal(approx_rate(c_order, np.asfortranarray(mask), cfg), want)
+    for t in (0, 7, 299):
+        one = link_sinrs(draw_realization(cfg, trial_stream(37, t, n), size=1), cfg, 0.7)
+        assert np.array_equal(approx_rate(one, mask[t:t + 1], cfg), want[t:t + 1])

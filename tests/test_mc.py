@@ -325,8 +325,8 @@ def test_chunks_take_their_arrays_from_one_declared_block(monkeypatch, over, chu
     take, draw, outages = channel.Scratch.take, mc.draw_realization, mc._trial_outages
     chunks, scratches, most = [], [], Counter()
 
-    def spy_take(self, shape, dtype=float, zeroed=False):
-        taken = take(self, shape, dtype, zeroed)
+    def spy_take(self, shape, dtype=float, zeroed=False, order="C"):
+        taken = take(self, shape, dtype, zeroed, order)
         assert np.shares_memory(taken, self.block)
         assert taken.dtype != complex or taken.ctypes.data % 16 == 0
         scratches.append(self)
@@ -548,6 +548,94 @@ def test_selection_outage_is_the_same_in_both_modes_at_any_iri():
             assert len(counts) == 1, (label, scheme, counts)
 
 
+def relay_major_views(a):
+    # a's rows laid out relay-major, as a chunk's Scratch takes them: a whole
+    # block, and the leading rows of a larger one (a ragged last chunk)
+    whole = np.asfortranarray(a)
+    block = np.empty((a.shape[0] + 3,) + a.shape[1:], a.dtype, order="F")
+    block[:a.shape[0]] = a
+    assert whole.flags.f_contiguous and block[:a.shape[0]].strides[0] == a.itemsize
+    return whole, block[:a.shape[0]]
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 10, 64])
+@pytest.mark.parametrize("kind", [SCHEME_OS, SCHEME_PS])
+def test_select_relay_is_the_first_maximum_on_either_layout(n, kind):
+    # the column scan picks what np.argmax picks, on C-order and relay-major
+    # SINRs alike: the first maximum, through ties, infinite scores and rows
+    # whose every score is equal
+    rng = np.random.default_rng(n)
+    g_sr = rng.integers(0, 4, size=(400, n)).astype(float)   # ties in most rows
+    g_rd = rng.integers(0, 4, size=(400, n)).astype(float)
+    g_sr[:50] = rng.exponential(size=(50, n))
+    g_sr[50:60, ::2] = np.inf
+    g_rd[50:70, 1::3] = np.inf
+    g_sr[70:80] = g_rd[70:80] = 2.0
+    g_sr[80:90] = g_rd[80:90] = np.inf
+    g_sr[90:95] = 0.0
+    score = np.minimum(g_sr, g_rd) if kind == SCHEME_OS else g_sr
+    want = np.argmax(score, axis=-1)
+    for a, b in zip((g_sr,) + relay_major_views(g_sr), (g_rd,) + relay_major_views(g_rd)):
+        got = select_relay(sinrs(a, b), kind)
+        assert got.dtype == np.intp and np.array_equal(got, want)
+    assert select_relay(sinrs(g_sr[60], g_rd[60]), kind) == want[60]
+
+
+def assert_rates_independent_of_the_chunk(monkeypatch, cfg, scheme, trials, seed):
+    # every per-trial rate is the same bits at chunk=1, chunk=7 and the
+    # default chunk, so the outage counts agree
+    name = "exact_rate" if cfg.mi_mode == MI_EXACT else "approx_rate"
+    rates, rate = [], getattr(mc, name)
+    monkeypatch.setattr(mc, name,
+                        lambda *a, **k: rates.append(np.array(rate(*a, **k))) or rates[-1])
+    counts, seen = [], []
+    for chunk in (1, 7, None):
+        rates.clear()
+        counts.append(estimate_outage(cfg, scheme, trials, seed=seed, chunk=chunk).outage_count)
+        seen.append(np.concatenate([np.atleast_1d(r) for r in rates]))
+    assert len(set(counts)) == 1 and 0 < counts[0] < trials, counts
+    assert all(np.array_equal(r, seen[0]) for r in seen[1:]), scheme
+
+
+@pytest.mark.parametrize("n", [8, 10, 64])
+@pytest.mark.parametrize("mode", [ASYNCHRONOUS, SYNCHRONOUS])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_batch_independent_where_numpy_reorders_a_row_sum(monkeypatch, n, mode, scheme):
+    # numpy's row sum adds a contiguous row of 8 or more in pairwise blocks
+    # and a strided axis in sequence, so a reduction over the relay axis
+    # could round a trial alone (chunk=1, a row both C- and relay-major)
+    # differently from the same trial in a chunk
+    cfg = fig_config(n_relays=n, sync_mode=mode, delays=None, cp_len=64, var_sr=2.0,
+                     var_rd=1.5, rate=2.5)
+    assert_rates_independent_of_the_chunk(monkeypatch, cfg, scheme, 120, seed=19)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_exact_mi_batch_independent_at_ten_relays(monkeypatch, scheme):
+    cfg = fig_config(n_relays=10, mi_mode=MI_EXACT, block_len=16, cp_len=10, var_sr=2.0,
+                     rate=1.5)
+    assert_rates_independent_of_the_chunk(monkeypatch, cfg, scheme, 40, seed=23)
+
+
+def test_selection_config_drops_only_the_inter_relay_interference():
+    cfg = fig_config(var_iri=2.5)
+    assert mc.selection_config(cfg) == replace(cfg, var_iri=0.0)
+    quiet = fig_config(var_iri=0.0)
+    assert mc.selection_config(quiet) is quiet
+
+
+@pytest.mark.parametrize("scheme", [SCHEME_OS, SCHEME_PS])
+def test_selection_config_applied_once_per_estimate(monkeypatch, scheme):
+    # every chunk's SINRs read the one selection config the estimate built
+    seen, link = [], mc.link_sinrs
+    monkeypatch.setattr(mc, "link_sinrs", lambda real, cfg, *a: seen.append(cfg) or link(real, cfg, *a))
+    cfg = fig_config(var_iri=3.0)
+    est = estimate_outage(cfg, scheme, 1000, seed=3, chunk=400)
+    assert len(seen) == 3 and all(c is seen[0] for c in seen)
+    assert seen[0] == mc.selection_config(cfg)
+    assert est == estimate_outage(mc.selection_config(cfg), scheme, 1000, seed=3, chunk=400)
+
+
 @pytest.mark.parametrize("n", [1, 5, 8, 10, 64, 300])
 def test_forwarding_count_is_the_bool_row_sum(n):
     rng = np.random.default_rng(n)
@@ -556,6 +644,8 @@ def test_forwarding_count_is_the_bool_row_sum(n):
     count = mc.forwarding_count(mask)
     assert count.dtype.kind == "i" and np.array_equal(count, mask.sum(axis=-1))
     assert mc.forwarding_count(mask[5]) == mask[5].sum()
+    for view in relay_major_views(mask):
+        assert np.array_equal(mc.forwarding_count(view), count)
 
 
 @pytest.mark.parametrize("n", [1, 5, 8, 10, 64])
