@@ -88,8 +88,21 @@ def _links(a: np.ndarray, n_relays: int) -> tuple:
 
 def gather_relay(a: np.ndarray, index) -> np.ndarray:
     """a[..., index] per batch row: the entry of each trial's relay axis that
-    index, an integer array of the batch shape, names."""
-    return np.take_along_axis(a, np.asarray(index)[..., None], axis=-1)[..., 0]
+    index, an integer array of the batch shape, names.
+
+    On a relay-major (B, N) array (each relay column contiguous over the
+    trials, as the drawn powers and the link SINRs are) the entries are read
+    by one flat take from the transposed view, at relay*B + trial; any other
+    layout, or a batch of another rank, goes through np.take_along_axis.
+    Either way a gather copies the entries, so the result is exact.
+    """
+    index = np.asarray(index)
+    if a.ndim == 2 and index.shape == a.shape[:1] and a.strides[0] == a.itemsize:
+        size = a.shape[0]
+        flat = np.multiply(index, size, dtype=np.intp)
+        flat += np.arange(size)
+        return np.take(a.T, flat)
+    return np.take_along_axis(a, index[..., None], axis=-1)[..., 0]
 
 
 def gains_from_uniforms(power, u1):
@@ -116,6 +129,7 @@ class ChannelRealization:
     drawn power plane.  It is called once, when the first complex gain is
     read, and the plane is kept; h_sd, h_sr, h_rd are then built per link on
     first read from sqrt of the power and that link's phases, and kept.
+    h_rd_of builds one relay's h_rd per trial from the same plane.
     """
 
     h2_sd: np.ndarray
@@ -127,6 +141,14 @@ class ChannelRealization:
     h_sd = cached_property(lambda self: gains_from_uniforms(self.h2_sd, self.phases[0]))
     h_sr = cached_property(lambda self: gains_from_uniforms(self.h2_sr, self.phases[1]))
     h_rd = cached_property(lambda self: gains_from_uniforms(self.h2_rd, self.phases[2]))
+
+    def h_rd_of(self, index) -> np.ndarray:
+        """h_rd of the relay index (an integer array of the batch shape) names
+        per trial, built from that relay's gathered power and phase alone:
+        gather_relay(self.h_rd, index) bit for bit, the gains being elementwise,
+        without building the other relays' gains.  Not kept; needs the phase plane."""
+        return gains_from_uniforms(gather_relay(self.h2_rd, index),
+                                   gather_relay(self.phases[2], index))
 
 
 def _phase_plane(kind, state: dict, shape: tuple, scratch: Scratch) -> np.ndarray:

@@ -56,7 +56,7 @@ def spectrum_slots(cfg: SystemConfig) -> int:
 
 
 def lambda_spectrum(real: ChannelRealization, mask: np.ndarray, cfg: SystemConfig,
-                    relay_power, scratch: Scratch = FRESH) -> BinSpectrum:
+                    relay_power, scratch: Scratch = FRESH, chosen=None) -> BinSpectrum:
     """Per-bin SINRs gamma_i = |lam_i|^2 of the combined direct-plus-relays channel.
 
     lam_i = sqrt(P_S) h_sd + sum_{k in mask} sqrt(P_R) h_rd_k e^{-j2pi i tau_k/T}.
@@ -84,18 +84,33 @@ def lambda_spectrum(real: ChannelRealization, mask: np.ndarray, cfg: SystemConfi
     their transform and the half-spectrum are taken from scratch; the
     half-spectrum is taken zeroed, so in an estimate its lags past D are
     zeroed once, on the first chunk, and stay zero.
+
+    chosen, an integer array of the batch shape, names a selection scheme's
+    one candidate relay per trial, as in approx_rate; mask is then of the
+    batch shape too and says whether that relay forwards.  Only that relay's
+    h_rd is built (real.h_rd_of, which needs the drawn phase plane), and it
+    is added as the one relay tap, at its delay mod T, onto the lag-0 tap
+    where the delay falls there.  The taps are the one-hot mask's bit for
+    bit: there every other relay adds sqrt(P_R) h_rd_k * False, a signed
+    zero, which changes no nonzero tap and no |tap|^2.
     """
-    _check_mask(mask, real.h_rd)
+    _check_mask(mask, real.h2_rd if chosen is None else np.asarray(chosen))
     t_len = cfg.block_len
     span, n = _autocorrelation_length(cfg)
-    coef = np.sqrt(np.asarray(relay_power))[..., None] * real.h_rd * mask
     base = np.sqrt(cfg.p_source) * real.h_sd
     batch = np.shape(base)
     taps = scratch.take(batch + (n,), complex)
     taps.fill(0.0)
     taps[..., 0] = base
-    for k, delay in enumerate(cfg.delays):
-        taps[..., delay % t_len] += coef[..., k]
+    if chosen is None:
+        coef = np.sqrt(np.asarray(relay_power))[..., None] * real.h_rd * mask
+        for k, delay in enumerate(cfg.delays):
+            taps[..., delay % t_len] += coef[..., k]
+    else:
+        coef = np.sqrt(np.asarray(relay_power)) * real.h_rd_of(chosen) * mask
+        lag = np.remainder(cfg.delays, t_len)[chosen]
+        at = np.arange(0, taps.size, n).reshape(batch) + lag     # each row's relay tap, flat
+        np.put(taps, at, np.take(taps, at) + coef)
     if n == t_len:                      # circular: |lam|^2 is gamma itself
         lam = np.fft.fft(taps, axis=-1, out=taps)
         gamma = np.multiply(lam.real, lam.real, out=scratch.take(batch + (t_len,)))
@@ -125,7 +140,9 @@ def approx_rate(sinrs: LinkSinrs, mask: np.ndarray, cfg: SystemConfig, chosen=No
 
     Asynchronous relaying adds per-relay SNRs (the oscillating cross terms
     cancel across bins for staggered delays), relay by relay in index order,
-    one pass per relay column (contiguous in relay-major SINRs); synchronous
+    one pass per relay column (contiguous in relay-major SINRs), or, for a
+    batch of fewer trials than relays, by np.add.accumulate along each row,
+    which adds in the same order; synchronous
     relaying combines the relay amplitudes coherently first, from the h_rd
     of sinrs.real, by numpy's sum over each C-order row.  Either order is
     fixed by the code, not by the batch, so a trial's rate is the same bits
@@ -146,9 +163,12 @@ def approx_rate(sinrs: LinkSinrs, mask: np.ndarray, cfg: SystemConfig, chosen=No
         relayed = sinrs.relay_tx_power * (h_sum.real * h_sum.real + h_sum.imag * h_sum.imag)
     else:
         _check_mask(mask, sinrs.real.h2_rd)
-        g_rd = sinrs.g_rd
-        relayed = g_rd[..., 0] * mask[..., 0]
-        for k in range(1, mask.shape[-1]):
-            relayed += g_rd[..., k] * mask[..., k]
+        g_rd, n = sinrs.g_rd, mask.shape[-1]
+        if mask.size < n * n:
+            relayed = np.add.accumulate(g_rd * mask, axis=-1)[..., -1]
+        else:
+            relayed = g_rd[..., 0] * mask[..., 0]
+            for k in range(1, n):
+                relayed += g_rd[..., k] * mask[..., k]
     total = sinrs.g_sd + relayed
     return (cfg.block_len / (cfg.block_len + cfg.cp_len)) * np.log2(1.0 + total)

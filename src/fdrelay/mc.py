@@ -46,6 +46,8 @@ def select_relay(sinrs: LinkSinrs, kind: str):
     the row maximum, found by passes over the relay columns in index order;
     on relay-major SINRs each pass runs over one contiguous column of the
     chunk's trials, where np.argmax pays a per-row cost on every trial.
+    A batch of fewer trials than relays would pay a numpy call per relay
+    for a few trials each, so it takes np.argmax's pick instead.
     """
     if kind == SCHEME_OS:
         score = np.minimum(sinrs.g_sr, sinrs.g_rd)
@@ -54,6 +56,8 @@ def select_relay(sinrs: LinkSinrs, kind: str):
     else:
         raise ValueError(f"unknown selection scheme {kind!r}")
     n = score.shape[-1]
+    if score.size < n * n:
+        return np.argmax(score, axis=-1)
     top = score.max(axis=-1)
     below = np.ones(top.shape, bool)
     chosen = np.zeros(top.shape, np.min_scalar_type(n))
@@ -87,7 +91,9 @@ def forwarding(real, cfg: SystemConfig, scheme: str, scratch: Scratch = FRESH):
     every relay that decodes at the all-relay power, sharing the budget, and
     chosen is None; os/ps: chosen, of the batch shape, is the selected relay
     and forwards whether it decodes; it forwards alone, so its SINRs are
-    those of selection_config(cfg)."""
+    those of selection_config(cfg).  The rate step passes chosen on to
+    approx_rate or lambda_spectrum, which read that one relay's g_rd or
+    h_rd, not the whole relay axis."""
     if scheme == SCHEME_MULTI:
         probe = link_sinrs(real, cfg, relay_tx_power(cfg, cfg.n_relays), scratch)
         decodes = probe.g_sr >= eta(cfg)
@@ -98,18 +104,12 @@ def forwarding(real, cfg: SystemConfig, scheme: str, scratch: Scratch = FRESH):
     return gather_relay(sinrs.g_sr, chosen) >= eta(cfg), chosen, sinrs
 
 
-def _one_hot(chosen: np.ndarray, forwards: np.ndarray, n_relays: int) -> np.ndarray:
-    # a selection scheme's forwarding mask over the relay axis
-    return (np.arange(n_relays) == chosen[..., None]) & forwards[..., None]
-
-
 def _trial_outages(cfg: SystemConfig, scheme: str, real, scratch: Scratch):
     # every step broadcasts over the batch axis, so a trial's flag does not
     # depend on the batch it is drawn in
     forwards, chosen, sinrs = forwarding(real, cfg, scheme, scratch)
     if cfg.mi_mode == MI_EXACT:
-        mask = forwards if chosen is None else _one_hot(chosen, forwards, cfg.n_relays)
-        spec = lambda_spectrum(real, mask, cfg, sinrs.relay_tx_power, scratch)
+        spec = lambda_spectrum(real, forwards, cfg, sinrs.relay_tx_power, scratch, chosen)
         rate = exact_rate(spec, cfg, out=spec.gamma)
     else:
         rate = approx_rate(sinrs, forwards, cfg, chosen)

@@ -126,6 +126,12 @@ def philox_planes(seed: int, trial: int, n_relays: int, size: int):
         for plane in (0, 1))
 
 
+def one_hot(chosen, forwards, n_relays: int) -> np.ndarray:
+    """A selection scheme's forwarding mask over the relay axis: each trial's
+    chosen relay where it forwards, no relay where it does not."""
+    return (np.arange(n_relays) == np.asarray(chosen)[..., None]) & np.asarray(forwards)[..., None]
+
+
 def from_gains(h_sd, h_sr, h_rd) -> ChannelRealization:
     """Realization of given complex gains, with powers abs2(h).
 

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from fdrelay.channel import (Scratch, channel_slots, draw_realization, gains_from_uniforms,
-                             link_sinrs, trial_block_uniforms, uniforms_per_trial)
+                             gather_relay, link_sinrs, trial_block_uniforms, uniforms_per_trial)
 from fdrelay.model import SystemConfig
 from fdrelay.mc import trial_stream
 from oracles import abs2, from_gains, philox_planes, polar_gains
@@ -286,3 +286,55 @@ def test_gains_from_uniforms_layout():
 def test_gains_edge_uniform_zero():
     # u = 0 must map to a zero-magnitude gain, not -inf
     assert polar(np.array([0.0, 0.3]), 1.0) == 0.0
+
+
+def relay_layouts(a):
+    # a's values in every layout a chunk gathers from: C-order, relay-major
+    # Scratch takes (a whole block and a ragged last chunk's leading rows),
+    # and relay columns strided inside a wider C-order plane
+    rows, n = a.shape
+    out = [a]
+    for block_rows in (rows, rows + 5):
+        take = Scratch(block_rows, 2 * n + 1).take((rows, n), a.dtype, order="F")
+        take[...] = a
+        out.append(take)
+    plane = np.zeros((rows, 2 * n + 3), a.dtype)
+    plane[:, 2:2 + n] = a
+    out.append(plane[:, 2:2 + n])
+    assert out[1].flags.f_contiguous and out[2].strides[0] == a.itemsize
+    assert out[3].strides[0] > a.itemsize
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.intp, np.uint8, np.uint16])
+@pytest.mark.parametrize("n", [1, 5, 10, 64])
+def test_gather_relay_equals_take_along_axis_on_every_layout(n, dtype):
+    # relay-major arrays are gathered by one flat take at relay*B + trial,
+    # others by np.take_along_axis: the same entries on every layout, for
+    # index dtypes whose relay*B would overflow, real and complex arrays,
+    # a batch of one and one unbatched trial
+    rng = np.random.default_rng(n)
+    index = rng.integers(0, n, size=300).astype(dtype)
+    index[:2] = 0, n - 1
+    for a in (rng.random((300, n)), rng.random((300, n)) + 1j * rng.random((300, n))):
+        want = np.take_along_axis(a, index.astype(np.intp)[:, None], axis=-1)[:, 0]
+        for view in relay_layouts(a):
+            got = gather_relay(view, index)
+            assert got.dtype == a.dtype and np.array_equal(got, want)
+            assert np.array_equal(gather_relay(view[:1], index[:1]), want[:1])
+            assert np.array_equal(gather_relay(view[7:11], index[7:11]), want[7:11])
+        assert gather_relay(a[3], index[3]) == a[3, index[3]]
+
+
+@pytest.mark.parametrize("n", [1, 5, 10, 64])
+def test_one_relay_gain_is_the_gathered_h_rd(n):
+    # the chosen relay's h_rd, built from its gathered power and phase
+    # alone, is the entry of the full h_rd bit for bit
+    cfg = config(n_relays=n, var_rd=3.0)
+    real = draw_realization(cfg, trial_stream(5, 0, n), size=200, scratch=Scratch(200, channel_slots(n)))
+    chosen = np.random.default_rng(n).integers(0, n, size=200)
+    got = real.h_rd_of(chosen)
+    want = gather_relay(real.h_rd, chosen)
+    assert got.shape == (200,)
+    assert [z.hex() for z in got.real.tolist()] == [z.hex() for z in want.real.tolist()]
+    assert [z.hex() for z in got.imag.tolist()] == [z.hex() for z in want.imag.tolist()]

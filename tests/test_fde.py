@@ -8,7 +8,7 @@ from fdrelay.channel import Scratch, draw_realization, gather_relay, link_sinrs
 from fdrelay.fde import approx_rate, exact_rate, lambda_spectrum, spectrum_slots
 from fdrelay.mc import SCHEME_MULTI, forwarding, trial_stream
 from fdrelay.model import ASYNCHRONOUS, SYNCHRONOUS, SystemConfig
-from oracles import abs2, batch_rows, direct_spectrum, from_gains
+from oracles import abs2, batch_rows, direct_spectrum, from_gains, one_hot
 
 
 def config(**over):
@@ -379,16 +379,70 @@ def test_gathered_selection_rate_equals_the_one_hot_masked_sum(sync, n):
     rng = np.random.default_rng(n)
     chosen = rng.integers(0, n, size=500)
     forwards = rng.random(500) < 0.6
-    one_hot = (np.arange(n) == chosen[:, None]) & forwards[:, None]
+    mask = one_hot(chosen, forwards, n)
     gathered = approx_rate(sinrs, forwards, cfg, chosen)
     asynchronous = replace(cfg, sync_mode=ASYNCHRONOUS)
     assert np.array_equal(gathered, approx_rate(sinrs, forwards, asynchronous, chosen))
-    assert np.array_equal(gathered, approx_rate(sinrs, one_hot, asynchronous))
-    assert_allclose(gathered, approx_rate(sinrs, one_hot, cfg), rtol=1e-14, atol=0)
+    assert np.array_equal(gathered, approx_rate(sinrs, mask, asynchronous))
+    assert_allclose(gathered, approx_rate(sinrs, mask, cfg), rtol=1e-14, atol=0)
     assert np.array_equal(gather_relay(sinrs.g_rd, chosen) * forwards,
-                          (sinrs.g_rd * one_hot).sum(axis=-1))
+                          (sinrs.g_rd * mask).sum(axis=-1))
     with pytest.raises(ValueError, match="decode mask"):
-        approx_rate(sinrs, one_hot, cfg, chosen)
+        approx_rate(sinrs, mask, cfg, chosen)
+
+
+def chosen_relay_config(mode, n):
+    # async: distinct delays 1..N; sync: one shared delay, so every relay's
+    # tap lands on lag 1; zero-lag: delays 0..N-1, relay 0's tap on the
+    # direct one; circular: delays 15, 8, 1, ... in 1..15 over a 16-bin
+    # block, whose taps are transformed at T
+    if mode == "circular":
+        return replace(FIG4, n_relays=n, block_len=16, cp_len=15,
+                       delays=tuple(15 - 7 * k % 15 for k in range(n)))
+    cfg = replace(FIG4, n_relays=n, cp_len=64, delays=None,
+                  sync_mode=SYNCHRONOUS if mode == "sync" else ASYNCHRONOUS)
+    return replace(cfg, delays=tuple(range(n))) if mode == "zero-lag" else cfg
+
+
+@pytest.mark.parametrize("mode", ["async", "sync", "zero-lag", "circular"])
+@pytest.mark.parametrize("n", [1, 5, 8, 10, 64])
+def test_chosen_relay_spectrum_equals_the_one_hot_masked_one(mode, n):
+    # given chosen, only that relay's gain is built and added as one tap;
+    # the one-hot mask adds a signed zero for every other relay, so gamma
+    # is the same bits, on rows that forward, rows that do not and chunks
+    # where none does
+    cfg = chosen_relay_config(mode, n)
+    real = draw_realization(cfg, trial_stream(41, 0, n), size=64)
+    rng = np.random.default_rng(n)
+    chosen = rng.integers(0, n, size=64)
+    chosen[:2] = 0, n - 1
+    for forwards in (rng.random(64) < 0.6, np.zeros(64, bool)):
+        for power in (0.7, rng.uniform(0.5, 2.0, size=64)):
+            got = lambda_spectrum(real, forwards, cfg, power, chosen=chosen)
+            want = lambda_spectrum(real, one_hot(chosen, forwards, n), cfg, power)
+            assert got.gamma.shape == want.gamma.shape == (64, cfg.block_len)
+            assert ([x.hex() for x in got.gamma.ravel().tolist()]
+                    == [x.hex() for x in want.gamma.ravel().tolist()]), (mode, n)
+    with pytest.raises(ValueError, match="decode mask"):
+        lambda_spectrum(real, one_hot(chosen, forwards, n), cfg, 0.7, chosen=chosen)
+    with pytest.raises(ValueError, match="decode mask"):
+        lambda_spectrum(real, forwards.astype(int), cfg, 0.7, chosen=chosen)
+
+
+def test_chosen_relay_spectrum_into_a_used_scratch_matches_fresh_ones():
+    # the chosen tap is placed by a flat index over the chunk's taps, so a
+    # smaller chunk in a larger scratch block must still get each row's own
+    for cfg in (FIG4, CIRCULAR):
+        scratch = Scratch(64, spectrum_slots(cfg))
+        scratch.block.fill(np.nan)
+        for seed, size in ((3, 64), (4, 5), (6, 1)):
+            real = draw_realization(cfg, trial_stream(seed, 0, cfg.n_relays), size=size)
+            rng = np.random.default_rng(seed)
+            chosen, forwards = rng.integers(0, cfg.n_relays, size=size), rng.random(size) < 0.7
+            fresh = lambda_spectrum(real, one_hot(chosen, forwards, cfg.n_relays), cfg, 0.7)
+            into = lambda_spectrum(real, forwards, cfg, 0.7, scratch, chosen)
+            assert np.array_equal(into.gamma, fresh.gamma)
+            scratch.rewind()
 
 
 @pytest.mark.parametrize("n", [1, 5, 8, 10, 64])

@@ -20,6 +20,7 @@ from fdrelay.mc import (SCHEME_MULTI, SCHEME_OS, SCHEME_PS, SCHEMES,
 from fdrelay.model import (ASYNCHRONOUS, FIXED_PER_RELAY, MI_APPROXIMATE, MI_EXACT,
                            SHARED_BUDGET, SYNCHRONOUS, SystemConfig, apply_param,
                            validate_config)
+from oracles import one_hot
 
 
 def fig_config(**over):
@@ -63,7 +64,7 @@ def test_selection_forwards_one_relay_free_of_inter_relay_interference(scheme):
     cfg = fig_config(n_relays=10, var_sr=1.0)
     real = channel.draw_realization(cfg, trial_stream(4, 0, 10), size=500)
     forwards, chosen, got = mc.forwarding(real, cfg, scheme)
-    mask = mc._one_hot(chosen, forwards, cfg.n_relays)
+    mask = one_hot(chosen, forwards, cfg.n_relays)
     assert mask.dtype == bool and mask.shape == (500, 10)
     assert mask.sum(axis=-1).max() <= 1
     assert 0 < mask.sum() < 500
@@ -469,30 +470,38 @@ def test_exact_mi_never_forms_the_complex_spectrum(monkeypatch):
         assert estimate_outage(cfg, scheme, 600, seed=4, chunk=256).trials == 600
 
 
-@pytest.mark.parametrize("over, links", [
-    (dict(), {}),
-    (dict(sync_mode=SYNCHRONOUS, delays=None), {SCHEME_MULTI: ("rd",)}),
-    (dict(mi_mode=MI_EXACT), dict.fromkeys(SCHEMES, ("sd", "rd"))),
+@pytest.mark.parametrize("over, links, chosen", [
+    (dict(), {}, ()),
+    (dict(sync_mode=SYNCHRONOUS, delays=None), {SCHEME_MULTI: ("rd",)}, ()),
+    (dict(mi_mode=MI_EXACT), {SCHEME_MULTI: ("sd", "rd"), SCHEME_OS: ("sd",), SCHEME_PS: ("sd",)},
+     (SCHEME_OS, SCHEME_PS)),
 ], ids=["async-approx", "sync-approx", "exact"])
-def test_complex_gains_built_only_where_read(monkeypatch, over, links):
+def test_complex_gains_built_only_where_read(monkeypatch, over, links, chosen):
     # count the gain builds of every drawn realization, by the power array
     # each build starts from: each link the rate reads is built once per
-    # chunk; a lone selected relay's rate reads |h_rd|^2 in either mode
+    # chunk; a lone selected relay's rate reads |h_rd|^2 under approximate
+    # MI, and under exact MI only the chosen relay's h_rd, one gain per
+    # trial built from the gathered powers
     draw, build = mc.draw_realization, channel.gains_from_uniforms
+    links_of = ("sd", "sr", "rd")
     for scheme in SCHEMES:
         read = links.get(scheme, ())
         reals, built = [], []
         monkeypatch.setattr(mc, "draw_realization",
                             lambda *a, **k: reals.append(draw(*a, **k)) or reals[-1])
         monkeypatch.setattr(channel, "gains_from_uniforms",
-                            lambda power, u1: built.append(power) or build(power, u1))
+                            lambda power, u1: built.append((reals[-1], power)) or build(power, u1))
         estimate_outage(fig_config(**over), scheme, 1000, seed=3, chunk=400)
         assert len(reals) == 3
         for real in reals:
-            counts = {link: sum(p is getattr(real, "h2_" + link) for p in built)
-                      for link in ("sd", "sr", "rd")}
+            powers = [p for r, p in built if r is real]
+            counts = {link: sum(p is getattr(real, "h2_" + link) for p in powers)
+                      for link in links_of}
             assert counts == {link: int(link in read) for link in counts}, scheme
-        assert len(built) == 3 * len(read)
+            gathered = [p.shape for p in powers
+                        if not any(p is getattr(real, "h2_" + link) for link in links_of)]
+            assert gathered == [real.h2_sd.shape] * (scheme in chosen), scheme
+        assert len(built) == 3 * (len(read) + (scheme in chosen))
 
 
 @pytest.mark.parametrize("over, planes", [
@@ -581,15 +590,16 @@ def test_select_relay_is_the_first_maximum_on_either_layout(n, kind):
     assert select_relay(sinrs(g_sr[60], g_rd[60]), kind) == want[60]
 
 
-def assert_rates_independent_of_the_chunk(monkeypatch, cfg, scheme, trials, seed):
-    # every per-trial rate is the same bits at chunk=1, chunk=7 and the
-    # default chunk, so the outage counts agree
+def assert_rates_independent_of_the_chunk(monkeypatch, cfg, scheme, trials, seed,
+                                         chunks=(1, 7, None)):
+    # every per-trial rate is the same bits at each chunk size (by default
+    # chunk=1, chunk=7 and the default chunk), so the outage counts agree
     name = "exact_rate" if cfg.mi_mode == MI_EXACT else "approx_rate"
     rates, rate = [], getattr(mc, name)
     monkeypatch.setattr(mc, name,
                         lambda *a, **k: rates.append(np.array(rate(*a, **k))) or rates[-1])
     counts, seen = [], []
-    for chunk in (1, 7, None):
+    for chunk in chunks:
         rates.clear()
         counts.append(estimate_outage(cfg, scheme, trials, seed=seed, chunk=chunk).outage_count)
         seen.append(np.concatenate([np.atleast_1d(r) for r in rates]))
@@ -615,6 +625,32 @@ def test_exact_mi_batch_independent_at_ten_relays(monkeypatch, scheme):
     cfg = fig_config(n_relays=10, mi_mode=MI_EXACT, block_len=16, cp_len=10, var_sr=2.0,
                      rate=1.5)
     assert_rates_independent_of_the_chunk(monkeypatch, cfg, scheme, 40, seed=23)
+
+
+@pytest.mark.parametrize("mode", [ASYNCHRONOUS, SYNCHRONOUS])
+@pytest.mark.parametrize("scheme", [SCHEME_OS, SCHEME_PS])
+def test_selection_exact_mi_independent_of_the_chunk(monkeypatch, mode, scheme):
+    # a selection scheme's spectrum places its one relay tap by a flat index
+    # over the chunk's rows: a trial alone, in a chunk of 7 and in a default
+    # chunk (fig4's 500-bin block) gets the same rate bits
+    cfg = fig_config(n_relays=10, mi_mode=MI_EXACT, sync_mode=mode, delays=None, var_sr=2.0,
+                     rate=3.0)
+    assert_rates_independent_of_the_chunk(monkeypatch, cfg, scheme, 60, seed=29)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_chunks_of_fewer_trials_than_relays_pick_and_add_as_the_column_passes(monkeypatch,
+                                                                              scheme):
+    # at N = 64 a chunk of 8 trials picks by np.argmax and adds the
+    # asynchronous relayed SNRs by np.add.accumulate; a chunk of 400 makes
+    # one pass per relay column: the same picks and rate bits
+    picks, select = [], mc.select_relay
+    monkeypatch.setattr(mc, "select_relay", lambda *a: picks.append(select(*a)) or picks[-1])
+    cfg = fig_config(n_relays=64, delays=None, cp_len=64, var_sr=2.0, var_rd=0.5)
+    assert_rates_independent_of_the_chunk(monkeypatch, cfg, scheme, 400, seed=31, chunks=(8, 400))
+    if scheme != SCHEME_MULTI:
+        assert [p.shape for p in picks] == [(8,)] * 50 + [(400,)]
+        assert np.array_equal(np.concatenate(picks[:50]), picks[50])
 
 
 def test_selection_config_drops_only_the_inter_relay_interference():
@@ -656,10 +692,10 @@ def test_selection_gather_equals_the_masked_row_sum(n):
     g = rng.exponential(size=(700, n))
     chosen = rng.integers(0, n, size=700)
     forwards = rng.random(700) < 0.5
-    one_hot = (np.arange(n) == chosen[:, None]) & forwards[:, None]
-    assert not one_hot[~forwards].any() and one_hot[forwards].sum(axis=-1).min() == 1
+    mask = one_hot(chosen, forwards, n)
+    assert not mask[~forwards].any() and mask[forwards].sum(axis=-1).min() == 1
     assert np.array_equal(channel.gather_relay(g, chosen) * forwards,
-                          (g * one_hot).sum(axis=-1))
+                          (g * mask).sum(axis=-1))
     assert channel.gather_relay(g[0], chosen[0]) == g[0, chosen[0]]
 
 
