@@ -88,21 +88,8 @@ def _links(a: np.ndarray, n_relays: int) -> tuple:
 
 def gather_relay(a: np.ndarray, index) -> np.ndarray:
     """a[..., index] per batch row: the entry of each trial's relay axis that
-    index, an integer array of the batch shape, names.
-
-    On a relay-major (B, N) array (each relay column contiguous over the
-    trials, as the drawn powers and the link SINRs are) the entries are read
-    by one flat take from the transposed view, at relay*B + trial; any other
-    layout, or a batch of another rank, goes through np.take_along_axis.
-    Either way a gather copies the entries, so the result is exact.
-    """
-    index = np.asarray(index)
-    if a.ndim == 2 and index.shape == a.shape[:1] and a.strides[0] == a.itemsize:
-        size = a.shape[0]
-        flat = np.multiply(index, size, dtype=np.intp)
-        flat += np.arange(size)
-        return np.take(a.T, flat)
-    return np.take_along_axis(a, index[..., None], axis=-1)[..., 0]
+    index, an integer array of the batch shape, names."""
+    return np.take_along_axis(a, np.asarray(index)[..., None], axis=-1)[..., 0]
 
 
 def gains_from_uniforms(power, u1):
@@ -129,7 +116,8 @@ class ChannelRealization:
     drawn power plane.  It is called once, when the first complex gain is
     read, and the plane is kept; h_sd, h_sr, h_rd are then built per link on
     first read from sqrt of the power and that link's phases, and kept.
-    h_rd_of builds one relay's h_rd per trial from the same plane.
+    h_rd_of reads one relay's h_rd per trial, built from the same plane
+    for that relay alone where h_rd is not built yet.
     """
 
     h2_sd: np.ndarray
@@ -144,9 +132,11 @@ class ChannelRealization:
 
     def h_rd_of(self, index) -> np.ndarray:
         """h_rd of the relay index (an integer array of the batch shape) names
-        per trial, built from that relay's gathered power and phase alone:
-        gather_relay(self.h_rd, index) bit for bit, the gains being elementwise,
-        without building the other relays' gains.  Not kept; needs the phase plane."""
+        per trial: gather_relay(self.h_rd, index) bit for bit.  Where h_rd is
+        not built yet, only that relay's gain is, from its gathered power and
+        phase (the gains are elementwise), and it is not kept."""
+        if "h_rd" in self.__dict__:
+            return gather_relay(self.h_rd, index)
         return gains_from_uniforms(gather_relay(self.h2_rd, index),
                                    gather_relay(self.phases[2], index))
 

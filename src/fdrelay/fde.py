@@ -88,11 +88,11 @@ def lambda_spectrum(real: ChannelRealization, mask: np.ndarray, cfg: SystemConfi
     chosen, an integer array of the batch shape, names a selection scheme's
     one candidate relay per trial, as in approx_rate; mask is then of the
     batch shape too and says whether that relay forwards.  Only that relay's
-    h_rd is built (real.h_rd_of, which needs the drawn phase plane), and it
-    is added as the one relay tap, at its delay mod T, onto the lag-0 tap
-    where the delay falls there.  The taps are the one-hot mask's bit for
-    bit: there every other relay adds sqrt(P_R) h_rd_k * False, a signed
-    zero, which changes no nonzero tap and no |tap|^2.
+    h_rd is read (real.h_rd_of, which builds it alone where h_rd is not
+    built), and it is added as the one relay tap, at its delay mod T, onto
+    the lag-0 tap where the delay falls there.  The taps are the one-hot
+    mask's bit for bit: there every other relay adds sqrt(P_R) h_rd_k *
+    False, a signed zero, which changes no nonzero tap and no |tap|^2.
     """
     _check_mask(mask, real.h2_rd if chosen is None else np.asarray(chosen))
     t_len = cfg.block_len

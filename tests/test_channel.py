@@ -308,16 +308,15 @@ def relay_layouts(a):
 
 @pytest.mark.parametrize("dtype", [np.intp, np.uint8, np.uint16])
 @pytest.mark.parametrize("n", [1, 5, 10, 64])
-def test_gather_relay_equals_take_along_axis_on_every_layout(n, dtype):
-    # relay-major arrays are gathered by one flat take at relay*B + trial,
-    # others by np.take_along_axis: the same entries on every layout, for
-    # index dtypes whose relay*B would overflow, real and complex arrays,
-    # a batch of one and one unbatched trial
+def test_gather_relay_on_every_layout(n, dtype):
+    # each row's indexed entry, read one row at a time, on every layout a
+    # chunk gathers from, for small unsigned index dtypes, real and complex
+    # arrays, a batch of one and one unbatched trial
     rng = np.random.default_rng(n)
     index = rng.integers(0, n, size=300).astype(dtype)
     index[:2] = 0, n - 1
     for a in (rng.random((300, n)), rng.random((300, n)) + 1j * rng.random((300, n))):
-        want = np.take_along_axis(a, index.astype(np.intp)[:, None], axis=-1)[:, 0]
+        want = np.array([row[k] for row, k in zip(a, index)])
         for view in relay_layouts(a):
             got = gather_relay(view, index)
             assert got.dtype == a.dtype and np.array_equal(got, want)
@@ -326,15 +325,25 @@ def test_gather_relay_equals_take_along_axis_on_every_layout(n, dtype):
         assert gather_relay(a[3], index[3]) == a[3, index[3]]
 
 
+def hex_equal(got, want) -> bool:
+    return ([z.hex() for z in np.ravel(got.real).tolist()] == [z.hex() for z in np.ravel(want.real).tolist()]
+            and [z.hex() for z in np.ravel(got.imag).tolist()] == [z.hex() for z in np.ravel(want.imag).tolist()])
+
+
 @pytest.mark.parametrize("n", [1, 5, 10, 64])
 def test_one_relay_gain_is_the_gathered_h_rd(n):
     # the chosen relay's h_rd, built from its gathered power and phase
-    # alone, is the entry of the full h_rd bit for bit
+    # alone, is the entry of the full h_rd bit for bit; once h_rd is built,
+    # or on a realization of given gains, it is read from h_rd
     cfg = config(n_relays=n, var_rd=3.0)
     real = draw_realization(cfg, trial_stream(5, 0, n), size=200, scratch=Scratch(200, channel_slots(n)))
     chosen = np.random.default_rng(n).integers(0, n, size=200)
     got = real.h_rd_of(chosen)
+    assert "h_rd" not in real.__dict__
     want = gather_relay(real.h_rd, chosen)
-    assert got.shape == (200,)
-    assert [z.hex() for z in got.real.tolist()] == [z.hex() for z in want.real.tolist()]
-    assert [z.hex() for z in got.imag.tolist()] == [z.hex() for z in want.imag.tolist()]
+    assert got.shape == (200,) and hex_equal(got, want)
+    assert hex_equal(real.h_rd_of(chosen), want)
+    given = from_gains(real.h_sd, real.h_sr, real.h_rd)
+    assert hex_equal(given.h_rd_of(chosen), want)
+    one = from_gains(real.h_sd[0], real.h_sr[0], real.h_rd[0])
+    assert one.h_rd_of(chosen[0]) == want[0]

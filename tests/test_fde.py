@@ -423,6 +423,13 @@ def test_chosen_relay_spectrum_equals_the_one_hot_masked_one(mode, n):
             assert got.gamma.shape == want.gamma.shape == (64, cfg.block_len)
             assert ([x.hex() for x in got.gamma.ravel().tolist()]
                     == [x.hex() for x in want.gamma.ravel().tolist()]), (mode, n)
+    # one unbatched trial of given gains reads its row's bits
+    forwards = rng.random(64) < 0.6
+    batched = lambda_spectrum(real, forwards, cfg, 0.7, chosen=chosen)
+    for t in (0, 1, 5):
+        alone = lambda_spectrum(batch_rows(real, t), np.asarray(forwards[t]), cfg, 0.7,
+                                chosen=chosen[t])
+        assert np.array_equal(alone.gamma, batched.gamma[t])
     with pytest.raises(ValueError, match="decode mask"):
         lambda_spectrum(real, one_hot(chosen, forwards, n), cfg, 0.7, chosen=chosen)
     with pytest.raises(ValueError, match="decode mask"):
