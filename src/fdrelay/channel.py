@@ -113,11 +113,10 @@ class ChannelRealization:
     powers are relay-major: each link's column is contiguous over the trials.
 
     phase_plane returns the realization's phase (u1) plane, shaped like the
-    drawn power plane.  It is called once, when the first complex gain is
-    read, and the plane is kept; h_sd, h_sr, h_rd are then built per link on
+    drawn power plane.  It is called once, when the phases (sd, sr, rd
+    slots of the plane) or the first complex gain are read, and the plane is
+    kept; h_sd, h_sr, h_rd are then built per link on
     first read from sqrt of the power and that link's phases, and kept.
-    h_rd_of reads one relay's h_rd per trial, built from the same plane
-    for that relay alone where h_rd is not built yet.
     """
 
     h2_sd: np.ndarray
@@ -129,16 +128,6 @@ class ChannelRealization:
     h_sd = cached_property(lambda self: gains_from_uniforms(self.h2_sd, self.phases[0]))
     h_sr = cached_property(lambda self: gains_from_uniforms(self.h2_sr, self.phases[1]))
     h_rd = cached_property(lambda self: gains_from_uniforms(self.h2_rd, self.phases[2]))
-
-    def h_rd_of(self, index) -> np.ndarray:
-        """h_rd of the relay index (an integer array of the batch shape) names
-        per trial: gather_relay(self.h_rd, index) bit for bit.  Where h_rd is
-        not built yet, only that relay's gain is, from its gathered power and
-        phase (the gains are elementwise), and it is not kept."""
-        if "h_rd" in self.__dict__:
-            return gather_relay(self.h_rd, index)
-        return gains_from_uniforms(gather_relay(self.h2_rd, index),
-                                   gather_relay(self.phases[2], index))
 
 
 def _phase_plane(kind, state: dict, shape: tuple, scratch: Scratch) -> np.ndarray:

@@ -56,7 +56,7 @@ def spectrum_slots(cfg: SystemConfig) -> int:
 
 
 def lambda_spectrum(real: ChannelRealization, mask: np.ndarray, cfg: SystemConfig,
-                    relay_power, scratch: Scratch = FRESH, chosen=None) -> BinSpectrum:
+                    relay_power, scratch: Scratch = FRESH) -> BinSpectrum:
     """Per-bin SINRs gamma_i = |lam_i|^2 of the combined direct-plus-relays channel.
 
     lam_i = sqrt(P_S) h_sd + sum_{k in mask} sqrt(P_R) h_rd_k e^{-j2pi i tau_k/T}.
@@ -84,17 +84,8 @@ def lambda_spectrum(real: ChannelRealization, mask: np.ndarray, cfg: SystemConfi
     their transform and the half-spectrum are taken from scratch; the
     half-spectrum is taken zeroed, so in an estimate its lags past D are
     zeroed once, on the first chunk, and stay zero.
-
-    chosen, an integer array of the batch shape, names a selection scheme's
-    one candidate relay per trial, as in approx_rate; mask is then of the
-    batch shape too and says whether that relay forwards.  Only that relay's
-    h_rd is read (real.h_rd_of, which builds it alone where h_rd is not
-    built), and it is added as the one relay tap, at its delay mod T, onto
-    the lag-0 tap where the delay falls there.  The taps are the one-hot
-    mask's bit for bit: there every other relay adds sqrt(P_R) h_rd_k *
-    False, a signed zero, which changes no nonzero tap and no |tap|^2.
     """
-    _check_mask(mask, real.h2_rd if chosen is None else np.asarray(chosen))
+    _check_mask(mask, real.h2_rd)
     t_len = cfg.block_len
     span, n = _autocorrelation_length(cfg)
     base = np.sqrt(cfg.p_source) * real.h_sd
@@ -102,15 +93,9 @@ def lambda_spectrum(real: ChannelRealization, mask: np.ndarray, cfg: SystemConfi
     taps = scratch.take(batch + (n,), complex)
     taps.fill(0.0)
     taps[..., 0] = base
-    if chosen is None:
-        coef = np.sqrt(np.asarray(relay_power))[..., None] * real.h_rd * mask
-        for k, delay in enumerate(cfg.delays):
-            taps[..., delay % t_len] += coef[..., k]
-    else:
-        coef = np.sqrt(np.asarray(relay_power)) * real.h_rd_of(chosen) * mask
-        lag = np.remainder(cfg.delays, t_len)[chosen]
-        at = np.arange(0, taps.size, n).reshape(batch) + lag     # each row's relay tap, flat
-        np.put(taps, at, np.take(taps, at) + coef)
+    coef = np.sqrt(np.asarray(relay_power))[..., None] * real.h_rd * mask
+    for k, delay in enumerate(cfg.delays):
+        taps[..., delay % t_len] += coef[..., k]
     if n == t_len:                      # circular: |lam|^2 is gamma itself
         lam = np.fft.fft(taps, axis=-1, out=taps)
         gamma = np.multiply(lam.real, lam.real, out=scratch.take(batch + (t_len,)))
@@ -133,6 +118,49 @@ def exact_rate(spec: BinSpectrum, cfg: SystemConfig, out: np.ndarray | None = No
     log2(1+gamma) is formed in place, in out (spec.gamma allowed) if given."""
     terms = np.add(1.0, spec.gamma, out=out)
     return np.log2(terms, out=terms).sum(axis=-1) / (cfg.block_len + cfg.cp_len)
+
+
+def exact_rate_one_relay(sinrs: LinkSinrs, forwards: np.ndarray, cfg: SystemConfig, chosen):
+    """exact_rate of a selection scheme's block, where at most one relay forwards,
+    in closed form per trial: no taps, spectrum or complex gain is formed.
+
+    chosen, an integer array of the batch shape, names each trial's one
+    candidate relay, and forwards, a boolean array of the batch shape,
+    whether it forwards, as in approx_rate.  With p = sqrt(g_sd),
+    q = sqrt(g_rd of chosen * forwards), x = 1 + g_sd + q^2 (approx_rate's
+    total, the same operands), y = 2pq and phi = 2pi(u1_sd - u1_rd), the
+    phase uniforms' difference, bin i has 1 + gamma_i = x + y cos(a_i),
+    a_i = phi - 2pi i d/T, d the relay's delay mod T.  That is
+    c (1 + 2 rho cos(a_i) + rho^2) with s = sqrt(x^2 - y^2) =
+    sqrt(1+(p-q)^2) sqrt(1+(p+q)^2) (no cancellation or overflow),
+    rho = y/(x+s) < 1 and c = (x+s)/2, formed as x - y rho/2 so that a
+    trial whose relay does not forward gets approx_rate's flat rate bit for
+    bit.  Over the T bins a_i takes each of the M = T/gcd(d, T) angles
+    phi + 2pi k/M (mod 2pi) gcd(d, T) times, and the finite product
+    prod_{k<M} (1 + 2 rho cos(phi + 2pi k/M) + rho^2) = 1 - 2(-rho)^M cos(M phi)
+    + rho^2M (Gradshteyn & Ryzhik, 1.39), so
+
+        sum_i log2(1 + gamma_i) = T (log2 c + log2(1 - 2(-rho)^M cos(M phi) + rho^2M)/M),
+
+    exactly; the rate is that over T + cp.  M phi is taken as 2pi
+    frac(M (u1_sd - u1_rd)).  Every step is elementwise, so a trial's rate
+    is the same bits alone or in a batch of any size.
+    """
+    _check_mask(forwards, np.asarray(chosen))
+    t_len = cfg.block_len
+    relayed = gather_relay(sinrs.g_rd, chosen) * forwards
+    x = 1.0 + (sinrs.g_sd + relayed)
+    p, q = np.sqrt(sinrs.g_sd), np.sqrt(relayed)
+    y = 2.0 * p * q
+    s = np.sqrt(1.0 + np.square(p - q)) * np.sqrt(1.0 + np.square(p + q))
+    rho = y / (x + s)
+    c = x - 0.5 * y * rho
+    m = (t_len // np.gcd([d % t_len for d in cfg.delays], t_len))[chosen]
+    u_sd, _, u_rd = sinrs.real.phases
+    turns = np.remainder(m * (u_sd - gather_relay(u_rd, chosen)), 1.0)
+    r = np.power(np.negative(rho), m)
+    w = 1.0 - 2.0 * r * np.cos((2.0 * np.pi) * turns) + r * r
+    return (t_len / (t_len + cfg.cp_len)) * (np.log2(c) + np.log2(w) / m)
 
 
 def approx_rate(sinrs: LinkSinrs, mask: np.ndarray, cfg: SystemConfig, chosen=None):

@@ -8,7 +8,7 @@ import numpy as np
 
 from .channel import (FRESH, PHILOX_BLOCK, LinkSinrs, Scratch, channel_slots, draw_realization,
                       gather_relay, link_sinrs, trial_block_uniforms)
-from .fde import approx_rate, exact_rate, lambda_spectrum, spectrum_slots
+from .fde import approx_rate, exact_rate, exact_rate_one_relay, lambda_spectrum, spectrum_slots
 from .model import (MI_EXACT, SCHEME_MULTI, SCHEME_OS, SCHEME_PS, SCHEMES, OutageEstimate,
                     SystemConfig, _check_int, eta, relay_tx_power)
 
@@ -92,8 +92,8 @@ def forwarding(real, cfg: SystemConfig, scheme: str, scratch: Scratch = FRESH):
     chosen is None; os/ps: chosen, of the batch shape, is the selected relay
     and forwards whether it decodes; it forwards alone, so its SINRs are
     those of selection_config(cfg).  The rate step passes chosen on to
-    approx_rate or lambda_spectrum, which read that one relay's g_rd or
-    h_rd, not the whole relay axis."""
+    approx_rate or exact_rate_one_relay, which read that one relay's g_rd
+    (and, under exact MI, its phase uniform), not the whole relay axis."""
     if scheme == SCHEME_MULTI:
         probe = link_sinrs(real, cfg, relay_tx_power(cfg, cfg.n_relays), scratch)
         decodes = probe.g_sr >= eta(cfg)
@@ -106,13 +106,16 @@ def forwarding(real, cfg: SystemConfig, scheme: str, scratch: Scratch = FRESH):
 
 def _trial_outages(cfg: SystemConfig, scheme: str, real, scratch: Scratch):
     # every step broadcasts over the batch axis, so a trial's flag does not
-    # depend on the batch it is drawn in
+    # depend on the batch it is drawn in; under exact MI only multi forms a
+    # spectrum, a selection scheme's one relay has its rate in closed form
     forwards, chosen, sinrs = forwarding(real, cfg, scheme, scratch)
-    if cfg.mi_mode == MI_EXACT:
-        spec = lambda_spectrum(real, forwards, cfg, sinrs.relay_tx_power, scratch, chosen)
+    if cfg.mi_mode != MI_EXACT:
+        rate = approx_rate(sinrs, forwards, cfg, chosen)
+    elif chosen is None:
+        spec = lambda_spectrum(real, forwards, cfg, sinrs.relay_tx_power, scratch)
         rate = exact_rate(spec, cfg, out=spec.gamma)
     else:
-        rate = approx_rate(sinrs, forwards, cfg, chosen)
+        rate = exact_rate_one_relay(sinrs, forwards, cfg, chosen)
     return rate < cfg.rate
 
 
@@ -125,8 +128,9 @@ def estimate_outage(cfg: SystemConfig, scheme: str, trials: int,
     chunk size or worker split of the same (seed, trials); chunk=1 runs the
     trials one at a time.  Every per-chunk array a layer writes is taken from
     one Scratch allocated once per estimate: chunk rows of the float64 slots
-    per trial the layers declare (channel_slots, and spectrum_slots under
-    exact MI), of which each chunk writes its leading size rows.  The default
+    per trial the layers declare (channel_slots, and spectrum_slots for multi
+    under exact MI, the one scheme that forms a spectrum), of which each chunk
+    writes its leading size rows.  The default
     chunk is as many trials as fit CHUNK_BYTES (at least one), so the block
     is bounded for any block_len and relay count.  A selection scheme's
     trials run on selection_config(cfg), built once here.
@@ -134,9 +138,11 @@ def estimate_outage(cfg: SystemConfig, scheme: str, trials: int,
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     _check_int("trials", trials)
+    slots = channel_slots(cfg.n_relays)
     if scheme != SCHEME_MULTI:
         cfg = selection_config(cfg)
-    slots = channel_slots(cfg.n_relays) + (spectrum_slots(cfg) if cfg.mi_mode == MI_EXACT else 0)
+    elif cfg.mi_mode == MI_EXACT:
+        slots += spectrum_slots(cfg)
     if chunk is None:
         chunk = max(1, CHUNK_BYTES // (8 * slots))
     chunk = min(_check_int("chunk", chunk), trials)

@@ -10,9 +10,9 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 import fdrelay.analytic as analytic
-from fdrelay.analytic import (_clamped, _mrc_mix_outage, combine_outage,
+from fdrelay.analytic import (_clamped, _mrc_mix_outage, combine_outage, kummer_j,
                               link_outages, p_cond_async, p_cond_sync,
-                              total_outage)
+                              regularized_lower_gamma_int, total_outage)
 from fdrelay.cli import PRESET_NAMES, build_preset
 from fdrelay.model import (ASYNCHRONOUS, FIXED_PER_RELAY, SHARED_BUDGET,
                            SYNCHRONOUS, SystemConfig, apply_param, eta,
@@ -417,6 +417,28 @@ def test_total_outage_window_matches_every_size_sum():
                                   [cond(size, cfg) for size in range(1, cfg.n_relays + 1)])
         tol = 1e-11 if sync and cfg.relay_power_policy == SHARED_BUDGET else 2e-13
         assert math.isclose(total_outage(cfg), want, rel_tol=tol), cfg
+
+
+def test_order_one_forms_are_exact():
+    for x in (0.0, 5e-324, 1e-300, 1e-12, 0.3, 1.0, 7.5, 700.0, 1e300):
+        assert regularized_lower_gamma_int(1, x) == -math.expm1(-x)
+    for x in (-1e300, -700.0, -3.0, -1.0, -1e-12, 5e-324, 1e-12, 0.5, 0.999):
+        assert kummer_j(1, x) == math.expm1(x) / x
+    assert kummer_j(1, 0.0) == 1.0 and kummer_j(1, -0.0) == 1.0
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 5, 10, 32, 64))
+def test_kummer_j_matches_mpmath(n):
+    # J_n(x) = 1F1(1; n+1; x) from x = -3n up to just below n, through the
+    # series (x > -n) and the top-down polynomial (x <= -n) alike
+    xs = np.linspace(-3.0 * n, n, 121)[:-1].tolist()
+    xs += [-n - 1e-9, float(-n), -n + 1e-9, -1e-12, 0.0, 1e-12, n - 1e-9]
+    assert sum(x <= -n for x in xs) > 30 and sum(x > -n for x in xs) > 30
+    for x in xs:
+        with mpmath.workdps(40):
+            want = mpmath.hyp1f1(1, n + 1, mpmath.mpf(x))
+        got = kummer_j(n, x)
+        assert float(abs(got - want) / want) <= 1e-14, (n, x, got)
 
 
 def series_grid(seed):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from numpy.testing import assert_allclose
 
 from fdrelay.channel import (Scratch, channel_slots, draw_realization, gains_from_uniforms,
                              gather_relay, link_sinrs, trial_block_uniforms, uniforms_per_trial)
+from fdrelay.fde import exact_rate, exact_rate_one_relay, lambda_spectrum
 from fdrelay.model import SystemConfig
 from fdrelay.mc import trial_stream
 from oracles import abs2, from_gains, philox_planes, polar_gains
@@ -325,25 +327,22 @@ def test_gather_relay_on_every_layout(n, dtype):
         assert gather_relay(a[3], index[3]) == a[3, index[3]]
 
 
-def hex_equal(got, want) -> bool:
-    return ([z.hex() for z in np.ravel(got.real).tolist()] == [z.hex() for z in np.ravel(want.real).tolist()]
-            and [z.hex() for z in np.ravel(got.imag).tolist()] == [z.hex() for z in np.ravel(want.imag).tolist()])
-
-
 @pytest.mark.parametrize("n", [1, 5, 10, 64])
 def test_one_relay_gain_is_the_gathered_h_rd(n):
-    # the chosen relay's h_rd, built from its gathered power and phase
-    # alone, is the entry of the full h_rd bit for bit; once h_rd is built,
-    # or on a realization of given gains, it is read from h_rd
+    # the closed-form selection rate, which builds no complex gain, is the
+    # exact rate of a one-relay spectrum whose only relay gain is the
+    # gathered h_rd, placed at the chosen relay's delay: the gathered power
+    # and phase uniform describe that one gain
     cfg = config(n_relays=n, var_rd=3.0)
     real = draw_realization(cfg, trial_stream(5, 0, n), size=200, scratch=Scratch(200, channel_slots(n)))
-    chosen = np.random.default_rng(n).integers(0, n, size=200)
-    got = real.h_rd_of(chosen)
-    assert "h_rd" not in real.__dict__
-    want = gather_relay(real.h_rd, chosen)
-    assert got.shape == (200,) and hex_equal(got, want)
-    assert hex_equal(real.h_rd_of(chosen), want)
-    given = from_gains(real.h_sd, real.h_sr, real.h_rd)
-    assert hex_equal(given.h_rd_of(chosen), want)
-    one = from_gains(real.h_sd[0], real.h_sr[0], real.h_rd[0])
-    assert one.h_rd_of(chosen[0]) == want[0]
+    rng = np.random.default_rng(n)
+    chosen, forwards = rng.integers(0, n, size=200), rng.random(200) < 0.8
+    got = exact_rate_one_relay(link_sinrs(real, cfg, 0.7), forwards, cfg, chosen)
+    assert "h_rd" not in real.__dict__ and got.shape == (200,)
+    h_rd = gather_relay(real.h_rd, chosen)
+    for k in range(n):
+        rows = chosen == k
+        alone = replace(cfg, n_relays=1, delays=(cfg.delays[k],))
+        one = from_gains(real.h_sd[rows], real.h_sr[rows, k:k + 1], h_rd[rows, None])
+        want = exact_rate(lambda_spectrum(one, forwards[rows, None], alone, 0.7), alone)
+        assert_allclose(got[rows], want, rtol=0, atol=1e-12)

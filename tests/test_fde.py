@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fdrelay.channel import Scratch, draw_realization, gather_relay, link_sinrs
-from fdrelay.fde import approx_rate, exact_rate, lambda_spectrum, spectrum_slots
+from fdrelay.channel import (ChannelRealization, Scratch, channel_slots, draw_realization,
+                             gather_relay, link_sinrs)
+from fdrelay.fde import (approx_rate, exact_rate, exact_rate_one_relay, lambda_spectrum,
+                         spectrum_slots)
 from fdrelay.mc import SCHEME_MULTI, forwarding, trial_stream
 from fdrelay.model import ASYNCHRONOUS, SYNCHRONOUS, SystemConfig
 from oracles import abs2, batch_rows, direct_spectrum, from_gains, one_hot
@@ -404,52 +406,113 @@ def chosen_relay_config(mode, n):
     return replace(cfg, delays=tuple(range(n))) if mode == "zero-lag" else cfg
 
 
+def unbatched_row(real, t):
+    # trial t of a drawn batch alone, unbatched: its powers and its row of
+    # the phase plane, whose uniforms are the ones the batch read
+    plane = real.phase_plane()
+    return ChannelRealization(real.h2_sd[t], real.h2_sr[t], real.h2_rd[t],
+                              phase_plane=lambda: plane[t])
+
+
 @pytest.mark.parametrize("mode", ["async", "sync", "zero-lag", "circular"])
 @pytest.mark.parametrize("n", [1, 5, 8, 10, 64])
 def test_chosen_relay_spectrum_equals_the_one_hot_masked_one(mode, n):
-    # given chosen, only that relay's gain is built and added as one tap;
-    # the one-hot mask adds a signed zero for every other relay, so gamma
-    # is the same bits, on rows that forward, rows that do not and chunks
-    # where none does
+    # a selection scheme's closed-form exact rate is the exact rate of the
+    # one-hot masked spectrum, on rows that forward, rows that do not and
+    # chunks where none does, at scalar and per-trial power; zero-lag puts
+    # relay 0 (chosen in row 0) on the direct tap, where M = 1
     cfg = chosen_relay_config(mode, n)
     real = draw_realization(cfg, trial_stream(41, 0, n), size=64)
     rng = np.random.default_rng(n)
     chosen = rng.integers(0, n, size=64)
     chosen[:2] = 0, n - 1
-    for forwards in (rng.random(64) < 0.6, np.zeros(64, bool)):
+    some = rng.random(64) < 0.6
+    some[:2] = True
+    for forwards in (some, np.zeros(64, bool)):
         for power in (0.7, rng.uniform(0.5, 2.0, size=64)):
-            got = lambda_spectrum(real, forwards, cfg, power, chosen=chosen)
-            want = lambda_spectrum(real, one_hot(chosen, forwards, n), cfg, power)
-            assert got.gamma.shape == want.gamma.shape == (64, cfg.block_len)
-            assert ([x.hex() for x in got.gamma.ravel().tolist()]
-                    == [x.hex() for x in want.gamma.ravel().tolist()]), (mode, n)
-    # one unbatched trial of given gains reads its row's bits
-    forwards = rng.random(64) < 0.6
-    batched = lambda_spectrum(real, forwards, cfg, 0.7, chosen=chosen)
+            got = exact_rate_one_relay(link_sinrs(real, cfg, power), forwards, cfg, chosen)
+            want = exact_rate(lambda_spectrum(real, one_hot(chosen, forwards, n), cfg, power), cfg)
+            assert got.shape == want.shape == (64,)
+            assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=f"{mode} {n}")
+    # one unbatched trial reads its row's bits
+    batched = exact_rate_one_relay(link_sinrs(real, cfg, 0.7), some, cfg, chosen)
     for t in (0, 1, 5):
-        alone = lambda_spectrum(batch_rows(real, t), np.asarray(forwards[t]), cfg, 0.7,
-                                chosen=chosen[t])
-        assert np.array_equal(alone.gamma, batched.gamma[t])
+        alone = exact_rate_one_relay(link_sinrs(unbatched_row(real, t), cfg, 0.7),
+                                     np.asarray(some[t]), cfg, chosen[t])
+        assert np.shape(alone) == () and alone == batched[t]
+    sinrs = link_sinrs(real, cfg, 0.7)
     with pytest.raises(ValueError, match="decode mask"):
-        lambda_spectrum(real, one_hot(chosen, forwards, n), cfg, 0.7, chosen=chosen)
+        exact_rate_one_relay(sinrs, one_hot(chosen, some, n), cfg, chosen)
     with pytest.raises(ValueError, match="decode mask"):
-        lambda_spectrum(real, forwards.astype(int), cfg, 0.7, chosen=chosen)
+        exact_rate_one_relay(sinrs, some.astype(int), cfg, chosen)
 
 
 def test_chosen_relay_spectrum_into_a_used_scratch_matches_fresh_ones():
-    # the chosen tap is placed by a flat index over the chunk's taps, so a
-    # smaller chunk in a larger scratch block must still get each row's own
+    # a selection chunk's draw and SINRs taken from a used scratch block (a
+    # smaller chunk in a larger block, stale slots NaN) give each row the
+    # rate of fresh arrays, the one-hot masked spectrum's exact rate
     for cfg in (FIG4, CIRCULAR):
-        scratch = Scratch(64, spectrum_slots(cfg))
+        n = cfg.n_relays
+        scratch = Scratch(64, channel_slots(n))
         scratch.block.fill(np.nan)
         for seed, size in ((3, 64), (4, 5), (6, 1)):
-            real = draw_realization(cfg, trial_stream(seed, 0, cfg.n_relays), size=size)
+            real = draw_realization(cfg, trial_stream(seed, 0, n), size=size, scratch=scratch)
+            fresh = draw_realization(cfg, trial_stream(seed, 0, n), size=size)
             rng = np.random.default_rng(seed)
-            chosen, forwards = rng.integers(0, cfg.n_relays, size=size), rng.random(size) < 0.7
-            fresh = lambda_spectrum(real, one_hot(chosen, forwards, cfg.n_relays), cfg, 0.7)
-            into = lambda_spectrum(real, forwards, cfg, 0.7, scratch, chosen)
-            assert np.array_equal(into.gamma, fresh.gamma)
+            chosen, forwards = rng.integers(0, n, size=size), rng.random(size) < 0.7
+            into = exact_rate_one_relay(link_sinrs(real, cfg, 0.7, scratch), forwards, cfg, chosen)
+            want = exact_rate_one_relay(link_sinrs(fresh, cfg, 0.7), forwards, cfg, chosen)
+            assert np.array_equal(into, want)
+            oracle = exact_rate(lambda_spectrum(fresh, one_hot(chosen, forwards, n), cfg, 0.7), cfg)
+            assert_allclose(into, oracle, rtol=0, atol=1e-12)
             scratch.rewind()
+
+
+GRID_BLOCKS = (8, 16, 64, 100, 500, 512, 1000)
+
+
+def grid_config(rng, block_len, mode):
+    # one seeded draw of the selection grid: N in 1..64; asynchronous
+    # delays distinct in 0..3T+127 (some a multiple of T), or one shared
+    # synchronous delay; powers -10..80 dB and variances -20..20 dB
+    n = int(rng.integers(1, 65))
+    if mode == ASYNCHRONOUS:
+        delays = tuple(rng.choice(3 * block_len + 128, size=n, replace=False).tolist())
+    else:
+        delays = (int(rng.integers(0, 3 * block_len)),) * n
+    p_db, v_db = rng.uniform(-10.0, 80.0, size=2), rng.uniform(-20.0, 20.0, size=4)
+    p_source, budget = 10.0 ** (p_db / 10.0)
+    var_sd, var_sr, var_rd, var_rsi = 10.0 ** (v_db / 10.0)
+    return SystemConfig(n_relays=n, p_source=p_source, e_relay_budget=budget, rate=2.0,
+                        var_sd=var_sd, var_sr=var_sr, var_rd=var_rd, var_rsi=var_rsi,
+                        block_len=block_len, cp_len=int(rng.integers(0, 64)), delays=delays,
+                        sync_mode=mode)
+
+
+@pytest.mark.parametrize("mode", [ASYNCHRONOUS, SYNCHRONOUS])
+@pytest.mark.parametrize("block_len", GRID_BLOCKS)
+def test_one_relay_closed_form_rate_over_a_seeded_grid(block_len, mode):
+    # the closed form against the one-hot spectrum's exact rate (the FFT
+    # oracle) within 1e-12, over every bin count M = T/gcd(d, T) the delays
+    # give; a trial whose relay does not forward has approx_rate's flat rate
+    # bit for bit; an unbatched trial is its batch row bit for bit
+    rng = np.random.default_rng([block_len, mode == SYNCHRONOUS])
+    for _ in range(4):
+        cfg = grid_config(rng, block_len, mode)
+        n = cfg.n_relays
+        real = draw_realization(cfg, trial_stream(int(rng.integers(1 << 32)), 0, n), size=48)
+        sinrs = link_sinrs(real, cfg, cfg.e_relay_budget)
+        chosen = rng.integers(0, n, size=48)
+        forwards = rng.random(48) < 0.75
+        got = exact_rate_one_relay(sinrs, forwards, cfg, chosen)
+        want = exact_rate(lambda_spectrum(real, one_hot(chosen, forwards, n), cfg,
+                                          cfg.e_relay_budget), cfg)
+        assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=str(cfg))
+        flat = approx_rate(sinrs, forwards, cfg, chosen)
+        assert (~forwards).any() and np.array_equal(got[~forwards], flat[~forwards])
+        for t in (0, 47):
+            alone = link_sinrs(unbatched_row(real, t), cfg, cfg.e_relay_budget)
+            assert exact_rate_one_relay(alone, np.asarray(forwards[t]), cfg, chosen[t]) == got[t]
 
 
 @pytest.mark.parametrize("n", [1, 5, 8, 10, 64])

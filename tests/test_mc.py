@@ -315,10 +315,11 @@ def test_chunks_take_their_arrays_from_one_declared_block(monkeypatch, over, chu
     # padding counted per complex take) and they fit the slots each layer
     # module declares.  Gains are read right after each draw, as the
     # benchmark's trace reads them, so the phase plane is taken early and in
-    # every case; then the schemes together take all that is declared, but
-    # g_sd under exact MI, which never forms it.  At the default chunk the
-    # block fits CHUNK_BYTES and one more trial would not, or it is one
-    # trial that alone outweighs the budget
+    # every case; then the schemes together take all that is declared.  Only
+    # multi under exact MI forms a spectrum, so only its block holds
+    # spectrum_slots: a selection scheme's block is its channel_slots alone.
+    # At the default chunk the block fits CHUNK_BYTES and one more trial
+    # would not, or it is one trial that alone outweighs the budget
     cfg = fig_config(**{"block_len": 32, **over})
     exact, n = cfg.mi_mode == MI_EXACT, cfg.n_relays
     declared = {"fdrelay.channel": channel.channel_slots(n),
@@ -354,11 +355,13 @@ def test_chunks_take_their_arrays_from_one_declared_block(monkeypatch, over, chu
         estimate_outage(cfg, scheme, 2 * chunk + (chunk + 1) // 2, seed=3, chunk=chunk)
         assert len(set(map(id, scratches))) == 1
         assert len(chunks) == 3 and chunks[0] == chunks[1] == chunks[2], scheme
-        assert set(chunks[0]) <= set(declared)
+        layers = declared if scheme == SCHEME_MULTI else {"fdrelay.channel": declared["fdrelay.channel"]}
+        assert set(chunks[0]) <= set(layers)
         for layer, slots in chunks[0].items():
-            assert slots <= declared[layer], (scheme, layer)
+            assert slots <= layers[layer], (scheme, layer)
             most[layer] = max(most[layer], slots)
-    assert most["fdrelay.channel"] == declared["fdrelay.channel"] - exact
+        assert scratches[0].block.size == chunk * sum(layers.values()), scheme
+    assert most["fdrelay.channel"] == declared["fdrelay.channel"]
     assert most["fdrelay.fde"] == declared["fdrelay.fde"]
     block = scratches[0]
     take(block, (block.rows, block.block.size // block.rows))
@@ -470,18 +473,17 @@ def test_exact_mi_never_forms_the_complex_spectrum(monkeypatch):
         assert estimate_outage(cfg, scheme, 600, seed=4, chunk=256).trials == 600
 
 
-@pytest.mark.parametrize("over, links, chosen", [
-    (dict(), {}, ()),
-    (dict(sync_mode=SYNCHRONOUS, delays=None), {SCHEME_MULTI: ("rd",)}, ()),
-    (dict(mi_mode=MI_EXACT), {SCHEME_MULTI: ("sd", "rd"), SCHEME_OS: ("sd",), SCHEME_PS: ("sd",)},
-     (SCHEME_OS, SCHEME_PS)),
+@pytest.mark.parametrize("over, links", [
+    (dict(), {}),
+    (dict(sync_mode=SYNCHRONOUS, delays=None), {SCHEME_MULTI: ("rd",)}),
+    (dict(mi_mode=MI_EXACT), {SCHEME_MULTI: ("sd", "rd")}),
 ], ids=["async-approx", "sync-approx", "exact"])
-def test_complex_gains_built_only_where_read(monkeypatch, over, links, chosen):
+def test_complex_gains_built_only_where_read(monkeypatch, over, links):
     # count the gain builds of every drawn realization, by the power array
     # each build starts from: each link the rate reads is built once per
-    # chunk; a lone selected relay's rate reads |h_rd|^2 under approximate
-    # MI, and under exact MI only the chosen relay's h_rd, one gain per
-    # trial built from the gathered powers
+    # chunk, and no gain is built from any other array; a lone selected
+    # relay's rate reads |h|^2 and, under exact MI, the phase uniforms, so
+    # os and ps build no complex gain in either MI mode
     draw, build = mc.draw_realization, channel.gains_from_uniforms
     links_of = ("sd", "sr", "rd")
     for scheme in SCHEMES:
@@ -500,8 +502,8 @@ def test_complex_gains_built_only_where_read(monkeypatch, over, links, chosen):
             assert counts == {link: int(link in read) for link in counts}, scheme
             gathered = [p.shape for p in powers
                         if not any(p is getattr(real, "h2_" + link) for link in links_of)]
-            assert gathered == [real.h2_sd.shape] * (scheme in chosen), scheme
-        assert len(built) == 3 * (len(read) + (scheme in chosen))
+            assert gathered == [], scheme
+        assert len(built) == 3 * len(read)
 
 
 @pytest.mark.parametrize("over, planes", [
@@ -512,8 +514,8 @@ def test_complex_gains_built_only_where_read(monkeypatch, over, links, chosen):
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_phase_plane_drawn_once_per_chunk_where_read(monkeypatch, over, planes, scheme):
     # approximate MI generates a phase plane for synchronous multi only; a
-    # rate that reads complex gains generates its chunk's plane once, however
-    # many links it reads
+    # rate that reads complex gains or phase uniforms generates its chunk's
+    # plane once, however many links it reads
     draw, drawn = mc.draw_realization, []
 
     def spy(*args, **kwargs):
@@ -557,6 +559,31 @@ def test_selection_outage_is_the_same_in_both_modes_at_any_iri():
             assert len(counts) == 1, (label, scheme, counts)
 
 
+@pytest.mark.parametrize("preset", ["fig3", "fig4", "fig5"])
+def test_selection_exact_mi_sits_below_its_approximation(preset):
+    # Jensen over the bins: a lone relay at a delay no multiple of T puts
+    # its cross term at M >= 2 equally spaced phases, whose cosines average
+    # to zero, so the bins' mean of 1 + gamma is the approximate-MI total
+    # and the exact rate is at most the approximate one, trial by trial; at
+    # a shared seed every approximate-MI outage is then an exact-MI outage,
+    # and the exact counts exceed the approximate ones somewhere
+    gaps = []
+    for _, spec in build_preset(preset).variants:
+        for value in spec.values:
+            cfg = mc.selection_config(apply_param(spec.base, spec.param, value))
+            real = channel.draw_realization(cfg, trial_stream(7, 0, cfg.n_relays), size=2000)
+            for scheme in (SCHEME_OS, SCHEME_PS):
+                forwards, chosen, sinrs = mc.forwarding(real, cfg, scheme)
+                exact = fde.exact_rate_one_relay(sinrs, forwards, cfg, chosen)
+                approx = fde.approx_rate(sinrs, forwards, cfg, chosen)
+                assert np.all(exact <= approx + 1e-13), (preset, value, scheme)
+                approx_count, exact_count = (
+                    estimate_outage(replace(cfg, mi_mode=mi), scheme, 4000, seed=11).outage_count
+                    for mi in (MI_APPROXIMATE, MI_EXACT))
+                gaps.append(exact_count - approx_count)
+    assert min(gaps) >= 0 and max(gaps) > 0, gaps
+
+
 def relay_major_views(a):
     # a's rows laid out relay-major, as a chunk's Scratch takes them: a whole
     # block, and the leading rows of a larger one (a ragged last chunk)
@@ -593,11 +620,14 @@ def test_select_relay_is_the_first_maximum_on_either_layout(n, kind):
 def assert_rates_independent_of_the_chunk(monkeypatch, cfg, scheme, trials, seed,
                                          chunks=(1, 7, None)):
     # every per-trial rate is the same bits at each chunk size (by default
-    # chunk=1, chunk=7 and the default chunk), so the outage counts agree
-    name = "exact_rate" if cfg.mi_mode == MI_EXACT else "approx_rate"
-    rates, rate = [], getattr(mc, name)
-    monkeypatch.setattr(mc, name,
-                        lambda *a, **k: rates.append(np.array(rate(*a, **k))) or rates[-1])
+    # chunk=1, chunk=7 and the default chunk), so the outage counts agree;
+    # under exact MI the spy wraps the spectrum's rate and the closed-form
+    # one-relay rate, whichever the scheme reads
+    names = ("exact_rate", "exact_rate_one_relay") if cfg.mi_mode == MI_EXACT else ("approx_rate",)
+    rates = []
+    for name in names:
+        monkeypatch.setattr(mc, name, lambda *a, rate=getattr(mc, name), **k:
+                            rates.append(np.array(rate(*a, **k))) or rates[-1])
     counts, seen = [], []
     for chunk in chunks:
         rates.clear()
@@ -630,9 +660,9 @@ def test_exact_mi_batch_independent_at_ten_relays(monkeypatch, scheme):
 @pytest.mark.parametrize("mode", [ASYNCHRONOUS, SYNCHRONOUS])
 @pytest.mark.parametrize("scheme", [SCHEME_OS, SCHEME_PS])
 def test_selection_exact_mi_independent_of_the_chunk(monkeypatch, mode, scheme):
-    # a selection scheme's spectrum places its one relay tap by a flat index
-    # over the chunk's rows: a trial alone, in a chunk of 7 and in a default
-    # chunk (fig4's 500-bin block) gets the same rate bits
+    # a selection scheme's exact rate is one elementwise closed form per
+    # trial: a trial alone, in a chunk of 7 and in a default chunk (fig4's
+    # 500-bin block, now sized by channel_slots alone) gets the same bits
     cfg = fig_config(n_relays=10, mi_mode=MI_EXACT, sync_mode=mode, delays=None, var_sr=2.0,
                      rate=3.0)
     assert_rates_independent_of_the_chunk(monkeypatch, cfg, scheme, 60, seed=29)
@@ -706,11 +736,13 @@ def test_selection_gather_equals_the_masked_row_sum(n):
      {SCHEME_MULTI: [{"g_sr"}, {"g_sd"}],
       SCHEME_OS: [{"g_sd", "g_sr", "g_rd"}], SCHEME_PS: [{"g_sd", "g_sr", "g_rd"}]}),
     (dict(mi_mode=MI_EXACT), {SCHEME_MULTI: [{"g_sr"}, set()],
-                              SCHEME_OS: [{"g_sr", "g_rd"}], SCHEME_PS: [{"g_sr"}]}),
+                              SCHEME_OS: [{"g_sd", "g_sr", "g_rd"}],
+                              SCHEME_PS: [{"g_sd", "g_sr", "g_rd"}]}),
 ], ids=["async-approx", "sync-approx", "exact"])
 def test_link_sinrs_formed_once_per_chunk_where_read(monkeypatch, over, formed):
     # multi's decode probe forms g_sr alone; its transmit pass forms only
-    # what the rate reads, nothing under exact MI, which reads the power
+    # what the rate reads, nothing under exact MI, which reads the power; a
+    # selection scheme's rate reads g_sd and its relay's g_rd in either mode
     made, forms, link = [], [], mc.link_sinrs
     monkeypatch.setattr(mc, "link_sinrs", lambda *a, **k: made.append(link(*a, **k)) or made[-1])
     for name in ("g_sd", "g_sr", "g_rd"):

@@ -7,8 +7,7 @@ from hypothesis import example, given, strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
-from fdrelay.analytic import (_gap_sum, _top_down_sum, kummer_j,
-                              regularized_lower_gamma_int)
+from fdrelay.analytic import _gap_sum, _top_down_sum, regularized_lower_gamma_int
 
 
 def lower_gamma(n, x):
@@ -122,28 +121,6 @@ def test_erlang_cdf_against_summed_exponentials():
     ks = max(np.abs(empirical_hi - model).max(),
              np.abs(empirical_lo - model).max())
     assert ks < 0.002
-
-
-def test_order_one_forms_are_exact():
-    for x in (0.0, 5e-324, 1e-300, 1e-12, 0.3, 1.0, 7.5, 700.0, 1e300):
-        assert regularized_lower_gamma_int(1, x) == -math.expm1(-x)
-    for x in (-1e300, -700.0, -3.0, -1.0, -1e-12, 5e-324, 1e-12, 0.5, 0.999):
-        assert kummer_j(1, x) == math.expm1(x) / x
-    assert kummer_j(1, 0.0) == 1.0 and kummer_j(1, -0.0) == 1.0
-
-
-@pytest.mark.parametrize("n", (1, 2, 3, 5, 10, 32, 64))
-def test_kummer_j_matches_mpmath(n):
-    # J_n(x) = 1F1(1; n+1; x) from x = -3n up to just below n, through the
-    # series (x > -n) and the top-down polynomial (x <= -n) alike
-    xs = np.linspace(-3.0 * n, n, 121)[:-1].tolist()
-    xs += [-n - 1e-9, float(-n), -n + 1e-9, -1e-12, 0.0, 1e-12, n - 1e-9]
-    assert sum(x <= -n for x in xs) > 30 and sum(x > -n for x in xs) > 30
-    for x in xs:
-        with mpmath.workdps(40):
-            want = mpmath.hyp1f1(1, n + 1, mpmath.mpf(x))
-        got = kummer_j(n, x)
-        assert float(abs(got - want) / want) <= 1e-14, (n, x, got)
 
 
 @pytest.mark.parametrize("n", (1, 2, 3, 5, 10, 16, 32, 64))

@@ -7,8 +7,9 @@
 # Extracts BASE_REF (git archive) and the working tree (tracked and
 # untracked, non-ignored files) into a temporary directory and runs the same
 # outputs in each at seed 0: the presets (fig2-fig5 approximate MI at 1e5
-# trials per point; exact MI at 4000 for fig4, asynchronous, and fig3,
-# synchronous; fig5 at 1e5 trials once more as JSON); the working tree's
+# trials per point; exact MI at 4000 for fig4, asynchronous, fig3,
+# synchronous, and fig5, whose weak second hop gives a selection relay a
+# smaller cross-term ratio; fig5 at 1e5 trials once more as JSON); the working tree's
 # tools/scenario.json, which sends integral floats for counts and pinned
 # delays through --config (approximate MI at 1e5 trials, exact MI at 4000);
 # its tools/scenario_wide.json, 32 synchronous relays over an 8-bin block,
@@ -50,6 +51,8 @@ run_outputs() {
         --trials 4000 --seed 0 --out out/fig4_exact.csv >/dev/null)
     (cd "$tree" && PYTHONPATH=src python3 -m fdrelay.cli --preset fig3 --mi exact \
         --trials 4000 --seed 0 --out out/fig3_exact.csv >/dev/null)
+    (cd "$tree" && PYTHONPATH=src python3 -m fdrelay.cli --preset fig5 --mi exact \
+        --trials 4000 --seed 0 --out out/fig5_exact.csv >/dev/null)
     (cd "$tree" && PYTHONPATH=src python3 -m fdrelay.cli --config "$scenario" \
         --trials 100000 --seed 0 --out out/scenario.csv >/dev/null)
     (cd "$tree" && PYTHONPATH=src python3 -m fdrelay.cli --config "$scenario" --mi exact \
