@@ -129,6 +129,17 @@ class ChannelRealization:
     h_sr = cached_property(lambda self: gains_from_uniforms(self.h2_sr, self.phases[1]))
     h_rd = cached_property(lambda self: gains_from_uniforms(self.h2_rd, self.phases[2]))
 
+    def trials(self, rows: np.ndarray) -> ChannelRealization:
+        """The realization of the trials that rows, integer indices into the
+        batch axis, names: its powers and every complex gain already built
+        here, indexed, never rebuilt.  It has no phase plane, so it can read
+        no other gain."""
+        sub = ChannelRealization(self.h2_sd[rows], self.h2_sr[rows], self.h2_rd[rows])
+        for name in ("h_sd", "h_sr", "h_rd"):
+            if name in self.__dict__:
+                sub.__dict__[name] = self.__dict__[name][rows]
+        return sub
+
 
 def _phase_plane(kind, state: dict, shape: tuple, scratch: Scratch) -> np.ndarray:
     # plane 1: a bit generator of rng's kind at its state saved at draw time,

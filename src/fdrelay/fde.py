@@ -47,12 +47,29 @@ def _autocorrelation_length(cfg: SystemConfig) -> tuple[int, int]:
 
 
 def spectrum_slots(cfg: SystemConfig) -> int:
-    """float64 slots per trial lambda_spectrum takes: gamma, then two per
-    complex entry plus one of alignment padding for each of the taps and,
-    where n < T, their transform and the T//2+1 half-spectrum."""
+    """float64 slots per trial lambda_spectrum and rate_bounds take: gamma,
+    then two per complex entry plus one of alignment padding for each of the
+    taps and, where n < T, their transform and the T//2+1 half-spectrum; and
+    the bounds' taps, transformed in place, and their |F|^2."""
     t_len, n = cfg.block_len, _autocorrelation_length(cfg)[1]
     widths = (n,) if n == t_len else (n, n, t_len // 2 + 1)
-    return t_len + sum(2 * width + 1 for width in widths)
+    return t_len + sum(2 * width + 1 for width in widths) + 3 * n + 1
+
+
+def _taps(real: ChannelRealization, mask: np.ndarray, cfg: SystemConfig, relay_power,
+          n: int, scratch: Scratch) -> np.ndarray:
+    # sqrt(P_S) h_sd at lag 0 plus each relay's sqrt(P_R) h_rd_k added, in
+    # index order, at lag tau_k mod T, column by column into a (..., n) take
+    _check_mask(mask, real.h2_rd)
+    t_len = cfg.block_len
+    base = np.sqrt(cfg.p_source) * real.h_sd
+    taps = scratch.take(np.shape(base) + (n,), complex)
+    taps.fill(0.0)
+    taps[..., 0] = base
+    coef = np.sqrt(np.asarray(relay_power))[..., None] * real.h_rd * mask
+    for k, delay in enumerate(cfg.delays):
+        taps[..., delay % t_len] += coef[..., k]
+    return taps
 
 
 def lambda_spectrum(real: ChannelRealization, mask: np.ndarray, cfg: SystemConfig,
@@ -85,17 +102,10 @@ def lambda_spectrum(real: ChannelRealization, mask: np.ndarray, cfg: SystemConfi
     half-spectrum is taken zeroed, so in an estimate its lags past D are
     zeroed once, on the first chunk, and stay zero.
     """
-    _check_mask(mask, real.h2_rd)
     t_len = cfg.block_len
     span, n = _autocorrelation_length(cfg)
-    base = np.sqrt(cfg.p_source) * real.h_sd
-    batch = np.shape(base)
-    taps = scratch.take(batch + (n,), complex)
-    taps.fill(0.0)
-    taps[..., 0] = base
-    coef = np.sqrt(np.asarray(relay_power))[..., None] * real.h_rd * mask
-    for k, delay in enumerate(cfg.delays):
-        taps[..., delay % t_len] += coef[..., k]
+    taps = _taps(real, mask, cfg, relay_power, n, scratch)
+    batch = taps.shape[:-1]
     if n == t_len:                      # circular: |lam|^2 is gamma itself
         lam = np.fft.fft(taps, axis=-1, out=taps)
         gamma = np.multiply(lam.real, lam.real, out=scratch.take(batch + (t_len,)))
@@ -111,6 +121,45 @@ def lambda_spectrum(real: ChannelRealization, mask: np.ndarray, cfg: SystemConfi
     gamma = np.fft.irfft(half, n=t_len, axis=-1, norm="forward",
                          out=scratch.take(batch + (t_len,)))
     return BinSpectrum(gamma, taps)
+
+
+# the bounds' margin per unit of 1 + r_0, many times the few tens of ulp of
+# r_0 by which a bin, and so its log2 term, can stray in the spectrum
+RATE_SLACK = 2.0 ** -30
+
+
+def rate_bounds(real: ChannelRealization, mask: np.ndarray, cfg: SystemConfig,
+                relay_power, scratch: Scratch = FRESH) -> tuple[np.ndarray, np.ndarray]:
+    """(lower, upper) per trial, between which exact_rate(lambda_spectrum(real,
+    mask, cfg, relay_power)) lies, read from two moments of the bins alone:
+    no T-bin spectrum is formed.
+
+    The taps are transformed at lambda_spectrum's length n, F = fft(taps).
+    mu = mean |F|^2 is r_0, the bins' mean, and s = mean((|F|^2/mu)^2) is
+    mean(gamma_i^2)/mu^2 (Parseval over the lags -D..D, as n >= 2D+1; where
+    n = T, |F|^2 is gamma itself).  log2(1+x) is concave, so the bins' mean
+    of it is at most log2(1+mu) (Jensen); its third derivative is positive,
+    so it lies on or above the quadratic through 0 that touches it at
+    b = mu s, and a mean of it over bins of mean mu and mean square mu^2 s is
+    at least log2(1+b)/s (the two-moment extremal bound; Karlin & Studden,
+    Tchebycheff Systems, 1966).  Times T/(T+cp), each is widened by
+    RATE_SLACK (1 + mu), far more than the rounding of the spectrum, the
+    rate and the bounds, so the computed rate lies within them bit for bit.
+    A row with mu = 0 gets s = 1 and a lower bound of minus the slack; a
+    non-finite bound is returned as -inf (lower) or +inf (upper) and decides
+    nothing.  The taps, transformed in place, and |F|^2 are taken from scratch.
+    """
+    taps = _taps(real, mask, cfg, relay_power, _autocorrelation_length(cfg)[1], scratch)
+    f = np.fft.fft(taps, axis=-1, out=taps)
+    power = np.multiply(f.real, f.real, out=scratch.take(taps.shape))
+    power += f.imag * f.imag
+    mu = power.mean(axis=-1)
+    power /= np.where(mu > 0.0, mu, 1.0)[..., None]
+    s = np.maximum(np.square(power, out=power).mean(axis=-1), 1.0)
+    scale, slack = cfg.block_len / (cfg.block_len + cfg.cp_len), RATE_SLACK * (1.0 + mu)
+    lower = scale * np.log2(1.0 + mu * s) / s - slack
+    upper = scale * np.log2(1.0 + mu) + slack
+    return np.where(lower < np.inf, lower, -np.inf), np.where(upper > -np.inf, upper, np.inf)
 
 
 def exact_rate(spec: BinSpectrum, cfg: SystemConfig, out: np.ndarray | None = None):

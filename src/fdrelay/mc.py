@@ -8,7 +8,8 @@ import numpy as np
 
 from .channel import (FRESH, PHILOX_BLOCK, LinkSinrs, Scratch, channel_slots, draw_realization,
                       gather_relay, link_sinrs, trial_block_uniforms)
-from .fde import approx_rate, exact_rate, exact_rate_one_relay, lambda_spectrum, spectrum_slots
+from .fde import (approx_rate, exact_rate, exact_rate_one_relay, lambda_spectrum, rate_bounds,
+                  spectrum_slots)
 from .model import (MI_EXACT, SCHEME_MULTI, SCHEME_OS, SCHEME_PS, SCHEMES, OutageEstimate,
                     SystemConfig, _check_int, eta, relay_tx_power)
 
@@ -106,17 +107,23 @@ def forwarding(real, cfg: SystemConfig, scheme: str, scratch: Scratch = FRESH):
 
 def _trial_outages(cfg: SystemConfig, scheme: str, real, scratch: Scratch):
     # every step broadcasts over the batch axis, so a trial's flag does not
-    # depend on the batch it is drawn in; under exact MI only multi forms a
-    # spectrum, a selection scheme's one relay has its rate in closed form
+    # depend on the batch it is drawn in; under exact MI a selection scheme's
+    # one relay has its rate in closed form, and multi forms a spectrum only
+    # for the trials whose rate bounds straddle the target rate, restricted
+    # to those rows (possibly none) of the gains the bounds built
     forwards, chosen, sinrs = forwarding(real, cfg, scheme, scratch)
     if cfg.mi_mode != MI_EXACT:
-        rate = approx_rate(sinrs, forwards, cfg, chosen)
-    elif chosen is None:
-        spec = lambda_spectrum(real, forwards, cfg, sinrs.relay_tx_power, scratch)
-        rate = exact_rate(spec, cfg, out=spec.gamma)
-    else:
-        rate = exact_rate_one_relay(sinrs, forwards, cfg, chosen)
-    return rate < cfg.rate
+        return approx_rate(sinrs, forwards, cfg, chosen) < cfg.rate
+    if chosen is not None:
+        return exact_rate_one_relay(sinrs, forwards, cfg, chosen) < cfg.rate
+    power = sinrs.relay_tx_power
+    lower, upper = rate_bounds(real, forwards, cfg, power, scratch)
+    flags = upper < cfg.rate
+    rows = np.flatnonzero(~flags & (lower < cfg.rate))
+    spec = lambda_spectrum(real.trials(rows), forwards[rows], cfg,
+                           np.broadcast_to(power, flags.shape)[rows], scratch)
+    flags[rows] = exact_rate(spec, cfg, out=spec.gamma) < cfg.rate
+    return flags
 
 
 def estimate_outage(cfg: SystemConfig, scheme: str, trials: int,
@@ -129,8 +136,8 @@ def estimate_outage(cfg: SystemConfig, scheme: str, trials: int,
     trials one at a time.  Every per-chunk array a layer writes is taken from
     one Scratch allocated once per estimate: chunk rows of the float64 slots
     per trial the layers declare (channel_slots, and spectrum_slots for multi
-    under exact MI, the one scheme that forms a spectrum), of which each chunk
-    writes its leading size rows.  The default
+    under exact MI, the one scheme that bounds its rate and forms a spectrum),
+    of which each chunk writes its leading size rows.  The default
     chunk is as many trials as fit CHUNK_BYTES (at least one), so the block
     is bounded for any block_len and relay count.  A selection scheme's
     trials run on selection_config(cfg), built once here.

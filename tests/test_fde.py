@@ -6,10 +6,11 @@ from numpy.testing import assert_allclose
 
 from fdrelay.channel import (ChannelRealization, Scratch, channel_slots, draw_realization,
                              gather_relay, link_sinrs)
-from fdrelay.fde import (approx_rate, exact_rate, exact_rate_one_relay, lambda_spectrum,
-                         spectrum_slots)
+from fdrelay.fde import (RATE_SLACK, approx_rate, exact_rate, exact_rate_one_relay,
+                         lambda_spectrum, rate_bounds, spectrum_slots)
 from fdrelay.mc import SCHEME_MULTI, forwarding, trial_stream
-from fdrelay.model import ASYNCHRONOUS, SYNCHRONOUS, SystemConfig
+from fdrelay.model import (ASYNCHRONOUS, FIXED_PER_RELAY, LINK_MEAN_MAX, SHARED_BUDGET,
+                           SYNCHRONOUS, SystemConfig, relay_tx_power, validate_config)
 from oracles import abs2, batch_rows, direct_spectrum, from_gains, one_hot
 
 
@@ -540,3 +541,65 @@ def test_async_relayed_sum_adds_relays_in_index_order(n):
     for t in (0, 7, 299):
         one = link_sinrs(draw_realization(cfg, trial_stream(37, t, n), size=1), cfg, 0.7)
         assert np.array_equal(approx_rate(one, mask[t:t + 1], cfg), want[t:t + 1])
+
+
+BOUND_BLOCKS = (8, 16, 64, 500, 512, 4096)
+BOUND_CASES = ("short", "circular", "no-source", "no-direct", "ceiling")
+
+
+def bound_config(rng, block_len, mode, policy, case):
+    # one seeded draw of the bound grid: N in 1..64 (at most T-1 asynchronous
+    # relays); the largest delay up to T/4 or at T-1 (n = T, the circular
+    # transform); powers -10..40 dB and variances -20..20 dB, or P_S = 0, or
+    # var_sd = 0, or every link mean at LINK_MEAN_MAX
+    n = int(rng.integers(1, 65)) if mode == SYNCHRONOUS else int(rng.integers(1, min(65, block_len)))
+    low = n if mode == ASYNCHRONOUS else 1         # n distinct asynchronous residues
+    span = block_len - 1 if case == "circular" else int(rng.integers(low, max(low, block_len // 4) + 1))
+    if mode == ASYNCHRONOUS:
+        delays = tuple(rng.choice(np.arange(1, span), size=n - 1, replace=False).tolist()) + (span,)
+    else:
+        delays = (span,) * n
+    p_db, v_db = rng.uniform(-10.0, 40.0, size=2), rng.uniform(-20.0, 20.0, size=3)
+    p_source, budget = (10.0 ** (p_db / 10.0)).tolist()
+    var_sd, var_sr, var_rd = (10.0 ** (v_db / 10.0)).tolist()
+    if case == "no-source":
+        p_source = 0.0
+    elif case == "no-direct":
+        var_sd = 0.0
+    elif case == "ceiling":
+        p_source = budget = 1.0
+        var_sd = var_sr = var_rd = LINK_MEAN_MAX
+    return validate_config(SystemConfig(
+        n_relays=n, p_source=p_source, e_relay_budget=budget, rate=2.0, var_sd=var_sd,
+        var_sr=var_sr, var_rd=var_rd, block_len=block_len, cp_len=int(rng.integers(span, 2 * span + 1)),
+        delays=delays, sync_mode=mode, relay_power_policy=policy))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("policy", [SHARED_BUDGET, FIXED_PER_RELAY])
+@pytest.mark.parametrize("mode", [ASYNCHRONOUS, SYNCHRONOUS])
+@pytest.mark.parametrize("block_len", BOUND_BLOCKS)
+def test_rate_bounds_hold_the_spectrum_rate_over_a_seeded_grid(block_len, mode, policy):
+    # row by row, lower <= exact_rate(lambda_spectrum(...)) <= upper, the
+    # computed rate against the bounds as computed; a quarter of the rows
+    # have an empty mask, whose flat spectrum (s = 1) leaves the bounds two
+    # slacks apart; a row with no signal at all (mu = 0) has rate 0 and an
+    # upper bound of one slack
+    rng = np.random.default_rng([block_len, mode == SYNCHRONOUS, policy == SHARED_BUDGET])
+    size = 32 if block_len > 512 else 96
+    for case in BOUND_CASES:
+        cfg = bound_config(rng, block_len, mode, policy, case)
+        n = cfg.n_relays
+        real = draw_realization(cfg, trial_stream(int(rng.integers(1 << 32)), 0, n), size=size)
+        mask = rng.random((size, n)) < 0.6
+        mask[::4] = False
+        power = relay_tx_power(cfg, np.maximum(mask.sum(axis=-1), 1))
+        lower, upper = rate_bounds(real, mask, cfg, power)
+        rate = exact_rate(lambda_spectrum(real, mask, cfg, power), cfg)
+        assert lower.shape == upper.shape == rate.shape == (size,)
+        assert np.all(lower <= rate) and np.all(rate <= upper), (case, cfg)
+        assert np.isfinite(upper).all(), (case, cfg)
+        flat = cfg.p_source * real.h2_sd[::4]
+        assert np.all(upper[::4] - lower[::4] <= 2.5 * RATE_SLACK * (1.0 + flat)), (case, cfg)
+        if case == "no-source":
+            assert np.all(rate[::4] == 0.0) and np.all(upper[::4] == RATE_SLACK)

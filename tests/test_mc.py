@@ -1,10 +1,12 @@
 import functools
+import json
 import math
 import re
 import sys
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,7 +16,7 @@ from scipy.stats import chi2, norm
 from fdrelay import channel, fde, mc
 from fdrelay.analytic import total_outage
 from fdrelay.channel import LinkSinrs
-from fdrelay.cli import build_preset
+from fdrelay.cli import PRESET_NAMES, _config_spec, build_preset
 from fdrelay.mc import (SCHEME_MULTI, SCHEME_OS, SCHEME_PS, SCHEMES,
                         estimate_outage, select_relay, trial_stream)
 from fdrelay.model import (ASYNCHRONOUS, FIXED_PER_RELAY, MI_APPROXIMATE, MI_EXACT,
@@ -287,6 +289,12 @@ class FirstChunkDone(Exception):
     pass
 
 
+# fig4 under exact MI as fig_config overrides: at var_sr 10 dB the rate
+# bounds decide every trial, so multi's spectrum runs on empty batches
+FIG4_EXACT = dict(n_relays=10, p_source=10.0, e_relay_budget=10.0, var_rd=10.0, var_iri=1.0,
+                  block_len=500, cp_len=10, mi_mode=MI_EXACT)
+
+
 @pytest.mark.parametrize("over, chunk", [
     (dict(), 400),
     (dict(sync_mode=SYNCHRONOUS, delays=None), 400),
@@ -305,10 +313,11 @@ class FirstChunkDone(Exception):
     (dict(block_len=4096, cp_len=3000, delays=(3, 900, 1700, 2500, 3000),
           mi_mode=MI_EXACT), 8),
     (dict(n_relays=1, block_len=1 << 19, mi_mode=MI_EXACT), 1),
+    (dict(FIG4_EXACT, var_sr=10.0), 400),
 ], ids=["async-approx", "sync-approx", "async-exact", "sync-exact", "circular-exact",
         "approx-N64", "circular-exact-N64", "approx-N1", "approx-N10", "sync-approx-N10",
         "exact-N10-T64", "sync-exact-N1-T4096", "circular-exact-T4096",
-        "one-trial-over-budget"])
+        "one-trial-over-budget", "fig4-exact-sr10dB"])
 def test_chunks_take_their_arrays_from_one_declared_block(monkeypatch, over, chunk):
     # every array a layer takes lies in the estimate's one block, a complex
     # one 16-byte aligned; every chunk takes the same slots per trial (one of
@@ -329,7 +338,8 @@ def test_chunks_take_their_arrays_from_one_declared_block(monkeypatch, over, chu
 
     def spy_take(self, shape, dtype=float, zeroed=False, order="C"):
         taken = take(self, shape, dtype, zeroed, order)
-        assert np.shares_memory(taken, self.block)
+        # an empty take, a spectrum of no undecided trials, is a view of the block too
+        assert np.shares_memory(taken, self.block) or (taken.size == 0 and taken.base is self.block)
         assert taken.dtype != complex or taken.ctypes.data % 16 == 0
         scratches.append(self)
         layer = sys._getframe(1).f_globals["__name__"]
@@ -528,6 +538,46 @@ def test_phase_plane_drawn_once_per_chunk_where_read(monkeypatch, over, planes, 
     assert [u.shape for u in drawn] == [(400, 12), (400, 12), (200, 12)][:3 * planes.get(scheme, 0)]
 
 
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+def exact_multi_points() -> list:
+    # every point of the fig2-fig5 presets and of tools/scenario*.json
+    # (scenario, scenario_ceiling, scenario_wide) under exact MI
+    specs = [spec for name in PRESET_NAMES for _, spec in build_preset(name).variants]
+    specs += [_config_spec(json.loads(path.read_text()))
+              for path in sorted(TOOLS.glob("scenario*.json"))]
+    return [apply_param(replace(spec.base, mi_mode=MI_EXACT), spec.param, value)
+            for spec in specs for value in spec.values]
+
+
+def test_bounded_multi_flags_match_every_trial_through_the_spectrum(monkeypatch):
+    # multi under exact MI forms a spectrum only for the trials its rate
+    # bounds leave undecided; every chunk's flags equal an oracle that forms
+    # every trial's spectrum and exact rate.  The bounds decide most trials
+    # (none at scenario_ceiling's link means, where the slack exceeds any
+    # rate), and the spectrum still runs on some
+    outages, spectrum, rows = mc._trial_outages, mc.lambda_spectrum, Counter()
+
+    def checked(cfg, scheme, real, scratch):
+        flags = outages(cfg, scheme, real, scratch)
+        forwards, _, sinrs = mc.forwarding(real, cfg, scheme)
+        spec = spectrum(real, forwards, cfg, sinrs.relay_tx_power)
+        assert np.array_equal(flags, fde.exact_rate(spec, cfg) < cfg.rate), cfg
+        rows["all"] += flags.size
+        return flags
+
+    monkeypatch.setattr(mc, "_trial_outages", checked)
+    monkeypatch.setattr(mc, "lambda_spectrum", lambda real, *a: (
+        rows.update(spectrum=real.h2_sd.size) or spectrum(real, *a)))
+    points = exact_multi_points()
+    assert len(points) == 42
+    for cfg in points:
+        estimate_outage(cfg, SCHEME_MULTI, 2000, seed=3)
+    assert rows["all"] == 2000 * len(points)
+    assert 3 * 2000 < rows["spectrum"] < rows["all"] // 5, rows
+
+
 def test_pinned_outage_counts():
     # seed-0 outage counts of preset points under the two-plane draw (powers
     # in plane 0, phases in plane 1); counts rather than CSV bytes, which also
@@ -621,20 +671,27 @@ def assert_rates_independent_of_the_chunk(monkeypatch, cfg, scheme, trials, seed
                                          chunks=(1, 7, None)):
     # every per-trial rate is the same bits at each chunk size (by default
     # chunk=1, chunk=7 and the default chunk), so the outage counts agree;
-    # under exact MI the spy wraps the spectrum's rate and the closed-form
-    # one-relay rate, whichever the scheme reads
-    names = ("exact_rate", "exact_rate_one_relay") if cfg.mi_mode == MI_EXACT else ("approx_rate",)
-    rates = []
+    # under exact MI the spy wraps multi's rate bounds and the spectrum's rate
+    # of the trials they leave undecided, and the closed-form one-relay rate,
+    # whichever the scheme reads, each compared in trial order on its own
+    names = (("rate_bounds", "exact_rate", "exact_rate_one_relay") if cfg.mi_mode == MI_EXACT
+             else ("approx_rate",))
+    rates = {}
     for name in names:
-        monkeypatch.setattr(mc, name, lambda *a, rate=getattr(mc, name), **k:
-                            rates.append(np.array(rate(*a, **k))) or rates[-1])
+        monkeypatch.setattr(mc, name, lambda *a, name=name, rate=getattr(mc, name), **k:
+                            rates[name].append(np.array(rate(*a, **k))) or rates[name][-1])
     counts, seen = [], []
     for chunk in chunks:
-        rates.clear()
+        rates.update((name, []) for name in names)
         counts.append(estimate_outage(cfg, scheme, trials, seed=seed, chunk=chunk).outage_count)
-        seen.append(np.concatenate([np.atleast_1d(r) for r in rates]))
+        seen.append({name: np.concatenate([np.atleast_1d(r) for r in got], axis=-1)
+                     for name, got in rates.items() if got})
     assert len(set(counts)) == 1 and 0 < counts[0] < trials, counts
-    assert all(np.array_equal(r, seen[0]) for r in seen[1:]), scheme
+    for got in seen[1:]:
+        assert got.keys() == seen[0].keys(), scheme
+        assert all(np.array_equal(got[name], seen[0][name]) for name in got), scheme
+    if scheme == SCHEME_MULTI and cfg.mi_mode == MI_EXACT:
+        assert seen[0]["rate_bounds"].shape == (2, trials)
 
 
 @pytest.mark.parametrize("n", [8, 10, 64])
