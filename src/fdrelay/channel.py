@@ -48,20 +48,21 @@ class Scratch:
     numpy's Fortran order, relay-major: a (size, N) take is then a transposed
     view whose relay columns each run contiguous over the chunk's trials.
     rewind() starts the next chunk, whose takes, the same shapes in the same
-    order, get the same arrays; a zeroed take is zeroed on the first chunk
-    only.  Freed, one block leaves glibc's heap trim threshold at its size,
-    so the next estimate reuses its pages instead of faulting fresh ones in.
+    order, get the same arrays.  A take holds whatever an earlier chunk, or
+    an earlier user of the block, left there, so every take is written in
+    full before it is read: a count never depends on what the block held.
+    Freed, one block leaves glibc's heap trim threshold at its size, so the
+    next estimate reuses its pages instead of faulting fresh ones in.
     FRESH takes new arrays of the same shapes and layouts.
     """
 
     def __init__(self, rows: int = 0, slots: int = 0):
-        self.rows, self.used, self.first = rows, 0, True
+        self.rows, self.used = rows, 0
         self.block = np.empty(rows * slots) if rows else None
 
-    def take(self, shape: tuple, dtype=float, zeroed: bool = False,
-             order: str = "C") -> np.ndarray:
+    def take(self, shape: tuple, dtype=float, order: str = "C") -> np.ndarray:
         if self.block is None:
-            return (np.zeros if zeroed else np.empty)(shape, dtype, order=order)
+            return np.empty(shape, dtype, order=order)
         width = np.dtype(dtype).itemsize // 8           # float64 slots per entry
         start = self.used + self.used % width           # malloc aligns the block to 16
         end = start + self.rows * math.prod(shape[1:]) * width
@@ -70,12 +71,10 @@ class Scratch:
         self.used = end
         a = self.block[start:end].view(dtype).reshape((self.rows,) + tuple(shape[1:]),
                                                       order=order)
-        if zeroed and self.first:
-            a.fill(0)
         return a[:shape[0]]
 
     def rewind(self) -> None:
-        self.used, self.first = 0, False
+        self.used = 0
 
 
 FRESH = Scratch()

@@ -98,9 +98,8 @@ def lambda_spectrum(real: ChannelRealization, mask: np.ndarray, cfg: SystemConfi
     spectrum.  Taps are built column by column and every transform works on
     each row on its own, so every batch row agrees bit for bit with the same
     realization evaluated alone or in a batch of any size.  gamma, the taps,
-    their transform and the half-spectrum are taken from scratch; the
-    half-spectrum is taken zeroed, so in an estimate its lags past D are
-    zeroed once, on the first chunk, and stay zero.
+    their transform and the half-spectrum are taken from scratch, and each
+    is written in full, the half-spectrum's lags past D zeroed, on every call.
     """
     t_len = cfg.block_len
     span, n = _autocorrelation_length(cfg)
@@ -115,8 +114,9 @@ def lambda_spectrum(real: ChannelRealization, mask: np.ndarray, cfg: SystemConfi
     power = f.real * f.real
     power += f.imag * f.imag
     r = np.fft.ifft(power, axis=-1, out=f)[..., :span + 1]
-    half = scratch.take(batch + (t_len // 2 + 1,), complex, zeroed=True)
+    half = scratch.take(batch + (t_len // 2 + 1,), complex)
     np.conjugate(r, out=half[..., :span + 1])
+    half[..., span + 1:] = 0
     # hfft(r, n=T) is the same transform, but numpy's hfft ignores its out=
     gamma = np.fft.irfft(half, n=t_len, axis=-1, norm="forward",
                          out=scratch.take(batch + (t_len,)))

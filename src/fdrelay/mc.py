@@ -139,16 +139,13 @@ def estimate_outage(cfg: SystemConfig, scheme: str, trials: int,
     under exact MI, the one scheme that bounds its rate and forms a spectrum),
     of which each chunk writes its leading size rows.  The default
     chunk is as many trials as fit CHUNK_BYTES (at least one), so the block
-    is bounded for any block_len and relay count.  A selection scheme's
-    trials run on selection_config(cfg), built once here.
+    is bounded for any block_len and relay count.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     _check_int("trials", trials)
     slots = channel_slots(cfg.n_relays)
-    if scheme != SCHEME_MULTI:
-        cfg = selection_config(cfg)
-    elif cfg.mi_mode == MI_EXACT:
+    if scheme == SCHEME_MULTI and cfg.mi_mode == MI_EXACT:
         slots += spectrum_slots(cfg)
     if chunk is None:
         chunk = max(1, CHUNK_BYTES // (8 * slots))

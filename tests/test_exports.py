@@ -105,6 +105,9 @@ def test_removed_parameters_and_fields_are_gone():
     assert not {"powers", "phases", "out"} & set(draw)
     assert draw["size"].default is inspect.Parameter.empty     # every draw is a batch
     assert not {"out", "work"} & set(inspect.signature(fdrelay.lambda_spectrum).parameters)
+    assert list(inspect.signature(channel.Scratch.take).parameters) == [   # no zeroed take
+        "self", "shape", "dtype", "order"]
+    assert not hasattr(channel.Scratch(), "first")
     assert list(inspect.signature(model.eta).parameters) == ["cfg"]
     assert not hasattr(channel.ChannelRealization, "from_gains")
     assert not hasattr(model.OutageEstimate, "from_counts")

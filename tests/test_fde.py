@@ -344,15 +344,17 @@ def test_irfft_of_zero_padded_half_spectrum_is_the_short_input_transform(t_len):
 
 @pytest.mark.parametrize("cfg", [FIG4, CIRCULAR], ids=["fig4", "circular"])
 def test_spectrum_work_reused_across_batches_matches_fresh_spectra(cfg):
-    # one scratch, rewound between batches as between an estimate's chunks,
-    # serves batches of any size up to its rows; stale taps and transforms
-    # of a larger batch never reach a smaller one's gamma, and the
-    # half-spectrum, zeroed on the first batch only, keeps its padding zero
+    # one scratch, rewound between batches as between an estimate's chunks
+    # and filled with NaN as if an earlier user had left it so, serves
+    # batches of any size up to its rows; stale taps and transforms of a
+    # larger batch never reach a smaller one's gamma, and every batch writes
+    # its half-spectrum's padding lags past D zero
     scratch, halves = Scratch(64, spectrum_slots(cfg)), []
+    span = max(d % cfg.block_len for d in cfg.delays)
 
-    def take(shape, dtype=float, zeroed=False):
-        taken = Scratch.take(scratch, shape, dtype, zeroed)
-        if zeroed:
+    def take(shape, dtype=float, order="C"):
+        taken = Scratch.take(scratch, shape, dtype, order)
+        if taken.dtype == complex and shape[-1] == cfg.block_len // 2 + 1:
             halves.append(taken)
         return taken
 
@@ -360,12 +362,26 @@ def test_spectrum_work_reused_across_batches_matches_fresh_spectra(cfg):
     for seed, size in ((3, 64), (4, 5), (5, 64), (6, 1)):
         real, mask, power = multi_chunk(cfg, size, seed=seed)
         fresh = lambda_spectrum(real, mask, cfg, power)
+        scratch.block.fill(np.nan)
         into = lambda_spectrum(real, mask, cfg, power, scratch)
         assert np.array_equal(into.gamma, fresh.gamma)
         assert np.array_equal(into.taps, fresh.taps)
+        assert not halves or not halves[-1][:, span + 1:].any()
         scratch.rewind()
-    span = max(d % cfg.block_len for d in cfg.delays)
-    assert not halves or not halves[0][:, span + 1:].any()
+    assert len(halves) == (4 if cfg is FIG4 else 0)
+
+
+def test_one_scratch_serves_configs_of_different_spans():
+    # one block_len, delay spans 6 and then 3: the second config's
+    # half-spectrum lies where the first one's taps and transforms were,
+    # so its padding is right only if its own call writes it
+    cfgs = [replace(FIG4, n_relays=n, block_len=64, delays=None) for n in (6, 3)]
+    scratch = Scratch(64, max(map(spectrum_slots, cfgs)))
+    for seed, cfg in enumerate(cfgs):
+        real, mask, power = multi_chunk(cfg, 64, seed=seed)
+        fresh = lambda_spectrum(real, mask, cfg, power)
+        assert np.array_equal(lambda_spectrum(real, mask, cfg, power, scratch).gamma, fresh.gamma)
+        scratch.rewind()
 
 
 @pytest.mark.parametrize("sync", [False, True], ids=["async", "sync"])

@@ -336,8 +336,8 @@ def test_chunks_take_their_arrays_from_one_declared_block(monkeypatch, over, chu
     take, draw, outages = channel.Scratch.take, mc.draw_realization, mc._trial_outages
     chunks, scratches, most = [], [], Counter()
 
-    def spy_take(self, shape, dtype=float, zeroed=False, order="C"):
-        taken = take(self, shape, dtype, zeroed, order)
+    def spy_take(self, shape, dtype=float, order="C"):
+        taken = take(self, shape, dtype, order)
         # an empty take, a spectrum of no undecided trials, is a view of the block too
         assert np.shares_memory(taken, self.block) or (taken.size == 0 and taken.base is self.block)
         assert taken.dtype != complex or taken.ctypes.data % 16 == 0
@@ -593,6 +593,27 @@ def test_pinned_outage_counts():
     assert estimate_outage(fig4, SCHEME_OS, 2000, seed=0).outage_count == 384
 
 
+def test_counts_do_not_depend_on_what_the_block_held(monkeypatch):
+    # every take is written in full before it is read, so a block filled
+    # with NaN after each rewind, as if an earlier chunk or estimate had left
+    # anything there, gives every scheme the clean run's count: at fig5's
+    # exact-MI points, where 3% of multi's trials reach the spectrum, and
+    # at one approximate (fig2) and one synchronous (fig3) point
+    fig5 = replace(build_preset("fig5").variants[0][1].base, mi_mode=MI_EXACT)
+    cfgs = [apply_param(fig5, "var_sr_db", db) for db in (0.0, 2.0, 4.0)]
+    for name in ("fig2", "fig3"):
+        cfgs.append(apply_param(dict(build_preset(name).variants)["n10"].base, "var_iri_db", 0.0))
+    clean = [estimate_outage(cfg, s, 20_000, seed=3) for cfg in cfgs for s in SCHEMES]
+    rewind = channel.Scratch.rewind
+
+    def poisoned_rewind(self):
+        rewind(self)
+        self.block.fill(np.nan)
+
+    monkeypatch.setattr(channel.Scratch, "rewind", poisoned_rewind)
+    assert [estimate_outage(cfg, s, 20_000, seed=3) for cfg in cfgs for s in SCHEMES] == clean
+
+
 def test_selection_outage_is_the_same_in_both_modes_at_any_iri():
     # under approximate MI a selection baseline forwards through one relay
     # free of inter-relay interference, whose coherent sum is its own SNR:
@@ -748,14 +769,13 @@ def test_selection_config_drops_only_the_inter_relay_interference():
 
 
 @pytest.mark.parametrize("scheme", [SCHEME_OS, SCHEME_PS])
-def test_selection_config_applied_once_per_estimate(monkeypatch, scheme):
-    # every chunk's SINRs read the one selection config the estimate built
+def test_selection_trials_read_the_selection_config(monkeypatch, scheme):
+    # every chunk's SINRs read the selection config, which forwarding builds
     seen, link = [], mc.link_sinrs
     monkeypatch.setattr(mc, "link_sinrs", lambda real, cfg, *a: seen.append(cfg) or link(real, cfg, *a))
     cfg = fig_config(var_iri=3.0)
     est = estimate_outage(cfg, scheme, 1000, seed=3, chunk=400)
-    assert len(seen) == 3 and all(c is seen[0] for c in seen)
-    assert seen[0] == mc.selection_config(cfg)
+    assert len(seen) == 3 and all(c == mc.selection_config(cfg) for c in seen)
     assert est == estimate_outage(mc.selection_config(cfg), scheme, 1000, seed=3, chunk=400)
 
 
