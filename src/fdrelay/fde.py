@@ -47,10 +47,11 @@ def _autocorrelation_length(cfg: SystemConfig) -> tuple[int, int]:
 
 
 def spectrum_slots(cfg: SystemConfig) -> int:
-    """float64 slots per trial lambda_spectrum and rate_bounds take: gamma,
-    then two per complex entry plus one of alignment padding for each of the
-    taps and, where n < T, their transform and the T//2+1 half-spectrum; and
-    the bounds' taps, transformed in place, and their |F|^2."""
+    """float64 slots per trial lambda_spectrum and rate_bounds take for
+    asynchronous multi under exact MI: gamma, then two per complex entry plus
+    one of alignment padding for each of the taps and, where n < T, their
+    transform and the T//2+1 half-spectrum; and the bounds' taps, transformed
+    in place, and their |F|^2."""
     t_len, n = cfg.block_len, _autocorrelation_length(cfg)[1]
     widths = (n,) if n == t_len else (n, n, t_len // 2 + 1)
     return t_len + sum(2 * width + 1 for width in widths) + 3 * n + 1
@@ -80,7 +81,8 @@ def lambda_spectrum(real: ChannelRealization, mask: np.ndarray, cfg: SystemConfi
 
     The cyclic prefix makes the block channel circulant, so lam is the DFT of
     its tap vector: sqrt(P_S) h_sd at lag 0 plus each relay's sqrt(P_R) h_rd_k
-    added, in index order, at lag tau_k mod T (equal delays accumulate).
+    added, in index order, at lag tau_k mod T (equal delays accumulate: only
+    direct callers, such as exact_rate_two_tap's oracle, reach that path).
     gamma is then the length-T DFT of the taps' autocorrelation r, which
     spans lags -D..D only, D the largest delay mod T.  So the taps are
     transformed at the smallest power of two n >= 2D+1, r = ifft(|fft(taps)|^2)
@@ -169,44 +171,57 @@ def exact_rate(spec: BinSpectrum, cfg: SystemConfig, out: np.ndarray | None = No
     return np.log2(terms, out=terms).sum(axis=-1) / (cfg.block_len + cfg.cp_len)
 
 
-def exact_rate_one_relay(sinrs: LinkSinrs, forwards: np.ndarray, cfg: SystemConfig, chosen):
-    """exact_rate of a selection scheme's block, where at most one relay forwards,
-    in closed form per trial: no taps, spectrum or complex gain is formed.
+def _coherent_tap(sinrs: LinkSinrs, mask: np.ndarray):
+    # (P_R |h_sum|^2, h_sum), h_sum the forwarders' h_rd by numpy's C-order row sum
+    _check_mask(mask, sinrs.real.h2_rd)
+    h_sum = np.multiply(sinrs.real.h_rd, np.ascontiguousarray(mask), order="C").sum(axis=-1)
+    return sinrs.relay_tx_power * (h_sum.real * h_sum.real + h_sum.imag * h_sum.imag), h_sum
 
-    chosen, an integer array of the batch shape, names each trial's one
-    candidate relay, and forwards, a boolean array of the batch shape,
-    whether it forwards, as in approx_rate.  With p = sqrt(g_sd),
-    q = sqrt(g_rd of chosen * forwards), x = 1 + g_sd + q^2 (approx_rate's
-    total, the same operands), y = 2pq and phi = 2pi(u1_sd - u1_rd), the
-    phase uniforms' difference, bin i has 1 + gamma_i = x + y cos(a_i),
-    a_i = phi - 2pi i d/T, d the relay's delay mod T.  That is
-    c (1 + 2 rho cos(a_i) + rho^2) with s = sqrt(x^2 - y^2) =
-    sqrt(1+(p-q)^2) sqrt(1+(p+q)^2) (no cancellation or overflow),
-    rho = y/(x+s) < 1 and c = (x+s)/2, formed as x - y rho/2 so that a
-    trial whose relay does not forward gets approx_rate's flat rate bit for
-    bit.  Over the T bins a_i takes each of the M = T/gcd(d, T) angles
-    phi + 2pi k/M (mod 2pi) gcd(d, T) times, and the finite product
+
+def exact_rate_two_tap(sinrs: LinkSinrs, forwards: np.ndarray, cfg: SystemConfig, chosen=None):
+    """exact_rate of a block with one relayed tap, in closed form per trial:
+    no taps or spectrum is formed.  The arguments are approx_rate's.
+
+    Given chosen (a selection scheme), the relayed tap is that relay's, of
+    power g_rd * forwards and phase uniform u1_rd; else (synchronous multi,
+    whose relays share one delay) it is P_R |h_sum|^2, h_sum the forwarding
+    relays' h_rd summed as approx_rate sums them, of phase angle(h_sum)/2pi;
+    so it reads a drawn realization's phase uniforms.  With p = sqrt(g_sd),
+    q the relayed amplitude, x = 1 + g_sd + q^2 (approx_rate's total, the
+    same operands), y = 2pq and phi = 2pi(u1_sd - the relayed phase), bin i
+    has 1 + gamma_i = x + y cos(a_i), a_i = phi - 2pi i d/T, d the relayed
+    delay mod T.  That is c (1 + 2 rho cos(a_i) + rho^2) with s = sqrt(x^2 -
+    y^2) = sqrt(1+(p-q)^2) sqrt(1+(p+q)^2) (no cancellation or overflow),
+    rho = y/(x+s) < 1 and c = (x+s)/2, formed as x - y rho/2 so that a trial
+    with no relayed power gets approx_rate's flat rate bit for bit.  Over
+    the T bins a_i takes each of the M = T/gcd(d, T) angles phi + 2pi k/M
+    (mod 2pi) gcd(d, T) times, and the finite product
     prod_{k<M} (1 + 2 rho cos(phi + 2pi k/M) + rho^2) = 1 - 2(-rho)^M cos(M phi)
     + rho^2M (Gradshteyn & Ryzhik, 1.39), so
 
         sum_i log2(1 + gamma_i) = T (log2 c + log2(1 - 2(-rho)^M cos(M phi) + rho^2M)/M),
 
-    exactly; the rate is that over T + cp.  M phi is taken as 2pi
-    frac(M (u1_sd - u1_rd)).  Every step is elementwise, so a trial's rate
-    is the same bits alone or in a batch of any size.
+    exactly; the rate is that over T + cp.  M phi is taken as 2pi frac(M
+    (u1_sd - the relayed phase)).  Every step is elementwise or approx_rate's
+    row sum, so a trial's rate is the same bits alone or in a batch of any size.
     """
-    _check_mask(forwards, np.asarray(chosen))
     t_len = cfg.block_len
-    relayed = gather_relay(sinrs.g_rd, chosen) * forwards
+    m = t_len // np.gcd([d % t_len for d in cfg.delays], t_len)
+    u_sd, _, u_rd = sinrs.real.phases
+    if chosen is None:
+        relayed, h_sum = _coherent_tap(sinrs, forwards)
+        m, u_relay = m[0], np.angle(h_sum) / (2.0 * np.pi)
+    else:
+        _check_mask(forwards, np.asarray(chosen))
+        relayed = gather_relay(sinrs.g_rd, chosen) * forwards
+        m, u_relay = m[chosen], gather_relay(u_rd, chosen)
     x = 1.0 + (sinrs.g_sd + relayed)
     p, q = np.sqrt(sinrs.g_sd), np.sqrt(relayed)
     y = 2.0 * p * q
     s = np.sqrt(1.0 + np.square(p - q)) * np.sqrt(1.0 + np.square(p + q))
     rho = y / (x + s)
     c = x - 0.5 * y * rho
-    m = (t_len // np.gcd([d % t_len for d in cfg.delays], t_len))[chosen]
-    u_sd, _, u_rd = sinrs.real.phases
-    turns = np.remainder(m * (u_sd - gather_relay(u_rd, chosen)), 1.0)
+    turns = np.remainder(m * (u_sd - u_relay), 1.0)
     r = np.power(np.negative(rho), m)
     w = 1.0 - 2.0 * r * np.cos((2.0 * np.pi) * turns) + r * r
     return (t_len / (t_len + cfg.cp_len)) * (np.log2(c) + np.log2(w) / m)
@@ -235,9 +250,7 @@ def approx_rate(sinrs: LinkSinrs, mask: np.ndarray, cfg: SystemConfig, chosen=No
         _check_mask(mask, np.asarray(chosen))
         relayed = gather_relay(sinrs.g_rd, chosen) * mask
     elif cfg.sync_mode == SYNCHRONOUS:
-        _check_mask(mask, sinrs.real.h2_rd)
-        h_sum = np.multiply(sinrs.real.h_rd, np.ascontiguousarray(mask), order="C").sum(axis=-1)
-        relayed = sinrs.relay_tx_power * (h_sum.real * h_sum.real + h_sum.imag * h_sum.imag)
+        relayed = _coherent_tap(sinrs, mask)[0]
     else:
         _check_mask(mask, sinrs.real.h2_rd)
         g_rd, n = sinrs.g_rd, mask.shape[-1]

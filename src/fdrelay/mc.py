@@ -8,10 +8,10 @@ import numpy as np
 
 from .channel import (FRESH, PHILOX_BLOCK, LinkSinrs, Scratch, channel_slots, draw_realization,
                       gather_relay, link_sinrs, trial_block_uniforms)
-from .fde import (approx_rate, exact_rate, exact_rate_one_relay, lambda_spectrum, rate_bounds,
+from .fde import (approx_rate, exact_rate, exact_rate_two_tap, lambda_spectrum, rate_bounds,
                   spectrum_slots)
-from .model import (MI_EXACT, SCHEME_MULTI, SCHEME_OS, SCHEME_PS, SCHEMES, OutageEstimate,
-                    SystemConfig, _check_int, eta, relay_tx_power)
+from .model import (MI_EXACT, SCHEME_MULTI, SCHEME_OS, SCHEME_PS, SCHEMES, SYNCHRONOUS,
+                    OutageEstimate, SystemConfig, _check_int, eta, relay_tx_power)
 
 CHUNK_BYTES = 4 << 20     # the most bytes a default chunk's Scratch block takes
 
@@ -93,7 +93,7 @@ def forwarding(real, cfg: SystemConfig, scheme: str, scratch: Scratch = FRESH):
     chosen is None; os/ps: chosen, of the batch shape, is the selected relay
     and forwards whether it decodes; it forwards alone, so its SINRs are
     those of selection_config(cfg).  The rate step passes chosen on to
-    approx_rate or exact_rate_one_relay, which read that one relay's g_rd
+    approx_rate or exact_rate_two_tap, which read that one relay's g_rd
     (and, under exact MI, its phase uniform), not the whole relay axis."""
     if scheme == SCHEME_MULTI:
         probe = link_sinrs(real, cfg, relay_tx_power(cfg, cfg.n_relays), scratch)
@@ -107,15 +107,17 @@ def forwarding(real, cfg: SystemConfig, scheme: str, scratch: Scratch = FRESH):
 
 def _trial_outages(cfg: SystemConfig, scheme: str, real, scratch: Scratch):
     # every step broadcasts over the batch axis, so a trial's flag does not
-    # depend on the batch it is drawn in; under exact MI a selection scheme's
-    # one relay has its rate in closed form, and multi forms a spectrum only
-    # for the trials whose rate bounds straddle the target rate, restricted
-    # to those rows (possibly none) of the gains the bounds built
+    # depend on the batch it is drawn in; under exact MI a block with one
+    # relayed tap (a selection scheme's one relay, or synchronous multi's
+    # relays at their one shared delay) has its rate in closed form, and
+    # asynchronous multi forms a spectrum only for the trials whose rate
+    # bounds straddle the target rate, restricted to those rows (possibly
+    # none) of the gains the bounds built
     forwards, chosen, sinrs = forwarding(real, cfg, scheme, scratch)
     if cfg.mi_mode != MI_EXACT:
         return approx_rate(sinrs, forwards, cfg, chosen) < cfg.rate
-    if chosen is not None:
-        return exact_rate_one_relay(sinrs, forwards, cfg, chosen) < cfg.rate
+    if chosen is not None or cfg.sync_mode == SYNCHRONOUS:
+        return exact_rate_two_tap(sinrs, forwards, cfg, chosen) < cfg.rate
     power = sinrs.relay_tx_power
     lower, upper = rate_bounds(real, forwards, cfg, power, scratch)
     flags = upper < cfg.rate
@@ -135,17 +137,17 @@ def estimate_outage(cfg: SystemConfig, scheme: str, trials: int,
     chunk size or worker split of the same (seed, trials); chunk=1 runs the
     trials one at a time.  Every per-chunk array a layer writes is taken from
     one Scratch allocated once per estimate: chunk rows of the float64 slots
-    per trial the layers declare (channel_slots, and spectrum_slots for multi
-    under exact MI, the one scheme that bounds its rate and forms a spectrum),
-    of which each chunk writes its leading size rows.  The default
-    chunk is as many trials as fit CHUNK_BYTES (at least one), so the block
-    is bounded for any block_len and relay count.
+    per trial the layers declare (channel_slots, and spectrum_slots for
+    asynchronous multi under exact MI, the one estimate that bounds its rate
+    and forms a spectrum), of which each chunk writes its leading size rows.
+    The default chunk is as many trials as fit CHUNK_BYTES (at least one), so
+    the block is bounded for any block_len and relay count.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     _check_int("trials", trials)
     slots = channel_slots(cfg.n_relays)
-    if scheme == SCHEME_MULTI and cfg.mi_mode == MI_EXACT:
+    if scheme == SCHEME_MULTI and cfg.mi_mode == MI_EXACT and cfg.sync_mode != SYNCHRONOUS:
         slots += spectrum_slots(cfg)
     if chunk is None:
         chunk = max(1, CHUNK_BYTES // (8 * slots))

@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 
 from fdrelay.channel import (Scratch, channel_slots, draw_realization, gains_from_uniforms,
                              gather_relay, link_sinrs, trial_block_uniforms, uniforms_per_trial)
-from fdrelay.fde import exact_rate, exact_rate_one_relay, lambda_spectrum
+from fdrelay.fde import exact_rate, exact_rate_two_tap, lambda_spectrum
 from fdrelay.model import SystemConfig
 from fdrelay.mc import trial_stream
 from oracles import abs2, from_gains, philox_planes, polar_gains
@@ -337,7 +337,7 @@ def test_one_relay_gain_is_the_gathered_h_rd(n):
     real = draw_realization(cfg, trial_stream(5, 0, n), size=200, scratch=Scratch(200, channel_slots(n)))
     rng = np.random.default_rng(n)
     chosen, forwards = rng.integers(0, n, size=200), rng.random(200) < 0.8
-    got = exact_rate_one_relay(link_sinrs(real, cfg, 0.7), forwards, cfg, chosen)
+    got = exact_rate_two_tap(link_sinrs(real, cfg, 0.7), forwards, cfg, chosen)
     assert "h_rd" not in real.__dict__ and got.shape == (200,)
     h_rd = gather_relay(real.h_rd, chosen)
     for k in range(n):

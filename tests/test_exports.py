@@ -48,6 +48,7 @@ REMOVED = (
     "_carve",
     "draw_slots",
     "_power_scale",
+    "exact_rate_one_relay",
 )
 
 

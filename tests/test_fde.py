@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from fdrelay.channel import (ChannelRealization, Scratch, channel_slots, draw_realization,
                              gather_relay, link_sinrs)
-from fdrelay.fde import (RATE_SLACK, approx_rate, exact_rate, exact_rate_one_relay,
+from fdrelay.fde import (RATE_SLACK, approx_rate, exact_rate, exact_rate_two_tap,
                          lambda_spectrum, rate_bounds, spectrum_slots)
 from fdrelay.mc import SCHEME_MULTI, forwarding, trial_stream
 from fdrelay.model import (ASYNCHRONOUS, FIXED_PER_RELAY, LINK_MEAN_MAX, SHARED_BUDGET,
@@ -447,21 +447,21 @@ def test_chosen_relay_spectrum_equals_the_one_hot_masked_one(mode, n):
     some[:2] = True
     for forwards in (some, np.zeros(64, bool)):
         for power in (0.7, rng.uniform(0.5, 2.0, size=64)):
-            got = exact_rate_one_relay(link_sinrs(real, cfg, power), forwards, cfg, chosen)
+            got = exact_rate_two_tap(link_sinrs(real, cfg, power), forwards, cfg, chosen)
             want = exact_rate(lambda_spectrum(real, one_hot(chosen, forwards, n), cfg, power), cfg)
             assert got.shape == want.shape == (64,)
             assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=f"{mode} {n}")
     # one unbatched trial reads its row's bits
-    batched = exact_rate_one_relay(link_sinrs(real, cfg, 0.7), some, cfg, chosen)
+    batched = exact_rate_two_tap(link_sinrs(real, cfg, 0.7), some, cfg, chosen)
     for t in (0, 1, 5):
-        alone = exact_rate_one_relay(link_sinrs(unbatched_row(real, t), cfg, 0.7),
+        alone = exact_rate_two_tap(link_sinrs(unbatched_row(real, t), cfg, 0.7),
                                      np.asarray(some[t]), cfg, chosen[t])
         assert np.shape(alone) == () and alone == batched[t]
     sinrs = link_sinrs(real, cfg, 0.7)
     with pytest.raises(ValueError, match="decode mask"):
-        exact_rate_one_relay(sinrs, one_hot(chosen, some, n), cfg, chosen)
+        exact_rate_two_tap(sinrs, one_hot(chosen, some, n), cfg, chosen)
     with pytest.raises(ValueError, match="decode mask"):
-        exact_rate_one_relay(sinrs, some.astype(int), cfg, chosen)
+        exact_rate_two_tap(sinrs, some.astype(int), cfg, chosen)
 
 
 def test_chosen_relay_spectrum_into_a_used_scratch_matches_fresh_ones():
@@ -477,8 +477,8 @@ def test_chosen_relay_spectrum_into_a_used_scratch_matches_fresh_ones():
             fresh = draw_realization(cfg, trial_stream(seed, 0, n), size=size)
             rng = np.random.default_rng(seed)
             chosen, forwards = rng.integers(0, n, size=size), rng.random(size) < 0.7
-            into = exact_rate_one_relay(link_sinrs(real, cfg, 0.7, scratch), forwards, cfg, chosen)
-            want = exact_rate_one_relay(link_sinrs(fresh, cfg, 0.7), forwards, cfg, chosen)
+            into = exact_rate_two_tap(link_sinrs(real, cfg, 0.7, scratch), forwards, cfg, chosen)
+            want = exact_rate_two_tap(link_sinrs(fresh, cfg, 0.7), forwards, cfg, chosen)
             assert np.array_equal(into, want)
             oracle = exact_rate(lambda_spectrum(fresh, one_hot(chosen, forwards, n), cfg, 0.7), cfg)
             assert_allclose(into, oracle, rtol=0, atol=1e-12)
@@ -521,7 +521,7 @@ def test_one_relay_closed_form_rate_over_a_seeded_grid(block_len, mode):
         sinrs = link_sinrs(real, cfg, cfg.e_relay_budget)
         chosen = rng.integers(0, n, size=48)
         forwards = rng.random(48) < 0.75
-        got = exact_rate_one_relay(sinrs, forwards, cfg, chosen)
+        got = exact_rate_two_tap(sinrs, forwards, cfg, chosen)
         want = exact_rate(lambda_spectrum(real, one_hot(chosen, forwards, n), cfg,
                                           cfg.e_relay_budget), cfg)
         assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=str(cfg))
@@ -529,7 +529,42 @@ def test_one_relay_closed_form_rate_over_a_seeded_grid(block_len, mode):
         assert (~forwards).any() and np.array_equal(got[~forwards], flat[~forwards])
         for t in (0, 47):
             alone = link_sinrs(unbatched_row(real, t), cfg, cfg.e_relay_budget)
-            assert exact_rate_one_relay(alone, np.asarray(forwards[t]), cfg, chosen[t]) == got[t]
+            assert exact_rate_two_tap(alone, np.asarray(forwards[t]), cfg, chosen[t]) == got[t]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("policy", [SHARED_BUDGET, FIXED_PER_RELAY])
+@pytest.mark.parametrize("block_len", GRID_BLOCKS)
+def test_two_tap_rate_of_synchronous_multi_over_a_seeded_grid(block_len, policy):
+    # synchronous multi's relays share one delay, so its block has one
+    # relayed tap, the coherent sum of the forwarding relays' h_rd: the
+    # closed form against the spectrum's exact rate (the FFT oracle, its
+    # equal delays accumulated on one lag) within 1e-12, over the bin counts
+    # M = T/gcd(d, T) grid_config's shared delays give, with P_S = 0 and
+    # every link mean at LINK_MEAN_MAX besides; a quarter of the rows have an
+    # empty mask and approx_rate's flat rate bit for bit; an unbatched trial
+    # is its batch row bit for bit
+    rng = np.random.default_rng([block_len, policy == SHARED_BUDGET, 2])
+    cfgs = [replace(grid_config(rng, block_len, SYNCHRONOUS), relay_power_policy=policy)
+            for _ in range(6)]
+    cfgs[4] = replace(cfgs[4], p_source=0.0)
+    cfgs[5] = replace(cfgs[5], p_source=1.0, e_relay_budget=1.0, var_sd=LINK_MEAN_MAX,
+                      var_sr=LINK_MEAN_MAX, var_rd=LINK_MEAN_MAX)
+    for cfg in cfgs:
+        n = cfg.n_relays
+        real = draw_realization(cfg, trial_stream(int(rng.integers(1 << 32)), 0, n), size=48)
+        mask = rng.random((48, n)) < 0.6
+        mask[::4] = False
+        power = np.broadcast_to(relay_tx_power(cfg, np.maximum(mask.sum(axis=-1), 1)), (48,))
+        sinrs = link_sinrs(real, cfg, power)
+        got = exact_rate_two_tap(sinrs, mask, cfg)
+        want = exact_rate(lambda_spectrum(real, mask, cfg, power), cfg)
+        assert got.shape == (48,)
+        assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=str(cfg))
+        assert np.array_equal(got[::4], approx_rate(sinrs, mask, cfg)[::4])
+        for t in (0, 1, 47):
+            alone = link_sinrs(unbatched_row(real, t), cfg, power[t])
+            assert exact_rate_two_tap(alone, mask[t], cfg) == got[t]
 
 
 @pytest.mark.parametrize("n", [1, 5, 8, 10, 64])

@@ -325,14 +325,16 @@ def test_chunks_take_their_arrays_from_one_declared_block(monkeypatch, over, chu
     # module declares.  Gains are read right after each draw, as the
     # benchmark's trace reads them, so the phase plane is taken early and in
     # every case; then the schemes together take all that is declared.  Only
-    # multi under exact MI forms a spectrum, so only its block holds
-    # spectrum_slots: a selection scheme's block is its channel_slots alone.
+    # asynchronous multi under exact MI forms a spectrum, so only its block
+    # holds spectrum_slots: a block with one relayed tap (a selection
+    # scheme's, or synchronous multi's) is its channel_slots alone.
     # At the default chunk the block fits CHUNK_BYTES and one more trial
     # would not, or it is one trial that alone outweighs the budget
     cfg = fig_config(**{"block_len": 32, **over})
-    exact, n = cfg.mi_mode == MI_EXACT, cfg.n_relays
+    n = cfg.n_relays
+    spectrum = cfg.mi_mode == MI_EXACT and cfg.sync_mode == ASYNCHRONOUS
     declared = {"fdrelay.channel": channel.channel_slots(n),
-                "fdrelay.fde": fde.spectrum_slots(cfg) if exact else 0}
+                "fdrelay.fde": fde.spectrum_slots(cfg) if spectrum else 0}
     take, draw, outages = channel.Scratch.take, mc.draw_realization, mc._trial_outages
     chunks, scratches, most = [], [], Counter()
 
@@ -487,13 +489,16 @@ def test_exact_mi_never_forms_the_complex_spectrum(monkeypatch):
     (dict(), {}),
     (dict(sync_mode=SYNCHRONOUS, delays=None), {SCHEME_MULTI: ("rd",)}),
     (dict(mi_mode=MI_EXACT), {SCHEME_MULTI: ("sd", "rd")}),
-], ids=["async-approx", "sync-approx", "exact"])
+    (dict(mi_mode=MI_EXACT, sync_mode=SYNCHRONOUS, delays=None), {SCHEME_MULTI: ("rd",)}),
+], ids=["async-approx", "sync-approx", "exact", "sync-exact"])
 def test_complex_gains_built_only_where_read(monkeypatch, over, links):
     # count the gain builds of every drawn realization, by the power array
     # each build starts from: each link the rate reads is built once per
     # chunk, and no gain is built from any other array; a lone selected
     # relay's rate reads |h|^2 and, under exact MI, the phase uniforms, so
-    # os and ps build no complex gain in either MI mode
+    # os and ps build no complex gain in either MI mode; synchronous multi
+    # reads the coherent sum of h_rd in either MI mode, and under exact MI
+    # the direct tap's phase uniform, not h_sd
     draw, build = mc.draw_realization, channel.gains_from_uniforms
     links_of = ("sd", "sr", "rd")
     for scheme in SCHEMES:
@@ -520,7 +525,8 @@ def test_complex_gains_built_only_where_read(monkeypatch, over, links):
     (dict(), {}),
     (dict(sync_mode=SYNCHRONOUS, delays=None), {SCHEME_MULTI: 1}),
     (dict(mi_mode=MI_EXACT), dict.fromkeys(SCHEMES, 1)),
-], ids=["async-approx", "sync-approx", "exact"])
+    (dict(mi_mode=MI_EXACT, sync_mode=SYNCHRONOUS, delays=None), dict.fromkeys(SCHEMES, 1)),
+], ids=["async-approx", "sync-approx", "exact", "sync-exact"])
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_phase_plane_drawn_once_per_chunk_where_read(monkeypatch, over, planes, scheme):
     # approximate MI generates a phase plane for synchronous multi only; a
@@ -645,7 +651,7 @@ def test_selection_exact_mi_sits_below_its_approximation(preset):
             real = channel.draw_realization(cfg, trial_stream(7, 0, cfg.n_relays), size=2000)
             for scheme in (SCHEME_OS, SCHEME_PS):
                 forwards, chosen, sinrs = mc.forwarding(real, cfg, scheme)
-                exact = fde.exact_rate_one_relay(sinrs, forwards, cfg, chosen)
+                exact = fde.exact_rate_two_tap(sinrs, forwards, cfg, chosen)
                 approx = fde.approx_rate(sinrs, forwards, cfg, chosen)
                 assert np.all(exact <= approx + 1e-13), (preset, value, scheme)
                 approx_count, exact_count = (
@@ -692,10 +698,11 @@ def assert_rates_independent_of_the_chunk(monkeypatch, cfg, scheme, trials, seed
                                          chunks=(1, 7, None)):
     # every per-trial rate is the same bits at each chunk size (by default
     # chunk=1, chunk=7 and the default chunk), so the outage counts agree;
-    # under exact MI the spy wraps multi's rate bounds and the spectrum's rate
-    # of the trials they leave undecided, and the closed-form one-relay rate,
-    # whichever the scheme reads, each compared in trial order on its own
-    names = (("rate_bounds", "exact_rate", "exact_rate_one_relay") if cfg.mi_mode == MI_EXACT
+    # under exact MI the spy wraps asynchronous multi's rate bounds and the
+    # spectrum's rate of the trials they leave undecided, and the closed-form
+    # two-tap rate, whichever the scheme reads, each compared in trial order
+    # on its own
+    names = (("rate_bounds", "exact_rate", "exact_rate_two_tap") if cfg.mi_mode == MI_EXACT
              else ("approx_rate",))
     rates = {}
     for name in names:
@@ -711,8 +718,11 @@ def assert_rates_independent_of_the_chunk(monkeypatch, cfg, scheme, trials, seed
     for got in seen[1:]:
         assert got.keys() == seen[0].keys(), scheme
         assert all(np.array_equal(got[name], seen[0][name]) for name in got), scheme
-    if scheme == SCHEME_MULTI and cfg.mi_mode == MI_EXACT:
+    if scheme == SCHEME_MULTI and cfg.mi_mode == MI_EXACT and cfg.sync_mode == ASYNCHRONOUS:
         assert seen[0]["rate_bounds"].shape == (2, trials)
+    elif cfg.mi_mode == MI_EXACT:
+        assert seen[0].keys() == {"exact_rate_two_tap"}, scheme
+        assert seen[0]["exact_rate_two_tap"].shape == (trials,)
 
 
 @pytest.mark.parametrize("n", [8, 10, 64])
@@ -726,6 +736,20 @@ def test_batch_independent_where_numpy_reorders_a_row_sum(monkeypatch, n, mode, 
     cfg = fig_config(n_relays=n, sync_mode=mode, delays=None, cp_len=64, var_sr=2.0,
                      var_rd=1.5, rate=2.5)
     assert_rates_independent_of_the_chunk(monkeypatch, cfg, scheme, 120, seed=19)
+
+
+@pytest.mark.parametrize("n", [8, 10, 64])
+def test_sync_exact_multi_batch_independent_where_numpy_reorders_a_row_sum(monkeypatch, n):
+    # synchronous multi's exact rate reads the coherent sum of h_rd, which
+    # numpy adds pairwise over each row of 8 or more: a trial alone gets its
+    # chunk row's bits, and no rate bound or spectrum is formed
+    def no_spectrum(*args):
+        raise AssertionError("spectrum formed")
+
+    monkeypatch.setattr(mc, "lambda_spectrum", no_spectrum)
+    cfg = fig_config(n_relays=n, mi_mode=MI_EXACT, sync_mode=SYNCHRONOUS, delays=None,
+                     cp_len=64, var_sr=2.0, var_rd=1.5, rate=2.5)
+    assert_rates_independent_of_the_chunk(monkeypatch, cfg, SCHEME_MULTI, 120, seed=19)
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
@@ -815,10 +839,14 @@ def test_selection_gather_equals_the_masked_row_sum(n):
     (dict(mi_mode=MI_EXACT), {SCHEME_MULTI: [{"g_sr"}, set()],
                               SCHEME_OS: [{"g_sd", "g_sr", "g_rd"}],
                               SCHEME_PS: [{"g_sd", "g_sr", "g_rd"}]}),
-], ids=["async-approx", "sync-approx", "exact"])
+    (dict(mi_mode=MI_EXACT, sync_mode=SYNCHRONOUS, delays=None),
+     {SCHEME_MULTI: [{"g_sr"}, {"g_sd"}],
+      SCHEME_OS: [{"g_sd", "g_sr", "g_rd"}], SCHEME_PS: [{"g_sd", "g_sr", "g_rd"}]}),
+], ids=["async-approx", "sync-approx", "exact", "sync-exact"])
 def test_link_sinrs_formed_once_per_chunk_where_read(monkeypatch, over, formed):
     # multi's decode probe forms g_sr alone; its transmit pass forms only
-    # what the rate reads, nothing under exact MI, which reads the power; a
+    # what the rate reads, nothing under asynchronous exact MI, which reads
+    # the power, and g_sd for synchronous combining in either MI mode; a
     # selection scheme's rate reads g_sd and its relay's g_rd in either mode
     made, forms, link = [], [], mc.link_sinrs
     monkeypatch.setattr(mc, "link_sinrs", lambda *a, **k: made.append(link(*a, **k)) or made[-1])
@@ -851,7 +879,8 @@ class Philox(np.random.Philox):
     (dict(), {}),
     (dict(sync_mode=SYNCHRONOUS, delays=None), {SCHEME_MULTI: 3}),
     (dict(mi_mode=MI_EXACT), dict.fromkeys(SCHEMES, 3)),
-], ids=["async-approx", "sync-approx", "exact"])
+    (dict(mi_mode=MI_EXACT, sync_mode=SYNCHRONOUS, delays=None), dict.fromkeys(SCHEMES, 3)),
+], ids=["async-approx", "sync-approx", "exact", "sync-exact"])
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_phase_generator_jumped_only_where_phases_are_read(monkeypatch, over, jumps, scheme):
     # approximate MI builds the phase generator for synchronous multi only; a

@@ -13,8 +13,8 @@
 # tools/scenario.json, which sends integral floats for counts and pinned
 # delays through --config (approximate MI at 1e5 trials, exact MI at 4000);
 # its tools/scenario_wide.json, 32 synchronous relays over an 8-bin block,
-# where the relay axis rather than the taps sizes an exact-MI chunk (exact MI
-# at 4000); and its tools/scenario_ceiling.json, link means just under the
+# whose exact-MI chunk forms no spectrum: the closed-form two-tap rate reads
+# the coherent sum of the 32 h_RD (exact MI at 4000); and its tools/scenario_ceiling.json, link means just under the
 # config ceiling (approximate MI at 1e5 trials, exact MI at 4000).  Every call runs with RuntimeWarnings as errors, so a
 # scenario that overflows or clamps fails the run instead of writing output.
 # cmp's every CSV and JSON file and prints one line per file, naming for a
