@@ -40,25 +40,36 @@ def channel_slots(n_relays: int) -> int:
 class Scratch:
     """The per-chunk arrays of an estimate, taken from one float64 block.
 
-    Scratch(rows, slots) allocates rows*slots slots once.  take(shape)
-    reserves rows rows of shape[1:] after the chunk's earlier takes and
-    returns the leading shape[0], a complex take 16-byte aligned at the cost
-    of at most one slot, which a layer's declared slots per trial count; a
-    take past the block raises ValueError.  order="F" lays the rows out in
-    numpy's Fortran order, relay-major: a (size, N) take is then a transposed
-    view whose relay columns each run contiguous over the chunk's trials.
-    rewind() starts the next chunk, whose takes, the same shapes in the same
-    order, get the same arrays.  A take holds whatever an earlier chunk, or
-    an earlier user of the block, left there, so every take is written in
-    full before it is read: a count never depends on what the block held.
+    Scratch(rows, slots, least) allocates max(rows*slots, least) slots
+    once.  take(shape) reserves rows rows of shape[1:] after the chunk's
+    earlier takes and returns the leading shape[0], a complex take 16-byte
+    aligned at the cost of at most one slot, which a layer's declared slots
+    per trial count; a take past the block raises ValueError.  order="F"
+    lays the rows out in numpy's Fortran order, relay-major: a (size, N)
+    take is then a transposed view whose relay columns each run contiguous
+    over the chunk's trials.  rewind() starts the next chunk, whose takes,
+    the same shapes in the same order, get the same arrays.  A take holds
+    whatever an earlier chunk, or an earlier user of the block, left there,
+    so every take is written in full before it is read: a count never
+    depends on what the block held.  regroup(slots) is a Scratch over the
+    same block, of as many rows as fit slots per row; its takes overwrite
+    the block's, so it serves work that reads no earlier take of the chunk.
     Freed, one block leaves glibc's heap trim threshold at its size, so the
     next estimate reuses its pages instead of faulting fresh ones in.
-    FRESH takes new arrays of the same shapes and layouts.
+    FRESH takes new arrays of the same shapes and layouts, and is its own
+    regroup.
     """
 
-    def __init__(self, rows: int = 0, slots: int = 0):
+    def __init__(self, rows: int = 0, slots: int = 0, least: int = 0):
         self.rows, self.used = rows, 0
-        self.block = np.empty(rows * slots) if rows else None
+        self.block = np.empty(max(rows * slots, least)) if rows else None
+
+    def regroup(self, slots: int) -> Scratch:
+        if self.block is None:
+            return self
+        group = Scratch()
+        group.rows, group.block = self.block.size // slots, self.block
+        return group
 
     def take(self, shape: tuple, dtype=float, order: str = "C") -> np.ndarray:
         if self.block is None:
@@ -99,10 +110,16 @@ def gains_from_uniforms(power, u1):
     symmetric complex Gaussian (independent re/im parts of variance/2 each).
     u0 and u1 sit in the same slot of a trial's power and phase planes.
     The gains take the C order of the phase plane, whatever the powers'.
+    The parts are written straight into one complex array, with no complex
+    temporary.
     """
     mag = np.sqrt(power, order="C")
     ang = (2.0 * np.pi) * u1
-    return mag * np.cos(ang) + 1j * (mag * np.sin(ang))
+    gains = np.empty(np.shape(ang), complex)
+    re, im = gains.real, gains.imag     # mag*cos and mag*sin, written in place
+    np.multiply(np.cos(ang, out=re), mag, out=re)
+    np.multiply(np.sin(ang, out=im), mag, out=im)
+    return gains[()]
 
 
 @dataclass(frozen=True)
@@ -130,9 +147,9 @@ class ChannelRealization:
 
     def trials(self, rows: np.ndarray) -> ChannelRealization:
         """The realization of the trials that rows, integer indices into the
-        batch axis, names: its powers and every complex gain already built
-        here, indexed, never rebuilt.  It has no phase plane, so it can read
-        no other gain."""
+        batch axis (copies) or a slice of it (views), names: its powers and
+        every complex gain already built here, indexed, never rebuilt.  It
+        has no phase plane, so it can read no other gain."""
         sub = ChannelRealization(self.h2_sd[rows], self.h2_sr[rows], self.h2_rd[rows])
         for name in ("h_sd", "h_sr", "h_rd"):
             if name in self.__dict__:

@@ -46,15 +46,20 @@ def _autocorrelation_length(cfg: SystemConfig) -> tuple[int, int]:
     return span, min(1 << (2 * span).bit_length(), cfg.block_len)
 
 
+def bound_slots(cfg: SystemConfig) -> int:
+    """float64 slots per trial rate_bounds takes: two per complex tap plus
+    one of alignment padding for the taps, transformed in place at length
+    n, and n for their |F|^2."""
+    return 3 * _autocorrelation_length(cfg)[1] + 1
+
+
 def spectrum_slots(cfg: SystemConfig) -> int:
-    """float64 slots per trial lambda_spectrum and rate_bounds take for
-    asynchronous multi under exact MI: gamma, then two per complex entry plus
-    one of alignment padding for each of the taps and, where n < T, their
-    transform and the T//2+1 half-spectrum; and the bounds' taps, transformed
-    in place, and their |F|^2."""
+    """float64 slots per trial lambda_spectrum takes: gamma, then two per
+    complex entry plus one of alignment padding for each of the taps and,
+    where n < T, their transform and the T//2+1 half-spectrum."""
     t_len, n = cfg.block_len, _autocorrelation_length(cfg)[1]
     widths = (n,) if n == t_len else (n, n, t_len // 2 + 1)
-    return t_len + sum(2 * width + 1 for width in widths) + 3 * n + 1
+    return t_len + sum(2 * width + 1 for width in widths)
 
 
 def _taps(real: ChannelRealization, mask: np.ndarray, cfg: SystemConfig, relay_power,
@@ -67,7 +72,8 @@ def _taps(real: ChannelRealization, mask: np.ndarray, cfg: SystemConfig, relay_p
     taps = scratch.take(np.shape(base) + (n,), complex)
     taps.fill(0.0)
     taps[..., 0] = base
-    coef = np.sqrt(np.asarray(relay_power))[..., None] * real.h_rd * mask
+    coef = np.sqrt(np.asarray(relay_power))[..., None] * real.h_rd
+    np.multiply(coef, mask, out=coef)
     for k, delay in enumerate(cfg.delays):
         taps[..., delay % t_len] += coef[..., k]
     return taps
@@ -154,7 +160,7 @@ def rate_bounds(real: ChannelRealization, mask: np.ndarray, cfg: SystemConfig,
     taps = _taps(real, mask, cfg, relay_power, _autocorrelation_length(cfg)[1], scratch)
     f = np.fft.fft(taps, axis=-1, out=taps)
     power = np.multiply(f.real, f.real, out=scratch.take(taps.shape))
-    power += f.imag * f.imag
+    power += np.multiply(f.imag, f.imag, out=f.imag)    # f is read no more
     mu = power.mean(axis=-1)
     power /= np.where(mu > 0.0, mu, 1.0)[..., None]
     s = np.maximum(np.square(power, out=power).mean(axis=-1), 1.0)
@@ -176,6 +182,11 @@ def _coherent_tap(sinrs: LinkSinrs, mask: np.ndarray):
     _check_mask(mask, sinrs.real.h2_rd)
     h_sum = np.multiply(sinrs.real.h_rd, np.ascontiguousarray(mask), order="C").sum(axis=-1)
     return sinrs.relay_tx_power * (h_sum.real * h_sum.real + h_sum.imag * h_sum.imag), h_sum
+
+
+# exact_rate_two_tap forms (-rho)^M only where rho^M may reach 2^R_FLOOR_EXP:
+# a term below 2^-55 leaves its log2 argument exactly 1
+R_FLOOR_EXP = -56.0
 
 
 def exact_rate_two_tap(sinrs: LinkSinrs, forwards: np.ndarray, cfg: SystemConfig, chosen=None):
@@ -202,19 +213,23 @@ def exact_rate_two_tap(sinrs: LinkSinrs, forwards: np.ndarray, cfg: SystemConfig
         sum_i log2(1 + gamma_i) = T (log2 c + log2(1 - 2(-rho)^M cos(M phi) + rho^2M)/M),
 
     exactly; the rate is that over T + cp.  M phi is taken as 2pi frac(M
-    (u1_sd - the relayed phase)).  Every step is elementwise or approx_rate's
-    row sum, so a trial's rate is the same bits alone or in a batch of any size.
+    (u1_sd - the relayed phase)).  (-rho)^M is formed only where rho >=
+    2^(R_FLOOR_EXP/M); below, |rho^M| < 2^-55 and 1 - 2 r cos(M phi) + r^2
+    rounds to 1 exactly, so r = 0 there gives the same bits.  Every step is
+    elementwise or approx_rate's row sum, so a trial's rate is the same bits
+    alone or in a batch of any size.
     """
     t_len = cfg.block_len
     m = t_len // np.gcd([d % t_len for d in cfg.delays], t_len)
+    least = np.exp2(R_FLOOR_EXP / m)
     u_sd, _, u_rd = sinrs.real.phases
     if chosen is None:
         relayed, h_sum = _coherent_tap(sinrs, forwards)
-        m, u_relay = m[0], np.angle(h_sum) / (2.0 * np.pi)
+        m, least, u_relay = m[0], least[0], np.angle(h_sum) / (2.0 * np.pi)
     else:
         _check_mask(forwards, np.asarray(chosen))
         relayed = gather_relay(sinrs.g_rd, chosen) * forwards
-        m, u_relay = m[chosen], gather_relay(u_rd, chosen)
+        m, least, u_relay = m[chosen], least[chosen], gather_relay(u_rd, chosen)
     x = 1.0 + (sinrs.g_sd + relayed)
     p, q = np.sqrt(sinrs.g_sd), np.sqrt(relayed)
     y = 2.0 * p * q
@@ -222,7 +237,7 @@ def exact_rate_two_tap(sinrs: LinkSinrs, forwards: np.ndarray, cfg: SystemConfig
     rho = y / (x + s)
     c = x - 0.5 * y * rho
     turns = np.remainder(m * (u_sd - u_relay), 1.0)
-    r = np.power(np.negative(rho), m)
+    r = np.power(np.negative(rho), m, out=np.zeros_like(rho), where=rho >= least)
     w = 1.0 - 2.0 * r * np.cos((2.0 * np.pi) * turns) + r * r
     return (t_len / (t_len + cfg.cp_len)) * (np.log2(c) + np.log2(w) / m)
 

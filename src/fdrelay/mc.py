@@ -8,8 +8,8 @@ import numpy as np
 
 from .channel import (FRESH, PHILOX_BLOCK, LinkSinrs, Scratch, channel_slots, draw_realization,
                       gather_relay, link_sinrs, trial_block_uniforms)
-from .fde import (approx_rate, exact_rate, exact_rate_two_tap, lambda_spectrum, rate_bounds,
-                  spectrum_slots)
+from .fde import (approx_rate, bound_slots, exact_rate, exact_rate_two_tap, lambda_spectrum,
+                  rate_bounds, spectrum_slots)
 from .model import (MI_EXACT, SCHEME_MULTI, SCHEME_OS, SCHEME_PS, SCHEMES, SYNCHRONOUS,
                     OutageEstimate, SystemConfig, _check_int, eta, relay_tx_power)
 
@@ -112,7 +112,9 @@ def _trial_outages(cfg: SystemConfig, scheme: str, real, scratch: Scratch):
     # relays at their one shared delay) has its rate in closed form, and
     # asynchronous multi forms a spectrum only for the trials whose rate
     # bounds straddle the target rate, restricted to those rows (possibly
-    # none) of the gains the bounds built
+    # none) of the gains the bounds built.  Those rows are copied out first,
+    # so the spectrum runs in groups over the whole block, each group
+    # rewinding it; every chunk calls it at least once, on no rows if need be
     forwards, chosen, sinrs = forwarding(real, cfg, scheme, scratch)
     if cfg.mi_mode != MI_EXACT:
         return approx_rate(sinrs, forwards, cfg, chosen) < cfg.rate
@@ -122,9 +124,15 @@ def _trial_outages(cfg: SystemConfig, scheme: str, real, scratch: Scratch):
     lower, upper = rate_bounds(real, forwards, cfg, power, scratch)
     flags = upper < cfg.rate
     rows = np.flatnonzero(~flags & (lower < cfg.rate))
-    spec = lambda_spectrum(real.trials(rows), forwards[rows], cfg,
-                           np.broadcast_to(power, flags.shape)[rows], scratch)
-    flags[rows] = exact_rate(spec, cfg, out=spec.gamma) < cfg.rate
+    real, forwards = real.trials(rows), forwards[rows]
+    power = np.broadcast_to(power, flags.shape)[rows]
+    groups = scratch.regroup(spectrum_slots(cfg))
+    step = groups.rows or max(rows.size, 1)
+    for start in range(0, max(rows.size, 1), step):
+        group = slice(start, start + step)
+        groups.rewind()
+        spec = lambda_spectrum(real.trials(group), forwards[group], cfg, power[group], groups)
+        flags[rows[group]] = exact_rate(spec, cfg, out=spec.gamma) < cfg.rate
     return flags
 
 
@@ -137,22 +145,25 @@ def estimate_outage(cfg: SystemConfig, scheme: str, trials: int,
     chunk size or worker split of the same (seed, trials); chunk=1 runs the
     trials one at a time.  Every per-chunk array a layer writes is taken from
     one Scratch allocated once per estimate: chunk rows of the float64 slots
-    per trial the layers declare (channel_slots, and spectrum_slots for
-    asynchronous multi under exact MI, the one estimate that bounds its rate
-    and forms a spectrum), of which each chunk writes its leading size rows.
-    The default chunk is as many trials as fit CHUNK_BYTES (at least one), so
-    the block is bounded for any block_len and relay count.
+    every trial takes (channel_slots, and bound_slots for asynchronous multi
+    under exact MI, the one estimate that bounds its rate), of which each
+    chunk writes its leading size rows.  That estimate forms a spectrum only
+    for the trials its bounds leave undecided, in groups of as many trials as
+    spectrum_slots each fit the same block, which holds at least one.  The
+    default chunk is as many trials as fit CHUNK_BYTES (at least one), so the
+    block is bounded for any block_len and relay count, unless one trial's
+    spectrum alone outweighs it.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     _check_int("trials", trials)
-    slots = channel_slots(cfg.n_relays)
+    slots, spectrum = channel_slots(cfg.n_relays), 0
     if scheme == SCHEME_MULTI and cfg.mi_mode == MI_EXACT and cfg.sync_mode != SYNCHRONOUS:
-        slots += spectrum_slots(cfg)
+        slots, spectrum = slots + bound_slots(cfg), spectrum_slots(cfg)
     if chunk is None:
         chunk = max(1, CHUNK_BYTES // (8 * slots))
     chunk = min(_check_int("chunk", chunk), trials)
-    scratch = Scratch(chunk, slots)
+    scratch = Scratch(chunk, slots, least=spectrum)
     count = 0
     for start in range(0, trials, chunk):
         size = min(chunk, trials - start)

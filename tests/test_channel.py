@@ -285,6 +285,31 @@ def test_gains_from_uniforms_layout():
     assert polar(np.tile(u, (2, 3, 1)), 2.0).shape == (2, 3)
 
 
+def test_gains_equal_the_complex_temporary_form_over_a_seeded_grid():
+    # the parts are written straight into one complex array: the gains equal
+    # mag*cos + 1j*(mag*sin), the form with complex temporaries, over powers
+    # from zero to 1e200 (C-order and relay-major) and phases that include
+    # quarter turns; only the sign of an exact zero part may differ
+    rng = np.random.default_rng(29)
+    power = rng.exponential(10.0 ** rng.uniform(-200.0, 200.0, (96, 1)), (96, 21))
+    power[::5] = 0.0
+    power[:, ::7] = 0.0
+    u1 = rng.random((96, 21))
+    u1[1::4, ::3] = np.resize([0.0, 0.25, 0.5, 0.75], u1[1::4, ::3].shape)
+    for p in (power, np.asfortranarray(power)):
+        got = gains_from_uniforms(p, u1)
+        mag, ang = np.sqrt(p), (2.0 * np.pi) * u1
+        want = mag * np.cos(ang) + 1j * (mag * np.sin(ang))
+        assert got.dtype == complex and got.shape == want.shape and got.flags.c_contiguous
+        assert np.array_equal(got, want)
+        for part in ("real", "imag"):
+            a, b = getattr(got, part), getattr(want, part)
+            assert np.all((np.signbit(a) == np.signbit(b)) | (a == 0.0)), part
+        assert (got == 0.0).sum() >= power.size // 5
+    one = gains_from_uniforms(np.float64(2.0), np.float64(0.3))
+    assert type(one) is np.complex128 and one == np.sqrt(2.0) * np.exp(0.6j * np.pi)
+
+
 def test_gains_edge_uniform_zero():
     # u = 0 must map to a zero-magnitude gain, not -inf
     assert polar(np.array([0.0, 0.3]), 1.0) == 0.0

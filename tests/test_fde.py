@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from fdrelay import fde
 from fdrelay.channel import (ChannelRealization, Scratch, channel_slots, draw_realization,
                              gather_relay, link_sinrs)
 from fdrelay.fde import (RATE_SLACK, approx_rate, exact_rate, exact_rate_two_tap,
@@ -654,3 +655,64 @@ def test_rate_bounds_hold_the_spectrum_rate_over_a_seeded_grid(block_len, mode, 
         assert np.all(upper[::4] - lower[::4] <= 2.5 * RATE_SLACK * (1.0 + flat)), (case, cfg)
         if case == "no-source":
             assert np.all(rate[::4] == 0.0) and np.all(upper[::4] == RATE_SLACK)
+
+
+def two_tap_rho(g_sd, relayed):
+    # exact_rate_two_tap's rho = y/(x+s) of a row's direct and relayed power
+    p, q = np.sqrt(g_sd), np.sqrt(relayed)
+    x, y = 1.0 + g_sd + relayed, 2.0 * p * q
+    return y / (x + np.sqrt(1.0 + np.square(p - q)) * np.sqrt(1.0 + np.square(p + q)))
+
+
+def straddles_the_power_floor(rho, m) -> bool:
+    # rho = 0 rows, and rows within a factor 4 on either side of 2^(R_FLOOR_EXP/M)
+    floor = 2.0 ** (fde.R_FLOOR_EXP / m)
+    return bool((rho == 0.0).any() and ((rho < floor) & (rho > floor / 4)).any()
+                and ((rho >= floor) & (rho < 4 * floor)).any())
+
+
+@pytest.mark.parametrize("block_len", [16, 500, 4096])
+def test_two_tap_rate_forms_the_power_only_where_it_can_change_the_rate(monkeypatch, block_len):
+    # exact_rate_two_tap leaves r = 0 where rho < 2^(R_FLOOR_EXP/M); its
+    # rates equal bit for bit those of the form that raises every rho to the
+    # M-th power (R_FLOOR_EXP = -inf), for a selection scheme at every bin
+    # count M = T/d, d a delay dividing T, and for synchronous multi at each
+    # of those shared delays.  Per chosen relay, rows cross g_sd in {0, 1e-6,
+    # 1, 1e6} with a relayed power of 0 or on a log grid over 1e-40..1e12, so
+    # rho = 0 rows and rho on either side of each M's floor are among them
+    delays = tuple(d for d in range(1, block_len) if block_len % d == 0)
+    n = len(delays)
+    g_rd = np.concatenate([[0.0], np.logspace(-40.0, 12.0, 521)])
+    grid = 4 * g_rd.size
+    size = n * grid
+    h2_sd = np.tile(np.repeat([0.0, 1e-6, 1.0, 1e6], g_rd.size), n)
+    h2_rd = np.repeat(np.tile(g_rd, 4 * n)[:, None], n, axis=1)
+    rng = np.random.default_rng(block_len)
+    plane = rng.random((size, 1 + 2 * n))
+    real = ChannelRealization(h2_sd, np.ones((size, n)), h2_rd, phase_plane=lambda: plane)
+    cfg = SystemConfig(n_relays=n, p_source=1.0, e_relay_budget=1.0, rate=2.0,
+                       block_len=block_len, cp_len=max(delays), delays=delays)
+
+    def full_power_rate(*args):
+        with monkeypatch.context() as patch:
+            patch.setattr(fde, "R_FLOOR_EXP", -np.inf)
+            return exact_rate_two_tap(*args)
+
+    sinrs = link_sinrs(real, cfg, 1.0)
+    chosen = np.repeat(np.arange(n), grid)
+    forwards = (h2_sd > 0.0) | (rng.random(size) < 0.5)     # rho = 0 where g_sd = 0
+    got = exact_rate_two_tap(sinrs, forwards, cfg, chosen)
+    assert np.array_equal(got, full_power_rate(sinrs, forwards, cfg, chosen))
+    rho = two_tap_rho(h2_sd, h2_rd[:, 0] * forwards)
+    for k, delay in enumerate(delays):
+        assert straddles_the_power_floor(rho[chosen == k], block_len // delay), delay
+    for delay in delays:
+        sync = replace(cfg, delays=(delay,) * n, sync_mode=SYNCHRONOUS)
+        sinrs = link_sinrs(real, sync, 1.0)
+        # one relay forwards, or none, where g_sd != 1; any subset where it is
+        mask = one_hot(chosen, forwards, n)
+        mask[h2_sd == 1.0] |= rng.random((grid // 4 * n, n)) < 0.5
+        got = exact_rate_two_tap(sinrs, mask, sync)
+        assert np.array_equal(got, full_power_rate(sinrs, mask, sync))
+        rho = two_tap_rho(h2_sd, abs2((real.h_rd * mask).sum(axis=-1)))
+        assert straddles_the_power_floor(rho, block_len // delay), delay

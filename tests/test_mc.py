@@ -19,8 +19,8 @@ from fdrelay.channel import LinkSinrs
 from fdrelay.cli import PRESET_NAMES, _config_spec, build_preset
 from fdrelay.mc import (SCHEME_MULTI, SCHEME_OS, SCHEME_PS, SCHEMES,
                         estimate_outage, select_relay, trial_stream)
-from fdrelay.model import (ASYNCHRONOUS, FIXED_PER_RELAY, MI_APPROXIMATE, MI_EXACT,
-                           SHARED_BUDGET, SYNCHRONOUS, SystemConfig, apply_param,
+from fdrelay.model import (ASYNCHRONOUS, FIXED_PER_RELAY, LINK_MEAN_MAX, MI_APPROXIMATE,
+                           MI_EXACT, SHARED_BUDGET, SYNCHRONOUS, SystemConfig, apply_param,
                            validate_config)
 from oracles import one_hot
 
@@ -325,18 +325,23 @@ def test_chunks_take_their_arrays_from_one_declared_block(monkeypatch, over, chu
     # module declares.  Gains are read right after each draw, as the
     # benchmark's trace reads them, so the phase plane is taken early and in
     # every case; then the schemes together take all that is declared.  Only
-    # asynchronous multi under exact MI forms a spectrum, so only its block
-    # holds spectrum_slots: a block with one relayed tap (a selection
-    # scheme's, or synchronous multi's) is its channel_slots alone.
+    # asynchronous multi under exact MI bounds its rate, so only its chunk
+    # rows hold bound_slots: a block with one relayed tap (a selection
+    # scheme's, or synchronous multi's) is its channel_slots alone.  Its
+    # spectrum runs in groups, at least one a chunk, each a Scratch over the
+    # same block of as many rows as spectrum_slots fit, each group's takes
+    # spectrum_slots per row; the block holds at least one trial's spectrum.
     # At the default chunk the block fits CHUNK_BYTES and one more trial
-    # would not, or it is one trial that alone outweighs the budget
+    # would not, or it is one trial's spectrum that alone outweighs the budget
     cfg = fig_config(**{"block_len": 32, **over})
     n = cfg.n_relays
     spectrum = cfg.mi_mode == MI_EXACT and cfg.sync_mode == ASYNCHRONOUS
     declared = {"fdrelay.channel": channel.channel_slots(n),
-                "fdrelay.fde": fde.spectrum_slots(cfg) if spectrum else 0}
-    take, draw, outages = channel.Scratch.take, mc.draw_realization, mc._trial_outages
-    chunks, scratches, most = [], [], Counter()
+                "fdrelay.fde": fde.bound_slots(cfg) if spectrum else 0}
+    group_slots = fde.spectrum_slots(cfg)
+    take, rewind = channel.Scratch.take, channel.Scratch.rewind
+    draw, outages = mc.draw_realization, mc._trial_outages
+    chunks, groups, scratches, most = [], [], [], Counter()
 
     def spy_take(self, shape, dtype=float, order="C"):
         taken = take(self, shape, dtype, order)
@@ -345,8 +350,18 @@ def test_chunks_take_their_arrays_from_one_declared_block(monkeypatch, over, chu
         assert taken.dtype != complex or taken.ctypes.data % 16 == 0
         scratches.append(self)
         layer = sys._getframe(1).f_globals["__name__"]
-        chunks[-1][layer] += math.prod(shape[1:]) * taken.itemsize // 8 + (taken.dtype == complex)
+        slots = math.prod(shape[1:]) * taken.itemsize // 8 + (taken.dtype == complex)
+        if self is scratches[0]:
+            chunks[-1][layer] += slots
+        else:                               # a spectrum group's take
+            assert layer == "fdrelay.fde"
+            groups[-1] += slots
         return taken
+
+    def spy_rewind(self):
+        rewind(self)
+        if scratches and self is not scratches[0]:
+            groups.append(0)
 
     def spy_draw(*args, **kwargs):
         chunks.append(Counter())
@@ -359,20 +374,30 @@ def test_chunks_take_their_arrays_from_one_declared_block(monkeypatch, over, chu
         raise FirstChunkDone
 
     monkeypatch.setattr(channel.Scratch, "take", spy_take)
+    monkeypatch.setattr(channel.Scratch, "rewind", spy_rewind)
     monkeypatch.setattr(mc, "draw_realization", spy_draw)
     for scheme in SCHEMES:
         chunks.clear()
+        groups.clear()
         scratches.clear()
         # three chunks, the last ragged where chunk > 1
         estimate_outage(cfg, scheme, 2 * chunk + (chunk + 1) // 2, seed=3, chunk=chunk)
-        assert len(set(map(id, scratches))) == 1
+        assert len({id(s.block) for s in scratches}) == 1
         assert len(chunks) == 3 and chunks[0] == chunks[1] == chunks[2], scheme
         layers = declared if scheme == SCHEME_MULTI else {"fdrelay.channel": declared["fdrelay.channel"]}
         assert set(chunks[0]) <= set(layers)
         for layer, slots in chunks[0].items():
             assert slots <= layers[layer], (scheme, layer)
             most[layer] = max(most[layer], slots)
-        assert scratches[0].block.size == chunk * sum(layers.values()), scheme
+        grouped = spectrum and scheme == SCHEME_MULTI
+        least = group_slots if grouped else 0
+        assert scratches[0].block.size == max(chunk * sum(layers.values()), least), scheme
+        if grouped:
+            assert len(groups) >= 3 and set(groups) == {group_slots}
+            rows = {s.rows for s in scratches if s is not scratches[0]}
+            assert rows == {scratches[0].block.size // group_slots} and min(rows) >= 1
+        else:
+            assert not groups and len(set(map(id, scratches))) == 1
     assert most["fdrelay.channel"] == declared["fdrelay.channel"]
     assert most["fdrelay.fde"] == declared["fdrelay.fde"]
     block = scratches[0]
@@ -386,8 +411,11 @@ def test_chunks_take_their_arrays_from_one_declared_block(monkeypatch, over, chu
         with pytest.raises(FirstChunkDone):
             estimate_outage(cfg, scheme, 1 << 40, seed=5)
         block = scratches[0]
-        assert block.rows == 1 or 8 * block.block.size <= mc.CHUNK_BYTES
-        assert 8 * (block.block.size + block.block.size // block.rows) > mc.CHUNK_BYTES
+        per_trial = declared["fdrelay.channel"] + (declared["fdrelay.fde"] if scheme == SCHEME_MULTI else 0)
+        one_spectrum = spectrum and scheme == SCHEME_MULTI and 8 * group_slots > mc.CHUNK_BYTES
+        assert block.block.size == (group_slots if one_spectrum else block.rows * per_trial)
+        assert 8 * block.block.size <= mc.CHUNK_BYTES or one_spectrum
+        assert 8 * (block.rows + 1) * per_trial > mc.CHUNK_BYTES
 
 
 @pytest.mark.parametrize("cfg, trials", [
@@ -562,13 +590,14 @@ def test_bounded_multi_flags_match_every_trial_through_the_spectrum(monkeypatch)
     # bounds leave undecided; every chunk's flags equal an oracle that forms
     # every trial's spectrum and exact rate.  The bounds decide most trials
     # (none at scenario_ceiling's link means, where the slack exceeds any
-    # rate), and the spectrum still runs on some
+    # rate), and the spectrum still runs on some.  The oracle reads the
+    # chunk's realization first, as the spectrum's groups may overwrite it
     outages, spectrum, rows = mc._trial_outages, mc.lambda_spectrum, Counter()
 
     def checked(cfg, scheme, real, scratch):
-        flags = outages(cfg, scheme, real, scratch)
         forwards, _, sinrs = mc.forwarding(real, cfg, scheme)
         spec = spectrum(real, forwards, cfg, sinrs.relay_tx_power)
+        flags = outages(cfg, scheme, real, scratch)
         assert np.array_equal(flags, fde.exact_rate(spec, cfg) < cfg.rate), cfg
         rows["all"] += flags.size
         return flags
@@ -582,6 +611,35 @@ def test_bounded_multi_flags_match_every_trial_through_the_spectrum(monkeypatch)
         estimate_outage(cfg, SCHEME_MULTI, 2000, seed=3)
     assert rows["all"] == 2000 * len(points)
     assert 3 * 2000 < rows["spectrum"] < rows["all"] // 5, rows
+
+
+@pytest.mark.parametrize("cfg, trials, undecided", [
+    (apply_param(replace(build_preset("fig5").variants[0][1].base, mi_mode=MI_EXACT),
+                 "var_sr_db", 2.0), 2000, "some"),
+    (fig_config(p_source=1.0, e_relay_budget=1.0, var_sd=LINK_MEAN_MAX, var_sr=LINK_MEAN_MAX,
+                var_rd=LINK_MEAN_MAX, block_len=64, cp_len=8, rate=853.5, mi_mode=MI_EXACT),
+     4000, "all"),
+], ids=["fig5", "link-mean-max"])
+def test_async_exact_multi_counts_do_not_depend_on_the_chunk_or_its_groups(monkeypatch, cfg,
+                                                                           trials, undecided):
+    # asynchronous multi under exact MI forms the spectrum of its undecided
+    # trials in groups of as many as the block holds: at chunk 1 one trial
+    # a group, at chunk 7 up to 3, and at the default one chunk of the whole
+    # estimate, whose trials at every link mean LINK_MEAN_MAX the bounds
+    # leave all undecided (their slack outweighs any rate), so it runs
+    # several groups; the counts agree at every chunk
+    spectrum, groups = mc.lambda_spectrum, []
+    monkeypatch.setattr(mc, "lambda_spectrum", lambda real, *a: (
+        groups.append(real.h2_sd.size) or spectrum(real, *a)))
+    counts = []
+    for chunk in (1, 7, None):
+        groups.clear()
+        counts.append(estimate_outage(cfg, SCHEME_MULTI, trials, seed=3, chunk=chunk).outage_count)
+    assert len(set(counts)) == 1 and 0 < counts[0] < trials, counts
+    if undecided == "all":
+        assert sum(groups) == trials and len(groups) >= 3, groups
+    else:
+        assert len(groups) == 1 and 0 < groups[0] < trials // 10, groups
 
 
 def test_pinned_outage_counts():

@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Per-point Monte-Carlo speed of a git ref against the working tree, in one process.
 
-    tools/ab_points.py BASE_REF --preset P [--mi exact] [--reps K] [--trials N]
+    tools/ab_points.py BASE_REF (--preset P | --config FILE) [--mi exact] [--reps K] [--trials N]
 
 Extracts BASE_REF (git archive) and the working tree (tracked and untracked,
 non-ignored files) into a temporary directory, as tools/csv_identity.sh does,
 and imports both trees' fdrelay packages side by side under two names.
-Every (value, scheme) point of the preset's variants then runs
+Every (value, scheme) point of the preset's variants, or of the sweep of a
+JSON config file as the CLI's --config reads it, then runs
 estimate_outage in both trees, K times each, the two trees interleaved with
 alternating order, so both see the same heap, caches and host load.  A
 point's speedup is its base time over its working-tree time, each the
@@ -32,6 +33,7 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import io
+import json
 import statistics
 import subprocess
 import sys
@@ -77,15 +79,19 @@ def load_package(tree: Path, name: str):
     return module
 
 
-def points(fd, preset: str, mi: str | None):
-    """(label, config, scheme) of every point of the preset, in sweep order."""
+def points(fd, preset: str | None, config: Path | None, mi: str | None):
+    """(label, config, scheme) of every point of the preset or config file, in sweep order."""
     cli = importlib.import_module(fd.__name__ + ".cli")
+    if preset is not None:
+        name, variants = preset, cli.build_preset(preset).variants
+    else:
+        name, variants = config.stem, [("", cli._config_spec(json.loads(config.read_text())))]
     out = []
-    for label, spec in cli.build_preset(preset).variants:
+    for label, spec in variants:
         base = spec.base if mi is None else fd.validate_config(replace(spec.base, mi_mode=mi))
         for value in spec.values:
             cfg = fd.apply_param(base, spec.param, value)
-            out += [(f"{label or preset} {spec.param}={value:g}", cfg, s) for s in spec.schemes]
+            out += [(f"{label or name} {spec.param}={value:g}", cfg, s) for s in spec.schemes]
     return out
 
 
@@ -98,9 +104,12 @@ def timed(fd, cfg, scheme, trials):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base_ref")
-    parser.add_argument("--preset", required=True, choices=("fig2", "fig3", "fig4", "fig5"))
+    source = parser.add_mutually_exclusive_group(required=True)
+    source.add_argument("--preset", choices=("fig2", "fig3", "fig4", "fig5"))
+    source.add_argument("--config", metavar="FILE", type=Path,
+                        help="JSON scenario file, as the CLI's --config reads it")
     parser.add_argument("--mi", choices=("exact",), default=None,
-                        help="run under exact MI instead of the preset's approximate MI")
+                        help="run under exact MI instead of the points' own MI mode")
     parser.add_argument("--reps", type=int, default=3, help="runs per point and tree")
     parser.add_argument("--trials", type=int, default=None,
                         help="trials per point (default: 20000, or 2000 under exact MI)")
@@ -114,7 +123,7 @@ def main(argv=None) -> int:
         trees = {"base": extract(repo, args.base_ref, Path(tmp) / "base"),
                  "work": extract(repo, None, Path(tmp) / "work")}
         fds = {key: load_package(tree, f"fdrelay_{key}") for key, tree in trees.items()}
-        grids = {key: points(fd, args.preset, args.mi) for key, fd in fds.items()}
+        grids = {key: points(fd, args.preset, args.config, args.mi) for key, fd in fds.items()}
         for key, fd in fds.items():         # warm both trees once on every shape
             for _, cfg, scheme in grids[key][:3]:
                 timed(fd, cfg, scheme, min(trials, 2000))
@@ -135,7 +144,8 @@ def main(argv=None) -> int:
     q1, med, q3 = (statistics.quantiles(speedups, n=4) if len(speedups) > 1
                    else speedups * 3)
     wins = sum(s > 1.0 for s in speedups)
-    print(f"summary {args.preset}{' exact' if args.mi else ''}: {len(speedups)} points, "
+    name = args.preset or args.config.stem
+    print(f"summary {name}{' exact' if args.mi else ''}: {len(speedups)} points, "
           f"{trials} trials, {args.reps} reps; median speedup {med:.3f} "
           f"(q1 {q1:.3f}, q3 {q3:.3f}); faster at {wins} of {len(speedups)}")
     print("outage counts identical at every point" if not differ
