@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -13,25 +12,14 @@ from .model import SYNCHRONOUS, SystemConfig
 
 @dataclass(frozen=True)
 class BinSpectrum:
-    """Per-bin SINRs gamma_i = |lam_i|^2 and the tap vector they come from.
+    """Per-bin SINRs gamma_i = |lam_i|^2 and the complex per-bin gains lam.
 
-    taps holds the taps at lags 0..D (D < T) zero-padded to the length n < T
-    the spectrum was formed at; where it was formed at T instead, the taps
-    were transformed in place and taps holds lam itself.  lam, the complex
-    per-bin gains, is formed on first read and kept.  The rate reads gamma
-    only.  A spectrum formed in an estimate's scratch is valid only until
-    the next chunk: read lam before then.
+    The rate reads gamma only.  A spectrum formed in an estimate's scratch
+    is valid until that scratch is rewound, at the next chunk or group.
     """
 
     gamma: np.ndarray                   # (..., T) real
-    taps: np.ndarray                    # (..., n) complex: the taps if n < T, else lam
-
-    @cached_property
-    def lam(self) -> np.ndarray:
-        t_len = self.gamma.shape[-1]
-        if self.taps.shape[-1] == t_len:
-            return self.taps
-        return np.fft.fft(self.taps, n=t_len, axis=-1)
+    lam: np.ndarray                     # (..., T) complex
 
 
 def _check_mask(mask, relays) -> None:
@@ -40,26 +28,25 @@ def _check_mask(mask, relays) -> None:
         raise ValueError("decode mask must be a boolean array shaped like the relay axis")
 
 
-def _autocorrelation_length(cfg: SystemConfig) -> tuple[int, int]:
-    # (span, n): D, the largest delay mod T, and the transform length of the taps
+def _autocorrelation_length(cfg: SystemConfig) -> int:
+    # rate_bounds' transform length: the smallest power of two n >= 2D+1, D
+    # the largest delay mod T, or T where n would not be below T
     span = max((d % cfg.block_len for d in cfg.delays), default=0)
-    return span, min(1 << (2 * span).bit_length(), cfg.block_len)
+    return min(1 << (2 * span).bit_length(), cfg.block_len)
 
 
 def bound_slots(cfg: SystemConfig) -> int:
     """float64 slots per trial rate_bounds takes: two per complex tap plus
     one of alignment padding for the taps, transformed in place at length
     n, and n for their |F|^2."""
-    return 3 * _autocorrelation_length(cfg)[1] + 1
+    return 3 * _autocorrelation_length(cfg) + 1
 
 
 def spectrum_slots(cfg: SystemConfig) -> int:
-    """float64 slots per trial lambda_spectrum takes: gamma, then two per
-    complex entry plus one of alignment padding for each of the taps and,
-    where n < T, their transform and the T//2+1 half-spectrum."""
-    t_len, n = cfg.block_len, _autocorrelation_length(cfg)[1]
-    widths = (n,) if n == t_len else (n, n, t_len // 2 + 1)
-    return t_len + sum(2 * width + 1 for width in widths)
+    """float64 slots per trial lambda_spectrum takes: two per complex tap
+    plus one of alignment padding for the taps, transformed in place into
+    lam, and T for gamma."""
+    return 3 * cfg.block_len + 1
 
 
 def _taps(real: ChannelRealization, mask: np.ndarray, cfg: SystemConfig, relay_power,
@@ -89,50 +76,25 @@ def lambda_spectrum(real: ChannelRealization, mask: np.ndarray, cfg: SystemConfi
     its tap vector: sqrt(P_S) h_sd at lag 0 plus each relay's sqrt(P_R) h_rd_k
     added, in index order, at lag tau_k mod T (equal delays accumulate: only
     direct callers, such as exact_rate_two_tap's oracle, reach that path).
-    gamma is then the length-T DFT of the taps' autocorrelation r, which
-    spans lags -D..D only, D the largest delay mod T.  So the taps are
-    transformed at the smallest power of two n >= 2D+1, r = ifft(|fft(taps)|^2)
-    is exact there at lags 0..D, and gamma comes from those lags, zero-padded
-    to the T//2+1 lags of a real-output transform, by one irfft; no complex
-    T-bin spectrum is formed.  Where that n would not be below T, the taps
-    are transformed in place at T and |lam|^2 is gamma itself, non-negative
-    and to the ulp of each bin.  Else gamma is accurate to a few tens of ulp
-    of r_0 = sum |tap|^2, its bin mean, not to the ulp of each bin: near a
-    spectral null it is not >= 0 by construction and can fall a few ulp
-    below zero.
+    The taps are transformed in place at T into lam, and gamma is re^2 + im^2
+    of that one transform: |lam|^2 to the rounding of each bin, never negative.
 
     mask is the boolean forwarding set, shaped like real.h_rd; relays outside
     it contribute exactly zero, and an empty mask leaves the flat direct-only
-    spectrum.  Taps are built column by column and every transform works on
+    spectrum.  Taps are built column by column and the transform works on
     each row on its own, so every batch row agrees bit for bit with the same
-    realization evaluated alone or in a batch of any size.  gamma, the taps,
-    their transform and the half-spectrum are taken from scratch, and each
-    is written in full, the half-spectrum's lags past D zeroed, on every call.
+    realization evaluated alone or in a batch of any size.  The taps and
+    gamma are taken from scratch, and each is written in full on every call.
     """
-    t_len = cfg.block_len
-    span, n = _autocorrelation_length(cfg)
-    taps = _taps(real, mask, cfg, relay_power, n, scratch)
-    batch = taps.shape[:-1]
-    if n == t_len:                      # circular: |lam|^2 is gamma itself
-        lam = np.fft.fft(taps, axis=-1, out=taps)
-        gamma = np.multiply(lam.real, lam.real, out=scratch.take(batch + (t_len,)))
-        gamma += lam.imag * lam.imag
-        return BinSpectrum(gamma, lam)
-    f = np.fft.fft(taps, axis=-1, out=scratch.take(batch + (n,), complex))
-    power = f.real * f.real
-    power += f.imag * f.imag
-    r = np.fft.ifft(power, axis=-1, out=f)[..., :span + 1]
-    half = scratch.take(batch + (t_len // 2 + 1,), complex)
-    np.conjugate(r, out=half[..., :span + 1])
-    half[..., span + 1:] = 0
-    # hfft(r, n=T) is the same transform, but numpy's hfft ignores its out=
-    gamma = np.fft.irfft(half, n=t_len, axis=-1, norm="forward",
-                         out=scratch.take(batch + (t_len,)))
-    return BinSpectrum(gamma, taps)
+    taps = _taps(real, mask, cfg, relay_power, cfg.block_len, scratch)
+    lam = np.fft.fft(taps, axis=-1, out=taps)
+    gamma = np.multiply(lam.real, lam.real, out=scratch.take(lam.shape))
+    gamma += lam.imag * lam.imag
+    return BinSpectrum(gamma, lam)
 
 
-# the bounds' margin per unit of 1 + r_0, many times the few tens of ulp of
-# r_0 by which a bin, and so its log2 term, can stray in the spectrum
+# the bounds' margin per unit of 1 + r_0, far more than the rounding of the
+# spectrum, its log2 terms and the bounds themselves
 RATE_SLACK = 2.0 ** -30
 
 
@@ -142,7 +104,8 @@ def rate_bounds(real: ChannelRealization, mask: np.ndarray, cfg: SystemConfig,
     mask, cfg, relay_power)) lies, read from two moments of the bins alone:
     no T-bin spectrum is formed.
 
-    The taps are transformed at lambda_spectrum's length n, F = fft(taps).
+    The taps are transformed at the smallest power of two n >= 2D+1, D the
+    largest delay mod T (at T where n would not be below T), F = fft(taps).
     mu = mean |F|^2 is r_0, the bins' mean, and s = mean((|F|^2/mu)^2) is
     mean(gamma_i^2)/mu^2 (Parseval over the lags -D..D, as n >= 2D+1; where
     n = T, |F|^2 is gamma itself).  log2(1+x) is concave, so the bins' mean
@@ -157,7 +120,7 @@ def rate_bounds(real: ChannelRealization, mask: np.ndarray, cfg: SystemConfig,
     non-finite bound is returned as -inf (lower) or +inf (upper) and decides
     nothing.  The taps, transformed in place, and |F|^2 are taken from scratch.
     """
-    taps = _taps(real, mask, cfg, relay_power, _autocorrelation_length(cfg)[1], scratch)
+    taps = _taps(real, mask, cfg, relay_power, _autocorrelation_length(cfg), scratch)
     f = np.fft.fft(taps, axis=-1, out=taps)
     power = np.multiply(f.real, f.real, out=scratch.take(taps.shape))
     power += np.multiply(f.imag, f.imag, out=f.imag)    # f is read no more

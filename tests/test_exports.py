@@ -106,6 +106,8 @@ def test_removed_parameters_and_fields_are_gone():
     assert not {"powers", "phases", "out"} & set(draw)
     assert draw["size"].default is inspect.Parameter.empty     # every draw is a batch
     assert not {"out", "work"} & set(inspect.signature(fdrelay.lambda_spectrum).parameters)
+    assert [f.name for f in fields(fde.BinSpectrum)] == ["gamma", "lam"]   # no taps
+    assert not isinstance(inspect.getattr_static(fde.BinSpectrum, "lam", None), property)
     assert list(inspect.signature(channel.Scratch.take).parameters) == [   # no zeroed take
         "self", "shape", "dtype", "order"]
     assert not hasattr(channel.Scratch(), "first")

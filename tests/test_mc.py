@@ -501,16 +501,24 @@ def test_async_approx_never_builds_complex_gains(monkeypatch):
         assert estimate_outage(fig_config(), scheme, 3000, seed=2).trials == 3000
 
 
-def test_exact_mi_never_forms_the_complex_spectrum(monkeypatch):
-    # the exact rate reads the bin SINRs only; lam, the length-T complex
-    # spectrum, is left to callers that read it
-    def refuse(self):
-        raise AssertionError("complex spectrum formed")
+def test_exact_mi_forms_a_spectrum_only_for_asynchronous_multi(monkeypatch):
+    # a block with one relayed tap (os, ps, synchronous multi) has its exact
+    # rate in closed form and forms no spectrum; asynchronous multi forms one
+    # in every chunk, on the rows its rate bounds leave undecided
+    spectrum, calls = mc.lambda_spectrum, []
 
-    monkeypatch.setattr(fde.BinSpectrum, "lam", property(refuse))
-    for scheme in SCHEMES:
-        cfg = fig_config(mi_mode=MI_EXACT, block_len=64)
+    def refuse(*args, **kwargs):
+        raise AssertionError("spectrum formed")
+
+    async_cfg = fig_config(mi_mode=MI_EXACT, block_len=64)
+    sync_cfg = fig_config(mi_mode=MI_EXACT, block_len=64, sync_mode=SYNCHRONOUS, delays=None)
+    monkeypatch.setattr(mc, "lambda_spectrum", refuse)
+    for cfg, scheme in [(async_cfg, SCHEME_OS), (async_cfg, SCHEME_PS), (sync_cfg, SCHEME_OS),
+                        (sync_cfg, SCHEME_PS), (sync_cfg, SCHEME_MULTI)]:
         assert estimate_outage(cfg, scheme, 600, seed=4, chunk=256).trials == 600
+    monkeypatch.setattr(mc, "lambda_spectrum", lambda *a: calls.append(a) or spectrum(*a))
+    assert estimate_outage(async_cfg, SCHEME_MULTI, 600, seed=4, chunk=256).trials == 600
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize("over, links", [

@@ -7,7 +7,8 @@
 # Extracts BASE_REF (git archive) and the working tree (tracked and
 # untracked, non-ignored files) into a temporary directory and runs the same
 # outputs in each at seed 0: the presets (fig2-fig5 approximate MI at 1e5
-# trials per point; exact MI at 4000 for fig4, asynchronous, fig3,
+# trials per point; exact MI at 4000 for fig2, asynchronous at N 5 and 10
+# across the inter-relay interference sweep, fig4, asynchronous, fig3,
 # synchronous, and fig5, whose weak second hop gives a selection relay a
 # smaller cross-term ratio; fig5 at 1e5 trials once more as JSON); the working tree's
 # tools/scenario.json, which sends integral floats for counts and pinned
@@ -47,6 +48,8 @@ run_outputs() {
     done
     (cd "$tree" && PYTHONPATH=src python3 -m fdrelay.cli --preset fig5 --format json \
         --trials 100000 --seed 0 --out out/fig5.json >/dev/null)
+    (cd "$tree" && PYTHONPATH=src python3 -m fdrelay.cli --preset fig2 --mi exact \
+        --trials 4000 --seed 0 --out out/fig2_exact.csv >/dev/null)
     (cd "$tree" && PYTHONPATH=src python3 -m fdrelay.cli --preset fig4 --mi exact \
         --trials 4000 --seed 0 --out out/fig4_exact.csv >/dev/null)
     (cd "$tree" && PYTHONPATH=src python3 -m fdrelay.cli --preset fig3 --mi exact \
