@@ -19,6 +19,10 @@ from .model import SystemConfig, relay_interference_floor
 # counter blocks at the same place in both planes.
 PHILOX_BLOCK = 4
 
+# bit generators whose Generator.random double is one raw 64-bit word w taken
+# as u = (w >> 11) * 2**-53 (MT19937's doubles take two 32-bit words instead)
+RAW_DOUBLE_KINDS = (np.random.Philox, np.random.PCG64)
+
 
 def uniforms_per_trial(n_relays: int) -> int:
     """Uniform doubles a realization reads from each plane: one per channel gain."""
@@ -157,12 +161,23 @@ class ChannelRealization:
         return sub
 
 
+def _words53(bitgen, shape: tuple, out=None) -> np.ndarray:
+    # bitgen's next prod(shape) raw words w as the integers k = w >> 11, in
+    # out (uint64) or in place, viewed as int64: Generator.random's doubles
+    # are k * 2**-53, exactly, as k < 2**53
+    words = bitgen.random_raw(math.prod(shape)).reshape(shape)
+    return np.right_shift(words, 11, out=words if out is None else out).view(np.int64)
+
+
 def _phase_plane(kind, state: dict, shape: tuple, scratch: Scratch) -> np.ndarray:
     # plane 1: a bit generator of rng's kind at its state saved at draw time,
     # jumped; the seed only spares the constructor a read of OS entropy
     bitgen = kind(0)
     bitgen.state = state
-    return np.random.Generator(bitgen.jumped()).random(shape, out=scratch.take(shape))
+    u = scratch.take(shape)
+    np.copyto(u, _words53(bitgen.jumped(), shape))
+    u *= 2.0 ** -53
+    return u
 
 
 def draw_realization(cfg: SystemConfig, rng: np.random.Generator, size: int,
@@ -172,29 +187,37 @@ def draw_realization(cfg: SystemConfig, rng: np.random.Generator, size: int,
     Fills only the power plane here: trial_block_uniforms(cfg.n_relays)
     doubles of rng per realization in link order (h_sd, h_sr, h_rd, then
     padding), so a counter-based stream positioned at a trial boundary
-    reproduces that trial regardless of batching.  The powers are
-    -variance*log1p(-u0), formed in a relay-major take (one contiguous
-    column per link) the uniforms are copied into.  The uniforms, the
-    powers and, when it is generated, the phase plane are taken from
-    scratch; a realization drawn in an estimate's scratch is valid only
-    until its next chunk.
+    reproduces that trial regardless of batching.  Each uniform is formed
+    from one raw word w of rng's bit generator as u = (w >> 11) * 2**-53,
+    bit for bit the double rng.random would return, and rng's stream moves
+    on as that call would move it.  The words' integers w >> 11 fill the
+    first take, and -u is written from them straight into a relay-major take
+    (one contiguous column per link), where the powers -variance*log1p(-u)
+    are formed in place.  The integers, the powers and, when it is
+    generated, the phase plane are taken from scratch; a realization drawn
+    in an estimate's scratch is valid only until its next chunk.
 
     The phases come from rng's bit generator jumped where rng stood before
-    the powers, the same layout in plane 1, generated in full on the first
-    gain read: the bit generator's state is saved here, and the jumped
-    generator is built from it only then.  So the phases depend only on
-    rng's state at the call, whatever the read order or later draws from
-    rng; for a trial_stream, only on (seed, trial).  rng's bit generator
-    must have jumped() (Philox, PCG64, MT19937).
+    the powers, the same layout in plane 1 and the same map from raw words,
+    generated in full on the first gain read: the bit generator's state is
+    saved here, and the jumped generator is built from it only then.  So the
+    phases depend only on rng's state at the call, whatever the read order
+    or later draws from rng; for a trial_stream, only on (seed, trial).
+    rng's bit generator must be one of RAW_DOUBLE_KINDS (Philox, PCG64);
+    any other raises ValueError.
     """
+    bitgen = rng.bit_generator
+    if not isinstance(bitgen, RAW_DOUBLE_KINDS):
+        raise ValueError(f"draw_realization makes each uniform from one raw 64-bit word, as "
+                         f"Philox and PCG64 make their doubles; {type(bitgen).__name__} does not")
     n = cfg.n_relays
     shape = (size, trial_block_uniforms(n))
-    bitgen = rng.bit_generator
     plane = partial(_phase_plane, type(bitgen), bitgen.state, shape, scratch)  # before the powers move rng
-    u = rng.random(shape, out=scratch.take(shape))[..., :uniforms_per_trial(n)]
-    power = scratch.take(u.shape, order="F")
-    np.copyto(power, u)
-    np.log1p(np.negative(power, out=power), out=power)
+    k = _words53(bitgen, shape, scratch.take(shape, np.uint64))[..., :uniforms_per_trial(n)]
+    power = scratch.take(k.shape, order="F")
+    np.copyto(power, k)
+    power *= -2.0 ** -53
+    np.log1p(power, out=power)
     power *= -np.repeat([cfg.var_sd, cfg.var_sr, cfg.var_rd], [1, n, n])
     return ChannelRealization(*_links(power, n), phase_plane=plane)
 

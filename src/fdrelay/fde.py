@@ -45,8 +45,8 @@ def bound_slots(cfg: SystemConfig) -> int:
 def spectrum_slots(cfg: SystemConfig) -> int:
     """float64 slots per trial lambda_spectrum takes: two per complex tap
     plus one of alignment padding for the taps, transformed in place into
-    lam, and T for gamma."""
-    return 3 * cfg.block_len + 1
+    lam, T for gamma and T for the im^2 it adds."""
+    return 4 * cfg.block_len + 1
 
 
 def _taps(real: ChannelRealization, mask: np.ndarray, cfg: SystemConfig, relay_power,
@@ -78,18 +78,19 @@ def lambda_spectrum(real: ChannelRealization, mask: np.ndarray, cfg: SystemConfi
     direct callers, such as exact_rate_two_tap's oracle, reach that path).
     The taps are transformed in place at T into lam, and gamma is re^2 + im^2
     of that one transform: |lam|^2 to the rounding of each bin, never negative.
+    lam stays readable, so im^2 is formed in a take of its own.
 
     mask is the boolean forwarding set, shaped like real.h_rd; relays outside
     it contribute exactly zero, and an empty mask leaves the flat direct-only
     spectrum.  Taps are built column by column and the transform works on
     each row on its own, so every batch row agrees bit for bit with the same
-    realization evaluated alone or in a batch of any size.  The taps and
-    gamma are taken from scratch, and each is written in full on every call.
+    realization evaluated alone or in a batch of any size.  The taps, gamma
+    and im^2 are taken from scratch, and each is written in full on every call.
     """
     taps = _taps(real, mask, cfg, relay_power, cfg.block_len, scratch)
     lam = np.fft.fft(taps, axis=-1, out=taps)
     gamma = np.multiply(lam.real, lam.real, out=scratch.take(lam.shape))
-    gamma += lam.imag * lam.imag
+    gamma += np.multiply(lam.imag, lam.imag, out=scratch.take(lam.shape))
     return BinSpectrum(gamma, lam)
 
 

@@ -143,11 +143,15 @@ def estimate_outage(cfg: SystemConfig, scheme: str, trials: int,
     Trial t always consumes the substream trial_stream(seed, t), and the
     aggregate is an integer count, so the result is bit-identical for any
     chunk size or worker split of the same (seed, trials); chunk=1 runs the
-    trials one at a time.  Every per-chunk array a layer writes is taken from
-    one Scratch allocated once per estimate: chunk rows of the float64 slots
-    every trial takes (channel_slots, and bound_slots for asynchronous multi
-    under exact MI, the one estimate that bounds its rate), of which each
-    chunk writes its leading size rows.  That estimate forms a spectrum only
+    trials one at a time.  One generator, trial_stream(seed, 0), serves
+    every chunk: a chunk of size trials reads exactly size*W/4 whole counter
+    blocks (W = trial_block_uniforms(N)), so it leaves the generator where
+    trial_stream would put the next chunk's first trial.  Every per-chunk
+    array a layer writes is taken from one Scratch allocated once per
+    estimate: chunk rows of the float64 slots every trial takes
+    (channel_slots, and bound_slots for asynchronous multi under exact MI,
+    the one estimate that bounds its rate), of which each chunk writes its
+    leading size rows.  That estimate forms a spectrum only
     for the trials its bounds leave undecided, in groups of as many trials as
     spectrum_slots each fit the same block, which holds at least one.  The
     default chunk is as many trials as fit CHUNK_BYTES (at least one), so the
@@ -164,11 +168,11 @@ def estimate_outage(cfg: SystemConfig, scheme: str, trials: int,
         chunk = max(1, CHUNK_BYTES // (8 * slots))
     chunk = min(_check_int("chunk", chunk), trials)
     scratch = Scratch(chunk, slots, least=spectrum)
+    rng = trial_stream(seed, 0, cfg.n_relays)
     count = 0
     for start in range(0, trials, chunk):
         size = min(chunk, trials - start)
-        # alive into the next chunk, rng and flags keep glibc from trimming reused heap pages
-        rng = trial_stream(seed, start, cfg.n_relays)
+        # alive into the next chunk, flags keep glibc from trimming reused heap pages
         real = draw_realization(cfg, rng, size=size, scratch=scratch)
         flags = _trial_outages(cfg, scheme, real, scratch)
         count += int(np.count_nonzero(flags))

@@ -6,6 +6,7 @@ import numpy as np
 
 from fdrelay.analytic import TAIL_EPS
 from fdrelay.channel import ChannelRealization
+from fdrelay.model import FIXED_PER_RELAY, MI_EXACT, SCHEME_MULTI, SCHEME_OS, SYNCHRONOUS
 
 
 def abs2(z):
@@ -124,6 +125,62 @@ def philox_planes(seed: int, trial: int, n_relays: int, size: int):
     return tuple(np.random.Generator(np.random.Philox(
         counter=[trial * width // 4, 0, plane, 0], key=seed)).random((size, width))
         for plane in (0, 1))
+
+
+def simulate_trials(cfg, scheme: str, seed: int, trials: int) -> np.ndarray:
+    """Block rates of trials 0..trials-1 at (seed, cfg, scheme), one trial at
+    a time from the model README states; a trial is an outage where its rate
+    is below cfg.rate.
+
+    Uniforms come from philox_planes (Generator.random), gains from
+    polar_gains and powers as -var*log1p(-u0).  The decode threshold is
+    eta = 2^(R(T+cp)/T) - 1.  multi: relay k decodes where P_S|h_sr_k|^2 /
+    (P_all (var_rsi + var_iri) + 1) >= eta, P_all the power of a relay when
+    all N transmit, and the L that decode transmit at E_R/max(L, 1) each
+    (E_R under the fixed policy).  os/ps: with every relay at E_R and no
+    inter-relay interference, the first relay of largest min(g_sr, g_rd)
+    (os) or g_sr (ps) is chosen, and forwards where it decodes.  The rate is
+    T/(T+cp) log2(1 + P_S|h_sd|^2 + relayed), relayed the forwarders' P_R|h_rd|^2
+    summed (multi, synchronous: P_R |sum h_rd|^2), under approximate MI, and
+    sum_i log2(1 + |lam_i|^2)/(T+cp) under exact MI, lam_i = sqrt(P_S) h_sd +
+    sum over forwarders of sqrt(P_R) h_rd_k e^{-j2pi i tau_k/T} by a direct
+    DFT sum.
+    """
+    n, t_len = cfg.n_relays, cfg.block_len
+    width = 1 + 2 * n
+    u0, u1 = philox_planes(seed, 0, n, trials)
+    variance = np.repeat([cfg.var_sd, cfg.var_sr, cfg.var_rd], [1, n, n])
+    eta = 2.0 ** (cfg.rate * (t_len + cfg.cp_len) / t_len) - 1.0
+    scale = t_len / (t_len + cfg.cp_len)
+    shares = cfg.relay_power_policy != FIXED_PER_RELAY
+    ramps = np.exp(-2j * np.pi * (np.outer(cfg.delays, np.arange(t_len)) % t_len) / t_len)
+    rates = np.empty(trials)
+    for t in range(trials):
+        power = -variance * np.log1p(-u0[t, :width])
+        gains = polar_gains(np.stack([u0[t, :width], u1[t, :width]], axis=-1), variance)[1]
+        p_sd, p_sr, p_rd = power[0], power[1:1 + n], power[1 + n:]
+        h_sd, h_rd = gains[0], gains[1 + n:]
+        if scheme == SCHEME_MULTI:
+            p_all = cfg.e_relay_budget / (n if shares else 1)
+            g_sr = cfg.p_source * p_sr / (p_all * (cfg.var_rsi + cfg.var_iri) + 1.0)
+            mask = g_sr >= eta
+            p_r = cfg.e_relay_budget / (max(mask.sum(), 1) if shares else 1)
+        else:
+            p_r = cfg.e_relay_budget
+            g_sr = cfg.p_source * p_sr / (p_r * cfg.var_rsi + 1.0)
+            score = np.minimum(g_sr, p_r * p_rd) if scheme == SCHEME_OS else g_sr
+            chosen = int(np.argmax(score))
+            mask = (np.arange(n) == chosen) & (g_sr[chosen] >= eta)
+        if cfg.mi_mode == MI_EXACT:
+            lam = np.sqrt(cfg.p_source) * h_sd + (np.sqrt(p_r) * h_rd * mask) @ ramps
+            rates[t] = np.log2(1.0 + abs2(lam)).sum() / (t_len + cfg.cp_len)
+            continue
+        if scheme == SCHEME_MULTI and cfg.sync_mode == SYNCHRONOUS:
+            relayed = p_r * abs2(h_rd[mask].sum())
+        else:
+            relayed = p_r * p_rd[mask].sum()
+        rates[t] = scale * np.log2(1.0 + cfg.p_source * p_sd + relayed)
+    return rates
 
 
 def one_hot(chosen, forwards, n_relays: int) -> np.ndarray:

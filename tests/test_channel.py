@@ -128,14 +128,15 @@ def test_drawn_gains_match_polar_map(size):
 
 @pytest.mark.parametrize("n, seed, trial, size", [(1, 0, 0, 1), (3, 7, 5, 9), (10, 2, 1000, 64)])
 def test_trial_uniforms_are_philox_plane_blocks(n, seed, trial, size):
-    # the first array the draw takes holds plane 0 at block trial*W/4, the
-    # powers are its -var*log1p(-u0), and the phases are the same slots of plane 1
+    # the first array the draw takes holds plane 0 at block trial*W/4, as the
+    # raw words' integers k = u0 * 2**53, the powers are -var*log1p(-u0), and
+    # the phases are the same slots of plane 1
     cfg = config(n_relays=n, var_sd=1.3, var_sr=2.0, var_rd=0.7)
     u0, u1 = philox_planes(seed, trial, n, size)
     scratch, taken = Scratch(), []
     scratch.take = lambda *args, **kw: taken.append(Scratch.take(scratch, *args, **kw)) or taken[-1]
     real = draw_realization(cfg, trial_stream(seed, trial, n), size=size, scratch=scratch)
-    assert np.array_equal(taken[0], u0)
+    assert taken[0].dtype == np.uint64 and np.array_equal(taken[0] * 2.0 ** -53, u0)
     slots = (u0[..., :1], u0[..., 1:1 + n], u0[..., 1 + n:1 + 2 * n])
     for power, u, var in zip((real.h2_sd, real.h2_sr, real.h2_rd), slots,
                              (cfg.var_sd, cfg.var_sr, cfg.var_rd)):
@@ -160,11 +161,42 @@ def mid_block_philox():
     return rng
 
 
-@pytest.mark.parametrize("make_rng", [
+RNGS = pytest.mark.parametrize("make_rng", [
     lambda: trial_stream(3, 5, 3),
     lambda: np.random.default_rng(5),
     mid_block_philox,
 ], ids=["trial-stream", "pcg64", "philox-mid-block"])
+
+
+@RNGS
+@pytest.mark.parametrize("size", [1, 6])
+def test_draw_uniforms_are_generator_random_doubles(make_rng, size):
+    # the draw forms its uniforms from raw words; they are bit for bit the
+    # doubles Generator.random returns from a twin rng, powers from plane 0
+    # and phases from its jump, and rng ends where the twin's random leaves it
+    cfg = config(var_sd=1.3, var_sr=2.0, var_rd=0.7)
+    rng, twin = make_rng(), make_rng()
+    real = draw_realization(cfg, rng, size=size)
+    u1 = np.random.Generator(twin.bit_generator.jumped()).random((size, 8))
+    u0 = twin.random((size, 8))
+    assert np.array_equal(rng.random(5), twin.random(5))
+    for power, phase, var, slots in zip((real.h2_sd, real.h2_sr, real.h2_rd), real.phases,
+                                        (cfg.var_sd, cfg.var_sr, cfg.var_rd),
+                                        (slice(0, 1), slice(1, 4), slice(4, 7))):
+        assert np.array_equal(power, (-var * np.log1p(-u0[:, slots])).reshape(np.shape(power)))
+        assert np.array_equal(phase, u1[:, slots].reshape(np.shape(power)))
+
+
+def test_draw_refuses_generators_whose_doubles_are_not_one_word():
+    # MT19937 makes a double from two 32-bit words: the draw names it and
+    # raises before it reads a word
+    rng = np.random.Generator(np.random.MT19937(5))
+    with pytest.raises(ValueError, match="MT19937"):
+        draw_realization(config(), rng, size=4)
+    assert np.array_equal(rng.random(5), np.random.Generator(np.random.MT19937(5)).random(5))
+
+
+@RNGS
 def test_gains_do_not_depend_on_later_draws(make_rng):
     # a gain read at once equals one read after further draws from rng,
     # also for a Philox stream standing inside a counter block

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -249,6 +250,24 @@ def test_spectrum_and_rate_into_used_buffers_match_fresh_ones():
         assert np.array_equal(spec.gamma, fresh.gamma)
         assert np.array_equal(exact_rate(spec, cfg, out=spec.gamma), rate)
         assert np.array_equal(exact_rate(fresh, cfg), rate)     # no out: gamma kept
+
+
+def test_spectrum_group_allocates_no_bin_array_outside_its_scratch():
+    # a spectrum group of 255 fig4 rows run with its rate in a Scratch of
+    # spectrum_slots rows: every (rows, T) array, im^2 included, is a take of
+    # the block, so the traced peak stays below one such array
+    rows = 255
+    real, mask, power = multi_chunk(FIG4, rows, seed=5)
+    real.h_sd, real.h_rd
+    scratch = Scratch(rows, spectrum_slots(FIG4))
+    tracemalloc.start()
+    try:
+        spec = lambda_spectrum(real, mask, FIG4, power, scratch)
+        exact_rate(spec, FIG4, out=spec.gamma)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * rows * FIG4.block_len
 
 
 def assert_gamma_near_direct(real, mask, cfg, power):

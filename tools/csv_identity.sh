@@ -10,7 +10,9 @@
 # trials per point; exact MI at 4000 for fig2, asynchronous at N 5 and 10
 # across the inter-relay interference sweep, fig4, asynchronous, fig3,
 # synchronous, and fig5, whose weak second hop gives a selection relay a
-# smaller cross-term ratio; fig5 at 1e5 trials once more as JSON); the working tree's
+# smaller cross-term ratio; fig5 at 1e5 trials once more as JSON; fig2 under
+# approximate MI at 1e5 and fig4 under exact MI at 4000 once more with
+# --workers 2, whose estimates run in two processes); the working tree's
 # tools/scenario.json, which sends integral floats for counts and pinned
 # delays through --config (approximate MI at 1e5 trials, exact MI at 4000);
 # its tools/scenario_wide.json, 32 synchronous relays over an 8-bin block,
@@ -48,8 +50,12 @@ run_outputs() {
     done
     (cd "$tree" && PYTHONPATH=src python3 -m fdrelay.cli --preset fig5 --format json \
         --trials 100000 --seed 0 --out out/fig5.json >/dev/null)
+    (cd "$tree" && PYTHONPATH=src python3 -m fdrelay.cli --preset fig2 --workers 2 \
+        --trials 100000 --seed 0 --out out/fig2_workers2.csv >/dev/null)
     (cd "$tree" && PYTHONPATH=src python3 -m fdrelay.cli --preset fig2 --mi exact \
         --trials 4000 --seed 0 --out out/fig2_exact.csv >/dev/null)
+    (cd "$tree" && PYTHONPATH=src python3 -m fdrelay.cli --preset fig4 --mi exact --workers 2 \
+        --trials 4000 --seed 0 --out out/fig4_exact_workers2.csv >/dev/null)
     (cd "$tree" && PYTHONPATH=src python3 -m fdrelay.cli --preset fig4 --mi exact \
         --trials 4000 --seed 0 --out out/fig4_exact.csv >/dev/null)
     (cd "$tree" && PYTHONPATH=src python3 -m fdrelay.cli --preset fig3 --mi exact \
