@@ -148,8 +148,8 @@ def _coherent_tap(sinrs: LinkSinrs, mask: np.ndarray):
     return sinrs.relay_tx_power * (h_sum.real * h_sum.real + h_sum.imag * h_sum.imag), h_sum
 
 
-# exact_rate_two_tap forms (-rho)^M only where rho^M may reach 2^R_FLOOR_EXP:
-# a term below 2^-55 leaves its log2 argument exactly 1
+# exact_rate_two_tap forms its band term only where rho^M may reach
+# 2^R_FLOOR_EXP: a term below 2^-55 leaves its log2 argument exactly 1
 R_FLOOR_EXP = -56.0
 
 
@@ -177,11 +177,12 @@ def exact_rate_two_tap(sinrs: LinkSinrs, forwards: np.ndarray, cfg: SystemConfig
         sum_i log2(1 + gamma_i) = T (log2 c + log2(1 - 2(-rho)^M cos(M phi) + rho^2M)/M),
 
     exactly; the rate is that over T + cp.  M phi is taken as 2pi frac(M
-    (u1_sd - the relayed phase)).  (-rho)^M is formed only where rho >=
-    2^(R_FLOOR_EXP/M); below, |rho^M| < 2^-55 and 1 - 2 r cos(M phi) + r^2
-    rounds to 1 exactly, so r = 0 there gives the same bits.  Every step is
-    elementwise or approx_rate's row sum, so a trial's rate is the same bits
-    alone or in a batch of any size.
+    (u1_sd - the relayed phase)).  The band term log2(1 - 2(-rho)^M cos(M
+    phi) + rho^2M)/M is formed only on the rows where rho >= 2^(R_FLOOR_EXP/M);
+    below, |rho^M| < 2^-55 and the term's argument rounds to 1 exactly, so
+    those rows keep T log2 c, the same bits.  Every step is elementwise or
+    approx_rate's row sum, so a trial's rate is the same bits alone or in a
+    batch of any size.
     """
     t_len = cfg.block_len
     m = t_len // np.gcd([d % t_len for d in cfg.delays], t_len)
@@ -189,21 +190,33 @@ def exact_rate_two_tap(sinrs: LinkSinrs, forwards: np.ndarray, cfg: SystemConfig
     u_sd, _, u_rd = sinrs.real.phases
     if chosen is None:
         relayed, h_sum = _coherent_tap(sinrs, forwards)
-        m, least, u_relay = m[0], least[0], np.angle(h_sum) / (2.0 * np.pi)
+        m, least = m[0], least[0]
     else:
         _check_mask(forwards, np.asarray(chosen))
         relayed = gather_relay(sinrs.g_rd, chosen) * forwards
-        m, least, u_relay = m[chosen], least[chosen], gather_relay(u_rd, chosen)
+        m, least = m[chosen], least[chosen]
     x = 1.0 + (sinrs.g_sd + relayed)
     p, q = np.sqrt(sinrs.g_sd), np.sqrt(relayed)
     y = 2.0 * p * q
     s = np.sqrt(1.0 + np.square(p - q)) * np.sqrt(1.0 + np.square(p + q))
     rho = y / (x + s)
-    c = x - 0.5 * y * rho
-    turns = np.remainder(m * (u_sd - u_relay), 1.0)
-    r = np.power(np.negative(rho), m, out=np.zeros_like(rho), where=rho >= least)
+    total = np.reshape(np.log2(x - 0.5 * y * rho), -1)
+    band = np.flatnonzero(rho >= least)
+
+    def rows(a):
+        # a's entries on the band rows, a broadcast to the batch shape
+        return np.reshape(np.broadcast_to(a, np.shape(rho)), -1)[band]
+
+    if chosen is None:
+        u_relay = np.angle(rows(h_sum)) / (2.0 * np.pi)
+    else:
+        u_relay = rows(gather_relay(u_rd, chosen))
+    m = rows(m)
+    turns = np.remainder(m * (rows(u_sd) - u_relay), 1.0)
+    r = np.power(np.negative(rows(rho)), m)
     w = 1.0 - 2.0 * r * np.cos((2.0 * np.pi) * turns) + r * r
-    return (t_len / (t_len + cfg.cp_len)) * (np.log2(c) + np.log2(w) / m)
+    total[band] += np.log2(w) / m
+    return (t_len / (t_len + cfg.cp_len)) * total.reshape(np.shape(rho))[()]
 
 
 def approx_rate(sinrs: LinkSinrs, mask: np.ndarray, cfg: SystemConfig, chosen=None):

@@ -681,7 +681,8 @@ def test_two_tap_rate_forms_the_power_only_where_it_can_change_the_rate(monkeypa
     # rates equal bit for bit those of the form that raises every rho to the
     # M-th power (R_FLOOR_EXP = -inf), for a selection scheme at every bin
     # count M = T/d, d a delay dividing T, and for synchronous multi at each
-    # of those shared delays.  Per chosen relay, rows cross g_sd in {0, 1e-6,
+    # of those shared delays, in a batch and for a trial alone on either side
+    # of the floor.  Per chosen relay, rows cross g_sd in {0, 1e-6,
     # 1, 1e6} with a relayed power of 0 or on a log grid over 1e-40..1e12, so
     # rho = 0 rows and rho on either side of each M's floor are among them
     delays = tuple(d for d in range(1, block_len) if block_len % d == 0)
@@ -710,6 +711,11 @@ def test_two_tap_rate_forms_the_power_only_where_it_can_change_the_rate(monkeypa
     rho = two_tap_rho(h2_sd, h2_rd[:, 0] * forwards)
     for k, delay in enumerate(delays):
         assert straddles_the_power_floor(rho[chosen == k], block_len // delay), delay
+    # a trial alone, a batch of one, on either side of its floor
+    inside = rho >= 2.0 ** (fde.R_FLOOR_EXP / (block_len // np.asarray(delays)[chosen]))
+    for t in (np.flatnonzero(inside)[0], np.flatnonzero(~inside & (rho > 0.0))[0]):
+        alone = link_sinrs(unbatched_row(real, t), cfg, 1.0)
+        assert exact_rate_two_tap(alone, np.asarray(forwards[t]), cfg, chosen[t]) == got[t]
     for delay in delays:
         sync = replace(cfg, delays=(delay,) * n, sync_mode=SYNCHRONOUS)
         sinrs = link_sinrs(real, sync, 1.0)
@@ -720,3 +726,7 @@ def test_two_tap_rate_forms_the_power_only_where_it_can_change_the_rate(monkeypa
         assert np.array_equal(got, full_power_rate(sinrs, mask, sync))
         rho = two_tap_rho(h2_sd, abs2((real.h_rd * mask).sum(axis=-1)))
         assert straddles_the_power_floor(rho, block_len // delay), delay
+        inside = rho >= 2.0 ** (fde.R_FLOOR_EXP / (block_len // delay))
+        for t in (np.flatnonzero(inside)[0], np.flatnonzero(~inside & (rho > 0.0))[0]):
+            alone = link_sinrs(unbatched_row(real, t), sync, 1.0)
+            assert exact_rate_two_tap(alone, mask[t], sync) == got[t]
