@@ -430,10 +430,11 @@ def chosen_relay_config(mode, n):
 
 def unbatched_row(real, t):
     # trial t of a drawn batch alone, unbatched: its powers and its row of
-    # the phase plane, whose uniforms are the ones the batch read
-    plane = real.phase_plane()
+    # the batch's phase uniforms, in their plane's slots
+    u_sd, u_sr, u_rd = real.phases
+    row = np.concatenate([u_sd[t, None], u_sr[t], u_rd[t]])
     return ChannelRealization(real.h2_sd[t], real.h2_sr[t], real.h2_rd[t],
-                              phase_plane=lambda: plane[t])
+                              phase_plane=lambda: row)
 
 
 @pytest.mark.parametrize("mode", ["async", "sync", "zero-lag", "circular"])
