@@ -16,7 +16,8 @@ from .model import SystemConfig, relay_interference_floor
 # uniforms u0, and plane 1, that generator jumped (for Philox: counter word 2
 # plus 1), the phase uniforms u1.  Each holds 1+2N of them in link order (sd,
 # sr_1..N, rd_1..N), padded so every trial owns the same whole number of
-# counter blocks at the same place in both planes.
+# counter blocks at the same place in both planes.  1+2N is odd, so plane 0
+# always has a padding slot, 1+2N: a selection block's relative-phase turn.
 PHILOX_BLOCK = 4
 
 # bit generators whose Generator.random double is one raw 64-bit word w taken
@@ -137,23 +138,32 @@ class ChannelRealization:
     slots of the plane) or the first complex gain are read, and the plane is
     kept; h_sd, h_sr, h_rd are then built per link on
     first read from sqrt of the power and that link's phases, and kept.
+
+    spare, of the batch shape, holds the 53-bit integers k of plane 0's
+    first padding slot, and turn, k * 2**-53, is formed from it on first
+    read and kept: a uniform independent of the powers, which a selection
+    block takes as its relative-phase turn (see fde.exact_rate_two_tap), so
+    its rate reads no phase plane.
     """
 
     h2_sd: np.ndarray
     h2_sr: np.ndarray
     h2_rd: np.ndarray
     phase_plane: Callable[[], np.ndarray] | None = None
+    spare: np.ndarray | None = None
 
     phases = cached_property(lambda self: _links(self.phase_plane(), self.h2_sr.shape[-1]))
     h_sd = cached_property(lambda self: gains_from_uniforms(self.h2_sd, self.phases[0]))
     h_sr = cached_property(lambda self: gains_from_uniforms(self.h2_sr, self.phases[1]))
     h_rd = cached_property(lambda self: gains_from_uniforms(self.h2_rd, self.phases[2]))
+    turn = cached_property(lambda self: self.spare * 2.0 ** -53)
 
     def trials(self, rows: np.ndarray) -> ChannelRealization:
         """The realization of the trials that rows, integer indices into the
         batch axis (copies) or a slice of it (views), names: its powers and
         every complex gain already built here, indexed, never rebuilt.  It
-        has no phase plane, so it can read no other gain."""
+        has no phase plane or spare slot, so it can read no other gain and
+        no turn."""
         sub = ChannelRealization(self.h2_sd[rows], self.h2_sr[rows], self.h2_rd[rows])
         for name in ("h_sd", "h_sr", "h_rd"):
             if name in self.__dict__:
@@ -170,19 +180,17 @@ def _words53(bitgen, shape: tuple, out=None) -> np.ndarray:
 
 
 class PhaseStream:
-    """Plane 1 of a run of trials drawn in order from one generator: the
-    phase uniforms of each drawn chunk, read on demand.
+    """Plane 1 of a run of chunks drawn in order from one generator.
 
-    Made from the generator's bit generator before its first draw, it saves
-    that bit generator's state, and only where a phase is first read builds
-    a bit generator of its kind at that state, jumped (for Philox: counter
-    word 2 plus 1), which then runs on across the run's chunks.  plane(shape,
-    scratch), called at each chunk's draw, returns the maker of that chunk's
-    plane: the chunk's words, after the generator is advanced past those of
-    earlier chunks whose plane was never made.  Each chunk's plane is made
-    at most once, in draw order, into a take of scratch, each uniform
-    (w >> 11) * 2**-53 of one raw word w as in plane 0; a read out of order
-    raises ValueError.  The seed of the built bit generator only spares its
+    Made from the generator's bit generator before the run's first draw, it
+    saves that state; where a phase is first read it builds a bit generator
+    of its kind at that state, jumped (for Philox: counter word 2 plus 1),
+    which runs on across the run.  plane(shape, scratch), called at each
+    draw, returns the maker of that chunk's plane: it advances the generator
+    past the words of earlier chunks whose plane was never made, then maps
+    the chunk's words as plane 0's, u = (w >> 11) * 2**-53, into a take of
+    scratch.  Each plane is made at most once, in draw order; a read out of
+    order raises ValueError.  The built bit generator's seed only spares its
     constructor a read of OS entropy.
     """
 
@@ -225,9 +233,11 @@ def draw_realization(cfg: SystemConfig, rng: np.random.Generator, size: int,
     on as that call would move it.  The words' integers w >> 11 fill the
     first take, and -u is written from them straight into a relay-major take
     (one contiguous column per link), where the powers -variance*log1p(-u)
-    are formed in place.  The integers, the powers and, when it is
-    generated, the phase plane are taken from scratch; a realization drawn
-    in an estimate's scratch is valid only until its next chunk.
+    are formed in place; the integers of the first padding slot, 1+2N, stay
+    in the take as the realization's spare, of which its turn is formed on
+    first read.  The integers, the powers and, when it is generated, the
+    phase plane are taken from scratch; a realization drawn in an
+    estimate's scratch is valid only until its next chunk.
 
     The phases come from rng's bit generator jumped where rng stood before
     the powers, the same layout in plane 1 and the same map from raw words,
@@ -247,13 +257,15 @@ def draw_realization(cfg: SystemConfig, rng: np.random.Generator, size: int,
     shape = (size, trial_block_uniforms(n))
     stream = phase_stream or PhaseStream(bitgen)    # made before the powers move rng
     plane = stream.plane(shape, scratch)
-    k = _words53(bitgen, shape, scratch.take(shape, np.uint64))[..., :uniforms_per_trial(n)]
+    words = _words53(bitgen, shape, scratch.take(shape, np.uint64))
+    k = words[..., :uniforms_per_trial(n)]
     power = scratch.take(k.shape, order="F")
     np.copyto(power, k)
     power *= -2.0 ** -53
     np.log1p(power, out=power)
     power *= -np.repeat([cfg.var_sd, cfg.var_sr, cfg.var_rd], [1, n, n])
-    return ChannelRealization(*_links(power, n), phase_plane=plane)
+    return ChannelRealization(*_links(power, n), phase_plane=plane,
+                              spare=words[..., uniforms_per_trial(n)])
 
 
 @dataclass(frozen=True)

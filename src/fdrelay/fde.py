@@ -148,7 +148,7 @@ def _coherent_tap(sinrs: LinkSinrs, mask: np.ndarray):
     return sinrs.relay_tx_power * (h_sum.real * h_sum.real + h_sum.imag * h_sum.imag), h_sum
 
 
-# exact_rate_two_tap forms its band term only where rho^M may reach
+# exact_rate_two_tap forms (-rho)^M and its cosine only where rho^M may reach
 # 2^R_FLOOR_EXP: a term below 2^-55 leaves its log2 argument exactly 1
 R_FLOOR_EXP = -56.0
 
@@ -158,13 +158,12 @@ def exact_rate_two_tap(sinrs: LinkSinrs, forwards: np.ndarray, cfg: SystemConfig
     no taps or spectrum is formed.  The arguments are approx_rate's.
 
     Given chosen (a selection scheme), the relayed tap is that relay's, of
-    power g_rd * forwards and phase uniform u1_rd; else (synchronous multi,
-    whose relays share one delay) it is P_R |h_sum|^2, h_sum the forwarding
-    relays' h_rd summed as approx_rate sums them, of phase angle(h_sum)/2pi;
-    so it reads a drawn realization's phase uniforms.  With p = sqrt(g_sd),
+    power g_rd * forwards; else (synchronous multi, whose relays share one
+    delay) it is P_R |h_sum|^2, h_sum the forwarding relays' h_rd summed as
+    approx_rate sums them, of phase angle(h_sum)/2pi.  With p = sqrt(g_sd),
     q the relayed amplitude, x = 1 + g_sd + q^2 (approx_rate's total, the
-    same operands), y = 2pq and phi = 2pi(u1_sd - the relayed phase), bin i
-    has 1 + gamma_i = x + y cos(a_i), a_i = phi - 2pi i d/T, d the relayed
+    same operands), y = 2pq and phi the relative phase of the two taps, bin
+    i has 1 + gamma_i = x + y cos(a_i), a_i = phi - 2pi i d/T, d the relayed
     delay mod T.  That is c (1 + 2 rho cos(a_i) + rho^2) with s = sqrt(x^2 -
     y^2) = sqrt(1+(p-q)^2) sqrt(1+(p+q)^2) (no cancellation or overflow),
     rho = y/(x+s) < 1 and c = (x+s)/2, formed as x - y rho/2 so that a trial
@@ -176,47 +175,41 @@ def exact_rate_two_tap(sinrs: LinkSinrs, forwards: np.ndarray, cfg: SystemConfig
 
         sum_i log2(1 + gamma_i) = T (log2 c + log2(1 - 2(-rho)^M cos(M phi) + rho^2M)/M),
 
-    exactly; the rate is that over T + cp.  M phi is taken as 2pi frac(M
-    (u1_sd - the relayed phase)).  The band term log2(1 - 2(-rho)^M cos(M
-    phi) + rho^2M)/M is formed only on the rows where rho >= 2^(R_FLOOR_EXP/M);
-    below, |rho^M| < 2^-55 and the term's argument rounds to 1 exactly, so
-    those rows keep T log2 c, the same bits.  Every step is elementwise or
-    approx_rate's row sum, so a trial's rate is the same bits alone or in a
-    batch of any size.
+    exactly; the rate is that over T + cp.  phi enters only as M phi mod
+    2pi, taken as 2pi times a turn.  Synchronous multi's turn is frac(M
+    (u1_sd - angle(h_sum)/2pi)), from a drawn realization's phase plane.  A
+    selection block's phi is uniform and independent of the powers and the
+    pick, and so is its turn, which is the realization's turn, plane 0's
+    spare uniform: a selection rate reads no phase plane.  (-rho)^M and
+    cos(M phi) are formed only on the rows where rho >= 2^(R_FLOOR_EXP/M)
+    (a masked ufunc, so every array has the batch's shape); below, |rho^M|
+    < 2^-55 and 1 - 2(-rho)^M cos(M phi) + rho^2M rounds to 1 exactly, so
+    r = 0 and a zero cosine there give w = 1, log2 w = 0 and the same bits.
+    Every step is elementwise or approx_rate's row sum, so a trial's rate
+    is the same bits alone or in a batch of any size.
     """
     t_len = cfg.block_len
     m = t_len // np.gcd([d % t_len for d in cfg.delays], t_len)
     least = np.exp2(R_FLOOR_EXP / m)
-    u_sd, _, u_rd = sinrs.real.phases
     if chosen is None:
         relayed, h_sum = _coherent_tap(sinrs, forwards)
         m, least = m[0], least[0]
+        turns = np.remainder(m * (sinrs.real.phases[0] - np.angle(h_sum) / (2.0 * np.pi)), 1.0)
     else:
         _check_mask(forwards, np.asarray(chosen))
         relayed = gather_relay(sinrs.g_rd, chosen) * forwards
-        m, least = m[chosen], least[chosen]
+        m, least, turns = m[chosen], least[chosen], sinrs.real.turn
     x = 1.0 + (sinrs.g_sd + relayed)
     p, q = np.sqrt(sinrs.g_sd), np.sqrt(relayed)
     y = 2.0 * p * q
     s = np.sqrt(1.0 + np.square(p - q)) * np.sqrt(1.0 + np.square(p + q))
     rho = y / (x + s)
-    total = np.reshape(np.log2(x - 0.5 * y * rho), -1)
-    band = np.flatnonzero(rho >= least)
-
-    def rows(a):
-        # a's entries on the band rows, a broadcast to the batch shape
-        return np.reshape(np.broadcast_to(a, np.shape(rho)), -1)[band]
-
-    if chosen is None:
-        u_relay = np.angle(rows(h_sum)) / (2.0 * np.pi)
-    else:
-        u_relay = rows(gather_relay(u_rd, chosen))
-    m = rows(m)
-    turns = np.remainder(m * (rows(u_sd) - u_relay), 1.0)
-    r = np.power(np.negative(rows(rho)), m)
-    w = 1.0 - 2.0 * r * np.cos((2.0 * np.pi) * turns) + r * r
-    total[band] += np.log2(w) / m
-    return (t_len / (t_len + cfg.cp_len)) * total.reshape(np.shape(rho))[()]
+    c = x - 0.5 * y * rho
+    band = rho >= least
+    r = np.power(np.negative(rho), m, out=np.zeros_like(rho), where=band)
+    w = np.cos((2.0 * np.pi) * turns, out=np.zeros_like(rho), where=band)
+    w = 1.0 - 2.0 * r * w + r * r
+    return (t_len / (t_len + cfg.cp_len)) * (np.log2(c) + np.log2(w) / m)
 
 
 def approx_rate(sinrs: LinkSinrs, mask: np.ndarray, cfg: SystemConfig, chosen=None):

@@ -94,7 +94,8 @@ def forwarding(real, cfg: SystemConfig, scheme: str, scratch: Scratch = FRESH):
     and forwards whether it decodes; it forwards alone, so its SINRs are
     those of selection_config(cfg).  The rate step passes chosen on to
     approx_rate or exact_rate_two_tap, which read that one relay's g_rd
-    (and, under exact MI, its phase uniform), not the whole relay axis."""
+    (and, under exact MI, the realization's turn, plane 0's spare uniform,
+    so no phase plane), not the whole relay axis."""
     if scheme == SCHEME_MULTI:
         probe = link_sinrs(real, cfg, relay_tx_power(cfg, cfg.n_relays), scratch)
         decodes = probe.g_sr >= eta(cfg)
@@ -108,13 +109,14 @@ def forwarding(real, cfg: SystemConfig, scheme: str, scratch: Scratch = FRESH):
 def _trial_outages(cfg: SystemConfig, scheme: str, real, scratch: Scratch):
     # every step broadcasts over the batch axis, so a trial's flag does not
     # depend on the batch it is drawn in; under exact MI a block with one
-    # relayed tap (a selection scheme's one relay, or synchronous multi's
-    # relays at their one shared delay) has its rate in closed form, and
-    # asynchronous multi forms a spectrum only for the trials whose rate
-    # bounds straddle the target rate, restricted to those rows (possibly
-    # none) of the gains the bounds built.  Those rows are copied out first,
-    # so the spectrum runs in groups over the whole block, each group
-    # rewinding it; every chunk calls it at least once, on no rows if need be
+    # relayed tap (a selection scheme's one relay, whose relative phase is
+    # the realization's turn, or synchronous multi's relays at their one
+    # shared delay) has its rate in closed form, and asynchronous multi
+    # forms a spectrum only for the trials whose rate bounds straddle the
+    # target rate, restricted to those rows (possibly none) of the gains
+    # the bounds built.  Those rows are copied out first, so the spectrum
+    # runs in groups over the whole block, each group rewinding it; every
+    # chunk calls it at least once, on no rows if need be
     forwards, chosen, sinrs = forwarding(real, cfg, scheme, scratch)
     if cfg.mi_mode != MI_EXACT:
         return approx_rate(sinrs, forwards, cfg, chosen) < cfg.rate

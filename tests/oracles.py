@@ -5,7 +5,7 @@ import math
 import numpy as np
 
 from fdrelay.analytic import TAIL_EPS
-from fdrelay.channel import ChannelRealization
+from fdrelay.channel import ChannelRealization, gather_relay
 from fdrelay.model import FIXED_PER_RELAY, MI_EXACT, SCHEME_MULTI, SCHEME_OS, SYNCHRONOUS
 
 
@@ -144,7 +144,12 @@ def simulate_trials(cfg, scheme: str, seed: int, trials: int) -> np.ndarray:
     summed (multi, synchronous: P_R |sum h_rd|^2), under approximate MI, and
     sum_i log2(1 + |lam_i|^2)/(T+cp) under exact MI, lam_i = sqrt(P_S) h_sd +
     sum over forwarders of sqrt(P_R) h_rd_k e^{-j2pi i tau_k/T} by a direct
-    DFT sum.
+    DFT sum.  A selection block's two taps, direct and relayed, meet at a
+    relative phase phi that the rate reads only as M phi mod 2pi, M =
+    T/gcd(d, T) for the relay's delay d; that is 2pi times the trial's
+    plane-0 uniform in slot 1+2N, the first padding slot, so under exact MI
+    os/ps take h_sd = |h_sd| and each h_rd_k = |h_rd_k| e^{-j2pi u0[1+2N]/M_k}
+    and read no phase.
     """
     n, t_len = cfg.n_relays, cfg.block_len
     width = 1 + 2 * n
@@ -154,6 +159,7 @@ def simulate_trials(cfg, scheme: str, seed: int, trials: int) -> np.ndarray:
     scale = t_len / (t_len + cfg.cp_len)
     shares = cfg.relay_power_policy != FIXED_PER_RELAY
     ramps = np.exp(-2j * np.pi * (np.outer(cfg.delays, np.arange(t_len)) % t_len) / t_len)
+    bins = t_len // np.gcd(np.asarray(cfg.delays) % t_len, t_len)
     rates = np.empty(trials)
     for t in range(trials):
         power = -variance * np.log1p(-u0[t, :width])
@@ -171,6 +177,7 @@ def simulate_trials(cfg, scheme: str, seed: int, trials: int) -> np.ndarray:
             score = np.minimum(g_sr, p_r * p_rd) if scheme == SCHEME_OS else g_sr
             chosen = int(np.argmax(score))
             mask = (np.arange(n) == chosen) & (g_sr[chosen] >= eta)
+            h_sd, h_rd = np.sqrt(p_sd), np.sqrt(p_rd) * np.exp(-2j * np.pi * u0[t, width] / bins)
         if cfg.mi_mode == MI_EXACT:
             lam = np.sqrt(cfg.p_source) * h_sd + (np.sqrt(p_r) * h_rd * mask) @ ramps
             rates[t] = np.log2(1.0 + abs2(lam)).sum() / (t_len + cfg.cp_len)
@@ -205,3 +212,29 @@ def batch_rows(real, index) -> ChannelRealization:
     """The trials a batch index (an int, for one unbatched trial, or a slice)
     picks from a drawn batch, as a realization of their complex gains."""
     return from_gains(real.h_sd[index], real.h_sr[index], real.h_rd[index])
+
+
+def spare_turn_gains(real, cfg) -> ChannelRealization:
+    """A realization of real's powers whose complex gains place its turn, the
+    spare uniform u, between the direct tap and every relay's: h_sd =
+    sqrt(h2_sd), h_sr = sqrt(h2_sr) and h_rd_k = sqrt(h2_rd_k) e^{-j2pi
+    u/M_k}, M_k = T/gcd(d_k, T), so a selection block of the direct tap and
+    relay k's has M_k phi = 2pi u, the relative phase its rate reads."""
+    t_len = cfg.block_len
+    bins = t_len // np.gcd(np.asarray(cfg.delays) % t_len, t_len)
+    turn = np.asarray(real.turn)[..., None]
+    return from_gains(np.sqrt(real.h2_sd), np.sqrt(real.h2_sr),
+                      np.sqrt(real.h2_rd) * np.exp(-2j * np.pi * turn / bins))
+
+
+def plane_one_realization(real, cfg, chosen) -> ChannelRealization:
+    """real's powers, with as its turn a selection block's turn under the
+    rule that read plane 1: frac(M (u1_sd - u1_rd,c)), M = T/gcd(d_c, T), c
+    the chosen relay, from the drawn realization's phase uniforms, in that
+    rule's operations, so fde.exact_rate_two_tap gives that rule's rates."""
+    t_len = cfg.block_len
+    m = (t_len // np.gcd([d % t_len for d in cfg.delays], t_len))[chosen]
+    u_sd, _, u_rd = real.phases
+    old = ChannelRealization(real.h2_sd, real.h2_sr, real.h2_rd)
+    old.__dict__["turn"] = np.remainder(m * (u_sd - gather_relay(u_rd, chosen)), 1.0)
+    return old

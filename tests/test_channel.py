@@ -11,7 +11,7 @@ from fdrelay.channel import (PhaseStream, Scratch, channel_slots, draw_realizati
 from fdrelay.fde import exact_rate, exact_rate_two_tap, lambda_spectrum
 from fdrelay.model import SystemConfig
 from fdrelay.mc import trial_stream
-from oracles import abs2, from_gains, philox_planes, polar_gains
+from oracles import abs2, from_gains, philox_planes, polar_gains, spare_turn_gains
 
 
 def config(**over):
@@ -130,8 +130,9 @@ def test_drawn_gains_match_polar_map(size):
 @pytest.mark.parametrize("n, seed, trial, size", [(1, 0, 0, 1), (3, 7, 5, 9), (10, 2, 1000, 64)])
 def test_trial_uniforms_are_philox_plane_blocks(n, seed, trial, size):
     # the first array the draw takes holds plane 0 at block trial*W/4, as the
-    # raw words' integers k = u0 * 2**53, the powers are -var*log1p(-u0), and
-    # the phases are the same slots of plane 1
+    # raw words' integers k = u0 * 2**53, the powers are -var*log1p(-u0), the
+    # spare is the integers of plane 0's slot 1+2N and the turn its uniform,
+    # read in place, and the phases are the same slots of plane 1
     cfg = config(n_relays=n, var_sd=1.3, var_sr=2.0, var_rd=0.7)
     u0, u1 = philox_planes(seed, trial, n, size)
     scratch, taken = Scratch(), []
@@ -142,6 +143,8 @@ def test_trial_uniforms_are_philox_plane_blocks(n, seed, trial, size):
     for power, u, var in zip((real.h2_sd, real.h2_sr, real.h2_rd), slots,
                              (cfg.var_sd, cfg.var_sr, cfg.var_rd)):
         assert np.array_equal(power, (-var * np.log1p(-u)).reshape(np.shape(power)))
+    assert np.shares_memory(real.spare, taken[0]) and real.spare.shape == (size,)
+    assert np.array_equal(real.turn, u0[..., 1 + 2 * n]) and "phases" not in real.__dict__
     for phase, u in zip(real.phases, (u1[..., 0], u1[..., 1:1 + n], u1[..., 1 + n:1 + 2 * n])):
         assert np.array_equal(phase, u)
 
@@ -411,20 +414,22 @@ def test_gather_relay_on_every_layout(n, dtype):
 
 @pytest.mark.parametrize("n", [1, 5, 10, 64])
 def test_one_relay_gain_is_the_gathered_h_rd(n):
-    # the closed-form selection rate, which builds no complex gain, is the
-    # exact rate of a one-relay spectrum whose only relay gain is the
-    # gathered h_rd, placed at the chosen relay's delay: the gathered power
-    # and phase uniform describe that one gain
-    cfg = config(n_relays=n, var_rd=3.0)
+    # the closed-form selection rate, which builds no complex gain and no
+    # phase plane, is the exact rate of a one-relay spectrum whose only
+    # relay gain is the gathered h_rd, placed at the chosen relay's delay:
+    # the gathered power and the realization's turn describe that one gain
+    # (over a 16-bin block, where the turn moves the rate)
+    cfg = config(n_relays=n, var_rd=3.0, block_len=16, cp_len=64)
     real = draw_realization(cfg, trial_stream(5, 0, n), size=200, scratch=Scratch(200, channel_slots(n)))
     rng = np.random.default_rng(n)
     chosen, forwards = rng.integers(0, n, size=200), rng.random(200) < 0.8
     got = exact_rate_two_tap(link_sinrs(real, cfg, 0.7), forwards, cfg, chosen)
-    assert "h_rd" not in real.__dict__ and got.shape == (200,)
-    h_rd = gather_relay(real.h_rd, chosen)
+    assert not {"h_rd", "phases"} & real.__dict__.keys() and got.shape == (200,)
+    gains = spare_turn_gains(real, cfg)
+    h_rd = gather_relay(gains.h_rd, chosen)
     for k in range(n):
         rows = chosen == k
         alone = replace(cfg, n_relays=1, delays=(cfg.delays[k],))
-        one = from_gains(real.h_sd[rows], real.h_sr[rows, k:k + 1], h_rd[rows, None])
+        one = from_gains(gains.h_sd[rows], gains.h_sr[rows, k:k + 1], h_rd[rows, None])
         want = exact_rate(lambda_spectrum(one, forwards[rows, None], alone, 0.7), alone)
         assert_allclose(got[rows], want, rtol=0, atol=1e-12)

@@ -13,7 +13,7 @@ from fdrelay.fde import (RATE_SLACK, approx_rate, exact_rate, exact_rate_two_tap
 from fdrelay.mc import SCHEME_MULTI, forwarding, trial_stream
 from fdrelay.model import (ASYNCHRONOUS, FIXED_PER_RELAY, LINK_MEAN_MAX, SHARED_BUDGET,
                            SYNCHRONOUS, SystemConfig, relay_tx_power, validate_config)
-from oracles import abs2, batch_rows, direct_spectrum, from_gains, one_hot
+from oracles import abs2, batch_rows, direct_spectrum, from_gains, one_hot, spare_turn_gains
 
 
 def config(**over):
@@ -429,23 +429,25 @@ def chosen_relay_config(mode, n):
 
 
 def unbatched_row(real, t):
-    # trial t of a drawn batch alone, unbatched: its powers and its row of
-    # the batch's phase uniforms, in their plane's slots
+    # trial t of a drawn batch alone, unbatched: its powers, its spare and
+    # its row of the batch's phase uniforms, in their plane's slots
     u_sd, u_sr, u_rd = real.phases
     row = np.concatenate([u_sd[t, None], u_sr[t], u_rd[t]])
     return ChannelRealization(real.h2_sd[t], real.h2_sr[t], real.h2_rd[t],
-                              phase_plane=lambda: row)
+                              phase_plane=lambda: row, spare=real.spare[t])
 
 
 @pytest.mark.parametrize("mode", ["async", "sync", "zero-lag", "circular"])
 @pytest.mark.parametrize("n", [1, 5, 8, 10, 64])
 def test_chosen_relay_spectrum_equals_the_one_hot_masked_one(mode, n):
     # a selection scheme's closed-form exact rate is the exact rate of the
-    # one-hot masked spectrum, on rows that forward, rows that do not and
-    # chunks where none does, at scalar and per-trial power; zero-lag puts
-    # relay 0 (chosen in row 0) on the direct tap, where M = 1
+    # one-hot masked spectrum of gains that place the realization's turn
+    # between the taps, on rows that forward, rows that do not and chunks
+    # where none does, at scalar and per-trial power; zero-lag puts relay 0
+    # (chosen in row 0) on the direct tap, where M = 1
     cfg = chosen_relay_config(mode, n)
     real = draw_realization(cfg, trial_stream(41, 0, n), size=64)
+    gains = spare_turn_gains(real, cfg)
     rng = np.random.default_rng(n)
     chosen = rng.integers(0, n, size=64)
     chosen[:2] = 0, n - 1
@@ -454,7 +456,7 @@ def test_chosen_relay_spectrum_equals_the_one_hot_masked_one(mode, n):
     for forwards in (some, np.zeros(64, bool)):
         for power in (0.7, rng.uniform(0.5, 2.0, size=64)):
             got = exact_rate_two_tap(link_sinrs(real, cfg, power), forwards, cfg, chosen)
-            want = exact_rate(lambda_spectrum(real, one_hot(chosen, forwards, n), cfg, power), cfg)
+            want = exact_rate(lambda_spectrum(gains, one_hot(chosen, forwards, n), cfg, power), cfg)
             assert got.shape == want.shape == (64,)
             assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=f"{mode} {n}")
     # one unbatched trial reads its row's bits
@@ -473,7 +475,8 @@ def test_chosen_relay_spectrum_equals_the_one_hot_masked_one(mode, n):
 def test_chosen_relay_spectrum_into_a_used_scratch_matches_fresh_ones():
     # a selection chunk's draw and SINRs taken from a used scratch block (a
     # smaller chunk in a larger block, stale slots NaN) give each row the
-    # rate of fresh arrays, the one-hot masked spectrum's exact rate
+    # rate of fresh arrays, the exact rate of the one-hot masked spectrum of
+    # gains that place the realization's turn between the taps
     for cfg in (FIG4, CIRCULAR):
         n = cfg.n_relays
         scratch = Scratch(64, channel_slots(n))
@@ -486,7 +489,8 @@ def test_chosen_relay_spectrum_into_a_used_scratch_matches_fresh_ones():
             into = exact_rate_two_tap(link_sinrs(real, cfg, 0.7, scratch), forwards, cfg, chosen)
             want = exact_rate_two_tap(link_sinrs(fresh, cfg, 0.7), forwards, cfg, chosen)
             assert np.array_equal(into, want)
-            oracle = exact_rate(lambda_spectrum(fresh, one_hot(chosen, forwards, n), cfg, 0.7), cfg)
+            oracle = exact_rate(lambda_spectrum(spare_turn_gains(fresh, cfg),
+                                                one_hot(chosen, forwards, n), cfg, 0.7), cfg)
             assert_allclose(into, oracle, rtol=0, atol=1e-12)
             scratch.rewind()
 
@@ -515,7 +519,8 @@ def grid_config(rng, block_len, mode):
 @pytest.mark.parametrize("mode", [ASYNCHRONOUS, SYNCHRONOUS])
 @pytest.mark.parametrize("block_len", GRID_BLOCKS)
 def test_one_relay_closed_form_rate_over_a_seeded_grid(block_len, mode):
-    # the closed form against the one-hot spectrum's exact rate (the FFT
+    # the closed form against the exact rate of the one-hot spectrum of
+    # gains that place the realization's turn between the taps (the FFT
     # oracle) within 1e-12, over every bin count M = T/gcd(d, T) the delays
     # give; a trial whose relay does not forward has approx_rate's flat rate
     # bit for bit; an unbatched trial is its batch row bit for bit
@@ -528,8 +533,8 @@ def test_one_relay_closed_form_rate_over_a_seeded_grid(block_len, mode):
         chosen = rng.integers(0, n, size=48)
         forwards = rng.random(48) < 0.75
         got = exact_rate_two_tap(sinrs, forwards, cfg, chosen)
-        want = exact_rate(lambda_spectrum(real, one_hot(chosen, forwards, n), cfg,
-                                          cfg.e_relay_budget), cfg)
+        want = exact_rate(lambda_spectrum(spare_turn_gains(real, cfg), one_hot(chosen, forwards, n),
+                                          cfg, cfg.e_relay_budget), cfg)
         assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=str(cfg))
         flat = approx_rate(sinrs, forwards, cfg, chosen)
         assert (~forwards).any() and np.array_equal(got[~forwards], flat[~forwards])
@@ -695,7 +700,8 @@ def test_two_tap_rate_forms_the_power_only_where_it_can_change_the_rate(monkeypa
     h2_rd = np.repeat(np.tile(g_rd, 4 * n)[:, None], n, axis=1)
     rng = np.random.default_rng(block_len)
     plane = rng.random((size, 1 + 2 * n))
-    real = ChannelRealization(h2_sd, np.ones((size, n)), h2_rd, phase_plane=lambda: plane)
+    real = ChannelRealization(h2_sd, np.ones((size, n)), h2_rd, phase_plane=lambda: plane,
+                              spare=rng.integers(0, 2**53, size))
     cfg = SystemConfig(n_relays=n, p_source=1.0, e_relay_budget=1.0, rate=2.0,
                        block_len=block_len, cp_len=max(delays), delays=delays)
 

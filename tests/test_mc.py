@@ -23,7 +23,7 @@ from fdrelay.mc import (SCHEME_MULTI, SCHEME_OS, SCHEME_PS, SCHEMES,
 from fdrelay.model import (ASYNCHRONOUS, FIXED_PER_RELAY, LINK_MEAN_MAX, MI_APPROXIMATE,
                            MI_EXACT, SHARED_BUDGET, SYNCHRONOUS, SystemConfig, apply_param,
                            validate_config)
-from oracles import one_hot, philox_planes, simulate_trials
+from oracles import one_hot, philox_planes, plane_one_realization, simulate_trials
 
 
 def fig_config(**over):
@@ -532,8 +532,8 @@ def test_complex_gains_built_only_where_read(monkeypatch, over, links):
     # count the gain builds of every drawn realization, by the power array
     # each build starts from: each link the rate reads is built once per
     # chunk, and no gain is built from any other array; a lone selected
-    # relay's rate reads |h|^2 and, under exact MI, the phase uniforms, so
-    # os and ps build no complex gain in either MI mode; synchronous multi
+    # relay's rate reads |h|^2 and, under exact MI, the realization's turn,
+    # so os and ps build no complex gain in either MI mode; synchronous multi
     # reads the coherent sum of h_rd in either MI mode, and under exact MI
     # the direct tap's phase uniform, not h_sd
     draw, build = mc.draw_realization, channel.gains_from_uniforms
@@ -561,14 +561,15 @@ def test_complex_gains_built_only_where_read(monkeypatch, over, links):
 @pytest.mark.parametrize("over, planes", [
     (dict(), {}),
     (dict(sync_mode=SYNCHRONOUS, delays=None), {SCHEME_MULTI: 1}),
-    (dict(mi_mode=MI_EXACT), dict.fromkeys(SCHEMES, 1)),
-    (dict(mi_mode=MI_EXACT, sync_mode=SYNCHRONOUS, delays=None), dict.fromkeys(SCHEMES, 1)),
+    (dict(mi_mode=MI_EXACT), {SCHEME_MULTI: 1}),
+    (dict(mi_mode=MI_EXACT, sync_mode=SYNCHRONOUS, delays=None), {SCHEME_MULTI: 1}),
 ], ids=["async-approx", "sync-approx", "exact", "sync-exact"])
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_phase_plane_drawn_once_per_chunk_where_read(monkeypatch, over, planes, scheme):
-    # approximate MI generates a phase plane for synchronous multi only; a
-    # rate that reads complex gains or phase uniforms generates its chunk's
-    # plane once, however many links it reads
+    # only multi generates a phase plane: under approximate MI the
+    # synchronous one only, under exact MI in either mode; a rate that reads
+    # complex gains or phase uniforms generates its chunk's plane once,
+    # however many links it reads; os and ps read the spare turn instead
     draw, drawn = mc.draw_realization, []
 
     def spy(*args, **kwargs):
@@ -816,14 +817,16 @@ def test_selection_outage_is_the_same_in_both_modes_at_any_iri():
             assert len(counts) == 1, (label, scheme, counts)
 
 
-@pytest.mark.parametrize("preset", ["fig3", "fig4", "fig5"])
+@pytest.mark.parametrize("preset", PRESET_NAMES)
 def test_selection_exact_mi_sits_below_its_approximation(preset):
     # Jensen over the bins: a lone relay at a delay no multiple of T puts
     # its cross term at M >= 2 equally spaced phases, whose cosines average
-    # to zero, so the bins' mean of 1 + gamma is the approximate-MI total
-    # and the exact rate is at most the approximate one, trial by trial; at
-    # a shared seed every approximate-MI outage is then an exact-MI outage,
-    # and the exact counts exceed the approximate ones somewhere
+    # to zero whatever the turn, so the bins' mean of 1 + gamma is the
+    # approximate-MI total and the exact rate is at most the approximate
+    # one, trial by trial; at a shared seed every approximate-MI outage is
+    # then an exact-MI outage, so at every preset point each os and ps
+    # exact-MI count is at least its approximate-MI count (the exact_async
+    # benchmark's check relies on it), and exceeds it somewhere
     gaps = []
     for _, spec in build_preset(preset).variants:
         for value in spec.values:
@@ -839,6 +842,63 @@ def test_selection_exact_mi_sits_below_its_approximation(preset):
                     for mi in (MI_APPROXIMATE, MI_EXACT))
                 gaps.append(exact_count - approx_count)
     assert min(gaps) >= 0 and max(gaps) > 0, gaps
+
+
+# seeds, trials per seed and false-alarm rate of the gate on the selection
+# turn's source, fixed before its first run
+TURN_SEEDS = range(101, 111)
+TURN_TRIALS = 4000
+TURN_ALPHA = 1e-3
+# a short block whose relays sit at M = 4, 2 and 4 bins, comparable direct
+# and relayed means and a rate near the median exact rate: the turn moves
+# many flags here, where at T = 500 it moves almost none
+TURN_SHORT_BLOCK = validate_config(SystemConfig(
+    n_relays=3, p_source=10.0, e_relay_budget=10.0, rate=2.0, var_sd=1.0, var_sr=10.0,
+    var_rd=1.0, block_len=4, cp_len=3, delays=(1, 2, 3), mi_mode=MI_EXACT))
+
+
+def test_selection_turn_from_the_spare_slot_keeps_the_plane_one_counts():
+    # a selection block's turn comes from plane 0's spare slot; under the
+    # rule that read plane 1, frac(M (u1_sd - u1_rd,c)), it was another
+    # uniform independent of the powers and the pick, so the outage counts
+    # keep their law.  At a seed both rules see the same powers and picks,
+    # so the two samples are paired and McNemar's test compares them: over
+    # TURN_SEEDS pooled, b trials are outages under the spare turn alone and
+    # c under the plane-1 turn alone, z = (b - c)/sqrt(b + c), for os and ps
+    # at every fig4 and fig5 point, every tools/scenario*.json point and
+    # TURN_SHORT_BLOCK, each distinct selection config once.  Each |z| <= 3,
+    # and the sum of z^2 over the cells with any discordant trial is below
+    # chi^2's TURN_ALPHA quantile.  The spare-turn flags are the engine's.
+    # At these seeds no T = 500 trial is discordant: the turn moves no fig4
+    # or fig5 flag
+    specs = [build_preset(name).variants[0][1] for name in ("fig4", "fig5")]
+    specs += [_config_spec(json.loads(path.read_text()))
+              for path in sorted(TOOLS.glob("scenario*.json"))]
+    cfgs = [apply_param(replace(spec.base, mi_mode=MI_EXACT), spec.param, value)
+            for spec in specs for value in spec.values] + [TURN_SHORT_BLOCK]
+    z = []
+    for cfg in dict.fromkeys(map(mc.selection_config, cfgs)):
+        for scheme in (SCHEME_OS, SCHEME_PS):
+            b = c = 0
+            for seed in TURN_SEEDS:
+                real = channel.draw_realization(cfg, trial_stream(seed, 0, cfg.n_relays),
+                                                size=TURN_TRIALS)
+                forwards, chosen, sinrs = mc.forwarding(real, cfg, scheme)
+                new = fde.exact_rate_two_tap(sinrs, forwards, cfg, chosen) < cfg.rate
+                old_sinrs = channel.link_sinrs(plane_one_realization(real, cfg, chosen), cfg,
+                                               sinrs.relay_tx_power)
+                old = fde.exact_rate_two_tap(old_sinrs, forwards, cfg, chosen) < cfg.rate
+                count = estimate_outage(cfg, scheme, TURN_TRIALS, seed=seed).outage_count
+                assert count == np.count_nonzero(new), (cfg, scheme, seed)
+                b += np.count_nonzero(new & ~old)
+                c += np.count_nonzero(old & ~new)
+            if b + c:
+                z.append((b - c) / math.sqrt(b + c))
+            print(f"T {cfg.block_len} N {cfg.n_relays} {scheme}: b {b} c {c}")
+    z = np.array(z)
+    print(f"z over {z.size} cells with discordant trials: {np.round(z, 2).tolist()}")
+    assert z.size > 0 and np.max(np.abs(z)) <= 3.0
+    assert np.sum(z * z) <= chi2.isf(TURN_ALPHA, z.size)
 
 
 def relay_major_views(a):
@@ -1086,14 +1146,15 @@ class Philox(np.random.Philox):
 @pytest.mark.parametrize("over, jumps", [
     (dict(), {}),
     (dict(sync_mode=SYNCHRONOUS, delays=None), {SCHEME_MULTI: 1}),
-    (dict(mi_mode=MI_EXACT), dict.fromkeys(SCHEMES, 1)),
-    (dict(mi_mode=MI_EXACT, sync_mode=SYNCHRONOUS, delays=None), dict.fromkeys(SCHEMES, 1)),
+    (dict(mi_mode=MI_EXACT), {SCHEME_MULTI: 1}),
+    (dict(mi_mode=MI_EXACT, sync_mode=SYNCHRONOUS, delays=None), {SCHEME_MULTI: 1}),
 ], ids=["async-approx", "sync-approx", "exact", "sync-exact"])
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_phase_generator_jumped_only_where_phases_are_read(monkeypatch, over, jumps, scheme):
-    # approximate MI builds the phase generator for synchronous multi only; a
-    # rate that reads complex gains builds it once per estimate, from the
-    # state saved before the first draw, and it runs on across the chunks
+    # only multi builds the phase generator (under approximate MI the
+    # synchronous one only); a rate that reads complex gains builds it once
+    # per estimate, from the state saved before the first draw, and it runs
+    # on across the chunks
     stream = mc.trial_stream
 
     def counting(seed, trial, n_relays):

@@ -23,7 +23,9 @@
 # cmp's every CSV and JSON file and prints one line per file, naming for a
 # CSV that differs the columns that changed and those that stayed identical
 # (so an intended change of the random stream shows only mc_p and mc_stderr
-# moving), and exits non-zero if any file differs or is missing.
+# moving) and the schemes whose rows changed (so a change confined to os and
+# ps rows shows no multi), and exits non-zero if any file differs or is
+# missing.
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
@@ -88,10 +90,14 @@ base, work = tables
 if not base or not work or base[0] != work[0] or len(base) != len(work):
     print("header or row count differs")
     sys.exit()
-moved = {j for b, w in zip(base[1:], work[1:]) for j, (x, y) in enumerate(zip(b, w)) if x != y}
+rows = [(b, w) for b, w in zip(base[1:], work[1:]) if b != w]
+moved = {j for b, w in rows for j, (x, y) in enumerate(zip(b, w)) if x != y}
 names = base[0]
+scheme = names.index("scheme") if "scheme" in names else None
+schemes = dict.fromkeys(b[scheme] for b, _ in rows) if scheme is not None else {}
 print("changed: " + ", ".join(n for j, n in enumerate(names) if j in moved)
-      + "; identical: " + ", ".join(n for j, n in enumerate(names) if j not in moved))
+      + "; identical: " + ", ".join(n for j, n in enumerate(names) if j not in moved)
+      + "; schemes changed: " + (", ".join(schemes) or "none"))
 PY
 }
 
