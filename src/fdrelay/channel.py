@@ -179,49 +179,19 @@ def _words53(bitgen, shape: tuple, out=None) -> np.ndarray:
     return np.right_shift(words, 11, out=words if out is None else out).view(np.int64)
 
 
-class PhaseStream:
-    """Plane 1 of a run of chunks drawn in order from one generator.
-
-    Made from the generator's bit generator before the run's first draw, it
-    saves that state; where a phase is first read it builds a bit generator
-    of its kind at that state, jumped (for Philox: counter word 2 plus 1),
-    which runs on across the run.  plane(shape, scratch), called at each
-    draw, returns the maker of that chunk's plane: it advances the generator
-    past the words of earlier chunks whose plane was never made, then maps
-    the chunk's words as plane 0's, u = (w >> 11) * 2**-53, into a take of
-    scratch.  Each plane is made at most once, in draw order; a read out of
-    order raises ValueError.  The built bit generator's seed only spares its
-    constructor a read of OS entropy.
-    """
-
-    def __init__(self, bitgen):
-        self.kind, self.state, self.bitgen = type(bitgen), bitgen.state, None
-        # Philox advances by counter blocks, PCG64 by words
-        self.step = PHILOX_BLOCK if isinstance(bitgen, np.random.Philox) else 1
-        self.drawn = self.read = 0              # words of plane 1
-
-    def plane(self, shape: tuple, scratch: Scratch) -> Callable[[], np.ndarray]:
-        start, self.drawn = self.drawn, self.drawn + math.prod(shape)
-        return partial(self._make, start, shape, scratch)
-
-    def _make(self, start: int, shape: tuple, scratch: Scratch) -> np.ndarray:
-        if start < self.read:
-            raise ValueError("a chunk's phase plane is made at most once, in draw order")
-        if self.bitgen is None:
-            bitgen = self.kind(0)
-            bitgen.state = self.state
-            self.bitgen = bitgen.jumped()
-        self.bitgen.advance((start - self.read) // self.step)
-        self.read = start + math.prod(shape)
-        u = scratch.take(shape)
-        np.copyto(u, _words53(self.bitgen, shape))
-        u *= 2.0 ** -53
-        return u
+def _phase_plane(kind, state: dict, shape: tuple, scratch: Scratch) -> np.ndarray:
+    # plane 1: a bit generator of rng's kind at its state saved at draw time,
+    # jumped; the seed only spares the constructor a read of OS entropy
+    bitgen = kind(0)
+    bitgen.state = state
+    u = scratch.take(shape)
+    np.copyto(u, _words53(bitgen.jumped(), shape))
+    u *= 2.0 ** -53
+    return u
 
 
 def draw_realization(cfg: SystemConfig, rng: np.random.Generator, size: int,
-                     scratch: Scratch = FRESH,
-                     phase_stream: PhaseStream | None = None) -> ChannelRealization:
+                     scratch: Scratch = FRESH) -> ChannelRealization:
     """Draw a batch of size independent realizations; one trial is a batch of one.
 
     Fills only the power plane here: trial_block_uniforms(cfg.n_relays)
@@ -241,13 +211,12 @@ def draw_realization(cfg: SystemConfig, rng: np.random.Generator, size: int,
 
     The phases come from rng's bit generator jumped where rng stood before
     the powers, the same layout in plane 1 and the same map from raw words,
-    generated in full on the first gain read, by phase_stream: a PhaseStream
-    made from rng before the first draw of a run of chunks this call
-    continues (an estimate's), or, by default, one made for this call alone.
-    So the phases depend only on rng's state at the run's first call,
-    whatever the read order or later draws from rng; for a trial_stream,
-    only on (seed, trial).  rng's bit generator must be one of
-    RAW_DOUBLE_KINDS (Philox, PCG64); any other raises ValueError.
+    generated in full on the first gain read: the bit generator's state is
+    saved here, and the jumped generator is built from it only then.  So the
+    phases depend only on rng's state at the call, whatever the read order
+    or later draws from rng; for a trial_stream, only on (seed, trial).
+    rng's bit generator must be one of RAW_DOUBLE_KINDS (Philox, PCG64);
+    any other raises ValueError.
     """
     bitgen = rng.bit_generator
     if not isinstance(bitgen, RAW_DOUBLE_KINDS):
@@ -255,8 +224,7 @@ def draw_realization(cfg: SystemConfig, rng: np.random.Generator, size: int,
                          f"Philox and PCG64 make their doubles; {type(bitgen).__name__} does not")
     n = cfg.n_relays
     shape = (size, trial_block_uniforms(n))
-    stream = phase_stream or PhaseStream(bitgen)    # made before the powers move rng
-    plane = stream.plane(shape, scratch)
+    plane = partial(_phase_plane, type(bitgen), bitgen.state, shape, scratch)  # before the powers move rng
     words = _words53(bitgen, shape, scratch.take(shape, np.uint64))
     k = words[..., :uniforms_per_trial(n)]
     power = scratch.take(k.shape, order="F")

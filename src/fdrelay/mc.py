@@ -6,8 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from .channel import (FRESH, PHILOX_BLOCK, LinkSinrs, PhaseStream, Scratch, channel_slots,
-                      draw_realization, gather_relay, link_sinrs, trial_block_uniforms)
+from .channel import (FRESH, PHILOX_BLOCK, LinkSinrs, Scratch, channel_slots, draw_realization,
+                      gather_relay, link_sinrs, trial_block_uniforms)
 from .fde import (approx_rate, bound_slots, exact_rate, exact_rate_two_tap, lambda_spectrum,
                   rate_bounds, spectrum_slots)
 from .model import (MI_EXACT, SCHEME_MULTI, SCHEME_OS, SCHEME_PS, SCHEMES, SYNCHRONOUS,
@@ -148,15 +148,13 @@ def estimate_outage(cfg: SystemConfig, scheme: str, trials: int,
     trials one at a time.  One generator, trial_stream(seed, 0), serves
     every chunk: a chunk of size trials reads exactly size*W/4 whole counter
     blocks (W = trial_block_uniforms(N)), so it leaves the generator where
-    trial_stream would put the next chunk's first trial.  One PhaseStream
-    made from it serves every chunk's phases in plane 1 the same way, built
-    only where a phase is read and advanced past chunks that read none.
-    Every per-chunk array a layer writes is taken from one Scratch
-    allocated once per estimate: chunk rows of the float64 slots every
-    trial takes (channel_slots, and bound_slots for asynchronous multi under
-    exact MI, the one estimate that bounds its rate), of which each chunk
-    writes its leading size rows.  That estimate forms a spectrum only for
-    the trials its bounds leave undecided, in groups of as many trials as
+    trial_stream would put the next chunk's first trial.  Every per-chunk
+    array a layer writes is taken from one Scratch allocated once per
+    estimate: chunk rows of the float64 slots every trial takes
+    (channel_slots, and bound_slots for asynchronous multi under exact MI,
+    the one estimate that bounds its rate), of which each chunk writes its
+    leading size rows.  That estimate forms a spectrum only
+    for the trials its bounds leave undecided, in groups of as many trials as
     spectrum_slots each fit the same block, which holds at least one.  The
     default chunk is as many trials as fit CHUNK_BYTES (at least one), so the
     block is bounded for any block_len and relay count, unless one trial's
@@ -173,13 +171,11 @@ def estimate_outage(cfg: SystemConfig, scheme: str, trials: int,
     chunk = min(_check_int("chunk", chunk), trials)
     scratch = Scratch(chunk, slots, least=spectrum)
     rng = trial_stream(seed, 0, cfg.n_relays)
-    phase_stream = PhaseStream(rng.bit_generator)
     count = 0
     for start in range(0, trials, chunk):
         size = min(chunk, trials - start)
         # alive into the next chunk, flags keep glibc from trimming reused heap pages
-        real = draw_realization(cfg, rng, size=size, scratch=scratch,
-                                phase_stream=phase_stream)
+        real = draw_realization(cfg, rng, size=size, scratch=scratch)
         flags = _trial_outages(cfg, scheme, real, scratch)
         count += int(np.count_nonzero(flags))
         scratch.rewind()

@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fdrelay.channel import (PhaseStream, Scratch, channel_slots, draw_realization,
-                             gains_from_uniforms, gather_relay, link_sinrs, trial_block_uniforms,
-                             uniforms_per_trial)
+from fdrelay.channel import (Scratch, channel_slots, draw_realization, gains_from_uniforms,
+                             gather_relay, link_sinrs, trial_block_uniforms, uniforms_per_trial)
 from fdrelay.fde import exact_rate, exact_rate_two_tap, lambda_spectrum
 from fdrelay.model import SystemConfig
 from fdrelay.mc import trial_stream
@@ -189,30 +188,6 @@ def test_draw_uniforms_are_generator_random_doubles(make_rng, size):
                                         (slice(0, 1), slice(1, 4), slice(4, 7))):
         assert np.array_equal(power, (-var * np.log1p(-u0[:, slots])).reshape(np.shape(power)))
         assert np.array_equal(phase, u1[:, slots].reshape(np.shape(power)))
-
-
-@pytest.mark.parametrize("make_rng", [lambda: trial_stream(3, 0, 3), lambda: np.random.default_rng(5)],
-                         ids=["trial-stream", "pcg64"])
-@pytest.mark.parametrize("read", [(0, 1, 2, 3), (2,), (1, 3), ()])
-def test_one_phase_stream_serves_a_run_of_chunks(make_rng, read):
-    # chunks of 5, 1, 7 and 3 trials drawn from one rng through one
-    # PhaseStream, only the chunks in read reading their phases: each read
-    # plane is the one the chunk's draw alone gets from a twin rng standing
-    # at the chunk's first trial, whatever earlier chunks left unread, and
-    # the powers are those of that draw; a plane is made once, in draw order
-    cfg = config()
-    rng, twin = make_rng(), make_rng()
-    stream = PhaseStream(rng.bit_generator)
-    reals = [draw_realization(cfg, rng, size=size, phase_stream=stream) for size in (5, 1, 7, 3)]
-    for k, real in enumerate(reals):
-        alone = draw_realization(cfg, twin, size=real.h2_sd.size)
-        assert np.array_equal(real.h2_rd, alone.h2_rd)
-        if k in read:
-            for got, want in zip(real.phases, alone.phases):
-                assert np.array_equal(got, want)
-    for k in (0, read[-1]) if read else ():
-        with pytest.raises(ValueError, match="at most once, in draw order"):
-            reals[k].phase_plane()
 
 
 def test_draw_refuses_generators_whose_doubles_are_not_one_word():
