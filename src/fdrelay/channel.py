@@ -17,7 +17,7 @@ from .model import SystemConfig, relay_interference_floor
 # plus 1), the phase uniforms u1.  Each holds 1+2N of them in link order (sd,
 # sr_1..N, rd_1..N), padded so every trial owns the same whole number of
 # counter blocks at the same place in both planes.  1+2N is odd, so plane 0
-# always has a padding slot, 1+2N: a selection block's relative-phase turn.
+# always has a padding slot, 1+2N: every two-tap block's relative-phase turn.
 PHILOX_BLOCK = 4
 
 # bit generators whose Generator.random double is one raw 64-bit word w taken
@@ -141,9 +141,9 @@ class ChannelRealization:
 
     spare, of the batch shape, holds the 53-bit integers k of plane 0's
     first padding slot, and turn, k * 2**-53, is formed from it on first
-    read and kept: a uniform independent of the powers, which a selection
-    block takes as its relative-phase turn (see fde.exact_rate_two_tap), so
-    its rate reads no phase plane.
+    read and kept: a uniform independent of the powers and of every gain,
+    which every two-tap block takes as its relative-phase turn (see
+    fde.exact_rate_two_tap), so a selection's rate reads no phase plane.
     """
 
     h2_sd: np.ndarray

@@ -28,7 +28,7 @@ def _check_mask(mask, relays) -> None:
         raise ValueError("decode mask must be a boolean array shaped like the relay axis")
 
 
-def _autocorrelation_length(cfg: SystemConfig) -> int:
+def _bound_transform_length(cfg: SystemConfig) -> int:
     # rate_bounds' transform length: the smallest power of two n >= 2D+1, D
     # the largest delay mod T, or T where n would not be below T
     span = max((d % cfg.block_len for d in cfg.delays), default=0)
@@ -37,9 +37,9 @@ def _autocorrelation_length(cfg: SystemConfig) -> int:
 
 def bound_slots(cfg: SystemConfig) -> int:
     """float64 slots per trial rate_bounds takes: two per complex tap plus
-    one of alignment padding for the taps, transformed in place at length
-    n, and n for their |F|^2."""
-    return 3 * _autocorrelation_length(cfg) + 1
+    one of alignment padding for the taps, transformed in place at its
+    transform length n, and n for their |F|^2."""
+    return 3 * _bound_transform_length(cfg) + 1
 
 
 def spectrum_slots(cfg: SystemConfig) -> int:
@@ -121,7 +121,7 @@ def rate_bounds(real: ChannelRealization, mask: np.ndarray, cfg: SystemConfig,
     non-finite bound is returned as -inf (lower) or +inf (upper) and decides
     nothing.  The taps, transformed in place, and |F|^2 are taken from scratch.
     """
-    taps = _taps(real, mask, cfg, relay_power, _autocorrelation_length(cfg), scratch)
+    taps = _taps(real, mask, cfg, relay_power, _bound_transform_length(cfg), scratch)
     f = np.fft.fft(taps, axis=-1, out=taps)
     power = np.multiply(f.real, f.real, out=scratch.take(taps.shape))
     power += np.multiply(f.imag, f.imag, out=f.imag)    # f is read no more
@@ -141,11 +141,17 @@ def exact_rate(spec: BinSpectrum, cfg: SystemConfig, out: np.ndarray | None = No
     return np.log2(terms, out=terms).sum(axis=-1) / (cfg.block_len + cfg.cp_len)
 
 
-def _coherent_tap(sinrs: LinkSinrs, mask: np.ndarray):
-    # (P_R |h_sum|^2, h_sum), h_sum the forwarders' h_rd by numpy's C-order row sum
+def _relayed_tap(sinrs: LinkSinrs, mask: np.ndarray, chosen):
+    # (relayed power, relay at whose delay that one tap sits) of a two-tap
+    # block: a selection's chosen relay, its g_rd where it forwards, or
+    # synchronous multi's relays at relay 0's delay, which they all share,
+    # P_R |h_sum|^2, h_sum the forwarders' h_rd by numpy's C-order row sum
+    if chosen is not None:
+        _check_mask(mask, np.asarray(chosen))
+        return gather_relay(sinrs.g_rd, chosen) * mask, chosen
     _check_mask(mask, sinrs.real.h2_rd)
     h_sum = np.multiply(sinrs.real.h_rd, np.ascontiguousarray(mask), order="C").sum(axis=-1)
-    return sinrs.relay_tx_power * (h_sum.real * h_sum.real + h_sum.imag * h_sum.imag), h_sum
+    return sinrs.relay_tx_power * (h_sum.real * h_sum.real + h_sum.imag * h_sum.imag), 0
 
 
 # exact_rate_two_tap forms (-rho)^M and its cosine only where rho^M may reach
@@ -160,11 +166,11 @@ def exact_rate_two_tap(sinrs: LinkSinrs, forwards: np.ndarray, cfg: SystemConfig
     Given chosen (a selection scheme), the relayed tap is that relay's, of
     power g_rd * forwards; else (synchronous multi, whose relays share one
     delay) it is P_R |h_sum|^2, h_sum the forwarding relays' h_rd summed as
-    approx_rate sums them, of phase angle(h_sum)/2pi.  With p = sqrt(g_sd),
-    q the relayed amplitude, x = 1 + g_sd + q^2 (approx_rate's total, the
-    same operands), y = 2pq and phi the relative phase of the two taps, bin
-    i has 1 + gamma_i = x + y cos(a_i), a_i = phi - 2pi i d/T, d the relayed
-    delay mod T.  That is c (1 + 2 rho cos(a_i) + rho^2) with s = sqrt(x^2 -
+    approx_rate sums them.  With p = sqrt(g_sd), q the relayed amplitude,
+    x = 1 + g_sd + q^2 (approx_rate's total, the same operands), y = 2pq
+    and phi the relative phase of the two taps, bin i has 1 + gamma_i =
+    x + y cos(a_i), a_i = phi - 2pi i d/T, d the relayed delay mod T.
+    That is c (1 + 2 rho cos(a_i) + rho^2) with s = sqrt(x^2 -
     y^2) = sqrt(1+(p-q)^2) sqrt(1+(p+q)^2) (no cancellation or overflow),
     rho = y/(x+s) < 1 and c = (x+s)/2, formed as x - y rho/2 so that a trial
     with no relayed power gets approx_rate's flat rate bit for bit.  Over
@@ -176,11 +182,11 @@ def exact_rate_two_tap(sinrs: LinkSinrs, forwards: np.ndarray, cfg: SystemConfig
         sum_i log2(1 + gamma_i) = T (log2 c + log2(1 - 2(-rho)^M cos(M phi) + rho^2M)/M),
 
     exactly; the rate is that over T + cp.  phi enters only as M phi mod
-    2pi, taken as 2pi times a turn.  Synchronous multi's turn is frac(M
-    (u1_sd - angle(h_sum)/2pi)), from a drawn realization's phase plane.  A
-    selection block's phi is uniform and independent of the powers and the
-    pick, and so is its turn, which is the realization's turn, plane 0's
-    spare uniform: a selection rate reads no phase plane.  (-rho)^M and
+    2pi, taken as 2pi times a turn.  The direct tap's phase is uniform and
+    independent of the powers, of the relays' gains, of the mask and of the
+    pick, so phi and its turn are too: every block's turn is the
+    realization's turn, plane 0's spare uniform, so the rate reads no
+    direct-link phase, and a selection's no phase plane.  (-rho)^M and
     cos(M phi) are formed only on the rows where rho >= 2^(R_FLOOR_EXP/M)
     (a masked ufunc, so every array has the batch's shape); below, |rho^M|
     < 2^-55 and 1 - 2(-rho)^M cos(M phi) + rho^2M rounds to 1 exactly, so
@@ -188,17 +194,10 @@ def exact_rate_two_tap(sinrs: LinkSinrs, forwards: np.ndarray, cfg: SystemConfig
     Every step is elementwise or approx_rate's row sum, so a trial's rate
     is the same bits alone or in a batch of any size.
     """
+    relayed, relay = _relayed_tap(sinrs, forwards, chosen)
     t_len = cfg.block_len
     m = t_len // np.gcd([d % t_len for d in cfg.delays], t_len)
-    least = np.exp2(R_FLOOR_EXP / m)
-    if chosen is None:
-        relayed, h_sum = _coherent_tap(sinrs, forwards)
-        m, least = m[0], least[0]
-        turns = np.remainder(m * (sinrs.real.phases[0] - np.angle(h_sum) / (2.0 * np.pi)), 1.0)
-    else:
-        _check_mask(forwards, np.asarray(chosen))
-        relayed = gather_relay(sinrs.g_rd, chosen) * forwards
-        m, least, turns = m[chosen], least[chosen], sinrs.real.turn
+    m, least = m[relay], np.exp2(R_FLOOR_EXP / m)[relay]
     x = 1.0 + (sinrs.g_sd + relayed)
     p, q = np.sqrt(sinrs.g_sd), np.sqrt(relayed)
     y = 2.0 * p * q
@@ -207,7 +206,7 @@ def exact_rate_two_tap(sinrs: LinkSinrs, forwards: np.ndarray, cfg: SystemConfig
     c = x - 0.5 * y * rho
     band = rho >= least
     r = np.power(np.negative(rho), m, out=np.zeros_like(rho), where=band)
-    w = np.cos((2.0 * np.pi) * turns, out=np.zeros_like(rho), where=band)
+    w = np.cos((2.0 * np.pi) * sinrs.real.turn, out=np.zeros_like(rho), where=band)
     w = 1.0 - 2.0 * r * w + r * r
     return (t_len / (t_len + cfg.cp_len)) * (np.log2(c) + np.log2(w) / m)
 
@@ -215,27 +214,25 @@ def exact_rate_two_tap(sinrs: LinkSinrs, forwards: np.ndarray, cfg: SystemConfig
 def approx_rate(sinrs: LinkSinrs, mask: np.ndarray, cfg: SystemConfig, chosen=None):
     """High-SNR flat approximation of the block rate.
 
-    Asynchronous relaying adds per-relay SNRs (the oscillating cross terms
-    cancel across bins for staggered delays), relay by relay in index order,
-    one pass per relay column (contiguous in relay-major SINRs), or, for a
-    batch of fewer trials than relays, by np.add.accumulate along each row,
-    which adds in the same order; synchronous
-    relaying combines the relay amplitudes coherently first, from the h_rd
-    of sinrs.real, by numpy's sum over each C-order row.  Either order is
-    fixed by the code, not by the batch, so a trial's rate is the same bits
-    alone or in a chunk of any size.
+    Asynchronous multi-relaying adds per-relay SNRs (the oscillating cross
+    terms cancel across bins for staggered delays), relay by relay in index
+    order, one pass per relay column (contiguous in relay-major SINRs), or,
+    for a batch of fewer trials than relays, by np.add.accumulate along each
+    row, which adds in the same order.  A block with one relayed tap adds
+    that tap's power, as exact_rate_two_tap reads it: synchronous multi
+    combines the relay amplitudes coherently first, from the h_rd of
+    sinrs.real, by numpy's sum over each C-order row, and a selection
+    scheme's one relay, its own coherent sum, has its g_rd gathered in
+    either mode, the same number as a masked row sum, which adds only zeros
+    to it.  Every order is fixed by the code, not by the batch, so a trial's
+    rate is the same bits alone or in a chunk of any size.
 
     chosen, an integer array of the batch shape, names a selection scheme's
     one candidate relay per trial; mask is then of the batch shape too and
-    says whether that relay forwards.  One relay's coherent sum is its own
-    SNR, so in either mode its g_rd is gathered and added, the same number
-    as a masked row sum, which adds only zeros to it.
+    says whether that relay forwards.
     """
-    if chosen is not None:
-        _check_mask(mask, np.asarray(chosen))
-        relayed = gather_relay(sinrs.g_rd, chosen) * mask
-    elif cfg.sync_mode == SYNCHRONOUS:
-        relayed = _coherent_tap(sinrs, mask)[0]
+    if chosen is not None or cfg.sync_mode == SYNCHRONOUS:
+        relayed = _relayed_tap(sinrs, mask, chosen)[0]
     else:
         _check_mask(mask, sinrs.real.h2_rd)
         g_rd, n = sinrs.g_rd, mask.shape[-1]

@@ -93,9 +93,9 @@ def forwarding(real, cfg: SystemConfig, scheme: str, scratch: Scratch = FRESH):
     chosen is None; os/ps: chosen, of the batch shape, is the selected relay
     and forwards whether it decodes; it forwards alone, so its SINRs are
     those of selection_config(cfg).  The rate step passes chosen on to
-    approx_rate or exact_rate_two_tap, which read that one relay's g_rd
-    (and, under exact MI, the realization's turn, plane 0's spare uniform,
-    so no phase plane), not the whole relay axis."""
+    approx_rate or exact_rate_two_tap, which read that one relay's g_rd,
+    not the whole relay axis, and, under exact MI as for synchronous multi,
+    the realization's turn, plane 0's spare uniform: no phase plane."""
     if scheme == SCHEME_MULTI:
         probe = link_sinrs(real, cfg, relay_tx_power(cfg, cfg.n_relays), scratch)
         decodes = probe.g_sr >= eta(cfg)
@@ -109,9 +109,9 @@ def forwarding(real, cfg: SystemConfig, scheme: str, scratch: Scratch = FRESH):
 def _trial_outages(cfg: SystemConfig, scheme: str, real, scratch: Scratch):
     # every step broadcasts over the batch axis, so a trial's flag does not
     # depend on the batch it is drawn in; under exact MI a block with one
-    # relayed tap (a selection scheme's one relay, whose relative phase is
-    # the realization's turn, or synchronous multi's relays at their one
-    # shared delay) has its rate in closed form, and asynchronous multi
+    # relayed tap (a selection scheme's one relay, or synchronous multi's
+    # relays at their one shared delay), whose relative phase is the
+    # realization's turn, has its rate in closed form, and asynchronous multi
     # forms a spectrum only for the trials whose rate bounds straddle the
     # target rate, restricted to those rows (possibly none) of the gains
     # the bounds built.  Those rows are copied out first, so the spectrum

@@ -144,12 +144,13 @@ def simulate_trials(cfg, scheme: str, seed: int, trials: int) -> np.ndarray:
     summed (multi, synchronous: P_R |sum h_rd|^2), under approximate MI, and
     sum_i log2(1 + |lam_i|^2)/(T+cp) under exact MI, lam_i = sqrt(P_S) h_sd +
     sum over forwarders of sqrt(P_R) h_rd_k e^{-j2pi i tau_k/T} by a direct
-    DFT sum.  A selection block's two taps, direct and relayed, meet at a
-    relative phase phi that the rate reads only as M phi mod 2pi, M =
-    T/gcd(d, T) for the relay's delay d; that is 2pi times the trial's
+    DFT sum.  A block with one relayed tap (os/ps, or synchronous multi,
+    whose relays share one delay d) has two taps, direct and relayed, which
+    meet at a relative phase phi that the rate reads only as M phi mod 2pi,
+    M = T/gcd(d, T) for the relayed delay d; that is 2pi times the trial's
     plane-0 uniform in slot 1+2N, the first padding slot, so under exact MI
-    os/ps take h_sd = |h_sd| and each h_rd_k = |h_rd_k| e^{-j2pi u0[1+2N]/M_k}
-    and read no phase.
+    such a block takes h_sd = |h_sd| and turns every h_rd_k by the one phase
+    that puts the forwarders' sum at angle -2pi u0[1+2N]/M_k.
     """
     n, t_len = cfg.n_relays, cfg.block_len
     width = 1 + 2 * n
@@ -177,7 +178,9 @@ def simulate_trials(cfg, scheme: str, seed: int, trials: int) -> np.ndarray:
             score = np.minimum(g_sr, p_r * p_rd) if scheme == SCHEME_OS else g_sr
             chosen = int(np.argmax(score))
             mask = (np.arange(n) == chosen) & (g_sr[chosen] >= eta)
-            h_sd, h_rd = np.sqrt(p_sd), np.sqrt(p_rd) * np.exp(-2j * np.pi * u0[t, width] / bins)
+        if cfg.mi_mode == MI_EXACT and (scheme != SCHEME_MULTI or cfg.sync_mode == SYNCHRONOUS):
+            phase = np.angle(h_rd[mask].sum()) + 2.0 * np.pi * u0[t, width] / bins
+            h_sd, h_rd = np.sqrt(p_sd), h_rd * np.exp(-1j * phase)
         if cfg.mi_mode == MI_EXACT:
             lam = np.sqrt(cfg.p_source) * h_sd + (np.sqrt(p_r) * h_rd * mask) @ ramps
             rates[t] = np.log2(1.0 + abs2(lam)).sum() / (t_len + cfg.cp_len)
@@ -214,17 +217,25 @@ def batch_rows(real, index) -> ChannelRealization:
     return from_gains(real.h_sd[index], real.h_sr[index], real.h_rd[index])
 
 
-def spare_turn_gains(real, cfg) -> ChannelRealization:
+def spare_turn_gains(real, cfg, mask=None) -> ChannelRealization:
     """A realization of real's powers whose complex gains place its turn, the
-    spare uniform u, between the direct tap and every relay's: h_sd =
+    spare uniform u, between the direct tap and the relayed one: h_sd =
     sqrt(h2_sd), h_sr = sqrt(h2_sr) and h_rd_k = sqrt(h2_rd_k) e^{-j2pi
     u/M_k}, M_k = T/gcd(d_k, T), so a selection block of the direct tap and
-    relay k's has M_k phi = 2pi u, the relative phase its rate reads."""
+    relay k's has M_k phi = 2pi u, the relative phase its rate reads.  Given
+    mask, over the relay axis (synchronous multi, whose relays share one
+    delay), every h_rd_k is instead real's h_rd_k turned by the one phase
+    that puts the forwarders' coherent sum h_sum at -2pi u/M: |h_sum|, the
+    relayed tap's amplitude, is kept, and M phi = 2pi u again."""
     t_len = cfg.block_len
     bins = t_len // np.gcd(np.asarray(cfg.delays) % t_len, t_len)
     turn = np.asarray(real.turn)[..., None]
+    if mask is None:
+        h_rd = np.sqrt(real.h2_rd)
+    else:
+        h_rd = real.h_rd * np.exp(-1j * np.angle((real.h_rd * mask).sum(axis=-1, keepdims=True)))
     return from_gains(np.sqrt(real.h2_sd), np.sqrt(real.h2_sr),
-                      np.sqrt(real.h2_rd) * np.exp(-2j * np.pi * turn / bins))
+                      h_rd * np.exp(-2j * np.pi * turn / bins))
 
 
 def plane_one_realization(real, cfg, chosen) -> ChannelRealization:
@@ -237,4 +248,19 @@ def plane_one_realization(real, cfg, chosen) -> ChannelRealization:
     u_sd, _, u_rd = real.phases
     old = ChannelRealization(real.h2_sd, real.h2_sr, real.h2_rd)
     old.__dict__["turn"] = np.remainder(m * (u_sd - gather_relay(u_rd, chosen)), 1.0)
+    return old
+
+
+def coherent_plane_one_realization(real, cfg, mask) -> ChannelRealization:
+    """real's powers and h_rd, with as its turn a synchronous multi block's
+    turn under the rule that read plane 1: frac(M (u1_sd - angle(h_sum)/2pi)),
+    M = T/gcd(d, T) for the relays' shared delay d, h_sum the forwarders'
+    h_rd by numpy's C-order row sum, in that rule's operations, so
+    fde.exact_rate_two_tap gives that rule's rates."""
+    t_len = cfg.block_len
+    m = t_len // math.gcd(cfg.delays[0] % t_len, t_len)
+    h_sum = np.multiply(real.h_rd, np.ascontiguousarray(mask), order="C").sum(axis=-1)
+    old = ChannelRealization(real.h2_sd, real.h2_sr, real.h2_rd)
+    old.__dict__["h_rd"] = real.h_rd
+    old.__dict__["turn"] = np.remainder(m * (real.phases[0] - np.angle(h_sum) / (2.0 * np.pi)), 1.0)
     return old

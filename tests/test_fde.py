@@ -549,12 +549,13 @@ def test_one_relay_closed_form_rate_over_a_seeded_grid(block_len, mode):
 def test_two_tap_rate_of_synchronous_multi_over_a_seeded_grid(block_len, policy):
     # synchronous multi's relays share one delay, so its block has one
     # relayed tap, the coherent sum of the forwarding relays' h_rd: the
-    # closed form against the spectrum's exact rate (the FFT oracle, its
-    # equal delays accumulated on one lag) within 1e-12, over the bin counts
-    # M = T/gcd(d, T) grid_config's shared delays give, with P_S = 0 and
-    # every link mean at LINK_MEAN_MAX besides; a quarter of the rows have an
-    # empty mask and approx_rate's flat rate bit for bit; an unbatched trial
-    # is its batch row bit for bit
+    # closed form against the exact rate of the spectrum of gains that place
+    # the realization's turn between the direct tap and that sum (the FFT
+    # oracle, its equal delays accumulated on one lag) within 1e-12, over
+    # the bin counts M = T/gcd(d, T) grid_config's shared delays give, with
+    # P_S = 0 and every link mean at LINK_MEAN_MAX besides; a quarter of the
+    # rows have an empty mask and approx_rate's flat rate bit for bit; an
+    # unbatched trial is its batch row bit for bit
     rng = np.random.default_rng([block_len, policy == SHARED_BUDGET, 2])
     cfgs = [replace(grid_config(rng, block_len, SYNCHRONOUS), relay_power_policy=policy)
             for _ in range(6)]
@@ -569,7 +570,7 @@ def test_two_tap_rate_of_synchronous_multi_over_a_seeded_grid(block_len, policy)
         power = np.broadcast_to(relay_tx_power(cfg, np.maximum(mask.sum(axis=-1), 1)), (48,))
         sinrs = link_sinrs(real, cfg, power)
         got = exact_rate_two_tap(sinrs, mask, cfg)
-        want = exact_rate(lambda_spectrum(real, mask, cfg, power), cfg)
+        want = exact_rate(lambda_spectrum(spare_turn_gains(real, cfg, mask), mask, cfg, power), cfg)
         assert got.shape == (48,)
         assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=str(cfg))
         assert np.array_equal(got[::4], approx_rate(sinrs, mask, cfg)[::4])

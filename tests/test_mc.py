@@ -23,7 +23,8 @@ from fdrelay.mc import (SCHEME_MULTI, SCHEME_OS, SCHEME_PS, SCHEMES,
 from fdrelay.model import (ASYNCHRONOUS, FIXED_PER_RELAY, LINK_MEAN_MAX, MI_APPROXIMATE,
                            MI_EXACT, SHARED_BUDGET, SYNCHRONOUS, SystemConfig, apply_param,
                            validate_config)
-from oracles import one_hot, plane_one_realization, simulate_trials
+from oracles import (coherent_plane_one_realization, one_hot, plane_one_realization,
+                     simulate_trials)
 
 
 def fig_config(**over):
@@ -844,8 +845,8 @@ def test_selection_exact_mi_sits_below_its_approximation(preset):
     assert min(gaps) >= 0 and max(gaps) > 0, gaps
 
 
-# seeds, trials per seed and false-alarm rate of the gate on the selection
-# turn's source, fixed before its first run
+# seeds, trials per seed and false-alarm rate of the gate on a two-tap
+# block's turn source, fixed before its first run on selection blocks
 TURN_SEEDS = range(101, 111)
 TURN_TRIALS = 4000
 TURN_ALPHA = 1e-3
@@ -855,50 +856,74 @@ TURN_ALPHA = 1e-3
 TURN_SHORT_BLOCK = validate_config(SystemConfig(
     n_relays=3, p_source=10.0, e_relay_budget=10.0, rate=2.0, var_sd=1.0, var_sr=10.0,
     var_rd=1.0, block_len=4, cp_len=3, delays=(1, 2, 3), mi_mode=MI_EXACT))
+# the same block with its three relays synchronous at M = 4 bins, fixed
+# before the first run of the synchronous gate
+TURN_SHORT_SYNC_BLOCK = validate_config(replace(TURN_SHORT_BLOCK, delays=(1, 1, 1),
+                                                sync_mode=SYNCHRONOUS))
+
+
+def assert_spare_turn_keeps_the_plane_one_law(cells):
+    # a two-tap block's turn comes from plane 0's spare slot; under the rule
+    # that read plane 1 it was another uniform independent of the powers,
+    # the mask and the pick, so the outage counts keep their law.  At a
+    # seed both rules see the same powers, masks and picks, so the two
+    # samples are paired and McNemar's test compares them: over TURN_SEEDS
+    # pooled, b trials are outages under the spare turn alone and c under
+    # the plane-1 turn alone, z = (b - c)/sqrt(b + c), for every (cfg,
+    # scheme) cell.  Each |z| <= 3, and the sum of z^2 over the cells with
+    # any discordant trial is below chi^2's TURN_ALPHA quantile.  The
+    # spare-turn flags are the engine's
+    z = []
+    for cfg, scheme in cells:
+        b = c = 0
+        for seed in TURN_SEEDS:
+            real = channel.draw_realization(cfg, trial_stream(seed, 0, cfg.n_relays),
+                                            size=TURN_TRIALS)
+            forwards, chosen, sinrs = mc.forwarding(real, cfg, scheme)
+            new = fde.exact_rate_two_tap(sinrs, forwards, cfg, chosen) < cfg.rate
+            old_real = (coherent_plane_one_realization(real, cfg, forwards) if chosen is None
+                        else plane_one_realization(real, cfg, chosen))
+            old_sinrs = channel.link_sinrs(old_real, cfg, sinrs.relay_tx_power)
+            old = fde.exact_rate_two_tap(old_sinrs, forwards, cfg, chosen) < cfg.rate
+            count = estimate_outage(cfg, scheme, TURN_TRIALS, seed=seed).outage_count
+            assert count == np.count_nonzero(new), (cfg, scheme, seed)
+            b += np.count_nonzero(new & ~old)
+            c += np.count_nonzero(old & ~new)
+        if b + c:
+            z.append((b - c) / math.sqrt(b + c))
+        print(f"T {cfg.block_len} N {cfg.n_relays} {scheme}: b {b} c {c}")
+    z = np.array(z)
+    print(f"z over {z.size} cells with discordant trials: {np.round(z, 2).tolist()}")
+    assert z.size > 0 and np.max(np.abs(z)) <= 3.0
+    assert np.sum(z * z) <= chi2.isf(TURN_ALPHA, z.size)
 
 
 def test_selection_turn_from_the_spare_slot_keeps_the_plane_one_counts():
-    # a selection block's turn comes from plane 0's spare slot; under the
-    # rule that read plane 1, frac(M (u1_sd - u1_rd,c)), it was another
-    # uniform independent of the powers and the pick, so the outage counts
-    # keep their law.  At a seed both rules see the same powers and picks,
-    # so the two samples are paired and McNemar's test compares them: over
-    # TURN_SEEDS pooled, b trials are outages under the spare turn alone and
-    # c under the plane-1 turn alone, z = (b - c)/sqrt(b + c), for os and ps
-    # at every fig4 and fig5 point, every tools/scenario*.json point and
-    # TURN_SHORT_BLOCK, each distinct selection config once.  Each |z| <= 3,
-    # and the sum of z^2 over the cells with any discordant trial is below
-    # chi^2's TURN_ALPHA quantile.  The spare-turn flags are the engine's.
-    # At these seeds no T = 500 trial is discordant: the turn moves no fig4
-    # or fig5 flag
+    # the plane-1 rule of a selection block was frac(M (u1_sd - u1_rd,c));
+    # the cells are os and ps at every fig4 and fig5 point, every
+    # tools/scenario*.json point and TURN_SHORT_BLOCK, each distinct
+    # selection config once.  At these seeds no T = 500 trial is
+    # discordant: the turn moves no fig4 or fig5 flag
     specs = [build_preset(name).variants[0][1] for name in ("fig4", "fig5")]
     specs += [_config_spec(json.loads(path.read_text()))
               for path in sorted(TOOLS.glob("scenario*.json"))]
     cfgs = [apply_param(replace(spec.base, mi_mode=MI_EXACT), spec.param, value)
             for spec in specs for value in spec.values] + [TURN_SHORT_BLOCK]
-    z = []
-    for cfg in dict.fromkeys(map(mc.selection_config, cfgs)):
-        for scheme in (SCHEME_OS, SCHEME_PS):
-            b = c = 0
-            for seed in TURN_SEEDS:
-                real = channel.draw_realization(cfg, trial_stream(seed, 0, cfg.n_relays),
-                                                size=TURN_TRIALS)
-                forwards, chosen, sinrs = mc.forwarding(real, cfg, scheme)
-                new = fde.exact_rate_two_tap(sinrs, forwards, cfg, chosen) < cfg.rate
-                old_sinrs = channel.link_sinrs(plane_one_realization(real, cfg, chosen), cfg,
-                                               sinrs.relay_tx_power)
-                old = fde.exact_rate_two_tap(old_sinrs, forwards, cfg, chosen) < cfg.rate
-                count = estimate_outage(cfg, scheme, TURN_TRIALS, seed=seed).outage_count
-                assert count == np.count_nonzero(new), (cfg, scheme, seed)
-                b += np.count_nonzero(new & ~old)
-                c += np.count_nonzero(old & ~new)
-            if b + c:
-                z.append((b - c) / math.sqrt(b + c))
-            print(f"T {cfg.block_len} N {cfg.n_relays} {scheme}: b {b} c {c}")
-    z = np.array(z)
-    print(f"z over {z.size} cells with discordant trials: {np.round(z, 2).tolist()}")
-    assert z.size > 0 and np.max(np.abs(z)) <= 3.0
-    assert np.sum(z * z) <= chi2.isf(TURN_ALPHA, z.size)
+    assert_spare_turn_keeps_the_plane_one_law(
+        [(cfg, scheme) for cfg in dict.fromkeys(map(mc.selection_config, cfgs))
+         for scheme in (SCHEME_OS, SCHEME_PS)])
+
+
+def test_synchronous_multi_turn_from_the_spare_slot_keeps_the_plane_one_counts():
+    # the plane-1 rule of a synchronous multi block was frac(M (u1_sd -
+    # angle(h_sum)/2pi)); the cells are multi at every fig3 point (N 5 and
+    # 10), every tools/scenario_wide.json point and TURN_SHORT_SYNC_BLOCK
+    specs = [spec for _, spec in build_preset("fig3").variants]
+    specs.append(_config_spec(json.loads((TOOLS / "scenario_wide.json").read_text())))
+    cfgs = [apply_param(replace(spec.base, mi_mode=MI_EXACT), spec.param, value)
+            for spec in specs for value in spec.values] + [TURN_SHORT_SYNC_BLOCK]
+    assert all(cfg.sync_mode == SYNCHRONOUS for cfg in cfgs) and len(cfgs) == 14
+    assert_spare_turn_keeps_the_plane_one_law([(cfg, SCHEME_MULTI) for cfg in cfgs])
 
 
 def relay_major_views(a):

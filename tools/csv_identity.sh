@@ -17,7 +17,10 @@
 # delays through --config (approximate MI at 1e5 trials, exact MI at 4000);
 # its tools/scenario_wide.json, 32 synchronous relays over an 8-bin block,
 # whose exact-MI chunk forms no spectrum: the closed-form two-tap rate reads
-# the coherent sum of the 32 h_RD (exact MI at 4000); and its tools/scenario_ceiling.json, link means just under the
+# the coherent sum of the 32 h_RD (exact MI at 4000); its short block makes
+# it the one output here where a change of a two-tap block's relative-phase
+# turn shows (at T = 500 the turn moves no flag at these trial counts); and
+# its tools/scenario_ceiling.json, link means just under the
 # config ceiling (approximate MI at 1e5 trials, exact MI at 4000).  Every call runs with RuntimeWarnings as errors, so a
 # scenario that overflows or clamps fails the run instead of writing output.
 # cmp's every CSV and JSON file and prints one line per file, naming for a
