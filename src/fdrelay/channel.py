@@ -45,49 +45,35 @@ def channel_slots(n_relays: int) -> int:
 class Scratch:
     """The per-chunk arrays of an estimate, taken from one float64 block.
 
-    Scratch(rows, slots, least) allocates max(rows*slots, least) slots
-    once.  take(shape) reserves rows rows of shape[1:] after the chunk's
-    earlier takes and returns the leading shape[0], a complex take 16-byte
+    Scratch(size) allocates size slots once.  take(shape) returns an array
+    of exactly shape where the last take ended, a complex take 16-byte
     aligned at the cost of at most one slot, which a layer's declared slots
     per trial count; a take past the block raises ValueError.  order="F"
-    lays the rows out in numpy's Fortran order, relay-major: a (size, N)
+    lays the take out in numpy's Fortran order, relay-major: a (size, N)
     take is then a transposed view whose relay columns each run contiguous
-    over the chunk's trials.  rewind() starts the next chunk, whose takes,
-    the same shapes in the same order, get the same arrays.  A take holds
-    whatever an earlier chunk, or an earlier user of the block, left there,
-    so every take is written in full before it is read: a count never
-    depends on what the block held.  regroup(slots) is a Scratch over the
-    same block, of as many rows as fit slots per row; its takes overwrite
-    the block's, so it serves work that reads no earlier take of the chunk.
+    over the chunk's trials.  rewind() starts the next takes at slot 0,
+    overwriting the earlier ones.  A take holds whatever an earlier chunk,
+    or an earlier user of the block, left there, so every take is written
+    in full before it is read: a count never depends on what the block held.
     Freed, one block leaves glibc's heap trim threshold at its size, so the
     next estimate reuses its pages instead of faulting fresh ones in.
-    FRESH takes new arrays of the same shapes and layouts, and is its own
-    regroup.
+    FRESH, of size 0, takes new arrays of the same shapes and layouts.
     """
 
-    def __init__(self, rows: int = 0, slots: int = 0, least: int = 0):
-        self.rows, self.used = rows, 0
-        self.block = np.empty(max(rows * slots, least)) if rows else None
-
-    def regroup(self, slots: int) -> Scratch:
-        if self.block is None:
-            return self
-        group = Scratch()
-        group.rows, group.block = self.block.size // slots, self.block
-        return group
+    def __init__(self, size: int = 0):
+        self.used = 0
+        self.block = np.empty(size) if size else None
 
     def take(self, shape: tuple, dtype=float, order: str = "C") -> np.ndarray:
         if self.block is None:
             return np.empty(shape, dtype, order=order)
         width = np.dtype(dtype).itemsize // 8           # float64 slots per entry
         start = self.used + self.used % width           # malloc aligns the block to 16
-        end = start + self.rows * math.prod(shape[1:]) * width
-        if shape[0] > self.rows or end > self.block.size:
+        end = start + math.prod(shape) * width
+        if end > self.block.size:
             raise ValueError(f"a take of {shape} {np.dtype(dtype)} overruns the scratch block")
         self.used = end
-        a = self.block[start:end].view(dtype).reshape((self.rows,) + tuple(shape[1:]),
-                                                      order=order)
-        return a[:shape[0]]
+        return self.block[start:end].view(dtype).reshape(shape, order=order)
 
     def rewind(self) -> None:
         self.used = 0

@@ -115,8 +115,9 @@ def _trial_outages(cfg: SystemConfig, scheme: str, real, scratch: Scratch):
     # forms a spectrum only for the trials whose rate bounds straddle the
     # target rate, restricted to those rows (possibly none) of the gains
     # the bounds built.  Those rows are copied out first, so the spectrum
-    # runs in groups over the whole block, each group rewinding it; every
-    # chunk calls it at least once, on no rows if need be
+    # runs in groups of as many rows as its slots fit the whole block, each
+    # group rewinding it; every chunk calls it at least once, on no rows if
+    # need be
     forwards, chosen, sinrs = forwarding(real, cfg, scheme, scratch)
     if cfg.mi_mode != MI_EXACT:
         return approx_rate(sinrs, forwards, cfg, chosen) < cfg.rate
@@ -128,12 +129,11 @@ def _trial_outages(cfg: SystemConfig, scheme: str, real, scratch: Scratch):
     rows = np.flatnonzero(~flags & (lower < cfg.rate))
     real, forwards = real.trials(rows), forwards[rows]
     power = np.broadcast_to(power, flags.shape)[rows]
-    groups = scratch.regroup(spectrum_slots(cfg))
-    step = groups.rows or max(rows.size, 1)
+    step = scratch.block.size // spectrum_slots(cfg)
     for start in range(0, max(rows.size, 1), step):
         group = slice(start, start + step)
-        groups.rewind()
-        spec = lambda_spectrum(real.trials(group), forwards[group], cfg, power[group], groups)
+        scratch.rewind()
+        spec = lambda_spectrum(real.trials(group), forwards[group], cfg, power[group], scratch)
         flags[rows[group]] = exact_rate(spec, cfg, out=spec.gamma) < cfg.rate
     return flags
 
@@ -150,15 +150,15 @@ def estimate_outage(cfg: SystemConfig, scheme: str, trials: int,
     blocks (W = trial_block_uniforms(N)), so it leaves the generator where
     trial_stream would put the next chunk's first trial.  Every per-chunk
     array a layer writes is taken from one Scratch allocated once per
-    estimate: chunk rows of the float64 slots every trial takes
+    estimate: chunk times the float64 slots every trial takes
     (channel_slots, and bound_slots for asynchronous multi under exact MI,
-    the one estimate that bounds its rate), of which each chunk writes its
-    leading size rows.  That estimate forms a spectrum only
-    for the trials its bounds leave undecided, in groups of as many trials as
-    spectrum_slots each fit the same block, which holds at least one.  The
-    default chunk is as many trials as fit CHUNK_BYTES (at least one), so the
-    block is bounded for any block_len and relay count, unless one trial's
-    spectrum alone outweighs it.
+    the one estimate that bounds its rate), and rewound after every chunk.
+    That estimate forms a spectrum only for the trials its bounds leave
+    undecided, in groups of as many trials as spectrum_slots each fit the
+    same block, which holds at least one.  The default chunk is as many
+    trials as fit CHUNK_BYTES (at least one), so the block is bounded for
+    any block_len and relay count, unless one trial's spectrum alone
+    outweighs it.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -169,7 +169,7 @@ def estimate_outage(cfg: SystemConfig, scheme: str, trials: int,
     if chunk is None:
         chunk = max(1, CHUNK_BYTES // (8 * slots))
     chunk = min(_check_int("chunk", chunk), trials)
-    scratch = Scratch(chunk, slots, least=spectrum)
+    scratch = Scratch(max(chunk * slots, spectrum))
     rng = trial_stream(seed, 0, cfg.n_relays)
     count = 0
     for start in range(0, trials, chunk):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fdrelay.channel import (Scratch, channel_slots, draw_realization, gains_from_uniforms,
+from fdrelay.channel import (FRESH, Scratch, channel_slots, draw_realization, gains_from_uniforms,
                              gather_relay, link_sinrs, trial_block_uniforms, uniforms_per_trial)
 from fdrelay.fde import exact_rate, exact_rate_two_tap, lambda_spectrum
 from fdrelay.model import SystemConfig
@@ -50,10 +50,47 @@ def test_scalar_draw_equals_batch_row():
         assert np.array_equal(one.h_rd[0], batch.h_rd[t])
 
 
+def test_scratch_takes_exactly_each_shape_where_the_last_take_ended():
+    # Scratch(size) holds size float64 slots; each take is exactly its shape,
+    # in either order, starting where the last one ended, a complex one moved
+    # up to the next 16-byte boundary; a ragged relay-major take is
+    # F-contiguous.  A take past the block raises naming its shape and takes
+    # nothing; rewind() starts again at slot 0.  FRESH takes new arrays of
+    # the asked shape and order
+    scratch = Scratch(100)
+    assert scratch.block.size == 100 and scratch.block.dtype == float
+    a = scratch.take((3, 5))
+    b = scratch.take((7, 2), order="F")
+    c = scratch.take((4, 3), complex)
+    d = scratch.take((2,), np.uint64)
+    taken = [a, b, c, d]
+    assert [x.shape for x in taken] == [(3, 5), (7, 2), (4, 3), (2,)]
+    assert [x.dtype for x in taken] == [float, float, complex, np.uint64]
+    assert a.flags.c_contiguous and c.flags.c_contiguous
+    assert b.flags.f_contiguous and b.strides == (8, 56)
+    base = scratch.block.ctypes.data
+    assert [x.ctypes.data - base for x in taken] == [0, 8 * 15, 8 * 30, 8 * 54]
+    assert c.ctypes.data % 16 == 0
+    for i, x in enumerate(taken):
+        assert np.shares_memory(x, scratch.block)
+        assert not any(np.shares_memory(x, y) for y in taken[i + 1:])
+    with pytest.raises(ValueError, match=r"take of \(45,\) float64 overruns the scratch block"):
+        scratch.take((45,))
+    assert scratch.take((44,)).ctypes.data - base == 8 * 56       # the block's last slots
+    scratch.rewind()
+    again = scratch.take((2, 2), complex)
+    assert again.ctypes.data == base and np.shares_memory(again, a)
+    for order in "CF":
+        one, two = (FRESH.take((3, 4), complex, order) for _ in range(2))
+        assert one.shape == (3, 4) and one.dtype == complex and not np.shares_memory(one, two)
+        assert one.flags.c_contiguous if order == "C" else one.flags.f_contiguous
+    assert FRESH.block is None and FRESH.take((1 << 10,)).size == 1 << 10
+
+
 def test_draw_into_reused_buffer_matches_fresh_draw():
     # the realization keeps the powers, so refilling the uniforms cannot change it
     cfg = config(var_sd=1.0, var_sr=2.0, var_rd=3.0)
-    scratch = Scratch(5, channel_slots(cfg.n_relays))
+    scratch = Scratch(5 * channel_slots(cfg.n_relays))
     for start in (0, 5):
         fresh = draw_realization(cfg, trial_stream(9, start, cfg.n_relays), size=5)
         into = draw_realization(cfg, trial_stream(9, start, cfg.n_relays), size=5, scratch=scratch)
@@ -71,7 +108,7 @@ def test_buffer_backed_draw_and_sinrs_match_fresh_ones(size):
     # own, one set more than the channel declares for an estimate
     cfg = config(var_sd=1.0, var_sr=2.0, var_rd=3.0, var_rsi=0.5, var_iri=0.25)
     n, slots = cfg.n_relays, uniforms_per_trial(cfg.n_relays)
-    scratch = Scratch(size, channel_slots(n) + slots)
+    scratch = Scratch(size * (channel_slots(n) + slots))
     scratch.block.fill(np.nan)
     for start in (0, 9):
         fresh = draw_realization(cfg, trial_stream(9, start, n), size=size)
@@ -351,18 +388,18 @@ def test_gains_edge_uniform_zero():
 
 
 def relay_layouts(a):
-    # a's values in every layout a chunk gathers from: C-order, relay-major
-    # Scratch takes (a whole block and a ragged last chunk's leading rows),
-    # and relay columns strided inside a wider C-order plane
+    # a's values in C order, in a relay-major Scratch take, as a chunk
+    # gathers them, in the leading rows of a larger relay-major array, whose
+    # relay columns are strided, and in relay columns strided inside a wider
+    # C-order plane
     rows, n = a.shape
-    out = [a]
-    for block_rows in (rows, rows + 5):
-        take = Scratch(block_rows, 2 * n + 1).take((rows, n), a.dtype, order="F")
-        take[...] = a
-        out.append(take)
+    take = Scratch(a.nbytes // 8).take((rows, n), a.dtype, order="F")
+    take[...] = a
+    wider = np.empty((rows + 5, n), a.dtype, order="F")
+    wider[:rows] = a
     plane = np.zeros((rows, 2 * n + 3), a.dtype)
     plane[:, 2:2 + n] = a
-    out.append(plane[:, 2:2 + n])
+    out = [a, take, wider[:rows], plane[:, 2:2 + n]]
     assert out[1].flags.f_contiguous and out[2].strides[0] == a.itemsize
     assert out[3].strides[0] > a.itemsize
     return out
@@ -395,7 +432,7 @@ def test_one_relay_gain_is_the_gathered_h_rd(n):
     # the gathered power and the realization's turn describe that one gain
     # (over a 16-bin block, where the turn moves the rate)
     cfg = config(n_relays=n, var_rd=3.0, block_len=16, cp_len=64)
-    real = draw_realization(cfg, trial_stream(5, 0, n), size=200, scratch=Scratch(200, channel_slots(n)))
+    real = draw_realization(cfg, trial_stream(5, 0, n), size=200, scratch=Scratch(200 * channel_slots(n)))
     rng = np.random.default_rng(n)
     chosen, forwards = rng.integers(0, n, size=200), rng.random(200) < 0.8
     got = exact_rate_two_tap(link_sinrs(real, cfg, 0.7), forwards, cfg, chosen)

@@ -243,7 +243,7 @@ def test_spectrum_and_rate_into_used_buffers_match_fresh_ones():
         real, mask, power = multi_chunk(cfg, 64, seed=7)
         fresh = lambda_spectrum(real, mask, cfg, power)
         rate = exact_rate(fresh, cfg)
-        scratch = Scratch(64, spectrum_slots(cfg))
+        scratch = Scratch(64 * spectrum_slots(cfg))
         scratch.block.fill(np.nan)
         spec = lambda_spectrum(real, mask, cfg, power, scratch)
         assert np.shares_memory(spec.gamma, scratch.block)
@@ -254,12 +254,12 @@ def test_spectrum_and_rate_into_used_buffers_match_fresh_ones():
 
 def test_spectrum_group_allocates_no_bin_array_outside_its_scratch():
     # a spectrum group of 255 fig4 rows run with its rate in a Scratch of
-    # spectrum_slots rows: every (rows, T) array, im^2 included, is a take of
+    # 255 rows of spectrum_slots: every (rows, T) array, im^2 included, is a take of
     # the block, so the traced peak stays below one such array
     rows = 255
     real, mask, power = multi_chunk(FIG4, rows, seed=5)
     real.h_sd, real.h_rd
-    scratch = Scratch(rows, spectrum_slots(FIG4))
+    scratch = Scratch(rows * spectrum_slots(FIG4))
     tracemalloc.start()
     try:
         spec = lambda_spectrum(real, mask, FIG4, power, scratch)
@@ -363,9 +363,9 @@ def test_gamma_is_never_negative_at_a_spectral_null(t_len):
 def test_spectrum_work_reused_across_batches_matches_fresh_spectra(cfg):
     # one scratch, rewound between batches as between an estimate's chunks
     # and filled with NaN as if an earlier user had left it so, serves
-    # batches of any size up to its rows; stale taps and transforms of a
+    # batches of any size up to the 64 rows it holds; stale taps and transforms of a
     # larger batch never reach a smaller one's gamma or lam
-    scratch = Scratch(64, spectrum_slots(cfg))
+    scratch = Scratch(64 * spectrum_slots(cfg))
     for seed, size in ((3, 64), (4, 5), (5, 64), (6, 1)):
         real, mask, power = multi_chunk(cfg, size, seed=seed)
         fresh = lambda_spectrum(real, mask, cfg, power)
@@ -381,7 +381,7 @@ def test_one_scratch_serves_configs_of_different_spans():
     # where the first one's were, so its zero lags are right only if its own
     # call writes them
     cfgs = [replace(FIG4, n_relays=n, block_len=64, delays=None) for n in (6, 3)]
-    scratch = Scratch(64, max(map(spectrum_slots, cfgs)))
+    scratch = Scratch(64 * max(map(spectrum_slots, cfgs)))
     for seed, cfg in enumerate(cfgs):
         real, mask, power = multi_chunk(cfg, 64, seed=seed)
         fresh = lambda_spectrum(real, mask, cfg, power)
@@ -479,7 +479,7 @@ def test_chosen_relay_spectrum_into_a_used_scratch_matches_fresh_ones():
     # gains that place the realization's turn between the taps
     for cfg in (FIG4, CIRCULAR):
         n = cfg.n_relays
-        scratch = Scratch(64, channel_slots(n))
+        scratch = Scratch(64 * channel_slots(n))
         scratch.block.fill(np.nan)
         for seed, size in ((3, 64), (4, 5), (6, 1)):
             real = draw_realization(cfg, trial_stream(seed, 0, n), size=size, scratch=scratch)

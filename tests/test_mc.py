@@ -276,7 +276,7 @@ def test_seeds_span_the_whole_philox_key():
 def test_reused_chunk_buffers_match_fresh_ones(over, scheme):
     # estimate_outage reuses one uniform block and, under exact MI, one gamma
     # block across chunks.  52 trials in chunks of 7 or 18 end on a ragged
-    # chunk that writes only the leading rows; chunk=1 refills one row 52
+    # chunk that writes only the block's leading slots; chunk=1 refills one row 52
     # times; chunk=None is a single fresh chunk.  Near-even outage odds make
     # stale rows show in the count.  Delays up to 31 of 32 bins make the
     # taps' autocorrelation circular (the long prefix needs more power).
@@ -328,13 +328,14 @@ def test_chunks_take_their_arrays_from_one_declared_block(monkeypatch, over, chu
     # benchmark's trace reads them, so the phase plane is taken early and in
     # every case; then the schemes together take all that is declared.  Only
     # asynchronous multi under exact MI bounds its rate, so only its chunk
-    # rows hold bound_slots: a block with one relayed tap (a selection
+    # trials hold bound_slots: a block with one relayed tap (a selection
     # scheme's, or synchronous multi's) is its channel_slots alone.  Its
-    # spectrum runs in groups, at least one a chunk, each a Scratch over the
-    # same block of as many rows as spectrum_slots fit, each group's takes
-    # spectrum_slots per row; the block holds at least one trial's spectrum.
-    # At the default chunk the block fits CHUNK_BYTES and one more trial
-    # would not, or it is one trial's spectrum that alone outweighs the budget
+    # spectrum runs in groups, at least one a chunk, each rewinding the same
+    # block inside _trial_outages and taking spectrum_slots per row for at
+    # most as many rows as fit it; the block holds at least one trial's
+    # spectrum.  At the default chunk the block fits CHUNK_BYTES and one more
+    # trial would not, or it is one trial's spectrum that alone outweighs the
+    # budget
     cfg = fig_config(**{"block_len": 32, **over})
     n = cfg.n_relays
     spectrum = cfg.mi_mode == MI_EXACT and cfg.sync_mode == ASYNCHRONOUS
@@ -343,7 +344,8 @@ def test_chunks_take_their_arrays_from_one_declared_block(monkeypatch, over, chu
     group_slots = fde.spectrum_slots(cfg)
     take, rewind = channel.Scratch.take, channel.Scratch.rewind
     draw, outages = mc.draw_realization, mc._trial_outages
-    chunks, groups, scratches, most = [], [], [], Counter()
+    chunks, groups, sizes, scratches, most = [], [], [], [], Counter()
+    grouping = [False]      # whether takes now serve a spectrum group
 
     def spy_take(self, shape, dtype=float, order="C"):
         taken = take(self, shape, dtype, order)
@@ -353,20 +355,24 @@ def test_chunks_take_their_arrays_from_one_declared_block(monkeypatch, over, chu
         scratches.append(self)
         layer = sys._getframe(1).f_globals["__name__"]
         slots = math.prod(shape[1:]) * taken.itemsize // 8 + (taken.dtype == complex)
-        if self is scratches[0]:
-            chunks[-1][layer] += slots
-        else:                               # a spectrum group's take
+        if grouping[0]:
             assert layer == "fdrelay.fde"
+            assert shape[0] <= self.block.size // group_slots
             groups[-1] += slots
+        else:
+            chunks[-1][layer] += slots
         return taken
 
     def spy_rewind(self):
         rewind(self)
-        if scratches and self is not scratches[0]:
+        if sys._getframe(1).f_code is outages.__code__:     # a spectrum group starts
+            grouping[0] = True
             groups.append(0)
 
     def spy_draw(*args, **kwargs):
+        grouping[0] = False
         chunks.append(Counter())
+        sizes.append(kwargs["size"])
         real = draw(*args, **kwargs)
         real.h_sd, real.h_sr, real.h_rd
         return real
@@ -384,7 +390,7 @@ def test_chunks_take_their_arrays_from_one_declared_block(monkeypatch, over, chu
         scratches.clear()
         # three chunks, the last ragged where chunk > 1
         estimate_outage(cfg, scheme, 2 * chunk + (chunk + 1) // 2, seed=3, chunk=chunk)
-        assert len({id(s.block) for s in scratches}) == 1
+        assert len(set(map(id, scratches))) == 1 and len({id(s.block) for s in scratches}) == 1
         assert len(chunks) == 3 and chunks[0] == chunks[1] == chunks[2], scheme
         layers = declared if scheme == SCHEME_MULTI else {"fdrelay.channel": declared["fdrelay.channel"]}
         assert set(chunks[0]) <= set(layers)
@@ -396,28 +402,29 @@ def test_chunks_take_their_arrays_from_one_declared_block(monkeypatch, over, chu
         assert scratches[0].block.size == max(chunk * sum(layers.values()), least), scheme
         if grouped:
             assert len(groups) >= 3 and set(groups) == {group_slots}
-            rows = {s.rows for s in scratches if s is not scratches[0]}
-            assert rows == {scratches[0].block.size // group_slots} and min(rows) >= 1
+            assert scratches[0].block.size // group_slots >= 1
         else:
-            assert not groups and len(set(map(id, scratches))) == 1
+            assert not groups
     assert most["fdrelay.channel"] == declared["fdrelay.channel"]
     assert most["fdrelay.fde"] == declared["fdrelay.fde"]
     block = scratches[0]
-    take(block, (block.rows, block.block.size // block.rows))
+    rewind(block)
+    take(block, (block.block.size,))
     with pytest.raises(ValueError, match="overruns the scratch block"):
         take(block, (1,))
 
     monkeypatch.setattr(mc, "_trial_outages", first_chunk)
     for scheme in SCHEMES:
         scratches.clear()
+        sizes.clear()
         with pytest.raises(FirstChunkDone):
             estimate_outage(cfg, scheme, 1 << 40, seed=5)
-        block = scratches[0]
+        block, rows = scratches[0].block, sizes[0]
         per_trial = declared["fdrelay.channel"] + (declared["fdrelay.fde"] if scheme == SCHEME_MULTI else 0)
         one_spectrum = spectrum and scheme == SCHEME_MULTI and 8 * group_slots > mc.CHUNK_BYTES
-        assert block.block.size == (group_slots if one_spectrum else block.rows * per_trial)
-        assert 8 * block.block.size <= mc.CHUNK_BYTES or one_spectrum
-        assert 8 * (block.rows + 1) * per_trial > mc.CHUNK_BYTES
+        assert block.size == (group_slots if one_spectrum else rows * per_trial)
+        assert 8 * block.size <= mc.CHUNK_BYTES or one_spectrum
+        assert 8 * (rows + 1) * per_trial > mc.CHUNK_BYTES
 
 
 @pytest.mark.parametrize("cfg, trials", [
@@ -927,8 +934,8 @@ def test_synchronous_multi_turn_from_the_spare_slot_keeps_the_plane_one_counts()
 
 
 def relay_major_views(a):
-    # a's rows laid out relay-major, as a chunk's Scratch takes them: a whole
-    # block, and the leading rows of a larger one (a ragged last chunk)
+    # a's rows laid out relay-major: contiguous, as a chunk's Scratch takes
+    # them, and strided, the leading rows of a larger array
     whole = np.asfortranarray(a)
     block = np.empty((a.shape[0] + 3,) + a.shape[1:], a.dtype, order="F")
     block[:a.shape[0]] = a

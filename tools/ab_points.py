@@ -24,7 +24,7 @@ buffer of estimate_outage dropped, it timed fig2 as 1.026x faster (25 of
 30 points, 2 cores), while separate processes ran fig2 8%, fig3 5% and
 exact-MI fig4 35% slower, with 7x, 11x and 54x the minor page faults.  So
 check an allocation change across processes instead, with
-tools/cli_runs.py, which times three CLI runs of each tree in child
+tools/cli_runs.py, which times four CLI runs of each tree in child
 processes and counts their minor faults.
 """
 
