@@ -52,9 +52,11 @@ class Scratch:
     lays the take out in numpy's Fortran order, relay-major: a (size, N)
     take is then a transposed view whose relay columns each run contiguous
     over the chunk's trials.  rewind() starts the next takes at slot 0,
-    overwriting the earlier ones.  A take holds whatever an earlier chunk,
-    or an earlier user of the block, left there, so every take is written
-    in full before it is read: a count never depends on what the block held.
+    overwriting the earlier ones; setting used back to a count read from it
+    earlier takes the slots after it again, the same way.  A take holds
+    whatever an earlier chunk, or an earlier user of the block, left there,
+    so every take is written in full before it is read: a count never
+    depends on what the block held.
     Freed, one block leaves glibc's heap trim threshold at its size, so the
     next estimate reuses its pages instead of faulting fresh ones in.
     FRESH, of size 0, takes new arrays of the same shapes and layouts.
@@ -120,10 +122,10 @@ class ChannelRealization:
     powers are relay-major: each link's column is contiguous over the trials.
 
     phase_plane returns the realization's phase (u1) plane, shaped like the
-    drawn power plane.  It is called once, when the phases (sd, sr, rd
-    slots of the plane) or the first complex gain are read, and the plane is
-    kept; h_sd, h_sr, h_rd are then built per link on
-    first read from sqrt of the power and that link's phases, and kept.
+    drawn power plane.  It is called once, when the plane, the phases (sd,
+    sr, rd slots of the plane) or the first complex gain are read, and the
+    plane is kept; h_sd, h_sr, h_rd are then built per link on first read
+    from sqrt of the power and that link's phases, and kept.
 
     spare, of the batch shape, holds the 53-bit integers k of plane 0's
     first padding slot, and turn, k * 2**-53, is formed from it on first
@@ -138,7 +140,8 @@ class ChannelRealization:
     phase_plane: Callable[[], np.ndarray] | None = None
     spare: np.ndarray | None = None
 
-    phases = cached_property(lambda self: _links(self.phase_plane(), self.h2_sr.shape[-1]))
+    plane = cached_property(lambda self: self.phase_plane())
+    phases = cached_property(lambda self: _links(self.plane, self.h2_sr.shape[-1]))
     h_sd = cached_property(lambda self: gains_from_uniforms(self.h2_sd, self.phases[0]))
     h_sr = cached_property(lambda self: gains_from_uniforms(self.h2_sr, self.phases[1]))
     h_rd = cached_property(lambda self: gains_from_uniforms(self.h2_rd, self.phases[2]))
@@ -147,10 +150,15 @@ class ChannelRealization:
     def trials(self, rows: np.ndarray) -> ChannelRealization:
         """The realization of the trials that rows, integer indices into the
         batch axis (copies) or a slice of it (views), names: its powers and
-        every complex gain already built here, indexed, never rebuilt.  It
-        has no phase plane or spare slot, so it can read no other gain and
-        no turn."""
-        sub = ChannelRealization(self.h2_sd[rows], self.h2_sr[rows], self.h2_rd[rows])
+        every complex gain already built here, indexed, never rebuilt.  Its
+        phase plane is a lazy view: read, it is the rows of this
+        realization's plane, which is then drawn in full, in stream order,
+        if it was not yet; a view of no rows is empty and draws nothing.
+        It has no spare slot, so it reads no turn."""
+        h2 = self.h2_sd[rows], self.h2_sr[rows], self.h2_rd[rows]
+        shape = h2[1].shape[:-1] + (uniforms_per_trial(h2[1].shape[-1]),)
+        view = (lambda: self.plane[rows]) if h2[0].size else partial(np.empty, shape)
+        sub = ChannelRealization(*h2, phase_plane=view)
         for name in ("h_sd", "h_sr", "h_rd"):
             if name in self.__dict__:
                 sub.__dict__[name] = self.__dict__[name][rows]

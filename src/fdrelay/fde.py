@@ -36,9 +36,11 @@ def _bound_transform_length(cfg: SystemConfig) -> int:
 
 
 def bound_slots(cfg: SystemConfig) -> int:
-    """float64 slots per trial rate_bounds takes: two per complex tap plus
-    one of alignment padding for the taps, transformed in place at its
-    transform length n, and n for their |F|^2."""
+    """float64 slots per trial a bound stage takes, each stage the same
+    slots again: rate_bounds takes two per complex tap plus one of alignment
+    padding for the taps, transformed in place at its transform length n,
+    and n for their |F|^2; amplitude_bounds fits in them (n real taps and
+    the n//2+1 complex bins of their real transform)."""
     return 3 * _bound_transform_length(cfg) + 1
 
 
@@ -49,21 +51,26 @@ def spectrum_slots(cfg: SystemConfig) -> int:
     return 4 * cfg.block_len + 1
 
 
-def _taps(real: ChannelRealization, mask: np.ndarray, cfg: SystemConfig, relay_power,
-          n: int, scratch: Scratch) -> np.ndarray:
-    # sqrt(P_S) h_sd at lag 0 plus each relay's sqrt(P_R) h_rd_k added, in
-    # index order, at lag tau_k mod T, column by column into a (..., n) take
-    _check_mask(mask, real.h2_rd)
+def _taps(base, coef, mask: np.ndarray, cfg: SystemConfig, n: int, scratch: Scratch) -> np.ndarray:
+    # base at lag 0 plus each relay's coef (a column of the relay axis) added
+    # where mask holds it, in index order, at lag tau_k mod T, column by
+    # column into a (..., n) take of base's dtype
+    _check_mask(mask, coef)
     t_len = cfg.block_len
-    base = np.sqrt(cfg.p_source) * real.h_sd
-    taps = scratch.take(np.shape(base) + (n,), complex)
+    taps = scratch.take(np.shape(base) + (n,), base.dtype)
     taps.fill(0.0)
     taps[..., 0] = base
-    coef = np.sqrt(np.asarray(relay_power))[..., None] * real.h_rd
     np.multiply(coef, mask, out=coef)
     for k, delay in enumerate(cfg.delays):
         taps[..., delay % t_len] += coef[..., k]
     return taps
+
+
+def _complex_taps(real: ChannelRealization, mask: np.ndarray, cfg: SystemConfig, relay_power,
+                  n: int, scratch: Scratch) -> np.ndarray:
+    # sqrt(P_S) h_sd at lag 0 plus each relay's sqrt(P_R) h_rd_k at lag tau_k mod T
+    coef = np.sqrt(np.asarray(relay_power))[..., None] * real.h_rd
+    return _taps(np.sqrt(cfg.p_source) * real.h_sd, coef, mask, cfg, n, scratch)
 
 
 def lambda_spectrum(real: ChannelRealization, mask: np.ndarray, cfg: SystemConfig,
@@ -87,7 +94,7 @@ def lambda_spectrum(real: ChannelRealization, mask: np.ndarray, cfg: SystemConfi
     realization evaluated alone or in a batch of any size.  The taps, gamma
     and im^2 are taken from scratch, and each is written in full on every call.
     """
-    taps = _taps(real, mask, cfg, relay_power, cfg.block_len, scratch)
+    taps = _complex_taps(real, mask, cfg, relay_power, cfg.block_len, scratch)
     lam = np.fft.fft(taps, axis=-1, out=taps)
     gamma = np.multiply(lam.real, lam.real, out=scratch.take(lam.shape))
     gamma += np.multiply(lam.imag, lam.imag, out=scratch.take(lam.shape))
@@ -97,6 +104,27 @@ def lambda_spectrum(real: ChannelRealization, mask: np.ndarray, cfg: SystemConfi
 # the bounds' margin per unit of 1 + r_0, far more than the rounding of the
 # spectrum, its log2 terms and the bounds themselves
 RATE_SLACK = 2.0 ** -30
+
+
+def _bounds(taps: np.ndarray, transform, f: np.ndarray, power: np.ndarray, cfg: SystemConfig):
+    # (lower, upper) from two moments of |F|^2, F = transform(taps) along
+    # the last axis written into f: fft's n bins, or rfft's leading m, the
+    # others mirroring bins n-m..1; all n bins of |F|^2 are formed in power,
+    # of the taps' shape.  Each moment is one einsum over its own row, a sum
+    # whose bits do not depend on the batch (a BLAS product's would)
+    n, m = taps.shape[-1], f.shape[-1]
+    transform(taps, axis=-1, out=f)
+    parts = np.square(f.view(float), out=f.view(float))    # re^2 and im^2 of each bin
+    np.add(parts[..., 0::2], parts[..., 1::2], out=power[..., :m])
+    power[..., m:] = power[..., n - m:0:-1]
+    mu = np.einsum("...i->...", power) / n
+    power *= (1.0 / np.where(mu > 0.0, mu, 1.0))[..., None]
+    s = np.maximum(np.einsum("...i->...", np.square(power, out=power)) / n, 1.0)
+    scale, one_mu = cfg.block_len / (cfg.block_len + cfg.cp_len), 1.0 + mu
+    slack = RATE_SLACK * one_mu
+    lower = scale * np.log2(1.0 + mu * s) / s - slack
+    upper = scale * np.log2(one_mu) + slack
+    return np.where(lower < np.inf, lower, -np.inf), np.where(upper > -np.inf, upper, np.inf)
 
 
 def rate_bounds(real: ChannelRealization, mask: np.ndarray, cfg: SystemConfig,
@@ -119,19 +147,38 @@ def rate_bounds(real: ChannelRealization, mask: np.ndarray, cfg: SystemConfig,
     rate and the bounds, so the computed rate lies within them bit for bit.
     A row with mu = 0 gets s = 1 and a lower bound of minus the slack; a
     non-finite bound is returned as -inf (lower) or +inf (upper) and decides
-    nothing.  The taps, transformed in place, and |F|^2 are taken from scratch.
+    nothing.  Each moment is a sum over its own row (einsum, no BLAS), so a
+    row's bounds are the same bits alone or in a batch of any size.  The
+    taps, transformed in place, and |F|^2 are taken from scratch.
+    amplitude_bounds forms the same bounds, through the same
+    transform-and-moments kernel, with every tap's phase aligned.
     """
-    taps = _taps(real, mask, cfg, relay_power, _bound_transform_length(cfg), scratch)
-    f = np.fft.fft(taps, axis=-1, out=taps)
-    power = np.multiply(f.real, f.real, out=scratch.take(taps.shape))
-    power += np.multiply(f.imag, f.imag, out=f.imag)    # f is read no more
-    mu = power.mean(axis=-1)
-    power /= np.where(mu > 0.0, mu, 1.0)[..., None]
-    s = np.maximum(np.square(power, out=power).mean(axis=-1), 1.0)
-    scale, slack = cfg.block_len / (cfg.block_len + cfg.cp_len), RATE_SLACK * (1.0 + mu)
-    lower = scale * np.log2(1.0 + mu * s) / s - slack
-    upper = scale * np.log2(1.0 + mu) + slack
-    return np.where(lower < np.inf, lower, -np.inf), np.where(upper > -np.inf, upper, np.inf)
+    taps = _complex_taps(real, mask, cfg, relay_power, _bound_transform_length(cfg), scratch)
+    return _bounds(taps, np.fft.fft, taps, scratch.take(taps.shape), cfg)
+
+
+def amplitude_bounds(real: ChannelRealization, mask: np.ndarray, cfg: SystemConfig,
+                     relay_power, scratch: Scratch = FRESH) -> tuple[np.ndarray, np.ndarray]:
+    """rate_bounds' bounds with every tap's phase aligned: the same formula
+    on the real amplitudes sqrt(P |h|^2) at the taps' lags, from the powers
+    alone, with no phase plane and no complex gain.
+
+    mu, sum_k |a_k|^2, is the phased bounds' mu, so the upper bound is
+    theirs to the rounding.  Every lag l of the amplitudes' autocorrelation
+    is sum_k |a_k||a_{k+l}| >= |r_l|, so s can only grow, and log2(1+mu s)/s
+    falls as s grows: the lower bound is at or below the phased one, and
+    both still hold the spectrum's rate.  That needs each tap at a lag of
+    its own, as asynchronous delays are (distinct and nonzero mod T); taps
+    at one lag would add their amplitudes.  The real taps are transformed
+    by rfft at rate_bounds' length n, whose n//2+1 bins stand for all n,
+    into a complex take, and |F|^2 is formed in the taps' take.
+    """
+    n = _bound_transform_length(cfg)
+    f = scratch.take(np.shape(real.h2_sd) + (n // 2 + 1,), complex)
+    coef = np.multiply(np.asarray(relay_power)[..., None], real.h2_rd)
+    taps = _taps(np.sqrt(cfg.p_source * real.h2_sd), np.sqrt(coef, out=coef), mask, cfg, n,
+                 scratch)
+    return _bounds(taps, np.fft.rfft, f, taps, cfg)
 
 
 def exact_rate(spec: BinSpectrum, cfg: SystemConfig, out: np.ndarray | None = None):

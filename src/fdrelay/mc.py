@@ -8,8 +8,8 @@ import numpy as np
 
 from .channel import (FRESH, PHILOX_BLOCK, LinkSinrs, Scratch, channel_slots, draw_realization,
                       gather_relay, link_sinrs, trial_block_uniforms)
-from .fde import (approx_rate, bound_slots, exact_rate, exact_rate_two_tap, lambda_spectrum,
-                  rate_bounds, spectrum_slots)
+from .fde import (amplitude_bounds, approx_rate, bound_slots, exact_rate, exact_rate_two_tap,
+                  lambda_spectrum, rate_bounds, spectrum_slots)
 from .model import (MI_EXACT, SCHEME_MULTI, SCHEME_OS, SCHEME_PS, SCHEMES, SYNCHRONOUS,
                     OutageEstimate, SystemConfig, _check_int, eta, relay_tx_power)
 
@@ -111,24 +111,30 @@ def _trial_outages(cfg: SystemConfig, scheme: str, real, scratch: Scratch):
     # depend on the batch it is drawn in; under exact MI a block with one
     # relayed tap (a selection scheme's one relay, or synchronous multi's
     # relays at their one shared delay), whose relative phase is the
-    # realization's turn, has its rate in closed form, and asynchronous multi
-    # forms a spectrum only for the trials whose rate bounds straddle the
-    # target rate, restricted to those rows (possibly none) of the gains
-    # the bounds built.  Those rows are copied out first, so the spectrum
-    # runs in groups of as many rows as its slots fit the whole block, each
-    # group rewinding it; every chunk calls it at least once, on no rows if
-    # need be
+    # realization's turn, has its rate in closed form.  Asynchronous multi
+    # bounds its rate in stages, each on the rows the one before leaves
+    # straddling the target rate (possibly none) and each taking the same
+    # slots again: amplitude_bounds from the powers alone, then rate_bounds
+    # from complex gains, built only for its rows (from the chunk's phase
+    # plane, drawn only if some row reaches it).  The rows left are copied
+    # out with those gains, so the spectrum runs in groups of as many rows
+    # as its slots fit the whole block, each group rewinding it; every
+    # chunk calls it at least once, on no rows if need be
     forwards, chosen, sinrs = forwarding(real, cfg, scheme, scratch)
     if cfg.mi_mode != MI_EXACT:
         return approx_rate(sinrs, forwards, cfg, chosen) < cfg.rate
     if chosen is not None or cfg.sync_mode == SYNCHRONOUS:
         return exact_rate_two_tap(sinrs, forwards, cfg, chosen) < cfg.rate
-    power = sinrs.relay_tx_power
-    lower, upper = rate_bounds(real, forwards, cfg, power, scratch)
-    flags = upper < cfg.rate
-    rows = np.flatnonzero(~flags & (lower < cfg.rate))
-    real, forwards = real.trials(rows), forwards[rows]
-    power = np.broadcast_to(power, flags.shape)[rows]
+    flags = np.zeros(np.shape(real.h2_sd), bool)
+    rows, power = np.arange(flags.size), np.broadcast_to(sinrs.relay_tx_power, flags.shape)
+    mark = scratch.used
+    for bounds in (amplitude_bounds, rate_bounds):
+        scratch.used = mark
+        lower, upper = bounds(real, forwards, cfg, power, scratch)
+        outage = upper < cfg.rate
+        flags[rows] = outage
+        left = np.flatnonzero(~outage & (lower < cfg.rate))
+        rows, real, forwards, power = rows[left], real.trials(left), forwards[left], power[left]
     step = scratch.block.size // spectrum_slots(cfg)
     for start in range(0, max(rows.size, 1), step):
         group = slice(start, start + step)
@@ -152,10 +158,13 @@ def estimate_outage(cfg: SystemConfig, scheme: str, trials: int,
     array a layer writes is taken from one Scratch allocated once per
     estimate: chunk times the float64 slots every trial takes
     (channel_slots, and bound_slots for asynchronous multi under exact MI,
-    the one estimate that bounds its rate), and rewound after every chunk.
-    That estimate forms a spectrum only for the trials its bounds leave
-    undecided, in groups of as many trials as spectrum_slots each fit the
-    same block, which holds at least one.  The default chunk is as many
+    the one estimate that bounds its rate, whose two bound stages take the
+    same slots one after the other), and rewound after every chunk.  That
+    estimate builds complex gains, and draws the chunk's phase plane, only
+    if some trial's amplitude bounds leave it undecided, and forms a
+    spectrum only for the trials both bound stages leave undecided, in
+    groups of as many trials as spectrum_slots each fit the same block,
+    which holds at least one.  The default chunk is as many
     trials as fit CHUNK_BYTES (at least one), so the block is bounded for
     any block_len and relay count, unless one trial's spectrum alone
     outweighs it.

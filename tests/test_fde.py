@@ -1,5 +1,7 @@
+import json
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,9 +12,11 @@ from fdrelay.channel import (ChannelRealization, Scratch, channel_slots, draw_re
                              gather_relay, link_sinrs)
 from fdrelay.fde import (RATE_SLACK, approx_rate, exact_rate, exact_rate_two_tap,
                          lambda_spectrum, rate_bounds, spectrum_slots)
+from fdrelay.cli import _config_spec
 from fdrelay.mc import SCHEME_MULTI, forwarding, trial_stream
-from fdrelay.model import (ASYNCHRONOUS, FIXED_PER_RELAY, LINK_MEAN_MAX, SHARED_BUDGET,
-                           SYNCHRONOUS, SystemConfig, relay_tx_power, validate_config)
+from fdrelay.model import (ASYNCHRONOUS, FIXED_PER_RELAY, LINK_MEAN_MAX, MI_EXACT, SHARED_BUDGET,
+                           SYNCHRONOUS, SystemConfig, apply_param, relay_tx_power,
+                           validate_config)
 from oracles import abs2, batch_rows, direct_spectrum, from_gains, one_hot, spare_turn_gains
 
 
@@ -22,6 +26,8 @@ def config(**over):
     kwargs.update(over)
     return SystemConfig(**kwargs)
 
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 NONE = np.array([False])
 ONE = np.array([True])
@@ -638,6 +644,21 @@ def bound_config(rng, block_len, mode, policy, case):
         delays=delays, sync_mode=mode, relay_power_policy=policy))
 
 
+def bound_grid(block_len, mode, policy):
+    # (case, cfg, real, mask, power) of each case of the seeded bound grid:
+    # one config and batch of draws per case, a quarter of the rows with an
+    # empty mask, the relays' power shared by the forwarding ones
+    rng = np.random.default_rng([block_len, mode == SYNCHRONOUS, policy == SHARED_BUDGET])
+    size = 32 if block_len > 512 else 96
+    for case in BOUND_CASES:
+        cfg = bound_config(rng, block_len, mode, policy, case)
+        n = cfg.n_relays
+        real = draw_realization(cfg, trial_stream(int(rng.integers(1 << 32)), 0, n), size=size)
+        mask = rng.random((size, n)) < 0.6
+        mask[::4] = False
+        yield case, cfg, real, mask, relay_tx_power(cfg, np.maximum(mask.sum(axis=-1), 1))
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("policy", [SHARED_BUDGET, FIXED_PER_RELAY])
 @pytest.mark.parametrize("mode", [ASYNCHRONOUS, SYNCHRONOUS])
@@ -648,15 +669,8 @@ def test_rate_bounds_hold_the_spectrum_rate_over_a_seeded_grid(block_len, mode, 
     # have an empty mask, whose flat spectrum (s = 1) leaves the bounds two
     # slacks apart; a row with no signal at all (mu = 0) has rate 0 and an
     # upper bound of one slack
-    rng = np.random.default_rng([block_len, mode == SYNCHRONOUS, policy == SHARED_BUDGET])
-    size = 32 if block_len > 512 else 96
-    for case in BOUND_CASES:
-        cfg = bound_config(rng, block_len, mode, policy, case)
-        n = cfg.n_relays
-        real = draw_realization(cfg, trial_stream(int(rng.integers(1 << 32)), 0, n), size=size)
-        mask = rng.random((size, n)) < 0.6
-        mask[::4] = False
-        power = relay_tx_power(cfg, np.maximum(mask.sum(axis=-1), 1))
+    for case, cfg, real, mask, power in bound_grid(block_len, mode, policy):
+        size = mask.shape[0]
         lower, upper = rate_bounds(real, mask, cfg, power)
         rate = exact_rate(lambda_spectrum(real, mask, cfg, power), cfg)
         assert lower.shape == upper.shape == rate.shape == (size,)
@@ -666,6 +680,60 @@ def test_rate_bounds_hold_the_spectrum_rate_over_a_seeded_grid(block_len, mode, 
         assert np.all(upper[::4] - lower[::4] <= 2.5 * RATE_SLACK * (1.0 + flat)), (case, cfg)
         if case == "no-source":
             assert np.all(rate[::4] == 0.0) and np.all(upper[::4] == RATE_SLACK)
+
+
+# how far the amplitude bounds' lower bound may lie above the phased one,
+# per unit of 1 + |bound|: the two are formed from different transforms, and
+# where the taps' phases are aligned, or only one tap is nonzero, they are
+# one bound rounded twice
+BOUND_ROUNDING = 2.0 ** -44
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("policy", [SHARED_BUDGET, FIXED_PER_RELAY])
+@pytest.mark.parametrize("block_len", BOUND_BLOCKS)
+def test_amplitude_bounds_hold_the_spectrum_rate_over_the_seeded_grid(block_len, policy):
+    # on the asynchronous draws of the rate bounds' grid (every tap at a lag
+    # of its own, n a power of two or T, even or odd), row by row: the
+    # amplitude bounds hold the computed rate; their lower bound is at or
+    # below the phased one, to the rounding; their upper bound is the phased
+    # one within the slack RATE_SLACK (1 + mu); both are finite where the
+    # phased ones are, at every link mean at LINK_MEAN_MAX too.  A row alone
+    # gets its batch row's bits
+    for case, cfg, real, mask, power in bound_grid(block_len, ASYNCHRONOUS, policy):
+        power = np.broadcast_to(power, mask.shape[:1])     # a fixed per-relay power is a scalar
+        lower, upper = fde.amplitude_bounds(real, mask, cfg, power)
+        phased = rate_bounds(real, mask, cfg, power)
+        rate = exact_rate(lambda_spectrum(real, mask, cfg, power), cfg)
+        mu = cfg.p_source * real.h2_sd + (mask * power[:, None] * real.h2_rd).sum(axis=-1)
+        assert lower.shape == upper.shape == rate.shape
+        assert np.all(lower <= rate) and np.all(rate <= upper), (case, cfg)
+        assert np.all(lower <= phased[0] + BOUND_ROUNDING * (1.0 + np.abs(phased[0]))), (case, cfg)
+        assert np.all(np.abs(upper - phased[1]) <= RATE_SLACK * (1.0 + mu)), (case, cfg)
+        assert np.array_equal(np.isfinite(lower), np.isfinite(phased[0])), (case, cfg)
+        assert np.isfinite(upper).all(), (case, cfg)
+        for t in (0, 1, mask.shape[0] - 1):
+            one = fde.amplitude_bounds(real.trials(slice(t, t + 1)), mask[t:t + 1], cfg, power[t:t + 1])
+            assert one[0] == lower[t] and one[1] == upper[t], (case, t)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_amplitude_bounds_are_finite_at_the_ceiling_scenario():
+    # tools/scenario_ceiling.json's link means (P_S and E_R at 2880 dB, each
+    # variance 8 dB) under exact MI, its three inter-relay interference
+    # points: |F|^2 is normalized by mu before it is squared, so neither
+    # stage's bounds overflow; both hold the spectrum's rate
+    spec = _config_spec(json.loads((TOOLS / "scenario_ceiling.json").read_text()))
+    for value in spec.values:
+        cfg = apply_param(replace(spec.base, mi_mode=MI_EXACT), spec.param, value)
+        real = draw_realization(cfg, trial_stream(7, 0, cfg.n_relays), size=64)
+        mask, _, sinrs = forwarding(real, cfg, SCHEME_MULTI)
+        power = sinrs.relay_tx_power
+        rate = exact_rate(lambda_spectrum(real, mask, cfg, power), cfg)
+        for bounds in (fde.amplitude_bounds, rate_bounds):
+            lower, upper = bounds(real, mask, cfg, power)
+            assert np.isfinite(lower).all() and np.isfinite(upper).all(), (bounds, value)
+            assert np.all(lower <= rate) and np.all(rate <= upper), (bounds, value)
 
 
 def two_tap_rho(g_sd, relayed):

@@ -329,13 +329,15 @@ def test_chunks_take_their_arrays_from_one_declared_block(monkeypatch, over, chu
     # every case; then the schemes together take all that is declared.  Only
     # asynchronous multi under exact MI bounds its rate, so only its chunk
     # trials hold bound_slots: a block with one relayed tap (a selection
-    # scheme's, or synchronous multi's) is its channel_slots alone.  Its
-    # spectrum runs in groups, at least one a chunk, each rewinding the same
-    # block inside _trial_outages and taking spectrum_slots per row for at
-    # most as many rows as fit it; the block holds at least one trial's
-    # spectrum.  At the default chunk the block fits CHUNK_BYTES and one more
-    # trial would not, or it is one trial's spectrum that alone outweighs the
-    # budget
+    # scheme's, or synchronous multi's) is its channel_slots alone.  It
+    # bounds in two stages, amplitude_bounds then rate_bounds, each starting
+    # at the slot the first started at, so its slots are those of its larger
+    # stage, each within bound_slots.  Its spectrum runs in groups, at least
+    # one a chunk, each rewinding the same block inside _trial_outages and
+    # taking spectrum_slots per row for at most as many rows as fit it; the
+    # block holds at least one trial's spectrum.  At the default chunk the
+    # block fits CHUNK_BYTES and one more trial would not, or it is one
+    # trial's spectrum that alone outweighs the budget
     cfg = fig_config(**{"block_len": 32, **over})
     n = cfg.n_relays
     spectrum = cfg.mi_mode == MI_EXACT and cfg.sync_mode == ASYNCHRONOUS
@@ -345,6 +347,7 @@ def test_chunks_take_their_arrays_from_one_declared_block(monkeypatch, over, chu
     take, rewind = channel.Scratch.take, channel.Scratch.rewind
     draw, outages = mc.draw_realization, mc._trial_outages
     chunks, groups, sizes, scratches, most = [], [], [], [], Counter()
+    stages = []             # per chunk: [bound function, its first slot, its slots per trial]
     grouping = [False]      # whether takes now serve a spectrum group
 
     def spy_take(self, shape, dtype=float, order="C"):
@@ -359,9 +362,17 @@ def test_chunks_take_their_arrays_from_one_declared_block(monkeypatch, over, chu
             assert layer == "fdrelay.fde"
             assert shape[0] <= self.block.size // group_slots
             groups[-1] += slots
+        elif layer == "fdrelay.fde":
+            stages[-1][-1][2] += slots
         else:
             chunks[-1][layer] += slots
         return taken
+
+    def staged(bounds):
+        def spy(real, mask, cfg, power, scratch):
+            stages[-1].append([bounds.__name__, scratch.used, 0])
+            return bounds(real, mask, cfg, power, scratch)
+        return spy
 
     def spy_rewind(self):
         rewind(self)
@@ -372,6 +383,7 @@ def test_chunks_take_their_arrays_from_one_declared_block(monkeypatch, over, chu
     def spy_draw(*args, **kwargs):
         grouping[0] = False
         chunks.append(Counter())
+        stages.append([])
         sizes.append(kwargs["size"])
         real = draw(*args, **kwargs)
         real.h_sd, real.h_sr, real.h_rd
@@ -384,12 +396,24 @@ def test_chunks_take_their_arrays_from_one_declared_block(monkeypatch, over, chu
     monkeypatch.setattr(channel.Scratch, "take", spy_take)
     monkeypatch.setattr(channel.Scratch, "rewind", spy_rewind)
     monkeypatch.setattr(mc, "draw_realization", spy_draw)
+    for name in ("amplitude_bounds", "rate_bounds"):
+        monkeypatch.setattr(mc, name, staged(getattr(mc, name)))
     for scheme in SCHEMES:
         chunks.clear()
         groups.clear()
         scratches.clear()
+        stages.clear()
         # three chunks, the last ragged where chunk > 1
         estimate_outage(cfg, scheme, 2 * chunk + (chunk + 1) // 2, seed=3, chunk=chunk)
+        grouped = spectrum and scheme == SCHEME_MULTI
+        for chunk_stages, counts in zip(stages, chunks):
+            assert [name for name, _, _ in chunk_stages] == (
+                ["amplitude_bounds", "rate_bounds"] if grouped else []), scheme
+            # each stage takes the first stage's slots again
+            assert len({start for _, start, _ in chunk_stages}) <= 1, chunk_stages
+            if chunk_stages:
+                counts["fdrelay.fde"] = max(slots for _, _, slots in chunk_stages)
+        assert len({tuple((name, slots) for name, _, slots in st) for st in stages}) == 1
         assert len(set(map(id, scratches))) == 1 and len({id(s.block) for s in scratches}) == 1
         assert len(chunks) == 3 and chunks[0] == chunks[1] == chunks[2], scheme
         layers = declared if scheme == SCHEME_MULTI else {"fdrelay.channel": declared["fdrelay.channel"]}
@@ -397,7 +421,6 @@ def test_chunks_take_their_arrays_from_one_declared_block(monkeypatch, over, chu
         for layer, slots in chunks[0].items():
             assert slots <= layers[layer], (scheme, layer)
             most[layer] = max(most[layer], slots)
-        grouped = spectrum and scheme == SCHEME_MULTI
         least = group_slots if grouped else 0
         assert scratches[0].block.size == max(chunk * sum(layers.values()), least), scheme
         if grouped:
@@ -417,6 +440,7 @@ def test_chunks_take_their_arrays_from_one_declared_block(monkeypatch, over, chu
     for scheme in SCHEMES:
         scratches.clear()
         sizes.clear()
+        stages.clear()
         with pytest.raises(FirstChunkDone):
             estimate_outage(cfg, scheme, 1 << 40, seed=5)
         block, rows = scratches[0].block, sizes[0]
@@ -537,24 +561,46 @@ def test_exact_mi_forms_a_spectrum_only_for_asynchronous_multi(monkeypatch):
     (dict(mi_mode=MI_EXACT, sync_mode=SYNCHRONOUS, delays=None), {SCHEME_MULTI: ("rd",)}),
 ], ids=["async-approx", "sync-approx", "exact", "sync-exact"])
 def test_complex_gains_built_only_where_read(monkeypatch, over, links):
-    # count the gain builds of every drawn realization, by the power array
+    # count the gain builds of every chunk's realization, by the power array
     # each build starts from: each link the rate reads is built once per
     # chunk, and no gain is built from any other array; a lone selected
     # relay's rate reads |h|^2 and, under exact MI, the realization's turn,
     # so os and ps build no complex gain in either MI mode; synchronous multi
     # reads the coherent sum of h_rd in either MI mode, and under exact MI
-    # the direct tap's phase uniform, not h_sd
+    # the direct tap's phase uniform, not h_sd.  Asynchronous multi under
+    # exact MI reads gains only in its second bound stage, so it builds them
+    # for the realization rate_bounds reads: the chunk's trials its amplitude
+    # bounds leave undecided, some but not all of them
     draw, build = mc.draw_realization, channel.gains_from_uniforms
+    amplitude, phased = mc.amplitude_bounds, mc.rate_bounds
     links_of = ("sd", "sr", "rd")
     for scheme in SCHEMES:
         read = links.get(scheme, ())
-        reals, built = [], []
+        reals, built, undecided = [], [], []
+
+        def stage_one(real, mask, cfg, *args):
+            lower, upper = amplitude(real, mask, cfg, *args)
+            undecided.append(np.flatnonzero(~(upper < cfg.rate) & (lower < cfg.rate)))
+            return lower, upper
+
+        def stage_two(real, *args):
+            drawn = reals[-1]
+            for link in links_of:
+                want = getattr(drawn, "h2_" + link)[undecided[-1]]
+                assert np.array_equal(getattr(real, "h2_" + link), want), link
+            reals[-1] = real        # the realization whose gains the chunk builds
+            return phased(real, *args)
+
         monkeypatch.setattr(mc, "draw_realization",
                             lambda *a, **k: reals.append(draw(*a, **k)) or reals[-1])
         monkeypatch.setattr(channel, "gains_from_uniforms",
                             lambda power, u1: built.append((reals[-1], power)) or build(power, u1))
+        monkeypatch.setattr(mc, "amplitude_bounds", stage_one)
+        monkeypatch.setattr(mc, "rate_bounds", stage_two)
         estimate_outage(fig_config(**over), scheme, 1000, seed=3, chunk=400)
         assert len(reals) == 3
+        if undecided:
+            assert len(undecided) == 3 and 0 < sum(map(len, undecided)) < 1000, scheme
         for real in reals:
             powers = [p for r, p in built if r is real]
             counts = {link: sum(p is getattr(real, "h2_" + link) for p in powers)
@@ -588,6 +634,37 @@ def test_phase_plane_drawn_once_per_chunk_where_read(monkeypatch, over, planes, 
     monkeypatch.setattr(mc, "draw_realization", spy)
     estimate_outage(fig_config(**over), scheme, 1000, seed=3, chunk=400)
     assert [u.shape for u in drawn] == [(400, 12), (400, 12), (200, 12)][:3 * planes.get(scheme, 0)]
+
+
+def test_phase_plane_drawn_only_for_chunks_with_trials_the_amplitude_bounds_leave(monkeypatch):
+    # at fig4 0 dB under exact MI the amplitude bounds decide 99.6% of
+    # multi's trials, so most chunks of 7 leave none to the phased bounds:
+    # those draw no phase plane and build no gain, and every other chunk
+    # draws its whole plane, in stream order, once; the counts are the
+    # default chunk's, whose one plane is drawn for a few rows
+    cfg = apply_param(replace(build_preset("fig4").variants[0][1].base, mi_mode=MI_EXACT),
+                      "var_sr_db", 0.0)
+    draw, amplitude, drawn, left = mc.draw_realization, mc.amplitude_bounds, [], []
+
+    def spy_draw(*args, **kwargs):
+        real = draw(*args, **kwargs)
+        plane = real.phase_plane
+        return replace(real, phase_plane=lambda: drawn.append(plane()) or drawn[-1])
+
+    def stage_one(real, mask, cfg, *args):
+        lower, upper = amplitude(real, mask, cfg, *args)
+        left.append((real.h2_sd.size, int(np.count_nonzero(~(upper < cfg.rate) & (lower < cfg.rate)))))
+        return lower, upper
+
+    monkeypatch.setattr(mc, "draw_realization", spy_draw)
+    monkeypatch.setattr(mc, "amplitude_bounds", stage_one)
+    count = estimate_outage(cfg, SCHEME_MULTI, 700, seed=3, chunk=7)
+    reaching = [size for size, rows in left if rows]
+    assert len(left) == 100 and 0 < len(reaching) < 20, left
+    assert [u.shape for u in drawn] == [(size, 24) for size in reaching]
+    drawn.clear()
+    assert estimate_outage(cfg, SCHEME_MULTI, 700, seed=3) == count
+    assert [u.shape for u in drawn] == [(700, 24)]
 
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
@@ -970,12 +1047,13 @@ def assert_rates_independent_of_the_chunk(monkeypatch, cfg, scheme, trials, seed
                                          chunks=(1, 7, None)):
     # every per-trial rate is the same bits at each chunk size (by default
     # chunk=1, chunk=7 and the default chunk), so the outage counts agree;
-    # under exact MI the spy wraps asynchronous multi's rate bounds and the
-    # spectrum's rate of the trials they leave undecided, and the closed-form
-    # two-tap rate, whichever the scheme reads, each compared in trial order
-    # on its own
-    names = (("rate_bounds", "exact_rate", "exact_rate_two_tap") if cfg.mi_mode == MI_EXACT
-             else ("approx_rate",))
+    # under exact MI the spy wraps asynchronous multi's amplitude bounds, on
+    # every trial, its phased rate bounds, on the trials those leave
+    # undecided, and the spectrum's rate of the trials both leave undecided,
+    # and the closed-form two-tap rate, whichever the scheme reads, each
+    # compared in trial order on its own
+    names = (("amplitude_bounds", "rate_bounds", "exact_rate", "exact_rate_two_tap")
+             if cfg.mi_mode == MI_EXACT else ("approx_rate",))
     rates = {}
     for name in names:
         monkeypatch.setattr(mc, name, lambda *a, name=name, rate=getattr(mc, name), **k:
@@ -991,7 +1069,9 @@ def assert_rates_independent_of_the_chunk(monkeypatch, cfg, scheme, trials, seed
         assert got.keys() == seen[0].keys(), scheme
         assert all(np.array_equal(got[name], seen[0][name]) for name in got), scheme
     if scheme == SCHEME_MULTI and cfg.mi_mode == MI_EXACT and cfg.sync_mode == ASYNCHRONOUS:
-        assert seen[0]["rate_bounds"].shape == (2, trials)
+        assert seen[0]["amplitude_bounds"].shape == (2, trials)
+        assert seen[0]["rate_bounds"].shape[0] == 2
+        assert seen[0]["rate_bounds"].shape[1] <= trials
     elif cfg.mi_mode == MI_EXACT:
         assert seen[0].keys() == {"exact_rate_two_tap"}, scheme
         assert seen[0]["exact_rate_two_tap"].shape == (trials,)
@@ -1029,6 +1109,19 @@ def test_exact_mi_batch_independent_at_ten_relays(monkeypatch, scheme):
     cfg = fig_config(n_relays=10, mi_mode=MI_EXACT, block_len=16, cp_len=10, var_sr=2.0,
                      rate=1.5)
     assert_rates_independent_of_the_chunk(monkeypatch, cfg, scheme, 40, seed=23)
+
+
+@pytest.mark.parametrize("over", [
+    dict(n_relays=10, block_len=500, cp_len=10, var_sr=10 ** 0.2, rate=3.0),
+    dict(block_len=15, cp_len=14, delays=(2, 5, 9, 12, 14), rate=2.0),
+], ids=["n32-even", "n15-circular-odd"])
+def test_amplitude_bounds_independent_of_the_chunk(monkeypatch, over):
+    # the amplitude bounds' real transform at fig4's 500-bin block (n = 32,
+    # bins 1..15 mirrored) and at an odd circular n = T = 15 (bins 1..7
+    # mirrored): every stage's bits are the same at chunk 1, 7 and the
+    # default chunk
+    cfg = fig_config(mi_mode=MI_EXACT, **over)
+    assert_rates_independent_of_the_chunk(monkeypatch, cfg, SCHEME_MULTI, 120, seed=37)
 
 
 @pytest.mark.parametrize("mode", [ASYNCHRONOUS, SYNCHRONOUS])

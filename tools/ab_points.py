@@ -12,10 +12,11 @@ estimate_outage in both trees, K times each, the two trees interleaved with
 alternating order, so both see the same heap, caches and host load.  A
 point's speedup is its base time over its working-tree time, each the
 fastest of its K runs.  Prints one line per point, then the median speedup,
-its quartiles and how many points got faster; it also names any point whose
-outage count differs between the trees, which only an intended change of
-the random stream may do.  Exits non-zero only if the trees cannot be
-built or run.
+its quartiles and how many points got faster, over all points and then per
+scheme (a change to one scheme's path is diluted in the overall median by
+the points of the others); it also names any point whose outage count
+differs between the trees, which only an intended change of the random
+stream may do.  Exits non-zero only if the trees cannot be built or run.
 
 It cannot see a change in how memory is allocated.  Both trees run in one
 process on one heap, so pages one tree faults in serve the other, and
@@ -101,6 +102,14 @@ def timed(fd, cfg, scheme, trials):
     return time.perf_counter() - t0, est.outage_count
 
 
+def spread(speedups: list[float]) -> str:
+    """Median speedup, its quartiles and the count of points that got faster."""
+    q1, med, q3 = statistics.quantiles(speedups, n=4) if len(speedups) > 1 else speedups * 3
+    wins = sum(s > 1.0 for s in speedups)
+    return (f"median speedup {med:.3f} (q1 {q1:.3f}, q3 {q3:.3f}); "
+            f"faster at {wins} of {len(speedups)}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base_ref")
@@ -141,13 +150,12 @@ def main(argv=None) -> int:
                 differ.append(f"{label} {scheme}")
             print(f"{label:24s} {scheme:5s} base {best['base'] * 1e3:8.2f} ms  "
                   f"work {best['work'] * 1e3:8.2f} ms  speedup {speedups[-1]:.3f}", flush=True)
-    q1, med, q3 = (statistics.quantiles(speedups, n=4) if len(speedups) > 1
-                   else speedups * 3)
-    wins = sum(s > 1.0 for s in speedups)
     name = args.preset or args.config.stem
     print(f"summary {name}{' exact' if args.mi else ''}: {len(speedups)} points, "
-          f"{trials} trials, {args.reps} reps; median speedup {med:.3f} "
-          f"(q1 {q1:.3f}, q3 {q3:.3f}); faster at {wins} of {len(speedups)}")
+          f"{trials} trials, {args.reps} reps; {spread(speedups)}")
+    schemes = [scheme for _, _, scheme in grids["base"]]
+    for scheme in dict.fromkeys(schemes):
+        print(f"summary {scheme}: {spread([s for s, k in zip(speedups, schemes) if k == scheme])}")
     print("outage counts identical at every point" if not differ
           else f"outage counts differ at {len(differ)} points: " + "; ".join(differ))
     return 0
