@@ -95,6 +95,15 @@ def gather_relay(a: np.ndarray, index) -> np.ndarray:
     return np.take_along_axis(a, np.asarray(index)[..., None], axis=-1)[..., 0]
 
 
+def forwarding_count(mask: np.ndarray) -> np.ndarray:
+    """Relays forwarding per trial: the boolean mask summed over the relay
+    axis in the smallest unsigned integer that holds the relay count, exact
+    in any order, and returned as integers.  On a relay-major mask numpy
+    adds whole contiguous columns, one pass per relay."""
+    count = np.add.reduce(mask, axis=-1, dtype=np.min_scalar_type(mask.shape[-1]))
+    return count.astype(np.intp)
+
+
 def gains_from_uniforms(power, u1):
     """CN(0, variance) draws by the polar method from uniform pairs (u0, u1).
 
@@ -131,7 +140,7 @@ class ChannelRealization:
     first padding slot, and turn, k * 2**-53, is formed from it on first
     read and kept: a uniform independent of the powers and of every gain,
     which every two-tap block takes as its relative-phase turn (see
-    fde.exact_rate_two_tap), so a selection's rate reads no phase plane.
+    fde.exact_rate_two_tap), so a two-tap block's rate reads no phase plane.
     """
 
     h2_sd: np.ndarray
@@ -233,8 +242,7 @@ def draw_realization(cfg: SystemConfig, rng: np.random.Generator, size: int,
 @dataclass(frozen=True)
 class LinkSinrs:
     """Instantaneous per-link SINRs under relay transmit power relay_tx_power,
-    with the realization they come from (synchronous multi-relay combining
-    adds its complex h_rd).
+    with the realization they come from (a two-tap block reads its turn).
 
     Each SINR array is formed on its first read, in an array taken from
     scratch (relay-major, as the powers are), and kept: g_sd = P_S |h_sd|^2,

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import FRESH, ChannelRealization, LinkSinrs, Scratch, gather_relay
+from .channel import FRESH, ChannelRealization, LinkSinrs, Scratch, forwarding_count, gather_relay
 from .model import SYNCHRONOUS, SystemConfig
 
 
@@ -190,15 +190,15 @@ def exact_rate(spec: BinSpectrum, cfg: SystemConfig, out: np.ndarray | None = No
 
 def _relayed_tap(sinrs: LinkSinrs, mask: np.ndarray, chosen):
     # (relayed power, relay at whose delay that one tap sits) of a two-tap
-    # block: a selection's chosen relay, its g_rd where it forwards, or
-    # synchronous multi's relays at relay 0's delay, which they all share,
-    # P_R |h_sum|^2, h_sum the forwarders' h_rd by numpy's C-order row sum
-    if chosen is not None:
+    # block: one relay's g_rd times its weight, a selection's chosen relay
+    # 1 where it forwards, synchronous multi's first forwarder L (see approx_rate)
+    if chosen is None:
+        _check_mask(mask, sinrs.real.h2_rd)
+        chosen, weight = np.argmax(mask, axis=-1), forwarding_count(mask)
+    else:
         _check_mask(mask, np.asarray(chosen))
-        return gather_relay(sinrs.g_rd, chosen) * mask, chosen
-    _check_mask(mask, sinrs.real.h2_rd)
-    h_sum = np.multiply(sinrs.real.h_rd, np.ascontiguousarray(mask), order="C").sum(axis=-1)
-    return sinrs.relay_tx_power * (h_sum.real * h_sum.real + h_sum.imag * h_sum.imag), 0
+        weight = mask
+    return gather_relay(sinrs.g_rd, chosen) * weight, chosen
 
 
 # exact_rate_two_tap forms (-rho)^M and its cosine only where rho^M may reach
@@ -212,17 +212,17 @@ def exact_rate_two_tap(sinrs: LinkSinrs, forwards: np.ndarray, cfg: SystemConfig
 
     Given chosen (a selection scheme), the relayed tap is that relay's, of
     power g_rd * forwards; else (synchronous multi, whose relays share one
-    delay) it is P_R |h_sum|^2, h_sum the forwarding relays' h_rd summed as
-    approx_rate sums them.  With p = sqrt(g_sd), q the relayed amplitude,
-    x = 1 + g_sd + q^2 (approx_rate's total, the same operands), y = 2pq
-    and phi the relative phase of the two taps, bin i has 1 + gamma_i =
-    x + y cos(a_i), a_i = phi - 2pi i d/T, d the relayed delay mod T.
-    That is c (1 + 2 rho cos(a_i) + rho^2) with s = sqrt(x^2 -
-    y^2) = sqrt(1+(p-q)^2) sqrt(1+(p+q)^2) (no cancellation or overflow),
-    rho = y/(x+s) < 1 and c = (x+s)/2, formed as x - y rho/2 so that a trial
-    with no relayed power gets approx_rate's flat rate bit for bit.  Over
-    the T bins a_i takes each of the M = T/gcd(d, T) angles phi + 2pi k/M
-    (mod 2pi) gcd(d, T) times, and the finite product
+    delay) it is approx_rate's, drawn from the law of the coherent sum of
+    the forwarders' h_rd, not summed from the realization's gains.  With
+    p = sqrt(g_sd), q the relayed amplitude, x = 1 + g_sd + q^2 (approx_rate's
+    total, the same operands), y = 2pq and phi the relative phase of the two
+    taps, bin i has 1 + gamma_i = x + y cos(a_i), a_i = phi - 2pi i d/T, d
+    the relayed delay mod T.  That is c (1 + 2 rho cos(a_i) + rho^2) with
+    s = sqrt(x^2 - y^2) = sqrt(1+(p-q)^2) sqrt(1+(p+q)^2) (no cancellation
+    or overflow), rho = y/(x+s) < 1 and c = (x+s)/2, formed as x - y rho/2
+    so that a trial with no relayed power gets approx_rate's flat rate bit
+    for bit.  Over the T bins a_i takes each of the M = T/gcd(d, T) angles
+    phi + 2pi k/M (mod 2pi) gcd(d, T) times, and the finite product
     prod_{k<M} (1 + 2 rho cos(phi + 2pi k/M) + rho^2) = 1 - 2(-rho)^M cos(M phi)
     + rho^2M (Gradshteyn & Ryzhik, 1.39), so
 
@@ -232,14 +232,13 @@ def exact_rate_two_tap(sinrs: LinkSinrs, forwards: np.ndarray, cfg: SystemConfig
     2pi, taken as 2pi times a turn.  The direct tap's phase is uniform and
     independent of the powers, of the relays' gains, of the mask and of the
     pick, so phi and its turn are too: every block's turn is the
-    realization's turn, plane 0's spare uniform, so the rate reads no
-    direct-link phase, and a selection's no phase plane.  (-rho)^M and
-    cos(M phi) are formed only on the rows where rho >= 2^(R_FLOOR_EXP/M)
-    (a masked ufunc, so every array has the batch's shape); below, |rho^M|
-    < 2^-55 and 1 - 2(-rho)^M cos(M phi) + rho^2M rounds to 1 exactly, so
-    r = 0 and a zero cosine there give w = 1, log2 w = 0 and the same bits.
-    Every step is elementwise or approx_rate's row sum, so a trial's rate
-    is the same bits alone or in a batch of any size.
+    realization's turn, plane 0's spare uniform, so the rate reads no phase
+    plane.  (-rho)^M and cos(M phi) are formed only on the rows where
+    rho >= 2^(R_FLOOR_EXP/M) (a masked ufunc, so every array has the batch's
+    shape); below, |rho^M| < 2^-55 and 1 - 2(-rho)^M cos(M phi) + rho^2M
+    rounds to 1 exactly, so r = 0 and a zero cosine there give w = 1,
+    log2 w = 0 and the same bits.  Every step is elementwise or an exact
+    count, so a trial's rate is the same bits alone or in a batch of any size.
     """
     relayed, relay = _relayed_tap(sinrs, forwards, chosen)
     t_len = cfg.block_len
@@ -266,13 +265,16 @@ def approx_rate(sinrs: LinkSinrs, mask: np.ndarray, cfg: SystemConfig, chosen=No
     order, one pass per relay column (contiguous in relay-major SINRs), or,
     for a batch of fewer trials than relays, by np.add.accumulate along each
     row, which adds in the same order.  A block with one relayed tap adds
-    that tap's power, as exact_rate_two_tap reads it: synchronous multi
-    combines the relay amplitudes coherently first, from the h_rd of
-    sinrs.real, by numpy's sum over each C-order row, and a selection
-    scheme's one relay, its own coherent sum, has its g_rd gathered in
-    either mode, the same number as a masked row sum, which adds only zeros
-    to it.  Every order is fixed by the code, not by the batch, so a trial's
-    rate is the same bits alone or in a chunk of any size.
+    that tap's power, as exact_rate_two_tap reads it: one relay's g_rd times
+    its weight.  A selection scheme's one relay weighs 1 where it forwards,
+    the same number as a masked row sum, which adds only zeros to it.
+    Synchronous multi's first forwarder weighs L, the forwarder count: its
+    relays share one delay, and given the mask, which reads only SR powers,
+    their h_rd are i.i.d. CN(0, var_rd), so the coherent P_R |h_sum|^2 is
+    Exp of mean L P_R var_rd, the law of that tap, which is drawn from it,
+    not summed from the realization's gains.  Every order is fixed by the
+    code, not by the batch, so a trial's rate is the same bits alone or in
+    a chunk of any size.
 
     chosen, an integer array of the batch shape, names a selection scheme's
     one candidate relay per trial; mask is then of the batch shape too and

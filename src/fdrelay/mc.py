@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 
 from .channel import (FRESH, PHILOX_BLOCK, LinkSinrs, Scratch, channel_slots, draw_realization,
-                      gather_relay, link_sinrs, trial_block_uniforms)
+                      forwarding_count, gather_relay, link_sinrs, trial_block_uniforms)
 from .fde import (amplitude_bounds, approx_rate, bound_slots, exact_rate, exact_rate_two_tap,
                   lambda_spectrum, rate_bounds, spectrum_slots)
 from .model import (MI_EXACT, SCHEME_MULTI, SCHEME_OS, SCHEME_PS, SCHEMES, SYNCHRONOUS,
@@ -68,15 +68,6 @@ def select_relay(sinrs: LinkSinrs, kind: str):
     return chosen.astype(np.intp)
 
 
-def forwarding_count(mask: np.ndarray) -> np.ndarray:
-    """Relays forwarding per trial: the boolean mask summed over the relay
-    axis in the smallest unsigned integer that holds the relay count, exact
-    in any order, and returned as integers.  On a relay-major mask numpy
-    adds whole contiguous columns, one pass per relay."""
-    count = np.add.reduce(mask, axis=-1, dtype=np.min_scalar_type(mask.shape[-1]))
-    return count.astype(np.intp)
-
-
 def selection_config(cfg: SystemConfig) -> SystemConfig:
     """The config a selection baseline's trials read: its lone relay forwards
     free of inter-relay interference, so cfg with var_iri = 0 (cfg itself
@@ -92,10 +83,9 @@ def forwarding(real, cfg: SystemConfig, scheme: str, scratch: Scratch = FRESH):
     every relay that decodes at the all-relay power, sharing the budget, and
     chosen is None; os/ps: chosen, of the batch shape, is the selected relay
     and forwards whether it decodes; it forwards alone, so its SINRs are
-    those of selection_config(cfg).  The rate step passes chosen on to
-    approx_rate or exact_rate_two_tap, which read that one relay's g_rd,
-    not the whole relay axis, and, under exact MI as for synchronous multi,
-    the realization's turn, plane 0's spare uniform: no phase plane."""
+    those of selection_config(cfg).  Given chosen, or synchronous, the rate
+    reads one relay's g_rd and, under exact MI, the realization's turn,
+    plane 0's spare uniform: no complex gain and no phase plane."""
     if scheme == SCHEME_MULTI:
         probe = link_sinrs(real, cfg, relay_tx_power(cfg, cfg.n_relays), scratch)
         decodes = probe.g_sr >= eta(cfg)

@@ -36,7 +36,7 @@ SWEEPABLE_FIELDS = DB_FIELDS + ("rate", "n_relays")
 COUNT_BITS = 20        # n_relays, block_len and cp_len lie below 2**COUNT_BITS
 
 # largest link mean P*var: 2**-64 of the largest double leaves room for the largest
-# exponential draw (53 ln 2 < 2**6) and a coherent sum over N < 2**20 relays (N**2 < 2**40)
+# exponential draw (53 ln 2 < 2**6) and a relayed power of at most N < 2**20 link powers
 LINK_MEAN_MAX = sys.float_info.max * 2.0 ** -64
 
 

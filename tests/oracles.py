@@ -140,17 +140,19 @@ def simulate_trials(cfg, scheme: str, seed: int, trials: int) -> np.ndarray:
     (E_R under the fixed policy).  os/ps: with every relay at E_R and no
     inter-relay interference, the first relay of largest min(g_sr, g_rd)
     (os) or g_sr (ps) is chosen, and forwards where it decodes.  The rate is
-    T/(T+cp) log2(1 + P_S|h_sd|^2 + relayed), relayed the forwarders' P_R|h_rd|^2
-    summed (multi, synchronous: P_R |sum h_rd|^2), under approximate MI, and
-    sum_i log2(1 + |lam_i|^2)/(T+cp) under exact MI, lam_i = sqrt(P_S) h_sd +
-    sum over forwarders of sqrt(P_R) h_rd_k e^{-j2pi i tau_k/T} by a direct
-    DFT sum.  A block with one relayed tap (os/ps, or synchronous multi,
-    whose relays share one delay d) has two taps, direct and relayed, which
-    meet at a relative phase phi that the rate reads only as M phi mod 2pi,
-    M = T/gcd(d, T) for the relayed delay d; that is 2pi times the trial's
-    plane-0 uniform in slot 1+2N, the first padding slot, so under exact MI
-    such a block takes h_sd = |h_sd| and turns every h_rd_k by the one phase
-    that puts the forwarders' sum at angle -2pi u0[1+2N]/M_k.
+    T/(T+cp) log2(1 + P_S|h_sd|^2 + relayed), relayed the forwarders'
+    P_R|h_rd|^2 summed, under approximate MI, and sum_i log2(1 +
+    |lam_i|^2)/(T+cp) under exact MI, lam_i = sqrt(P_S) h_sd + sum over
+    forwarders of sqrt(P_R) h_rd_k e^{-j2pi i tau_k/T} by a direct DFT sum.
+    A block with one relayed tap (os/ps, or synchronous multi, whose relays
+    share one delay d) has two taps, direct and relayed.  The relayed one is
+    the first forwarder f's alone, its power |h_rd_f|^2 times the forwarder
+    count L: a selection's L is at most 1, and synchronous multi's tap has
+    the law of the coherent |sum h_rd|^2 given the mask, Exp of mean
+    L var_rd.  The taps meet at a relative phase phi that the rate reads
+    only as M phi mod 2pi, M = T/gcd(d, T); that is 2pi times the trial's
+    plane-0 uniform in slot 1+2N, the first padding slot, so such a block
+    takes h_sd = |h_sd| and h_rd_f = |h_rd_f| sqrt(L) e^{-j2pi u0[1+2N]/M}.
     """
     n, t_len = cfg.n_relays, cfg.block_len
     width = 1 + 2 * n
@@ -178,18 +180,16 @@ def simulate_trials(cfg, scheme: str, seed: int, trials: int) -> np.ndarray:
             score = np.minimum(g_sr, p_r * p_rd) if scheme == SCHEME_OS else g_sr
             chosen = int(np.argmax(score))
             mask = (np.arange(n) == chosen) & (g_sr[chosen] >= eta)
-        if cfg.mi_mode == MI_EXACT and (scheme != SCHEME_MULTI or cfg.sync_mode == SYNCHRONOUS):
-            phase = np.angle(h_rd[mask].sum()) + 2.0 * np.pi * u0[t, width] / bins
-            h_sd, h_rd = np.sqrt(p_sd), h_rd * np.exp(-1j * phase)
+        if scheme != SCHEME_MULTI or cfg.sync_mode == SYNCHRONOUS:
+            first, count = int(np.argmax(mask)), int(mask.sum())
+            mask = (np.arange(n) == first) & (count > 0)
+            p_rd = np.where(mask, count * p_rd, 0.0)
+            h_sd, h_rd = np.sqrt(p_sd), np.sqrt(p_rd) * np.exp(-2j * np.pi * u0[t, width] / bins)
         if cfg.mi_mode == MI_EXACT:
             lam = np.sqrt(cfg.p_source) * h_sd + (np.sqrt(p_r) * h_rd * mask) @ ramps
             rates[t] = np.log2(1.0 + abs2(lam)).sum() / (t_len + cfg.cp_len)
-            continue
-        if scheme == SCHEME_MULTI and cfg.sync_mode == SYNCHRONOUS:
-            relayed = p_r * abs2(h_rd[mask].sum())
         else:
-            relayed = p_r * p_rd[mask].sum()
-        rates[t] = scale * np.log2(1.0 + cfg.p_source * p_sd + relayed)
+            rates[t] = scale * np.log2(1.0 + cfg.p_source * p_sd + p_r * p_rd[mask].sum())
     return rates
 
 
@@ -225,8 +225,9 @@ def spare_turn_gains(real, cfg, mask=None) -> ChannelRealization:
     relay k's has M_k phi = 2pi u, the relative phase its rate reads.  Given
     mask, over the relay axis (synchronous multi, whose relays share one
     delay), every h_rd_k is instead real's h_rd_k turned by the one phase
-    that puts the forwarders' coherent sum h_sum at -2pi u/M: |h_sum|, the
-    relayed tap's amplitude, is kept, and M phi = 2pi u again."""
+    that puts the forwarders' coherent sum h_sum at -2pi u/M: |h_sum| is
+    kept, and M phi = 2pi u again.  That block is the coherent-sum oracle of
+    synchronous multi's two-tap block at the realization's turn."""
     t_len = cfg.block_len
     bins = t_len // np.gcd(np.asarray(cfg.delays) % t_len, t_len)
     turn = np.asarray(real.turn)[..., None]
@@ -236,6 +237,26 @@ def spare_turn_gains(real, cfg, mask=None) -> ChannelRealization:
         h_rd = real.h_rd * np.exp(-1j * np.angle((real.h_rd * mask).sum(axis=-1, keepdims=True)))
     return from_gains(np.sqrt(real.h2_sd), np.sqrt(real.h2_sr),
                       h_rd * np.exp(-2j * np.pi * turn / bins))
+
+
+def coherent_power(h_rd, mask):
+    """|sum of the forwarders' h_rd|^2: the coherent sum of synchronous
+    relays that share one delay, for that realization's gains."""
+    return abs2((np.asarray(h_rd) * mask).sum(axis=-1))
+
+
+def law_tap_block(real, cfg, mask):
+    """(realization, mask) of synchronous multi's equivalent two-tap block
+    under the library's weight rule: the direct tap sqrt(h2_sd) and one
+    relayed tap, the first forwarder f's alone, h_rd_f = sqrt(L h2_rd_f)
+    e^{-j2pi u/M}, L the forwarder count and u the turn, at the relays'
+    shared delay; the mask holds f where L > 0.  Its spectrum's rate is the
+    one fde.exact_rate_two_tap forms in closed form."""
+    first, count = np.argmax(mask, axis=-1), np.count_nonzero(mask, axis=-1)
+    one = one_hot(first, count > 0, cfg.n_relays)
+    gains = spare_turn_gains(real, cfg)
+    h_rd = gains.h_rd * np.sqrt(np.where(one, np.asarray(count)[..., None], 0))
+    return from_gains(gains.h_sd, gains.h_sr, h_rd), one
 
 
 def plane_one_realization(real, cfg, chosen) -> ChannelRealization:
@@ -252,15 +273,14 @@ def plane_one_realization(real, cfg, chosen) -> ChannelRealization:
 
 
 def coherent_plane_one_realization(real, cfg, mask) -> ChannelRealization:
-    """real's powers and h_rd, with as its turn a synchronous multi block's
-    turn under the rule that read plane 1: frac(M (u1_sd - angle(h_sum)/2pi)),
+    """real's powers, with as its turn a synchronous multi block's turn
+    under the rule that read plane 1: frac(M (u1_sd - angle(h_sum)/2pi)),
     M = T/gcd(d, T) for the relays' shared delay d, h_sum the forwarders'
     h_rd by numpy's C-order row sum, in that rule's operations, so
-    fde.exact_rate_two_tap gives that rule's rates."""
+    fde.exact_rate_two_tap gives that turn's rates."""
     t_len = cfg.block_len
     m = t_len // math.gcd(cfg.delays[0] % t_len, t_len)
     h_sum = np.multiply(real.h_rd, np.ascontiguousarray(mask), order="C").sum(axis=-1)
     old = ChannelRealization(real.h2_sd, real.h2_sr, real.h2_rd)
-    old.__dict__["h_rd"] = real.h_rd
     old.__dict__["turn"] = np.remainder(m * (real.phases[0] - np.angle(h_sum) / (2.0 * np.pi)), 1.0)
     return old

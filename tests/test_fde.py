@@ -17,7 +17,8 @@ from fdrelay.mc import SCHEME_MULTI, forwarding, trial_stream
 from fdrelay.model import (ASYNCHRONOUS, FIXED_PER_RELAY, LINK_MEAN_MAX, MI_EXACT, SHARED_BUDGET,
                            SYNCHRONOUS, SystemConfig, apply_param, relay_tx_power,
                            validate_config)
-from oracles import abs2, batch_rows, direct_spectrum, from_gains, one_hot, spare_turn_gains
+from oracles import (abs2, batch_rows, coherent_power, direct_spectrum, from_gains, law_tap_block,
+                     one_hot, spare_turn_gains)
 
 
 def config(**over):
@@ -118,10 +119,25 @@ def test_approx_rate_values():
 def test_sync_coherent_sum_and_destructive_case():
     cfg = SystemConfig(n_relays=2, p_source=1.0, e_relay_budget=1.0, rate=2.0,
                        block_len=8, cp_len=2, delays=(2, 2), sync_mode=SYNCHRONOUS)
+    # the oracle's coherent sum of two opposite relays cancels, leaving the
+    # direct SNR
     real = from_gains(1 + 0j, [0j, 0j], [1 + 0j, -1 + 0j])
+    relayed = coherent_power(real.h_rd, np.array([True, True]))
+    assert relayed == 0.0
+    assert_allclose((8 / 10) * np.log2(1.0 + 1.0 + relayed), (8 / 10) * np.log2(2.0), rtol=1e-12)
+    # the library draws the relayed tap from its law instead: the first
+    # forwarder's g_rd times the forwarder count, bit for bit, in a batch
+    # and for a trial alone
     sinrs = link_sinrs(real, cfg, 1.0)
-    got = approx_rate(sinrs, np.array([True, True]), cfg)
-    assert_allclose(got, (8 / 10) * np.log2(2.0), rtol=1e-12)
+    assert approx_rate(sinrs, np.array([True, True]), cfg) == (8 / 10) * np.log2(4.0)
+    batch = draw_realization(cfg, trial_stream(5, 0, 2), size=64)
+    mask = np.random.default_rng(5).random((64, 2)) < 0.6
+    power = relay_tx_power(cfg, np.maximum(mask.sum(axis=-1), 1))
+    sinrs = link_sinrs(batch, cfg, power)
+    relayed = gather_relay(sinrs.g_rd, mask.argmax(axis=-1)) * mask.sum(axis=-1)
+    want = (8 / 10) * np.log2(1.0 + (sinrs.g_sd + relayed))
+    assert np.array_equal(approx_rate(sinrs, mask, cfg), want)
+    assert approx_rate(link_sinrs(unbatched_row(batch, 9), cfg, power[9]), mask[9], cfg) == want[9]
     # equal-delay relays collapse to one relay with the summed gain
     a, b = 0.3 - 1.1j, 0.8 + 0.2j
     two = lambda_spectrum(from_gains(0.5 + 0j, [0j, 0j], [a, b]), np.array([True, True]), cfg, 1.0)
@@ -554,10 +570,11 @@ def test_one_relay_closed_form_rate_over_a_seeded_grid(block_len, mode):
 @pytest.mark.parametrize("block_len", GRID_BLOCKS)
 def test_two_tap_rate_of_synchronous_multi_over_a_seeded_grid(block_len, policy):
     # synchronous multi's relays share one delay, so its block has one
-    # relayed tap, the coherent sum of the forwarding relays' h_rd: the
-    # closed form against the exact rate of the spectrum of gains that place
-    # the realization's turn between the direct tap and that sum (the FFT
-    # oracle, its equal delays accumulated on one lag) within 1e-12, over
+    # relayed tap, drawn from the law of the forwarders' coherent sum as the
+    # first forwarder's power times the forwarder count: the closed form
+    # against the exact rate of the spectrum of the equivalent two-tap block,
+    # the direct tap and that one tap at the shared delay with the
+    # realization's turn between them (the FFT oracle), within 1e-12, over
     # the bin counts M = T/gcd(d, T) grid_config's shared delays give, with
     # P_S = 0 and every link mean at LINK_MEAN_MAX besides; a quarter of the
     # rows have an empty mask and approx_rate's flat rate bit for bit; an
@@ -576,7 +593,7 @@ def test_two_tap_rate_of_synchronous_multi_over_a_seeded_grid(block_len, policy)
         power = np.broadcast_to(relay_tx_power(cfg, np.maximum(mask.sum(axis=-1), 1)), (48,))
         sinrs = link_sinrs(real, cfg, power)
         got = exact_rate_two_tap(sinrs, mask, cfg)
-        want = exact_rate(lambda_spectrum(spare_turn_gains(real, cfg, mask), mask, cfg, power), cfg)
+        want = exact_rate(lambda_spectrum(*law_tap_block(real, cfg, mask), cfg, power), cfg)
         assert got.shape == (48,)
         assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=str(cfg))
         assert np.array_equal(got[::4], approx_rate(sinrs, mask, cfg)[::4])

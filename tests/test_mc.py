@@ -23,8 +23,8 @@ from fdrelay.mc import (SCHEME_MULTI, SCHEME_OS, SCHEME_PS, SCHEMES,
 from fdrelay.model import (ASYNCHRONOUS, FIXED_PER_RELAY, LINK_MEAN_MAX, MI_APPROXIMATE,
                            MI_EXACT, SHARED_BUDGET, SYNCHRONOUS, SystemConfig, apply_param,
                            validate_config)
-from oracles import (coherent_plane_one_realization, one_hot, plane_one_realization,
-                     simulate_trials)
+from oracles import (batch_rows, coherent_plane_one_realization, coherent_power, law_tap_block,
+                     one_hot, plane_one_realization, simulate_trials, spare_turn_gains)
 
 
 def fig_config(**over):
@@ -556,18 +556,18 @@ def test_exact_mi_forms_a_spectrum_only_for_asynchronous_multi(monkeypatch):
 
 @pytest.mark.parametrize("over, links", [
     (dict(), {}),
-    (dict(sync_mode=SYNCHRONOUS, delays=None), {SCHEME_MULTI: ("rd",)}),
+    (dict(sync_mode=SYNCHRONOUS, delays=None), {}),
     (dict(mi_mode=MI_EXACT), {SCHEME_MULTI: ("sd", "rd")}),
-    (dict(mi_mode=MI_EXACT, sync_mode=SYNCHRONOUS, delays=None), {SCHEME_MULTI: ("rd",)}),
+    (dict(mi_mode=MI_EXACT, sync_mode=SYNCHRONOUS, delays=None), {}),
 ], ids=["async-approx", "sync-approx", "exact", "sync-exact"])
 def test_complex_gains_built_only_where_read(monkeypatch, over, links):
     # count the gain builds of every chunk's realization, by the power array
     # each build starts from: each link the rate reads is built once per
-    # chunk, and no gain is built from any other array; a lone selected
-    # relay's rate reads |h|^2 and, under exact MI, the realization's turn,
-    # so os and ps build no complex gain in either MI mode; synchronous multi
-    # reads the coherent sum of h_rd in either MI mode, and under exact MI
-    # the direct tap's phase uniform, not h_sd.  Asynchronous multi under
+    # chunk, and no gain is built from any other array; a block with one
+    # relayed tap (a lone selected relay's, or synchronous multi's, drawn
+    # from its law) reads |h|^2 and, under exact MI, the realization's turn,
+    # so os, ps and synchronous multi build no complex gain in either MI
+    # mode.  Asynchronous multi under
     # exact MI reads gains only in its second bound stage, so it builds them
     # for the realization rate_bounds reads: the chunk's trials its amplitude
     # bounds leave undecided, some but not all of them
@@ -614,16 +614,16 @@ def test_complex_gains_built_only_where_read(monkeypatch, over, links):
 
 @pytest.mark.parametrize("over, planes", [
     (dict(), {}),
-    (dict(sync_mode=SYNCHRONOUS, delays=None), {SCHEME_MULTI: 1}),
+    (dict(sync_mode=SYNCHRONOUS, delays=None), {}),
     (dict(mi_mode=MI_EXACT), {SCHEME_MULTI: 1}),
-    (dict(mi_mode=MI_EXACT, sync_mode=SYNCHRONOUS, delays=None), {SCHEME_MULTI: 1}),
+    (dict(mi_mode=MI_EXACT, sync_mode=SYNCHRONOUS, delays=None), {}),
 ], ids=["async-approx", "sync-approx", "exact", "sync-exact"])
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_phase_plane_drawn_once_per_chunk_where_read(monkeypatch, over, planes, scheme):
-    # only multi generates a phase plane: under approximate MI the
-    # synchronous one only, under exact MI in either mode; a rate that reads
-    # complex gains or phase uniforms generates its chunk's plane once,
-    # however many links it reads; os and ps read the spare turn instead
+    # only asynchronous multi under exact MI generates a phase plane: a
+    # rate that reads complex gains or phase uniforms generates its chunk's
+    # plane once, however many links it reads; a block with one relayed tap
+    # (os, ps and synchronous multi) reads the spare turn instead
     draw, drawn = mc.draw_realization, []
 
     def spy(*args, **kwargs):
@@ -796,7 +796,9 @@ def test_trial_flags_match_the_per_trial_oracle_over_small_accepted_configs(cfg,
 def test_bounded_multi_flags_match_every_trial_through_the_spectrum(monkeypatch):
     # multi under exact MI forms a spectrum only for the trials its rate
     # bounds leave undecided; every chunk's flags equal an oracle that forms
-    # every trial's spectrum and exact rate.  The bounds decide most trials
+    # every trial's spectrum and exact rate, a synchronous trial's that of
+    # its equivalent two-tap block, whose relayed tap is drawn from the law
+    # of the coherent sum (law_tap_block).  The bounds decide most trials
     # (none at scenario_ceiling's link means, where the slack exceeds any
     # rate), and the spectrum still runs on some.  The oracle reads the
     # chunk's realization first, as the spectrum's groups may overwrite it
@@ -804,7 +806,9 @@ def test_bounded_multi_flags_match_every_trial_through_the_spectrum(monkeypatch)
 
     def checked(cfg, scheme, real, scratch):
         forwards, _, sinrs = mc.forwarding(real, cfg, scheme)
-        spec = spectrum(real, forwards, cfg, sinrs.relay_tx_power)
+        block = (law_tap_block(real, cfg, forwards) if cfg.sync_mode == SYNCHRONOUS
+                 else (real, forwards))
+        spec = spectrum(*block, cfg, sinrs.relay_tx_power)
         flags = outages(cfg, scheme, real, scratch)
         assert np.array_equal(flags, fde.exact_rate(spec, cfg) < cfg.rate), cfg
         rows["all"] += flags.size
@@ -853,12 +857,14 @@ def test_async_exact_multi_counts_do_not_depend_on_the_chunk_or_its_groups(monke
 def test_pinned_outage_counts():
     # seed-0 outage counts of preset points under the two-plane draw (powers
     # in plane 0, phases in plane 1); counts rather than CSV bytes, which also
-    # hold closed-form values that move with the host's libm
+    # hold closed-form values that move with the host's libm.  fig3's
+    # synchronous multi count is that of its relayed tap drawn from the law
+    # of the coherent sum, which the law gates below check
     fig2 = apply_param(dict(build_preset("fig2").variants)["n10"].base, "var_iri_db", 10.0)
     for scheme, count in ((SCHEME_MULTI, 16), (SCHEME_OS, 13), (SCHEME_PS, 682)):
         assert estimate_outage(fig2, scheme, 20_000, seed=0).outage_count == count
     fig3 = apply_param(dict(build_preset("fig3").variants)["n10"].base, "var_iri_db", 0.0)
-    assert estimate_outage(fig3, SCHEME_MULTI, 20_000, seed=0).outage_count == 706
+    assert estimate_outage(fig3, SCHEME_MULTI, 20_000, seed=0).outage_count == 704
     fig4 = apply_param(replace(build_preset("fig4").variants[0][1].base, mi_mode=MI_EXACT),
                        "var_sr_db", 0.0)
     assert estimate_outage(fig4, SCHEME_MULTI, 2000, seed=0).outage_count == 3
@@ -1008,6 +1014,86 @@ def test_synchronous_multi_turn_from_the_spare_slot_keeps_the_plane_one_counts()
             for spec in specs for value in spec.values] + [TURN_SHORT_SYNC_BLOCK]
     assert all(cfg.sync_mode == SYNCHRONOUS for cfg in cfgs) and len(cfgs) == 14
     assert_spare_turn_keeps_the_plane_one_law([(cfg, SCHEME_MULTI) for cfg in cfgs])
+
+
+# seeds and trials per seed of the gates on synchronous multi's law-drawn
+# relayed tap, and the false-alarm rate of each gate's sum over its cells,
+# fixed before their first run
+LAW_SEEDS = range(101, 111)
+LAW_TRIALS = 100_000
+LAW_PAIRED_TRIALS = 20_000
+LAW_ALPHA = 1e-3
+
+
+def test_synchronous_multi_matches_its_closed_form_at_every_fig3_point():
+    # synchronous multi draws its relayed tap from the law of the coherent
+    # sum, Exp of mean L P_R var_rd given the mask, which is the step
+    # p_cond_sync takes, so under approximate MI total_outage is exact.
+    # Pooled over LAW_SEEDS at every fig3 point (N 5 and 10) and at fig3 N10
+    # -10 dB under the fixed per-relay policy, whose tap grows with L, each
+    # z = (count - n p)/sqrt(n p (1 - p)) lies within 3, and the sum of z^2
+    # is below chi^2's LAW_ALPHA quantile
+    specs = [spec for _, spec in build_preset("fig3").variants]
+    cfgs = [apply_param(spec.base, spec.param, value) for spec in specs for value in spec.values]
+    cfgs.append(replace(cfgs[5], relay_power_policy=FIXED_PER_RELAY))
+    assert len(cfgs) == 11 and cfgs[5].n_relays == 10 and cfgs[5].var_iri == 0.1
+    z = []
+    for cfg in cfgs:
+        count = sum(estimate_outage(cfg, SCHEME_MULTI, LAW_TRIALS, seed=seed).outage_count
+                    for seed in LAW_SEEDS)
+        n, p = LAW_TRIALS * len(LAW_SEEDS), total_outage(cfg)
+        z.append((count - n * p) / math.sqrt(n * p * (1.0 - p)))
+    z = np.array(z)
+    print(f"z against total_outage: {np.round(z, 2).tolist()}")
+    assert np.max(np.abs(z)) <= 3.0
+    assert np.sum(z * z) <= chi2.isf(LAW_ALPHA, z.size)
+
+
+def test_synchronous_multi_law_tap_keeps_the_coherent_sum_counts():
+    # on the same draws, the engine's flags (its relayed tap the first
+    # forwarder's g_rd times L) against the coherent-sum oracle's (P_R
+    # |sum of the forwarders' h_rd|^2; under exact MI the spectrum of that
+    # sum at the realization's turn): the two taps have one law given the
+    # mask, so their outage counts agree in law.  The samples are paired, so
+    # McNemar's test compares them: over LAW_SEEDS pooled, b trials are
+    # outages under the law tap alone and c under the coherent sum alone,
+    # z = (b - c)/sqrt(b + c), in both MI modes at fig3 N10 -10 and +10 dB
+    # and at TURN_SHORT_SYNC_BLOCK, whose M = 4 bins make the finite-M band
+    # matter.  Each |z| <= 3, and the sum of z^2 is below chi^2's LAW_ALPHA
+    # quantile
+    spec = dict(build_preset("fig3").variants)["n10"]
+    cfgs = [apply_param(spec.base, spec.param, value) for value in (-10.0, 10.0)]
+    cfgs.append(TURN_SHORT_SYNC_BLOCK)
+    z = []
+    for cfg in (replace(c, mi_mode=mi) for c in cfgs for mi in (MI_APPROXIMATE, MI_EXACT)):
+        b = c = 0
+        for seed in LAW_SEEDS:
+            real = channel.draw_realization(cfg, trial_stream(seed, 0, cfg.n_relays),
+                                            size=LAW_PAIRED_TRIALS)
+            forwards, _, sinrs = mc.forwarding(real, cfg, SCHEME_MULTI)
+            power = np.broadcast_to(sinrs.relay_tx_power, forwards.shape[:1])
+            if cfg.mi_mode == MI_EXACT:
+                new = fde.exact_rate_two_tap(sinrs, forwards, cfg) < cfg.rate
+                gains, step = spare_turn_gains(real, cfg, forwards), LAW_PAIRED_TRIALS // 10
+                old = np.concatenate([fde.exact_rate(fde.lambda_spectrum(
+                    batch_rows(gains, rows), forwards[rows], cfg, power[rows]), cfg)
+                    for rows in (slice(i, i + step) for i in range(0, LAW_PAIRED_TRIALS, step))])
+                old = old < cfg.rate
+            else:
+                new = fde.approx_rate(sinrs, forwards, cfg) < cfg.rate
+                total = sinrs.g_sd + power * coherent_power(real.h_rd, forwards)
+                scale = cfg.block_len / (cfg.block_len + cfg.cp_len)
+                old = scale * np.log2(1.0 + total) < cfg.rate
+            count = estimate_outage(cfg, SCHEME_MULTI, LAW_PAIRED_TRIALS, seed=seed).outage_count
+            assert count == np.count_nonzero(new), (cfg, seed)
+            b += np.count_nonzero(new & ~old)
+            c += np.count_nonzero(old & ~new)
+        z.append((b - c) / math.sqrt(b + c))
+        print(f"T {cfg.block_len} N {cfg.n_relays} {cfg.mi_mode}: b {b} c {c}")
+    z = np.array(z)
+    print(f"McNemar z: {np.round(z, 2).tolist()}")
+    assert np.max(np.abs(z)) <= 3.0
+    assert np.sum(z * z) <= chi2.isf(LAW_ALPHA, z.size)
 
 
 def relay_major_views(a):
@@ -1173,11 +1259,11 @@ def test_forwarding_count_is_the_bool_row_sum(n):
     rng = np.random.default_rng(n)
     mask = rng.random((1000, n)) < rng.random((1000, 1))
     mask[:3] = [[False] * n, [True] * n, np.arange(n) % 2 == 0]
-    count = mc.forwarding_count(mask)
+    count = channel.forwarding_count(mask)
     assert count.dtype.kind == "i" and np.array_equal(count, mask.sum(axis=-1))
-    assert mc.forwarding_count(mask[5]) == mask[5].sum()
+    assert channel.forwarding_count(mask[5]) == mask[5].sum()
     for view in relay_major_views(mask):
-        assert np.array_equal(mc.forwarding_count(view), count)
+        assert np.array_equal(channel.forwarding_count(view), count)
 
 
 @pytest.mark.parametrize("n", [1, 5, 8, 10, 64])
@@ -1199,20 +1285,20 @@ def test_selection_gather_equals_the_masked_row_sum(n):
     (dict(), {SCHEME_MULTI: [{"g_sr"}, {"g_sd", "g_rd"}],
               SCHEME_OS: [{"g_sd", "g_sr", "g_rd"}], SCHEME_PS: [{"g_sd", "g_sr", "g_rd"}]}),
     (dict(sync_mode=SYNCHRONOUS, delays=None),
-     {SCHEME_MULTI: [{"g_sr"}, {"g_sd"}],
+     {SCHEME_MULTI: [{"g_sr"}, {"g_sd", "g_rd"}],
       SCHEME_OS: [{"g_sd", "g_sr", "g_rd"}], SCHEME_PS: [{"g_sd", "g_sr", "g_rd"}]}),
     (dict(mi_mode=MI_EXACT), {SCHEME_MULTI: [{"g_sr"}, set()],
                               SCHEME_OS: [{"g_sd", "g_sr", "g_rd"}],
                               SCHEME_PS: [{"g_sd", "g_sr", "g_rd"}]}),
     (dict(mi_mode=MI_EXACT, sync_mode=SYNCHRONOUS, delays=None),
-     {SCHEME_MULTI: [{"g_sr"}, {"g_sd"}],
+     {SCHEME_MULTI: [{"g_sr"}, {"g_sd", "g_rd"}],
       SCHEME_OS: [{"g_sd", "g_sr", "g_rd"}], SCHEME_PS: [{"g_sd", "g_sr", "g_rd"}]}),
 ], ids=["async-approx", "sync-approx", "exact", "sync-exact"])
 def test_link_sinrs_formed_once_per_chunk_where_read(monkeypatch, over, formed):
     # multi's decode probe forms g_sr alone; its transmit pass forms only
     # what the rate reads, nothing under asynchronous exact MI, which reads
-    # the power, and g_sd for synchronous combining in either MI mode; a
-    # selection scheme's rate reads g_sd and its relay's g_rd in either mode
+    # the power; a block with one relayed tap (synchronous multi, or a
+    # selection scheme) reads g_sd and one relay's g_rd in either mode
     made, forms, link = [], [], mc.link_sinrs
     monkeypatch.setattr(mc, "link_sinrs", lambda *a, **k: made.append(link(*a, **k)) or made[-1])
     for name in ("g_sd", "g_sr", "g_rd"):
@@ -1242,15 +1328,15 @@ class Philox(np.random.Philox):
 
 @pytest.mark.parametrize("over, jumps", [
     (dict(), {}),
-    (dict(sync_mode=SYNCHRONOUS, delays=None), {SCHEME_MULTI: 3}),
+    (dict(sync_mode=SYNCHRONOUS, delays=None), {}),
     (dict(mi_mode=MI_EXACT), {SCHEME_MULTI: 3}),
-    (dict(mi_mode=MI_EXACT, sync_mode=SYNCHRONOUS, delays=None), {SCHEME_MULTI: 3}),
+    (dict(mi_mode=MI_EXACT, sync_mode=SYNCHRONOUS, delays=None), {}),
 ], ids=["async-approx", "sync-approx", "exact", "sync-exact"])
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_phase_generator_jumped_only_where_phases_are_read(monkeypatch, over, jumps, scheme):
-    # only multi builds the phase generator (under approximate MI the
-    # synchronous one only); a rate that reads complex gains builds it once
-    # per chunk, from the state saved at the draw
+    # only asynchronous multi under exact MI builds the phase generator; a
+    # rate that reads complex gains builds it once per chunk, from the state
+    # saved at the draw
     stream = mc.trial_stream
 
     def counting(seed, trial, n_relays):

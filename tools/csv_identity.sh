@@ -16,13 +16,17 @@
 # tools/scenario.json, which sends integral floats for counts and pinned
 # delays through --config (approximate MI at 1e5 trials, exact MI at 4000);
 # its tools/scenario_wide.json, 32 synchronous relays over an 8-bin block,
-# whose exact-MI chunk forms no spectrum: the closed-form two-tap rate reads
-# the coherent sum of the 32 h_RD (exact MI at 4000); its short block makes
-# it the one output here where a change of a two-tap block's relative-phase
-# turn shows (at T = 500 the turn moves no flag at these trial counts); and
-# its tools/scenario_ceiling.json, link means just under the
-# config ceiling (approximate MI at 1e5 trials, exact MI at 4000).  Every call runs with RuntimeWarnings as errors, so a
-# scenario that overflows or clamps fails the run instead of writing output.
+# whose exact-MI chunk forms no spectrum: the closed-form two-tap rate
+# draws its relayed tap from the law of the 32 h_RD's coherent sum, the
+# first forwarder's power times the forwarder count (exact MI at 4000); its
+# tools/short_block.json, tests/test_mc.py's TURN_SHORT_BLOCK (three
+# asynchronous relays over a 4-bin block) swept over the first hop (exact
+# MI at 4000); these two short blocks are the outputs here where a change of a two-tap block's relative-phase turn or
+# relayed power shows (at T = 500 the turn moves no flag at these trial
+# counts); and its tools/scenario_ceiling.json, link means just under the
+# config ceiling (approximate MI at 1e5 trials, exact MI at 4000).  Every
+# call runs with RuntimeWarnings as errors, so a scenario that overflows or
+# clamps fails the run instead of writing output.
 # cmp's every CSV and JSON file and prints one line per file, naming for a
 # CSV that differs the columns that changed and those that stayed identical
 # (so an intended change of the random stream shows only mc_p and mc_stderr
@@ -47,7 +51,7 @@ git -C "$repo" ls-files -z --cached --others --exclude-standard \
 
 run_outputs() {
     local tree=$1 scenario=$tmp/work/tools/scenario.json wide=$tmp/work/tools/scenario_wide.json
-    local ceiling=$tmp/work/tools/scenario_ceiling.json
+    local ceiling=$tmp/work/tools/scenario_ceiling.json short=$tmp/work/tools/short_block.json
     mkdir -p "$tree/out"
     for fig in fig2 fig3 fig4 fig5; do
         (cd "$tree" && PYTHONPATH=src python3 -m fdrelay.cli --preset "$fig" \
@@ -73,6 +77,8 @@ run_outputs() {
         --trials 4000 --seed 0 --out out/scenario_exact.csv >/dev/null)
     (cd "$tree" && PYTHONPATH=src python3 -m fdrelay.cli --config "$wide" --mi exact \
         --trials 4000 --seed 0 --out out/scenario_wide_exact.csv >/dev/null)
+    (cd "$tree" && PYTHONPATH=src python3 -m fdrelay.cli --config "$short" --mi exact \
+        --trials 4000 --seed 0 --out out/short_block_exact.csv >/dev/null)
     (cd "$tree" && PYTHONPATH=src python3 -m fdrelay.cli --config "$ceiling" \
         --trials 100000 --seed 0 --out out/scenario_ceiling.csv >/dev/null)
     (cd "$tree" && PYTHONPATH=src python3 -m fdrelay.cli --config "$ceiling" --mi exact \
