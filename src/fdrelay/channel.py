@@ -104,6 +104,23 @@ def forwarding_count(mask: np.ndarray) -> np.ndarray:
     return count.astype(np.intp)
 
 
+def first_maximum(a: np.ndarray) -> np.ndarray:
+    """Each row's first maximum over the relay axis, np.argmax's pick (a never
+    NaN; a mask's first True, 0 on an empty row): the count of leading relays
+    below the row maximum, one pass per relay column (contiguous relay-major,
+    where np.argmax pays per row), or np.argmax for fewer trials than relays."""
+    n = a.shape[-1]
+    if a.size < n * n:
+        return np.argmax(a, axis=-1)
+    top = a.max(axis=-1)
+    below = np.ones(top.shape, bool)
+    chosen = np.zeros(top.shape, np.min_scalar_type(n))
+    for k in range(n - 1):
+        below &= a[..., k] < top
+        chosen += below
+    return chosen.astype(np.intp)
+
+
 def gains_from_uniforms(power, u1):
     """CN(0, variance) draws by the polar method from uniform pairs (u0, u1).
 

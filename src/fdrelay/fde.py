@@ -6,7 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import FRESH, ChannelRealization, LinkSinrs, Scratch, forwarding_count, gather_relay
+from .channel import (FRESH, ChannelRealization, LinkSinrs, Scratch, first_maximum,
+                      forwarding_count, gather_relay)
 from .model import SYNCHRONOUS, SystemConfig
 
 
@@ -190,15 +191,15 @@ def exact_rate(spec: BinSpectrum, cfg: SystemConfig, out: np.ndarray | None = No
 
 def _relayed_tap(sinrs: LinkSinrs, mask: np.ndarray, chosen):
     # (relayed power, relay at whose delay that one tap sits) of a two-tap
-    # block: one relay's g_rd times its weight, a selection's chosen relay
-    # 1 where it forwards, synchronous multi's first forwarder L (see approx_rate)
+    # block: one relay's P_R |h_RD|^2 times its weight, a selection's chosen
+    # relay 1 where it forwards, synchronous multi's first forwarder L (see approx_rate)
     if chosen is None:
         _check_mask(mask, sinrs.real.h2_rd)
-        chosen, weight = np.argmax(mask, axis=-1), forwarding_count(mask)
+        chosen, weight = first_maximum(mask), forwarding_count(mask)
     else:
         _check_mask(mask, np.asarray(chosen))
         weight = mask
-    return gather_relay(sinrs.g_rd, chosen) * weight, chosen
+    return gather_relay(sinrs.real.h2_rd, chosen) * sinrs.relay_tx_power * weight, chosen
 
 
 # exact_rate_two_tap forms (-rho)^M and its cosine only where rho^M may reach
@@ -211,8 +212,8 @@ def exact_rate_two_tap(sinrs: LinkSinrs, forwards: np.ndarray, cfg: SystemConfig
     no taps or spectrum is formed.  The arguments are approx_rate's.
 
     Given chosen (a selection scheme), the relayed tap is that relay's, of
-    power g_rd * forwards; else (synchronous multi, whose relays share one
-    delay) it is approx_rate's, drawn from the law of the coherent sum of
+    power P_R |h_RD|^2 * forwards; else (synchronous multi, whose relays share
+    one delay) it is approx_rate's, drawn from the law of the coherent sum of
     the forwarders' h_rd, not summed from the realization's gains.  With
     p = sqrt(g_sd), q the relayed amplitude, x = 1 + g_sd + q^2 (approx_rate's
     total, the same operands), y = 2pq and phi the relative phase of the two
@@ -265,8 +266,8 @@ def approx_rate(sinrs: LinkSinrs, mask: np.ndarray, cfg: SystemConfig, chosen=No
     order, one pass per relay column (contiguous in relay-major SINRs), or,
     for a batch of fewer trials than relays, by np.add.accumulate along each
     row, which adds in the same order.  A block with one relayed tap adds
-    that tap's power, as exact_rate_two_tap reads it: one relay's g_rd times
-    its weight.  A selection scheme's one relay weighs 1 where it forwards,
+    that tap's power, as exact_rate_two_tap reads it: one relay's P_R |h_RD|^2
+    times its weight.  A selection scheme's one relay weighs 1 where it forwards,
     the same number as a masked row sum, which adds only zeros to it.
     Synchronous multi's first forwarder weighs L, the forwarder count: its
     relays share one delay, and given the mask, which reads only SR powers,

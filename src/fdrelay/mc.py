@@ -7,7 +7,8 @@ from dataclasses import replace
 import numpy as np
 
 from .channel import (FRESH, PHILOX_BLOCK, LinkSinrs, Scratch, channel_slots, draw_realization,
-                      forwarding_count, gather_relay, link_sinrs, trial_block_uniforms)
+                      first_maximum, forwarding_count, gather_relay, link_sinrs,
+                      trial_block_uniforms)
 from .fde import (amplitude_bounds, approx_rate, bound_slots, exact_rate, exact_rate_two_tap,
                   lambda_spectrum, rate_bounds, spectrum_slots)
 from .model import (MI_EXACT, SCHEME_MULTI, SCHEME_OS, SCHEME_PS, SCHEMES, SYNCHRONOUS,
@@ -38,34 +39,15 @@ def trial_stream(seed: int, trial: int, n_relays: int) -> np.random.Generator:
 
 
 def select_relay(sinrs: LinkSinrs, kind: str):
-    """Relay index picked by a selection baseline: the first maximum of its
-    score over the relay axis, so ties go to the lowest index, as np.argmax
-    picks (scores are never NaN).
-
-    os ranks relays by the bottleneck hop min(g_sr, g_rd); ps uses only the
-    first hop g_sr.  The pick is the count of leading relays scoring below
-    the row maximum, found by passes over the relay columns in index order;
-    on relay-major SINRs each pass runs over one contiguous column of the
-    chunk's trials, where np.argmax pays a per-row cost on every trial.
-    A batch of fewer trials than relays would pay a numpy call per relay
-    for a few trials each, so it takes np.argmax's pick instead.
-    """
+    """Relay picked by a selection baseline: channel.first_maximum of its score,
+    os's bottleneck hop min(g_sr, g_rd) or ps's first hop g_sr."""
     if kind == SCHEME_OS:
         score = np.minimum(sinrs.g_sr, sinrs.g_rd)
     elif kind == SCHEME_PS:
         score = sinrs.g_sr
     else:
         raise ValueError(f"unknown selection scheme {kind!r}")
-    n = score.shape[-1]
-    if score.size < n * n:
-        return np.argmax(score, axis=-1)
-    top = score.max(axis=-1)
-    below = np.ones(top.shape, bool)
-    chosen = np.zeros(top.shape, np.min_scalar_type(n))
-    for k in range(n - 1):
-        below &= score[..., k] < top
-        chosen += below
-    return chosen.astype(np.intp)
+    return first_maximum(score)
 
 
 def selection_config(cfg: SystemConfig) -> SystemConfig:
@@ -84,8 +66,8 @@ def forwarding(real, cfg: SystemConfig, scheme: str, scratch: Scratch = FRESH):
     chosen is None; os/ps: chosen, of the batch shape, is the selected relay
     and forwards whether it decodes; it forwards alone, so its SINRs are
     those of selection_config(cfg).  Given chosen, or synchronous, the rate
-    reads one relay's g_rd and, under exact MI, the realization's turn,
-    plane 0's spare uniform: no complex gain and no phase plane."""
+    reads one relay's P_R |h_RD|^2 and, under exact MI, the realization's
+    turn, plane 0's spare uniform: no complex gain and no phase plane."""
     if scheme == SCHEME_MULTI:
         probe = link_sinrs(real, cfg, relay_tx_power(cfg, cfg.n_relays), scratch)
         decodes = probe.g_sr >= eta(cfg)

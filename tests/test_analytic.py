@@ -721,3 +721,33 @@ def test_early_stopped_sums_match_every_term_summed_exactly():
                                    for i in range(1, n + 1))
             got = _gap_sum(n, x, v, (v - x) / v)
             assert float(abs(got - want) / want) <= bound, (n, x)
+
+
+DIVERSITY_DB = (50.0, 60.0)       # P_S = E_R, one decade of SNR apart
+
+
+@pytest.mark.parametrize("policy", [SHARED_BUDGET, FIXED_PER_RELAY])
+@pytest.mark.parametrize("mode", [ASYNCHRONOUS, SYNCHRONOUS])
+@pytest.mark.parametrize("n", [2, 5, 10])
+def test_closed_form_diversity_order(n, mode, policy):
+    # the slope of log10 total_outage per decade of P_S = E_R on the fig4
+    # base, at 50-60 dB.  Without loopback or inter-relay interference,
+    # asynchronous delays make the direct link and N relays N + 1
+    # independent taps (order N + 1), while synchronous relays add
+    # coherently into one Rayleigh tap beside the direct one (order 2 at
+    # any N).  With fig4's var_rsi = var_iri = 1 the interference grows with
+    # the relay power and caps the relays' SINR, leaving the direct link's
+    # order 1.  At N = 64 the asynchronous value underflows to 0 at 60 dB
+    base = replace(dict(build_preset("fig4").variants)[""].base, n_relays=n, delays=None,
+                   sync_mode=mode, relay_power_policy=policy)
+
+    def slope(var):
+        p = [total_outage(validate_config(replace(base, p_source=10 ** (db / 10),
+                                                  e_relay_budget=10 ** (db / 10),
+                                                  var_rsi=var, var_iri=var)))
+             for db in DIVERSITY_DB]
+        return (math.log10(p[0]) - math.log10(p[1])) / ((DIVERSITY_DB[1] - DIVERSITY_DB[0]) / 10)
+
+    free = n + 1 if mode == ASYNCHRONOUS else 2
+    assert abs(slope(0.0) - free) <= 0.01
+    assert abs(slope(1.0) - 1.0) <= 0.01

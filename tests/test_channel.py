@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fdrelay.channel import (FRESH, Scratch, channel_slots, draw_realization, gains_from_uniforms,
-                             gather_relay, link_sinrs, trial_block_uniforms, uniforms_per_trial)
+from fdrelay.channel import (FRESH, Scratch, channel_slots, draw_realization, first_maximum,
+                             gains_from_uniforms, gather_relay, link_sinrs, trial_block_uniforms,
+                             uniforms_per_trial)
 from fdrelay.fde import exact_rate, exact_rate_two_tap, lambda_spectrum
 from fdrelay.model import SystemConfig
 from fdrelay.mc import trial_stream
@@ -393,7 +394,10 @@ def relay_layouts(a):
     # relay columns are strided, and in relay columns strided inside a wider
     # C-order plane
     rows, n = a.shape
-    take = Scratch(a.nbytes // 8).take((rows, n), a.dtype, order="F")
+    if a.dtype.itemsize % 8 == 0:
+        take = Scratch(a.nbytes // 8).take((rows, n), a.dtype, order="F")
+    else:   # a Scratch holds whole float64 slots; a mask is relay-major as its SINRs are
+        take = np.empty((rows, n), a.dtype, order="F")
     take[...] = a
     wider = np.empty((rows + 5, n), a.dtype, order="F")
     wider[:rows] = a
@@ -422,6 +426,40 @@ def test_gather_relay_on_every_layout(n, dtype):
             assert np.array_equal(gather_relay(view[:1], index[:1]), want[:1])
             assert np.array_equal(gather_relay(view[7:11], index[7:11]), want[7:11])
         assert gather_relay(a[3], index[3]) == a[3, index[3]]
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 10, 64])
+def test_first_maximum_is_np_argmax(monkeypatch, n):
+    # the pick every one-relayed-tap block reads equals np.argmax's first
+    # maximum on float scores and on boolean masks (first True, 0 on an
+    # empty row), on every layout a chunk reads, on both sides of the
+    # batch-size fork: fewer trials than relays (at N = 1 only an empty
+    # batch) take np.argmax itself, the rest the column scan, which calls
+    # no np.argmax
+    argmax, calls = np.argmax, []
+    monkeypatch.setattr(np, "argmax", lambda *a, **k: calls.append(a[0].shape) or argmax(*a, **k))
+    rng = np.random.default_rng(40 + n)
+    for rows in sorted({max(n - 1, 0), n, 400}):
+        # float scores with ties in most rows (small integers), rows of one
+        # repeated value, infinities and zeros; masks of every density, with
+        # all-False and all-True rows
+        score = rng.integers(0, 4, size=(rows, n)).astype(float)
+        score[:rows // 4] = rng.exponential(size=(rows // 4, n))
+        score[rows // 4:rows // 3] = 2.0
+        score[rows // 3:rows // 2, ::2] = np.inf
+        score[rows // 2:rows * 3 // 5] = 0.0
+        mask = rng.random((rows, n)) < rng.random((rows, 1))
+        mask[:rows // 5] = False
+        mask[rows // 5:rows // 4] = True
+        for a in (score, mask):
+            want = argmax(a, axis=-1)
+            for view in relay_layouts(a) if rows else [a]:
+                calls.clear()
+                got = first_maximum(view)
+                assert got.dtype == np.intp and np.array_equal(got, want), (rows, a.dtype)
+                assert calls == ([view.shape] if rows < n else []), (rows, calls)
+            if rows:
+                assert first_maximum(a[-1]) == want[-1]
 
 
 @pytest.mark.parametrize("n", [1, 5, 10, 64])

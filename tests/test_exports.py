@@ -64,7 +64,7 @@ ROOT = [
 
 # names left out of the root, each importable from its own module
 MODULE_ONLY = {
-    channel: ("ChannelRealization", "LinkSinrs"),
+    channel: ("ChannelRealization", "LinkSinrs", "first_maximum"),
     fde: ("BinSpectrum",),
     analytic: ("link_outages", "p_cond_async", "p_cond_sync", "combine_outage"),
     mc: ("select_relay", "trial_stream"),

@@ -16,7 +16,7 @@ from scipy.stats import chi2, norm
 
 from fdrelay import channel, fde, mc
 from fdrelay.analytic import total_outage
-from fdrelay.channel import LinkSinrs
+from fdrelay.channel import LinkSinrs, gather_relay
 from fdrelay.cli import PRESET_NAMES, _config_spec, build_preset
 from fdrelay.mc import (SCHEME_MULTI, SCHEME_OS, SCHEME_PS, SCHEMES,
                         estimate_outage, select_relay, trial_stream)
@@ -1283,22 +1283,24 @@ def test_selection_gather_equals_the_masked_row_sum(n):
 
 @pytest.mark.parametrize("over, formed", [
     (dict(), {SCHEME_MULTI: [{"g_sr"}, {"g_sd", "g_rd"}],
-              SCHEME_OS: [{"g_sd", "g_sr", "g_rd"}], SCHEME_PS: [{"g_sd", "g_sr", "g_rd"}]}),
+              SCHEME_OS: [{"g_sd", "g_sr", "g_rd"}], SCHEME_PS: [{"g_sd", "g_sr"}]}),
     (dict(sync_mode=SYNCHRONOUS, delays=None),
-     {SCHEME_MULTI: [{"g_sr"}, {"g_sd", "g_rd"}],
-      SCHEME_OS: [{"g_sd", "g_sr", "g_rd"}], SCHEME_PS: [{"g_sd", "g_sr", "g_rd"}]}),
+     {SCHEME_MULTI: [{"g_sr"}, {"g_sd"}],
+      SCHEME_OS: [{"g_sd", "g_sr", "g_rd"}], SCHEME_PS: [{"g_sd", "g_sr"}]}),
     (dict(mi_mode=MI_EXACT), {SCHEME_MULTI: [{"g_sr"}, set()],
                               SCHEME_OS: [{"g_sd", "g_sr", "g_rd"}],
-                              SCHEME_PS: [{"g_sd", "g_sr", "g_rd"}]}),
+                              SCHEME_PS: [{"g_sd", "g_sr"}]}),
     (dict(mi_mode=MI_EXACT, sync_mode=SYNCHRONOUS, delays=None),
-     {SCHEME_MULTI: [{"g_sr"}, {"g_sd", "g_rd"}],
-      SCHEME_OS: [{"g_sd", "g_sr", "g_rd"}], SCHEME_PS: [{"g_sd", "g_sr", "g_rd"}]}),
+     {SCHEME_MULTI: [{"g_sr"}, {"g_sd"}],
+      SCHEME_OS: [{"g_sd", "g_sr", "g_rd"}], SCHEME_PS: [{"g_sd", "g_sr"}]}),
 ], ids=["async-approx", "sync-approx", "exact", "sync-exact"])
 def test_link_sinrs_formed_once_per_chunk_where_read(monkeypatch, over, formed):
     # multi's decode probe forms g_sr alone; its transmit pass forms only
     # what the rate reads, nothing under asynchronous exact MI, which reads
     # the power; a block with one relayed tap (synchronous multi, or a
-    # selection scheme) reads g_sd and one relay's g_rd in either mode
+    # selection scheme) reads g_sd and gathers one relay's P_R |h_RD|^2 from
+    # the powers in either mode, so it forms no g_rd; os forms g_rd for its
+    # bottleneck score alone
     made, forms, link = [], [], mc.link_sinrs
     monkeypatch.setattr(mc, "link_sinrs", lambda *a, **k: made.append(link(*a, **k)) or made[-1])
     for name in ("g_sd", "g_sr", "g_rd"):
@@ -1315,6 +1317,50 @@ def test_link_sinrs_formed_once_per_chunk_where_read(monkeypatch, over, formed):
         for i, sinrs in enumerate(made):
             links = [name for obj, name in forms if obj is sinrs]
             assert sorted(links) == sorted(want[i % len(want)]), (scheme, i)
+
+
+def two_tap_points() -> list:
+    # every fig3 and fig4 point, fig4's once more with its relays synchronous
+    # (at one shared delay), and every tools/scenario_wide.json point, under
+    # both power policies and both MI modes
+    specs = [spec for name in ("fig3", "fig4") for _, spec in build_preset(name).variants]
+    specs.append(_config_spec(json.loads((TOOLS / "scenario_wide.json").read_text())))
+    cfgs = [apply_param(spec.base, spec.param, value) for spec in specs for value in spec.values]
+    cfgs += [replace(cfg, sync_mode=SYNCHRONOUS, delays=None)
+             for cfg in cfgs if cfg.sync_mode != SYNCHRONOUS]
+    return [validate_config(replace(cfg, relay_power_policy=policy, mi_mode=mi))
+            for cfg in cfgs for policy in (SHARED_BUDGET, FIXED_PER_RELAY)
+            for mi in (MI_APPROXIMATE, MI_EXACT)]
+
+
+@pytest.mark.parametrize("chunk, trials", [(1, 24), (None, 3000)], ids=["chunk1", "default"])
+def test_two_tap_relayed_power_is_the_gathered_g_rd_bit_for_bit(monkeypatch, chunk, trials):
+    # a block with one relayed tap (os, ps and synchronous multi) gathers
+    # its relay's P_R |h_RD|^2 from the powers and weighs it; that is, bit
+    # for bit, the relay's g_rd (the same operands) times the weight, at
+    # the relay np.argmax picks on synchronous multi's mask (weight L, the
+    # forwarder count) or at a selection's chosen relay (weight 1 where it
+    # forwards)
+    tap, calls = fde._relayed_tap, Counter()
+
+    def checked(sinrs, mask, chosen):
+        relayed, relay = tap(sinrs, mask, chosen)
+        if chosen is None:
+            want_relay, weight = np.argmax(mask, axis=-1), np.count_nonzero(mask, axis=-1)
+        else:
+            want_relay, weight = chosen, mask
+        want = gather_relay(sinrs.g_rd, want_relay) * weight
+        assert np.array_equal(relay, want_relay)
+        assert relayed.dtype == want.dtype and relayed.tobytes() == want.tobytes()
+        calls[chosen is None] += 1
+        return relayed, relay
+
+    monkeypatch.setattr(fde, "_relayed_tap", checked)
+    for cfg in two_tap_points():
+        schemes = SCHEMES if cfg.sync_mode == SYNCHRONOUS else (SCHEME_OS, SCHEME_PS)
+        for scheme in schemes:
+            estimate_outage(cfg, scheme, trials, seed=13, chunk=chunk)
+    assert calls[True] and calls[False], calls
 
 
 class Philox(np.random.Philox):

@@ -18,7 +18,8 @@
 # its tools/scenario_wide.json, 32 synchronous relays over an 8-bin block,
 # whose exact-MI chunk forms no spectrum: the closed-form two-tap rate
 # draws its relayed tap from the law of the 32 h_RD's coherent sum, the
-# first forwarder's power times the forwarder count (exact MI at 4000); its
+# first forwarder (picked by channel.first_maximum) at power P_R*|h_RD|^2
+# times the forwarder count (exact MI at 4000); its
 # tools/short_block.json, tests/test_mc.py's TURN_SHORT_BLOCK (three
 # asynchronous relays over a 4-bin block) swept over the first hop (exact
 # MI at 4000); these two short blocks are the outputs here where a change of a two-tap block's relative-phase turn or
